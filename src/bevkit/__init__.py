@@ -14,7 +14,6 @@ Submodules:
 """
 
 from . import (
-    cli,
     correlation,
     errors,
     evaluation,
@@ -29,7 +28,6 @@ from . import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli",
     "correlation",
     "errors",
     "evaluation",

@@ -257,12 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bevkit",
         description="BEV odometry toolkit: flow supervision, projection, evaluation.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; all commands currently run single-threaded",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("flow-make", help="construct dense BEV flow from a planar motion")

@@ -21,6 +21,7 @@ from .errors import (
     InsufficientLengthError,
     ShapeError,
 )
+from .geometry import fit_similarity
 
 DEFAULT_SEGMENT_LENGTHS_M = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
 
@@ -165,9 +166,8 @@ def align(est: Trajectory, gt: Trajectory, mode: str = "se3") -> AlignmentResult
     """Closed-form alignment of estimated positions onto ground truth.
 
     ``mode`` "se3" fits rotation + translation (scale fixed at 1);
-    "sim3" additionally fits a positive scale.  The rotation comes from
-    the SVD of the position cross-covariance with the usual determinant
-    correction, the scale (when fit) from the projected variance ratio.
+    "sim3" additionally fits a positive scale.  The fit is
+    :func:`bevkit.geometry.fit_similarity` over the positions.
 
     Raises:
         DegenerateGeometryError: fewer than 3 frames, or the positions
@@ -176,33 +176,15 @@ def align(est: Trajectory, gt: Trajectory, mode: str = "se3") -> AlignmentResult
     if mode not in ("se3", "sim3"):
         raise ValueError(f"mode must be 'se3' or 'sim3', got {mode!r}")
     _check_same_frames(est, gt)
-    n = len(est)
-    if n < 3:
+    if len(est) < 3:
         raise DegenerateGeometryError("alignment needs at least 3 frames")
-    x = est.positions
-    y = gt.positions
-    xc = x.mean(axis=0)
-    yc = y.mean(axis=0)
-    xd = x - xc
-    yd = y - yc
-    cov = yd.T @ xd / n
-    u, d, vt = np.linalg.svd(cov)
+    rot, t, scale, d = fit_similarity(est.positions, gt.positions, with_scale=mode == "sim3")
     if d[0] <= 0.0 or d[1] <= _COLLINEAR_TOL * d[0]:
         raise DegenerateGeometryError(
             "positions are collinear or coincident; alignment is ambiguous"
         )
-    s_fix = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0.0:
-        s_fix[2, 2] = -1.0
-    rot = u @ s_fix @ vt
-    if mode == "sim3":
-        var_x = float((xd ** 2).sum()) / n
-        scale = float(np.trace(np.diag(d) @ s_fix)) / var_x
-        if scale <= 0.0:
-            raise DegenerateGeometryError("similarity fit produced a nonpositive scale")
-    else:
-        scale = 1.0
-    t = yc - scale * rot @ xc
+    if scale <= 0.0:
+        raise DegenerateGeometryError("similarity fit produced a nonpositive scale")
     return AlignmentResult(rotation=rot, translation=t, scale=scale)
 
 

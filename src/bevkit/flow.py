@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError, DegenerateInputError, ShapeError
-from .geometry import BevGridSpec, Pose2, pixel_to_vehicle
+from .geometry import BevGridSpec, Pose2, fit_similarity, pixel_to_vehicle
 
-# H = sum_i w_i p_i q_i^T is considered rank zero, and the rotation fit
-# hopeless, when its largest singular value falls below this times the
-# matrix magnitude.
+# The weighted cross-covariance of the point correspondences is considered
+# rank zero, and the rotation fit hopeless, when its largest singular value
+# falls below this.
 _RANK_TOL = 1e-12
 
 
@@ -95,13 +95,15 @@ def displacement_at(t_rel: Pose2, grid: BevGridSpec, u, v):
     return du, dv
 
 
+def _pixel_lattice(grid: BevGridSpec):
+    """Row and column coordinates (vs, us) of every pixel, each (H, W) float."""
+    rows, cols = np.arange(grid.height_px, dtype=float), np.arange(grid.width_px, dtype=float)
+    return np.meshgrid(rows, cols, indexing="ij")
+
+
 def construct_flow_gt(t_rel: Pose2, grid: BevGridSpec) -> FlowField:
     """Dense ground-truth flow for a relative planar motion on the grid."""
-    vs, us = np.meshgrid(
-        np.arange(grid.height_px, dtype=float),
-        np.arange(grid.width_px, dtype=float),
-        indexing="ij",
-    )
+    vs, us = _pixel_lattice(grid)
     du, dv = displacement_at(t_rel, grid, us, vs)
     return FlowField(np.stack([du, dv]), grid)
 
@@ -113,11 +115,7 @@ def in_grid_mask(flow: FlowField) -> np.ndarray:
     within the pixel-center lattice, i.e. 0 <= u' <= W-1 and 0 <= v' <= H-1.
     """
     grid = flow.grid
-    vs, us = np.meshgrid(
-        np.arange(grid.height_px, dtype=float),
-        np.arange(grid.width_px, dtype=float),
-        indexing="ij",
-    )
+    vs, us = _pixel_lattice(grid)
     u_new = us + flow.data[0]
     v_new = vs + flow.data[1]
     return (
@@ -133,9 +131,7 @@ def solve_pose_from_flow(flow: FlowField, weights: np.ndarray | None = None) -> 
 
     Solves the weighted least-squares problem over vehicle-frame point
     correspondences (source pixel, source pixel + flow) for a rotation
-    plus translation; the rotation comes from the SVD of the 2x2 weighted
-    cross-covariance with a determinant correction so the result is a
-    proper rotation.
+    plus translation with :func:`bevkit.geometry.fit_similarity`.
 
     Args:
         flow: dense flow field on a BEV grid.
@@ -160,29 +156,13 @@ def solve_pose_from_flow(flow: FlowField, weights: np.ndarray | None = None) -> 
     if np.count_nonzero(wts > 0.0) < 2:
         raise DegenerateInputError("need at least two pixels with positive weight")
 
-    vs, us = np.meshgrid(
-        np.arange(h, dtype=float), np.arange(w, dtype=float), indexing="ij"
-    )
+    vs, us = _pixel_lattice(grid)
     src = pixel_to_vehicle(us, vs, grid)[..., :2].reshape(-1, 2)
     dst = pixel_to_vehicle(us + flow.data[0], vs + flow.data[1], grid)[..., :2].reshape(-1, 2)
-    wf = wts.reshape(-1)
-
-    wsum = wf.sum()
-    src_c = (wf[:, None] * src).sum(axis=0) / wsum
-    dst_c = (wf[:, None] * dst).sum(axis=0) / wsum
-    p = src - src_c
-    q = dst - dst_c
-    cross = (wf[:, None] * p).T @ q
-
-    u_m, sigma, vt_m = np.linalg.svd(cross)
-    if sigma[0] <= _RANK_TOL * max(1.0, float(np.abs(cross).max())):
+    rot, t, _, sigma = fit_similarity(src, dst, wts.reshape(-1))
+    if sigma[0] <= _RANK_TOL:
         raise DegenerateGeometryError("point set is concentrated at one location")
-    d = np.sign(np.linalg.det(vt_m.T @ u_m.T))
-    if d == 0.0:
-        d = 1.0
-    rot = vt_m.T @ np.diag([1.0, d]) @ u_m.T
     theta = math.atan2(rot[1, 0], rot[0, 0])
-    t = dst_c - rot @ src_c
     return Pose2(theta, float(t[0]), float(t[1]))
 
 

@@ -41,15 +41,48 @@ def rot_z(theta: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def closest_rotation(m: np.ndarray) -> np.ndarray:
-    """Project a near-rotation 3x3 matrix onto SO(3) via SVD."""
-    u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
+def proper_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closest proper rotation U S V^T to m = U diag(sigma) V^T, and sigma (descending).
+
+    S = I, or diag(1, ..., 1, -1) when U V^T is a reflection.
+    """
+    u, sigma, vt = np.linalg.svd(np.asarray(m, dtype=float))
     r = u @ vt
     if np.linalg.det(r) < 0.0:
-        u = u.copy()
         u[:, -1] = -u[:, -1]
         r = u @ vt
-    return r
+    return r, sigma
+
+
+def closest_rotation(m: np.ndarray) -> np.ndarray:
+    """Project a near-rotation 3x3 matrix onto SO(3) via SVD."""
+    return proper_rotation(m)[0]
+
+
+def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None = None,
+                   with_scale: bool = False) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Weighted least-squares fit dst_i ~ scale * R @ src_i + t over (N, d) point sets.
+
+    Umeyama's closed form (TPAMI 1991): R is a proper rotation, scale is 1
+    unless ``with_scale`` (0 when ``src`` has no spread), omitted weights
+    are uniform.  Returns (R, t, scale, sigma); callers judge uniqueness by
+    ``sigma``, the singular values of sum_i w_i (dst_i - dst_c)(src_i - src_c)^T.
+    """
+    src = np.asarray(src, dtype=float)
+    dst = np.asarray(dst, dtype=float)
+    w = (np.ones(len(src)) if weights is None else np.asarray(weights, dtype=float))[:, None]
+    src_c = (w * src).sum(axis=0) / w.sum()
+    dst_c = (w * dst).sum(axis=0) / w.sum()
+    p = src - src_c
+    cov = (w * (dst - dst_c)).T @ p
+    rot, sigma = proper_rotation(cov)
+    scale = 1.0
+    if with_scale:
+        # trace(R^T cov): the singular values summed, the last one negated
+        # when proper_rotation fixed a reflection
+        var = float((w * p * p).sum())
+        scale = float(np.sum(rot * cov)) / var if var > 0.0 else 0.0
+    return rot, dst_c - scale * rot @ src_c, scale, sigma
 
 
 def _rotation_drift(r: np.ndarray) -> float:

@@ -19,7 +19,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import FormatError, ParseError, ShapeError
 from .evaluation import LogScaleCurve, Trajectory
@@ -117,32 +116,84 @@ def write_kitti_poses(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trajectory_from_rows(rows: list[tuple[int, list[float]]]) -> Trajectory:
-    timestamps = []
-    poses = []
-    last_t = None
-    for lineno, values in rows:
-        t, tx, ty, tz, qx, qy, qz, qw = values
-        qnorm = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
+def quat_to_matrix(quat: np.ndarray) -> np.ndarray:
+    """Rotations (..., 3, 3) from x, y, z, w quaternions (..., 4), each normalized first."""
+    q = np.asarray(quat, dtype=float)
+    x, y, z, w = np.moveaxis(q / np.linalg.norm(q, axis=-1, keepdims=True), -1, 0)
+    m = [x * x - y * y - z * z + w * w, 2 * (x * y - z * w), 2 * (x * z + y * w),
+         2 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2 * (y * z - x * w),
+         2 * (x * z - y * w), 2 * (y * z + x * w), -x * x - y * y + z * z + w * w]
+    return np.stack(m, axis=-1).reshape(q.shape[:-1] + (3, 3))
+
+
+def matrix_to_quat(rot: np.ndarray) -> np.ndarray:
+    """Unit quaternions (N, 4), x, y, z, w order, from rotations (N, 3, 3) by Shepperd's method.
+
+    A matrix whose Gram matrix misses the identity (rtol 1e-5, atol 1e-12)
+    is replaced by its closest rotation first; a nonpositive determinant
+    raises ValueError.
+    """
+    m = np.array(rot, dtype=float)
+    bad = np.flatnonzero(np.linalg.det(m) <= 0.0)
+    if bad.size:
+        raise ValueError(f"rotation matrix {bad[0]} has a nonpositive determinant")
+    mt = np.swapaxes(m, -1, -2)
+    for n in np.flatnonzero(~np.isclose(m @ mt, np.eye(3), rtol=1e-5, atol=1e-12).all((1, 2))):
+        m[n] = closest_rotation(m[n])
+    trace = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
+    # row c of the symmetric k is the unnormalized quaternion solved from
+    # diagonal entry c (c < 3) or from the trace (c = 3)
+    k = np.empty((len(m), 4, 4))
+    k[:, :3, :3] = m + mt
+    k[:, [0, 1, 2], [0, 1, 2]] += (1 - trace)[:, None]
+    k[:, 3, :3] = k[:, :3, 3] = (m - mt)[:, [2, 0, 1], [1, 2, 0]]
+    k[:, 3, 3] = 1 + trace
+    choice = np.argmax(np.stack([m[:, 0, 0], m[:, 1, 1], m[:, 2, 2], trace], axis=-1), axis=-1)
+    q = k[np.arange(len(m)), choice]
+    return q / np.linalg.norm(q, axis=-1, keepdims=True)
+
+
+def _parse_quat_rows(text: str, sep: str | None, header: str | None) -> Trajectory:
+    """Parse ``timestamp tx ty tz qx qy qz qw`` rows split on ``sep``.
+
+    ``sep`` None splits on whitespace.  Blank lines and ``#`` comments
+    are skipped, and so is a first line starting with ``header``.
+    """
+    what = "fields" if sep is None else "comma-separated fields"
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is not None and lineno == 1 and line.lower().startswith(header):
+            continue
+        fields = [f.strip() for f in line.split(sep)]
+        if len(fields) != 8:
+            raise ParseError(f"expected 8 {what}, got {len(fields)}", line=lineno)
+        values = _parse_floats(fields, lineno)
+        qnorm = math.sqrt(sum(v * v for v in values[4:]))
         if abs(qnorm - 1.0) > _PARSE_ROT_TOL:
             raise ParseError(
-                f"quaternion norm {qnorm:.6f} not 1 within {_PARSE_ROT_TOL:g}",
-                line=lineno,
+                f"quaternion norm {qnorm:.6f} not 1 within {_PARSE_ROT_TOL:g}", line=lineno
             )
-        if last_t is not None and t <= last_t:
-            raise ParseError(
-                f"timestamp {t!r} not strictly increasing", line=lineno
-            )
-        last_t = t
-        m = np.eye(4)
-        # scipy renormalizes the quaternion, giving an exact rotation
-        m[:3, :3] = Rotation.from_quat([qx, qy, qz, qw]).as_matrix()
-        m[:3, 3] = (tx, ty, tz)
-        timestamps.append(t)
-        poses.append(m)
-    if not poses:
+        if rows and values[0] <= rows[-1][0]:
+            raise ParseError(f"timestamp {values[0]!r} not strictly increasing", line=lineno)
+        rows.append(values)
+    if not rows:
         raise ParseError("trajectory file contains no poses", line=1)
-    return Trajectory(np.array(timestamps), np.array(poses))
+    rows = np.array(rows)
+    poses = np.tile(np.eye(4), (len(rows), 1, 1))
+    poses[:, :3, :3] = quat_to_matrix(rows[:, 4:])
+    poses[:, :3, 3] = rows[:, 1:4]
+    return Trajectory(rows[:, 0], poses)
+
+
+def _write_quat_rows(traj: Trajectory, sep: str, header: str | None) -> str:
+    """Serialize as ``timestamp tx ty tz qx qy qz qw`` rows joined by ``sep``."""
+    lines = [] if header is None else [header]
+    for t, pos, q in zip(traj.timestamps, traj.positions, matrix_to_quat(traj.poses[:, :3, :3])):
+        lines.append(sep.join([f"{t:.9f}"] + [f"{v:.17g}" for v in (*pos, *q)]))
+    return "\n".join(lines) + "\n"
 
 
 def parse_tum_trajectory(text: str) -> Trajectory:
@@ -155,32 +206,12 @@ def parse_tum_trajectory(text: str) -> Trajectory:
     Raises:
         ParseError: malformed content; the message names the line.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 8:
-            raise ParseError(f"expected 8 fields, got {len(fields)}", line=lineno)
-        rows.append((lineno, _parse_floats(fields, lineno)))
-    return _trajectory_from_rows(rows)
+    return _parse_quat_rows(text, None, None)
 
 
 def write_tum_trajectory(traj: Trajectory) -> str:
     """Serialize as TUM lines (quaternions in x, y, z, w order)."""
-    lines = []
-    for t, pose in zip(traj.timestamps, traj.poses):
-        q = Rotation.from_matrix(pose[:3, :3]).as_quat()
-        tx, ty, tz = pose[:3, 3]
-        lines.append(
-            f"{t:.9f} {tx:.17g} {ty:.17g} {tz:.17g} "
-            f"{q[0]:.17g} {q[1]:.17g} {q[2]:.17g} {q[3]:.17g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-_CSV_HEADER = "timestamp,tx,ty,tz,qx,qy,qz,qw"
+    return _write_quat_rows(traj, " ", None)
 
 
 def parse_csv_trajectory(text: str) -> Trajectory:
@@ -189,31 +220,12 @@ def parse_csv_trajectory(text: str) -> Trajectory:
     An optional first header line (starting with ``timestamp`` or ``#``)
     is skipped.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if lineno == 1 and line.lower().startswith("timestamp"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 8:
-            raise ParseError(f"expected 8 comma-separated fields, got {len(fields)}", line=lineno)
-        rows.append((lineno, _parse_floats(fields, lineno)))
-    return _trajectory_from_rows(rows)
+    return _parse_quat_rows(text, ",", "timestamp")
 
 
 def write_csv_trajectory(traj: Trajectory) -> str:
     """Serialize as CSV with a header line."""
-    lines = [_CSV_HEADER]
-    for t, pose in zip(traj.timestamps, traj.poses):
-        q = Rotation.from_matrix(pose[:3, :3]).as_quat()
-        tx, ty, tz = pose[:3, 3]
-        lines.append(
-            f"{t:.9f},{tx:.17g},{ty:.17g},{tz:.17g},"
-            f"{q[0]:.17g},{q[1]:.17g},{q[2]:.17g},{q[3]:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    return _write_quat_rows(traj, ",", "timestamp,tx,ty,tz,qx,qy,qz,qw")
 
 
 _TRAJECTORY_PARSERS = {

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bevkit
 from bevkit.cli import main
 from bevkit.evaluation import Trajectory
 from bevkit.geometry import Pose2, pose2_to_pose3
@@ -16,6 +21,16 @@ from bevkit.io import (
     write_bvt1,
     write_trajectory,
 )
+
+
+def run_fresh_python(*args):
+    """Run a new interpreter that imports bevkit from the same place as this one."""
+    env = dict(os.environ)
+    src = str(Path(bevkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def run_cli(args, capsys):
@@ -576,23 +591,16 @@ class TestTopLevel:
             main([])
         assert exc.value.code == 2
 
-    def test_threads_flag_accepted(self, tmp_path, config_path, capsys):
-        out = tmp_path / "flow.bvt1"
-        doc, _ = run_json(
-            [
-                "--threads",
-                "4",
-                "flow-make",
-                "--pose",
-                "0,0,0",
-                "--config",
-                config_path,
-                "--out",
-                str(out),
-            ],
-            capsys,
-        )
-        assert doc["max_abs_du"] == 0.0
+    def test_module_entry_point_runs_without_warnings(self):
+        proc = run_fresh_python("-m", "bevkit.cli", "--help")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "flow-make" in proc.stdout
+
+    def test_import_does_not_load_scipy(self):
+        proc = run_fresh_python("-c", "import sys, bevkit; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_missing_input_file_fails(self, tmp_path, config_path, capsys):
         code, _, err = run_cli(

@@ -11,6 +11,7 @@ from bevkit.geometry import (
     Pose3,
     closest_rotation,
     compose,
+    fit_similarity,
     pixel_to_vehicle,
     pose2_to_pose3,
     pose3_to_pose2,
@@ -201,6 +202,54 @@ class TestCompose:
         fixed = closest_rotation(noisy)
         assert np.linalg.norm(fixed.T @ fixed - np.eye(3)) < 1e-12
         assert np.linalg.det(fixed) > 0
+
+
+class TestFitSimilarity:
+    def test_weighted_2d_fit_ignores_zero_weight_outliers(self):
+        rng = np.random.default_rng(20)
+        c, s = math.cos(0.7), math.sin(0.7)
+        rot = np.array([[c, -s], [s, c]])
+        src = rng.uniform(-20.0, 20.0, (200, 2))
+        dst = src @ rot.T + np.array([3.0, -1.5])
+        weights = rng.uniform(0.5, 2.0, 200)
+        dst[:40] += rng.uniform(-50.0, 50.0, (40, 2))
+        weights[:40] = 0.0
+        r, t, scale, sigma = fit_similarity(src, dst, weights)
+        assert np.max(np.abs(r - rot)) < 1e-12
+        assert np.max(np.abs(t - [3.0, -1.5])) < 1e-12
+        assert scale == 1.0
+        assert sigma.shape == (2,) and sigma[0] >= sigma[1] > 0.0
+
+    def test_sim3_fit_recovers_scale(self):
+        rng = np.random.default_rng(21)
+        rot = random_rotation(rng)
+        src = rng.uniform(-5.0, 5.0, (50, 3))
+        dst = 2.5 * src @ rot.T + np.array([1.0, 2.0, 3.0])
+        r, t, scale, _ = fit_similarity(src, dst, with_scale=True)
+        assert abs(scale - 2.5) < 1e-12
+        assert np.max(np.abs(r - rot)) < 1e-12
+        assert np.max(np.abs(t - [1.0, 2.0, 3.0])) < 1e-11
+
+    def test_mirrored_2d_points_give_the_best_proper_rotation(self):
+        # the cross-covariance diag(200, -2) makes U V^T a reflection; with
+        # more spread along x the best proper rotation is the identity
+        src = np.array([[10.0, 1.0], [10.0, -1.0], [-10.0, 1.0], [-10.0, -1.0]])
+        dst = src * [1.0, -1.0]
+        r, _, _, _ = fit_similarity(src, dst)
+        assert np.linalg.det(r) > 0.0
+        assert np.max(np.abs(r - np.eye(2))) < 1e-12
+
+    def test_planar_3d_point_set_is_matched_by_a_rotation(self):
+        # points in z = 0 mirrored across the x axis: the last singular
+        # value is zero, and the proper fit is the half turn about x
+        rng = np.random.default_rng(23)
+        src = np.column_stack([rng.uniform(-5.0, 5.0, (40, 2)), np.zeros(40)])
+        dst = src * [1.0, -1.0, 1.0]
+        r, t, _, sigma = fit_similarity(src, dst)
+        assert np.linalg.det(r) > 0.0
+        assert np.max(np.abs(r - np.diag([1.0, -1.0, -1.0]))) < 1e-12
+        assert np.max(np.abs(src @ r.T + t - dst)) < 1e-12
+        assert sigma[2] < 1e-12 * sigma[0]
 
 
 class TestRelativePose:

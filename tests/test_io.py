@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from bevkit.errors import (
     FormatError,
@@ -15,7 +16,7 @@ from bevkit.errors import (
 )
 from bevkit.evaluation import Trajectory, path_lengths
 from bevkit.flow import FlowField, construct_flow_gt
-from bevkit.geometry import BevGridSpec, Pose2, pose2_to_pose3
+from bevkit.geometry import BevGridSpec, Pose2, closest_rotation, pose2_to_pose3
 from bevkit.io import (
     MotionPrimitive,
     SynthSpec,
@@ -23,6 +24,7 @@ from bevkit.io import (
     default_config,
     flow_from_bvt1,
     flow_to_bvt1,
+    matrix_to_quat,
     parse_config,
     parse_csv_trajectory,
     parse_kitti_poses,
@@ -30,6 +32,7 @@ from bevkit.io import (
     parse_synth_spec,
     parse_trajectory,
     parse_tum_trajectory,
+    quat_to_matrix,
     read_bvt1,
     synth_trajectory,
     write_bvt1,
@@ -51,6 +54,48 @@ def random_trajectory(n, seed):
         rel = Pose2(rng.normal(0.0, 0.1), rng.normal(1.0, 0.2), rng.normal(0.0, 0.2))
         mats.append(mats[-1] @ pose2_to_pose3(rel).matrix)
     return Trajectory(np.arange(n) * 0.1, np.stack(mats))
+
+
+def scipy_quats(rots):
+    # one matrix per call: scipy's single-rotation path
+    return np.array([Rotation.from_matrix(r).as_quat() for r in rots])
+
+
+class TestQuaternionCodec:
+    """scipy's Rotation is the oracle; agreement is bitwise."""
+
+    def test_each_shepperd_branch(self):
+        # near half turns about x, y and z, then a small rotation
+        rotvecs = np.vstack([0.999 * np.pi * np.eye(3), [0.1, -0.2, 0.3]])
+        rots = Rotation.from_rotvec(rotvecs).as_matrix()
+        diag = np.diagonal(rots, axis1=1, axis2=2)
+        choice = np.argmax(np.column_stack([diag, diag.sum(axis=1)]), axis=1)
+        assert choice.tolist() == [0, 1, 2, 3]
+        assert np.array_equal(matrix_to_quat(rots), scipy_quats(rots))
+
+    def test_random_rotations_and_quaternions(self):
+        rng = np.random.default_rng(40)
+        rots = Rotation.random(500, random_state=41).as_matrix()
+        assert np.array_equal(matrix_to_quat(rots), scipy_quats(rots))
+        quats = rng.standard_normal((500, 4)) * rng.uniform(0.5, 2.0, (500, 1))
+        expected = np.array([Rotation.from_quat(q).as_matrix() for q in quats])
+        assert np.array_equal(quat_to_matrix(quats), expected)
+
+    def test_drifted_rotation_is_projected_first(self):
+        rng = np.random.default_rng(42)
+        r = Rotation.random(random_state=43).as_matrix() + 3e-11 * rng.standard_normal((3, 3))
+        drift = np.linalg.norm(r.T @ r - np.eye(3))
+        assert 1e-12 < drift <= 1e-9
+        q = matrix_to_quat(r[None])
+        assert np.array_equal(q, scipy_quats([r]))
+        assert np.array_equal(q, matrix_to_quat(closest_rotation(r)[None]))
+
+    @pytest.mark.parametrize("m", [np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3))])
+    def test_nonpositive_determinant_rejected(self, m):
+        with pytest.raises(ValueError):
+            Rotation.from_matrix(m)
+        with pytest.raises(ValueError, match="matrix 1 has a nonpositive determinant"):
+            matrix_to_quat(np.stack([np.eye(3), m]))
 
 
 class TestKittiFormat:
