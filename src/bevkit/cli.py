@@ -24,7 +24,7 @@ from .evaluation import (
     log_scale_curve,
     scale_trajectory,
 )
-from .flow import FlowField, construct_flow_gt, solve_pose_from_flow
+from .flow import construct_flow_gt, solve_pose_from_flow
 from .geometry import Pose2, pose3_to_pose2, relative_pose, Pose3
 from .lss import DepthDistribution, project_volume
 from .sampler import (

@@ -63,10 +63,13 @@ def channel_index(dx: int, dy: int, radius: int) -> int:
     return (dy + radius) * side + (dx + radius)
 
 
-def channel_offset(index: int, radius: int) -> tuple[int, int]:
-    """Inverse of :func:`channel_index`: channel -> (dx, dy)."""
+def channel_offset(index: int | np.ndarray, radius: int) -> tuple:
+    """Inverse of :func:`channel_index`: channel -> (dx, dy).
+
+    ``index`` may be an int or an integer array; (dx, dy) match its type.
+    """
     side = 2 * radius + 1
-    if not 0 <= index < side * side:
+    if np.any((index < 0) | (index >= side * side)):
         raise ValueError(f"channel {index} outside volume with radius {radius}")
     return (index % side - radius, index // side - radius)
 
@@ -121,18 +124,16 @@ def local_correlation(
         raise ValueError(f"radius must be >= 0, got {radius}")
     c, h, w = f_t.data.shape
     side = 2 * radius + 1
+    # Padding past the map size would only add zeros: a shift that misses
+    # the map entirely leaves its channel zero.
+    ph, pw = min(radius, h), min(radius, w)
+    padded = np.pad(f_t1.data, ((0, 0), (ph, ph), (pw, pw)))
     out = np.zeros((side * side, h, w))
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            x0, x1 = max(0, -dx), min(h, h - dx)
-            y0, y1 = max(0, -dy), min(w, w - dy)
-            if x0 >= x1 or y0 >= y1:
-                continue
-            prod = (
-                f_t.data[:, x0:x1, y0:y1]
-                * f_t1.data[:, x0 + dx : x1 + dx, y0 + dy : y1 + dy]
-            )
-            out[channel_index(dx, dy, radius), x0:x1, y0:y1] = prod.sum(axis=0)
+    for k in range(side * side):
+        dx, dy = channel_offset(k, radius)
+        if abs(dx) <= ph and abs(dy) <= pw:
+            window = padded[:, ph + dx : ph + dx + h, pw + dy : pw + dy + w]
+            out[k] = np.einsum("chw,chw->hw", f_t.data, window)
     if normalize:
         out /= c
     return CorrelationVolume(out, radius)
@@ -153,8 +154,5 @@ def peak_displacement(volume: CorrelationVolume) -> np.ndarray:
     Ties resolve to the lowest channel index, so an all-equal pixel maps
     to (-radius, -radius).
     """
-    idx = np.argmax(volume.data, axis=0)
-    side = volume.side
-    dx = idx % side - volume.radius
-    dy = idx // side - volume.radius
+    dx, dy = channel_offset(np.argmax(volume.data, axis=0), volume.radius)
     return np.stack([dx, dy]).astype(np.int64)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .flow import FlowField, l1_flow_loss
+from .flow import l1_flow_loss
 from .geometry import Pose2, wrap_angle
 
 
@@ -111,5 +111,4 @@ __all__ = [
     "loss_5dof",
     "loss_total",
     "l1_flow_loss",
-    "FlowField",
 ]

@@ -118,20 +118,16 @@ def build_frustum(camera: CameraModel, bins: np.ndarray, image_size: tuple[int, 
     return Frustum(pts_veh)
 
 
-def _lift_channels(channels: np.ndarray, depth: DepthDistribution) -> np.ndarray:
-    if channels.shape[1:] != depth.data.shape[1:]:
-        raise ShapeError(
-            f"features {channels.shape[1:]} and depth {depth.data.shape[1:]} disagree on (H, W)"
-        )
-    return channels[:, None, :, :] * depth.data[None, :, :, :]
-
-
 def lift(context: FeatureMap, depth: DepthDistribution) -> np.ndarray:
     """Outer product of features and depth weights: (C, D, H, W).
 
     out[c, d, h, w] = context[c, h, w] * depth[d, h, w].
     """
-    return _lift_channels(context.data, depth)
+    if context.spatial_shape != depth.data.shape[1:]:
+        raise ShapeError(
+            f"features {context.spatial_shape} and depth {depth.data.shape[1:]} disagree on (H, W)"
+        )
+    return context.data[:, None, :, :] * depth.data[None, :, :, :]
 
 
 def assign_cells(frustum: Frustum, grid: BevGridSpec) -> SplatAssignment:
@@ -158,10 +154,11 @@ def assign_cells(frustum: Frustum, grid: BevGridSpec) -> SplatAssignment:
 def splat(lifted: np.ndarray, frustum: Frustum, grid: BevGridSpec):
     """Sum-pool lifted features into BEV cells.
 
-    Accumulation visits points in (depth, row, column) order, so results
-    are bitwise reproducible run to run.  Returns (bev, dropped) where
-    bev has shape (C, grid H, grid W) and dropped counts the frustum
-    points that fell outside the grid.
+    Each channel is pooled by one ``np.bincount`` over flat cell indices,
+    which visits points in (depth, row, column) order, so results are
+    bitwise reproducible run to run.  Returns (bev, dropped) where bev is
+    a C-contiguous (C, grid H, grid W) array and dropped counts the
+    frustum points that fell outside the grid.
     """
     lifted = np.asarray(lifted, dtype=float)
     if lifted.ndim != 4:
@@ -174,19 +171,16 @@ def splat(lifted: np.ndarray, frustum: Frustum, grid: BevGridSpec):
     asg = assign_cells(frustum, grid)
     keep = asg.in_grid.ravel()
     cells = asg.rows.ravel()[keep] * grid.width_px + asg.cols.ravel()[keep]
-    vals = lifted.reshape(c, -1)[:, keep]
-    bev_flat = np.zeros((grid.height_px * grid.width_px, c))
-    np.add.at(bev_flat, cells, vals.T)
+    n = grid.height_px * grid.width_px
+    bev = np.array([np.bincount(cells, weights=ch[keep], minlength=n) for ch in lifted.reshape(c, -1)])
     dropped = int(keep.size - np.count_nonzero(keep))
-    bev = bev_flat.T.reshape(c, grid.height_px, grid.width_px)
-    return bev, dropped
+    return bev.reshape(c, grid.height_px, grid.width_px), dropped
 
 
 def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraModel, grid: BevGridSpec):
     """Full image-to-BEV projection: build frustum, lift, splat.
 
-    Returns (bev, dropped) exactly as :func:`splat` does; the lift and
-    splat steps are the same code invoked by the standalone functions.
+    Returns (bev, dropped) exactly as :func:`splat` does.
     """
     frustum = build_frustum(camera, depth.bins, volume.spatial_shape)
-    return splat(_lift_channels(volume.data, depth), frustum, grid)
+    return splat(lift(volume, depth), frustum, grid)

@@ -32,6 +32,29 @@ def brute_force_correlation(f_t: np.ndarray, f_t1: np.ndarray, radius: int) -> n
     return out
 
 
+def clipped_correlation(f_t: np.ndarray, f_t1: np.ndarray, radius: int, normalize: bool = False) -> np.ndarray:
+    """Reference: the former per-shift loop that clips each shift to the map."""
+    c, h, w = f_t.shape
+    side = 2 * radius + 1
+    out = np.zeros((side * side, h, w))
+    for dy in range(-radius, radius + 1):
+        for dx in range(-radius, radius + 1):
+            x0, x1 = max(0, -dx), min(h, h - dx)
+            y0, y1 = max(0, -dy), min(w, w - dy)
+            if x0 >= x1 or y0 >= y1:
+                continue
+            prod = f_t[:, x0:x1, y0:y1] * f_t1[:, x0 + dx : x1 + dx, y0 + dy : y1 + dy]
+            out[channel_index(dx, dy, radius), x0:x1, y0:y1] = prod.sum(axis=0)
+    if normalize:
+        out /= c
+    return out
+
+
+def channel_last(a: np.ndarray) -> np.ndarray:
+    """The same (C, H, W) values stored with channels innermost in memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+
+
 class TestChannelLayout:
     def test_round_trip_all_channels(self):
         for radius in (0, 1, 3, 5):
@@ -51,6 +74,19 @@ class TestChannelLayout:
             channel_index(6, 0, 5)
         with pytest.raises(ValueError):
             channel_offset(121, 5)
+
+    def test_offset_of_index_array(self):
+        for radius in (0, 2, 5):
+            side = 2 * radius + 1
+            idx = np.arange(side * side).reshape(side, side)
+            dx, dy = channel_offset(idx, radius)
+            assert dx.shape == dy.shape == idx.shape
+            for k in idx.ravel():
+                assert (dx.ravel()[k], dy.ravel()[k]) == channel_offset(int(k), radius)
+        with pytest.raises(ValueError):
+            channel_offset(np.array([0, 25]), 2)
+        with pytest.raises(ValueError):
+            channel_offset(np.array([-1, 3]), 2)
 
 
 class TestLocalCorrelation:
@@ -77,6 +113,32 @@ class TestLocalCorrelation:
             slow = brute_force_correlation(f, g, radius)
             denom = max(1.0, float(np.abs(slow).max()))
             assert np.max(np.abs(fast - slow)) / denom < 1e-6
+
+    def test_matches_clipped_loop_oracle(self):
+        rng = np.random.default_rng(40)
+        cases = [((3, 5, 7), 1), ((2, 1, 1), 3), ((4, 2, 9), 4), ((1, 6, 3), 7), ((5, 4, 4), 0)]
+        for _ in range(40):
+            c, h, w = (int(v) for v in rng.integers(1, 10, size=3))
+            cases.append(((c, h, w), int(rng.integers(0, 12))))
+        for (c, h, w), radius in cases:
+            f = rng.standard_normal((c, h, w)) * rng.uniform(0.1, 100.0)
+            g = rng.standard_normal((c, h, w))
+            scale = c * np.abs(f).max() * np.abs(g).max()
+            for normalize in (False, True):
+                fast = local_correlation(FeatureMap(f), FeatureMap(g), radius, normalize).data
+                ref = clipped_correlation(f, g, radius, normalize)
+                assert fast.shape == ref.shape
+                assert np.max(np.abs(fast - ref)) <= 1e-12 * scale
+
+    def test_bytes_independent_of_memory_layout(self):
+        rng = np.random.default_rng(42)
+        f = rng.standard_normal((64, 48, 48))
+        g = rng.standard_normal((64, 48, 48))
+        ref = local_correlation(FeatureMap(f), FeatureMap(g), 3).data
+        for a, b in ((channel_last(f), channel_last(g)), (f, channel_last(g)), (channel_last(f), g)):
+            assert not (a.flags.c_contiguous and b.flags.c_contiguous)
+            vol = local_correlation(FeatureMap(a), FeatureMap(b), 3).data
+            assert np.array_equal(vol, ref)
 
     def test_zero_padding_at_borders(self):
         f = np.ones((1, 4, 4))

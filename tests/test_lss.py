@@ -39,6 +39,19 @@ def normalized_depth(rng, d, h, w, bins=None):
     return DepthDistribution(weights, bins, normalized=True)
 
 
+def add_at_splat(lifted, frustum, grid):
+    """Reference: the former splat, one ``np.add.at`` over an (H*W, C) buffer."""
+    c = lifted.shape[0]
+    asg = assign_cells(frustum, grid)
+    keep = asg.in_grid.ravel()
+    cells = asg.rows.ravel()[keep] * grid.width_px + asg.cols.ravel()[keep]
+    vals = lifted.reshape(c, -1)[:, keep]
+    bev_flat = np.zeros((grid.height_px * grid.width_px, c))
+    np.add.at(bev_flat, cells, vals.T)
+    dropped = int(keep.size - np.count_nonzero(keep))
+    return bev_flat.T.reshape(c, grid.height_px, grid.width_px), dropped
+
+
 class TestDepthDistribution:
     def test_valid(self):
         dd = DepthDistribution(np.ones((3, 2, 2)), [1.0, 2.0, 3.0])
@@ -274,6 +287,28 @@ class TestSplat:
         assert np.array_equal(first, second)
         assert d1 == d2
 
+    def test_matches_add_at_oracle_bitwise(self):
+        rng = np.random.default_rng(61)
+        for trial in range(12):
+            d, h, w = (int(v) for v in rng.integers(1, 7, size=3))
+            # The wide spread puts most points outside the 8x8 grid; the
+            # narrow one piles them onto a few cells, hit many times each.
+            spread = 8.0 if trial % 2 else 1.5
+            pts = rng.uniform(-spread, spread, size=(d, h, w, 3))
+            fr = Frustum(pts)
+            lifted = rng.normal(size=(3, d, h, w)) * 10.0 ** rng.uniform(-6, 6, size=(3, d, h, w))
+            bev, dropped = splat(lifted, fr, self.GRID)
+            ref, dropped_ref = add_at_splat(lifted, fr, self.GRID)
+            assert np.array_equal(bev, ref)
+            assert dropped == dropped_ref
+
+    def test_all_points_outside_grid(self):
+        fr = Frustum(np.full((2, 2, 2, 3), 50.0))
+        bev, dropped = splat(np.ones((3, 2, 2, 2)), fr, self.GRID)
+        assert bev.shape == (3, 8, 8)
+        assert dropped == 8
+        assert np.array_equal(bev, np.zeros((3, 8, 8)))
+
     def test_shape_checks(self):
         fr = Frustum(np.zeros((1, 2, 2, 3)))
         with pytest.raises(ShapeError):
@@ -296,6 +331,10 @@ class TestProjectVolume:
         bev_ref, dropped_ref = splat(lift(volume, depth), fr, self.GRID)
         assert np.array_equal(bev, bev_ref)
         assert dropped == dropped_ref
+        assert bev.flags.c_contiguous
+        oracle, dropped_oracle = add_at_splat(lift(volume, depth), fr, self.GRID)
+        assert np.array_equal(bev, oracle)
+        assert dropped == dropped_oracle
 
     def test_channel_concat_equivalence(self):
         rng = np.random.default_rng(58)
