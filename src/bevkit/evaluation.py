@@ -25,6 +25,10 @@ from .geometry import fit_similarity
 
 DEFAULT_SEGMENT_LENGTHS_M = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
 
+# Segments solved per stacked np.linalg.solve call; bounds the (block, 4, 4)
+# stacks whatever the trajectory length.
+_BLOCK = 1024
+
 # Second singular value of the position cross-covariance below this times
 # the first means the point sets are collinear and rotation is ambiguous.
 _COLLINEAR_TOL = 1e-9
@@ -243,30 +247,37 @@ def rte_rre(
             f"requested segment length (min {min(lengths):g} m)"
         )
     n = len(gt)
-    t_sq: dict[float, list[float]] = {l: [] for l in lengths}
-    r_sq: dict[float, list[float]] = {l: [] for l in lengths}
-    gt_poses = gt.poses
-    est_poses = est.poses
-    for first in range(0, n, stride):
-        for length in lengths:
-            # end frame: first index at or beyond the nominal path length
-            last = int(np.searchsorted(dist, dist[first] + length, side="left"))
-            if last >= n:
-                continue
-            delta_gt = np.linalg.solve(gt_poses[first], gt_poses[last])
-            delta_est = np.linalg.solve(est_poses[first], est_poses[last])
-            if np.array_equal(delta_est, delta_gt):
-                # identical relative motion has zero error by definition;
-                # keep it exact instead of routing through another solve,
-                # whose rounding the arccos near trace 3 would amplify
-                t_err = 0.0
-                r_err = 0.0
-            else:
-                err = np.linalg.solve(delta_est, delta_gt)
-                t_err = float(np.linalg.norm(err[:3, 3]))
-                r_err = rotation_angle(err[:3, :3])
-            t_sq[length].append((t_err / length) ** 2)
-            r_sq[length].append((r_err / length) ** 2)
+    firsts = np.arange(0, n, stride)
+    t_sq: dict[float, list[float]] = {}
+    r_sq: dict[float, list[float]] = {}
+    for length in dict.fromkeys(lengths):
+        # a length listed k times gets each of its values k times in a row
+        copies = lengths.count(length)
+        # end frame: first index at or beyond the nominal path length
+        lasts = np.searchsorted(dist, dist[firsts] + length, side="left")
+        starts = firsts[lasts < n]
+        ends = lasts[lasts < n]
+        t_sq[length], r_sq[length] = [], []
+        for block in range(0, len(starts), _BLOCK):
+            i, j = starts[block:block + _BLOCK], ends[block:block + _BLOCK]
+            delta_gt = np.linalg.solve(gt.poses[i], gt.poses[j])
+            delta_est = np.linalg.solve(est.poses[i], est.poses[j])
+            # identical relative motion has zero error by definition; keep it
+            # exact instead of routing through another solve, whose rounding
+            # the arccos near trace 3 would amplify
+            same = np.all(delta_est == delta_gt, axis=(1, 2))
+            err = np.linalg.solve(delta_est[~same], delta_gt[~same])
+            errors = iter(err)
+            for exact in same.tolist():
+                t_err = r_err = 0.0
+                if not exact:
+                    e = next(errors)
+                    # a 1-D norm and math.acos per segment: the axis=1 norm
+                    # and np.arccos round differently
+                    t_err = float(np.linalg.norm(e[:3, 3]))
+                    r_err = rotation_angle(e[:3, :3])
+                t_sq[length].extend([(t_err / length) ** 2] * copies)
+                r_sq[length].extend([(r_err / length) ** 2] * copies)
     per_length: dict[float, tuple[float, float, int]] = {}
     for length in lengths:
         if not t_sq[length]:

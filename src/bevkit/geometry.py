@@ -143,11 +143,7 @@ class Pose3:
 
     def inverse(self) -> "Pose3":
         """Analytic inverse [R^T | -R^T t]; stays in SE(3) by construction."""
-        r_t = self.matrix[:3, :3].T
-        m = np.eye(4)
-        m[:3, :3] = r_t
-        m[:3, 3] = -r_t @ self.matrix[:3, 3]
-        return Pose3(m)
+        return Pose3(invert_rigid(self.matrix[None])[0])
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Transform points of shape (..., 3) or homogeneous (..., 4)."""
@@ -157,6 +153,23 @@ class Pose3:
         if points.shape[-1] == 4:
             return points @ self.matrix.T
         raise ShapeError(f"points must end in dim 3 or 4, got {points.shape}")
+
+
+def invert_rigid(poses: np.ndarray) -> np.ndarray:
+    """Analytic inverses [R^T | -R^T t] of an (N, 4, 4) stack of rigid transforms.
+
+    No validation: the rotation blocks are taken to be orthonormal.
+    """
+    poses = np.ascontiguousarray(poses, dtype=float)
+    r_t = np.swapaxes(poses[:, :3, :3], 1, 2)
+    out = np.zeros_like(poses)
+    out[:, :3, :3] = r_t
+    out[:, 3, 3] = 1.0
+    for k in range(len(poses)):
+        # one 2-D product per frame: stacked forms (einsum, a batched
+        # matmul) may sum in another order and change the last bits
+        out[k, :3, 3] = -r_t[k] @ poses[k, :3, 3]
+    return out
 
 
 def compose(a: Pose3, b: Pose3) -> Pose3:

@@ -348,10 +348,20 @@ def default_config() -> PipelineConfig:
     )
 
 
-def _require_keys(section: dict, allowed: set[str], where: str):
+def _require_keys(section, allowed: set[str], where: str):
+    if not isinstance(section, dict):
+        raise ParseError(f"{where} must be a JSON object")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ParseError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
+def _sampler_threshold(section: dict, key: str, default: float) -> float:
+    """A sampler field: a real number >= 0 (inf allowed); bools, null and NaN are refused."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0.0:
+        raise ParseError(f"sampler.{key} must be a number >= 0, got {json.dumps(value)}")
+    return float(value)
 
 
 def parse_config(text: str) -> PipelineConfig:
@@ -423,13 +433,9 @@ def parse_config(text: str) -> PipelineConfig:
     sampler = base.sampler
     if "sampler" in doc:
         sec = doc["sampler"]
-        _require_keys(sec, {"window_s", "max_disp_m", "low_deg", "high_deg"}, "sampler")
-        sampler = SamplerConfig(
-            window_s=float(sec.get("window_s", DEFAULT_WINDOW_S)),
-            max_disp_m=float(sec.get("max_disp_m", DEFAULT_MAX_DISP_M)),
-            low_deg=float(sec.get("low_deg", DEFAULT_LOW_DEG)),
-            high_deg=float(sec.get("high_deg", DEFAULT_HIGH_DEG)),
-        )
+        sampler_keys = ("window_s", "max_disp_m", "low_deg", "high_deg")
+        _require_keys(sec, set(sampler_keys), "sampler")
+        sampler = SamplerConfig(**{k: _sampler_threshold(sec, k, getattr(sampler, k)) for k in sampler_keys})
 
     weights = base.loss_weights
     if "loss_weights" in doc:

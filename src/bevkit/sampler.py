@@ -8,18 +8,23 @@ draws then oversample the high-rotation list to rebalance turning data.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateInputError, NoPairsError
-from .geometry import Pose3, pose3_to_pose2, relative_pose
+from .geometry import ORTHONORMALITY_TOL, Pose3, invert_rigid, relative_pose, wrap_angle
 
 DEFAULT_WINDOW_S = 60.0
 DEFAULT_MAX_DISP_M = 4.0
 DEFAULT_LOW_DEG = 15.0
 DEFAULT_HIGH_DEG = 45.0
 DEFAULT_HIGH_FRACTION = 0.7
+
+# Candidate pairs handled per array pass; bounds the index arrays and the
+# (block, 4, 4) stacks whatever the window and sequence length.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -88,51 +93,69 @@ def build_pair_lists(
     list; pairs strictly below ``low_deg`` go to the standard list; pairs
     above ``high_deg`` are discarded as unreliable.
 
+    The relative pose of a pair is the one :func:`relative_pose` gives,
+    computed for blocks of candidates at once with the same bits.
+
     Args:
         frames: posed frames with nondecreasing timestamps.
+        window_s, max_disp_m, low_deg, high_deg: numbers >= 0 (inf
+            allowed), with ``low_deg <= high_deg``.
 
     Returns:
-        Mapping anchor id -> PairLists for that anchor; empty for an
-        empty sequence.
+        Mapping anchor id -> PairLists for that anchor, in frame order
+        (a repeated id keeps its first position and its last anchor's
+        lists); empty for an empty sequence.
     """
+    for name, value in (("window_s", window_s), ("max_disp_m", max_disp_m),
+                        ("low_deg", low_deg), ("high_deg", high_deg)):
+        if not (isinstance(value, numbers.Real) and value >= 0.0):  # also refuses NaN
+            raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+    if low_deg > high_deg:
+        raise ValueError("need low_deg <= high_deg")
     if not frames:
         return {}
-    if not (0.0 <= low_deg <= high_deg):
-        raise ValueError("need 0 <= low_deg <= high_deg")
-    if window_s < 0.0 or max_disp_m < 0.0:
-        raise ValueError("window and displacement budgets must be >= 0")
     times = np.array([f.timestamp for f in frames], dtype=float)
     if np.any(np.diff(times) < 0.0):
         raise ValueError("frame timestamps must be nondecreasing")
 
-    out: dict[int, PairLists] = {}
-    n = len(frames)
-    for i, anchor in enumerate(frames):
-        lists = PairLists()
-        lo = int(np.searchsorted(times, anchor.timestamp - window_s, side="left"))
-        hi = int(np.searchsorted(times, anchor.timestamp + window_s, side="right"))
-        for j in range(lo, min(hi, n)):
-            if j == i:
+    ids = [f.id for f in frames]
+    poses = np.stack([f.pose.matrix for f in frames])
+    inverses = invert_rigid(poses)
+    # candidate c of anchor i is frame lo[i] + c - starts[i]; the anchor
+    # itself is one of its own candidates and is dropped below
+    lo = np.searchsorted(times, times - window_s, side="left")
+    hi = np.searchsorted(times, times + window_s, side="right")
+    starts = np.concatenate([[0], np.cumsum(hi - lo)])
+    per_anchor = [PairLists() for _ in frames]
+    for first in range(0, int(starts[-1]), _BLOCK):
+        pos = np.arange(first, min(first + _BLOCK, int(starts[-1])))
+        a = np.searchsorted(starts, pos, side="right") - 1
+        b = lo[a] + pos - starts[a]
+        a, b = a[a != b], b[a != b]
+        rel = np.matmul(inverses[a], poses[b])
+        # a box test first: hypot(x, y) >= max(|x|, |y|), so it drops no pair
+        # the displacement cap would keep
+        box = (np.abs(rel[:, 0, 3]) <= max_disp_m) & (np.abs(rel[:, 1, 3]) <= max_disp_m)
+        a, b, rel = a[box], b[box], rel[box]
+        # math.hypot, not np.hypot, whose last bits differ
+        disp = np.array(list(map(math.hypot, rel[:, 0, 3].tolist(), rel[:, 1, 3].tolist())))
+        near = disp <= max_disp_m
+        a, b, rel, disp = a[near], b[near], rel[near], disp[near]
+        # compose re-orthonormalizes a product that drifts past the
+        # tolerance; screen at half of it and let relative_pose decide
+        gram = np.matmul(np.swapaxes(rel[:, :3, :3], 1, 2), rel[:, :3, :3]) - np.eye(3)
+        for k in np.flatnonzero(np.sqrt((gram * gram).sum(axis=(1, 2))) > 0.5 * ORTHONORMALITY_TOL):
+            rel[k] = relative_pose(frames[a[k]].pose, frames[b[k]].pose).matrix
+        # math.atan2, not np.arctan2; then wrap_angle before abs, as Pose2
+        # does, since wrapping a negative angle can change its last bits
+        theta = wrap_angle(np.array(list(map(math.atan2, rel[:, 1, 0].tolist(), rel[:, 0, 0].tolist()))))
+        yaw = [abs(math.degrees(t)) for t in theta.tolist()]
+        for i, j, y, d in zip(a.tolist(), b.tolist(), yaw, disp.tolist()):
+            if y > high_deg:
                 continue
-            rel = pose3_to_pose2(relative_pose(anchor.pose, frames[j].pose))
-            disp = math.hypot(rel.tx, rel.ty)
-            if disp > max_disp_m:
-                continue
-            yaw = abs(math.degrees(rel.theta))
-            if yaw > high_deg:
-                continue
-            record = PairRecord(
-                anchor_id=anchor.id,
-                partner_id=frames[j].id,
-                yaw_diff_deg=yaw,
-                displacement_m=disp,
-            )
-            if yaw >= low_deg:
-                lists.high.append(record)
-            else:
-                lists.standard.append(record)
-        out[anchor.id] = lists
-    return out
+            lists = per_anchor[i]
+            (lists.high if y >= low_deg else lists.standard).append(PairRecord(ids[i], ids[j], y, d))
+    return dict(zip(ids, per_anchor))
 
 
 def sample_pair(

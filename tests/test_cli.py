@@ -392,6 +392,29 @@ class TestSamplePairs:
             )
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("config, needle", [
+        ('{"sampler": 5}', "sampler must be a JSON object"),
+        ('{"grid": 5}', "grid must be a JSON object"),
+        ('{"sampler": {"window_s": null}}', "sampler.window_s"),
+        ('{"sampler": {"window_s": true}}', "sampler.window_s"),
+        ('{"sampler": {"max_disp_m": NaN}}', "sampler.max_disp_m"),
+        ('{"sampler": {"low_deg": 50, "high_deg": 40}}', "low_deg <= high_deg"),
+    ])
+    def test_bad_config_is_one_error_line(self, tmp_path, capsys, config, needle):
+        traj = steps_trajectory([(math.radians(2.0), 1.0, 0.0)] * 10)
+        path = tmp_path / "arc.tum"
+        path.write_text(write_trajectory(traj, "tum"))
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(config)
+        out = tmp_path / "pairs.csv"
+        code, stdout, err = run_cli(
+            ["sample-pairs", "--traj", str(path), "--config", str(cfg), "--out", str(out)], capsys
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("bevkit: error:") and err.count("\n") == 1
+        assert needle in err
+        assert not out.exists()
+
 
 class TestCorrelate:
     def test_channel_count_and_values(self, tmp_path, capsys):

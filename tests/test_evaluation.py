@@ -333,6 +333,75 @@ class TestRteRre:
             rte_rre(gt, gt, lengths_m=(-5.0,))
 
 
+def reference_rte_rre(est, gt, lengths, stride=1):
+    """The per-segment loop that rte_rre replaces: three solves per (first, length)."""
+    dist = path_lengths(gt)
+    n = len(gt)
+    t_sq = {length: [] for length in lengths}
+    r_sq = {length: [] for length in lengths}
+    for first in range(0, n, stride):
+        for length in lengths:
+            last = int(np.searchsorted(dist, dist[first] + length, side="left"))
+            if last >= n:
+                continue
+            delta_gt = np.linalg.solve(gt.poses[first], gt.poses[last])
+            delta_est = np.linalg.solve(est.poses[first], est.poses[last])
+            if np.array_equal(delta_est, delta_gt):
+                t_err = 0.0
+                r_err = 0.0
+            else:
+                err = np.linalg.solve(delta_est, delta_gt)
+                t_err = float(np.linalg.norm(err[:3, 3]))
+                r_err = rotation_angle(err[:3, :3])
+            t_sq[length].append((t_err / length) ** 2)
+            r_sq[length].append((r_err / length) ** 2)
+    per_length = {}
+    for length in lengths:
+        if t_sq[length]:
+            rte = 100.0 * math.sqrt(float(np.mean(t_sq[length])))
+            rre = 100.0 * math.degrees(math.sqrt(float(np.mean(r_sq[length]))))
+            per_length[length] = (rte, rre, len(t_sq[length]))
+    rte_overall = float(np.mean([v[0] for v in per_length.values()]))
+    rre_overall = float(np.mean([v[1] for v in per_length.values()]))
+    return rte_overall, rre_overall, per_length
+
+
+class TestRteRreMatchesReference:
+    @pytest.mark.parametrize("lengths, stride, yaw_sigma", [
+        ((5.0, 12.5, 40.0), 1, 0.002),
+        ((5.0, 12.5, 40.0), 1, 0.05),    # rotation errors far from trace 3
+        ((5.0, 12.5, 40.0), 3, 0.002),
+        ((10.0, 5000.0, 25.0), 2, 0.002),   # 5000 m has no complete segment
+        ((20.0, 7.5, 20.0), 1, 0.002),      # a repeated length counts its segments twice
+    ])
+    def test_bitwise_equal(self, lengths, stride, yaw_sigma):
+        gt = curved_traj(300, seed=28)
+        est = perturb_steps(gt, seed=29, yaw_sigma=yaw_sigma, drift=1.01)
+        rep = rte_rre(est, gt, lengths_m=lengths, stride=stride)
+        rte, rre, per_length = reference_rte_rre(est, gt, lengths, stride)
+        assert (rep.rte_percent, rep.rre_deg_per_100m) == (rte, rre)
+        assert rep.per_length == per_length
+        assert list(rep.per_length) == list(per_length)
+
+    def test_equal_trajectories_take_the_exact_zero(self):
+        gt = curved_traj(200, seed=30)
+        rep = rte_rre(gt, gt, lengths_m=(10.0, 50.0), stride=2)
+        assert rep.per_length == reference_rte_rre(gt, gt, (10.0, 50.0), 2)[2]
+        assert all(rte == 0.0 and rre == 0.0 for rte, rre, _ in rep.per_length.values())
+
+    def test_partly_equal_trajectories(self):
+        # the estimate equals the ground truth on its first half, so one block
+        # mixes exact-zero segments with solved ones
+        gt = curved_traj(160, seed=31)
+        est = perturb_steps(gt, seed=32)
+        poses = np.array(gt.poses)
+        poses[80:] = est.poses[80:]
+        est = Trajectory(gt.timestamps, poses)
+        rep = rte_rre(est, gt, lengths_m=(10.0, 30.0))
+        rte, rre, per_length = reference_rte_rre(est, gt, (10.0, 30.0))
+        assert (rep.rte_percent, rep.rre_deg_per_100m, rep.per_length) == (rte, rre, per_length)
+
+
 class TestScaleFromFirst10m:
     def test_identity(self):
         gt = line_traj(20)

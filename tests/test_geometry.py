@@ -12,6 +12,7 @@ from bevkit.geometry import (
     closest_rotation,
     compose,
     fit_similarity,
+    invert_rigid,
     pixel_to_vehicle,
     pose2_to_pose3,
     pose3_to_pose2,
@@ -153,6 +154,22 @@ class TestPose3:
             p = random_pose3(rng)
             ident = compose(p, p.inverse()).matrix
             assert np.max(np.abs(ident - np.eye(4))) < 1e-12
+
+    def test_invert_rigid_is_the_per_pose_inverse(self):
+        rng = np.random.default_rng(6)
+        poses = [random_pose3(rng) for _ in range(300)]
+        stack = invert_rigid(np.stack([p.matrix for p in poses]))
+        for p, inv in zip(poses, stack):
+            # the inverse as a scalar reference: [R^T | -R^T t] with a 2-D product
+            r_t = p.matrix[:3, :3].T
+            want = np.eye(4)
+            want[:3, :3] = r_t
+            want[:3, 3] = -r_t @ p.matrix[:3, 3]
+            assert np.array_equal(inv, want)
+            assert np.array_equal(p.inverse().matrix, want)
+
+    def test_invert_rigid_empty_stack(self):
+        assert invert_rigid(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
     def test_apply_points(self):
         p = pose2_to_pose3(Pose2(math.pi / 2, 1.0, 0.0))

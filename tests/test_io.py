@@ -347,6 +347,24 @@ class TestConfig:
         with pytest.raises(ParseError):
             parse_config('{"depth_bins": {"count": 4, "min_m": 9.0, "max_m": 3.0}}')
 
+    @pytest.mark.parametrize("section", ["grid", "camera", "depth_bins", "correlation", "sampler", "loss_weights"])
+    @pytest.mark.parametrize("value", [5, [], "x", None])
+    def test_section_must_be_an_object(self, section, value):
+        with pytest.raises(ParseError, match=f"{section} must be a JSON object"):
+            parse_config(json.dumps({section: value}))
+
+    @pytest.mark.parametrize("key", ["window_s", "max_disp_m", "low_deg", "high_deg"])
+    @pytest.mark.parametrize("value", ["null", "true", "false", '"1"', "[1]", "NaN", "-1", "-Infinity"])
+    def test_sampler_fields_are_numbers_at_least_zero(self, key, value):
+        with pytest.raises(ParseError, match=f"sampler.{key} must be a number >= 0"):
+            parse_config(f'{{"sampler": {{"{key}": {value}}}}}')
+
+    def test_sampler_fields_accept_infinity_and_integers(self):
+        cfg = parse_config('{"sampler": {"window_s": Infinity, "max_disp_m": 3, "high_deg": 90}}')
+        assert cfg.sampler.window_s == math.inf
+        assert cfg.sampler.max_disp_m == 3.0 and type(cfg.sampler.max_disp_m) is float
+        assert cfg.sampler.low_deg == default_config().sampler.low_deg
+
     def test_invalid_camera_values_propagate(self):
         doc = {"camera": {"E": [1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0]}}
         with pytest.raises(InvalidCameraError):

@@ -1,12 +1,14 @@
 """Tests for rotation-aware pair mining and sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bevkit import io as bevio
 from bevkit.errors import DegenerateInputError, NoPairsError
-from bevkit.geometry import Pose2, pose2_to_pose3
+from bevkit.geometry import Pose2, Pose3, pose2_to_pose3, pose3_to_pose2, relative_pose, rot_z
 from bevkit.sampler import (
     FrameIndex,
     PairLists,
@@ -29,6 +31,58 @@ def make_frames(rows):
 
 def record(anchor=0, partner=1, yaw=20.0, disp=1.0):
     return PairRecord(anchor_id=anchor, partner_id=partner, yaw_diff_deg=yaw, displacement_m=disp)
+
+
+def reference_build_pair_lists(frames, window_s=60.0, max_disp_m=4.0, low_deg=15.0, high_deg=45.0):
+    """The per-pair loop that build_pair_lists replaces: one relative_pose per candidate."""
+    if not frames:
+        return {}
+    times = np.array([f.timestamp for f in frames], dtype=float)
+    out = {}
+    n = len(frames)
+    for i, anchor in enumerate(frames):
+        lists = PairLists()
+        lo = int(np.searchsorted(times, anchor.timestamp - window_s, side="left"))
+        hi = int(np.searchsorted(times, anchor.timestamp + window_s, side="right"))
+        for j in range(lo, min(hi, n)):
+            if j == i:
+                continue
+            rel = pose3_to_pose2(relative_pose(anchor.pose, frames[j].pose))
+            disp = math.hypot(rel.tx, rel.ty)
+            if disp > max_disp_m:
+                continue
+            yaw = abs(math.degrees(rel.theta))
+            if yaw > high_deg:
+                continue
+            rec = PairRecord(anchor_id=anchor.id, partner_id=frames[j].id, yaw_diff_deg=yaw, displacement_m=disp)
+            if yaw >= low_deg:
+                lists.high.append(rec)
+            else:
+                lists.standard.append(rec)
+        out[anchor.id] = lists
+    return out
+
+
+def assert_matches_reference(frames, **thresholds):
+    """Same anchors in the same order, same pairs per list in the same order, same bits."""
+    got = build_pair_lists(frames, **thresholds)
+    want = reference_build_pair_lists(frames, **thresholds)
+    assert list(got) == list(want)
+    for anchor, lists in want.items():
+        for name in ("high", "standard"):
+            g, w = getattr(got[anchor], name), getattr(lists, name)
+            assert [(r.anchor_id, r.partner_id) for r in g] == [(r.anchor_id, r.partner_id) for r in w]
+            assert np.array_equal([r.yaw_diff_deg for r in g], [r.yaw_diff_deg for r in w])
+            assert np.array_equal([r.displacement_m for r in g], [r.displacement_m for r in w])
+    return got
+
+
+def parsed_frames(primitives, seed):
+    """Frames of a noisy synthetic estimate after a TUM write and parse, as the CLI reads them."""
+    _, est = bevio.synth_trajectory(bevio.SynthSpec(
+        primitives, dt_s=0.1, noise_trans_m=0.02, noise_yaw_deg=0.1, scale_drift=1.03, seed=seed))
+    traj = bevio.parse_tum_trajectory(bevio.write_tum_trajectory(est))
+    return frames_from_trajectory(traj.timestamps, traj.poses)
 
 
 class TestBuildPairLists:
@@ -132,6 +186,13 @@ class TestBuildPairLists:
         with pytest.raises(ValueError):
             build_pair_lists(frames, window_s=-1.0)
 
+    @pytest.mark.parametrize("name", ["window_s", "max_disp_m", "low_deg", "high_deg"])
+    def test_nan_threshold_rejected(self, name):
+        frames = make_frames([(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 30.0, 0.0)])
+        for frames_arg in (frames, []):
+            with pytest.raises(ValueError, match=name):
+                build_pair_lists(frames_arg, **{name: math.nan})
+
     def test_partition_property(self):
         rng = np.random.default_rng(70)
         rows = []
@@ -151,6 +212,101 @@ class TestBuildPairLists:
             for r in lists.standard:
                 assert r.yaw_diff_deg < 15.0
                 assert r.displacement_m <= 4.0
+
+
+class TestBuildPairListsMatchesReference:
+    def test_figure_eight_ten_second_window(self):
+        gt, _ = bevio.synth_trajectory(bevio.SynthSpec(
+            (bevio.MotionPrimitive("arc", 20.0, speed_mps=2.0, yaw_rate_dps=18.0),
+             bevio.MotionPrimitive("arc", 20.0, speed_mps=2.0, yaw_rate_dps=-18.0)), dt_s=0.1))
+        got = assert_matches_reference(frames_from_trajectory(gt.timestamps, gt.poses), window_s=10.0)
+        merged = merge_pair_lists(got)
+        assert merged.high and merged.standard
+
+    def test_drive_with_stops_and_sharp_turns_one_second_window(self):
+        prims = []
+        for k in range(4):
+            sign = 1.0 if k % 2 == 0 else -1.0
+            prims += [
+                bevio.MotionPrimitive("straight", 5.0, speed_mps=9.0 + k),
+                bevio.MotionPrimitive("stop", 2.0),
+                bevio.MotionPrimitive("arc", 3.0, speed_mps=2.0, yaw_rate_dps=sign * 35.0),
+                bevio.MotionPrimitive("arc", 5.0, speed_mps=8.0, yaw_rate_dps=sign * 3.0),
+            ]
+        got = assert_matches_reference(parsed_frames(tuple(prims), seed=11), window_s=1.0)
+        merged = merge_pair_lists(got)
+        assert merged.high and merged.standard
+
+    def test_cli_window_on_201_frames(self):
+        prims = (
+            bevio.MotionPrimitive("straight", 8.0, speed_mps=10.0),
+            bevio.MotionPrimitive("stop", 3.0),
+            bevio.MotionPrimitive("arc", 3.0, speed_mps=2.5, yaw_rate_dps=35.0),
+            bevio.MotionPrimitive("straight", 6.0, speed_mps=10.0),
+        )
+        frames = parsed_frames(prims, seed=12)
+        assert len(frames) == 201
+        assert_matches_reference(frames, window_s=60.0)
+
+    def test_duplicate_timestamps(self):
+        rng = np.random.default_rng(73)
+        rows = [(float(t), rng.uniform(-0.5, 0.5), rng.uniform(-2, 2), rng.uniform(-2, 2))
+                for t in np.repeat(np.arange(12) * 0.5, 3)]
+        frames = make_frames(rows)
+        for window in (0.0, 0.5, 2.0):
+            assert_matches_reference(frames, window_s=window)
+
+    def test_repeated_ids_keep_first_position_and_last_anchor(self):
+        frames = make_frames([(0.1 * k, 0.3 * k, 0.4 * k, -0.2 * k) for k in range(8)])
+        frames = [FrameIndex(id=k % 3, timestamp=f.timestamp, pose=f.pose) for k, f in enumerate(frames)]
+        got = assert_matches_reference(frames, window_s=1.0, low_deg=5.0)
+        assert list(got) == [0, 1, 2]
+        assert all(r.anchor_id == 0 for r in got[0].high + got[0].standard)
+
+    def test_empty_and_single_frame(self):
+        assert_matches_reference([])
+        single = assert_matches_reference(make_frames([(0.0, 0.1, 0.0, 0.0)]))
+        assert list(single) == [0] and len(single[0]) == 0
+
+    def test_zero_window(self):
+        frames = make_frames([(0.0, 0.0, 0.0, 0.0), (0.0, 0.3, 1.0, 0.0), (0.1, 0.0, 0.5, 0.0)])
+        got = assert_matches_reference(frames, window_s=0.0)
+        assert [r.partner_id for r in got[0].high] == [1]
+        assert len(got[2]) == 0
+
+    def test_drift_past_tolerance_takes_the_reorthonormalized_yaw(self):
+        # rotation blocks with drift just under 1e-9 each: the product of two
+        # drifts past it, so compose re-orthonormalizes and the yaw bits
+        # come from the repaired rotation
+        rng = np.random.default_rng(74)
+        skew = np.array([[1.0, 0.7, 0.0], [-0.2, -1.0, 0.0], [0.0, 0.0, 0.0]])
+        frames = []
+        for k in range(40):
+            m = np.eye(4)
+            m[:3, :3] = rot_z(rng.uniform(-math.pi, math.pi)) @ (np.eye(3) + (k % 2) * 2.4e-10 * skew)
+            m[:2, 3] = rng.uniform(-1.5, 1.5, 2)
+            frames.append(FrameIndex(id=k, timestamp=0.1 * k, pose=Pose3(m)))
+        assert_matches_reference(frames, window_s=10.0, low_deg=0.0, high_deg=180.0)
+
+    def test_infinite_thresholds(self):
+        frames = make_frames([(0.5 * k, 0.4 * k, 3.0 * k, 0.0) for k in range(10)])
+        got = assert_matches_reference(frames, window_s=math.inf, max_disp_m=math.inf, high_deg=math.inf)
+        assert sum(len(lists) for lists in got.values()) == 90
+
+    def test_blocks_bound_traced_memory(self):
+        # about 1M in-window candidates and no survivors; one unblocked
+        # (candidates, 4, 4) float64 stack alone would take 128 MB
+        gt, _ = bevio.synth_trajectory(bevio.SynthSpec(
+            (bevio.MotionPrimitive("straight", 100.0, speed_mps=10.0),), dt_s=0.1))
+        frames = frames_from_trajectory(gt.timestamps, gt.poses)
+        tracemalloc.start()
+        try:
+            got = build_pair_lists(frames, window_s=60.0, max_disp_m=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(lists) for lists in got.values()) == 0
+        assert peak < 32e6
 
 
 class TestSamplePair:
