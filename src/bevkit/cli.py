@@ -169,7 +169,7 @@ def _cmd_sample_pairs(args) -> int:
         high_deg=cfg.sampler.high_deg,
     )
     merged = merge_pair_lists(per_anchor)
-    if not merged.high:
+    if merged.standard and not merged.high:
         _log("no high-rotation pairs found; all draws will come from the standard list")
     rng = np.random.default_rng(args.seed)
     records = [sample_pair(merged, rng) for _ in range(args.draws)]

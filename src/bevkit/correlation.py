@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ShapeError
 
 _BRANCHES = ("PV", "BEV")
+# Largest volume local_correlation builds, in entries (1 GiB of float64).
+_MAX_VOLUME_ENTRIES = 2**27
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,8 @@ def local_correlation(
         raise ValueError(f"radius must be >= 0, got {radius}")
     c, h, w = f_t.data.shape
     side = 2 * radius + 1
+    if side * side * h * w > _MAX_VOLUME_ENTRIES:
+        raise ValueError(f"a radius-{radius} volume on {h}x{w} exceeds {_MAX_VOLUME_ENTRIES} entries")
     # Padding past the map size would only add zeros: a shift that misses
     # the map entirely leaves its channel zero.
     ph, pw = min(radius, h), min(radius, w)

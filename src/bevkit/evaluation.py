@@ -238,8 +238,8 @@ def rte_rre(
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     lengths = tuple(float(l) for l in lengths_m)
-    if not lengths or any(l <= 0.0 for l in lengths):
-        raise ValueError("segment lengths must be positive")
+    if not lengths or not all(0.0 < l < math.inf for l in lengths):
+        raise ValueError(f"segment lengths must be finite and positive, got {lengths}")
     dist = path_lengths(gt)
     if dist[-1] < min(lengths):
         raise InsufficientLengthError(
@@ -311,8 +311,8 @@ def scale_from_first_10m(est: Trajectory, gt: Trajectory, prefix_m: float = 10.0
         DegenerateInputError: the estimated prefix has zero length.
     """
     _check_same_frames(est, gt)
-    if prefix_m <= 0.0:
-        raise ValueError("prefix must be positive")
+    if not 0.0 < prefix_m < math.inf:
+        raise ValueError(f"prefix must be finite and positive, got {prefix_m}")
     d_gt = path_lengths(gt)
     if d_gt[-1] < prefix_m:
         raise InsufficientLengthError(
@@ -353,8 +353,8 @@ def log_scale_curve(est: Trajectory, gt: Trajectory, segment_m: float = 10.0) ->
         InsufficientLengthError: not even one full segment fits.
     """
     _check_same_frames(est, gt)
-    if segment_m <= 0.0:
-        raise ValueError("segment length must be positive")
+    if not 0.0 < segment_m < math.inf:
+        raise ValueError(f"segment length must be finite and positive, got {segment_m}")
     d_gt = path_lengths(gt)
     n = len(gt)
     bounds = [0]

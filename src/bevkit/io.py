@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -264,14 +265,21 @@ def write_trajectory(traj: Trajectory, fmt: str) -> str:
 
 
 def write_bvt1(array: np.ndarray) -> bytes:
-    """Encode an array as BVT1 bytes (float32 payload, row-major)."""
+    """Encode an array as BVT1 bytes (float32 payload, row-major).
+
+    Raises:
+        FormatError: a rank-0 array, or a finite value that float32 cannot hold.
+    """
     array = np.asarray(array)
     if array.ndim < 1:
         raise FormatError("rank-0 tensors are not representable")
     header = _BVT1_MAGIC + struct.pack("<I", array.ndim)
     header += struct.pack(f"<{array.ndim}I", *array.shape)
-    payload = np.ascontiguousarray(array, dtype="<f4").tobytes()
-    return header + payload
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(array, dtype="<f4")
+    if np.isinf(payload).any() and np.isinf(payload).sum() > np.isinf(array).sum():
+        raise FormatError(f"value beyond the float32 range (max {np.finfo(np.float32).max:g})")
+    return header + payload.tobytes()
 
 
 def read_bvt1(data: bytes) -> np.ndarray:
@@ -291,9 +299,7 @@ def read_bvt1(data: bytes) -> np.ndarray:
     if len(data) < 8 + 4 * rank:
         raise FormatError(f"truncated dimension list for rank {rank}")
     dims = struct.unpack_from(f"<{rank}I", data, 8)
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
     expected = 8 + 4 * rank + 4 * count
     if len(data) != expected:
         raise FormatError(
@@ -348,115 +354,110 @@ def default_config() -> PipelineConfig:
     )
 
 
-def _require_keys(section, allowed: set[str], where: str):
-    if not isinstance(section, dict):
+# Size caps, checked before anything of that size is allocated.
+_MAX_GRID_CELLS = 2**22
+_MAX_DEPTH_BINS = 1024
+_MAX_SYNTH_FRAMES = 2**20
+
+_REAL_MAX = sys.float_info.max
+_TINY = math.ulp(0.0)  # the least float > 0, so [_TINY, hi] is (0, hi]
+
+
+# A field check is a (predicate, description) pair.
+def _int(lo: int, hi: float = math.inf):
+    text = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
+    return (lambda v: type(v) is int and lo <= v <= hi), text
+
+
+def _number(lo: float, hi: float, text: str):
+    """A float, or an int a float can hold, in [lo, hi]: NaN never passes, inf only when hi is inf."""
+    return (lambda v: (type(v) is float or type(v) is int and abs(v) <= _REAL_MAX) and lo <= v <= hi), text
+
+
+_AT_LEAST_ZERO = _number(0.0, math.inf, "a number >= 0")
+_FINITE_AT_LEAST_ZERO = _number(0.0, _REAL_MAX, "a finite number >= 0")
+_FINITE_POSITIVE = _number(_TINY, _REAL_MAX, "a finite number > 0")
+_FINITE = _number(-_REAL_MAX, _REAL_MAX, "a finite number")
+
+
+def _finite_list(n: int):
+    text = f"a list of {n} finite numbers"
+    return (lambda v: type(v) is list and len(v) == n and all(map(_FINITE[0], v))), text
+
+
+# The config root is a table of sections; each section is a table of fields.
+_CONFIG = {
+    "grid": {"h": _int(1, _MAX_GRID_CELLS), "w": _int(1, _MAX_GRID_CELLS),
+             "resolution_m": _FINITE_POSITIVE, "origin": _finite_list(2)},
+    "camera": {"K": _finite_list(9), "E": _finite_list(12)},
+    "depth_bins": {"count": _int(1, _MAX_DEPTH_BINS), "min_m": _FINITE_POSITIVE, "max_m": _FINITE_POSITIVE},
+    "correlation": {"radius_pv": _int(0), "radius_bev": _int(0)},
+    "sampler": dict.fromkeys(("window_s", "max_disp_m", "low_deg", "high_deg"), _AT_LEAST_ZERO),
+    "loss_weights": dict.fromkeys(("alpha", "beta", "lambda1", "lambda2"), _FINITE_AT_LEAST_ZERO),
+}
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, too deep
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", getattr(exc, "lineno", None)) from None
+
+
+def _fields(section, table: dict, where: str, required: tuple[str, ...] = ()) -> dict:
+    """Check a JSON object against a field table and return it.
+
+    A table maps each allowed key to a field check or to the table of a nested
+    object; the keys in ``required`` must be present.  A failure raises ParseError.
+    """
+    if type(section) is not dict:
         raise ParseError(f"{where} must be a JSON object")
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(section) - set(table))
     if unknown:
-        raise ParseError(f"unknown {where} keys: {', '.join(unknown)}")
-
-
-def _sampler_threshold(section: dict, key: str, default: float) -> float:
-    """A sampler field: a real number >= 0 (inf allowed); bools, null and NaN are refused."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0.0:
-        raise ParseError(f"sampler.{key} must be a number >= 0, got {json.dumps(value)}")
-    return float(value)
+        raise ParseError(f"unknown {where} keys: {', '.join(map(json.dumps, unknown))}")
+    for key, value in section.items():
+        entry = table[key]
+        if type(entry) is dict:
+            _fields(value, entry, key)
+        elif not entry[0](value):
+            raise ParseError(f"{where}.{key} must be {entry[1]}, got {json.dumps(value)}")
+    for key in required:
+        if key not in section:
+            raise ParseError(f"{where}.{key} is required")
+    return section
 
 
 def parse_config(text: str) -> PipelineConfig:
     """Parse a JSON pipeline config, strictly.
 
-    Every section is optional and falls back to the stock configuration,
-    but unknown keys anywhere are rejected so typos cannot silently
-    change an experiment.
+    Every section and field is optional and falls back to the stock
+    configuration, but unknown keys anywhere are rejected so typos cannot
+    silently change an experiment, and every value must pass its field check.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
-    if not isinstance(doc, dict):
-        raise ParseError("config root must be a JSON object")
-    _require_keys(
-        doc,
-        {"grid", "camera", "depth_bins", "correlation", "sampler", "loss_weights"},
-        "config",
-    )
+    doc = _fields(_load_json(text), _CONFIG, "config")
     base = default_config()
-
-    grid = base.grid
+    grid, camera, depth_bins = base.grid, base.camera, base.depth_bins
     if "grid" in doc:
-        sec = doc["grid"]
-        _require_keys(sec, {"h", "w", "resolution_m", "origin"}, "grid")
-        origin = sec.get("origin")
-        if origin is not None and (not isinstance(origin, list) or len(origin) != 2):
-            raise ParseError("grid.origin must be a two-element [o_x, o_y] list")
-        grid = BevGridSpec(
-            height_px=sec.get("h", 128),
-            width_px=sec.get("w", 128),
-            resolution_m=sec.get("resolution_m", 0.8),
-            origin_px=tuple(origin) if origin is not None else None,
-        )
-
-    camera = base.camera
+        g = doc["grid"]
+        h, w = g.get("h", grid.height_px), g.get("w", grid.width_px)
+        if h * w > _MAX_GRID_CELLS:
+            raise ParseError(f"grid.h * grid.w must be at most {_MAX_GRID_CELLS} cells, got {h * w}")
+        grid = BevGridSpec(h, w, g.get("resolution_m", grid.resolution_m), g.get("origin"))
     if "camera" in doc:
-        sec = doc["camera"]
-        _require_keys(sec, {"K", "E"}, "camera")
-        k_vals = np.array(sec.get("K", base.camera.intrinsics.reshape(-1)), dtype=float)
-        e_vals = np.array(sec.get("E", base.camera.extrinsics.reshape(-1)), dtype=float)
-        if k_vals.size != 9:
-            raise ParseError("camera.K must hold 9 row-major reals")
-        if e_vals.size != 12:
-            raise ParseError("camera.E must hold 12 row-major reals")
-        camera = CameraModel(intrinsics=k_vals.reshape(3, 3), extrinsics=e_vals.reshape(3, 4))
-
-    depth_bins = base.depth_bins
+        c = doc["camera"]
+        camera = CameraModel(np.reshape(c.get("K", camera.intrinsics), (3, 3)),
+                             np.reshape(c.get("E", camera.extrinsics), (3, 4)))
     if "depth_bins" in doc:
-        sec = doc["depth_bins"]
-        _require_keys(sec, {"count", "min_m", "max_m"}, "depth_bins")
-        count = int(sec.get("count", 64))
-        if count < 1:
-            raise ParseError("depth_bins.count must be >= 1")
-        depth_bins = np.linspace(float(sec.get("min_m", 1.0)), float(sec.get("max_m", 52.2)), count)
-        if np.any(depth_bins <= 0.0) or (count > 1 and np.any(np.diff(depth_bins) <= 0.0)):
-            raise ParseError("depth bins must be positive and strictly increasing")
-
-    radius_pv, radius_bev = base.radius_pv, base.radius_bev
-    if "correlation" in doc:
-        sec = doc["correlation"]
-        _require_keys(sec, {"radius_pv", "radius_bev"}, "correlation")
-        radius_pv = int(sec.get("radius_pv", radius_pv))
-        radius_bev = int(sec.get("radius_bev", radius_bev))
-        if radius_pv < 0 or radius_bev < 0:
-            raise ParseError("correlation radii must be >= 0")
-
-    sampler = base.sampler
-    if "sampler" in doc:
-        sec = doc["sampler"]
-        sampler_keys = ("window_s", "max_disp_m", "low_deg", "high_deg")
-        _require_keys(sec, set(sampler_keys), "sampler")
-        sampler = SamplerConfig(**{k: _sampler_threshold(sec, k, getattr(sampler, k)) for k in sampler_keys})
-
-    weights = base.loss_weights
-    if "loss_weights" in doc:
-        sec = doc["loss_weights"]
-        _require_keys(sec, {"alpha", "beta", "lambda1", "lambda2"}, "loss_weights")
-        weights = LossWeights(
-            alpha=float(sec.get("alpha", 10.0)),
-            beta=float(sec.get("beta", 10.0)),
-            lambda1=float(sec.get("lambda1", 1.0)),
-            lambda2=float(sec.get("lambda2", 1.0)),
+        d = doc["depth_bins"]
+        depth_bins = np.linspace(
+            d.get("min_m", depth_bins[0]), d.get("max_m", depth_bins[-1]), d.get("count", depth_bins.size)
         )
-
-    return PipelineConfig(
-        grid=grid,
-        camera=camera,
-        depth_bins=depth_bins,
-        radius_pv=radius_pv,
-        radius_bev=radius_bev,
-        sampler=sampler,
-        loss_weights=weights,
-    )
+        if np.any(np.diff(depth_bins) <= 0.0):
+            raise ParseError("depth bins must be strictly increasing: depth_bins.min_m < max_m")
+    sampler = SamplerConfig(**{k: float(v) for k, v in doc.get("sampler", {}).items()})
+    weights = LossWeights(**doc.get("loss_weights", {}))
+    radii = doc.get("correlation", {})
+    return PipelineConfig(grid, camera, depth_bins, **radii, sampler=sampler, loss_weights=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +475,8 @@ def associate_by_timestamp(
     """
     times_a = np.asarray(times_a, dtype=float)
     times_b = np.asarray(times_b, dtype=float)
-    if max_dt_s < 0.0:
-        raise ValueError("max_dt_s must be >= 0")
+    if not max_dt_s >= 0.0:
+        raise ValueError(f"max_dt_s must be >= 0, got {max_dt_s}")
     pairs: list[tuple[int, int]] = []
     j_start = 0
     for i, ta in enumerate(times_a):
@@ -548,53 +549,46 @@ class SynthSpec:
             raise ValueError("need at least one motion primitive")
         if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
             raise ValueError("dt must be positive")
-        if self.noise_trans_m < 0.0 or self.noise_yaw_deg < 0.0:
+        if not (self.noise_trans_m >= 0.0 and self.noise_yaw_deg >= 0.0):
             raise ValueError("noise magnitudes must be >= 0")
         if not (math.isfinite(self.scale_drift) and self.scale_drift > 0.0):
             raise ValueError("scale drift must be positive")
+        frames = sum(p.duration_s for p in self.primitives) / self.dt_s
+        if not frames < _MAX_SYNTH_FRAMES:
+            raise ValueError(f"drive of {frames:.6g} frames exceeds the cap of {_MAX_SYNTH_FRAMES}")
         object.__setattr__(self, "primitives", tuple(self.primitives))
 
 
+_SYNTH_SPEC = {
+    "primitives": ((lambda v: type(v) is list and len(v) > 0), "a non-empty list of primitive objects"),
+    "dt_s": _FINITE_POSITIVE,
+    "noise_trans_m": _FINITE_AT_LEAST_ZERO,
+    "noise_yaw_deg": _FINITE_AT_LEAST_ZERO,
+    "scale_drift": _FINITE_POSITIVE,
+    "seed": _int(0),
+}
+
+_PRIMITIVE = {
+    "kind": ((lambda v: v in _PRIMITIVE_KINDS), f"one of {', '.join(_PRIMITIVE_KINDS)}"),
+    "duration_s": _FINITE_POSITIVE,
+    "speed_mps": _FINITE,
+    "yaw_rate_dps": _FINITE,
+}
+
+
 def parse_synth_spec(text: str) -> SynthSpec:
-    """Parse a JSON synth spec, strictly (unknown keys rejected)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
-    if not isinstance(doc, dict):
-        raise ParseError("synth spec root must be a JSON object")
-    _require_keys(
-        doc,
-        {"primitives", "dt_s", "noise_trans_m", "noise_yaw_deg", "scale_drift", "seed"},
-        "synth spec",
-    )
-    if "primitives" not in doc or not isinstance(doc["primitives"], list):
-        raise ParseError("synth spec needs a 'primitives' list")
+    """Parse a JSON synth spec, strictly (unknown keys rejected, every value checked)."""
+    doc = _fields(_load_json(text), _SYNTH_SPEC, "spec", required=("primitives",))
     prims = []
-    for i, sec in enumerate(doc["primitives"]):
-        if not isinstance(sec, dict):
-            raise ParseError(f"primitive {i} must be a JSON object")
-        _require_keys(sec, {"kind", "duration_s", "speed_mps", "yaw_rate_dps"}, f"primitive {i}")
+    for i, sec in enumerate(doc.pop("primitives")):
+        where = f"primitives[{i}]"
+        prim = _fields(sec, _PRIMITIVE, where, required=("kind", "duration_s"))
         try:
-            prims.append(
-                MotionPrimitive(
-                    kind=sec.get("kind", ""),
-                    duration_s=float(sec.get("duration_s", 0.0)),
-                    speed_mps=float(sec.get("speed_mps", 0.0)),
-                    yaw_rate_dps=float(sec.get("yaw_rate_dps", 0.0)),
-                )
-            )
+            prims.append(MotionPrimitive(**prim))
         except ValueError as exc:
-            raise ParseError(f"primitive {i}: {exc}") from None
+            raise ParseError(f"{where}: {exc}") from None
     try:
-        return SynthSpec(
-            primitives=tuple(prims),
-            dt_s=float(doc.get("dt_s", 0.1)),
-            noise_trans_m=float(doc.get("noise_trans_m", 0.0)),
-            noise_yaw_deg=float(doc.get("noise_yaw_deg", 0.0)),
-            scale_drift=float(doc.get("scale_drift", 1.0)),
-            seed=int(doc.get("seed", 0)),
-        )
+        return SynthSpec(tuple(prims), **doc)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

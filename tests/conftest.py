@@ -1,4 +1,7 @@
 import sys
+import tracemalloc
+
+import pytest
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -10,3 +13,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             for line in module.VERDICTS:
                 terminalreporter.write_line(line)
             break
+
+
+@pytest.fixture
+def refuse_cheaply():
+    """Assert that ``fn()`` raises ``exc_type`` while allocating under 1 MB.
+
+    Size guards must refuse before they allocate; an oversize request that
+    slips past its guard shows up here as a large tracemalloc peak.
+    """
+
+    def check(fn, exc_type, match=None):
+        tracemalloc.start()
+        try:
+            with pytest.raises(exc_type, match=match) as info:
+                fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} bytes while refusing: {info.value}"
+        return info.value
+
+    return check

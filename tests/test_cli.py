@@ -632,3 +632,48 @@ class TestTopLevel:
         )
         assert code == 1
         assert "error" in err
+
+
+BAD_INPUTS = [
+    (["flow-make", "--pose", "0,0,0", "--config", "{d}/bad.json", "--out", "{d}/out"],
+     '{"grid": {"h": null}}', "grid.h must be an integer in [1, 4194304], got null"),
+    (["flow-make", "--pose", "0,0,0", "--config", "{d}/bad.json", "--out", "{d}/out"],
+     '{"grid": {"h": 4096, "w": 4096}}', "at most 4194304 cells"),
+    (["lss-project", "--features", "{d}/ones.bvt1", "--depth", "{d}/ones.bvt1", "--config", "{d}/bad.json",
+      "--out", "{d}/out"], '{"camera": {"K": [[20, 0, 4], [0, 20, 4], [0, 0, 1]]}}', "camera.K must be a list of 9"),
+    (["pose-from-flow", "--flow", "{d}/ones.bvt1", "--config", "{d}/bad.json"], "[" * 100000, "invalid JSON"),
+    (["synth", "--spec", "{d}/bad.json", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
+     '{"seed": 2.7}', "spec.seed must be an integer >= 0, got 2.7"),
+    (["synth", "--spec", "{d}/bad.json", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
+     '{"primitives": [{"kind": "straight", "duration_s": 1e9, "speed_mps": 1}]}', "exceeds the cap of 1048576"),
+    (["correlate", "--a", "{d}/huge.bvt1", "--b", "{d}/huge.bvt1", "--radius", "0", "--out", "{d}/out"],
+     None, "beyond the float32 range"),
+    (["correlate", "--a", "{d}/ones.bvt1", "--b", "{d}/ones.bvt1", "--radius", "100000", "--out", "{d}/out"],
+     None, "exceeds 134217728 entries"),
+    (["sample-pairs", "--traj", "{d}/line.tum", "--config", "{d}/bad.json", "--out", "{d}/out"],
+     '{"sampler": {"window_s": 0}}', "no admissible pairs"),
+    (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10,nan"],
+     None, "segment lengths must be finite and positive"),
+    (["eval-traj", "--est", "{d}/shifted.tum", "--gt", "{d}/line.tum", "--max-dt", "nan"],
+     None, "max_dt_s must be >= 0"),
+    (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve", "{d}/out",
+      "--scale-curve-segment-m", "nan"], None, "segment length must be finite and positive"),
+]
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize("argv, document, needle", BAD_INPUTS, ids=[case[2] for case in BAD_INPUTS])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, document, needle):
+        line = curved_trajectory(40, seed=3)
+        (tmp_path / "line.tum").write_text(write_trajectory(line, "tum"))
+        shifted = Trajectory(line.timestamps + 0.005, line.poses)
+        (tmp_path / "shifted.tum").write_text(write_trajectory(shifted, "tum"))
+        (tmp_path / "ones.bvt1").write_bytes(write_bvt1(np.ones((2, 4, 4))))
+        (tmp_path / "huge.bvt1").write_bytes(write_bvt1(np.full((1, 4, 4), 1e20)))
+        if document is not None:
+            (tmp_path / "bad.json").write_text(document)
+        code, stdout, err = run_cli([a.format(d=tmp_path) for a in argv], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("bevkit: error:") and err.count("\n") == 1, err
+        assert needle in err
+        assert not (tmp_path / "out").exists()

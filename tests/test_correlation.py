@@ -173,6 +173,11 @@ class TestLocalCorrelation:
                 FeatureMap(np.zeros((2, 8, 8))), FeatureMap(np.zeros((3, 8, 8))), 1
             )
 
+    @pytest.mark.parametrize("shape, radius", [((1, 128, 128), 45), ((1, 64, 64), 1000), ((2, 1, 1), 10**9)])
+    def test_volume_cap_refuses_before_allocating(self, shape, radius, refuse_cheaply):
+        f = FeatureMap(np.ones(shape))
+        refuse_cheaply(lambda: local_correlation(f, f, radius), ValueError, "exceeds 134217728 entries")
+
     def test_feature_map_validation(self):
         with pytest.raises(ShapeError):
             FeatureMap(np.zeros((8, 8)))

@@ -332,6 +332,12 @@ class TestRteRre:
         with pytest.raises(ValueError):
             rte_rre(gt, gt, lengths_m=(-5.0,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_nonfinite_or_zero_length_rejected(self, bad):
+        gt = line_traj(20)
+        with pytest.raises(ValueError, match="segment lengths must be finite and positive"):
+            rte_rre(gt, gt, lengths_m=(10.0, bad))
+
 
 def reference_rte_rre(est, gt, lengths, stride=1):
     """The per-segment loop that rte_rre replaces: three solves per (first, length)."""
@@ -433,6 +439,12 @@ class TestScaleFromFirst10m:
         with pytest.raises(DegenerateInputError):
             scale_from_first_10m(est, gt)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_nonfinite_or_nonpositive_prefix_rejected(self, bad):
+        gt = line_traj(20)
+        with pytest.raises(ValueError, match="prefix must be finite and positive"):
+            scale_from_first_10m(gt, gt, prefix_m=bad)
+
 
 class TestLogScaleCurve:
     def test_identity_is_exactly_zero(self):
@@ -477,6 +489,12 @@ class TestLogScaleCurve:
         gt = line_traj(5)
         with pytest.raises(InsufficientLengthError):
             log_scale_curve(gt, gt, segment_m=10.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_nonfinite_or_nonpositive_segment_rejected(self, bad):
+        gt = line_traj(40)
+        with pytest.raises(ValueError, match="segment length must be finite and positive"):
+            log_scale_curve(gt, gt, segment_m=bad)
 
 
 class TestEvaluateTrajectories:

@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from bevkit.evaluation import Trajectory, path_lengths
 from bevkit.flow import FlowField, construct_flow_gt
 from bevkit.geometry import BevGridSpec, Pose2, closest_rotation, pose2_to_pose3
 from bevkit.io import (
+    _CONFIG,
+    _PRIMITIVE,
+    _SYNTH_SPEC,
     MotionPrimitive,
     SynthSpec,
     associate_by_timestamp,
@@ -279,6 +284,17 @@ class TestBvt1:
         with pytest.raises(FormatError):
             read_bvt1(b"BVT1" + struct.pack("<I", 3) + struct.pack("<I", 2))
 
+    @pytest.mark.parametrize("values", [[1.0, 1e39], [-1e300], [np.inf, 1e39], [np.nan, -3.5e38]])
+    def test_values_beyond_float32_refused(self, values):
+        with pytest.raises(FormatError, match="beyond the float32 range"):
+            write_bvt1(np.array(values))
+
+    def test_infinities_and_float32_extremes_kept(self):
+        f32max = float(np.finfo(np.float32).max)
+        values = np.array([np.inf, -np.inf, np.nan, f32max, -f32max, 1e-50])
+        back = read_bvt1(write_bvt1(values))
+        assert np.array_equal(back, values.astype(np.float32), equal_nan=True)
+
 
 class TestConfig:
     def test_defaults(self):
@@ -322,6 +338,9 @@ class TestConfig:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ParseError):
             parse_config('{"gird": {}}')
+        # key names print as JSON strings, so the message stays on one line
+        with pytest.raises(ParseError, match=re.escape('unknown config keys: "\\n", "gird"')):
+            parse_config('{"gird": {}, "\\n": 1}')
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ParseError):
@@ -332,6 +351,9 @@ class TestConfig:
             parse_config('{"camera": {"K": [1, 2, 3]}}')
         with pytest.raises(ParseError):
             parse_config('{"camera": {"E": [1, 2, 3]}}')
+        # K is 9 row-major numbers; a nested 3x3 list is refused
+        with pytest.raises(ParseError, match="camera.K must be a list of 9 finite numbers"):
+            parse_config('{"camera": {"K": [[50, 0, 32], [0, 50, 24], [0, 0, 1]]}}')
 
     def test_bad_origin_rejected(self):
         with pytest.raises(ParseError):
@@ -370,6 +392,89 @@ class TestConfig:
         with pytest.raises(InvalidCameraError):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("doc, needle", [
+        ({"grid": {"h": 4096, "w": 4096}}, "grid.h * grid.w must be at most 4194304 cells"),
+        ({"grid": {"w": 2**22 + 1}}, "grid.w must be an integer in [1, 4194304]"),
+        ({"depth_bins": {"count": 1025}}, "depth_bins.count must be an integer in [1, 1024]"),
+        ({"depth_bins": {"count": 10**12}}, "depth_bins.count must be an integer in [1, 1024]"),
+        ({"depth_bins": {"count": 1e12}}, "depth_bins.count must be an integer in [1, 1024], got 1000000000000.0"),
+    ])
+    def test_size_caps_refuse_before_allocating(self, doc, needle, refuse_cheaply):
+        refuse_cheaply(lambda: parse_config(json.dumps(doc)), ParseError, re.escape(needle))
+
+    def test_grid_at_the_cell_cap_parses(self):
+        cfg = parse_config('{"grid": {"h": 2048, "w": 2048}, "depth_bins": {"count": 1024}}')
+        assert cfg.grid.shape == (2048, 2048)
+        assert cfg.depth_bins.size == 1024
+
+    @pytest.mark.parametrize("text", ["[" * 100000, "1" * 5000])
+    def test_json_too_deep_or_too_long_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_config(text)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_synth_spec(text)
+
+
+VALID_PRIMITIVE = {"kind": "straight", "duration_s": 1.0}
+
+
+def field_cases():
+    """One (parser, document, dotted field name) case per bad value of every table field."""
+    fields = [
+        (f"{section}.{key}", text, parse_config, lambda v, s=section, k=key: {s: {k: v}})
+        for section, table in _CONFIG.items()
+        for key, (_, text) in table.items()
+    ]
+    fields += [
+        (f"spec.{key}", text, parse_synth_spec, lambda v, k=key: {"primitives": [VALID_PRIMITIVE], k: v})
+        for key, (_, text) in _SYNTH_SPEC.items()
+    ]
+    fields += [
+        (f"primitives[0].{key}", text, parse_synth_spec, lambda v, k=key: {"primitives": [{**VALID_PRIMITIVE, k: v}]})
+        for key, (_, text) in _PRIMITIVE.items()
+    ]
+    for name, text, parse, doc in fields:
+        values = [None, True, "1", [], math.nan]
+        if text.startswith("an integer"):
+            values.append(1.5)
+        length = re.match(r"a list of (\d+)", text)
+        if length:
+            n = int(length.group(1))
+            values += [[1.0] * (n + 1), [1.0] * (n - 1) + [True]]
+        for value in values:
+            yield pytest.param(parse, json.dumps(doc(value)), name, id=f"{name}={json.dumps(value)}")
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("parse, text, name", field_cases())
+    def test_every_field_refuses_the_wrong_kind(self, parse, text, name):
+        with pytest.raises(ParseError, match=f"^{re.escape(name)} must be "):
+            parse(text)
+
+    def test_every_table_key_is_documented(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for section, table in _CONFIG.items():
+            for key in table:
+                assert f"`{section}.{key}`" in readme
+        for key in [*_SYNTH_SPEC, *(f"primitives[].{k}" for k in _PRIMITIVE)]:
+            assert f"`{key}`" in readme
+
+    def test_integers_stay_exact_and_numbers_take_integers(self):
+        cfg = parse_config('{"grid": {"h": 12, "w": 8, "resolution_m": 1, "origin": [4, 6]}}')
+        assert cfg.grid.shape == (12, 8) and cfg.grid.resolution_m == 1.0
+        assert cfg.grid.origin_px == (4.0, 6.0)
+        spec = parse_synth_spec('{"primitives": [{"kind": "stop", "duration_s": 2}], "seed": 12345678901234567890}')
+        assert spec.seed == 12345678901234567890
+        assert spec.primitives[0].duration_s == 2.0
+
+    def test_required_keys_named(self):
+        with pytest.raises(ParseError, match=re.escape("spec.primitives is required")):
+            parse_synth_spec('{"dt_s": 0.1}')
+        with pytest.raises(ParseError, match=re.escape("primitives[1].duration_s is required")):
+            parse_synth_spec('{"primitives": [{"kind": "stop", "duration_s": 1}, {"kind": "stop"}]}')
+        with pytest.raises(ParseError, match=re.escape("primitives[0] must be a JSON object")):
+            parse_synth_spec('{"primitives": [5]}')
+
 
 class TestAssociateByTimestamp:
     def test_identical_sets(self):
@@ -403,6 +508,10 @@ class TestAssociateByTimestamp:
     def test_negative_window_rejected(self):
         with pytest.raises(ValueError):
             associate_by_timestamp(np.zeros(1), np.zeros(1), -0.1)
+
+    def test_nan_window_rejected(self):
+        with pytest.raises(ValueError, match="max_dt_s must be >= 0"):
+            associate_by_timestamp(np.zeros(3), np.zeros(3), math.nan)
 
 
 class TestSynthTrajectory:
@@ -502,6 +611,25 @@ class TestSynthTrajectory:
             parse_synth_spec('{"primitives": [{"kind": "straight", "duration_s": -1}]}')
         with pytest.raises(ParseError):
             parse_synth_spec('{"primitives": [{"kind": "straight", "duration_s": 1}], "dt_s": 0}')
+
+    @pytest.mark.parametrize("prims, dt", [
+        ([MotionPrimitive("straight", 1e9, speed_mps=1.0)], 0.1),
+        ([MotionPrimitive("stop", 60000.0), MotionPrimitive("stop", 60000.0)], 0.1),
+        ([MotionPrimitive("stop", 1.0)], 1e-300),
+        ([MotionPrimitive("stop", 1.7e308), MotionPrimitive("stop", 1.7e308)], 0.1),
+    ])
+    def test_frame_cap_refuses_before_allocating(self, prims, dt, refuse_cheaply):
+        refuse_cheaply(lambda: SynthSpec(prims, dt_s=dt), ValueError, "frames exceeds the cap of 1048576")
+        doc = {"primitives": [{"kind": p.kind, "duration_s": p.duration_s, "speed_mps": p.speed_mps} for p in prims],
+               "dt_s": dt}
+        refuse_cheaply(lambda: parse_synth_spec(json.dumps(doc)), ParseError, "exceeds the cap")
+
+    def test_nan_noise_rejected(self):
+        prims = (MotionPrimitive("stop", 1.0),)
+        with pytest.raises(ValueError, match="noise magnitudes"):
+            SynthSpec(prims, noise_trans_m=math.nan)
+        with pytest.raises(ValueError, match="noise magnitudes"):
+            SynthSpec(prims, noise_yaw_deg=math.nan)
 
 
 class TestSideCsv:
