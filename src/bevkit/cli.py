@@ -158,6 +158,8 @@ def _cmd_eval_traj(args) -> int:
 
 
 def _cmd_sample_pairs(args) -> int:
+    if args.draws < 1:
+        raise ValueError(f"--draws must be an integer >= 1, got {args.draws}")
     cfg = _load_config(args.config)
     traj = _load_trajectory(args.traj, args.format)
     frames = frames_from_trajectory(traj.timestamps, traj.poses)

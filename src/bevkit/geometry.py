@@ -279,6 +279,12 @@ def pixel_to_vehicle(u, v, grid: BevGridSpec) -> np.ndarray:
     return out
 
 
+def _xy_to_pixel(x, y, grid: BevGridSpec):
+    """Vehicle-frame (x, y) arrays to BEV pixels: u = o_x + y / r, v = o_y - x / r."""
+    o_x, o_y = grid.origin_px
+    return o_x + y / grid.resolution_m, o_y - x / grid.resolution_m
+
+
 def vehicle_to_pixel(points: np.ndarray, grid: BevGridSpec):
     """Map homogeneous vehicle-frame points (..., 4) to BEV pixels (u, v).
 
@@ -291,11 +297,7 @@ def vehicle_to_pixel(points: np.ndarray, grid: BevGridSpec):
     w = points[..., 3]
     if np.any(w == 0.0):
         raise ValueError("homogeneous w component must be nonzero")
-    x = points[..., 0] / w
-    y = points[..., 1] / w
-    o_x, o_y = grid.origin_px
-    u = o_x + y / grid.resolution_m
-    v = o_y - x / grid.resolution_m
+    u, v = _xy_to_pixel(points[..., 0] / w, points[..., 1] / w, grid)
     if u.ndim == 0:
         return float(u), float(v)
     return u, v

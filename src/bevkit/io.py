@@ -557,6 +557,7 @@ class SynthSpec:
         if not frames < _MAX_SYNTH_FRAMES:
             raise ValueError(f"drive of {frames:.6g} frames exceeds the cap of {_MAX_SYNTH_FRAMES}")
         object.__setattr__(self, "primitives", tuple(self.primitives))
+        _primitive_starts(self.primitives)
 
 
 _SYNTH_SPEC = {
@@ -619,6 +620,35 @@ def _primitive_pose(prim: MotionPrimitive, start: Pose2, tau: float) -> Pose2:
     )
 
 
+def _primitive_starts(primitives) -> list[Pose2]:
+    """Start pose of every primitive, then the end pose of the drive.
+
+    Raises ValueError naming the first primitive and field whose motion
+    may leave the float range.  A pose sampled in a primitive lies within
+    ``|speed_mps| * duration_s`` of its start (an arc's chord is shorter
+    than its length), so that distance added to the start must be finite;
+    no pose inside a passing primitive can then overflow.
+    """
+    starts = [Pose2.identity()]
+    for i, prim in enumerate(primitives):
+        where, start = f"primitives[{i}]", starts[-1]
+        speed, rate, dur = prim.speed_mps, prim.yaw_rate_dps, prim.duration_s
+        if prim.kind == "arc":
+            omega = math.radians(rate)
+            if not math.isfinite(omega * dur):
+                raise ValueError(f"{where}.yaw_rate_dps {rate!r} turns through a non-finite angle "
+                                 f"over duration_s {dur!r}")
+            if omega == 0.0 or not math.isfinite(speed / omega):
+                raise ValueError(f"{where}.yaw_rate_dps {rate!r} gives no finite arc radius "
+                                 f"at speed_mps {speed!r}")
+        reach = abs(speed) * dur
+        if not math.isfinite(max(abs(start.tx), abs(start.ty)) + reach):
+            raise ValueError(f"{where}.speed_mps {speed!r} over duration_s {dur!r} "
+                             "carries the drive beyond the float range")
+        starts.append(_primitive_pose(prim, start, dur))
+    return starts
+
+
 def synth_trajectory(spec: SynthSpec) -> tuple[Trajectory, Trajectory]:
     """Generate (ground truth, corrupted estimate) trajectories.
 
@@ -633,9 +663,7 @@ def synth_trajectory(spec: SynthSpec) -> tuple[Trajectory, Trajectory]:
     n_steps = int(math.floor(total / spec.dt_s + 1e-9))
     times = np.arange(n_steps + 1, dtype=float) * spec.dt_s
 
-    starts: list[Pose2] = [Pose2.identity()]
-    for prim in spec.primitives:
-        starts.append(_primitive_pose(prim, starts[-1], prim.duration_s))
+    starts = _primitive_starts(spec.primitives)
     bounds = np.cumsum([0.0] + durations)
 
     gt_planar: list[Pose2] = []

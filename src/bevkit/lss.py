@@ -3,6 +3,12 @@
 Lift multiplies each pixel's feature vector by its categorical depth
 distribution, producing one weighted copy per depth bin; splat drops each
 copy at the BEV cell under its 3D location and sum-pools collisions.
+
+:func:`lift` and :func:`splat` are the reference pair.  :func:`project_volume`
+gives the same bits without building the (C, D, H, W) lift tensor: it
+weights each in-grid point by ``context[c, hw] * depth[d, hw]`` inside the
+per-channel pool.  Both pool through the plan that :func:`assign_cells`
+returns, so the summation order lives in one place.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import numpy as np
 
 from .correlation import FeatureMap
 from .errors import InvalidCameraError, ShapeError
-from .geometry import BevGridSpec, CameraModel, vehicle_to_pixel
+from .geometry import BevGridSpec, CameraModel, _xy_to_pixel
 
 _NORMALIZATION_TOL = 1e-6
 
@@ -82,11 +88,22 @@ class Frustum:
 
 @dataclass(frozen=True)
 class SplatAssignment:
-    """Per-point BEV cell assignment: integer rows/cols plus an in-grid mask."""
+    """Frustum-to-cell plan of one camera, bin set, image size and grid.
+
+    ``rows``, ``cols`` and ``in_grid`` are per-point (D, H, W) arrays.  The
+    rest describe only the in-grid points, in (depth, row, column) order:
+    ``points`` holds their flat (D, H, W) indices, ``cells`` their flat
+    cell ids ``row * grid W + col``, and ``pixels`` their flat image pixel
+    index ``hw``.  ``dropped`` counts the points outside the grid.
+    """
 
     rows: np.ndarray
     cols: np.ndarray
     in_grid: np.ndarray
+    points: np.ndarray
+    cells: np.ndarray
+    pixels: np.ndarray
+    dropped: int
 
 
 def build_frustum(camera: CameraModel, bins: np.ndarray, image_size: tuple[int, int]) -> Frustum:
@@ -118,15 +135,19 @@ def build_frustum(camera: CameraModel, bins: np.ndarray, image_size: tuple[int, 
     return Frustum(pts_veh)
 
 
+def _check_pixels(context: FeatureMap, depth: DepthDistribution):
+    if context.spatial_shape != depth.data.shape[1:]:
+        raise ShapeError(
+            f"features {context.spatial_shape} and depth {depth.data.shape[1:]} disagree on (H, W)"
+        )
+
+
 def lift(context: FeatureMap, depth: DepthDistribution) -> np.ndarray:
     """Outer product of features and depth weights: (C, D, H, W).
 
     out[c, d, h, w] = context[c, h, w] * depth[d, h, w].
     """
-    if context.spatial_shape != depth.data.shape[1:]:
-        raise ShapeError(
-            f"features {context.spatial_shape} and depth {depth.data.shape[1:]} disagree on (H, W)"
-        )
+    _check_pixels(context, depth)
     return context.data[:, None, :, :] * depth.data[None, :, :, :]
 
 
@@ -138,8 +159,7 @@ def assign_cells(frustum: Frustum, grid: BevGridSpec) -> SplatAssignment:
     to that cell.  Points outside the grid are flagged, not clipped.
     """
     pts = frustum.points
-    ones = np.ones(pts.shape[:-1] + (1,))
-    u, v = vehicle_to_pixel(np.concatenate([pts, ones], axis=-1), grid)
+    u, v = _xy_to_pixel(pts[..., 0], pts[..., 1], grid)
     cols = np.floor(u).astype(np.int64)
     rows = np.floor(v).astype(np.int64)
     in_grid = (
@@ -148,17 +168,40 @@ def assign_cells(frustum: Frustum, grid: BevGridSpec) -> SplatAssignment:
         & (cols >= 0)
         & (cols < grid.width_px)
     )
-    return SplatAssignment(rows=rows, cols=cols, in_grid=in_grid)
+    points = np.flatnonzero(in_grid)
+    cells = rows.ravel()[points] * grid.width_px + cols.ravel()[points]
+    pixels = points % (pts.shape[1] * pts.shape[2])
+    dropped = int(in_grid.size - points.size)
+    return SplatAssignment(rows, cols, in_grid, points, cells, pixels, dropped)
+
+
+def _pool(plan: SplatAssignment, grid: BevGridSpec, features: np.ndarray, index: np.ndarray, scale=None):
+    """Sum-pool ``features[c][index] * scale`` into the plan's cells, per channel c.
+
+    ``index`` and ``scale`` give one entry per in-grid point, in the order
+    of ``plan.points``.  One ``np.bincount`` per channel adds the points in
+    (depth, row, column) order, so results are bitwise reproducible.
+    Returns (bev, dropped) with bev a C-contiguous (C, grid H, grid W) array.
+    """
+    n = grid.height_px * grid.width_px
+    bev = np.empty((features.shape[0], n))
+    weights = np.empty(index.size)
+    for c, row in enumerate(features):
+        # every index is in range; mode="clip" skips the buffered bounds check
+        np.take(row, index, out=weights, mode="clip")
+        if scale is not None:
+            np.multiply(weights, scale, out=weights)
+        bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
+    return bev.reshape(features.shape[0], grid.height_px, grid.width_px), plan.dropped
 
 
 def splat(lifted: np.ndarray, frustum: Frustum, grid: BevGridSpec):
     """Sum-pool lifted features into BEV cells.
 
-    Each channel is pooled by one ``np.bincount`` over flat cell indices,
-    which visits points in (depth, row, column) order, so results are
-    bitwise reproducible run to run.  Returns (bev, dropped) where bev is
-    a C-contiguous (C, grid H, grid W) array and dropped counts the
-    frustum points that fell outside the grid.
+    Returns (bev, dropped) where bev is a C-contiguous (C, grid H, grid W)
+    array and dropped counts the frustum points that fell outside the
+    grid.  Points are pooled in (depth, row, column) order, one
+    ``np.bincount`` per channel.
     """
     lifted = np.asarray(lifted, dtype=float)
     if lifted.ndim != 4:
@@ -167,20 +210,20 @@ def splat(lifted: np.ndarray, frustum: Frustum, grid: BevGridSpec):
         raise ShapeError(
             f"lifted shape {lifted.shape[1:]} does not match frustum {frustum.grid_shape}"
         )
-    c = lifted.shape[0]
-    asg = assign_cells(frustum, grid)
-    keep = asg.in_grid.ravel()
-    cells = asg.rows.ravel()[keep] * grid.width_px + asg.cols.ravel()[keep]
-    n = grid.height_px * grid.width_px
-    bev = np.array([np.bincount(cells, weights=ch[keep], minlength=n) for ch in lifted.reshape(c, -1)])
-    dropped = int(keep.size - np.count_nonzero(keep))
-    return bev.reshape(c, grid.height_px, grid.width_px), dropped
+    plan = assign_cells(frustum, grid)
+    return _pool(plan, grid, lifted.reshape(lifted.shape[0], -1), plan.points)
 
 
 def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraModel, grid: BevGridSpec):
-    """Full image-to-BEV projection: build frustum, lift, splat.
+    """Full image-to-BEV projection, bitwise equal to ``splat(lift(...))``.
 
-    Returns (bev, dropped) exactly as :func:`splat` does.
+    The (C, D, H, W) lift tensor is never built: each in-grid point's
+    weight ``context[c, hw] * depth[d, hw]`` is formed inside the
+    per-channel pool, so memory beyond the output stays at a few
+    point-sized arrays.  Returns (bev, dropped) exactly as :func:`splat`
+    does.
     """
-    frustum = build_frustum(camera, depth.bins, volume.spatial_shape)
-    return splat(lift(volume, depth), frustum, grid)
+    _check_pixels(volume, depth)
+    plan = assign_cells(build_frustum(camera, depth.bins, volume.spatial_shape), grid)
+    context = volume.data.reshape(volume.channels, -1)
+    return _pool(plan, grid, context, plan.pixels, depth.data.reshape(-1)[plan.points])

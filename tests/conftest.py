@@ -16,7 +16,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def refuse_cheaply():
+def peak_bytes():
+    """Run ``fn()`` under tracemalloc; return (its result, peak bytes allocated meanwhile)."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
+
+
+@pytest.fixture
+def refuse_cheaply(peak_bytes):
     """Assert that ``fn()`` raises ``exc_type`` while allocating under 1 MB.
 
     Size guards must refuse before they allocate; an oversize request that
@@ -24,14 +39,13 @@ def refuse_cheaply():
     """
 
     def check(fn, exc_type, match=None):
-        tracemalloc.start()
-        try:
+        def refuse():
             with pytest.raises(exc_type, match=match) as info:
                 fn()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20, f"peak {peak} bytes while refusing: {info.value}"
-        return info.value
+            return info.value
+
+        exc, peak = peak_bytes(refuse)
+        assert peak < 2**20, f"peak {peak} bytes while refusing: {exc}"
+        return exc
 
     return check

@@ -392,6 +392,17 @@ class TestSamplePairs:
             )
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("draws", ["0", "-1"])
+    def test_draws_below_one_refused_before_any_work(self, tmp_path, capsys, draws):
+        # the trajectory does not exist, so any work before the check would fail on it instead
+        out = tmp_path / "pairs.csv"
+        code, stdout, err = run_cli(
+            ["sample-pairs", "--traj", str(tmp_path / "none.tum"), "--out", str(out), "--draws", draws], capsys
+        )
+        assert code == 1 and stdout == ""
+        assert err == f"bevkit: error: --draws must be an integer >= 1, got {draws}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, needle", [
         ('{"sampler": 5}', "sampler must be a JSON object"),
         ('{"grid": 5}', "grid must be a JSON object"),
@@ -646,6 +657,12 @@ BAD_INPUTS = [
      '{"seed": 2.7}', "spec.seed must be an integer >= 0, got 2.7"),
     (["synth", "--spec", "{d}/bad.json", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
      '{"primitives": [{"kind": "straight", "duration_s": 1e9, "speed_mps": 1}]}', "exceeds the cap of 1048576"),
+    (["synth", "--spec", "{d}/bad.json", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
+     '{"primitives": [{"kind": "straight", "duration_s": 10, "speed_mps": 1e308}]}',
+     "primitives[0].speed_mps 1e+308 over duration_s 10 carries"),
+    (["synth", "--spec", "{d}/bad.json", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
+     '{"primitives": [{"kind": "stop", "duration_s": 1}, {"kind": "arc", "duration_s": 1, "yaw_rate_dps": 5e-324}]}',
+     "primitives[1].yaw_rate_dps 5e-324 gives no finite"),
     (["correlate", "--a", "{d}/huge.bvt1", "--b", "{d}/huge.bvt1", "--radius", "0", "--out", "{d}/out"],
      None, "beyond the float32 range"),
     (["correlate", "--a", "{d}/ones.bvt1", "--b", "{d}/ones.bvt1", "--radius", "100000", "--out", "{d}/out"],

@@ -624,6 +624,33 @@ class TestSynthTrajectory:
                "dt_s": dt}
         refuse_cheaply(lambda: parse_synth_spec(json.dumps(doc)), ParseError, "exceeds the cap")
 
+    @pytest.mark.parametrize("prims, needle", [
+        ([{"kind": "straight", "duration_s": 10, "speed_mps": 1e308}],
+         "primitives[0].speed_mps 1e+308 over duration_s 10 carries the drive beyond the float range"),
+        ([{"kind": "straight", "duration_s": 10, "speed_mps": 1e307}, {"kind": "stop", "duration_s": 1},
+          {"kind": "straight", "duration_s": 10, "speed_mps": 1e307}],
+         "primitives[2].speed_mps 1e+307 over duration_s 10 carries the drive beyond the float range"),
+        ([{"kind": "arc", "duration_s": 1000, "speed_mps": 1, "yaw_rate_dps": 1e308}],
+         "primitives[0].yaw_rate_dps 1e+308 turns through a non-finite angle over duration_s 1000"),
+        ([{"kind": "arc", "duration_s": 1, "speed_mps": 1, "yaw_rate_dps": 5e-324}],
+         "primitives[0].yaw_rate_dps 5e-324 gives no finite arc radius at speed_mps 1"),
+        ([{"kind": "arc", "duration_s": 1, "speed_mps": 1e308, "yaw_rate_dps": 1e-3}],
+         "primitives[0].yaw_rate_dps 0.001 gives no finite arc radius at speed_mps 1e+308"),
+    ], ids=["speed", "speed-second-leg", "turn", "subnormal-rate", "radius"])
+    def test_motion_beyond_float_range_names_primitive_and_field(self, prims, needle):
+        with pytest.raises(ParseError) as info:
+            parse_synth_spec(json.dumps({"primitives": prims}))
+        assert str(info.value) == needle
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            SynthSpec(tuple(MotionPrimitive(**p) for p in prims))
+
+    def test_extreme_but_finite_motion_synthesizes(self):
+        prims = (MotionPrimitive("straight", 10.0, speed_mps=1e306), MotionPrimitive("arc", 1.0, 1.0, 1e300),
+                 MotionPrimitive("straight", 10.0, speed_mps=-1e306))
+        gt, _ = synth_trajectory(SynthSpec(prims, dt_s=1.0))
+        assert np.all(np.isfinite(gt.poses))
+        assert gt.poses[10, 0, 3] == 1e307
+
     def test_nan_noise_rejected(self):
         prims = (MotionPrimitive("stop", 1.0),)
         with pytest.raises(ValueError, match="noise magnitudes"):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from bevkit import io as bevio
 from bevkit.correlation import FeatureMap
 from bevkit.errors import InvalidCameraError, ShapeError
-from bevkit.geometry import BevGridSpec, CameraModel
+from bevkit.geometry import BevGridSpec, CameraModel, pixel_to_vehicle, rot_z, vehicle_to_pixel
 from bevkit.lss import (
     DepthDistribution,
     Frustum,
@@ -50,6 +51,42 @@ def add_at_splat(lifted, frustum, grid):
     np.add.at(bev_flat, cells, vals.T)
     dropped = int(keep.size - np.count_nonzero(keep))
     return bev_flat.T.reshape(c, grid.height_px, grid.width_px), dropped
+
+
+def homogeneous_assign(frustum, grid):
+    """Reference: the former assign_cells, through homogeneous (x, y, z, 1) points."""
+    pts = frustum.points
+    u, v = vehicle_to_pixel(np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1), grid)
+    cols = np.floor(u).astype(np.int64)
+    rows = np.floor(v).astype(np.int64)
+    in_grid = (rows >= 0) & (rows < grid.height_px) & (cols >= 0) & (cols < grid.width_px)
+    return rows, cols, in_grid
+
+
+def assert_matches_reference_pair(volume, depth, camera, grid):
+    """project_volume equals splat(lift(...)) and the add.at oracle, bit for bit."""
+    bev, dropped = project_volume(volume, depth, camera, grid)
+    frustum = build_frustum(camera, depth.bins, volume.spatial_shape)
+    lifted = lift(volume, depth)
+    ref, dropped_ref = splat(lifted, frustum, grid)
+    assert np.array_equal(bev, ref)
+    assert dropped == dropped_ref
+    assert bev.flags.c_contiguous
+    # channels pool independently, so the oracle runs in slices to bound memory
+    for c in range(0, volume.channels, 16):
+        oracle, dropped_oracle = add_at_splat(lifted[c:c + 16], frustum, grid)
+        assert np.array_equal(bev[c:c + 16], oracle)
+        assert dropped == dropped_oracle
+    return bev, dropped
+
+
+def bench_inputs(rng, channels=64, image=(32, 88)):
+    """A paper-scale sample: C64 D64 32x88 with softmax depth, stock camera and grid."""
+    cfg = bevio.default_config()
+    logits = rng.standard_normal((cfg.depth_bins.size,) + image)
+    e = np.exp(logits - logits.max(axis=0))
+    depth = DepthDistribution(e / e.sum(axis=0), cfg.depth_bins)
+    return FeatureMap(rng.standard_normal((channels,) + image)), depth, cfg
 
 
 class TestDepthDistribution:
@@ -223,6 +260,38 @@ class TestAssignCells:
         asg = assign_cells(fr, self.GRID)
         assert asg.in_grid.ravel().tolist() == [False, False, False, True]
 
+    @pytest.mark.parametrize("grid", [
+        BevGridSpec(8, 8, 1.0, origin_px=(4.0, 4.0)),
+        BevGridSpec(16, 12, 0.3),
+        BevGridSpec(10, 20, 0.3, origin_px=(3.25, 8.5)),
+        BevGridSpec(128, 128, 0.8),
+    ], ids=["res1", "res0.3-centre", "res0.3-off-centre", "stock"])
+    def test_matches_homogeneous_route_bitwise(self, grid):
+        rng = np.random.default_rng(62)
+        ext = 0.75 * max(grid.shape) * grid.resolution_m
+        random_pts = rng.uniform(-ext, ext, size=(3, 5, 7, 3))
+        # pixel corners, so every point sits exactly on (or a rounding off) cell edges
+        us, vs = np.meshgrid(np.arange(-1, grid.width_px + 2), np.arange(-1, grid.height_px + 2))
+        edges = pixel_to_vehicle(us, vs, grid)[None, ..., :3]
+        for pts in (random_pts, edges):
+            fr = Frustum(pts)
+            asg = assign_cells(fr, grid)
+            rows, cols, in_grid = homogeneous_assign(fr, grid)
+            assert np.array_equal(asg.rows, rows)
+            assert np.array_equal(asg.cols, cols)
+            assert np.array_equal(asg.in_grid, in_grid)
+
+    def test_plan_lists_in_grid_points_in_order(self):
+        rng = np.random.default_rng(63)
+        fr = Frustum(rng.uniform(-6.0, 6.0, size=(4, 3, 5, 3)))
+        asg = assign_cells(fr, self.GRID)
+        keep = asg.in_grid.ravel()
+        assert 0 < np.count_nonzero(keep) < keep.size
+        assert np.array_equal(asg.points, np.flatnonzero(keep))
+        assert np.array_equal(asg.cells, (asg.rows * 8 + asg.cols).ravel()[keep])
+        assert np.array_equal(asg.pixels, np.broadcast_to(np.arange(15), (4, 15)).ravel()[keep])
+        assert asg.dropped == keep.size - np.count_nonzero(keep)
+
 
 class TestSplat:
     GRID = BevGridSpec(8, 8, 1.0, origin_px=(4.0, 4.0))
@@ -335,6 +404,44 @@ class TestProjectVolume:
         oracle, dropped_oracle = add_at_splat(lift(volume, depth), fr, self.GRID)
         assert np.array_equal(bev, oracle)
         assert dropped == dropped_oracle
+
+    def test_bench_shape_matches_reference_pair(self):
+        volume, depth, cfg = bench_inputs(np.random.default_rng(64))
+        _, dropped = assert_matches_reference_pair(volume, depth, cfg.camera, cfg.grid)
+        assert 0 < dropped < 64 * 32 * 88
+
+    def test_random_shapes_match_reference_pair(self):
+        rng = np.random.default_rng(65)
+        grids = [BevGridSpec(8, 8, 1.0), BevGridSpec(12, 9, 0.3, origin_px=(1.5, 10.0)),
+                 BevGridSpec(16, 16, 0.3), BevGridSpec(6, 10, 0.8, origin_px=(7.0, 2.0))]
+        saw_drops = False
+        for trial in range(16):
+            c, d, h, w = (int(v) for v in rng.integers(1, 7, size=4))
+            cam = forward_camera(f=float(rng.uniform(3.0, 20.0)), cx=w / 2.0, cy=h / 2.0)
+            turned = np.hstack([rot_z(rng.uniform(-np.pi, np.pi)) @ cam.rotation, rng.uniform(-2.0, 2.0, (3, 1))])
+            cam = CameraModel(cam.intrinsics, turned)
+            bins = np.cumsum(rng.uniform(0.2, 3.0, size=d))
+            depth = DepthDistribution(rng.uniform(0.0, 1.0, size=(d, h, w)), bins)
+            feats = rng.normal(size=(c, h, w)) * 10.0 ** rng.uniform(-6, 6, size=(c, h, w))
+            _, dropped = assert_matches_reference_pair(FeatureMap(feats), depth, cam, grids[trial % 4])
+            saw_drops |= dropped > 0
+        assert saw_drops
+
+    def test_zero_channel_variance_matches_reference_pair(self):
+        rng = np.random.default_rng(66)
+        feats = np.broadcast_to(np.array([0.0, 1.0, -0.3, 7.5])[:, None, None], (4, 32, 88))
+        _, depth, cfg = bench_inputs(rng, channels=4)
+        grid = BevGridSpec(64, 64, 0.3, origin_px=(20.0, 60.0))
+        for g in (cfg.grid, grid):
+            bev, _ = assert_matches_reference_pair(FeatureMap(feats), depth, cfg.camera, g)
+            assert not bev[0].any()
+
+    def test_never_builds_the_lift_tensor(self, peak_bytes):
+        # the (C, D, H, W) tensor alone would take 64 * 64 * 32 * 88 * 8 = 92 MB
+        volume, depth, cfg = bench_inputs(np.random.default_rng(67))
+        (bev, _), peak = peak_bytes(lambda: project_volume(volume, depth, cfg.camera, cfg.grid))
+        assert bev.shape == (64, 128, 128)
+        assert peak < 48e6
 
     def test_channel_concat_equivalence(self):
         rng = np.random.default_rng(58)

@@ -1,7 +1,6 @@
 """Tests for rotation-aware pair mining and sampling."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,18 +292,13 @@ class TestBuildPairListsMatchesReference:
         got = assert_matches_reference(frames, window_s=math.inf, max_disp_m=math.inf, high_deg=math.inf)
         assert sum(len(lists) for lists in got.values()) == 90
 
-    def test_blocks_bound_traced_memory(self):
+    def test_blocks_bound_traced_memory(self, peak_bytes):
         # about 1M in-window candidates and no survivors; one unblocked
         # (candidates, 4, 4) float64 stack alone would take 128 MB
         gt, _ = bevio.synth_trajectory(bevio.SynthSpec(
             (bevio.MotionPrimitive("straight", 100.0, speed_mps=10.0),), dt_s=0.1))
         frames = frames_from_trajectory(gt.timestamps, gt.poses)
-        tracemalloc.start()
-        try:
-            got = build_pair_lists(frames, window_s=60.0, max_disp_m=0.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        got, peak = peak_bytes(lambda: build_pair_lists(frames, window_s=60.0, max_disp_m=0.0))
         assert sum(len(lists) for lists in got.values()) == 0
         assert peak < 32e6
 
