@@ -84,8 +84,17 @@ class CorrelationVolume:
     radius: int
 
     def __post_init__(self):
-        d = np.array(self.data, dtype=float)
-        radius = int(self.radius)
+        self._fill(np.array(self.data, dtype=float), self.radius)
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, radius: int) -> "CorrelationVolume":
+        """Check and wrap a fresh float array that no one else holds, without copying it."""
+        volume = object.__new__(cls)
+        volume._fill(data, radius)
+        return volume
+
+    def _fill(self, d: np.ndarray, radius):
+        radius = int(radius)
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
         side = 2 * radius + 1
@@ -140,7 +149,7 @@ def local_correlation(
             out[k] = np.einsum("chw,chw->hw", f_t.data, window)
     if normalize:
         out /= c
-    return CorrelationVolume(out, radius)
+    return CorrelationVolume._adopt(out, radius)
 
 
 def concat_volumes(a: CorrelationVolume, b: CorrelationVolume) -> np.ndarray:

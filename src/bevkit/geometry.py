@@ -89,6 +89,19 @@ def _rotation_drift(r: np.ndarray) -> float:
     return float(np.linalg.norm(r.T @ r - np.eye(3)))
 
 
+def _check_rigid_matrix(m: np.ndarray):
+    """Raise ValueError unless the 4x4 ``m`` is a rigid transform, as :class:`Pose3` demands."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError("pose matrix contains non-finite entries")
+    if not np.array_equal(m[3], np.array([0.0, 0.0, 0.0, 1.0])):
+        raise ValueError("pose bottom row must be exactly (0, 0, 0, 1)")
+    r = m[:3, :3]
+    if _rotation_drift(r) > ORTHONORMALITY_TOL:
+        raise ValueError("rotation block is not orthonormal within 1e-9")
+    if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
+        raise ValueError("rotation block must have determinant +1")
+
+
 @dataclass(frozen=True)
 class Pose3:
     """Rigid transform in SE(3), stored as a 4x4 homogeneous matrix.
@@ -103,17 +116,16 @@ class Pose3:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ShapeError(f"pose matrix must be 4x4, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("pose matrix contains non-finite entries")
-        if not np.array_equal(m[3], np.array([0.0, 0.0, 0.0, 1.0])):
-            raise ValueError("pose bottom row must be exactly (0, 0, 0, 1)")
-        r = m[:3, :3]
-        if _rotation_drift(r) > ORTHONORMALITY_TOL:
-            raise ValueError("rotation block is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
-            raise ValueError("rotation block must have determinant +1")
+        _check_rigid_matrix(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "Pose3":
+        """Wrap a read-only float (4, 4) array that :func:`check_rigid` passed, uncopied."""
+        pose = object.__new__(cls)
+        object.__setattr__(pose, "matrix", matrix)
+        return pose
 
     @staticmethod
     def identity() -> "Pose3":
@@ -170,6 +182,36 @@ def invert_rigid(poses: np.ndarray) -> np.ndarray:
         # matmul) may sum in another order and change the last bits
         out[k, :3, 3] = -r_t[k] @ poses[k, :3, 3]
     return out
+
+
+def check_rigid(poses: np.ndarray):
+    """Refuse an (N, 4, 4) stack unless :class:`Pose3` would accept every matrix in it.
+
+    Raises the error the first bad matrix's ``Pose3`` would raise, its
+    message prefixed with ``pose <index>: ``.  One array pass screens the
+    stack; each matrix it flags (non-finite, a wrong bottom row, or drift
+    or ``|det - 1|`` past half the tolerance) is then judged by the scalar
+    check ``Pose3`` runs, so the verdicts agree even at the tolerance.
+    """
+    poses = np.asarray(poses, dtype=float)
+    if poses.ndim != 3 or poses.shape[1:] != (4, 4):
+        raise ShapeError(f"need an (N, 4, 4) pose stack, got {poses.shape}")
+    r = poses[:, :3, :3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(np.swapaxes(r, 1, 2), r) - np.eye(3)
+        drift = np.sqrt((gram * gram).sum(axis=(1, 2)))
+        det_err = np.abs(np.linalg.det(r) - 1.0)
+    suspect = (
+        ~np.all(np.isfinite(poses), axis=(1, 2))
+        | np.any(poses[:, 3] != (0.0, 0.0, 0.0, 1.0), axis=1)
+        | ~(drift <= 0.5 * ORTHONORMALITY_TOL)
+        | ~(det_err <= 0.5 * ORTHONORMALITY_TOL)
+    )
+    for i in np.flatnonzero(suspect).tolist():
+        try:
+            _check_rigid_matrix(poses[i])
+        except ValueError as exc:
+            raise ValueError(f"pose {i}: {exc}") from None
 
 
 def compose(a: Pose3, b: Pose3) -> Pose3:

@@ -30,7 +30,6 @@ from .geometry import (
     CameraModel,
     Pose2,
     closest_rotation,
-    pose2_to_pose3,
     wrap_angle,
 )
 from .losses import LossWeights
@@ -594,30 +593,37 @@ def parse_synth_spec(text: str) -> SynthSpec:
         raise ParseError(str(exc)) from None
 
 
-def _primitive_pose(prim: MotionPrimitive, start: Pose2, tau: float) -> Pose2:
-    """Closed-form pose ``tau`` seconds into a primitive from ``start``.
+def _primitive_poses(prim: MotionPrimitive, start: Pose2, tau: np.ndarray):
+    """Closed-form poses ``tau`` seconds into a primitive from ``start``: (theta, tx, ty) arrays.
 
     Arcs use the exact circle equations, so sampled endpoints sit on the
-    true circle rather than on an integrated polyline.
+    true circle rather than on an integrated polyline.  Each value has the
+    bits the per-frame ``Pose2`` form gave: ``math`` sines and cosines per
+    element, and a heading wrapped once.
     """
+    theta0, v = start.theta, prim.speed_mps
     if prim.kind == "stop":
-        return start
-    theta0 = start.theta
-    v = prim.speed_mps
+        return np.full(tau.shape, theta0), np.full(tau.shape, start.tx), np.full(tau.shape, start.ty)
     if prim.kind == "straight":
-        return Pose2(
-            theta0,
-            start.tx + v * tau * math.cos(theta0),
-            start.ty + v * tau * math.sin(theta0),
-        )
+        dist = v * tau
+        return (np.full(tau.shape, theta0), start.tx + dist * math.cos(theta0),
+                start.ty + dist * math.sin(theta0))
     omega = math.radians(prim.yaw_rate_dps)
     theta = theta0 + omega * tau
     radius = v / omega
-    return Pose2(
-        theta,
-        start.tx + radius * (math.sin(theta) - math.sin(theta0)),
-        start.ty - radius * (math.cos(theta) - math.cos(theta0)),
-    )
+    sin, cos = _sin_cos(theta)
+    return (wrap_angle(theta), start.tx + radius * (sin - math.sin(theta0)),
+            start.ty - radius * (cos - math.cos(theta0)))
+
+
+def _sin_cos(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``math.sin`` and ``math.cos`` of every element.
+
+    numpy's SIMD sine and cosine may differ from the C library's in the
+    last bits, depending on the numpy build and the CPU.
+    """
+    values = theta.tolist()
+    return np.array(list(map(math.sin, values))), np.array(list(map(math.cos, values)))
 
 
 def _primitive_starts(primitives) -> list[Pose2]:
@@ -645,8 +651,23 @@ def _primitive_starts(primitives) -> list[Pose2]:
         if not math.isfinite(max(abs(start.tx), abs(start.ty)) + reach):
             raise ValueError(f"{where}.speed_mps {speed!r} over duration_s {dur!r} "
                              "carries the drive beyond the float range")
-        starts.append(_primitive_pose(prim, start, dur))
+        starts.append(Pose2(*(float(a[0]) for a in _primitive_poses(prim, start, np.array([dur])))))
     return starts
+
+
+def _planar_stack(theta: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) stack of the SE(3) embeddings of planar poses, as ``pose2_to_pose3`` builds them."""
+    sin, cos = _sin_cos(theta)
+    mats = np.zeros((theta.size, 4, 4))
+    mats[:, 0, 0] = cos
+    mats[:, 0, 1] = -sin
+    mats[:, 1, 0] = sin
+    mats[:, 1, 1] = cos
+    mats[:, 0, 3] = tx
+    mats[:, 1, 3] = ty
+    mats[:, 2, 2] = 1.0
+    mats[:, 3, 3] = 1.0
+    return mats
 
 
 def synth_trajectory(spec: SynthSpec) -> tuple[Trajectory, Trajectory]:
@@ -657,6 +678,10 @@ def synth_trajectory(spec: SynthSpec) -> tuple[Trajectory, Trajectory]:
     The estimate recomposes the per-step relative motions after applying
     scale drift and noise; it is bit-identical to the ground truth when
     both corruptions are off.
+
+    Raises:
+        ValueError: the corrupted estimate leaves the float range; the
+            message names ``spec.scale_drift`` or ``spec.noise_trans_m``.
     """
     durations = [p.duration_s for p in spec.primitives]
     total = sum(durations)
@@ -665,38 +690,45 @@ def synth_trajectory(spec: SynthSpec) -> tuple[Trajectory, Trajectory]:
 
     starts = _primitive_starts(spec.primitives)
     bounds = np.cumsum([0.0] + durations)
-
-    gt_planar: list[Pose2] = []
-    for t in times:
-        # np.searchsorted over primitive start times; clamp the endpoint
-        idx = int(np.searchsorted(bounds, t, side="right")) - 1
-        idx = min(idx, len(spec.primitives) - 1)
-        gt_planar.append(_primitive_pose(spec.primitives[idx], starts[idx], t - bounds[idx]))
-    gt_poses = np.array([pose2_to_pose3(p).matrix for p in gt_planar])
+    # primitive i holds the frames in [bounds[i], bounds[i + 1]); the last
+    # one also holds the endpoint
+    cuts = np.append(np.searchsorted(times, bounds[:-1], side="left"), times.size)
+    theta, tx, ty = np.empty_like(times), np.empty_like(times), np.empty_like(times)
+    for i, prim in enumerate(spec.primitives):
+        part = slice(cuts[i], cuts[i + 1])
+        theta[part], tx[part], ty[part] = _primitive_poses(prim, starts[i], times[part] - bounds[i])
+    gt_poses = _planar_stack(theta, tx, ty)
     gt = Trajectory(times, gt_poses)
 
     if spec.noise_trans_m == 0.0 and spec.noise_yaw_deg == 0.0 and spec.scale_drift == 1.0:
         return gt, Trajectory(times, gt_poses)
 
-    rng = np.random.default_rng(spec.seed)
-    noise_yaw = math.radians(spec.noise_yaw_deg)
-    est_mats = [gt_poses[0]]
-    for k in range(1, len(times)):
-        prev = gt_planar[k - 1]
-        cur = gt_planar[k]
-        # relative planar motion in the previous frame's coordinates
-        dtheta = wrap_angle(cur.theta - prev.theta)
-        dx_w = cur.tx - prev.tx
-        dy_w = cur.ty - prev.ty
-        c, s = math.cos(prev.theta), math.sin(prev.theta)
-        rel = Pose2(dtheta, c * dx_w + s * dy_w, -s * dx_w + c * dy_w)
-        corrupted = Pose2(
-            rel.theta + noise_yaw * rng.standard_normal(),
-            rel.tx * spec.scale_drift + spec.noise_trans_m * rng.standard_normal(),
-            rel.ty * spec.scale_drift + spec.noise_trans_m * rng.standard_normal(),
-        )
-        est_mats.append(est_mats[-1] @ pose2_to_pose3(corrupted).matrix)
-    return gt, Trajectory(times, np.array(est_mats))
+    # relative planar motion of each step in the previous frame's
+    # coordinates; wrap_angle maps its outputs to themselves bit for bit,
+    # so the per-step Pose2 that wrapped this once more changed nothing
+    dtheta = wrap_angle(theta[1:] - theta[:-1])
+    dx_w, dy_w = tx[1:] - tx[:-1], ty[1:] - ty[:-1]
+    c, s = gt_poses[:-1, 0, 0], gt_poses[:-1, 1, 0]
+    # one draw in row-major order gives the (yaw, x, y) values of three
+    # scalar draws per step
+    noise = np.random.default_rng(spec.seed).standard_normal((n_steps, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled_x, scaled_y = (c * dx_w + s * dy_w) * spec.scale_drift, (-s * dx_w + c * dy_w) * spec.scale_drift
+        noise_x, noise_y = spec.noise_trans_m * noise[:, 1], spec.noise_trans_m * noise[:, 2]
+        steps = _planar_stack(wrap_angle(dtheta + math.radians(spec.noise_yaw_deg) * noise[:, 0]),
+                              scaled_x + noise_x, scaled_y + noise_y)
+        est_poses = np.empty_like(gt_poses)
+        est_poses[0] = gt_poses[0]
+        # a sequential chain: its bits are part of the format round trips
+        for k in range(n_steps):
+            est_poses[k + 1] = est_poses[k] @ steps[k]
+    if not (np.all(np.isfinite(steps)) and np.all(np.isfinite(est_poses))):
+        # name the corruption whose term is larger; an infinite term wins
+        scaled = max(np.max(np.abs(scaled_x)), np.max(np.abs(scaled_y)))
+        noisy = max(np.max(np.abs(noise_x)), np.max(np.abs(noise_y)))
+        key = "scale_drift" if scaled >= noisy else "noise_trans_m"
+        raise ValueError(f"spec.{key} {getattr(spec, key)!r} carries the estimate beyond the float range")
+    return gt, Trajectory(times, est_poses)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,16 @@ class Frustum:
     points: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.points, dtype=float)
+        self._fill(np.array(self.points, dtype=float))
+
+    @classmethod
+    def _adopt(cls, points: np.ndarray) -> "Frustum":
+        """Check and wrap a fresh float array that no one else holds, without copying it."""
+        frustum = object.__new__(cls)
+        frustum._fill(points)
+        return frustum
+
+    def _fill(self, p: np.ndarray):
         if p.ndim != 4 or p.shape[-1] != 3:
             raise ShapeError(f"frustum points must have shape (D, H, W, 3), got {p.shape}")
         if not np.all(np.isfinite(p)):
@@ -131,8 +140,9 @@ def build_frustum(camera: CameraModel, bins: np.ndarray, image_size: tuple[int, 
     k_inv = np.linalg.inv(camera.intrinsics)
     rays = np.einsum("ij,hwj->hwi", k_inv, pix)
     pts_cam = bins[:, None, None, None] * rays[None]
-    pts_veh = np.einsum("ij,dhwj->dhwi", camera.rotation, pts_cam) + camera.translation
-    return Frustum(pts_veh)
+    pts_veh = np.einsum("ij,dhwj->dhwi", camera.rotation, pts_cam)
+    pts_veh += camera.translation
+    return Frustum._adopt(pts_veh)
 
 
 def _check_pixels(context: FeatureMap, depth: DepthDistribution):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, NoPairsError
-from .geometry import ORTHONORMALITY_TOL, Pose3, invert_rigid, relative_pose, wrap_angle
+from .geometry import ORTHONORMALITY_TOL, Pose3, check_rigid, invert_rigid, relative_pose, wrap_angle
 
 DEFAULT_WINDOW_S = 60.0
 DEFAULT_MAX_DISP_M = 4.0
@@ -220,14 +220,20 @@ def sampling_stats(
 
 
 def frames_from_trajectory(timestamps: np.ndarray, poses: np.ndarray) -> list[FrameIndex]:
-    """Wrap parallel timestamp/pose arrays as FrameIndex records, ids 0..N-1."""
+    """Wrap parallel timestamp/pose arrays as FrameIndex records, ids 0..N-1.
+
+    The poses are copied once into a read-only stack and checked as a
+    whole by :func:`check_rigid`; each frame's ``Pose3`` is a row of it.
+    """
     timestamps = np.asarray(timestamps, dtype=float)
-    poses = np.asarray(poses, dtype=float)
+    poses = np.array(poses, dtype=float)
     if timestamps.ndim != 1 or poses.shape != (timestamps.size, 4, 4):
         raise DegenerateInputError(
             f"need (N,) timestamps with (N, 4, 4) poses, got {timestamps.shape} and {poses.shape}"
         )
+    check_rigid(poses)
+    poses.flags.writeable = False
     return [
-        FrameIndex(id=i, timestamp=float(timestamps[i]), pose=Pose3(poses[i]))
-        for i in range(timestamps.size)
+        FrameIndex(id=i, timestamp=t, pose=Pose3._trusted(m))
+        for i, (t, m) in enumerate(zip(timestamps.tolist(), poses))
     ]

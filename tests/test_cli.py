@@ -663,6 +663,12 @@ BAD_INPUTS = [
     (["synth", "--spec", "{d}/bad.json", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
      '{"primitives": [{"kind": "stop", "duration_s": 1}, {"kind": "arc", "duration_s": 1, "yaw_rate_dps": 5e-324}]}',
      "primitives[1].yaw_rate_dps 5e-324 gives no finite"),
+    (["synth", "--spec", "{d}/bad.json", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
+     '{"primitives": [{"kind": "straight", "duration_s": 10, "speed_mps": 1}], "noise_trans_m": 1e308}',
+     "spec.noise_trans_m 1e+308 carries the estimate beyond the float range"),
+    (["synth", "--spec", "{d}/bad.json", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
+     '{"primitives": [{"kind": "straight", "duration_s": 10, "speed_mps": 1e300}], "scale_drift": 1e300}',
+     "spec.scale_drift 1e+300 carries the estimate beyond the float range"),
     (["correlate", "--a", "{d}/huge.bvt1", "--b", "{d}/huge.bvt1", "--radius", "0", "--out", "{d}/out"],
      None, "beyond the float32 range"),
     (["correlate", "--a", "{d}/ones.bvt1", "--b", "{d}/ones.bvt1", "--radius", "100000", "--out", "{d}/out"],

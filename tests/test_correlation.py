@@ -189,6 +189,24 @@ class TestLocalCorrelation:
             FeatureMap(np.zeros((1, 4, 4)), branch="SIDE")
 
 
+class TestVolumeMemory:
+    def test_r5_volume_is_not_copied(self, peak_bytes):
+        # C64 on 128x128 at radius 5: a 15.9 MB volume; the two FeatureMap
+        # copies, the padded map and the volume itself peak near 44 MB, and
+        # one more copy of the volume would take it to 60 MB
+        rng = np.random.default_rng(41)
+        a, b = rng.standard_normal((2, 64, 128, 128))
+        vol, peak = peak_bytes(lambda: local_correlation(FeatureMap(a), FeatureMap(b), 5))
+        assert vol.data.shape == (121, 128, 128) and not vol.data.flags.writeable
+        assert peak < 50e6, peak
+
+    def test_public_constructor_copies(self):
+        data = np.zeros((9, 2, 2))
+        vol = CorrelationVolume(data, 1)
+        data[0, 0, 0] = 1.0
+        assert vol.data[0, 0, 0] == 0.0 and data.flags.writeable
+
+
 class TestConcat:
     def test_mixed_radii_channel_count(self):
         rng = np.random.default_rng(36)

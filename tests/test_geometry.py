@@ -9,6 +9,7 @@ from bevkit.geometry import (
     CameraModel,
     Pose2,
     Pose3,
+    check_rigid,
     closest_rotation,
     compose,
     fit_similarity,
@@ -54,6 +55,15 @@ class TestWrapAngle:
         for _ in range(2000):
             w = wrap_angle(rng.uniform(-50, 50))
             assert -math.pi < w <= math.pi
+
+    def test_outputs_are_fixed_points_bitwise(self):
+        # a wrapped negative angle can lose its last bits, but wrapping
+        # once more changes none: synth_trajectory wraps step yaw once
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.uniform(-1.0, 1.0, 20000), rng.uniform(-50.0, 50.0, 20000)])
+        w = wrap_angle(x)
+        assert np.any(w != x)
+        assert np.array_equal(wrap_angle(w), w)
 
     def test_array_input(self):
         out = wrap_angle(np.array([0.0, math.pi, -math.pi, 3 * math.pi]))
@@ -170,6 +180,31 @@ class TestPose3:
 
     def test_invert_rigid_empty_stack(self):
         assert invert_rigid(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+    def test_check_rigid_verdict_matches_pose3_at_the_tolerance(self):
+        rng = np.random.default_rng(8)
+        verdicts = set()
+        for drift in np.linspace(0.9e-9, 1.1e-9, 81):
+            m = np.eye(4)
+            m[:3, :3] = random_rotation(rng) * math.sqrt(1.0 + drift / math.sqrt(3.0))
+            try:
+                Pose3(m)
+                want = None
+            except ValueError as exc:
+                want = str(exc)
+            try:
+                check_rigid(np.stack([np.eye(4), m]))
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == (want and f"pose 1: {want}")
+            verdicts.add(want)
+        assert len(verdicts) == 2
+
+    def test_check_rigid_shape(self):
+        check_rigid(np.zeros((0, 4, 4)))
+        with pytest.raises(ShapeError):
+            check_rigid(np.eye(4))
 
     def test_apply_points(self):
         p = pose2_to_pose3(Pose2(math.pi / 2, 1.0, 0.0))

@@ -4,10 +4,13 @@ import json
 import math
 import re
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from bevkit.errors import (
@@ -18,7 +21,7 @@ from bevkit.errors import (
 )
 from bevkit.evaluation import Trajectory, path_lengths
 from bevkit.flow import FlowField, construct_flow_gt
-from bevkit.geometry import BevGridSpec, Pose2, closest_rotation, pose2_to_pose3
+from bevkit.geometry import BevGridSpec, Pose2, Pose3, closest_rotation, pose2_to_pose3, wrap_angle
 from bevkit.io import (
     _CONFIG,
     _PRIMITIVE,
@@ -49,7 +52,7 @@ from bevkit.io import (
     write_trajectory,
     write_tum_trajectory,
 )
-from bevkit.sampler import PairRecord
+from bevkit.sampler import PairRecord, frames_from_trajectory
 
 
 def random_trajectory(n, seed):
@@ -59,6 +62,82 @@ def random_trajectory(n, seed):
         rel = Pose2(rng.normal(0.0, 0.1), rng.normal(1.0, 0.2), rng.normal(0.0, 0.2))
         mats.append(mats[-1] @ pose2_to_pose3(rel).matrix)
     return Trajectory(np.arange(n) * 0.1, np.stack(mats))
+
+
+def reference_primitive_pose(prim, start, tau):
+    """Closed-form pose ``tau`` s into a primitive, one Pose2 per call: the array path's reference."""
+    if prim.kind == "stop":
+        return start
+    theta0 = start.theta
+    v = prim.speed_mps
+    if prim.kind == "straight":
+        return Pose2(theta0, start.tx + v * tau * math.cos(theta0), start.ty + v * tau * math.sin(theta0))
+    omega = math.radians(prim.yaw_rate_dps)
+    theta = theta0 + omega * tau
+    radius = v / omega
+    return Pose2(
+        theta,
+        start.tx + radius * (math.sin(theta) - math.sin(theta0)),
+        start.ty - radius * (math.cos(theta) - math.cos(theta0)),
+    )
+
+
+def reference_synth_trajectory(spec):
+    """Per-frame synthesis: one Pose2 and Pose3 per frame, three scalar noise draws per step.
+
+    Returns (timestamps, gt poses, est poses) for comparison with synth_trajectory.
+    """
+    durations = [p.duration_s for p in spec.primitives]
+    n_steps = int(math.floor(sum(durations) / spec.dt_s + 1e-9))
+    times = np.arange(n_steps + 1, dtype=float) * spec.dt_s
+    starts = [Pose2.identity()]
+    for prim in spec.primitives:
+        starts.append(reference_primitive_pose(prim, starts[-1], prim.duration_s))
+    bounds = np.cumsum([0.0] + durations)
+    gt_planar = []
+    for t in times:
+        idx = min(int(np.searchsorted(bounds, t, side="right")) - 1, len(spec.primitives) - 1)
+        gt_planar.append(reference_primitive_pose(spec.primitives[idx], starts[idx], t - bounds[idx]))
+    gt_poses = np.array([pose2_to_pose3(p).matrix for p in gt_planar])
+    if spec.noise_trans_m == 0.0 and spec.noise_yaw_deg == 0.0 and spec.scale_drift == 1.0:
+        return times, gt_poses, gt_poses
+    rng = np.random.default_rng(spec.seed)
+    noise_yaw = math.radians(spec.noise_yaw_deg)
+    est_mats = [gt_poses[0]]
+    for prev, cur in zip(gt_planar, gt_planar[1:]):
+        dtheta = wrap_angle(cur.theta - prev.theta)
+        dx_w = cur.tx - prev.tx
+        dy_w = cur.ty - prev.ty
+        c, s = math.cos(prev.theta), math.sin(prev.theta)
+        rel = Pose2(dtheta, c * dx_w + s * dy_w, -s * dx_w + c * dy_w)
+        corrupted = Pose2(
+            rel.theta + noise_yaw * rng.standard_normal(),
+            rel.tx * spec.scale_drift + spec.noise_trans_m * rng.standard_normal(),
+            rel.ty * spec.scale_drift + spec.noise_trans_m * rng.standard_normal(),
+        )
+        est_mats.append(est_mats[-1] @ pose2_to_pose3(corrupted).matrix)
+    return times, gt_poses, np.array(est_mats)
+
+
+def assert_synth_matches_reference(spec):
+    gt, est = synth_trajectory(spec)
+    times, gt_poses, est_poses = reference_synth_trajectory(spec)
+    assert np.array_equal(gt.timestamps, times) and np.array_equal(est.timestamps, times)
+    assert np.array_equal(gt.poses, gt_poses)
+    assert np.array_equal(est.poses, est_poses)
+    return gt, est
+
+
+def kitti_length_primitives():
+    """31 primitives over 454 s: 4541 frames at 10 Hz, as long as KITTI sequence 00."""
+    leg = (
+        MotionPrimitive("straight", 30.0, speed_mps=8.0),
+        MotionPrimitive("arc", 12.0, speed_mps=5.0, yaw_rate_dps=15.0),
+        MotionPrimitive("stop", 4.0),
+        MotionPrimitive("straight", 19.0, speed_mps=10.0),
+        MotionPrimitive("arc", 10.0, speed_mps=4.0, yaw_rate_dps=-20.0),
+    )
+    return leg * 6 + (MotionPrimitive("stop", 4.0),)
 
 
 def scipy_quats(rots):
@@ -657,6 +736,123 @@ class TestSynthTrajectory:
             SynthSpec(prims, noise_trans_m=math.nan)
         with pytest.raises(ValueError, match="noise magnitudes"):
             SynthSpec(prims, noise_yaw_deg=math.nan)
+
+
+NOISY = {"noise_trans_m": 0.05, "noise_yaw_deg": 0.5, "scale_drift": 1.03}
+ORACLE_CASES = {
+    "all-kinds": (
+        (MotionPrimitive("straight", 3.0, speed_mps=2.0), MotionPrimitive("stop", 1.0),
+         MotionPrimitive("arc", 4.0, speed_mps=3.0, yaw_rate_dps=25.0)),
+        {"seed": 1, **NOISY},
+    ),
+    "negative-rates": (
+        (MotionPrimitive("arc", 3.0, speed_mps=2.0, yaw_rate_dps=-40.0),
+         MotionPrimitive("arc", 2.0, speed_mps=-1.5, yaw_rate_dps=-10.0),
+         MotionPrimitive("straight", 2.0, speed_mps=-3.0)),
+        {"seed": 2, **NOISY},
+    ),
+    "heading-wraps": (
+        (MotionPrimitive("arc", 9.0, speed_mps=4.0, yaw_rate_dps=100.0),
+         MotionPrimitive("straight", 1.0, speed_mps=2.0),
+         MotionPrimitive("arc", 11.0, speed_mps=3.0, yaw_rate_dps=-170.0)),
+        {"seed": 3, **NOISY, "noise_yaw_deg": 60.0},
+    ),
+    "ragged-duration": (
+        (MotionPrimitive("straight", 1.23, speed_mps=2.0), MotionPrimitive("arc", 0.77, 1.0, 33.0),
+         MotionPrimitive("stop", 0.41)),
+        {"dt_s": 0.3, "seed": 4, **NOISY},
+    ),
+    "one-frame": ((MotionPrimitive("arc", 0.05, speed_mps=1.0, yaw_rate_dps=5.0),), {"seed": 5, **NOISY}),
+    # 100 + 1e-20 == 100: two primitives start at the same time, and the later one takes the frame
+    "vanishing-primitive": (
+        (MotionPrimitive("straight", 100.0, speed_mps=1.0), MotionPrimitive("arc", 1e-20, 1.0, 90.0),
+         MotionPrimitive("arc", 2.0, speed_mps=1.0, yaw_rate_dps=-45.0)),
+        {"seed": 8, **NOISY},
+    ),
+    "noise-off": (
+        (MotionPrimitive("straight", 2.0, speed_mps=2.0), MotionPrimitive("arc", 2.0, 2.0, -30.0)),
+        {"seed": 6},
+    ),
+    "drift-only": ((MotionPrimitive("arc", 3.0, speed_mps=2.0, yaw_rate_dps=50.0),), {"scale_drift": 0.9}),
+    **{f"seed-{seed}": (kitti_length_primitives()[:4], {"seed": seed, **NOISY}) for seed in (0, 7, 123456789)},
+}
+
+
+class TestSynthMatchesReference:
+    @pytest.mark.parametrize("prims, kwargs", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_bitwise_equal_to_per_frame_loop(self, prims, kwargs):
+        gt, est = assert_synth_matches_reference(SynthSpec(prims, **kwargs))
+        assert np.all(gt.poses[:, 3] == (0.0, 0.0, 0.0, 1.0))
+
+    def test_one_frame_drive(self):
+        prims, kwargs = ORACLE_CASES["one-frame"]
+        gt, est = synth_trajectory(SynthSpec(prims, **kwargs))
+        assert len(gt) == len(est) == 1
+
+    def test_heading_wraps_past_pi(self):
+        prims, kwargs = ORACLE_CASES["heading-wraps"]
+        poses = synth_trajectory(SynthSpec(prims, **kwargs))[0].poses
+        heading = np.arctan2(poses[:, 1, 0], poses[:, 0, 0])
+        assert np.sum(np.abs(np.diff(heading)) > math.pi) >= 2
+
+    def test_kitti_length_drive(self):
+        gt, _ = assert_synth_matches_reference(SynthSpec(kitti_length_primitives(), seed=1, **NOISY))
+        assert len(gt) == 4541
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        prims=st.lists(
+            st.one_of(
+                st.builds(lambda d, v: MotionPrimitive("straight", d, speed_mps=v),
+                          st.floats(0.01, 5.0), st.floats(-20.0, 20.0)),
+                st.builds(lambda d, v, w: MotionPrimitive("arc", d, speed_mps=v, yaw_rate_dps=w),
+                          st.floats(0.01, 5.0), st.floats(-20.0, 20.0),
+                          st.floats(-720.0, 720.0).filter(lambda w: abs(w) >= 1e-3)),
+                st.builds(lambda d: MotionPrimitive("stop", d), st.floats(0.01, 5.0)),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        dt_s=st.floats(0.05, 1.0),
+        noise=st.sampled_from([0.0, 0.02]) | st.floats(0.0, 1.0),
+        yaw=st.sampled_from([0.0, 0.1]) | st.floats(0.0, 90.0),
+        drift=st.sampled_from([1.0, 1.03]) | st.floats(0.5, 2.0),
+        seed=st.integers(0, 2**63),
+    )
+    def test_random_specs_match_reference(self, prims, dt_s, noise, yaw, drift, seed):
+        assert_synth_matches_reference(
+            SynthSpec(tuple(prims), dt_s=dt_s, noise_trans_m=noise, noise_yaw_deg=yaw, scale_drift=drift, seed=seed)
+        )
+
+    @pytest.mark.parametrize("prims, kwargs, needle", [
+        ((MotionPrimitive("straight", 10.0, speed_mps=1.0),), {"noise_trans_m": 1e308},
+         "spec.noise_trans_m 1e+308 carries the estimate beyond the float range"),
+        ((MotionPrimitive("straight", 10.0, speed_mps=1e300),), {"scale_drift": 1e300},
+         "spec.scale_drift 1e+300 carries the estimate beyond the float range"),
+        # every step is finite; their chain is not
+        ((MotionPrimitive("straight", 10.0, speed_mps=1e306),), {"scale_drift": 100.0},
+         "spec.scale_drift 100.0 carries the estimate beyond the float range"),
+    ], ids=["noise", "drift-step", "drift-chain"])
+    def test_corruption_beyond_float_range_names_the_field(self, prims, kwargs, needle):
+        with pytest.raises(ValueError) as info:
+            synth_trajectory(SynthSpec(prims, **kwargs))
+        assert str(info.value) == needle
+
+    def test_no_pose_object_per_frame(self, monkeypatch):
+        spec = SynthSpec(kitti_length_primitives(), seed=1, **NOISY)
+        built = Counter()
+        for cls in (Pose2, Pose3):
+            def counting(self, check=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        gt, _ = synth_trajectory(spec)
+        frames = frames_from_trajectory(gt.timestamps, gt.poses)
+        assert len(frames) == 4541
+        # the primitive start poses only; one per frame would be thousands
+        assert sum(built.values()) <= 2 * (len(spec.primitives) + 1), built
 
 
 class TestSideCsv:

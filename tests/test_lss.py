@@ -184,6 +184,13 @@ class TestBuildFrustum:
         with pytest.raises(ShapeError):
             build_frustum(identity_camera(), np.array([1.0]), (0, 4))
 
+    def test_frustum_points_read_only_and_public_constructor_copies(self):
+        assert not build_frustum(forward_camera(), np.array([2.0, 5.0]), (8, 8)).points.flags.writeable
+        pts = np.zeros((1, 2, 2, 3))
+        fr = Frustum(pts)
+        pts[0, 0, 0, 0] = 1.0
+        assert fr.points[0, 0, 0, 0] == 0.0 and pts.flags.writeable
+
     def test_frustum_validation(self):
         with pytest.raises(ShapeError):
             Frustum(np.zeros((2, 3, 4, 2)))

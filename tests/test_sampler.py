@@ -84,6 +84,36 @@ def parsed_frames(primitives, seed):
     return frames_from_trajectory(traj.timestamps, traj.poses)
 
 
+def reference_frames_from_trajectory(timestamps, poses):
+    """One validated Pose3 per frame: the stacked path's reference."""
+    return [FrameIndex(id=i, timestamp=float(timestamps[i]), pose=Pose3(poses[i])) for i in range(len(timestamps))]
+
+
+def drifted_rotation(drift):
+    """rot_z(0.3) scaled so that ||R^T R - I||_F equals ``drift`` (|det R - 1| is about 0.87 drift)."""
+    return rot_z(0.3) * math.sqrt(1.0 + drift / math.sqrt(3.0))
+
+
+def drive_stack(n=12):
+    gt, _ = bevio.synth_trajectory(bevio.SynthSpec((bevio.MotionPrimitive("arc", 2.0, 2.0, 30.0),)))
+    return gt.timestamps[:n], np.array(gt.poses[:n])
+
+
+def put(index, value):
+    def fault(m):
+        m[index] = value
+    return fault
+
+
+POSE_FAULTS = {
+    "nan": put((0, 3), math.nan),
+    "inf-rotation": put((1, 1), math.inf),
+    "bottom-row": put((3, 0), 1e-300),
+    "drift-2e-9": put((slice(0, 3), slice(0, 3)), drifted_rotation(2e-9)),
+    "reflection": put((slice(0, 3), 2), (0.0, 0.0, -1.0)),
+}
+
+
 class TestBuildPairLists:
     def test_empty_sequence_gives_empty_result(self):
         assert build_pair_lists([]) == {}
@@ -301,6 +331,50 @@ class TestBuildPairListsMatchesReference:
         got, peak = peak_bytes(lambda: build_pair_lists(frames, window_s=60.0, max_disp_m=0.0))
         assert sum(len(lists) for lists in got.values()) == 0
         assert peak < 32e6
+
+
+class TestFramesFromTrajectory:
+    @pytest.mark.parametrize("n", [0, 1, 12])
+    def test_equal_to_per_frame_path(self, n):
+        ts, poses = drive_stack(n)
+        self.assert_same(frames_from_trajectory(ts, poses), reference_frames_from_trajectory(ts, poses))
+
+    def test_equal_on_parsed_noisy_drive(self):
+        frames = parsed_frames((bevio.MotionPrimitive("arc", 20.0, 3.0, -25.0),), seed=4)
+        ts = np.array([f.timestamp for f in frames])
+        poses = np.stack([f.pose.matrix for f in frames])
+        self.assert_same(frames_from_trajectory(ts, poses), reference_frames_from_trajectory(ts, poses))
+
+    @staticmethod
+    def assert_same(got, want):
+        assert [(f.id, f.timestamp) for f in got] == [(f.id, f.timestamp) for f in want]
+        assert all(np.array_equal(g.pose.matrix, w.pose.matrix) for g, w in zip(got, want))
+
+    def test_poses_are_one_read_only_copy(self):
+        ts, poses = drive_stack()
+        frames = frames_from_trajectory(ts, poses)
+        poses[2, 0, 3] = 99.0
+        assert frames[2].pose.matrix[0, 3] != 99.0
+        with pytest.raises(ValueError):
+            frames[2].pose.matrix[0, 3] = 1.0
+
+    @pytest.mark.parametrize("fault", POSE_FAULTS.values(), ids=POSE_FAULTS.keys())
+    def test_refusal_matches_per_frame_path(self, fault):
+        ts, poses = drive_stack()
+        fault(poses[4])
+        POSE_FAULTS["nan"](poses[9])  # a later bad frame is not the one reported
+        with pytest.raises(ValueError) as want:
+            reference_frames_from_trajectory(ts, poses)
+        with pytest.raises(ValueError) as got:
+            frames_from_trajectory(ts, poses)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == f"pose 4: {want.value}"
+
+    def test_small_drift_accepted(self):
+        ts, poses = drive_stack()
+        poses[4, :3, :3] = drifted_rotation(5e-10)
+        frames = frames_from_trajectory(ts, poses)
+        assert np.array_equal(frames[4].pose.matrix, Pose3(poses[4]).matrix)
 
 
 class TestSamplePair:
