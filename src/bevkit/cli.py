@@ -27,13 +27,7 @@ from .evaluation import (
 from .flow import construct_flow_gt, solve_pose_from_flow
 from .geometry import Pose2, pose3_to_pose2, relative_pose, Pose3
 from .lss import DepthDistribution, project_volume
-from .sampler import (
-    build_pair_lists,
-    frames_from_trajectory,
-    merge_pair_lists,
-    sample_pair,
-    sampling_stats,
-)
+from .sampler import build_pair_lists, frames_from_trajectory, merge_pair_lists, sample_pair
 
 
 def _emit(payload: dict):
@@ -105,12 +99,7 @@ def _cmd_flow_make(args) -> int:
 def _cmd_pose_from_flow(args) -> int:
     cfg = _load_config(args.config)
     flow = bevio.flow_from_bvt1(_read_bytes(args.flow), cfg.grid)
-    weights = None
-    if args.weights is not None:
-        w = bevio.read_bvt1(_read_bytes(args.weights))
-        if w.shape != cfg.grid.shape:
-            raise ShapeError(f"weights shape {w.shape} does not match grid {cfg.grid.shape}")
-        weights = w.astype(float)
+    weights = None if args.weights is None else bevio.read_bvt1(_read_bytes(args.weights))
     pose = solve_pose_from_flow(flow, weights)
     _emit({"theta": pose.theta, "tx": pose.tx, "ty": pose.ty})
     return 0
@@ -160,6 +149,10 @@ def _cmd_eval_traj(args) -> int:
 def _cmd_sample_pairs(args) -> int:
     if args.draws < 1:
         raise ValueError(f"--draws must be an integer >= 1, got {args.draws}")
+    if args.draws > bevio.MAX_DRAWS:
+        raise ValueError(f"--draws must be at most {bevio.MAX_DRAWS}, got {args.draws}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
     cfg = _load_config(args.config)
     traj = _load_trajectory(args.traj, args.format)
     frames = frames_from_trajectory(traj.timestamps, traj.poses)
@@ -176,14 +169,13 @@ def _cmd_sample_pairs(args) -> int:
     rng = np.random.default_rng(args.seed)
     records = [sample_pair(merged, rng) for _ in range(args.draws)]
     Path(args.out).write_text(bevio.write_pairs_csv(records))
-    stats = sampling_stats(records, low_deg=cfg.sampler.low_deg)
     _emit(
         {
             "out": args.out,
             "draws": args.draws,
             "available_high": len(merged.high),
             "available_standard": len(merged.standard),
-            "drawn_high_fraction": stats.high_fraction,
+            "drawn_high_fraction": sum(r.yaw_diff_deg >= cfg.sampler.low_deg for r in records) / len(records),
         }
     )
     return 0
@@ -192,8 +184,6 @@ def _cmd_sample_pairs(args) -> int:
 def _cmd_correlate(args) -> int:
     a = bevio.read_bvt1(_read_bytes(args.a)).astype(float)
     b = bevio.read_bvt1(_read_bytes(args.b)).astype(float)
-    if a.ndim != 3 or b.ndim != 3:
-        raise ShapeError("feature tensors must have shape (C, H, W)")
     vol_a = local_correlation(FeatureMap(a), FeatureMap(b), args.radius, normalize=args.normalize)
     out_data = vol_a.data
     if args.concat_with is not None:
@@ -212,10 +202,6 @@ def _cmd_lss_project(args) -> int:
     cfg = _load_config(args.config)
     feats = bevio.read_bvt1(_read_bytes(args.features)).astype(float)
     depth = bevio.read_bvt1(_read_bytes(args.depth)).astype(float)
-    if feats.ndim != 3:
-        raise ShapeError(f"features must have shape (C, H, W), got {feats.shape}")
-    if depth.ndim != 3:
-        raise ShapeError(f"depth must have shape (D, H, W), got {depth.shape}")
     if depth.shape[0] != cfg.depth_bins.size:
         raise ShapeError(
             f"depth has {depth.shape[0]} bins but config declares {cfg.depth_bins.size}"

@@ -351,6 +351,8 @@ def log_scale_curve(est: Trajectory, gt: Trajectory, segment_m: float = 10.0) ->
 
     Raises:
         InsufficientLengthError: not even one full segment fits.
+        ValueError: ``segment_m`` is not finite and positive, or too small
+            to move past a frame's path length.
     """
     _check_same_frames(est, gt)
     if not 0.0 < segment_m < math.inf:
@@ -362,6 +364,9 @@ def log_scale_curve(est: Trajectory, gt: Trajectory, segment_m: float = 10.0) ->
         nxt = int(np.searchsorted(d_gt, d_gt[bounds[-1]] + segment_m, side="left"))
         if nxt >= n:
             break
+        if nxt <= bounds[-1]:
+            raise ValueError(f"segment length {segment_m:g} m is below the float resolution of the "
+                             f"ground-truth path length {d_gt[bounds[-1]]:g} m at frame {bounds[-1]}")
         bounds.append(nxt)
     if len(bounds) < 2:
         raise InsufficientLengthError(

@@ -85,8 +85,48 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
     return rot, dst_c - scale * rot @ src_c, scale, sigma
 
 
-def _rotation_drift(r: np.ndarray) -> float:
-    return float(np.linalg.norm(r.T @ r - np.eye(3)))
+def rotation_error(r: np.ndarray) -> tuple[float, float]:
+    """The rotation rule: drift ||R^T R - I||_F and det R of one 3x3 block.
+
+    A block is a rotation when the drift and ``|det - 1|`` are both within
+    ``ORTHONORMALITY_TOL``.  Every verdict on a rotation comes from here;
+    the array passes below only pick the blocks that need one.
+    """
+    return float(np.linalg.norm(r.T @ r - np.eye(3))), float(np.linalg.det(r))
+
+
+def _drifted(r: np.ndarray) -> np.ndarray:
+    """Mask of the blocks of an (N, 3, 3) stack whose drift is past half the tolerance or not a number.
+
+    Half, because this array form may differ from the scalar rule's in the
+    last bits: every block the rule finds past the tolerance is flagged.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(np.swapaxes(r, 1, 2), r) - np.eye(3)
+        return ~(np.sqrt((gram * gram).sum(axis=(1, 2))) <= 0.5 * ORTHONORMALITY_TOL)
+
+
+def screen_rotations(r: np.ndarray) -> np.ndarray:
+    """Mask of the blocks of an (N, 3, 3) stack that :func:`rotation_error` must judge.
+
+    A block is flagged by :func:`_drifted`, or when ``|det - 1|`` is past
+    half the tolerance or not a number.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_err = np.abs(np.linalg.det(r) - 1.0)
+    return _drifted(r) | ~(det_err <= 0.5 * ORTHONORMALITY_TOL)
+
+
+def repair_rotations(mats: np.ndarray):
+    """Re-orthonormalize, in place, each rotation block of an (N, 4, 4) stack that drifts past the tolerance.
+
+    Drift alone decides, as in :func:`compose`; a flagged block whose
+    scalar drift passes ``ORTHONORMALITY_TOL`` becomes its closest rotation.
+    """
+    r = mats[:, :3, :3]
+    for k in np.flatnonzero(_drifted(r)).tolist():
+        if rotation_error(r[k])[0] > ORTHONORMALITY_TOL:
+            r[k] = closest_rotation(r[k])
 
 
 def _check_rigid_matrix(m: np.ndarray):
@@ -95,10 +135,10 @@ def _check_rigid_matrix(m: np.ndarray):
         raise ValueError("pose matrix contains non-finite entries")
     if not np.array_equal(m[3], np.array([0.0, 0.0, 0.0, 1.0])):
         raise ValueError("pose bottom row must be exactly (0, 0, 0, 1)")
-    r = m[:3, :3]
-    if _rotation_drift(r) > ORTHONORMALITY_TOL:
+    drift, det = rotation_error(m[:3, :3])
+    if drift > ORTHONORMALITY_TOL:
         raise ValueError("rotation block is not orthonormal within 1e-9")
-    if abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
+    if abs(det - 1.0) > ORTHONORMALITY_TOL:
         raise ValueError("rotation block must have determinant +1")
 
 
@@ -188,24 +228,18 @@ def check_rigid(poses: np.ndarray):
     """Refuse an (N, 4, 4) stack unless :class:`Pose3` would accept every matrix in it.
 
     Raises the error the first bad matrix's ``Pose3`` would raise, its
-    message prefixed with ``pose <index>: ``.  One array pass screens the
-    stack; each matrix it flags (non-finite, a wrong bottom row, or drift
-    or ``|det - 1|`` past half the tolerance) is then judged by the scalar
-    check ``Pose3`` runs, so the verdicts agree even at the tolerance.
+    message prefixed with ``pose <index>: ``.  Each matrix that is not
+    finite, has a wrong bottom row or is flagged by
+    :func:`screen_rotations` is judged by the scalar check ``Pose3`` runs,
+    so the verdicts agree even at the tolerance.
     """
     poses = np.asarray(poses, dtype=float)
     if poses.ndim != 3 or poses.shape[1:] != (4, 4):
         raise ShapeError(f"need an (N, 4, 4) pose stack, got {poses.shape}")
-    r = poses[:, :3, :3]
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.matmul(np.swapaxes(r, 1, 2), r) - np.eye(3)
-        drift = np.sqrt((gram * gram).sum(axis=(1, 2)))
-        det_err = np.abs(np.linalg.det(r) - 1.0)
     suspect = (
         ~np.all(np.isfinite(poses), axis=(1, 2))
         | np.any(poses[:, 3] != (0.0, 0.0, 0.0, 1.0), axis=1)
-        | ~(drift <= 0.5 * ORTHONORMALITY_TOL)
-        | ~(det_err <= 0.5 * ORTHONORMALITY_TOL)
+        | screen_rotations(poses[:, :3, :3])
     )
     for i in np.flatnonzero(suspect).tolist():
         try:
@@ -217,14 +251,15 @@ def check_rigid(poses: np.ndarray):
 def compose(a: Pose3, b: Pose3) -> Pose3:
     """Matrix product a * b, re-orthonormalizing when drift exceeds 1e-9."""
     m = a.matrix @ b.matrix
-    if _rotation_drift(m[:3, :3]) > ORTHONORMALITY_TOL:
-        m[:3, :3] = closest_rotation(m[:3, :3])
+    repair_rotations(m[None])
     return Pose3(m)
 
 
 def relative_pose(a: Pose3, b: Pose3) -> Pose3:
-    """Transform taking frame a to frame b: inverse(a) * b."""
-    return compose(a.inverse(), b)
+    """Transform taking frame a to frame b: inverse(a) * b, repaired as :func:`compose` repairs."""
+    m = invert_rigid(a.matrix[None])[0] @ b.matrix
+    repair_rotations(m[None])
+    return Pose3(m)
 
 
 @dataclass(frozen=True)
@@ -251,13 +286,34 @@ class Pose2:
         return Pose2(0.0, 0.0, 0.0)
 
 
+def sin_cos(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``math.sin`` and ``math.cos`` of every element.
+
+    numpy's SIMD sine and cosine may differ from the C library's in the
+    last bits, depending on the numpy build and the CPU.
+    """
+    values = theta.tolist()
+    return np.array(list(map(math.sin, values))), np.array(list(map(math.cos, values)))
+
+
+def planar_stack(theta: np.ndarray, tx, ty) -> np.ndarray:
+    """(N, 4, 4) stack of the SE(3) embeddings of planar poses, z translation zero."""
+    sin, cos = sin_cos(theta)
+    mats = np.zeros((theta.size, 4, 4))
+    mats[:, 0, 0] = cos
+    mats[:, 0, 1] = -sin
+    mats[:, 1, 0] = sin
+    mats[:, 1, 1] = cos
+    mats[:, 0, 3] = tx
+    mats[:, 1, 3] = ty
+    mats[:, 2, 2] = 1.0
+    mats[:, 3, 3] = 1.0
+    return mats
+
+
 def pose2_to_pose3(pose: Pose2) -> Pose3:
     """Embed a planar motion into SE(3), z translation zero."""
-    m = np.eye(4)
-    m[:3, :3] = rot_z(pose.theta)
-    m[0, 3] = pose.tx
-    m[1, 3] = pose.ty
-    return Pose3(m)
+    return Pose3(planar_stack(np.array([pose.theta]), pose.tx, pose.ty)[0])
 
 
 def pose3_to_pose2(pose: Pose3) -> Pose2:
@@ -370,8 +426,8 @@ class CameraModel:
             raise InvalidCameraError("intrinsics must be upper triangular")
         if np.any(np.diag(k) <= 0.0):
             raise InvalidCameraError("intrinsic diagonal entries must be positive")
-        r = e[:, :3]
-        if _rotation_drift(r) > ORTHONORMALITY_TOL or abs(np.linalg.det(r) - 1.0) > ORTHONORMALITY_TOL:
+        drift, det = rotation_error(e[:, :3])
+        if drift > ORTHONORMALITY_TOL or abs(det - 1.0) > ORTHONORMALITY_TOL:
             raise InvalidCameraError("extrinsic rotation is not a proper rotation within 1e-9")
         k.flags.writeable = False
         e.flags.writeable = False

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 import sys
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,10 @@ from .geometry import (
     CameraModel,
     Pose2,
     closest_rotation,
+    planar_stack,
+    rotation_error,
+    screen_rotations,
+    sin_cos,
     wrap_angle,
 )
 from .losses import LossWeights
@@ -63,20 +69,6 @@ def _parse_floats(fields: list[str], lineno: int) -> list[float]:
     return values
 
 
-def _accept_rotation(r: np.ndarray, lineno: int) -> np.ndarray:
-    drift = float(np.linalg.norm(r.T @ r - np.eye(3)))
-    det = float(np.linalg.det(r))
-    if drift > _PARSE_ROT_TOL or abs(det - 1.0) > _PARSE_ROT_TOL:
-        raise ParseError(
-            f"rotation not orthonormal within {_PARSE_ROT_TOL:g} "
-            f"(drift {drift:.2e}, det {det:.6f})",
-            line=lineno,
-        )
-    if drift > ORTHONORMALITY_TOL or abs(det - 1.0) > ORTHONORMALITY_TOL:
-        return closest_rotation(r)
-    return r
-
-
 def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajectory:
     """Parse KITTI-style pose lines (12 floats: row-major 3x4 [R | t]).
 
@@ -86,26 +78,41 @@ def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajec
 
     Raises:
         ParseError: wrong field count, non-numeric or non-finite values,
-            or a non-orthonormal rotation; the message names the line.
+            or a non-orthonormal rotation; the message names the first
+            bad line.
     """
-    poses = []
+    values, failure = array("d"), None  # 8 bytes a value, not a float object
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            raise ParseError("blank line in pose file", line=lineno)
         fields = line.split()
-        if len(fields) != 12:
-            raise ParseError(f"expected 12 fields, got {len(fields)}", line=lineno)
-        values = _parse_floats(fields, lineno)
-        m = np.eye(4)
-        m[:3, :4] = np.array(values).reshape(3, 4)
-        m[:3, :3] = _accept_rotation(m[:3, :3], lineno)
-        poses.append(m)
-    if not poses:
+        try:
+            if not line:
+                raise ParseError("blank line in pose file", line=lineno)
+            if len(fields) != 12:
+                raise ParseError(f"expected 12 fields, got {len(fields)}", line=lineno)
+            values.extend(_parse_floats(fields, lineno))
+        except ParseError as exc:
+            failure = exc  # reported unless an earlier line's rotation is bad
+            break
+    poses = np.zeros((len(values) // 12, 4, 4))
+    poses[:, :3] = np.frombuffer(values).reshape(-1, 3, 4)
+    poses[:, 3, 3] = 1.0
+    rot = poses[:, :3, :3]
+    for i in np.flatnonzero(screen_rotations(rot)).tolist():
+        drift, det = rotation_error(rot[i])
+        if drift > _PARSE_ROT_TOL or abs(det - 1.0) > _PARSE_ROT_TOL:
+            raise ParseError(
+                f"rotation not orthonormal within {_PARSE_ROT_TOL:g} (drift {drift:.2e}, det {det:.6f})", line=i + 1
+            )
+        if drift > ORTHONORMALITY_TOL or abs(det - 1.0) > ORTHONORMALITY_TOL:
+            rot[i] = closest_rotation(rot[i])
+    if failure is not None:
+        raise failure
+    if not values:
         raise ParseError("pose file contains no poses", line=1)
     if timestamps is None:
         timestamps = np.arange(len(poses), dtype=float)
-    return Trajectory(np.asarray(timestamps, dtype=float), np.array(poses))
+    return Trajectory(np.asarray(timestamps, dtype=float), poses)
 
 
 def write_kitti_poses(traj: Trajectory) -> str:
@@ -134,6 +141,7 @@ def matrix_to_quat(rot: np.ndarray) -> np.ndarray:
     raises ValueError.
     """
     m = np.array(rot, dtype=float)
+    # scipy's codec rule, not the pose rule: projection starts at a drift of 1e-12
     bad = np.flatnonzero(np.linalg.det(m) <= 0.0)
     if bad.size:
         raise ValueError(f"rotation matrix {bad[0]} has a nonpositive determinant")
@@ -357,6 +365,7 @@ def default_config() -> PipelineConfig:
 _MAX_GRID_CELLS = 2**22
 _MAX_DEPTH_BINS = 1024
 _MAX_SYNTH_FRAMES = 2**20
+MAX_DRAWS = 2**20  # sample-pairs --draws: one CSV line each
 
 _REAL_MAX = sys.float_info.max
 _TINY = math.ulp(0.0)  # the least float > 0, so [_TINY, hi] is (0, hi]
@@ -550,6 +559,8 @@ class SynthSpec:
             raise ValueError("dt must be positive")
         if not (self.noise_trans_m >= 0.0 and self.noise_yaw_deg >= 0.0):
             raise ValueError("noise magnitudes must be >= 0")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (math.isfinite(self.scale_drift) and self.scale_drift > 0.0):
             raise ValueError("scale drift must be positive")
         frames = sum(p.duration_s for p in self.primitives) / self.dt_s
@@ -611,19 +622,9 @@ def _primitive_poses(prim: MotionPrimitive, start: Pose2, tau: np.ndarray):
     omega = math.radians(prim.yaw_rate_dps)
     theta = theta0 + omega * tau
     radius = v / omega
-    sin, cos = _sin_cos(theta)
+    sin, cos = sin_cos(theta)
     return (wrap_angle(theta), start.tx + radius * (sin - math.sin(theta0)),
             start.ty - radius * (cos - math.cos(theta0)))
-
-
-def _sin_cos(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``math.sin`` and ``math.cos`` of every element.
-
-    numpy's SIMD sine and cosine may differ from the C library's in the
-    last bits, depending on the numpy build and the CPU.
-    """
-    values = theta.tolist()
-    return np.array(list(map(math.sin, values))), np.array(list(map(math.cos, values)))
 
 
 def _primitive_starts(primitives) -> list[Pose2]:
@@ -655,21 +656,6 @@ def _primitive_starts(primitives) -> list[Pose2]:
     return starts
 
 
-def _planar_stack(theta: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-    """(N, 4, 4) stack of the SE(3) embeddings of planar poses, as ``pose2_to_pose3`` builds them."""
-    sin, cos = _sin_cos(theta)
-    mats = np.zeros((theta.size, 4, 4))
-    mats[:, 0, 0] = cos
-    mats[:, 0, 1] = -sin
-    mats[:, 1, 0] = sin
-    mats[:, 1, 1] = cos
-    mats[:, 0, 3] = tx
-    mats[:, 1, 3] = ty
-    mats[:, 2, 2] = 1.0
-    mats[:, 3, 3] = 1.0
-    return mats
-
-
 def synth_trajectory(spec: SynthSpec) -> tuple[Trajectory, Trajectory]:
     """Generate (ground truth, corrupted estimate) trajectories.
 
@@ -697,7 +683,7 @@ def synth_trajectory(spec: SynthSpec) -> tuple[Trajectory, Trajectory]:
     for i, prim in enumerate(spec.primitives):
         part = slice(cuts[i], cuts[i + 1])
         theta[part], tx[part], ty[part] = _primitive_poses(prim, starts[i], times[part] - bounds[i])
-    gt_poses = _planar_stack(theta, tx, ty)
+    gt_poses = planar_stack(theta, tx, ty)
     gt = Trajectory(times, gt_poses)
 
     if spec.noise_trans_m == 0.0 and spec.noise_yaw_deg == 0.0 and spec.scale_drift == 1.0:
@@ -715,7 +701,7 @@ def synth_trajectory(spec: SynthSpec) -> tuple[Trajectory, Trajectory]:
     with np.errstate(over="ignore", invalid="ignore"):
         scaled_x, scaled_y = (c * dx_w + s * dy_w) * spec.scale_drift, (-s * dx_w + c * dy_w) * spec.scale_drift
         noise_x, noise_y = spec.noise_trans_m * noise[:, 1], spec.noise_trans_m * noise[:, 2]
-        steps = _planar_stack(wrap_angle(dtheta + math.radians(spec.noise_yaw_deg) * noise[:, 0]),
+        steps = planar_stack(wrap_angle(dtheta + math.radians(spec.noise_yaw_deg) * noise[:, 0]),
                               scaled_x + noise_x, scaled_y + noise_y)
         est_poses = np.empty_like(gt_poses)
         est_poses[0] = gt_poses[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, NoPairsError
-from .geometry import ORTHONORMALITY_TOL, Pose3, check_rigid, invert_rigid, relative_pose, wrap_angle
+from .geometry import Pose3, check_rigid, invert_rigid, repair_rotations, wrap_angle
 
 DEFAULT_WINDOW_S = 60.0
 DEFAULT_MAX_DISP_M = 4.0
@@ -94,7 +94,9 @@ def build_pair_lists(
     above ``high_deg`` are discarded as unreliable.
 
     The relative pose of a pair is the one :func:`relative_pose` gives,
-    computed for blocks of candidates at once with the same bits.
+    computed for blocks of candidates at once with the same bits; a pair
+    whose product leaves the float range, which ``relative_pose`` refuses,
+    is kept with an infinite displacement when ``max_disp_m`` is inf.
 
     Args:
         frames: posed frames with nondecreasing timestamps.
@@ -141,11 +143,8 @@ def build_pair_lists(
         disp = np.array(list(map(math.hypot, rel[:, 0, 3].tolist(), rel[:, 1, 3].tolist())))
         near = disp <= max_disp_m
         a, b, rel, disp = a[near], b[near], rel[near], disp[near]
-        # compose re-orthonormalizes a product that drifts past the
-        # tolerance; screen at half of it and let relative_pose decide
-        gram = np.matmul(np.swapaxes(rel[:, :3, :3], 1, 2), rel[:, :3, :3]) - np.eye(3)
-        for k in np.flatnonzero(np.sqrt((gram * gram).sum(axis=(1, 2))) > 0.5 * ORTHONORMALITY_TOL):
-            rel[k] = relative_pose(frames[a[k]].pose, frames[b[k]].pose).matrix
+        # relative_pose re-orthonormalizes a product that drifts past the tolerance
+        repair_rotations(rel)
         # math.atan2, not np.arctan2; then wrap_angle before abs, as Pose2
         # does, since wrapping a negative angle can change its last bits
         theta = wrap_angle(np.array(list(map(math.atan2, rel[:, 1, 0].tolist(), rel[:, 0, 0].tolist()))))
@@ -180,43 +179,6 @@ def sample_pair(
     if not pool:
         pool = lists.high if lists.high else lists.standard
     return pool[int(rng.integers(len(pool)))]
-
-
-@dataclass(frozen=True)
-class SamplingStats:
-    """Histograms over a drawn-pair log."""
-
-    yaw_hist: np.ndarray
-    yaw_edges: np.ndarray
-    disp_hist: np.ndarray
-    disp_edges: np.ndarray
-    high_fraction: float
-
-
-def sampling_stats(
-    records: list[PairRecord],
-    low_deg: float = DEFAULT_LOW_DEG,
-    yaw_bins: int = 36,
-    disp_bins: int = 16,
-) -> SamplingStats:
-    """Histogram the yaw and displacement of a nonempty draw log.
-
-    ``high_fraction`` reports the share of draws at or above ``low_deg``
-    of relative yaw.
-    """
-    if not records:
-        raise DegenerateInputError("draw log is empty")
-    yaw = np.array([r.yaw_diff_deg for r in records], dtype=float)
-    disp = np.array([r.displacement_m for r in records], dtype=float)
-    yaw_hist, yaw_edges = np.histogram(yaw, bins=yaw_bins, range=(0.0, 180.0))
-    disp_hist, disp_edges = np.histogram(disp, bins=disp_bins, range=(0.0, float(disp.max()) or 1.0))
-    return SamplingStats(
-        yaw_hist=yaw_hist,
-        yaw_edges=yaw_edges,
-        disp_hist=disp_hist,
-        disp_edges=disp_edges,
-        high_fraction=float(np.count_nonzero(yaw >= low_deg) / yaw.size),
-    )
 
 
 def frames_from_trajectory(timestamps: np.ndarray, poses: np.ndarray) -> list[FrameIndex]:

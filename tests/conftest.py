@@ -1,6 +1,8 @@
+import math
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 
@@ -49,3 +51,31 @@ def refuse_cheaply(peak_bytes):
         return exc
 
     return check
+
+
+@pytest.fixture(scope="session")
+def rotation_cases():
+    """Named 3x3 blocks around both rotation tolerances: 1e-9 (accept or repair) and 1e-4 (KITTI refusal).
+
+    Drift ||R^T R - I||_F or |det R - 1| at 0.4 to 2 times 1e-9, at 1e-4
+    give or take a few ulps of every entry, reflections and non-finite blocks.
+    """
+    rng = np.random.default_rng(20)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    rot = q * np.sign(np.diag(r)) * np.sign(np.linalg.det(q * np.sign(np.diag(r))))
+    eps = np.finfo(float).eps
+    cases = {"exact": rot}
+    for k in (0.4, 0.5, 0.9, 1.0, 1.1, 2.0):
+        cases[f"drift-{k}e-9"] = rot * math.sqrt(1.0 + k * 1e-9 / math.sqrt(3.0))
+        cases[f"det-up-{k}e-9"] = rot * (1.0 + k * 1e-9) ** (1.0 / 3.0)
+        cases[f"det-down-{k}e-9"] = rot * (1.0 - k * 1e-9) ** (1.0 / 3.0)
+        cases[f"axis-{k}e-9"] = rot @ np.diag([1.0 + k * 0.5e-9, 1.0, 1.0])
+    for j in range(-4, 5):
+        cases[f"drift-1e-4{j:+d}ulp"] = rot * (math.sqrt(1.0 + 1e-4 / math.sqrt(3.0)) * (1.0 + j * eps))
+        cases[f"det-1e-4{j:+d}ulp"] = rot * ((1.0 + 1e-4) ** (1.0 / 3.0) * (1.0 + j * eps))
+    cases["reflection"] = rot @ np.diag([1.0, 1.0, -1.0])
+    cases["drifted-reflection"] = -rot * math.sqrt(1.0 + 0.9e-9 / math.sqrt(3.0))
+    for name, value in (("nan", math.nan), ("inf", math.inf)):
+        cases[name] = rot.copy()
+        cases[name][1, 2] = value
+    return cases

@@ -366,6 +366,9 @@ class TestSamplePairs:
         assert doc["available_high"] > 0
         assert doc["available_standard"] > 0
         assert 0.65 <= doc["drawn_high_fraction"] <= 0.75
+        # the share of drawn pairs at or above the 15 degree low threshold
+        drawn = parse_pairs_csv(out.read_text())
+        assert doc["drawn_high_fraction"] == np.count_nonzero([r.yaw_diff_deg >= 15.0 for r in drawn]) / 2000
 
     def test_deterministic_under_seed(self, tmp_path, config_path, capsys):
         traj = steps_trajectory([(math.radians(2.0), 1.0, 0.0)] * 50)
@@ -392,15 +395,19 @@ class TestSamplePairs:
             )
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    @pytest.mark.parametrize("draws", ["0", "-1"])
+    @pytest.mark.parametrize("draws", ["0", "-1", "1048577", "10000000000000000000000"])
     def test_draws_below_one_refused_before_any_work(self, tmp_path, capsys, draws):
-        # the trajectory does not exist, so any work before the check would fail on it instead
+        # the trajectory does not exist, so any work before the check would fail on it instead;
+        # above the cap of 2^20 draws the same holds
         out = tmp_path / "pairs.csv"
         code, stdout, err = run_cli(
             ["sample-pairs", "--traj", str(tmp_path / "none.tum"), "--out", str(out), "--draws", draws], capsys
         )
         assert code == 1 and stdout == ""
-        assert err == f"bevkit: error: --draws must be an integer >= 1, got {draws}\n"
+        if int(draws) < 1:
+            assert err == f"bevkit: error: --draws must be an integer >= 1, got {draws}\n"
+        else:
+            assert err == f"bevkit: error: --draws must be at most 1048576, got {draws}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("config, needle", [
@@ -681,6 +688,15 @@ BAD_INPUTS = [
      None, "max_dt_s must be >= 0"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve", "{d}/out",
       "--scale-curve-segment-m", "nan"], None, "segment length must be finite and positive"),
+    (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve", "{d}/out",
+      "--scale-curve-segment-m", "1e-300"], None, "segment length 1e-300 m is below the float resolution"),
+    (["synth", "--spec", "{d}/bad.json", "--seed", "-1", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
+     '{"primitives": [{"kind": "straight", "duration_s": 1, "speed_mps": 1}]}', "seed must be an integer >= 0, got -1"),
+    (["synth", "--spec", "{d}/bad.json", "--seed", "-2", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
+     '{"primitives": [{"kind": "straight", "duration_s": 1, "speed_mps": 1}], "noise_trans_m": 0.1}',
+     "seed must be an integer >= 0, got -2"),
+    (["sample-pairs", "--traj", "{d}/line.tum", "--seed", "-1", "--out", "{d}/out"],
+     None, "--seed must be an integer >= 0, got -1"),
 ]
 
 

@@ -496,6 +496,19 @@ class TestLogScaleCurve:
         with pytest.raises(ValueError, match="segment length must be finite and positive"):
             log_scale_curve(gt, gt, segment_m=bad)
 
+    @pytest.mark.parametrize("segment_m", [1e-20, 1e-300])
+    def test_segment_below_float_resolution_rejected(self, segment_m):
+        # d + segment_m == d for the path length d of some frame: the next
+        # boundary would be that frame again, forever
+        gt = curved_traj(251, seed=31)
+        with pytest.raises(ValueError, match=f"segment length {segment_m:g} m is below the float resolution"):
+            log_scale_curve(gt, gt, segment_m=segment_m)
+
+    def test_segment_shorter_than_every_step_gives_one_per_frame(self):
+        gt = line_traj(40)
+        curve = log_scale_curve(gt, gt, segment_m=1e-6)
+        assert curve.segment_indices.tolist() == list(range(39))
+
 
 class TestEvaluateTrajectories:
     def test_zero_noise_report(self):

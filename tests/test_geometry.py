@@ -37,6 +37,44 @@ def random_pose3(rng):
     return Pose3.from_rt(random_rotation(rng), rng.uniform(-10, 10, 3))
 
 
+def reference_check_rigid_matrix(m):
+    """The scalar rigid check the array screen defers to, as Pose3 ran it before the rule moved."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError("pose matrix contains non-finite entries")
+    if not np.array_equal(m[3], np.array([0.0, 0.0, 0.0, 1.0])):
+        raise ValueError("pose bottom row must be exactly (0, 0, 0, 1)")
+    r = m[:3, :3]
+    if float(np.linalg.norm(r.T @ r - np.eye(3))) > 1e-9:
+        raise ValueError("rotation block is not orthonormal within 1e-9")
+    if abs(np.linalg.det(r) - 1.0) > 1e-9:
+        raise ValueError("rotation block must have determinant +1")
+
+
+def reference_check_extrinsics(e):
+    """CameraModel's own extrinsic checks, as it ran them before the rule moved."""
+    if not np.all(np.isfinite(e)):
+        raise InvalidCameraError("camera matrices contain non-finite entries")
+    r = e[:, :3]
+    if float(np.linalg.norm(r.T @ r - np.eye(3))) > 1e-9 or abs(np.linalg.det(r) - 1.0) > 1e-9:
+        raise InvalidCameraError("extrinsic rotation is not a proper rotation within 1e-9")
+
+
+def verdict(fn, *args):
+    """(exception type, message) of ``fn(*args)``, or None when it returns."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def rigid(rotation):
+    m = np.eye(4)
+    m[:3, :3] = rotation
+    m[:3, 3] = (0.5, -2.0, 3.0)
+    return m
+
+
 class TestWrapAngle:
     def test_fixed_points(self):
         assert wrap_angle(0.0) == 0.0
@@ -201,6 +239,27 @@ class TestPose3:
             verdicts.add(want)
         assert len(verdicts) == 2
 
+    def test_check_rigid_matches_the_scalar_reference_per_case(self, rotation_cases):
+        seen = set()
+        for name, rotation in rotation_cases.items():
+            m = rigid(rotation)
+            want = verdict(reference_check_rigid_matrix, m)
+            assert verdict(lambda x: Pose3(x), m) == want, name
+            assert verdict(check_rigid, np.stack([np.eye(4), m])) == (
+                want and (want[0], f"pose 1: {want[1]}")), name
+            seen.add(want and want[1])
+        assert len(seen) == 4  # accepted, non-finite, drift and determinant refusals all occur
+
+    def test_check_rigid_reports_the_first_bad_matrix_of_a_stack(self, rotation_cases):
+        names = list(rotation_cases)
+        stack = np.stack([rigid(rotation_cases[n]) for n in names])
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            order = rng.permutation(len(names))
+            first = next((i for i, k in enumerate(order) if verdict(reference_check_rigid_matrix, stack[k])), None)
+            want = None if first is None else verdict(reference_check_rigid_matrix, stack[order[first]])
+            assert verdict(check_rigid, stack[order]) == (want and (want[0], f"pose {first}: {want[1]}"))
+
     def test_check_rigid_shape(self):
         check_rigid(np.zeros((0, 4, 4)))
         with pytest.raises(ShapeError):
@@ -325,6 +384,28 @@ class TestRelativePose:
         assert abs(rel.ty - 0.0) < 1e-15
 
 
+    def test_equal_to_the_two_pose_form(self):
+        # the form relative_pose replaced: a validated inverse, then compose's repair
+        rng = np.random.default_rng(16)
+        repaired = 0
+        for _ in range(300):
+            a, b = (rigid(random_rotation(rng) * math.sqrt(1.0 + rng.uniform(-0.9e-9, 0.9e-9) / math.sqrt(3.0))) for _ in range(2))
+            want = Pose3(a).inverse().matrix @ b
+            if float(np.linalg.norm(want[:3, :3].T @ want[:3, :3] - np.eye(3))) > 1e-9:
+                want[:3, :3] = closest_rotation(want[:3, :3])
+                repaired += 1
+            assert np.array_equal(relative_pose(Pose3(a), Pose3(b)).matrix, want)
+        assert 20 < repaired < 280
+
+    def test_builds_one_pose(self, monkeypatch):
+        a, b = Pose3.identity(), pose2_to_pose3(Pose2(0.3, 1.0, 2.0))
+        built = []
+        check = Pose3.__post_init__
+        monkeypatch.setattr(Pose3, "__post_init__", lambda self: (built.append(1), check(self)))
+        relative_pose(a, b)
+        assert len(built) == 1
+
+
 class TestPose2Conversions:
     def test_identity(self):
         assert pose3_to_pose2(Pose3.identity()) == Pose2(0.0, 0.0, 0.0)
@@ -353,6 +434,15 @@ class TestPose2Conversions:
             # translations survive bit-exactly; theta within one ulp of pi
             assert q.tx == p.tx and q.ty == p.ty
             assert abs(q.theta - p.theta) < 1e-15
+
+    def test_embedding_equals_rot_z(self):
+        rng = np.random.default_rng(17)
+        for theta in [0.0, -0.0, math.pi, -math.pi / 2, *rng.uniform(-math.pi, math.pi, 200)]:
+            pose = Pose2(theta, rng.normal(), rng.normal())
+            want = np.eye(4)
+            want[:3, :3] = rot_z(pose.theta)
+            want[:2, 3] = (pose.tx, pose.ty)
+            assert np.array_equal(pose2_to_pose3(pose).matrix, want)
 
     def test_theta_wrapped_on_construction(self):
         p = Pose2(3 * math.pi, 0.0, 0.0)
@@ -396,6 +486,19 @@ class TestCameraModel:
                 intrinsics=np.array([[100.0, 0.0, 64.0], [0.0, 100.0, 64.0], [0.0, 0.0, 1.0]]),
                 extrinsics=e,
             )
+
+    def test_extrinsic_verdicts_match_the_scalar_reference(self, rotation_cases):
+        k = np.array([[100.0, 0.0, 64.0], [0.0, 100.0, 64.0], [0.0, 0.0, 1.0]])
+        seen = set()
+        for name, rotation in rotation_cases.items():
+            e = np.hstack([rotation, [[0.0], [0.0], [1.5]]])
+            want = verdict(reference_check_extrinsics, e)
+            got = verdict(CameraModel, k, e)
+            assert got == want, name
+            if got is None:
+                assert np.array_equal(CameraModel(k, e).extrinsics, e)
+            seen.add(want)
+        assert len(seen) == 3
 
     def test_rejects_wrong_shapes(self):
         with pytest.raises(InvalidCameraError):

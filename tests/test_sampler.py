@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import bevkit.geometry
+import bevkit.sampler
 from bevkit import io as bevio
 from bevkit.errors import DegenerateInputError, NoPairsError
 from bevkit.geometry import Pose2, Pose3, pose2_to_pose3, pose3_to_pose2, relative_pose, rot_z
@@ -16,7 +18,6 @@ from bevkit.sampler import (
     frames_from_trajectory,
     merge_pair_lists,
     sample_pair,
-    sampling_stats,
 )
 
 
@@ -317,6 +318,41 @@ class TestBuildPairListsMatchesReference:
             frames.append(FrameIndex(id=k, timestamp=0.1 * k, pose=Pose3(m)))
         assert_matches_reference(frames, window_s=10.0, low_deg=0.0, high_deg=180.0)
 
+    def test_frames_drifting_in_opposite_senses(self, monkeypatch):
+        # rotation blocks stretched or shrunk by about 0.9e-9 of drift: a pair
+        # drifting the same way needs the repair, an opposite pair does not
+        rng = np.random.default_rng(75)
+        frames = []
+        for k in range(60):
+            m = pose2_to_pose3(Pose2(rng.uniform(-math.pi, math.pi), *rng.uniform(-1.5, 1.5, 2))).matrix.copy()
+            m[:3, :3] *= math.sqrt(1.0 + (-1) ** (k // 2) * 0.9e-9 / math.sqrt(3.0))
+            frames.append(FrameIndex(id=k, timestamp=0.1 * k, pose=Pose3(m)))
+        repairs = []
+        project = bevkit.geometry.closest_rotation
+        monkeypatch.setattr(bevkit.geometry, "closest_rotation", lambda r: (repairs.append(1), project(r))[1])
+        assert_matches_reference(frames, window_s=10.0, low_deg=0.0, high_deg=180.0)
+        assert len(repairs) > 0
+
+    def test_mines_without_relative_pose(self, monkeypatch):
+        calls = []
+        for module in (bevkit.geometry, bevkit.sampler):
+            if hasattr(module, "relative_pose"):
+                monkeypatch.setattr(module, "relative_pose", lambda a, b: calls.append(1))
+        frames = parsed_frames((bevio.MotionPrimitive("arc", 10.0, 2.0, 30.0),), seed=13)
+        assert sum(len(lists) for lists in build_pair_lists(frames, window_s=5.0).values()) > 0
+        assert calls == []
+
+    def test_drifted_pair_that_overflows_is_admitted(self):
+        # like an undrifted one; relative_pose would refuse its non-finite translation
+        drifted = rot_z(0.2) * math.sqrt(1.0 + 0.9e-9 / math.sqrt(3.0))
+        frames = [FrameIndex(id=k, timestamp=float(k), pose=Pose3.from_rt(drifted, [x, 0.0, 0.0]))
+                  for k, x in enumerate((-1e308, 1e308))]
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                relative_pose(frames[0].pose, frames[1].pose)
+            lists = build_pair_lists(frames, max_disp_m=math.inf)
+        assert [r.displacement_m for r in lists[0].standard] == [math.inf]
+
     def test_infinite_thresholds(self):
         frames = make_frames([(0.5 * k, 0.4 * k, 3.0 * k, 0.0) for k in range(10)])
         got = assert_matches_reference(frames, window_s=math.inf, max_disp_m=math.inf, high_deg=math.inf)
@@ -427,40 +463,6 @@ class TestSamplePair:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             sample_pair(PairLists(high=[record()]), np.random.default_rng(0), high_fraction=1.5)
-
-
-class TestSamplingStats:
-    def test_empty_log_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            sampling_stats([])
-
-    def test_counts_sum_to_log_length(self):
-        rng = np.random.default_rng(71)
-        log = [record(yaw=rng.uniform(0, 180), disp=rng.uniform(0, 4)) for _ in range(500)]
-        stats = sampling_stats(log)
-        assert stats.yaw_hist.sum() == 500
-        assert stats.disp_hist.sum() == 500
-
-    def test_identical_records_single_bin(self):
-        log = [record(yaw=30.0, disp=2.0)] * 64
-        stats = sampling_stats(log)
-        assert np.count_nonzero(stats.yaw_hist) == 1
-        assert stats.yaw_hist.max() == 64
-
-    def test_high_fraction_share(self):
-        log = [record(yaw=30.0)] * 7 + [record(yaw=5.0)] * 3
-        stats = sampling_stats(log)
-        assert abs(stats.high_fraction - 0.7) < 1e-12
-
-    def test_uniform_yaw_roughly_flat(self):
-        rng = np.random.default_rng(72)
-        n, bins = 36000, 36
-        log = [record(yaw=rng.uniform(0.0, 180.0)) for _ in range(n)]
-        stats = sampling_stats(log, yaw_bins=bins)
-        expected = n / bins
-        chi2 = float(((stats.yaw_hist - expected) ** 2 / expected).sum())
-        # df = 35: mean 35, sd ~ 8.4; 80 is a loose deterministic bound.
-        assert chi2 < 80.0
 
 
 class TestHelpers:
