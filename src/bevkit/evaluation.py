@@ -130,6 +130,29 @@ def rotation_angle(rot: np.ndarray) -> float:
     return math.acos(min(1.0, max(-1.0, 0.5 * (trace - 1.0))))
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (N, 3) array.
+
+    Each is the bits ``np.linalg.norm`` gives for that row alone: a batch
+    of 1x3 by 3x1 products sums like its dot product, while elementwise
+    sums and ``einsum`` differ from it in the last bit on about one row in
+    nine.
+    """
+    t = np.ascontiguousarray(v, dtype=float)
+    return np.sqrt((t[:, None, :] @ t[:, :, None])[:, 0, 0])
+
+
+def _rotation_angles(rot: np.ndarray) -> list[float]:
+    """:func:`rotation_angle` of each block of an (N, 3, 3) stack, with its bits.
+
+    ``fmax`` sends a NaN cosine to -1 as ``max(-1.0, nan)`` does, and the
+    arccos is ``math.acos`` per value, since ``np.arccos`` may round differently.
+    """
+    trace = (rot[:, 0, 0] + rot[:, 1, 1]) + rot[:, 2, 2]
+    cos = np.minimum(np.fmax(0.5 * (trace - 1.0), -1.0), 1.0)
+    return list(map(math.acos, cos.tolist()))
+
+
 def transform_trajectory(
     traj: Trajectory,
     rotation: np.ndarray,
@@ -248,16 +271,15 @@ def rte_rre(
         )
     n = len(gt)
     firsts = np.arange(0, n, stride)
-    t_sq: dict[float, list[float]] = {}
-    r_sq: dict[float, list[float]] = {}
+    t_sq: dict[float, np.ndarray] = {}
+    r_sq: dict[float, np.ndarray] = {}
     for length in dict.fromkeys(lengths):
-        # a length listed k times gets each of its values k times in a row
-        copies = lengths.count(length)
         # end frame: first index at or beyond the nominal path length
         lasts = np.searchsorted(dist, dist[firsts] + length, side="left")
         starts = firsts[lasts < n]
         ends = lasts[lasts < n]
-        t_sq[length], r_sq[length] = [], []
+        t_err = np.zeros(len(starts))
+        r_err = np.zeros(len(starts))
         for block in range(0, len(starts), _BLOCK):
             i, j = starts[block:block + _BLOCK], ends[block:block + _BLOCK]
             delta_gt = np.linalg.solve(gt.poses[i], gt.poses[j])
@@ -267,24 +289,22 @@ def rte_rre(
             # the arccos near trace 3 would amplify
             same = np.all(delta_est == delta_gt, axis=(1, 2))
             err = np.linalg.solve(delta_est[~same], delta_gt[~same])
-            errors = iter(err)
-            for exact in same.tolist():
-                t_err = r_err = 0.0
-                if not exact:
-                    e = next(errors)
-                    # a 1-D norm and math.acos per segment: the axis=1 norm
-                    # and np.arccos round differently
-                    t_err = float(np.linalg.norm(e[:3, 3]))
-                    r_err = rotation_angle(e[:3, :3])
-                t_sq[length].extend([(t_err / length) ** 2] * copies)
-                r_sq[length].extend([(r_err / length) ** 2] * copies)
+            moved = block + np.flatnonzero(~same)
+            t_err[moved] = _norms(err[:, :3, 3])
+            r_err[moved] = _rotation_angles(err[:, :3, :3])
+        # squared per value in Python: numpy's x ** 2 is x * x, which differs
+        # from the pow(x, 2) of a float in the last bit on about one value in a
+        # thousand; a length listed k times gets each of its values k times in a row
+        copies = lengths.count(length)
+        t_sq[length] = np.repeat([(e / length) ** 2 for e in t_err.tolist()], copies)
+        r_sq[length] = np.repeat([(e / length) ** 2 for e in r_err.tolist()], copies)
     per_length: dict[float, tuple[float, float, int]] = {}
     for length in lengths:
-        if not t_sq[length]:
+        if not t_sq[length].size:
             continue
         rte = 100.0 * math.sqrt(float(np.mean(t_sq[length])))
         rre = 100.0 * math.degrees(math.sqrt(float(np.mean(r_sq[length]))))
-        per_length[length] = (rte, rre, len(t_sq[length]))
+        per_length[length] = (rte, rre, t_sq[length].size)
     if not per_length:
         raise InsufficientLengthError(
             "no complete segment of any requested length fits the trajectory"
@@ -372,23 +392,15 @@ def log_scale_curve(est: Trajectory, gt: Trajectory, segment_m: float = 10.0) ->
         raise InsufficientLengthError(
             f"ground-truth path covers {d_gt[-1]:.3f} m, not even one {segment_m:g} m segment"
         )
-    p_gt = gt.positions
-    p_est = est.positions
-    indices = []
-    values = []
-    skipped = []
-    for seg, (i0, i1) in enumerate(zip(bounds[:-1], bounds[1:])):
-        dg = float(np.linalg.norm(p_gt[i1] - p_gt[i0]))
-        de = float(np.linalg.norm(p_est[i1] - p_est[i0]))
-        if dg <= 0.0 or de <= 0.0:
-            skipped.append(seg)
-            continue
-        indices.append(seg)
-        values.append(math.log2(de / dg))
+    b = np.array(bounds)
+    dg = _norms(gt.positions[b[1:]] - gt.positions[b[:-1]])
+    de = _norms(est.positions[b[1:]] - est.positions[b[:-1]])
+    skip = (dg <= 0.0) | (de <= 0.0)
+    values = [math.log2(e / g) for g, e in zip(dg[~skip].tolist(), de[~skip].tolist())]
     return LogScaleCurve(
-        segment_indices=np.array(indices, dtype=np.int64),
+        segment_indices=np.flatnonzero(~skip).astype(np.int64),
         values=np.array(values, dtype=float),
-        skipped=tuple(skipped),
+        skipped=tuple(np.flatnonzero(skip).tolist()),
     )
 
 

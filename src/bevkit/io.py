@@ -60,13 +60,11 @@ _BVT1_MAGIC = b"BVT1"
 
 
 def _parse_floats(fields: list[str], lineno: int) -> list[float]:
+    """The fields of one line as floats, all of them or a ParseError; finiteness is judged later, per array."""
     try:
-        values = [float(f) for f in fields]
+        return list(map(float, fields))
     except ValueError as exc:
         raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
-    if not all(math.isfinite(v) for v in values):
-        raise ParseError("non-finite value", line=lineno)
-    return values
 
 
 def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajectory:
@@ -94,8 +92,15 @@ def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajec
         except ParseError as exc:
             failure = exc  # reported unless an earlier line's rotation is bad
             break
-    poses = np.zeros((len(values) // 12, 4, 4))
-    poses[:, :3] = np.frombuffer(values).reshape(-1, 3, 4)
+    rows = np.frombuffer(values).reshape(-1, 12)
+    nonfinite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if nonfinite.size:
+        # a line before any field error; the rotation judge sees only the
+        # rows before it, since closest_rotation of a NaN block raises
+        failure = ParseError("non-finite value", line=int(nonfinite[0]) + 1)
+        rows = rows[:nonfinite[0]]
+    poses = np.zeros((len(rows), 4, 4))
+    poses[:, :3] = rows.reshape(-1, 3, 4)
     poses[:, 3, 3] = 1.0
     rot = poses[:, :3, :3]
     for i in np.flatnonzero(screen_rotations(rot)).tolist():
@@ -117,10 +122,7 @@ def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajec
 
 def write_kitti_poses(traj: Trajectory) -> str:
     """Serialize as KITTI pose lines; timestamps are not representable."""
-    lines = []
-    for pose in traj.poses:
-        lines.append(" ".join(f"{v:.17g}" for v in pose[:3, :4].reshape(-1)))
-    return "\n".join(lines) + "\n"
+    return _format_rows(" ".join(["%.17g"] * 12), traj.poses[:, :3, :4].reshape(-1, 12).tolist())
 
 
 def quat_to_matrix(quat: np.ndarray) -> np.ndarray:
@@ -168,7 +170,7 @@ def _parse_quat_rows(text: str, sep: str | None, header: str | None) -> Trajecto
     are skipped, and so is a first line starting with ``header``.
     """
     what = "fields" if sep is None else "comma-separated fields"
-    rows = []
+    values, linenos, failure = array("d"), [], None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -176,20 +178,39 @@ def _parse_quat_rows(text: str, sep: str | None, header: str | None) -> Trajecto
         if header is not None and lineno == 1 and line.lower().startswith(header):
             continue
         fields = [f.strip() for f in line.split(sep)]
-        if len(fields) != 8:
-            raise ParseError(f"expected 8 {what}, got {len(fields)}", line=lineno)
-        values = _parse_floats(fields, lineno)
-        qnorm = math.sqrt(sum(v * v for v in values[4:]))
-        if abs(qnorm - 1.0) > _PARSE_ROT_TOL:
+        try:
+            if len(fields) != 8:
+                raise ParseError(f"expected 8 {what}, got {len(fields)}", line=lineno)
+            values.extend(_parse_floats(fields, lineno))
+        except ParseError as exc:
+            failure = exc  # reported unless an earlier row fails a value check
+            break
+        linenos.append(lineno)
+    rows = np.frombuffer(values).reshape(-1, 8)
+    # the value checks, each over all rows: the first failing row wins, and
+    # within a row non-finite goes before the quaternion norm before the order
+    finite = np.isfinite(rows).all(axis=1)
+    unordered = np.zeros(len(rows), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = rows[:, 4:] * rows[:, 4:]
+        # summed left to right, as the per-line sum() of v * v did
+        qnorm = np.sqrt(((sq[:, 0] + sq[:, 1]) + sq[:, 2]) + sq[:, 3])
+        off_unit = np.abs(qnorm - 1.0) > _PARSE_ROT_TOL
+        unordered[1:] = rows[1:, 0] <= rows[:-1, 0]
+    bad = np.flatnonzero(~finite | off_unit | unordered)
+    if bad.size:
+        k = int(bad[0])
+        if not finite[k]:
+            raise ParseError("non-finite value", line=linenos[k])
+        if off_unit[k]:
             raise ParseError(
-                f"quaternion norm {qnorm:.6f} not 1 within {_PARSE_ROT_TOL:g}", line=lineno
+                f"quaternion norm {float(qnorm[k]):.6f} not 1 within {_PARSE_ROT_TOL:g}", line=linenos[k]
             )
-        if rows and values[0] <= rows[-1][0]:
-            raise ParseError(f"timestamp {values[0]!r} not strictly increasing", line=lineno)
-        rows.append(values)
-    if not rows:
+        raise ParseError(f"timestamp {float(rows[k, 0])!r} not strictly increasing", line=linenos[k])
+    if failure is not None:
+        raise failure
+    if not linenos:
         raise ParseError("trajectory file contains no poses", line=1)
-    rows = np.array(rows)
     poses = np.tile(np.eye(4), (len(rows), 1, 1))
     poses[:, :3, :3] = quat_to_matrix(rows[:, 4:])
     poses[:, :3, 3] = rows[:, 1:4]
@@ -198,10 +219,8 @@ def _parse_quat_rows(text: str, sep: str | None, header: str | None) -> Trajecto
 
 def _write_quat_rows(traj: Trajectory, sep: str, header: str | None) -> str:
     """Serialize as ``timestamp tx ty tz qx qy qz qw`` rows joined by ``sep``."""
-    lines = [] if header is None else [header]
-    for t, pos, q in zip(traj.timestamps, traj.positions, matrix_to_quat(traj.poses[:, :3, :3])):
-        lines.append(sep.join([f"{t:.9f}"] + [f"{v:.17g}" for v in (*pos, *q)]))
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack([traj.timestamps, traj.positions, matrix_to_quat(traj.poses[:, :3, :3])])
+    return _format_rows(sep.join(["%.9f"] + ["%.17g"] * 7), rows.tolist(), header)
 
 
 def parse_tum_trajectory(text: str) -> Trajectory:
@@ -234,6 +253,17 @@ def parse_csv_trajectory(text: str) -> Trajectory:
 def write_csv_trajectory(traj: Trajectory) -> str:
     """Serialize as CSV with a header line."""
     return _write_quat_rows(traj, ",", "timestamp,tx,ty,tz,qx,qy,qz,qw")
+
+
+def _format_rows(fmt: str, rows, header: str | None = None) -> str:
+    """One line per row, each a single ``fmt % tuple(row)``, after an optional header line.
+
+    ``"%.17g" % x`` and ``"%.9f" % x`` give the bytes of ``f"{x:.17g}"`` and
+    ``f"{x:.9f}"``, so the text is the one per-value f-strings wrote.
+    """
+    lines = [] if header is None else [header]
+    lines.extend([fmt % tuple(row) for row in rows])
+    return "\n".join(lines) + "\n"
 
 
 _TRAJECTORY_PARSERS = {
@@ -726,10 +756,8 @@ _PAIRS_HEADER = "anchor_id,partner_id,yaw_diff_deg,displacement_m"
 
 def write_pairs_csv(records: list[PairRecord]) -> str:
     """Serialize drawn or enumerated pairs as CSV."""
-    lines = [_PAIRS_HEADER]
-    for r in records:
-        lines.append(f"{r.anchor_id},{r.partner_id},{r.yaw_diff_deg:.17g},{r.displacement_m:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = [(r.anchor_id, r.partner_id, r.yaw_diff_deg, r.displacement_m) for r in records]
+    return _format_rows("%s,%s,%.17g,%.17g", rows, _PAIRS_HEADER)
 
 
 def parse_pairs_csv(text: str) -> list[PairRecord]:
@@ -763,21 +791,15 @@ def write_flow_csv(flow: FlowField) -> str:
 
     Rows iterate v (grid rows) in the outer loop and u in the inner one.
     """
-    lines = ["u,v,du,dv"]
-    du = flow.data[0]
-    dv = flow.data[1]
-    for v in range(flow.grid.height_px):
-        for u in range(flow.grid.width_px):
-            lines.append(f"{u},{v},{du[v, u]:.17g},{dv[v, u]:.17g}")
-    return "\n".join(lines) + "\n"
+    v, u = np.indices(flow.data.shape[1:])
+    rows = np.column_stack([u.ravel(), v.ravel(), flow.data[0].ravel(), flow.data[1].ravel()])
+    return _format_rows("%d,%d,%.17g,%.17g", rows.tolist(), "u,v,du,dv")
 
 
 def write_scale_curve_csv(curve: LogScaleCurve) -> str:
     """Serialize a per-segment log-scale curve as ``segment_index,log2_scale``."""
-    lines = ["segment_index,log2_scale"]
-    for idx, val in zip(curve.segment_indices, curve.values):
-        lines.append(f"{int(idx)},{val:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = zip(curve.segment_indices.tolist(), curve.values.tolist())
+    return _format_rows("%d,%.17g", rows, "segment_index,log2_scale")
 
 
 def flow_to_bvt1(flow: FlowField) -> bytes:

@@ -134,7 +134,11 @@ def build_pair_lists(
         a = np.searchsorted(starts, pos, side="right") - 1
         b = lo[a] + pos - starts[a]
         a, b = a[a != b], b[a != b]
-        rel = np.matmul(inverses[a], poses[b])
+        # a product that leaves the float range is judged by the rule in the
+        # docstring, without a numpy warning: kept with an infinite
+        # displacement when max_disp_m is inf, dropped by the box test if NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = np.matmul(inverses[a], poses[b])
         # a box test first: hypot(x, y) >= max(|x|, |y|), so it drops no pair
         # the displacement cap would keep
         box = (np.abs(rel[:, 0, 3]) <= max_disp_m) & (np.abs(rel[:, 1, 3]) <= max_disp_m)

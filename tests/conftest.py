@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,3 +81,26 @@ def rotation_cases():
         cases[name] = rot.copy()
         cases[name][1, 2] = value
     return cases
+
+
+@pytest.fixture(scope="session")
+def bench_drive():
+    """``drive(seed)``: the ``drive_eval`` benchmark's drive at ``seed``, (ground truth, noisy estimate).
+
+    4541 frames, built from ``bench/workloads.py`` itself so the tests see
+    the drive the benchmark digests; each seed is synthesized once.
+    """
+    from bevkit.io import synth_trajectory
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    drives = {}
+
+    def drive(seed):
+        if seed not in drives:
+            drives[seed] = synth_trajectory(workloads.DriveEval(seed, "paper", None, None).spec(0))
+        return drives[seed]
+
+    return drive

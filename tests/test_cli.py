@@ -434,6 +434,16 @@ class TestSamplePairs:
         assert not out.exists()
 
 
+    def test_poses_near_the_float_limit_print_no_numpy_warning(self, tmp_path):
+        # a fresh process, so numpy's RuntimeWarnings would reach stderr as text
+        (tmp_path / "big.tum").write_text("0.0 -1e308 0 0 0 0 0 1\n1.0 1e308 0 0 0 0 0 1\n2.0 1e308 0 0 0 0 0 1\n")
+        proc = run_fresh_python("-c", "import sys; from bevkit.cli import main; sys.exit(main())", "sample-pairs",
+                                "--traj", str(tmp_path / "big.tum"), "--draws", "3", "--out", str(tmp_path / "p.csv"))
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("bevkit: no high-rotation pairs")
+
+
 class TestCorrelate:
     def test_channel_count_and_values(self, tmp_path, capsys):
         from bevkit.correlation import FeatureMap, local_correlation

@@ -12,8 +12,10 @@ from bevkit.errors import (
     ShapeError,
 )
 from bevkit.evaluation import (
+    DEFAULT_SEGMENT_LENGTHS_M,
     LogScaleCurve,
     Trajectory,
+    _norms,
     align,
     ate,
     evaluate_trajectories,
@@ -379,6 +381,7 @@ class TestRteRreMatchesReference:
         ((5.0, 12.5, 40.0), 3, 0.002),
         ((10.0, 5000.0, 25.0), 2, 0.002),   # 5000 m has no complete segment
         ((20.0, 7.5, 20.0), 1, 0.002),      # a repeated length counts its segments twice
+        ((12.5, 5000.0, 5.0, 12.5, 5000.0), 2, 0.05),  # listed twice, apart, and once without segments
     ])
     def test_bitwise_equal(self, lengths, stride, yaw_sigma):
         gt = curved_traj(300, seed=28)
@@ -406,6 +409,73 @@ class TestRteRreMatchesReference:
         rep = rte_rre(est, gt, lengths_m=(10.0, 30.0))
         rte, rre, per_length = reference_rte_rre(est, gt, (10.0, 30.0))
         assert (rep.rte_percent, rep.rre_deg_per_100m, rep.per_length) == (rte, rre, per_length)
+
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_bench_drive(self, bench_drive, seed):
+        gt, est = bench_drive(seed)
+        rep = rte_rre(est, gt)
+        rte, rre, per_length = reference_rte_rre(est, gt, DEFAULT_SEGMENT_LENGTHS_M)
+        assert rep.per_length == per_length
+        assert (rep.rte_percent, rep.rre_deg_per_100m) == (rte, rre)
+        assert sum(count for _, _, count in per_length.values()) > 30000
+
+    def test_batched_norm_is_the_per_vector_norm(self):
+        # the numpy behaviour the segment norms rest on: a stack of 1x3 by 3x1
+        # products rounds as the dot product inside np.linalg.norm does, on
+        # rows of every magnitude, also those taken from a strided (N, 4, 4) stack
+        rng = np.random.default_rng(40)
+        stack = rng.standard_normal((200_000, 4, 4)) * 10.0 ** rng.integers(-6, 7, (200_000, 1, 1))
+        vectors = stack[:, :3, 3]
+        want = np.array([np.linalg.norm(v) for v in vectors])
+        assert np.array_equal(_norms(vectors), want)
+
+
+def reference_log_scale_curve(est, gt, segment_m=10.0):
+    """The per-segment loop log_scale_curve replaced, after its boundaries: one np.linalg.norm per side."""
+    d_gt = path_lengths(gt)
+    bounds = [0]
+    while (nxt := int(np.searchsorted(d_gt, d_gt[bounds[-1]] + segment_m, side="left"))) < len(gt):
+        bounds.append(nxt)
+    indices, values, skipped = [], [], []
+    for seg, (i0, i1) in enumerate(zip(bounds[:-1], bounds[1:])):
+        dg = float(np.linalg.norm(gt.positions[i1] - gt.positions[i0]))
+        de = float(np.linalg.norm(est.positions[i1] - est.positions[i0]))
+        if dg <= 0.0 or de <= 0.0:
+            skipped.append(seg)
+            continue
+        indices.append(seg)
+        values.append(math.log2(de / dg))
+    return indices, values, tuple(skipped)
+
+
+def assert_curve_matches_reference(est, gt, segment_m=10.0):
+    curve = log_scale_curve(est, gt, segment_m)
+    indices, values, skipped = reference_log_scale_curve(est, gt, segment_m)
+    assert curve.segment_indices.dtype == np.int64 and curve.segment_indices.tolist() == indices
+    assert np.array_equal(curve.values, np.array(values, dtype=float))
+    assert curve.skipped == skipped and all(type(k) is int for k in curve.skipped)
+    return curve
+
+
+class TestLogScaleCurveMatchesReference:
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_bench_drive(self, bench_drive, seed):
+        gt, est = bench_drive(seed)
+        assert len(assert_curve_matches_reference(est, gt).values) > 100
+        assert_curve_matches_reference(est, gt, segment_m=0.5)
+
+    def test_returns_to_start_are_skipped(self):
+        # out and back inside segments on both sides, at different places
+        xs = [0, 1, 2, 3, 2, 1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]
+        poses = np.tile(np.eye(4), (len(xs), 1, 1))
+        poses[:, 0, 3] = xs
+        gt = Trajectory(np.arange(len(xs), dtype=float), poses)
+        est_poses = np.array(poses)
+        est_poses[6:12, 1, 3] = [0.0, 1.0, 2.0, 1.0, 0.0, 0.0]
+        est_poses[6:12, 0, 3] = 6.0
+        curve = assert_curve_matches_reference(Trajectory(gt.timestamps, est_poses), gt, segment_m=6.0)
+        assert curve.skipped == (0, 1)
 
 
 class TestScaleFromFirst10m:

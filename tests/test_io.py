@@ -20,7 +20,7 @@ from bevkit.errors import (
     ParseError,
     ShapeError,
 )
-from bevkit.evaluation import Trajectory, path_lengths
+from bevkit.evaluation import LogScaleCurve, Trajectory, log_scale_curve, path_lengths
 from bevkit.flow import FlowField, construct_flow_gt
 from bevkit.geometry import BevGridSpec, Pose2, Pose3, closest_rotation, pose2_to_pose3, wrap_angle
 from bevkit.io import (
@@ -53,7 +53,7 @@ from bevkit.io import (
     write_trajectory,
     write_tum_trajectory,
 )
-from bevkit.sampler import PairRecord, frames_from_trajectory
+from bevkit.sampler import PairRecord, build_pair_lists, frames_from_trajectory, merge_pair_lists
 
 
 def random_trajectory(n, seed):
@@ -273,6 +273,238 @@ class TestKittiMatchesReference:
                                             noise_yaw_deg=0.1, scale_drift=1.03))
         poses = assert_same_kitti_verdict(write_kitti_poses(est))
         assert np.array_equal(poses, est.poses)
+
+
+    @pytest.mark.parametrize("drift", ["drift-2.0e-9", "drift-1e-4+4ulp"])
+    @pytest.mark.parametrize("nan_first", [True, False])
+    def test_nan_rotation_entry_against_a_drifted_rotation(self, rotation_cases, drift, nan_first):
+        # the rotation judge sees only the rows before the first non-finite one
+        pair = [kitti_line(rotation_cases["nan"]), kitti_line(rotation_cases[drift])]
+        lines = [kitti_line(np.eye(3))] + (pair if nan_first else pair[::-1]) + [kitti_line(np.eye(3))]
+        want = assert_same_kitti_verdict("\n".join(lines) + "\n")
+        # a refused rotation on line 2 wins; a repaired one lets the NaN on line 3 through
+        assert want[2] == (3 if not nan_first and drift == "drift-2.0e-9" else 2)
+
+    def test_non_finite_line_before_a_field_error(self):
+        lines = [kitti_line(np.eye(3))] * 6
+        lines[2] = "1 0 0 inf 0 1 0 0 0 0 1 0"
+        lines[4] = "1 0 0 0 0 1 0 0 0 0 1"
+        assert assert_same_kitti_verdict("\n".join(lines) + "\n")[1:] == ("line 3: non-finite value", 3)
+        lines[2], lines[4] = lines[4], lines[2]
+        assert assert_same_kitti_verdict("\n".join(lines) + "\n")[1:] == ("line 3: expected 12 fields, got 11", 3)
+
+
+def reference_parse_quat_rows(text, sep, header):
+    """The per-line TUM/CSV reader the array checks replaced: finiteness, norm and order judged line by line."""
+    what = "fields" if sep is None else "comma-separated fields"
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is not None and lineno == 1 and line.lower().startswith(header):
+            continue
+        fields = [f.strip() for f in line.split(sep)]
+        if len(fields) != 8:
+            raise ParseError(f"expected 8 {what}, got {len(fields)}", line=lineno)
+        try:
+            values = [float(f) for f in fields]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError("non-finite value", line=lineno)
+        qnorm = math.sqrt(sum(v * v for v in values[4:]))
+        if abs(qnorm - 1.0) > 1e-4:
+            raise ParseError(f"quaternion norm {qnorm:.6f} not 1 within 0.0001", line=lineno)
+        if rows and values[0] <= rows[-1][0]:
+            raise ParseError(f"timestamp {values[0]!r} not strictly increasing", line=lineno)
+        rows.append(values)
+    if not rows:
+        raise ParseError("trajectory file contains no poses", line=1)
+    rows = np.array(rows)
+    poses = np.tile(np.eye(4), (len(rows), 1, 1))
+    poses[:, :3, :3] = quat_to_matrix(rows[:, 4:])
+    poses[:, :3, 3] = rows[:, 1:4]
+    return Trajectory(rows[:, 0], poses)
+
+
+QUAT_PARSERS = {"tum": (parse_tum_trajectory, None, None), "csv": (parse_csv_trajectory, ",", "timestamp")}
+
+
+def assert_same_quat_verdict(fmt, text):
+    """parse_{tum,csv}_trajectory and the reference agree: the same poses and stamps, or the same error.
+
+    ``text`` is space-separated; for CSV every space becomes a comma.
+    """
+    parse, sep, header = QUAT_PARSERS[fmt]
+    if fmt == "csv":
+        text = text.replace(" ", ",")
+    verdicts = []
+    for reader in (parse, lambda t: reference_parse_quat_rows(t, sep, header)):
+        try:
+            traj = reader(text)
+            verdicts.append((traj.timestamps, traj.poses))
+        except ParseError as exc:
+            verdicts.append((type(exc), str(exc), exc.line))
+    got, want = verdicts
+    if isinstance(want[0], np.ndarray):
+        assert isinstance(got[0], np.ndarray)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    else:
+        assert got == want
+    return want
+
+
+class TestQuatParsersMatchReference:
+    @pytest.mark.parametrize("fmt", ["tum", "csv"])
+    @pytest.mark.parametrize("third, fifth, want", [
+        ("2.0 inf 0 0 0 0 0 1", "4.0 0 0 0 0 0 1", "line 3: non-finite value"),
+        ("2.0 0 0 0 0 0 1", "4.0 inf 0 0 0 0 0 1", "line 3: expected 8"),
+    ])
+    def test_first_bad_line_wins_whatever_its_kind(self, fmt, third, fifth, want):
+        lines = [f"{k}.0 0 0 0 0 0 0 1" for k in range(6)]
+        lines[2], lines[4] = third, fifth
+        assert assert_same_quat_verdict(fmt, "\n".join(lines) + "\n")[1].startswith(want)
+
+    @pytest.mark.parametrize("fmt", ["tum", "csv"])
+    def test_bad_quaternion_and_order_on_one_line(self, fmt):
+        want = assert_same_quat_verdict(fmt, "1.0 0 0 0 0 0 0 1\n0.5 0 0 0 0 0 0 2\n")
+        assert want[1:] == ("line 2: quaternion norm 2.000000 not 1 within 0.0001", 2)
+
+    @pytest.mark.parametrize("fmt", ["tum", "csv"])
+    def test_non_finite_before_bad_quaternion_on_one_line(self, fmt):
+        want = assert_same_quat_verdict(fmt, "1.0 0 0 0 0 0 0 1\n0.5 0 0 0 0 nan 0 2\n")
+        assert want[1:] == ("line 2: non-finite value", 2)
+
+    @pytest.mark.parametrize("fmt", ["tum", "csv"])
+    def test_non_numeric_field_after_valid_ones(self, fmt):
+        # a row converts in full or not at all: no partial row is kept
+        want = assert_same_quat_verdict(fmt, "# x\n1.0 0 0 0 0 0 0 1\n2.0 0 0 0 0 0 0 x\n")
+        assert want[2] == 3 and "non-numeric field" in want[1]
+
+    def test_order_error_names_the_timestamp(self):
+        text = "# hdr\n\n1.0 0 0 0 0 0 0 1\n1.0 1 0 0 0 0 0 1\n"
+        assert assert_same_quat_verdict("tum", text)[1:] == ("line 4: timestamp 1.0 not strictly increasing", 4)
+
+    @pytest.mark.parametrize("fmt", ["tum", "csv"])
+    def test_shuffled_good_and_bad_lines(self, fmt):
+        lines = [f"{k}.0 {k} 0 0 0 0 0 1" for k in range(8)] + [
+            "9.0 0 0 0 0 0 0 1.5", "9.5 0 0 nan 0 0 0 1", "1 2 3", "10.0 0 0 0 0 0 0 y", "", "# c",
+            "1e308 0 0 0 1e200 1e200 0 0"]
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            order = rng.permutation(len(lines))
+            assert_same_quat_verdict(fmt, "\n".join(lines[k] for k in order) + "\n")
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["0", "1", "-1", "0.5", "1.00005", "2", "-0.0", "nan", "inf", "-inf",
+                                              "1e308", "5e-324", "x", ""]), min_size=7, max_size=9), max_size=6))
+    def test_random_rows(self, rows):
+        text = "\n".join(" ".join(row) for row in rows)
+        assert_same_quat_verdict("tum", text)
+        assert_same_quat_verdict("csv", text)
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_bench_drive(self, bench_drive, seed):
+        _, est = bench_drive(seed)
+        assert_same_quat_verdict("tum", write_tum_trajectory(est))
+        assert_same_quat_verdict("csv", write_csv_trajectory(est))
+        assert_same_kitti_verdict(write_kitti_poses(est))
+
+
+def reference_write_kitti_poses(traj):
+    lines = []
+    for pose in traj.poses:
+        lines.append(" ".join(f"{v:.17g}" for v in pose[:3, :4].reshape(-1)))
+    return "\n".join(lines) + "\n"
+
+
+def reference_write_quat_rows(traj, sep, header):
+    lines = [] if header is None else [header]
+    for t, pos, q in zip(traj.timestamps, traj.positions, matrix_to_quat(traj.poses[:, :3, :3])):
+        lines.append(sep.join([f"{t:.9f}"] + [f"{v:.17g}" for v in (*pos, *q)]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_write_pairs_csv(records):
+    lines = ["anchor_id,partner_id,yaw_diff_deg,displacement_m"]
+    for r in records:
+        lines.append(f"{r.anchor_id},{r.partner_id},{r.yaw_diff_deg:.17g},{r.displacement_m:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_write_flow_csv(flow):
+    lines = ["u,v,du,dv"]
+    for v in range(flow.grid.height_px):
+        for u in range(flow.grid.width_px):
+            lines.append(f"{u},{v},{flow.data[0][v, u]:.17g},{flow.data[1][v, u]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_write_scale_curve_csv(curve):
+    lines = ["segment_index,log2_scale"]
+    for idx, val in zip(curve.segment_indices, curve.values):
+        lines.append(f"{int(idx)},{val:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got, want):
+    """Byte equality; a failure names the first differing line instead of diffing megabytes."""
+    if got != want:
+        got_lines, want_lines = got.split("\n"), want.split("\n")
+        k = next((k for k, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+                 min(len(got_lines), len(want_lines)))
+        pytest.fail(f"line {k + 1}: {got_lines[k:k + 1]!r} != {want_lines[k:k + 1]!r}")
+
+
+def assert_trajectory_text_matches_reference(traj):
+    assert_same_text(write_kitti_poses(traj), reference_write_kitti_poses(traj))
+    assert_same_text(write_tum_trajectory(traj), reference_write_quat_rows(traj, " ", None))
+    assert_same_text(write_csv_trajectory(traj), reference_write_quat_rows(traj, ",", "timestamp,tx,ty,tz,qx,qy,qz,qw"))
+
+
+# zeros of both signs, the least subnormal, the largest float, integer-valued
+# floats and the first integers a double cannot all hold (1e16 and 1e17 print
+# with and without an exponent under %.17g)
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               3.0, -42.0, 1e16, 1e17, -1e16, 0.1, 1 / 3]
+
+
+class TestWritersMatchReference:
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_bench_drive(self, bench_drive, seed):
+        gt, est = bench_drive(seed)
+        assert_trajectory_text_matches_reference(est)
+        assert_trajectory_text_matches_reference(gt)
+        frames = frames_from_trajectory(gt.timestamps, gt.poses)
+        pool = merge_pair_lists(build_pair_lists(frames, 1.0, 4.0, 15.0, 45.0))
+        records = pool.high + pool.standard
+        assert len(records) > 1000
+        assert_same_text(write_pairs_csv(records), reference_write_pairs_csv(records))
+        curve = log_scale_curve(est, gt)
+        assert_same_text(write_scale_curve_csv(curve), reference_write_scale_curve_csv(curve))
+
+    def test_edge_values(self):
+        n = len(EDGE_VALUES)
+        poses = np.tile(np.eye(4), (n, 1, 1))
+        poses[:, :3, 3] = np.stack([EDGE_VALUES, EDGE_VALUES[::-1], np.roll(EDGE_VALUES, 3)], axis=1)
+        poses[:, 0, 1] = poses[:, 1, 0] = -0.0  # a rotation with signed zeros
+        stamps = np.array([-1e17, -1e16, -42.0, -0.0, 5e-324, 0.1, 1 / 3, 3.0, 1e16, 1e17, 1e300, 1e307,
+                           1.7976931348623157e308])
+        assert_trajectory_text_matches_reference(Trajectory(stamps, poses))
+        records = [PairRecord(k, n - k, a, b) for k, (a, b) in enumerate(zip(EDGE_VALUES, EDGE_VALUES[::-1]))]
+        assert_same_text(write_pairs_csv(records), reference_write_pairs_csv(records))
+        curve = LogScaleCurve(np.arange(n) * 3, np.array(EDGE_VALUES), ())
+        assert_same_text(write_scale_curve_csv(curve), reference_write_scale_curve_csv(curve))
+        flow = FlowField(np.reshape(EDGE_VALUES[:12] * 2, (2, 3, 4)), BevGridSpec(3, 4, 0.5))
+        assert_same_text(write_flow_csv(flow), reference_write_flow_csv(flow))
+
+    def test_flow_of_a_motion(self):
+        flow = construct_flow_gt(Pose2(0.3, 1.25, -0.5), BevGridSpec(16, 24, 0.8))
+        assert_same_text(write_flow_csv(flow), reference_write_flow_csv(flow))
+
+    def test_no_pairs(self):
+        assert write_pairs_csv([]) == reference_write_pairs_csv([]) == "anchor_id,partner_id,yaw_diff_deg,displacement_m\n"
 
 
 class TestKittiFormat:

@@ -353,6 +353,18 @@ class TestBuildPairListsMatchesReference:
             lists = build_pair_lists(frames, max_disp_m=math.inf)
         assert [r.displacement_m for r in lists[0].standard] == [math.inf]
 
+    @pytest.mark.parametrize("yaw", [0.0, 0.3])
+    def test_products_leaving_the_float_range_mine_without_warnings(self, yaw):
+        # the suite's "error" warning filter turns a numpy RuntimeWarning into a failure
+        frames = [FrameIndex(id=k, timestamp=float(k), pose=Pose3.from_rt(rot_z(yaw * k), [x, 0.0, 0.0]))
+                  for k, x in enumerate((-1e308, 1e308, 1e308))]
+        kept = build_pair_lists(frames, max_disp_m=math.inf, high_deg=math.inf)
+        records = [r for lists in kept.values() for r in lists.high + lists.standard]
+        assert {(r.anchor_id, r.partner_id) for r in records if r.displacement_m == 0.0} == {(1, 2), (2, 1)}
+        assert all(r.displacement_m == math.inf for r in records if {r.anchor_id, r.partner_id} != {1, 2})
+        assert all(math.isfinite(r.yaw_diff_deg) for r in records)
+        assert sum(len(lists) for lists in build_pair_lists(frames).values()) == 2
+
     def test_infinite_thresholds(self):
         frames = make_frames([(0.5 * k, 0.4 * k, 3.0 * k, 0.0) for k in range(10)])
         got = assert_matches_reference(frames, window_s=math.inf, max_disp_m=math.inf, high_deg=math.inf)
