@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import split_run
 from .errors import ShapeError
 
 _BRANCHES = ("PV", "BEV")
@@ -32,7 +33,9 @@ class FeatureMap:
     branch: str | None = None
 
     def __post_init__(self):
-        d = np.array(self.data, dtype=float)
+        # C order: einsum sums in an order set by the memory layout, so a
+        # Fortran-ordered copy would give other correlation bits
+        d = np.array(self.data, dtype=float, order="C")
         if d.ndim != 3:
             raise ShapeError(f"feature map must have shape (C, H, W), got {d.shape}")
         if min(d.shape) < 1:
@@ -124,7 +127,8 @@ def local_correlation(
     Output channel ``channel_index(dx, dy, radius)`` at pixel (x, y) holds
     sum_c f_t[c, x, y] * f_t1[c, x + dx, y + dy], zero where the shifted
     sample falls outside the map.  ``normalize`` divides by the channel
-    count C (off by default: raw inner products).
+    count C (off by default: raw inner products).  The shifts are split
+    across one thread per usable CPU; the bits do not depend on how many.
     """
     if f_t.data.shape != f_t1.data.shape:
         raise ShapeError(
@@ -142,11 +146,16 @@ def local_correlation(
     ph, pw = min(radius, h), min(radius, w)
     padded = np.pad(f_t1.data, ((0, 0), (ph, ph), (pw, pw)))
     out = np.zeros((side * side, h, w))
-    for k in range(side * side):
-        dx, dy = channel_offset(k, radius)
-        if abs(dx) <= ph and abs(dy) <= pw:
-            window = padded[:, ph + dx : ph + dx + h, pw + dy : pw + dy + w]
-            out[k] = np.einsum("chw,chw->hw", f_t.data, window)
+
+    def shifts(ks):
+        for k in ks:
+            dx, dy = channel_offset(k, radius)
+            if abs(dx) <= ph and abs(dy) <= pw:
+                window = padded[:, ph + dx : ph + dx + h, pw + dy : pw + dy + w]
+                out[k] = np.einsum("chw,chw->hw", f_t.data, window)
+
+    # each shift writes its own channel
+    split_run(shifts, side * side)
     if normalize:
         out /= c
     return CorrelationVolume._adopt(out, radius)

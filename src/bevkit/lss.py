@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import split_run
 from .correlation import FeatureMap
 from .errors import InvalidCameraError, ShapeError
 from .geometry import BevGridSpec, CameraModel, _xy_to_pixel
@@ -190,18 +191,24 @@ def _pool(plan: SplatAssignment, grid: BevGridSpec, features: np.ndarray, index:
 
     ``index`` and ``scale`` give one entry per in-grid point, in the order
     of ``plan.points``.  One ``np.bincount`` per channel adds the points in
-    (depth, row, column) order, so results are bitwise reproducible.
+    (depth, row, column) order, so results are bitwise reproducible; the
+    channels are split across one thread per usable CPU, each writing its
+    own rows, which leaves the bits as they are.
     Returns (bev, dropped) with bev a C-contiguous (C, grid H, grid W) array.
     """
     n = grid.height_px * grid.width_px
     bev = np.empty((features.shape[0], n))
-    weights = np.empty(index.size)
-    for c, row in enumerate(features):
-        # every index is in range; mode="clip" skips the buffered bounds check
-        np.take(row, index, out=weights, mode="clip")
-        if scale is not None:
-            np.multiply(weights, scale, out=weights)
-        bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
+
+    def channels(cs):
+        weights = np.empty(index.size)  # one buffer per slice: slices run concurrently
+        for c in cs:
+            # every index is in range; mode="clip" skips the buffered bounds check
+            np.take(features[c], index, out=weights, mode="clip")
+            if scale is not None:
+                np.multiply(weights, scale, out=weights)
+            bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
+
+    split_run(channels, features.shape[0])
     return bev.reshape(features.shape[0], grid.height_px, grid.width_px), plan.dropped
 
 

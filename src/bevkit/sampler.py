@@ -96,7 +96,9 @@ def build_pair_lists(
     The relative pose of a pair is the one :func:`relative_pose` gives,
     computed for blocks of candidates at once with the same bits; a pair
     whose product leaves the float range, which ``relative_pose`` refuses,
-    is kept with an infinite displacement when ``max_disp_m`` is inf.
+    is kept with an infinite displacement when ``max_disp_m`` is inf; an
+    anchor whose inverse leaves the float range pairs with nothing, since
+    none of its pairs has a yaw.
 
     Args:
         frames: posed frames with nondecreasing timestamps.
@@ -122,11 +124,16 @@ def build_pair_lists(
 
     ids = [f.id for f in frames]
     poses = np.stack([f.pose.matrix for f in frames])
-    inverses = invert_rigid(poses)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverses = invert_rigid(poses)
     # candidate c of anchor i is frame lo[i] + c - starts[i]; the anchor
     # itself is one of its own candidates and is dropped below
     lo = np.searchsorted(times, times - window_s, side="left")
     hi = np.searchsorted(times, times + window_s, side="right")
+    # an anchor inverse past the float range gets no candidates: inf * 0
+    # makes the rotation block of each of its products NaN, so no pair of it
+    # has a yaw, and relative_pose refuses them all
+    hi = np.where(np.all(np.isfinite(inverses[:, :3, 3]), axis=1), hi, lo)
     starts = np.concatenate([[0], np.cumsum(hi - lo)])
     per_anchor = [PairLists() for _ in frames]
     for first in range(0, int(starts[-1]), _BLOCK):

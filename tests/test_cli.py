@@ -653,6 +653,33 @@ class TestTopLevel:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_import_does_not_load_concurrent_futures(self):
+        # the per-CPU split uses threading; concurrent.futures would add to every start-up
+        proc = run_fresh_python("-c", "import sys, bevkit.cli; print('concurrent.futures' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_correlate_pinned_to_one_cpu_writes_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(97)
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.bvt1").write_bytes(write_bvt1(rng.normal(size=(16, 40, 40)).astype(np.float32)))
+        pinned = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "assert len(os.sched_getaffinity(0)) == 1\n"
+            "from bevkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        outs = {}
+        for label, prefix in (("pinned", ("-c", pinned)), ("free", ("-m", "bevkit.cli"))):
+            outs[label] = tmp_path / f"vol_{label}.bvt1"
+            proc = run_fresh_python(*prefix, "correlate", "--a", str(tmp_path / "a.bvt1"),
+                                    "--b", str(tmp_path / "b.bvt1"), "--radius", "3", "--out", str(outs[label]))
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+        assert outs["pinned"].read_bytes() == outs["free"].read_bytes()
+
     def test_missing_input_file_fails(self, tmp_path, config_path, capsys):
         code, _, err = run_cli(
             ["pose-from-flow", "--flow", str(tmp_path / "nope.bvt1"), "--config", config_path],

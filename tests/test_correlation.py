@@ -135,7 +135,8 @@ class TestLocalCorrelation:
         f = rng.standard_normal((64, 48, 48))
         g = rng.standard_normal((64, 48, 48))
         ref = local_correlation(FeatureMap(f), FeatureMap(g), 3).data
-        for a, b in ((channel_last(f), channel_last(g)), (f, channel_last(g)), (channel_last(f), g)):
+        for a, b in ((channel_last(f), channel_last(g)), (f, channel_last(g)), (channel_last(f), g),
+                     (np.asfortranarray(f), np.asfortranarray(g))):
             assert not (a.flags.c_contiguous and b.flags.c_contiguous)
             vol = local_correlation(FeatureMap(a), FeatureMap(b), 3).data
             assert np.array_equal(vol, ref)

@@ -1,6 +1,7 @@
 """Tests for rotation-aware pair mining and sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,38 @@ class TestBuildPairListsMatchesReference:
         assert all(r.displacement_m == math.inf for r in records if {r.anchor_id, r.partner_id} != {1, 2})
         assert all(math.isfinite(r.yaw_diff_deg) for r in records)
         assert sum(len(lists) for lists in build_pair_lists(frames).values()) == 2
+
+    def test_anchor_whose_inverse_overflows_has_no_pairs(self, capfd):
+        # R^T t of a 45 degree frame at (-1.7e308, -1.7e308) overflows; inf * 0
+        # then makes every product with that anchor's inverse a NaN rotation,
+        # whose yaw is not a number, so those pairs are dropped without a warning
+        frames = [FrameIndex(id=0, timestamp=0.0, pose=Pose3.from_rt(rot_z(math.pi / 4), [-1.7e308, -1.7e308, 0.0]))]
+        frames += [FrameIndex(id=k, timestamp=float(k), pose=Pose3.identity()) for k in (1, 2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept = build_pair_lists(frames, max_disp_m=math.inf, high_deg=math.inf)
+        assert kept[0] == PairLists()
+        for anchor, other in ((1, 2), (2, 1)):
+            assert kept[anchor].high == [PairRecord(anchor, 0, 45.0, math.inf)]
+            assert kept[anchor].standard == [PairRecord(anchor, other, 0.0, 0.0)]
+        assert capfd.readouterr() == ("", "")
+
+    def test_anchor_whose_inverse_overflows_in_height_has_no_pairs(self, capfd):
+        # pitched 45 degrees at (-1.7e308, 0, -1.7e308): only the height of R^T t
+        # overflows, so the yaw of its products is a number but their rotation
+        # blocks hold a NaN row, which relative_pose refuses
+        c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+        pitch = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+        frames = [FrameIndex(id=0, timestamp=0.0, pose=Pose3.from_rt(pitch, [-1.7e308, 0.0, -1.7e308]))]
+        frames += [FrameIndex(id=k, timestamp=float(k), pose=Pose3.identity()) for k in (1, 2)]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            relative_pose(frames[0].pose, frames[1].pose)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept = build_pair_lists(frames, max_disp_m=math.inf, high_deg=math.inf)
+        assert kept[0] == PairLists()
+        assert [[r.partner_id for r in kept[k].standard] for k in (1, 2)] == [[0, 2], [0, 1]]
+        assert capfd.readouterr() == ("", "")
 
     def test_infinite_thresholds(self):
         frames = make_frames([(0.5 * k, 0.4 * k, 3.0 * k, 0.0) for k in range(10)])
