@@ -39,39 +39,27 @@ def _log(message: str):
     print(f"bevkit: {message}", file=sys.stderr)
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text()
-
-
-def _read_bytes(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _load_config(path: str | None) -> bevio.PipelineConfig:
     if path is None:
         return bevio.default_config()
-    return bevio.parse_config(_read_text(path))
+    return bevio.parse_config(Path(path).read_text())
 
 
-def _load_trajectory(path: str, fmt: str):
-    return bevio.parse_trajectory(_read_text(path), fmt)
-
-
-def _parse_pose_arg(text: str) -> Pose2:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"--pose needs 'theta,tx,ty', got {text!r}")
-    theta, tx, ty = (float(p) for p in parts)
-    return Pose2(theta, tx, ty)
+def _option_row(option: str, text: str, count: int | None, kind: type = float) -> list:
+    """The numbers of a comma-separated option value, read as one row by the text formats' row reader."""
+    rows, _, failure = bevio._read_rows([(None, text)], bevio._Rows(count, ",", kind, blank="empty value"))
+    if failure is not None:
+        raise ValueError(f"{option}: {failure}")
+    return rows[0]
 
 
 def _cmd_flow_make(args) -> int:
     cfg = _load_config(args.config)
     if args.pose is not None:
-        pose = _parse_pose_arg(args.pose)
+        pose = Pose2(*_option_row("--pose", args.pose, 3))
     else:
-        traj = _load_trajectory(args.rel_from, args.format)
-        i, j = (int(x) for x in args.indices.split(","))
+        traj = bevio.parse_trajectory(Path(args.rel_from).read_text(), args.format)
+        i, j = _option_row("--indices", args.indices, 2, int)
         n = len(traj)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"indices ({i}, {j}) out of range for {n} frames")
@@ -98,16 +86,16 @@ def _cmd_flow_make(args) -> int:
 
 def _cmd_pose_from_flow(args) -> int:
     cfg = _load_config(args.config)
-    flow = bevio.flow_from_bvt1(_read_bytes(args.flow), cfg.grid)
-    weights = None if args.weights is None else bevio.read_bvt1(_read_bytes(args.weights))
+    flow = bevio.flow_from_bvt1(Path(args.flow).read_bytes(), cfg.grid)
+    weights = None if args.weights is None else bevio.read_bvt1(Path(args.weights).read_bytes())
     pose = solve_pose_from_flow(flow, weights)
     _emit({"theta": pose.theta, "tx": pose.tx, "ty": pose.ty})
     return 0
 
 
 def _cmd_eval_traj(args) -> int:
-    est = _load_trajectory(args.est, args.format)
-    gt = _load_trajectory(args.gt, args.format)
+    est = bevio.parse_trajectory(Path(args.est).read_text(), args.format)
+    gt = bevio.parse_trajectory(Path(args.gt).read_text(), args.format)
     if len(est) != len(gt) or not np.array_equal(est.timestamps, gt.timestamps):
         pairs = bevio.associate_by_timestamp(est.timestamps, gt.timestamps, args.max_dt)
         if len(pairs) < 2:
@@ -120,9 +108,7 @@ def _cmd_eval_traj(args) -> int:
         est = Trajectory(est.timestamps[ei], est.poses[ei])
         gt = Trajectory(gt.timestamps[gi], gt.poses[gi])
         _log(f"associated {len(pairs)} frame pairs by timestamp")
-    lengths = DEFAULT_SEGMENT_LENGTHS_M
-    if args.lengths:
-        lengths = tuple(float(x) for x in args.lengths.split(","))
+    lengths = tuple(_option_row("--lengths", args.lengths, None)) if args.lengths else DEFAULT_SEGMENT_LENGTHS_M
     report = evaluate_trajectories(
         est,
         gt,
@@ -154,7 +140,7 @@ def _cmd_sample_pairs(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
     cfg = _load_config(args.config)
-    traj = _load_trajectory(args.traj, args.format)
+    traj = bevio.parse_trajectory(Path(args.traj).read_text(), args.format)
     frames = frames_from_trajectory(traj.timestamps, traj.poses)
     per_anchor = build_pair_lists(
         frames,
@@ -182,12 +168,12 @@ def _cmd_sample_pairs(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    a = bevio.read_bvt1(_read_bytes(args.a)).astype(float)
-    b = bevio.read_bvt1(_read_bytes(args.b)).astype(float)
+    a = bevio.read_bvt1(Path(args.a).read_bytes())
+    b = bevio.read_bvt1(Path(args.b).read_bytes())
     vol_a = local_correlation(FeatureMap(a), FeatureMap(b), args.radius, normalize=args.normalize)
     out_data = vol_a.data
     if args.concat_with is not None:
-        extra = bevio.read_bvt1(_read_bytes(args.concat_with)).astype(float)
+        extra = bevio.read_bvt1(Path(args.concat_with).read_bytes())
         side_sq = extra.shape[0]
         side = int(round(side_sq ** 0.5))
         if side * side != side_sq:
@@ -200,8 +186,8 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_lss_project(args) -> int:
     cfg = _load_config(args.config)
-    feats = bevio.read_bvt1(_read_bytes(args.features)).astype(float)
-    depth = bevio.read_bvt1(_read_bytes(args.depth)).astype(float)
+    feats = bevio.read_bvt1(Path(args.features).read_bytes())
+    depth = bevio.read_bvt1(Path(args.depth).read_bytes())
     if depth.shape[0] != cfg.depth_bins.size:
         raise ShapeError(
             f"depth has {depth.shape[0]} bins but config declares {cfg.depth_bins.size}"
@@ -221,7 +207,7 @@ def _cmd_lss_project(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = bevio.parse_synth_spec(_read_text(args.spec))
+    spec = bevio.parse_synth_spec(Path(args.spec).read_text())
     if args.seed is not None:
         from dataclasses import replace
 
@@ -252,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--pose", help="relative motion as 'theta,tx,ty' (radians, meters)")
     src.add_argument("--rel-from", help="trajectory file; motion comes from a frame pair")
     p.add_argument("--indices", default="0,1", help="frame pair 'i,j' for --rel-from")
-    p.add_argument("--format", default="tum", choices=("kitti", "tum", "csv"))
+    p.add_argument("--format", default="tum", choices=tuple(bevio.TRAJECTORY_FORMATS))
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out", required=True, help="output flow tensor (BVT1)")
     p.set_defaults(func=_cmd_flow_make)
@@ -266,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-traj", help="trajectory metrics against ground truth")
     p.add_argument("--est", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--format", default="tum", choices=("kitti", "tum", "csv"))
+    p.add_argument("--format", default="tum", choices=tuple(bevio.TRAJECTORY_FORMATS))
     p.add_argument("--align", default="se3", choices=("se3", "sim3"))
     p.add_argument("--lengths", help="comma-separated segment lengths in meters")
     p.add_argument("--stride", type=int, default=1, help="start-frame stride")
@@ -287,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-pairs", help="draw rotation-balanced training pairs")
     p.add_argument("--traj", required=True)
-    p.add_argument("--format", default="tum", choices=("kitti", "tum", "csv"))
+    p.add_argument("--format", default="tum", choices=tuple(bevio.TRAJECTORY_FORMATS))
     p.add_argument("--config", help="pipeline config JSON (sampler thresholds)")
     p.add_argument("--out", required=True, help="output pairs CSV")
     p.add_argument("--seed", type=int, default=0)
@@ -314,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic drive and corrupted estimate")
     p.add_argument("--spec", required=True, help="synth spec JSON")
     p.add_argument("--seed", type=int, help="override the spec's noise seed")
-    p.add_argument("--format", default="tum", choices=("kitti", "tum", "csv"))
+    p.add_argument("--format", default="tum", choices=tuple(bevio.TRAJECTORY_FORMATS))
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-est", required=True)
     p.set_defaults(func=_cmd_synth)

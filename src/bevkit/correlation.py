@@ -15,22 +15,15 @@ import numpy as np
 from ._threads import split_run
 from .errors import ShapeError
 
-_BRANCHES = ("PV", "BEV")
 # Largest volume local_correlation builds, in entries (1 GiB of float64).
 _MAX_VOLUME_ENTRIES = 2**27
 
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """A dense feature map of shape (C, H, W) with optional metadata.
-
-    ``frame`` tags the source frame index, ``branch`` tags which stream
-    produced it ("PV" for perspective view, "BEV" for bird's-eye view).
-    """
+    """A dense feature map of shape (C, H, W)."""
 
     data: np.ndarray
-    frame: int | None = None
-    branch: str | None = None
 
     def __post_init__(self):
         # C order: einsum sums in an order set by the memory layout, so a
@@ -42,8 +35,6 @@ class FeatureMap:
             raise ShapeError(f"feature map dimensions must be >= 1, got {d.shape}")
         if not np.all(np.isfinite(d)):
             raise ValueError("feature map contains non-finite entries")
-        if self.branch is not None and self.branch not in _BRANCHES:
-            raise ValueError(f"branch must be one of {_BRANCHES}, got {self.branch!r}")
         d.flags.writeable = False
         object.__setattr__(self, "data", d)
 

@@ -6,6 +6,10 @@ Text trajectory formats:
 * TUM: ``timestamp tx ty tz qx qy qz qw`` per line, ``#`` comments.
 * CSV: the TUM fields, comma-separated, with an optional header line.
 
+Every text input goes through one row reader, whose number rule refuses a
+field that is not ASCII or holds ``_`` (``1_5``, ``١٢``) before ``float()``
+or ``int()`` sees it.
+
 Binary tensors travel in a tiny container: magic ``BVT1``, then a u32
 little-endian rank, rank u32 dims, and a row-major float32 payload.  The
 byte length must match the header exactly.
@@ -18,8 +22,8 @@ import math
 import numbers
 import struct
 import sys
-from array import array
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -56,15 +60,74 @@ _BVT1_MAGIC = b"BVT1"
 
 
 # ---------------------------------------------------------------------------
+# text rows
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """How a text input cuts into rows of numbers."""
+
+    count: int | None  # fields in a row; None takes any number
+    sep: str | None = None  # None splits on whitespace
+    kinds: type | tuple = float  # the converter of every field, or one per field
+    comments: bool = False  # skip lines starting with "#"
+    header: str = ""  # skip a first line starting with this, in any case
+    blank: str = ""  # the refusal of a blank line; empty skips blank lines
+    bad: str = "non-numeric field"  # what a conversion failure is called
+
+
+# what float() and int() say of a string outside their grammar
+_NOT_A_NUMBER = {float: "could not convert string to float: {!r}", int: "invalid literal for int() with base 10: {!r}"}
+
+
+def _read_number(kind: type, field: str):
+    """``kind(field)`` for an ASCII field without ``_``; ``1_5`` or ``١٢`` fails as ``x`` does."""
+    if field.isascii() and "_" not in field:
+        return kind(field)
+    raise ValueError(_NOT_A_NUMBER[kind].format(field))
+
+
+def _read_rows(lines, spec: _Rows) -> tuple[list[list], list, ParseError | None]:
+    """The rows of numbers in ``lines``, (line number, text) pairs, cut as ``spec`` says.
+
+    Returns the rows before the first bad line, their line numbers, and
+    that line's ParseError or None.  A caller judges the rows first, so an
+    earlier row's bad value is reported before a later line's field error.
+    """
+    uniform = isinstance(spec.kinds, type)
+    per_field = repeat(spec.kinds) if uniform else spec.kinds
+    what = "fields" if spec.sep is None else "comma-separated fields"
+    rows, linenos = [], []
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line and spec.blank:
+            return rows, linenos, ParseError(spec.blank, line=lineno)
+        if not line or spec.comments and line.startswith("#"):
+            continue
+        if spec.header and lineno == 1 and line.lower().startswith(spec.header):
+            continue
+        fields = line.split(spec.sep)
+        if spec.sep is not None:
+            fields = [f.strip() for f in fields]
+        if spec.count is not None and len(fields) != spec.count:
+            return rows, linenos, ParseError(f"expected {spec.count} {what}, got {len(fields)}", line=lineno)
+        try:
+            if uniform and line.isascii() and "_" not in line:
+                rows.append(list(map(spec.kinds, fields)))  # every field passes the rule
+            else:
+                rows.append(list(map(_read_number, per_field, fields)))
+        except ValueError as exc:
+            return rows, linenos, ParseError(f"{spec.bad}: {exc}", line=lineno)
+        linenos.append(lineno)
+    return rows, linenos, None
+
+
+# ---------------------------------------------------------------------------
 # trajectory text formats
 
-
-def _parse_floats(fields: list[str], lineno: int) -> list[float]:
-    """The fields of one line as floats, all of them or a ParseError; finiteness is judged later, per array."""
-    try:
-        return list(map(float, fields))
-    except ValueError as exc:
-        raise ParseError(f"non-numeric field: {exc}", line=lineno) from None
+_KITTI_ROWS = _Rows(12, blank="blank line in pose file")
+_TUM_ROWS = _Rows(8, comments=True)
+_CSV_ROWS = _Rows(8, ",", comments=True, header="timestamp")
 
 
 def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajectory:
@@ -79,20 +142,8 @@ def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajec
             or a non-orthonormal rotation; the message names the first
             bad line.
     """
-    values, failure = array("d"), None  # 8 bytes a value, not a float object
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        fields = line.split()
-        try:
-            if not line:
-                raise ParseError("blank line in pose file", line=lineno)
-            if len(fields) != 12:
-                raise ParseError(f"expected 12 fields, got {len(fields)}", line=lineno)
-            values.extend(_parse_floats(fields, lineno))
-        except ParseError as exc:
-            failure = exc  # reported unless an earlier line's rotation is bad
-            break
-    rows = np.frombuffer(values).reshape(-1, 12)
+    values, _, failure = _read_rows(enumerate(text.splitlines(), start=1), _KITTI_ROWS)
+    rows = np.array(values, dtype=float).reshape(-1, 12)
     nonfinite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if nonfinite.size:
         # a line before any field error; the rotation judge sees only the
@@ -163,30 +214,10 @@ def matrix_to_quat(rot: np.ndarray) -> np.ndarray:
     return q / np.linalg.norm(q, axis=-1, keepdims=True)
 
 
-def _parse_quat_rows(text: str, sep: str | None, header: str | None) -> Trajectory:
-    """Parse ``timestamp tx ty tz qx qy qz qw`` rows split on ``sep``.
-
-    ``sep`` None splits on whitespace.  Blank lines and ``#`` comments
-    are skipped, and so is a first line starting with ``header``.
-    """
-    what = "fields" if sep is None else "comma-separated fields"
-    values, linenos, failure = array("d"), [], None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is not None and lineno == 1 and line.lower().startswith(header):
-            continue
-        fields = [f.strip() for f in line.split(sep)]
-        try:
-            if len(fields) != 8:
-                raise ParseError(f"expected 8 {what}, got {len(fields)}", line=lineno)
-            values.extend(_parse_floats(fields, lineno))
-        except ParseError as exc:
-            failure = exc  # reported unless an earlier row fails a value check
-            break
-        linenos.append(lineno)
-    rows = np.frombuffer(values).reshape(-1, 8)
+def _parse_quat_rows(text: str, spec: _Rows) -> Trajectory:
+    """Parse ``timestamp tx ty tz qx qy qz qw`` rows cut as ``spec`` says."""
+    values, linenos, failure = _read_rows(enumerate(text.splitlines(), start=1), spec)
+    rows = np.array(values, dtype=float).reshape(-1, 8)
     # the value checks, each over all rows: the first failing row wins, and
     # within a row non-finite goes before the quaternion norm before the order
     finite = np.isfinite(rows).all(axis=1)
@@ -233,7 +264,7 @@ def parse_tum_trajectory(text: str) -> Trajectory:
     Raises:
         ParseError: malformed content; the message names the line.
     """
-    return _parse_quat_rows(text, None, None)
+    return _parse_quat_rows(text, _TUM_ROWS)
 
 
 def write_tum_trajectory(traj: Trajectory) -> str:
@@ -247,7 +278,7 @@ def parse_csv_trajectory(text: str) -> Trajectory:
     An optional first header line (starting with ``timestamp`` or ``#``)
     is skipped.
     """
-    return _parse_quat_rows(text, ",", "timestamp")
+    return _parse_quat_rows(text, _CSV_ROWS)
 
 
 def write_csv_trajectory(traj: Trajectory) -> str:
@@ -266,35 +297,29 @@ def _format_rows(fmt: str, rows, header: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TRAJECTORY_PARSERS = {
-    "kitti": parse_kitti_poses,
-    "tum": parse_tum_trajectory,
-    "csv": parse_csv_trajectory,
+# format name -> (parser, writer)
+TRAJECTORY_FORMATS = {
+    "kitti": (parse_kitti_poses, write_kitti_poses),
+    "tum": (parse_tum_trajectory, write_tum_trajectory),
+    "csv": (parse_csv_trajectory, write_csv_trajectory),
 }
 
-_TRAJECTORY_WRITERS = {
-    "kitti": write_kitti_poses,
-    "tum": write_tum_trajectory,
-    "csv": write_csv_trajectory,
-}
+
+def _trajectory_format(fmt: str):
+    try:
+        return TRAJECTORY_FORMATS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown trajectory format {fmt!r}") from None
 
 
 def parse_trajectory(text: str, fmt: str) -> Trajectory:
-    """Dispatch to the parser for ``fmt`` in {kitti, tum, csv}."""
-    try:
-        parser = _TRAJECTORY_PARSERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown trajectory format {fmt!r}") from None
-    return parser(text)
+    """Dispatch to the parser for ``fmt``, a key of TRAJECTORY_FORMATS."""
+    return _trajectory_format(fmt)[0](text)
 
 
 def write_trajectory(traj: Trajectory, fmt: str) -> str:
-    """Dispatch to the writer for ``fmt`` in {kitti, tum, csv}."""
-    try:
-        writer = _TRAJECTORY_WRITERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown trajectory format {fmt!r}") from None
-    return writer(traj)
+    """Dispatch to the writer for ``fmt``, a key of TRAJECTORY_FORMATS."""
+    return _trajectory_format(fmt)[1](traj)
 
 
 # ---------------------------------------------------------------------------
@@ -760,30 +785,24 @@ def write_pairs_csv(records: list[PairRecord]) -> str:
     return _format_rows("%s,%s,%.17g,%.17g", rows, _PAIRS_HEADER)
 
 
+_PAIR_ROWS = _Rows(4, ",", (int, int, float, float), header="anchor_id", bad="bad pair record")
+
+
 def parse_pairs_csv(text: str) -> list[PairRecord]:
-    """Parse the pairs CSV written by :func:`write_pairs_csv`."""
-    records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.lower().startswith("anchor_id"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 comma-separated fields, got {len(fields)}", line=lineno)
-        try:
-            records.append(
-                PairRecord(
-                    anchor_id=int(fields[0]),
-                    partner_id=int(fields[1]),
-                    yaw_diff_deg=float(fields[2]),
-                    displacement_m=float(fields[3]),
-                )
-            )
-        except ValueError as exc:
-            raise ParseError(f"bad pair record: {exc}", line=lineno) from None
-    return records
+    """Parse the pairs CSV written by :func:`write_pairs_csv`: integer ids >= 0, finite yaw and displacement.
+
+    Raises:
+        ParseError: malformed content; the message names the first bad line.
+    """
+    rows, linenos, failure = _read_rows(enumerate(text.splitlines(), start=1), _PAIR_ROWS)
+    for lineno, (anchor, partner, yaw, disp) in zip(linenos, rows):
+        if anchor < 0 or partner < 0:
+            raise ParseError(f"bad pair record: negative pair id in ({anchor}, {partner})", line=lineno)
+        if not (math.isfinite(yaw) and math.isfinite(disp)):
+            raise ParseError("non-finite value", line=lineno)
+    if failure is not None:
+        raise failure
+    return [PairRecord(*row) for row in rows]
 
 
 def write_flow_csv(flow: FlowField) -> str:
@@ -816,4 +835,4 @@ def flow_from_bvt1(data: bytes, grid: BevGridSpec) -> FlowField:
     arr = read_bvt1(data)
     if arr.ndim != 3 or arr.shape[0] != 2:
         raise ShapeError(f"flow tensor must have shape (2, H, W), got {arr.shape}")
-    return FlowField(arr.astype(float), grid)
+    return FlowField(arr, grid)

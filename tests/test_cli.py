@@ -734,6 +734,21 @@ BAD_INPUTS = [
      "seed must be an integer >= 0, got -2"),
     (["sample-pairs", "--traj", "{d}/line.tum", "--seed", "-1", "--out", "{d}/out"],
      None, "--seed must be an integer >= 0, got -1"),
+    # one number rule: a field Python alone reads as a number is refused like any other non-number
+    (["flow-make", "--pose", "1_0,0,0", "--config", "{d}/bad.json", "--out", "{d}/out"],
+     "{}", "--pose: non-numeric field: could not convert string to float: '1_0'"),
+    (["flow-make", "--pose", "\u0661,0,0", "--config", "{d}/bad.json", "--out", "{d}/out"],
+     "{}", "--pose: non-numeric field: could not convert string to float: '\u0661'"),
+    (["flow-make", "--pose", "0,0", "--config", "{d}/bad.json", "--out", "{d}/out"],
+     "{}", "--pose: expected 3 comma-separated fields, got 2"),
+    (["flow-make", "--rel-from", "{d}/line.tum", "--indices", "0,1_0", "--config", "{d}/bad.json", "--out", "{d}/out"],
+     "{}", "--indices: non-numeric field: invalid literal for int() with base 10: '1_0'"),
+    (["flow-make", "--rel-from", "{d}/line.tum", "--indices", "0", "--config", "{d}/bad.json", "--out", "{d}/out"],
+     "{}", "--indices: expected 2 comma-separated fields, got 1"),
+    (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "1_00"],
+     None, "--lengths: non-numeric field: could not convert string to float: '1_00'"),
+    (["eval-traj", "--est", "{d}/bad.json", "--gt", "{d}/line.tum"],
+     "0 0 0 0 0 0 0 1\n1 1_5 0 0 0 0 0 1\n", "line 2: non-numeric field: could not convert string to float: '1_5'"),
 ]
 
 

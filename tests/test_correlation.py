@@ -186,8 +186,6 @@ class TestLocalCorrelation:
         bad[0, 0, 0] = np.inf
         with pytest.raises(ValueError):
             FeatureMap(bad)
-        with pytest.raises(ValueError):
-            FeatureMap(np.zeros((1, 4, 4)), branch="SIDE")
 
 
 class TestVolumeMemory:

@@ -181,3 +181,111 @@ def test_read_bvt1_returns_or_raises_format_error(data):
     except FormatError:
         return
     assert write_bvt1(arr) == data
+
+
+# Tensor commands: small tensors of drawn shape and values, oversize radii and headers now and then.
+SMALL_CONFIG = {"grid": {"h": 12, "w": 12, "resolution_m": 1.0},
+                "depth_bins": {"count": 3, "min_m": 1.0, "max_m": 9.0},
+                "camera": {"K": [8, 0, 3, 0, 8, 3, 0, 0, 1], "E": [0, 0, 1, 0, -1, 0, 0, 0, 0, -1, 0, 1.5]}}
+# bytes, the bound of the refuse_cheaply fixture: the drawn tensors are tiny (runs peak near 0.1 MB),
+# so a run only nears it when a size guard lets a huge request through
+PEAK_CAP = 2**20
+
+finite_values = st.floats(-4.0, 4.0, width=32)
+any_values = st.floats(width=32)
+
+
+def tensor(dims, values):
+    """A BVT1 blob of ``dims`` filled from ``values``."""
+    n = math.prod(dims)
+    return st.lists(values, min_size=n, max_size=n).map(
+        lambda vals: b"BVT1" + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims) + struct.pack(f"<{n}f", *vals))
+
+
+def shaped(dims, values=finite_values):
+    """Mostly a tensor of ``dims`` from ``values``; else any floats, other small dims, an oversize header or junk."""
+    other = st.lists(st.integers(1, 6), min_size=1, max_size=4).flatmap(lambda d: tensor(d, finite_values))
+    oversize = st.builds(bvt1_blob, st.just([2**16, 2**16]), st.binary(max_size=8), st.none())
+    return mostly(tensor(dims, values), tensor(dims, any_values) | other | oversize | bvt1_blobs)
+
+
+images = st.tuples(st.integers(1, 3), st.integers(1, 7), st.integers(1, 7))
+# a radius from 6000 up exceeds the 2**27-entry volume cap on every drawn map, even 1x1
+radii = mostly(st.integers(0, 4), st.integers(6000, 2**31 - 1) | st.just(-1))
+numbers_text = st.sampled_from(["0", "1", "2", "-2.5", "0.25", " 3 ", "1e400", "nan", "1_0", "\u0661", "x", ""])
+rows = mostly(st.lists(numbers_text, min_size=2, max_size=3), st.lists(numbers_text, max_size=4)).map(",".join)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory, drive):
+    d = tmp_path_factory.mktemp("tensors")
+    (d / "config.json").write_text(json.dumps(SMALL_CONFIG))
+    (d / "drive.tum").write_text(drive.read_text())
+    return d
+
+
+def run_cli(peak_bytes, workdir, argv, files):
+    """Run ``main(argv)`` after writing ``files`` to ``workdir``, which ``{d}`` in ``argv`` names.
+
+    The run must exit 0, or exit 1 with one error line, and allocate under the cap.
+    """
+    for name, data in files.items():
+        (workdir / name).write_bytes(data)
+    out, err = stdio.StringIO(), stdio.StringIO()
+
+    def run():
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return main([a.format(d=workdir) for a in argv])
+
+    code, peak = peak_bytes(run)
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("bevkit: error:") and err.getvalue().count("\n") == 1, err.getvalue()
+    assert peak < PEAK_CAP, (peak, err.getvalue())
+    return code
+
+
+TENSOR_FUZZ = settings(FUZZ, max_examples=60,
+                       suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+
+
+@TENSOR_FUZZ
+@given(data=st.data(), shape=images, radius=radii, side=st.integers(0, 2), normalize=st.booleans())
+def test_correlate_exits_cleanly(peak_bytes, workdir, data, shape, radius, side, normalize):
+    files = {"a.bvt1": data.draw(shaped(shape)), "b.bvt1": data.draw(shaped(shape))}
+    argv = ["correlate", "--a", "{d}/a.bvt1", "--b", "{d}/b.bvt1", "--radius", str(radius), "--out", "{d}/out"]
+    if side:
+        # a volume to append: (2 r + 1)^2 channels on the same grid
+        files["c.bvt1"] = data.draw(shaped(((2 * side - 1) ** 2,) + shape[1:]))
+        argv += ["--concat-with", "{d}/c.bvt1"]
+    run_cli(peak_bytes, workdir, argv + ["--normalize"] * normalize, files)
+
+
+@TENSOR_FUZZ
+@given(data=st.data(), shape=images, normalized=st.booleans())
+def test_lss_project_exits_cleanly(peak_bytes, workdir, data, shape, normalized):
+    depth = (SMALL_CONFIG["depth_bins"]["count"],) + shape[1:]
+    files = {"f.bvt1": data.draw(shaped(shape)), "d.bvt1": data.draw(shaped(depth, st.floats(0.0, 1.0, width=32)))}
+    argv = ["lss-project", "--features", "{d}/f.bvt1", "--depth", "{d}/d.bvt1", "--config", "{d}/config.json", "--out", "{d}/out"]
+    run_cli(peak_bytes, workdir, argv + ["--normalized"] * normalized, files)
+
+
+@TENSOR_FUZZ
+@given(pose=st.none() | rows, indices=rows)
+def test_flow_make_exits_cleanly(peak_bytes, workdir, pose, indices):
+    # the value joined to its option, as argparse reads "-2.5,0" alone as an option
+    source = ["--rel-from", "{d}/drive.tum", f"--indices={indices}"] if pose is None else [f"--pose={pose}"]
+    run_cli(peak_bytes, workdir, ["flow-make", *source, "--config", "{d}/config.json", "--out", "{d}/out"], {})
+
+
+@TENSOR_FUZZ
+@given(data=st.data(), weighted=st.booleans())
+def test_pose_from_flow_exits_cleanly(peak_bytes, workdir, data, weighted):
+    grid = (SMALL_CONFIG["grid"]["h"], SMALL_CONFIG["grid"]["w"])
+    files = {"flow.bvt1": data.draw(shaped((2,) + grid))}
+    argv = ["pose-from-flow", "--flow", "{d}/flow.bvt1", "--config", "{d}/config.json"]
+    if weighted:
+        files["w.bvt1"] = data.draw(shaped(grid, st.floats(0.0, 2.0, width=32)))
+        argv += ["--weights", "{d}/w.bvt1"]
+    run_cli(peak_bytes, workdir, argv, files)

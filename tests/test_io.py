@@ -1245,3 +1245,76 @@ class TestSideCsv:
             flow_from_bvt1(write_bvt1(np.zeros((3, 4, 4))), grid)
         with pytest.raises(ShapeError):
             flow_from_bvt1(write_bvt1(np.zeros((2, 5, 4))), grid)
+
+    def test_pairs_parser_matches_the_per_line_reader(self):
+        rng = np.random.default_rng(98)
+        records = [PairRecord(int(a), int(b), float(y), float(d))
+                   for a, b, y, d in zip(rng.integers(0, 10**6, 50), rng.integers(0, 10**6, 50),
+                                         rng.uniform(0, 180, 50), rng.uniform(0, 30, 50))]
+        text = write_pairs_csv(records) + "\n12345678901234567890,7, 1.5 ,2\n"
+        want = records + [PairRecord(12345678901234567890, 7, 1.5, 2.0)]
+        got = parse_pairs_csv(text)
+        assert got == want and all(type(r.anchor_id) is int for r in got)
+
+    @pytest.mark.parametrize("text, want", [
+        ("-3,1,5,0.5\n", "line 1: bad pair record: negative pair id in (-3, 1)"),
+        ("0,1,5,0.5\n3,-1,5,0.5\n", "line 2: bad pair record: negative pair id in (3, -1)"),
+        ("0,1,nan,0.5\n", "line 1: non-finite value"),
+        ("0,1,5,inf\n", "line 1: non-finite value"),
+        ("-3,1_0,nan,inf\n", "line 1: bad pair record: invalid literal for int() with base 10: '1_0'"),
+        ("-3,1,nan,inf\n", "line 1: bad pair record: negative pair id in (-3, 1)"),
+        ("0,1.5,5,0.5\n", "line 1: bad pair record: invalid literal for int() with base 10: '1.5'"),
+        # an earlier line's bad value is reported before a later line's field error, and not after one
+        ("0,1,5,0.5\n0,1,-inf,0.5\n0,1,5\n", "line 2: non-finite value"),
+        ("0,1,5\n0,1,-inf,0.5\n", "line 1: expected 4 comma-separated fields, got 3"),
+    ])
+    def test_pairs_bad_values_name_the_line(self, text, want):
+        with pytest.raises(ParseError) as exc:
+            parse_pairs_csv(text)
+        assert str(exc.value) == want
+
+
+# one good row, then a row whose {} field breaks the number rule; the bad row's line and message prefix
+NUMBER_RULE_CASES = {
+    "kitti": (parse_kitti_poses, "1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 {} 0 1 0 0 0 0 1 0\n", 2,
+              "non-numeric field: could not convert string to float"),
+    "tum": (parse_tum_trajectory, "# t x y z qx qy qz qw\n0 0 0 0 0 0 0 1\n1 {} 0 0 0 0 0 1\n", 3,
+            "non-numeric field: could not convert string to float"),
+    "csv": (parse_csv_trajectory, "timestamp,tx,ty,tz,qx,qy,qz,qw\n0,0,0,0,0,0,0,1\n1,0,{},0,0,0,0,1\n", 3,
+            "non-numeric field: could not convert string to float"),
+    "pairs": (parse_pairs_csv, "anchor_id,partner_id,yaw_diff_deg,displacement_m\n\n0,1,5,0.5\n{},1,5,0.5\n", 4,
+              "bad pair record: invalid literal for int() with base 10"),
+}
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("field", ["1_5", "\u0661\u0662", "1\u0662", "+1_0"])
+    @pytest.mark.parametrize("reader", list(NUMBER_RULE_CASES))
+    def test_python_only_numbers_are_refused_with_the_line(self, reader, field):
+        parse, template, line, prefix = NUMBER_RULE_CASES[reader]
+        with pytest.raises(ParseError) as exc:
+            parse(template.format(field))
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {prefix}: {field!r}"
+        parse(template.format("15"))  # the same text with an ASCII field reads
+
+    @pytest.mark.parametrize("reader", list(NUMBER_RULE_CASES))
+    def test_first_bad_field_of_a_row_is_named(self, reader):
+        parse, template, line, prefix = NUMBER_RULE_CASES[reader]
+        # the row's last field breaks the number rule too, after the plain non-number
+        lines = template.format("x").splitlines()
+        sep = "," if "," in lines[-1] else " "
+        text = "\n".join(lines[:-1] + [lines[-1].rsplit(sep, 1)[0] + sep + "1_5"]) + "\n"
+        with pytest.raises(ParseError, match=re.escape(f"line {line}: {prefix}: 'x'")):
+            parse(text)
+
+    def test_non_ascii_separators_still_split(self):
+        # only numeric fields must be ASCII; str.split() and str.strip() take any whitespace
+        plain = parse_tum_trajectory("0 1.5 0 0 0 0 0 1\n1 2 0 0 0 0 0 1\n")
+        spaced = parse_tum_trajectory("0\u00a01.5\u20030 0 0 0 0 1\n\u30001 2 0 0 0 0 0 1\n")
+        assert np.array_equal(plain.poses, spaced.poses) and np.array_equal(plain.timestamps, spaced.timestamps)
+        assert parse_pairs_csv("0,\u00a01\u3000,5,0.5\n") == [PairRecord(0, 1, 5.0, 0.5)]
+
+    def test_comments_and_header_may_hold_anything(self):
+        text = "timestamp_s,tx,ty,tz,qx,qy,qz,qw\n# é_1\n0,0,0,0,0,0,0,1\n"
+        assert len(parse_csv_trajectory(text)) == 1
