@@ -53,6 +53,16 @@ def _option_row(option: str, text: str, count: int | None, kind: type = float) -
     return rows[0]
 
 
+def _number(kind: type):
+    """An argparse ``type=`` reading ``kind`` by the text inputs' number rule, named ``kind`` in refusals."""
+
+    def read(text: str):
+        return bevio._read_number(kind, text)
+
+    read.__name__ = kind.__name__
+    return read
+
+
 def _cmd_flow_make(args) -> int:
     cfg = _load_config(args.config)
     if args.pose is not None:
@@ -176,8 +186,9 @@ def _cmd_correlate(args) -> int:
         extra = bevio.read_bvt1(Path(args.concat_with).read_bytes())
         side_sq = extra.shape[0]
         side = int(round(side_sq ** 0.5))
-        if side * side != side_sq:
-            raise ShapeError(f"{args.concat_with}: channel count {side_sq} is not a square")
+        if side * side != side_sq or side % 2 == 0:
+            raise ShapeError(f"{args.concat_with}: channel count {side_sq} is not the square of an odd number; "
+                             "a correlation volume has (2r+1)^2 channels")
         out_data = concat_volumes(vol_a, CorrelationVolume(extra, (side - 1) // 2))
     Path(args.out).write_bytes(bevio.write_bvt1(out_data))
     _emit({"out": args.out, "channels": int(out_data.shape[0]), "radius": args.radius})
@@ -255,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="tum", choices=tuple(bevio.TRAJECTORY_FORMATS))
     p.add_argument("--align", default="se3", choices=("se3", "sim3"))
     p.add_argument("--lengths", help="comma-separated segment lengths in meters")
-    p.add_argument("--stride", type=int, default=1, help="start-frame stride")
+    p.add_argument("--stride", type=_number(int), default=1, help="start-frame stride")
     p.add_argument(
         "--max-dt",
-        type=float,
+        type=_number(float),
         default=0.02,
         help="association tolerance (s) when est/gt timestamps differ",
     )
@@ -268,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rescale the estimate using the first 10 m of ground-truth path",
     )
     p.add_argument("--scale-curve", help="write per-segment log2 scale CSV here")
-    p.add_argument("--scale-curve-segment-m", type=float, default=10.0)
+    p.add_argument("--scale-curve-segment-m", type=_number(float), default=10.0)
     p.set_defaults(func=_cmd_eval_traj)
 
     p = sub.add_parser("sample-pairs", help="draw rotation-balanced training pairs")
@@ -276,14 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="tum", choices=tuple(bevio.TRAJECTORY_FORMATS))
     p.add_argument("--config", help="pipeline config JSON (sampler thresholds)")
     p.add_argument("--out", required=True, help="output pairs CSV")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--draws", type=int, default=1000)
+    p.add_argument("--seed", type=_number(int), default=0)
+    p.add_argument("--draws", type=_number(int), default=1000)
     p.set_defaults(func=_cmd_sample_pairs)
 
     p = sub.add_parser("correlate", help="local correlation volume of two feature tensors")
     p.add_argument("--a", required=True, help="frame-t features (BVT1, C x H x W)")
     p.add_argument("--b", required=True, help="frame-t+1 features (BVT1)")
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_number(int), required=True)
     p.add_argument("--normalize", action="store_true", help="divide scores by channel count")
     p.add_argument("--concat-with", help="append channels of another volume (BVT1)")
     p.add_argument("--out", required=True, help="output volume (BVT1)")
@@ -299,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic drive and corrupted estimate")
     p.add_argument("--spec", required=True, help="synth spec JSON")
-    p.add_argument("--seed", type=int, help="override the spec's noise seed")
+    p.add_argument("--seed", type=_number(int), help="override the spec's noise seed")
     p.add_argument("--format", default="tum", choices=tuple(bevio.TRAJECTORY_FORMATS))
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-est", required=True)

@@ -102,10 +102,6 @@ class CorrelationVolume:
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "radius", radius)
 
-    @property
-    def side(self) -> int:
-        return 2 * self.radius + 1
-
 
 def local_correlation(
     f_t: FeatureMap,

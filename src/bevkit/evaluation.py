@@ -124,12 +124,6 @@ def path_lengths(traj: Trajectory) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def rotation_angle(rot: np.ndarray) -> float:
-    """Geodesic angle of a rotation matrix, radians in [0, pi]."""
-    trace = float(rot[0, 0] + rot[1, 1] + rot[2, 2])
-    return math.acos(min(1.0, max(-1.0, 0.5 * (trace - 1.0))))
-
-
 def _norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of an (N, 3) array.
 
@@ -143,33 +137,16 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _rotation_angles(rot: np.ndarray) -> list[float]:
-    """:func:`rotation_angle` of each block of an (N, 3, 3) stack, with its bits.
+    """Geodesic angle, radians in [0, pi], of each block of an (N, 3, 3) stack.
 
-    ``fmax`` sends a NaN cosine to -1 as ``max(-1.0, nan)`` does, and the
-    arccos is ``math.acos`` per value, since ``np.arccos`` may round differently.
+    Each angle has the bits of the scalar form
+    ``math.acos(min(1.0, max(-1.0, 0.5 * (trace - 1.0))))``: ``fmax`` sends a
+    NaN cosine to -1 as ``max(-1.0, nan)`` does, and the arccos is
+    ``math.acos`` per value, since ``np.arccos`` may round differently.
     """
     trace = (rot[:, 0, 0] + rot[:, 1, 1]) + rot[:, 2, 2]
     cos = np.minimum(np.fmax(0.5 * (trace - 1.0), -1.0), 1.0)
     return list(map(math.acos, cos.tolist()))
-
-
-def transform_trajectory(
-    traj: Trajectory,
-    rotation: np.ndarray,
-    translation: np.ndarray,
-    scale: float = 1.0,
-) -> Trajectory:
-    """Apply a global similarity to every pose (left action).
-
-    Positions map to scale * rotation @ p + translation; orientations are
-    rotated by ``rotation``.
-    """
-    rotation = np.asarray(rotation, dtype=float)
-    translation = np.asarray(translation, dtype=float)
-    poses = np.array(traj.poses)
-    poses[:, :3, :3] = np.einsum("ij,njk->nik", rotation, traj.poses[:, :3, :3])
-    poses[:, :3, 3] = scale * traj.positions @ rotation.T + translation
-    return Trajectory(traj.timestamps, poses)
 
 
 def scale_trajectory(traj: Trajectory, scale: float) -> Trajectory:

@@ -44,14 +44,6 @@ class FlowField:
         d.flags.writeable = False
         object.__setattr__(self, "data", d)
 
-    @property
-    def du(self) -> np.ndarray:
-        return self.data[0]
-
-    @property
-    def dv(self) -> np.ndarray:
-        return self.data[1]
-
 
 class FlowStats:
     """Summary statistics over an endpoint-error map."""
@@ -180,15 +172,9 @@ def flow_error_map(pred: FlowField, gt: FlowField):
     return epe, FlowStats(epe)
 
 
-def l1_flow_loss(
-    pred: FlowField,
-    gt: FlowField,
-    reduction: str = "mean",
-    mask: np.ndarray | None = None,
-) -> float:
-    """L1 flow supervision loss: |du_pred - du_gt| + |dv_pred - dv_gt|.
+def l1_flow_loss(pred: FlowField, gt: FlowField, mask: np.ndarray | None = None) -> float:
+    """L1 flow supervision loss: |du_pred - du_gt| + |dv_pred - dv_gt|, averaged over pixels.
 
-    ``reduction`` is "mean" (per-pixel average, the default) or "sum".
     ``mask`` optionally restricts the loss to True pixels, e.g. the
     in-grid mask for motions that carry content off the grid edge.
     """
@@ -196,8 +182,6 @@ def l1_flow_loss(
         raise ShapeError(
             f"flow shapes differ: {pred.data.shape} vs {gt.data.shape}"
         )
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     per_px = np.abs(pred.data - gt.data).sum(axis=0)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
@@ -206,6 +190,4 @@ def l1_flow_loss(
         if not mask.any():
             raise DegenerateInputError("mask excludes every pixel")
         per_px = per_px[mask]
-    if reduction == "sum":
-        return float(per_px.sum())
     return float(per_px.mean())

@@ -35,12 +35,6 @@ def wrap_angle(theta):
     return wrapped
 
 
-def rot_z(theta: float) -> np.ndarray:
-    """3x3 rotation about the vehicle z (up) axis."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def proper_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closest proper rotation U S V^T to m = U diag(sigma) V^T, and sigma (descending).
 
@@ -120,8 +114,8 @@ def screen_rotations(r: np.ndarray) -> np.ndarray:
 def repair_rotations(mats: np.ndarray):
     """Re-orthonormalize, in place, each rotation block of an (N, 4, 4) stack that drifts past the tolerance.
 
-    Drift alone decides, as in :func:`compose`; a flagged block whose
-    scalar drift passes ``ORTHONORMALITY_TOL`` becomes its closest rotation.
+    Drift alone decides; a flagged block whose scalar drift passes
+    ``ORTHONORMALITY_TOL`` becomes its closest rotation.
     """
     r = mats[:, :3, :3]
     for k in np.flatnonzero(_drifted(r)).tolist():
@@ -167,24 +161,6 @@ class Pose3:
         object.__setattr__(pose, "matrix", matrix)
         return pose
 
-    @staticmethod
-    def identity() -> "Pose3":
-        return Pose3(np.eye(4))
-
-    @staticmethod
-    def from_rt(rotation: np.ndarray, translation: np.ndarray) -> "Pose3":
-        """Build a pose from a 3x3 rotation and a length-3 translation."""
-        rotation = np.asarray(rotation, dtype=float)
-        translation = np.asarray(translation, dtype=float)
-        if rotation.shape != (3, 3):
-            raise ShapeError(f"rotation must be 3x3, got {rotation.shape}")
-        if translation.shape != (3,):
-            raise ShapeError(f"translation must have shape (3,), got {translation.shape}")
-        m = np.eye(4)
-        m[:3, :3] = rotation
-        m[:3, 3] = translation
-        return Pose3(m)
-
     @property
     def rotation(self) -> np.ndarray:
         return self.matrix[:3, :3]
@@ -192,19 +168,6 @@ class Pose3:
     @property
     def translation(self) -> np.ndarray:
         return self.matrix[:3, 3]
-
-    def inverse(self) -> "Pose3":
-        """Analytic inverse [R^T | -R^T t]; stays in SE(3) by construction."""
-        return Pose3(invert_rigid(self.matrix[None])[0])
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform points of shape (..., 3) or homogeneous (..., 4)."""
-        points = np.asarray(points, dtype=float)
-        if points.shape[-1] == 3:
-            return points @ self.matrix[:3, :3].T + self.matrix[:3, 3]
-        if points.shape[-1] == 4:
-            return points @ self.matrix.T
-        raise ShapeError(f"points must end in dim 3 or 4, got {points.shape}")
 
 
 def invert_rigid(poses: np.ndarray) -> np.ndarray:
@@ -248,15 +211,8 @@ def check_rigid(poses: np.ndarray):
             raise ValueError(f"pose {i}: {exc}") from None
 
 
-def compose(a: Pose3, b: Pose3) -> Pose3:
-    """Matrix product a * b, re-orthonormalizing when drift exceeds 1e-9."""
-    m = a.matrix @ b.matrix
-    repair_rotations(m[None])
-    return Pose3(m)
-
-
 def relative_pose(a: Pose3, b: Pose3) -> Pose3:
-    """Transform taking frame a to frame b: inverse(a) * b, repaired as :func:`compose` repairs."""
+    """Transform taking frame a to frame b: inverse(a) * b, repaired by :func:`repair_rotations`."""
     m = invert_rigid(a.matrix[None])[0] @ b.matrix
     repair_rotations(m[None])
     return Pose3(m)

@@ -805,16 +805,6 @@ def parse_pairs_csv(text: str) -> list[PairRecord]:
     return [PairRecord(*row) for row in rows]
 
 
-def write_flow_csv(flow: FlowField) -> str:
-    """Debug dump of a flow field: one ``u,v,du,dv`` row per pixel.
-
-    Rows iterate v (grid rows) in the outer loop and u in the inner one.
-    """
-    v, u = np.indices(flow.data.shape[1:])
-    rows = np.column_stack([u.ravel(), v.ravel(), flow.data[0].ravel(), flow.data[1].ravel()])
-    return _format_rows("%d,%d,%.17g,%.17g", rows.tolist(), "u,v,du,dv")
-
-
 def write_scale_curve_csv(curve: LogScaleCurve) -> str:
     """Serialize a per-segment log-scale curve as ``segment_index,log2_scale``."""
     rows = zip(curve.segment_indices.tolist(), curve.values.tolist())

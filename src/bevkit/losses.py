@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
-from .flow import l1_flow_loss
 from .geometry import Pose2, wrap_angle
 
 
@@ -103,12 +102,3 @@ def loss_total(
         if not math.isfinite(float(val)):
             raise ValueError(f"{name} must be finite, got {val}")
     return float(l3dof) + weights.lambda1 * float(l5dof) + weights.lambda2 * float(lflow)
-
-
-__all__ = [
-    "LossWeights",
-    "loss_3dof",
-    "loss_5dof",
-    "loss_total",
-    "l1_flow_loss",
-]

@@ -62,10 +62,6 @@ class DepthDistribution:
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "bins", bins)
 
-    @property
-    def num_bins(self) -> int:
-        return self.data.shape[0]
-
 
 @dataclass(frozen=True)
 class Frustum:

@@ -20,7 +20,8 @@ DEFAULT_WINDOW_S = 60.0
 DEFAULT_MAX_DISP_M = 4.0
 DEFAULT_LOW_DEG = 15.0
 DEFAULT_HIGH_DEG = 45.0
-DEFAULT_HIGH_FRACTION = 0.7
+# Share of draws that go to the high-rotation list.
+HIGH_FRACTION = 0.7
 
 # Candidate pairs handled per array pass; bounds the index arrays and the
 # (block, 4, 4) stacks whatever the window and sequence length.
@@ -168,25 +169,19 @@ def build_pair_lists(
     return dict(zip(ids, per_anchor))
 
 
-def sample_pair(
-    lists: PairLists,
-    rng: np.random.Generator,
-    high_fraction: float = DEFAULT_HIGH_FRACTION,
-) -> PairRecord:
+def sample_pair(lists: PairLists, rng: np.random.Generator) -> PairRecord:
     """Draw one pair, preferring the high-rotation list.
 
-    With probability ``high_fraction`` the draw comes from the high list,
+    With probability ``HIGH_FRACTION`` the draw comes from the high list,
     otherwise from the standard list; an empty chosen list falls back to
     the other one.  Within a list the pick is uniform.
 
     Raises:
         NoPairsError: both lists are empty.
     """
-    if not (0.0 <= high_fraction <= 1.0):
-        raise ValueError("high_fraction must lie in [0, 1]")
     if not lists.high and not lists.standard:
         raise NoPairsError("no admissible pairs to sample from")
-    pool = lists.high if rng.random() < high_fraction else lists.standard
+    pool = lists.high if rng.random() < HIGH_FRACTION else lists.standard
     if not pool:
         pool = lists.high if lists.high else lists.standard
     return pool[int(rng.integers(len(pool)))]

@@ -1,0 +1,48 @@
+"""Pose and trajectory helpers the tests share, and the scalar rotation-angle oracle."""
+
+import math
+
+import numpy as np
+
+from bevkit.evaluation import Trajectory
+from bevkit.geometry import Pose3, repair_rotations
+
+
+def rot_z(theta: float) -> np.ndarray:
+    """3x3 rotation about the vehicle z (up) axis."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def pose3(rotation, translation) -> Pose3:
+    """The pose with a 3x3 ``rotation`` and a length-3 ``translation``."""
+    m = np.eye(4)
+    m[:3, :3] = rotation
+    m[:3, 3] = translation
+    return Pose3(m)
+
+
+def compose(a: Pose3, b: Pose3) -> Pose3:
+    """The product a * b, re-orthonormalized by ``repair_rotations`` as ``relative_pose`` is."""
+    m = a.matrix @ b.matrix
+    repair_rotations(m[None])
+    return Pose3(m)
+
+
+def rotation_angle(rot: np.ndarray) -> float:
+    """Geodesic angle of a rotation matrix, radians in [0, pi]: the scalar oracle of ``_rotation_angles``."""
+    trace = float(rot[0, 0] + rot[1, 1] + rot[2, 2])
+    return math.acos(min(1.0, max(-1.0, 0.5 * (trace - 1.0))))
+
+
+def transform_trajectory(traj: Trajectory, rotation, translation, scale: float = 1.0) -> Trajectory:
+    """Apply a global similarity to every pose (left action).
+
+    Positions map to scale * rotation @ p + translation; orientations are
+    rotated by ``rotation``.
+    """
+    rotation = np.asarray(rotation, dtype=float)
+    poses = np.array(traj.poses)
+    poses[:, :3, :3] = np.einsum("ij,njk->nik", rotation, traj.poses[:, :3, :3])
+    poses[:, :3, 3] = scale * traj.positions @ rotation.T + np.asarray(translation, dtype=float)
+    return Trajectory(traj.timestamps, poses)

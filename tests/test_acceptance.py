@@ -24,7 +24,6 @@ from bevkit.evaluation import (
     rte_rre,
     scale_from_first_10m,
     scale_trajectory,
-    transform_trajectory,
 )
 from bevkit.flow import construct_flow_gt, solve_pose_from_flow
 from bevkit.geometry import (
@@ -32,7 +31,6 @@ from bevkit.geometry import (
     CameraModel,
     Pose2,
     pose2_to_pose3,
-    rot_z,
     wrap_angle,
 )
 from bevkit.io import (
@@ -54,6 +52,7 @@ from bevkit.sampler import (
     merge_pair_lists,
     sample_pair,
 )
+from helpers import rot_z, transform_trajectory
 
 GRID_128 = BevGridSpec(128, 128, 0.8)
 
@@ -134,7 +133,7 @@ def test_02_flow_identity_and_unit_translation():
     ident = construct_flow_gt(Pose2(0.0, 0.0, 0.0), GRID_128)
     ok_ident = float(np.max(np.abs(ident.data))) == 0.0
     fwd = construct_flow_gt(Pose2(0.0, 0.8, 0.0), GRID_128)
-    ok_fwd = bool(np.all(fwd.du == 0.0) and np.all(fwd.dv == -1.0))
+    ok_fwd = bool(np.all(fwd.data[0] == 0.0) and np.all(fwd.data[1] == -1.0))
     elapsed = time.perf_counter() - t0
     verdict(
         "flow identity / unit translation",

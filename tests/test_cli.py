@@ -717,6 +717,9 @@ BAD_INPUTS = [
      None, "beyond the float32 range"),
     (["correlate", "--a", "{d}/ones.bvt1", "--b", "{d}/ones.bvt1", "--radius", "100000", "--out", "{d}/out"],
      None, "exceeds 134217728 entries"),
+    (["correlate", "--a", "{d}/ones.bvt1", "--b", "{d}/ones.bvt1", "--radius", "0", "--concat-with", "{d}/four.bvt1",
+      "--out", "{d}/out"], None,
+     "channel count 4 is not the square of an odd number; a correlation volume has (2r+1)^2 channels"),
     (["sample-pairs", "--traj", "{d}/line.tum", "--config", "{d}/bad.json", "--out", "{d}/out"],
      '{"sampler": {"window_s": 0}}', "no admissible pairs"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10,nan"],
@@ -761,6 +764,7 @@ class TestOneLineErrors:
         (tmp_path / "shifted.tum").write_text(write_trajectory(shifted, "tum"))
         (tmp_path / "ones.bvt1").write_bytes(write_bvt1(np.ones((2, 4, 4))))
         (tmp_path / "huge.bvt1").write_bytes(write_bvt1(np.full((1, 4, 4), 1e20)))
+        (tmp_path / "four.bvt1").write_bytes(write_bvt1(np.ones((4, 4, 4))))
         if document is not None:
             (tmp_path / "bad.json").write_text(document)
         code, stdout, err = run_cli([a.format(d=tmp_path) for a in argv], capsys)
@@ -768,3 +772,36 @@ class TestOneLineErrors:
         assert err.startswith("bevkit: error:") and err.count("\n") == 1, err
         assert needle in err
         assert not (tmp_path / "out").exists()
+
+
+# Each numeric option, after the arguments its command requires, and the type argparse names in its refusal.
+NUMBER_OPTIONS = [
+    (["correlate", "--a", "a", "--b", "b", "--out", "o"], "--radius", "int"),
+    (["eval-traj", "--est", "e", "--gt", "g"], "--stride", "int"),
+    (["eval-traj", "--est", "e", "--gt", "g"], "--max-dt", "float"),
+    (["eval-traj", "--est", "e", "--gt", "g"], "--scale-curve-segment-m", "float"),
+    (["sample-pairs", "--traj", "t", "--out", "o"], "--seed", "int"),
+    (["sample-pairs", "--traj", "t", "--out", "o"], "--draws", "int"),
+    (["synth", "--spec", "s", "--out-gt", "g", "--out-est", "e"], "--seed", "int"),
+]
+
+
+class TestNumberOptions:
+    """Numeric options read numbers by the text inputs' rule: what only Python reads as a number is a usage error."""
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "1\u0662", "+1_0", "x"])
+    @pytest.mark.parametrize("argv, option, kind", NUMBER_OPTIONS, ids=[f"{a[0]} {o}" for a, o, _ in NUMBER_OPTIONS])
+    def test_refused_by_argparse(self, capsys, argv, option, kind, value):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"{option}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(f"error: argument {option}: invalid {kind} value: {value!r}")
+
+    def test_plain_numbers_still_read(self, tmp_path, capsys):
+        a = tmp_path / "a.bvt1"
+        a.write_bytes(write_bvt1(np.ones((1, 3, 3))))
+        doc, _ = run_json(["correlate", "--a", str(a), "--b", str(a), "--radius", " 1 ", "--out", str(tmp_path / "v")],
+                          capsys)
+        assert doc["channels"] == 9

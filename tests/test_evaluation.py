@@ -16,18 +16,18 @@ from bevkit.evaluation import (
     LogScaleCurve,
     Trajectory,
     _norms,
+    _rotation_angles,
     align,
     ate,
     evaluate_trajectories,
     log_scale_curve,
     path_lengths,
-    rotation_angle,
     rte_rre,
     scale_from_first_10m,
     scale_trajectory,
-    transform_trajectory,
 )
-from bevkit.geometry import Pose2, pose2_to_pose3, rot_z
+from bevkit.geometry import Pose2, pose2_to_pose3
+from helpers import rot_z, rotation_angle, transform_trajectory
 
 
 def line_traj(n, step=1.0, direction=(1.0, 0.0, 0.0)):
@@ -119,19 +119,27 @@ class TestPathLengths:
 
 
 class TestRotationAngle:
+    """The scalar oracle on known angles; ``_rotation_angles`` gives its bits on each."""
+
+    @staticmethod
+    def angle(rot):
+        want = rotation_angle(rot)
+        assert _rotation_angles(np.asarray(rot, dtype=float)[None]) == [want]
+        return want
+
     def test_identity_zero(self):
-        assert rotation_angle(np.eye(3)) == 0.0
+        assert self.angle(np.eye(3)) == 0.0
 
     def test_z_rotation(self):
-        assert abs(rotation_angle(rot_z(0.3)) - 0.3) < 1e-12
-        assert abs(rotation_angle(rot_z(-0.3)) - 0.3) < 1e-12
+        assert abs(self.angle(rot_z(0.3)) - 0.3) < 1e-12
+        assert abs(self.angle(rot_z(-0.3)) - 0.3) < 1e-12
 
     def test_half_turn(self):
-        assert abs(rotation_angle(np.diag([-1.0, -1.0, 1.0])) - math.pi) < 1e-12
+        assert abs(self.angle(np.diag([-1.0, -1.0, 1.0])) - math.pi) < 1e-12
 
     def test_trace_clamp_no_nan(self):
         slightly_off = np.eye(3) * (1.0 + 1e-15)
-        assert rotation_angle(slightly_off) == 0.0
+        assert self.angle(slightly_off) == 0.0
 
 
 class TestTransformHelpers:

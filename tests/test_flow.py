@@ -14,13 +14,8 @@ from bevkit.flow import (
     l1_flow_loss,
     solve_pose_from_flow,
 )
-from bevkit.geometry import (
-    BevGridSpec,
-    Pose2,
-    compose,
-    pose2_to_pose3,
-    pose3_to_pose2,
-)
+from bevkit.geometry import BevGridSpec, Pose2, Pose3, invert_rigid, pose2_to_pose3, pose3_to_pose2
+from helpers import compose
 
 GRID = BevGridSpec(128, 128, 0.8)
 
@@ -30,7 +25,7 @@ def compose2(a: Pose2, b: Pose2) -> Pose2:
 
 
 def invert2(p: Pose2) -> Pose2:
-    return pose3_to_pose2(pose2_to_pose3(p).inverse())
+    return pose3_to_pose2(Pose3(invert_rigid(pose2_to_pose3(p).matrix[None])[0]))
 
 
 def random_pose2(rng, max_theta=math.pi / 4, max_t=4.0):
@@ -235,7 +230,6 @@ class TestErrorMapAndLoss:
         data[0, 5, 7] += 1.0
         data[1, 5, 7] -= 2.0
         pred = FlowField(data, GRID)
-        assert l1_flow_loss(pred, gt, reduction="sum") == 3.0
         assert abs(l1_flow_loss(pred, gt) - 3.0 / (128 * 128)) < 1e-15
 
     def test_l1_homogeneity(self):
@@ -257,11 +251,6 @@ class TestErrorMapAndLoss:
         assert l1_flow_loss(pred, gt, mask=mask) == 0.0
         with pytest.raises(DegenerateInputError):
             l1_flow_loss(pred, gt, mask=np.zeros((128, 128), dtype=bool))
-
-    def test_l1_rejects_unknown_reduction(self):
-        gt = construct_flow_gt(Pose2(0.0, 0.0, 0.0), GRID)
-        with pytest.raises(ValueError):
-            l1_flow_loss(gt, gt, reduction="median")
 
 
 class TestInGridMask:

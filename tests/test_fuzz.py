@@ -11,12 +11,15 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bevkit.cli import main
 from bevkit.errors import FormatError, ParseError
+from bevkit.evaluation import Trajectory
+from bevkit.geometry import planar_stack
 from bevkit.io import (
     _CONFIG,
     _PRIMITIVE,
@@ -28,6 +31,7 @@ from bevkit.io import (
     parse_tum_trajectory,
     read_bvt1,
     write_bvt1,
+    write_trajectory,
 )
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None,
@@ -224,10 +228,13 @@ def workdir(tmp_path_factory, drive):
     return d
 
 
-def run_cli(peak_bytes, workdir, argv, files):
+def run_cli(peak_bytes, workdir, argv, files, usage_errors=False, notes=False):
     """Run ``main(argv)`` after writing ``files`` to ``workdir``, which ``{d}`` in ``argv`` names.
 
-    The run must exit 0, or exit 1 with one error line, and allocate under the cap.
+    The run must exit 0, or exit 1 with one error line, and allocate under
+    the cap.  With ``usage_errors``, argparse's exit 2 after its usage and
+    one ``error: argument`` line is allowed too; with ``notes``, one-line
+    ``bevkit:`` diagnostics may come before the error line.
     """
     for name, data in files.items():
         (workdir / name).write_bytes(data)
@@ -235,13 +242,23 @@ def run_cli(peak_bytes, workdir, argv, files):
 
     def run():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return main([a.format(d=workdir) for a in argv])
+            try:
+                return main([a.format(d=workdir) for a in argv])
+            except SystemExit as exc:
+                return exc.code
 
     code, peak = peak_bytes(run)
-    assert code in (0, 1), err.getvalue()
+    assert code in ((0, 1, 2) if usage_errors else (0, 1)), err.getvalue()
     if code == 1:
         assert out.getvalue() == ""
-        assert err.getvalue().startswith("bevkit: error:") and err.getvalue().count("\n") == 1, err.getvalue()
+        lines = err.getvalue().splitlines(keepends=True)
+        if notes:
+            assert all(line.startswith("bevkit: ") and not line.startswith("bevkit: error:") for line in lines[:-1])
+            lines = lines[-1:]
+        assert len(lines) == 1 and lines[0].startswith("bevkit: error:") and lines[0].endswith("\n"), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage: bevkit ") and ": error: argument " in err.getvalue().splitlines()[-1]
     assert peak < PEAK_CAP, (peak, err.getvalue())
     return code
 
@@ -289,3 +306,94 @@ def test_pose_from_flow_exits_cleanly(peak_bytes, workdir, data, weighted):
         files["w.bvt1"] = data.draw(shaped(grid, st.floats(0.0, 2.0, width=32)))
         argv += ["--weights", "{d}/w.bvt1"]
     run_cli(peak_bytes, workdir, argv, files)
+
+
+# Trajectory commands: small planar drives in every format, an estimate that may need association,
+# and option values from the number rule's edge cases; argparse refuses some of them with exit 2.
+FORMATS = ("tum", "kitti", "csv")
+steps = st.lists(st.tuples(st.just(0.0) | st.floats(0.5, 4.0), st.floats(-0.4, 0.4)), min_size=1, max_size=30)
+int_text = st.sampled_from(["0", "1", "2", "3", "-1", " 2 ", "1_0", "١", "x", "", "18446744073709551616"])
+
+
+def drive_texts(steps, dt, fmt, scale, shift_s, drop):
+    """``fmt`` and, as ``fmt`` text, a ground truth along ``steps`` (distance, turn) and an estimate
+    with positions times ``scale``, timestamps shifted by ``shift_s`` and the first ``drop`` frames left out."""
+    turns = np.concatenate([[0.0], np.cumsum([w for _, w in steps])])
+    dists = np.array([d for d, _ in steps])
+    tx = np.concatenate([[0.0], np.cumsum(dists * np.cos(turns[:-1]))])
+    ty = np.concatenate([[0.0], np.cumsum(dists * np.sin(turns[:-1]))])
+    times = dt * np.arange(turns.size)
+    gt = Trajectory(times, planar_stack(turns, tx, ty))
+    est_poses = np.array(gt.poses)
+    est_poses[:, :3, 3] *= scale
+    drop = min(drop, turns.size - 1)
+    est = Trajectory(times[drop:] + shift_s, est_poses[drop:])
+    return fmt, write_trajectory(gt, fmt), write_trajectory(est, fmt)
+
+
+drives = st.builds(drive_texts, steps, st.sampled_from([0.01, 0.1, 1.0]), st.sampled_from(FORMATS),
+                   st.floats(0.5, 2.0), mostly(st.just(0.0), st.sampled_from([0.005, 0.03, 1.0])),
+                   mostly(st.just(0), st.integers(1, 3)))
+
+
+lengths_m = mostly(st.lists(st.sampled_from(["1", "2.5", "5", "20"]), min_size=1, max_size=3).map(",".join), rows)
+
+
+@TENSOR_FUZZ
+@given(data=st.data(), drive=drives, align=st.sampled_from(["se3", "sim3"]), scale_init=st.booleans(),
+       lengths=mostly(lengths_m, st.none()), stride=mostly(st.none() | st.sampled_from(["1", "2"]), int_text),
+       max_dt=mostly(st.none(), numbers_text), curve_m=st.none() | mostly(st.sampled_from(["1", "5"]), numbers_text))
+def test_eval_traj_exits_cleanly(peak_bytes, workdir, data, drive, align, scale_init, lengths, stride, max_dt,
+                                 curve_m):
+    fmt, gt_text, est_text = drive
+    files = {"gt.txt": gt_text.encode(), "est.txt": data.draw(mostly(st.just(est_text), random_texts)).encode()}
+    argv = ["eval-traj", "--est", "{d}/est.txt", "--gt", "{d}/gt.txt", "--format", fmt, "--align", align]
+    argv += ["--scale-init-10m"] * scale_init
+    # each value joined to its option, as argparse reads "-2.5" alone as an option
+    for option, value in (("--lengths", lengths), ("--stride", stride), ("--max-dt", max_dt),
+                          ("--scale-curve-segment-m", curve_m)):
+        if value is not None:
+            argv.append(f"{option}={value}")
+    if curve_m is not None:
+        argv += ["--scale-curve", "{d}/curve.csv"]
+    run_cli(peak_bytes, workdir, argv, files, usage_errors=True, notes=True)
+
+
+def primitive(kind, duration_s, speed_mps, yaw_rate_dps):
+    """A primitive document with the fields its kind takes."""
+    doc = {"kind": kind, "duration_s": duration_s}
+    if kind != "stop":
+        doc["speed_mps"] = speed_mps
+    if kind == "arc":
+        doc["yaw_rate_dps"] = yaw_rate_dps
+    return doc
+
+
+# Valid documents stay small (at most 300 frames); a dt that would make a drive large is one the cap refuses.
+synth_primitives = mostly(
+    st.builds(primitive, st.sampled_from(["straight", "arc", "stop"]), st.floats(0.05, 10.0), st.floats(-5.0, 5.0),
+              st.floats(1.0, 90.0) | st.floats(-90.0, -1.0)),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["straight", "arc", "stop"]),
+         "duration_s": st.floats(0.05, 10.0) | st.sampled_from([0.0, -1.0, 1e-300, 1e12, 1e308, math.inf, "1"])},
+        optional={"speed_mps": numbers, "yaw_rate_dps": numbers},
+    ),
+)
+small_specs = st.fixed_dictionaries(
+    {"primitives": st.lists(synth_primitives, min_size=1, max_size=3)},
+    optional={"dt_s": st.sampled_from([0.1, 0.5, 1.0, 1e-300, 0.0, -1.0]),
+              "noise_trans_m": mostly(st.floats(0.0, 1.0), numbers),
+              "noise_yaw_deg": mostly(st.floats(0.0, 5.0), numbers),
+              "scale_drift": mostly(st.floats(0.5, 2.0), numbers),
+              "seed": mostly(st.integers(0, 2**64), values)},
+)
+
+
+@TENSOR_FUZZ
+@given(doc=mostly(small_specs, objects(_SYNTH_SPEC) | values), seed=st.none() | int_text,
+       fmt=mostly(st.sampled_from(FORMATS), st.just("xml")))
+def test_synth_exits_cleanly(peak_bytes, workdir, doc, seed, fmt):
+    argv = ["synth", "--spec", "{d}/spec.json", "--format", fmt, "--out-gt", "{d}/gt.txt", "--out-est", "{d}/est.txt"]
+    if seed is not None:
+        argv.append(f"--seed={seed}")
+    run_cli(peak_bytes, workdir, argv, {"spec.json": json.dumps(doc).encode()}, usage_errors=True)

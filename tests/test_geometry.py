@@ -11,17 +11,16 @@ from bevkit.geometry import (
     Pose3,
     check_rigid,
     closest_rotation,
-    compose,
     fit_similarity,
     invert_rigid,
     pixel_to_vehicle,
     pose2_to_pose3,
     pose3_to_pose2,
     relative_pose,
-    rot_z,
     vehicle_to_pixel,
     wrap_angle,
 )
+from helpers import compose, pose3, rot_z
 
 
 def random_rotation(rng):
@@ -34,7 +33,7 @@ def random_rotation(rng):
 
 
 def random_pose3(rng):
-    return Pose3.from_rt(random_rotation(rng), rng.uniform(-10, 10, 3))
+    return pose3(random_rotation(rng), rng.uniform(-10, 10, 3))
 
 
 def reference_check_rigid_matrix(m):
@@ -167,7 +166,7 @@ class TestPixelVehicleMap:
 
 class TestPose3:
     def test_identity(self):
-        assert np.array_equal(Pose3.identity().matrix, np.eye(4))
+        assert np.array_equal(Pose3(np.eye(4)).matrix, np.eye(4))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ShapeError):
@@ -192,7 +191,7 @@ class TestPose3:
             Pose3(m)
 
     def test_matrix_is_read_only(self):
-        p = Pose3.identity()
+        p = Pose3(np.eye(4))
         with pytest.raises(ValueError):
             p.matrix[0, 0] = 2.0
 
@@ -200,7 +199,7 @@ class TestPose3:
         rng = np.random.default_rng(5)
         for _ in range(200):
             p = random_pose3(rng)
-            ident = compose(p, p.inverse()).matrix
+            ident = compose(p, Pose3(invert_rigid(p.matrix[None])[0])).matrix
             assert np.max(np.abs(ident - np.eye(4))) < 1e-12
 
     def test_invert_rigid_is_the_per_pose_inverse(self):
@@ -214,7 +213,6 @@ class TestPose3:
             want[:3, :3] = r_t
             want[:3, 3] = -r_t @ p.matrix[:3, 3]
             assert np.array_equal(inv, want)
-            assert np.array_equal(p.inverse().matrix, want)
 
     def test_invert_rigid_empty_stack(self):
         assert invert_rigid(np.zeros((0, 4, 4))).shape == (0, 4, 4)
@@ -265,17 +263,12 @@ class TestPose3:
         with pytest.raises(ShapeError):
             check_rigid(np.eye(4))
 
-    def test_apply_points(self):
-        p = pose2_to_pose3(Pose2(math.pi / 2, 1.0, 0.0))
-        out = p.apply(np.array([1.0, 0.0, 0.0]))
-        assert np.max(np.abs(out - [1.0, 1.0, 0.0])) < 1e-15
-
 
 class TestCompose:
     def test_identity_neutral(self):
         rng = np.random.default_rng(8)
         p = random_pose3(rng)
-        assert np.array_equal(compose(Pose3.identity(), p).matrix, p.matrix)
+        assert np.array_equal(compose(Pose3(np.eye(4)), p).matrix, p.matrix)
 
     def test_associative(self):
         rng = np.random.default_rng(9)
@@ -289,18 +282,15 @@ class TestCompose:
         rng = np.random.default_rng(10)
         for _ in range(200):
             t1, t2 = rng.uniform(-math.pi, math.pi, 2)
-            combined = compose(
-                Pose3.from_rt(rot_z(t1), np.zeros(3)),
-                Pose3.from_rt(rot_z(t2), np.zeros(3)),
-            )
+            combined = compose(pose3(rot_z(t1), np.zeros(3)), pose3(rot_z(t2), np.zeros(3)))
             yaw = pose3_to_pose2(combined).theta
             assert abs(wrap_angle(yaw - wrap_angle(t1 + t2))) < 1e-12
 
     def test_long_chain_stays_valid(self):
-        # five thousand composes must not leak drift past the type invariant
+        # five thousand products must not leak drift past the type invariant
         rng = np.random.default_rng(12)
-        acc = Pose3.identity()
-        step = Pose3.from_rt(rot_z(0.01), np.array([0.02, 0.0, 0.0]))
+        acc = Pose3(np.eye(4))
+        step = pose3(rot_z(0.01), np.array([0.02, 0.0, 0.0]))
         for _ in range(5000):
             acc = compose(acc, step)
         r = acc.rotation
@@ -372,11 +362,11 @@ class TestRelativePose:
     def test_from_identity(self):
         rng = np.random.default_rng(15)
         p = random_pose3(rng)
-        assert np.max(np.abs(relative_pose(Pose3.identity(), p).matrix - p.matrix)) < 1e-15
+        assert np.max(np.abs(relative_pose(Pose3(np.eye(4)), p).matrix - p.matrix)) < 1e-15
 
     def test_worked_example(self):
         # anchor at origin facing +x, partner 1 m ahead turned 90 deg left
-        a = Pose3.identity()
+        a = Pose3(np.eye(4))
         b = pose2_to_pose3(Pose2(math.pi / 2, 1.0, 0.0))
         rel = pose3_to_pose2(relative_pose(a, b))
         assert abs(rel.theta - math.pi / 2) < 1e-15
@@ -385,12 +375,12 @@ class TestRelativePose:
 
 
     def test_equal_to_the_two_pose_form(self):
-        # the form relative_pose replaced: a validated inverse, then compose's repair
+        # the form relative_pose replaced: a validated inverse, then the product's repair
         rng = np.random.default_rng(16)
         repaired = 0
         for _ in range(300):
             a, b = (rigid(random_rotation(rng) * math.sqrt(1.0 + rng.uniform(-0.9e-9, 0.9e-9) / math.sqrt(3.0))) for _ in range(2))
-            want = Pose3(a).inverse().matrix @ b
+            want = Pose3(invert_rigid(a[None])[0]).matrix @ b
             if float(np.linalg.norm(want[:3, :3].T @ want[:3, :3] - np.eye(3))) > 1e-9:
                 want[:3, :3] = closest_rotation(want[:3, :3])
                 repaired += 1
@@ -398,7 +388,7 @@ class TestRelativePose:
         assert 20 < repaired < 280
 
     def test_builds_one_pose(self, monkeypatch):
-        a, b = Pose3.identity(), pose2_to_pose3(Pose2(0.3, 1.0, 2.0))
+        a, b = Pose3(np.eye(4)), pose2_to_pose3(Pose2(0.3, 1.0, 2.0))
         built = []
         check = Pose3.__post_init__
         monkeypatch.setattr(Pose3, "__post_init__", lambda self: (built.append(1), check(self)))
@@ -408,16 +398,16 @@ class TestRelativePose:
 
 class TestPose2Conversions:
     def test_identity(self):
-        assert pose3_to_pose2(Pose3.identity()) == Pose2(0.0, 0.0, 0.0)
+        assert pose3_to_pose2(Pose3(np.eye(4))) == Pose2(0.0, 0.0, 0.0)
         assert np.array_equal(pose2_to_pose3(Pose2(0.0, 0.0, 0.0)).matrix, np.eye(4))
 
     def test_pure_rotation(self):
-        p = pose3_to_pose2(Pose3.from_rt(rot_z(0.3), np.zeros(3)))
+        p = pose3_to_pose2(pose3(rot_z(0.3), np.zeros(3)))
         assert abs(p.theta - 0.3) < 1e-15
         assert p.tx == 0.0 and p.ty == 0.0
 
     def test_z_dropped(self):
-        p = pose3_to_pose2(Pose3.from_rt(np.eye(3), np.array([1.0, 2.0, 3.0])))
+        p = pose3_to_pose2(pose3(np.eye(3), np.array([1.0, 2.0, 3.0])))
         assert p == Pose2(0.0, 1.0, 2.0)
 
     def test_quarter_turn_matrix(self):

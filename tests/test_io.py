@@ -49,7 +49,6 @@ from bevkit.io import (
     write_kitti_poses,
     write_pairs_csv,
     write_scale_curve_csv,
-    write_flow_csv,
     write_trajectory,
     write_tum_trajectory,
 )
@@ -433,14 +432,6 @@ def reference_write_pairs_csv(records):
     return "\n".join(lines) + "\n"
 
 
-def reference_write_flow_csv(flow):
-    lines = ["u,v,du,dv"]
-    for v in range(flow.grid.height_px):
-        for u in range(flow.grid.width_px):
-            lines.append(f"{u},{v},{flow.data[0][v, u]:.17g},{flow.data[1][v, u]:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def reference_write_scale_curve_csv(curve):
     lines = ["segment_index,log2_scale"]
     for idx, val in zip(curve.segment_indices, curve.values):
@@ -496,12 +487,6 @@ class TestWritersMatchReference:
         assert_same_text(write_pairs_csv(records), reference_write_pairs_csv(records))
         curve = LogScaleCurve(np.arange(n) * 3, np.array(EDGE_VALUES), ())
         assert_same_text(write_scale_curve_csv(curve), reference_write_scale_curve_csv(curve))
-        flow = FlowField(np.reshape(EDGE_VALUES[:12] * 2, (2, 3, 4)), BevGridSpec(3, 4, 0.5))
-        assert_same_text(write_flow_csv(flow), reference_write_flow_csv(flow))
-
-    def test_flow_of_a_motion(self):
-        flow = construct_flow_gt(Pose2(0.3, 1.25, -0.5), BevGridSpec(16, 24, 0.8))
-        assert_same_text(write_flow_csv(flow), reference_write_flow_csv(flow))
 
     def test_no_pairs(self):
         assert write_pairs_csv([]) == reference_write_pairs_csv([]) == "anchor_id,partner_id,yaw_diff_deg,displacement_m\n"
@@ -1200,20 +1185,6 @@ class TestSideCsv:
         with pytest.raises(ParseError) as exc:
             parse_pairs_csv("anchor_id,partner_id,yaw_diff_deg,displacement_m\n1,2,3\n")
         assert exc.value.line == 2
-
-    def test_flow_csv_layout(self):
-        grid = BevGridSpec(2, 3, 1.0, origin_px=(1.0, 0.5))
-        flow = construct_flow_gt(Pose2(0.0, 1.0, 0.0), grid)
-        lines = write_flow_csv(flow).splitlines()
-        assert lines[0] == "u,v,du,dv"
-        assert len(lines) == 1 + 2 * 3
-        # v is the outer loop; first data row is pixel (0, 0).
-        u0, v0, du0, dv0 = lines[1].split(",")
-        assert (u0, v0) == ("0", "0")
-        assert float(du0) == flow.du[0, 0]
-        assert float(dv0) == flow.dv[0, 0]
-        u1, v1, _, _ = lines[2].split(",")
-        assert (u1, v1) == ("1", "0")
 
     def test_scale_curve_csv(self):
         from bevkit.evaluation import LogScaleCurve

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from bevkit import flow as flow_mod
 from bevkit.errors import DegenerateInputError, ShapeError
-from bevkit.geometry import Pose2, rot_z
-from bevkit.losses import LossWeights, l1_flow_loss, loss_3dof, loss_5dof, loss_total
+from bevkit.geometry import Pose2
+from bevkit.losses import LossWeights, loss_3dof, loss_5dof, loss_total
 
 
 def random_rotation(rng):
@@ -174,8 +173,3 @@ class TestLossTotal:
             )
             expected = l3 + w.lambda1 * l5 + w.lambda2 * lf
             assert abs(loss_total(l3, l5, lf, w) - expected) < 1e-12
-
-
-class TestFlowLossReexport:
-    def test_same_function_object(self):
-        assert l1_flow_loss is flow_mod.l1_flow_loss

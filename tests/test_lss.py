@@ -6,7 +6,7 @@ import pytest
 from bevkit import io as bevio
 from bevkit.correlation import FeatureMap
 from bevkit.errors import InvalidCameraError, ShapeError
-from bevkit.geometry import BevGridSpec, CameraModel, pixel_to_vehicle, rot_z, vehicle_to_pixel
+from bevkit.geometry import BevGridSpec, CameraModel, pixel_to_vehicle, vehicle_to_pixel
 from bevkit.lss import (
     DepthDistribution,
     Frustum,
@@ -16,6 +16,7 @@ from bevkit.lss import (
     project_volume,
     splat,
 )
+from helpers import rot_z
 
 
 def identity_camera(f=100.0, cx=8.0, cy=6.0):
@@ -92,7 +93,6 @@ def bench_inputs(rng, channels=64, image=(32, 88)):
 class TestDepthDistribution:
     def test_valid(self):
         dd = DepthDistribution(np.ones((3, 2, 2)), [1.0, 2.0, 3.0])
-        assert dd.num_bins == 3
         assert not dd.data.flags.writeable
 
     def test_negative_weight_rejected(self):

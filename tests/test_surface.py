@@ -1,0 +1,145 @@
+"""Every public name of ``src/bevkit`` has a reader in the library or the benchmark.
+
+A public name is a top-level function, class or assignment of a
+``bevkit`` module, or a method, property or field of one of its
+classes, whose name does not start with ``_``.  Its readers are found
+with ``ast`` in ``src/bevkit`` and ``bench/``:
+
+* a top-level name is read by a load of it in its own module, by a
+  ``from ... import`` of it, or by an attribute access ``x.name``;
+* a class attribute is read by an attribute access ``x.attr``; when
+  ``x`` is another bevkit class by name (``Pose2.identity``), the access
+  reads only that class's attribute.
+
+The match is by name, so it can see a reader where there is none; a
+read through a string (``getattr``, an entry point) it does not see.  A
+name with no reader is either deleted or listed in ``KEPT`` with the
+reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "bevkit"
+BENCH = ROOT / "bench"
+
+# Public names that nothing in src/bevkit or bench/ reads, and why each stays.
+KEPT = {
+    "flow.FlowStats.frac_below": "FlowStats's one method; flow_error_map returns the stats beside the map",
+    "correlation.channel_index": "the inverse of channel_offset: where displacement (dx, dy) lives in a volume",
+    "correlation.peak_displacement": "the readout of a correlation volume",
+    "geometry.vehicle_to_pixel": "the inverse of pixel_to_vehicle",
+    "io.parse_pairs_csv": "the reader of the format write_pairs_csv writes",
+    "lss.lift": "with splat, the bitwise reference pair of project_volume; moves to the tests when the "
+                "projection plan becomes an explicit value, which the benchmark's plan building must follow",
+    "lss.splat": "see lss.lift",
+    # measured on the bev_frames benchmark workload: a plan without them frees
+    # them before the pool allocates, and the worker's peak RSS read 135 MB in
+    # 3 of 3 runs, against about 125 MB in 17 of 20 with them
+    "lss.SplatAssignment.rows": "assign_cells computes them anyway; freeing them early raises peak RSS",
+    "lss.SplatAssignment.cols": "see lss.SplatAssignment.rows",
+}
+
+
+def public_surface(src: Path) -> dict:
+    """``{"module.name" or "module.Class.attr": (module, class or None, name)}`` of every public name."""
+    surface = {}
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text()).body:
+            for name in _defined(node):
+                surface[f"{module}.{name}"] = (module, None, name)
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for member in node.body:
+                    for attr in _defined(member):
+                        surface[f"{module}.{node.name}.{attr}"] = (module, node.name, attr)
+    return surface
+
+
+def _defined(node) -> list[str]:
+    """The public names a module- or class-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if not n.startswith("_")]
+
+
+def readers(src: Path, bench: Path, classes: set[str]):
+    """What the files of ``src`` and ``bench`` read.
+
+    Returns the (module, name) loads in ``src``, the imported names, the
+    attributes read from an unknown owner, and the (class, attribute)
+    pairs read from a class by name.
+    """
+    loads, imported, attrs, class_attrs = set(), set(), set(), set()
+    for path in [*src.glob("*.py"), *bench.glob("*.py")]:
+        module = path.stem if path.parent == src else None
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and module:
+                loads.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                owner = node.value.id if isinstance(node.value, ast.Name) else None
+                if owner in classes:
+                    class_attrs.add((owner, node.attr))
+                else:
+                    attrs.add(node.attr)
+    return loads, imported, attrs, class_attrs
+
+
+def unread_names(src: Path = SRC, bench: Path = BENCH) -> set[str]:
+    """Keys of :func:`public_surface` that no file of ``src`` or ``bench`` reads."""
+    surface = public_surface(src)
+    classes = {cls for _, cls, _ in surface.values() if cls}
+    loads, imported, attrs, class_attrs = readers(src, bench, classes)
+    unread = set()
+    for key, (module, cls, name) in surface.items():
+        if cls is None:
+            read = (module, name) in loads or name in imported or name in attrs
+        else:
+            read = name in attrs or (cls, name) in class_attrs
+        if not read:
+            unread.add(key)
+    return unread
+
+
+def test_every_public_name_has_a_reader_or_a_reason():
+    missing = sorted(unread_names() - KEPT.keys())
+    assert not missing, f"public names with no reader in src/bevkit or bench/: {missing}"
+
+
+def test_kept_names_exist_and_are_still_unread():
+    surface = public_surface(SRC)
+    gone = sorted(KEPT.keys() - surface.keys())
+    assert not gone, f"KEPT names that no longer exist: {gone}"
+    read = sorted(KEPT.keys() - unread_names())
+    assert not read, f"KEPT names that have gained a reader: {read}"
+
+
+def test_guard_sees_a_name_read_only_by_a_test(tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "mod.py").write_text(
+        "class Box:\n"
+        "    size: int\n"
+        "    def used(self): return self.size\n"
+        "    def spare(self): pass\n"
+        "class Other:\n"
+        "    @staticmethod\n"
+        "    def spare(): pass\n"
+        "def helper(): return Box(1).used() + Other.spare()\n"
+        "def debug_dump(): pass\n"
+        "LIMIT = 3\n"
+        "def _private(): return LIMIT\n"
+    )
+    bench = tmp_path / "bench"
+    bench.mkdir()
+    (bench / "run.py").write_text("from bevkit.mod import helper\nhelper()\n")
+    assert unread_names(src, bench) == {"mod.debug_dump", "mod.Box.spare"}
