@@ -1,0 +1,62 @@
+"""BVT1, the binary tensor container of the CLI.
+
+Magic ``BVT1``, then a u32 little-endian rank, rank u32 dims, and a
+row-major float32 payload.  The byte length must match the header
+exactly.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+
+import numpy as np
+
+from .errors import FormatError
+
+_BVT1_MAGIC = b"BVT1"
+
+
+def write_bvt1(array: np.ndarray) -> bytes:
+    """Encode an array as BVT1 bytes (float32 payload, row-major).
+
+    Raises:
+        FormatError: a rank-0 array, or a finite value that float32 cannot hold.
+    """
+    array = np.asarray(array)
+    if array.ndim < 1:
+        raise FormatError("rank-0 tensors are not representable")
+    header = _BVT1_MAGIC + struct.pack("<I", array.ndim)
+    header += struct.pack(f"<{array.ndim}I", *array.shape)
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(array, dtype="<f4")
+    if np.isinf(payload).any() and np.isinf(payload).sum() > np.isinf(array).sum():
+        raise FormatError(f"value beyond the float32 range (max {np.finfo(np.float32).max:g})")
+    return header + payload.tobytes()
+
+
+def read_bvt1(data: bytes) -> np.ndarray:
+    """Decode BVT1 bytes into a float32 array.
+
+    Raises:
+        FormatError: bad magic, zero rank, or a byte length that does not
+            match the declared dimensions exactly.
+    """
+    if len(data) < 8:
+        raise FormatError(f"truncated header: {len(data)} bytes")
+    if data[:4] != _BVT1_MAGIC:
+        raise FormatError(f"bad magic {data[:4]!r}, expected {_BVT1_MAGIC!r}")
+    (rank,) = struct.unpack_from("<I", data, 4)
+    if rank == 0:
+        raise FormatError("rank-0 tensors are not representable")
+    if len(data) < 8 + 4 * rank:
+        raise FormatError(f"truncated dimension list for rank {rank}")
+    dims = struct.unpack_from(f"<{rank}I", data, 8)
+    count = math.prod(dims)
+    expected = 8 + 4 * rank + 4 * count
+    if len(data) != expected:
+        raise FormatError(
+            f"payload length mismatch: {len(data)} bytes, header implies {expected}"
+        )
+    values = np.frombuffer(data, dtype="<f4", count=count, offset=8 + 4 * rank)
+    return values.reshape(dims).copy()

@@ -12,22 +12,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
+# The handlers import what they run, so a process loads only its own
+# subcommand's modules; the parser needs the text rules alone.
+from .text import TRAJECTORY_FORMATS, Rows, read_number, read_rows
 
-from . import io as bevio
-from .correlation import CorrelationVolume, FeatureMap, concat_volumes, local_correlation
-from .errors import ShapeError
-from .evaluation import (
-    DEFAULT_SEGMENT_LENGTHS_M,
-    Trajectory,
-    evaluate_trajectories,
-    log_scale_curve,
-    scale_trajectory,
-)
-from .flow import construct_flow_gt, solve_pose_from_flow
-from .geometry import Pose2, pose3_to_pose2, relative_pose, Pose3
-from .lss import DepthDistribution, project_volume
-from .sampler import build_pair_lists, frames_from_trajectory, merge_pair_lists, sample_pair
+MAX_DRAWS = 2**20  # sample-pairs --draws: one CSV line each
 
 
 def _emit(payload: dict):
@@ -39,15 +28,17 @@ def _log(message: str):
     print(f"bevkit: {message}", file=sys.stderr)
 
 
-def _load_config(path: str | None) -> bevio.PipelineConfig:
+def _load_config(path: str | None):
+    from .config import default_config, parse_config
+
     if path is None:
-        return bevio.default_config()
-    return bevio.parse_config(Path(path).read_text())
+        return default_config()
+    return parse_config(Path(path).read_text())
 
 
 def _option_row(option: str, text: str, count: int | None, kind: type = float) -> list:
     """The numbers of a comma-separated option value, read as one row by the text formats' row reader."""
-    rows, _, failure = bevio._read_rows([(None, text)], bevio._Rows(count, ",", kind, blank="empty value"))
+    rows, _, failure = read_rows([(None, text)], Rows(count, ",", kind, blank="empty value"))
     if failure is not None:
         raise ValueError(f"{option}: {failure}")
     return rows[0]
@@ -57,18 +48,23 @@ def _number(kind: type):
     """An argparse ``type=`` reading ``kind`` by the text inputs' number rule, named ``kind`` in refusals."""
 
     def read(text: str):
-        return bevio._read_number(kind, text)
+        return read_number(kind, text)
 
     read.__name__ = kind.__name__
     return read
 
 
 def _cmd_flow_make(args) -> int:
+    from .flow import construct_flow_gt, flow_to_bvt1
+    from .geometry import Pose2, Pose3, pose3_to_pose2, relative_pose
+
     cfg = _load_config(args.config)
     if args.pose is not None:
         pose = Pose2(*_option_row("--pose", args.pose, 3))
     else:
-        traj = bevio.parse_trajectory(Path(args.rel_from).read_text(), args.format)
+        from .formats import parse_trajectory
+
+        traj = parse_trajectory(Path(args.rel_from).read_text(), args.format)
         i, j = _option_row("--indices", args.indices, 2, int)
         n = len(traj)
         if not (0 <= i < n and 0 <= j < n):
@@ -76,7 +72,7 @@ def _cmd_flow_make(args) -> int:
         rel = relative_pose(Pose3(traj.poses[i]), Pose3(traj.poses[j]))
         pose = pose3_to_pose2(rel)
     flow = construct_flow_gt(pose, cfg.grid)
-    Path(args.out).write_bytes(bevio.flow_to_bvt1(flow))
+    Path(args.out).write_bytes(flow_to_bvt1(flow))
     _emit(
         {
             "out": args.out,
@@ -87,27 +83,36 @@ def _cmd_flow_make(args) -> int:
                 "resolution_m": cfg.grid.resolution_m,
                 "origin_px": list(cfg.grid.origin_px),
             },
-            "max_abs_du": float(np.abs(flow.data[0]).max()),
-            "max_abs_dv": float(np.abs(flow.data[1]).max()),
+            "max_abs_du": float(abs(flow.data[0]).max()),
+            "max_abs_dv": float(abs(flow.data[1]).max()),
         }
     )
     return 0
 
 
 def _cmd_pose_from_flow(args) -> int:
+    from .bvt1 import read_bvt1
+    from .flow import flow_from_bvt1, solve_pose_from_flow
+
     cfg = _load_config(args.config)
-    flow = bevio.flow_from_bvt1(Path(args.flow).read_bytes(), cfg.grid)
-    weights = None if args.weights is None else bevio.read_bvt1(Path(args.weights).read_bytes())
+    flow = flow_from_bvt1(Path(args.flow).read_bytes(), cfg.grid)
+    weights = None if args.weights is None else read_bvt1(Path(args.weights).read_bytes())
     pose = solve_pose_from_flow(flow, weights)
     _emit({"theta": pose.theta, "tx": pose.tx, "ty": pose.ty})
     return 0
 
 
 def _cmd_eval_traj(args) -> int:
-    est = bevio.parse_trajectory(Path(args.est).read_text(), args.format)
-    gt = bevio.parse_trajectory(Path(args.gt).read_text(), args.format)
+    import numpy as np
+
+    from .evaluation import DEFAULT_SEGMENT_LENGTHS_M, evaluate_trajectories, log_scale_curve, scale_trajectory
+    from .formats import associate_by_timestamp, parse_trajectory, write_scale_curve_csv
+    from .geometry import Trajectory
+
+    est = parse_trajectory(Path(args.est).read_text(), args.format)
+    gt = parse_trajectory(Path(args.gt).read_text(), args.format)
     if len(est) != len(gt) or not np.array_equal(est.timestamps, gt.timestamps):
-        pairs = bevio.associate_by_timestamp(est.timestamps, gt.timestamps, args.max_dt)
+        pairs = associate_by_timestamp(est.timestamps, gt.timestamps, args.max_dt)
         if len(pairs) < 2:
             raise ValueError(
                 f"timestamp association failed: only {len(pairs)} match(es) "
@@ -134,7 +139,7 @@ def _cmd_eval_traj(args) -> int:
         if args.scale_init_10m and report.scale_init is not None:
             est_for_curve = scale_trajectory(est, report.scale_init)
         curve = log_scale_curve(est_for_curve, gt, segment_m=args.scale_curve_segment_m)
-        Path(args.scale_curve).write_text(bevio.write_scale_curve_csv(curve))
+        Path(args.scale_curve).write_text(write_scale_curve_csv(curve))
         doc["scale_curve"] = args.scale_curve
         if curve.skipped:
             _log(f"scale curve skipped {len(curve.skipped)} zero-motion segment(s)")
@@ -143,14 +148,19 @@ def _cmd_eval_traj(args) -> int:
 
 
 def _cmd_sample_pairs(args) -> int:
+    import numpy as np
+
+    from .formats import parse_trajectory, write_pairs_csv
+    from .sampler import build_pair_lists, frames_from_trajectory, merge_pair_lists, sample_pair
+
     if args.draws < 1:
         raise ValueError(f"--draws must be an integer >= 1, got {args.draws}")
-    if args.draws > bevio.MAX_DRAWS:
-        raise ValueError(f"--draws must be at most {bevio.MAX_DRAWS}, got {args.draws}")
+    if args.draws > MAX_DRAWS:
+        raise ValueError(f"--draws must be at most {MAX_DRAWS}, got {args.draws}")
     if args.seed < 0:
         raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
     cfg = _load_config(args.config)
-    traj = bevio.parse_trajectory(Path(args.traj).read_text(), args.format)
+    traj = parse_trajectory(Path(args.traj).read_text(), args.format)
     frames = frames_from_trajectory(traj.timestamps, traj.poses)
     per_anchor = build_pair_lists(
         frames,
@@ -164,7 +174,7 @@ def _cmd_sample_pairs(args) -> int:
         _log("no high-rotation pairs found; all draws will come from the standard list")
     rng = np.random.default_rng(args.seed)
     records = [sample_pair(merged, rng) for _ in range(args.draws)]
-    Path(args.out).write_text(bevio.write_pairs_csv(records))
+    Path(args.out).write_text(write_pairs_csv(records))
     _emit(
         {
             "out": args.out,
@@ -178,34 +188,43 @@ def _cmd_sample_pairs(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    a = bevio.read_bvt1(Path(args.a).read_bytes())
-    b = bevio.read_bvt1(Path(args.b).read_bytes())
+    from .bvt1 import read_bvt1, write_bvt1
+    from .correlation import CorrelationVolume, FeatureMap, concat_volumes, local_correlation
+    from .errors import ShapeError
+
+    a = read_bvt1(Path(args.a).read_bytes())
+    b = read_bvt1(Path(args.b).read_bytes())
     vol_a = local_correlation(FeatureMap(a), FeatureMap(b), args.radius, normalize=args.normalize)
     out_data = vol_a.data
     if args.concat_with is not None:
-        extra = bevio.read_bvt1(Path(args.concat_with).read_bytes())
+        extra = read_bvt1(Path(args.concat_with).read_bytes())
         side_sq = extra.shape[0]
         side = int(round(side_sq ** 0.5))
         if side * side != side_sq or side % 2 == 0:
             raise ShapeError(f"{args.concat_with}: channel count {side_sq} is not the square of an odd number; "
                              "a correlation volume has (2r+1)^2 channels")
         out_data = concat_volumes(vol_a, CorrelationVolume(extra, (side - 1) // 2))
-    Path(args.out).write_bytes(bevio.write_bvt1(out_data))
+    Path(args.out).write_bytes(write_bvt1(out_data))
     _emit({"out": args.out, "channels": int(out_data.shape[0]), "radius": args.radius})
     return 0
 
 
 def _cmd_lss_project(args) -> int:
+    from .bvt1 import read_bvt1, write_bvt1
+    from .correlation import FeatureMap
+    from .errors import ShapeError
+    from .lss import DepthDistribution, project_volume
+
     cfg = _load_config(args.config)
-    feats = bevio.read_bvt1(Path(args.features).read_bytes())
-    depth = bevio.read_bvt1(Path(args.depth).read_bytes())
+    feats = read_bvt1(Path(args.features).read_bytes())
+    depth = read_bvt1(Path(args.depth).read_bytes())
     if depth.shape[0] != cfg.depth_bins.size:
         raise ShapeError(
             f"depth has {depth.shape[0]} bins but config declares {cfg.depth_bins.size}"
         )
     dist = DepthDistribution(depth, cfg.depth_bins, normalized=args.normalized)
     bev, dropped = project_volume(FeatureMap(feats), dist, cfg.camera, cfg.grid)
-    Path(args.out).write_bytes(bevio.write_bvt1(bev))
+    Path(args.out).write_bytes(write_bvt1(bev))
     _emit(
         {
             "out": args.out,
@@ -218,14 +237,17 @@ def _cmd_lss_project(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = bevio.parse_synth_spec(Path(args.spec).read_text())
-    if args.seed is not None:
-        from dataclasses import replace
+    from dataclasses import replace
 
+    from .formats import write_trajectory
+    from .synth import parse_synth_spec, synth_trajectory
+
+    spec = parse_synth_spec(Path(args.spec).read_text())
+    if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    gt, est = bevio.synth_trajectory(spec)
-    Path(args.out_gt).write_text(bevio.write_trajectory(gt, args.format))
-    Path(args.out_est).write_text(bevio.write_trajectory(est, args.format))
+    gt, est = synth_trajectory(spec)
+    Path(args.out_gt).write_text(write_trajectory(gt, args.format))
+    Path(args.out_est).write_text(write_trajectory(est, args.format))
     _emit(
         {
             "out_gt": args.out_gt,
@@ -249,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--pose", help="relative motion as 'theta,tx,ty' (radians, meters)")
     src.add_argument("--rel-from", help="trajectory file; motion comes from a frame pair")
     p.add_argument("--indices", default="0,1", help="frame pair 'i,j' for --rel-from")
-    p.add_argument("--format", default="tum", choices=tuple(bevio.TRAJECTORY_FORMATS))
+    p.add_argument("--format", default="tum", choices=TRAJECTORY_FORMATS)
     p.add_argument("--config", required=True, help="pipeline config JSON")
     p.add_argument("--out", required=True, help="output flow tensor (BVT1)")
     p.set_defaults(func=_cmd_flow_make)
@@ -263,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-traj", help="trajectory metrics against ground truth")
     p.add_argument("--est", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--format", default="tum", choices=tuple(bevio.TRAJECTORY_FORMATS))
+    p.add_argument("--format", default="tum", choices=TRAJECTORY_FORMATS)
     p.add_argument("--align", default="se3", choices=("se3", "sim3"))
     p.add_argument("--lengths", help="comma-separated segment lengths in meters")
     p.add_argument("--stride", type=_number(int), default=1, help="start-frame stride")
@@ -284,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-pairs", help="draw rotation-balanced training pairs")
     p.add_argument("--traj", required=True)
-    p.add_argument("--format", default="tum", choices=tuple(bevio.TRAJECTORY_FORMATS))
+    p.add_argument("--format", default="tum", choices=TRAJECTORY_FORMATS)
     p.add_argument("--config", help="pipeline config JSON (sampler thresholds)")
     p.add_argument("--out", required=True, help="output pairs CSV")
     p.add_argument("--seed", type=_number(int), default=0)
@@ -311,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic drive and corrupted estimate")
     p.add_argument("--spec", required=True, help="synth spec JSON")
     p.add_argument("--seed", type=_number(int), help="override the spec's noise seed")
-    p.add_argument("--format", default="tum", choices=tuple(bevio.TRAJECTORY_FORMATS))
+    p.add_argument("--format", default="tum", choices=TRAJECTORY_FORMATS)
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-est", required=True)
     p.set_defaults(func=_cmd_synth)

@@ -139,7 +139,8 @@ def local_correlation(
             dx, dy = channel_offset(k, radius)
             if abs(dx) <= ph and abs(dy) <= pw:
                 window = padded[:, ph + dx : ph + dx + h, pw + dy : pw + dy + w]
-                out[k] = np.einsum("chw,chw->hw", f_t.data, window)
+                # written in place: no per-shift temporary in the thread's malloc arena
+                np.einsum("chw,chw->hw", f_t.data, window, out=out[k])
 
     # each shift writes its own channel
     split_run(shifts, side * side)

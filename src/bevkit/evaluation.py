@@ -21,7 +21,7 @@ from .errors import (
     InsufficientLengthError,
     ShapeError,
 )
-from .geometry import fit_similarity
+from .geometry import Trajectory, fit_similarity
 
 DEFAULT_SEGMENT_LENGTHS_M = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
 
@@ -32,44 +32,6 @@ _BLOCK = 1024
 # Second singular value of the position cross-covariance below this times
 # the first means the point sets are collinear and rotation is ambiguous.
 _COLLINEAR_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A timed sequence of world poses: (N,) timestamps, (N, 4, 4) matrices.
-
-    Timestamps must be strictly increasing.  Pose validity (orthonormal
-    rotations, exact homogeneous row) is the responsibility of whoever
-    built the matrices; the parsers in :mod:`bevkit.io` enforce it.
-    """
-
-    timestamps: np.ndarray
-    poses: np.ndarray
-
-    def __post_init__(self):
-        ts = np.array(self.timestamps, dtype=float)
-        poses = np.array(self.poses, dtype=float)
-        if ts.ndim != 1 or ts.size < 1:
-            raise ShapeError(f"timestamps must be a nonempty 1-d array, got {ts.shape}")
-        if poses.shape != (ts.size, 4, 4):
-            raise ShapeError(
-                f"poses must have shape ({ts.size}, 4, 4), got {poses.shape}"
-            )
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(poses))):
-            raise ValueError("trajectory contains non-finite values")
-        if np.any(np.diff(ts) <= 0.0):
-            raise ValueError("timestamps must be strictly increasing")
-        ts.flags.writeable = False
-        poses.flags.writeable = False
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "poses", poses)
-
-    def __len__(self) -> int:
-        return self.timestamps.size
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.poses[:, :3, 3]
 
 
 @dataclass(frozen=True)
@@ -233,6 +195,8 @@ def rte_rre(
     Raises:
         InsufficientLengthError: the ground-truth path is shorter than
             every requested segment length.
+        ValueError: a length's mean squared error per meter leaves the
+            float range, as for a length of 1e-320 m.
     """
     _check_same_frames(est, gt)
     if stride < 1:
@@ -247,7 +211,8 @@ def rte_rre(
             f"requested segment length (min {min(lengths):g} m)"
         )
     n = len(gt)
-    firsts = np.arange(0, n, stride)
+    # any stride >= n starts at frame 0 alone; capped, arange stays integer
+    firsts = np.arange(0, n, min(stride, n))
     t_sq: dict[float, np.ndarray] = {}
     r_sq: dict[float, np.ndarray] = {}
     for length in dict.fromkeys(lengths):
@@ -273,14 +238,22 @@ def rte_rre(
         # from the pow(x, 2) of a float in the last bit on about one value in a
         # thousand; a length listed k times gets each of its values k times in a row
         copies = lengths.count(length)
-        t_sq[length] = np.repeat([(e / length) ** 2 for e in t_err.tolist()], copies)
-        r_sq[length] = np.repeat([(e / length) ** 2 for e in r_err.tolist()], copies)
+        try:
+            t_sq[length] = np.repeat([(e / length) ** 2 for e in t_err.tolist()], copies)
+            r_sq[length] = np.repeat([(e / length) ** 2 for e in r_err.tolist()], copies)
+        except OverflowError:  # a square past the float range: the mean check below refuses it
+            t_sq[length] = r_sq[length] = np.array([math.inf])
     per_length: dict[float, tuple[float, float, int]] = {}
     for length in lengths:
         if not t_sq[length].size:
             continue
-        rte = 100.0 * math.sqrt(float(np.mean(t_sq[length])))
-        rre = 100.0 * math.degrees(math.sqrt(float(np.mean(r_sq[length]))))
+        with np.errstate(over="ignore"):
+            t_ms, r_ms = float(np.mean(t_sq[length])), float(np.mean(r_sq[length]))
+        if not (math.isfinite(t_ms) and math.isfinite(r_ms)):
+            raise ValueError(f"segment length {length!r} m: the mean squared error per meter "
+                             "leaves the float range")
+        rte = 100.0 * math.sqrt(t_ms)
+        rre = 100.0 * math.degrees(math.sqrt(r_ms))
         per_length[length] = (rte, rre, t_sq[length].size)
     if not per_length:
         raise InsufficientLengthError(

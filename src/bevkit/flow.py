@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bvt1 import read_bvt1, write_bvt1
 from .errors import DegenerateGeometryError, DegenerateInputError, ShapeError
 from .geometry import BevGridSpec, Pose2, fit_similarity, pixel_to_vehicle
 
@@ -191,3 +192,20 @@ def l1_flow_loss(pred: FlowField, gt: FlowField, mask: np.ndarray | None = None)
             raise DegenerateInputError("mask excludes every pixel")
         per_px = per_px[mask]
     return float(per_px.mean())
+
+
+def flow_to_bvt1(flow: FlowField) -> bytes:
+    """Encode a flow field's (2, H, W) data as BVT1 bytes."""
+    return write_bvt1(flow.data)
+
+
+def flow_from_bvt1(data: bytes, grid: BevGridSpec) -> FlowField:
+    """Decode BVT1 bytes into a flow field on the given grid.
+
+    Raises:
+        ShapeError: the tensor is not (2, H, W) for the grid.
+    """
+    arr = read_bvt1(data)
+    if arr.ndim != 3 or arr.shape[0] != 2:
+        raise ShapeError(f"flow tensor must have shape (2, H, W), got {arr.shape}")
+    return FlowField(arr, grid)

@@ -1,4 +1,4 @@
-"""Pose algebra for SE(3)/SE(2) and the metric bird's-eye-view pixel grid.
+"""Pose algebra for SE(3)/SE(2), timed pose sequences, and the metric bird's-eye-view pixel grid.
 
 Conventions used throughout the package:
 
@@ -279,6 +279,44 @@ def pose3_to_pose2(pose: Pose3) -> Pose2:
     """
     m = pose.matrix
     return Pose2(math.atan2(m[1, 0], m[0, 0]), m[0, 3], m[1, 3])
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """A timed sequence of world poses: (N,) timestamps, (N, 4, 4) matrices.
+
+    Timestamps must be strictly increasing.  Pose validity (orthonormal
+    rotations, exact homogeneous row) is the responsibility of whoever
+    built the matrices; the parsers in :mod:`bevkit.formats` enforce it.
+    """
+
+    timestamps: np.ndarray
+    poses: np.ndarray
+
+    def __post_init__(self):
+        ts = np.array(self.timestamps, dtype=float)
+        poses = np.array(self.poses, dtype=float)
+        if ts.ndim != 1 or ts.size < 1:
+            raise ShapeError(f"timestamps must be a nonempty 1-d array, got {ts.shape}")
+        if poses.shape != (ts.size, 4, 4):
+            raise ShapeError(
+                f"poses must have shape ({ts.size}, 4, 4), got {poses.shape}"
+            )
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(poses))):
+            raise ValueError("trajectory contains non-finite values")
+        if np.any(np.diff(ts) <= 0.0):
+            raise ValueError("timestamps must be strictly increasing")
+        ts.flags.writeable = False
+        poses.flags.writeable = False
+        object.__setattr__(self, "timestamps", ts)
+        object.__setattr__(self, "poses", poses)
+
+    def __len__(self) -> int:
+        return self.timestamps.size
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.poses[:, :3, 3]
 
 
 @dataclass(frozen=True)

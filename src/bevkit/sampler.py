@@ -13,13 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_HIGH_DEG, DEFAULT_LOW_DEG, DEFAULT_MAX_DISP_M, DEFAULT_WINDOW_S
 from .errors import DegenerateInputError, NoPairsError
 from .geometry import Pose3, check_rigid, invert_rigid, repair_rotations, wrap_angle
 
-DEFAULT_WINDOW_S = 60.0
-DEFAULT_MAX_DISP_M = 4.0
-DEFAULT_LOW_DEG = 15.0
-DEFAULT_HIGH_DEG = 45.0
 # Share of draws that go to the high-rotation list.
 HIGH_FRACTION = 0.7
 

@@ -1,0 +1,161 @@
+"""How every text input is read: the number rule, the row reader, the field checker.
+
+A numeric field is ASCII without ``_``: the rule refuses ``1_5`` or
+``١٢`` before ``float()`` or ``int()`` sees it.  The trajectory formats,
+the pairs CSV, the CLI's comma-separated options and its numeric argparse
+options all read numbers by it.  JSON inputs (the pipeline config and the
+synth spec) are checked against tables of field checks.
+
+The module imports nothing but the standard library and
+:mod:`bevkit.errors`, so the CLI can build its parser from it alone.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from collections import namedtuple
+from itertools import repeat
+
+from .errors import ParseError
+
+# the names of the text trajectory formats; bevkit.formats holds their codecs
+TRAJECTORY_FORMATS = ("kitti", "tum", "csv")
+
+
+# ---------------------------------------------------------------------------
+# text rows
+
+
+class Rows(namedtuple("Rows", "count sep kinds comments header blank bad",
+                      defaults=(None, float, False, "", "", "non-numeric field"))):
+    """How a text input cuts into rows of numbers.
+
+    * ``count``: fields in a row; None takes any number.
+    * ``sep``: the field separator; None splits on whitespace.
+    * ``kinds``: the converter of every field, or a tuple of one per field.
+    * ``comments``: skip lines starting with ``#``.
+    * ``header``: skip a first line starting with this, in any case.
+    * ``blank``: the refusal of a blank line; empty skips blank lines.
+    * ``bad``: what a conversion failure is called.
+    """
+
+    __slots__ = ()
+
+
+# what float() and int() say of a string outside their grammar
+_NOT_A_NUMBER = {float: "could not convert string to float: {!r}", int: "invalid literal for int() with base 10: {!r}"}
+
+
+def read_number(kind: type, field: str):
+    """``kind(field)`` for an ASCII field without ``_``; ``1_5`` or ``١٢`` fails as ``x`` does."""
+    if field.isascii() and "_" not in field:
+        return kind(field)
+    raise ValueError(_NOT_A_NUMBER[kind].format(field))
+
+
+def read_rows(lines, spec: Rows) -> tuple[list[list], list, ParseError | None]:
+    """The rows of numbers in ``lines``, (line number, text) pairs, cut as ``spec`` says.
+
+    Returns the rows before the first bad line, their line numbers, and
+    that line's ParseError or None.  A caller judges the rows first, so an
+    earlier row's bad value is reported before a later line's field error.
+    """
+    count, sep, kinds, comments, header, blank, bad = spec
+    uniform = isinstance(kinds, type)
+    per_field = repeat(kinds) if uniform else kinds
+    what = "fields" if sep is None else "comma-separated fields"
+    rows, linenos = [], []
+    for lineno, raw in lines:
+        line = raw.strip()
+        if not line and blank:
+            return rows, linenos, ParseError(blank, line=lineno)
+        if not line or comments and line.startswith("#"):
+            continue
+        if header and lineno == 1 and line.lower().startswith(header):
+            continue
+        fields = line.split(sep)
+        if sep is not None:
+            fields = [f.strip() for f in fields]
+        if count is not None and len(fields) != count:
+            return rows, linenos, ParseError(f"expected {count} {what}, got {len(fields)}", line=lineno)
+        try:
+            if uniform and line.isascii() and "_" not in line:
+                rows.append(list(map(kinds, fields)))  # every field passes the rule
+            else:
+                rows.append(list(map(read_number, per_field, fields)))
+        except ValueError as exc:
+            return rows, linenos, ParseError(f"{bad}: {exc}", line=lineno)
+        linenos.append(lineno)
+    return rows, linenos, None
+
+
+def format_rows(fmt: str, rows, header: str | None = None) -> str:
+    """One line per row, each a single ``fmt % tuple(row)``, after an optional header line.
+
+    ``"%.17g" % x`` and ``"%.9f" % x`` give the bytes of ``f"{x:.17g}"`` and
+    ``f"{x:.9f}"``, so the text is the one per-value f-strings wrote.
+    """
+    lines = [] if header is None else [header]
+    lines.extend([fmt % tuple(row) for row in rows])
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# JSON field tables
+
+_REAL_MAX = sys.float_info.max
+_TINY = math.ulp(0.0)  # the least float > 0, so [_TINY, hi] is (0, hi]
+
+
+# A field check is a (predicate, description) pair.
+def integer_in(lo: int, hi: float = math.inf):
+    text = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
+    return (lambda v: type(v) is int and lo <= v <= hi), text
+
+
+def _number_in(lo: float, hi: float, text: str):
+    """A float, or an int a float can hold, in [lo, hi]: NaN never passes, inf only when hi is inf."""
+    return (lambda v: (type(v) is float or type(v) is int and abs(v) <= _REAL_MAX) and lo <= v <= hi), text
+
+
+AT_LEAST_ZERO = _number_in(0.0, math.inf, "a number >= 0")
+FINITE_AT_LEAST_ZERO = _number_in(0.0, _REAL_MAX, "a finite number >= 0")
+FINITE_POSITIVE = _number_in(_TINY, _REAL_MAX, "a finite number > 0")
+FINITE = _number_in(-_REAL_MAX, _REAL_MAX, "a finite number")
+
+
+def finite_list(n: int):
+    text = f"a list of {n} finite numbers"
+    return (lambda v: type(v) is list and len(v) == n and all(map(FINITE[0], v))), text
+
+
+def load_json(text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, too deep
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", getattr(exc, "lineno", None)) from None
+
+
+def check_fields(section, table: dict, where: str, required: tuple[str, ...] = ()) -> dict:
+    """Check a JSON object against a field table and return it.
+
+    A table maps each allowed key to a field check or to the table of a nested
+    object; the keys in ``required`` must be present.  A failure raises ParseError.
+    """
+    if type(section) is not dict:
+        raise ParseError(f"{where} must be a JSON object")
+    unknown = sorted(set(section) - set(table))
+    if unknown:
+        raise ParseError(f"unknown {where} keys: {', '.join(map(json.dumps, unknown))}")
+    for key, value in section.items():
+        entry = table[key]
+        if type(entry) is dict:
+            check_fields(value, entry, key)
+        elif not entry[0](value):
+            raise ParseError(f"{where}.{key} must be {entry[1]}, got {json.dumps(value)}")
+    for key in required:
+        if key not in section:
+            raise ParseError(f"{where}.{key} is required")
+    return section

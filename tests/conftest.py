@@ -90,7 +90,7 @@ def bench_drive():
     4541 frames, built from ``bench/workloads.py`` itself so the tests see
     the drive the benchmark digests; each seed is synthesized once.
     """
-    from bevkit.io import synth_trajectory
+    from bevkit.synth import synth_trajectory
 
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from bevkit.bvt1 import read_bvt1, write_bvt1
 from bevkit.cli import main as cli_main
 from bevkit.correlation import FeatureMap, local_correlation, peak_displacement
 from bevkit.errors import ParseError
@@ -26,23 +27,18 @@ from bevkit.evaluation import (
     scale_trajectory,
 )
 from bevkit.flow import construct_flow_gt, solve_pose_from_flow
+from bevkit.formats import (
+    parse_kitti_poses,
+    parse_tum_trajectory,
+    write_kitti_poses,
+    write_trajectory,
+)
 from bevkit.geometry import (
     BevGridSpec,
     CameraModel,
     Pose2,
     pose2_to_pose3,
     wrap_angle,
-)
-from bevkit.io import (
-    MotionPrimitive,
-    SynthSpec,
-    parse_kitti_poses,
-    parse_tum_trajectory,
-    read_bvt1,
-    synth_trajectory,
-    write_bvt1,
-    write_kitti_poses,
-    write_trajectory,
 )
 from bevkit.losses import loss_3dof, loss_5dof
 from bevkit.lss import DepthDistribution, build_frustum, lift, splat, project_volume
@@ -52,6 +48,7 @@ from bevkit.sampler import (
     merge_pair_lists,
     sample_pair,
 )
+from bevkit.synth import MotionPrimitive, SynthSpec, synth_trajectory
 from helpers import rot_z, transform_trajectory
 
 GRID_128 = BevGridSpec(128, 128, 0.8)

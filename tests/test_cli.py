@@ -12,15 +12,11 @@ import numpy as np
 import pytest
 
 import bevkit
+from bevkit.bvt1 import read_bvt1, write_bvt1
 from bevkit.cli import main
 from bevkit.evaluation import Trajectory
+from bevkit.formats import parse_pairs_csv, write_trajectory
 from bevkit.geometry import Pose2, pose2_to_pose3
-from bevkit.io import (
-    parse_pairs_csv,
-    read_bvt1,
-    write_bvt1,
-    write_trajectory,
-)
 
 
 def run_fresh_python(*args):
@@ -687,6 +683,111 @@ class TestTopLevel:
         )
         assert code == 1
         assert "error" in err
+
+
+# Runs main() on its arguments, then writes the bevkit modules it loaded as
+# stderr's last line; --help ends in SystemExit(0).
+REPORT_MODULES = (
+    "import sys\n"
+    "from bevkit.cli import main\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.partition('.')[0] == 'bevkit')), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+# every subcommand process loads these: the package, the CLI, and the text
+# rules its argument parser reads numbers and format names by
+CLI_BASE = {"bevkit", "bevkit.cli", "bevkit.errors", "bevkit.text"}
+CONFIG_MODULES = {"bevkit.config", "bevkit.geometry", "bevkit.losses"}
+MODULES_LOADED = [
+    ("--help", ["--help"], set()),
+    ("correlate",
+     ["correlate", "--a", "{d}/a.bvt1", "--b", "{d}/b.bvt1", "--radius", "1", "--out", "{d}/vol.bvt1"],
+     {"bevkit.bvt1", "bevkit.correlation", "bevkit._threads"}),
+    ("eval-traj",
+     ["eval-traj", "--est", "{d}/est.tum", "--gt", "{d}/gt.tum", "--lengths", "1,2",
+      "--scale-curve", "{d}/curve.csv", "--scale-curve-segment-m", "1"],
+     {"bevkit.formats", "bevkit.geometry", "bevkit.evaluation"}),
+    ("synth",
+     ["synth", "--spec", "{d}/spec.json", "--out-gt", "{d}/gt2.tum", "--out-est", "{d}/est2.tum"],
+     {"bevkit.synth", "bevkit.geometry", "bevkit.formats"}),
+    ("sample-pairs",
+     ["sample-pairs", "--traj", "{d}/gt.tum", "--config", "{d}/config.json", "--out", "{d}/pairs.csv",
+      "--draws", "5"],
+     CONFIG_MODULES | {"bevkit.formats", "bevkit.sampler"}),
+    ("flow-make --rel-from",
+     ["flow-make", "--rel-from", "{d}/gt.tum", "--indices", "0,3", "--config", "{d}/config.json",
+      "--out", "{d}/flow2.bvt1"],
+     CONFIG_MODULES | {"bevkit.formats", "bevkit.flow", "bevkit.bvt1"}),
+    ("flow-make --pose",
+     ["flow-make", "--pose", "0.1,1,0", "--config", "{d}/config.json", "--out", "{d}/flow3.bvt1"],
+     CONFIG_MODULES | {"bevkit.flow", "bevkit.bvt1"}),
+    ("pose-from-flow",
+     ["pose-from-flow", "--flow", "{d}/flow.bvt1", "--config", "{d}/config.json"],
+     CONFIG_MODULES | {"bevkit.flow", "bevkit.bvt1"}),
+    ("lss-project",
+     ["lss-project", "--features", "{d}/feats.bvt1", "--depth", "{d}/depth.bvt1", "--config", "{d}/config.json",
+      "--out", "{d}/bev.bvt1"],
+     CONFIG_MODULES | {"bevkit.bvt1", "bevkit.lss", "bevkit.correlation", "bevkit._threads"}),
+]
+
+
+@pytest.fixture(scope="module")
+def pipe_dir(tmp_path_factory):
+    """Small inputs for one run of every subcommand."""
+    d = tmp_path_factory.mktemp("pipe")
+    (d / "config.json").write_text(json.dumps({
+        "grid": {"h": 16, "w": 16, "resolution_m": 0.8},
+        "camera": {"K": [20, 0, 4, 0, 20, 4, 0, 0, 1], "E": [0, 0, 1, 0, -1, 0, 0, 0, 0, -1, 0, 1.5]},
+        "depth_bins": {"count": 4, "min_m": 2.0, "max_m": 5.0},
+    }))
+    (d / "spec.json").write_text(json.dumps({
+        "primitives": [{"kind": "straight", "duration_s": 4.0, "speed_mps": 2.0},
+                       {"kind": "arc", "duration_s": 2.0, "speed_mps": 2.0, "yaw_rate_dps": 20.0}],
+        "noise_trans_m": 0.01, "seed": 3,
+    }))
+    rng = np.random.default_rng(5)
+    tensors = {"a": rng.normal(size=(4, 8, 8)), "b": rng.normal(size=(4, 8, 8)),
+               "feats": rng.normal(size=(2, 8, 8)), "depth": np.full((4, 8, 8), 0.25)}
+    for name, array in tensors.items():
+        (d / f"{name}.bvt1").write_bytes(write_bvt1(array))
+    assert main(["synth", "--spec", str(d / "spec.json"), "--out-gt", str(d / "gt.tum"),
+                 "--out-est", str(d / "est.tum")]) == 0
+    assert main(["flow-make", "--pose", "0.1,1,0", "--config", str(d / "config.json"),
+                 "--out", str(d / "flow.bvt1")]) == 0
+    return d
+
+
+class TestModulesLoaded:
+    """Each subcommand process imports only the bevkit modules it runs."""
+
+    def test_import_bevkit_loads_no_submodule(self):
+        proc = run_fresh_python("-c", "import sys, bevkit; print(sorted(m for m in sys.modules if 'bevkit' in m))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['bevkit']"
+
+    def test_submodules_load_on_first_use(self):
+        proc = run_fresh_python("-c", "import bevkit; from bevkit import lss; print(bevkit.io.read_bvt1.__module__, "
+                                      "lss.__name__, 'io' in bevkit.__all__)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["bevkit.bvt1", "bevkit.lss", "True"]
+
+    def test_help_loads_no_numpy(self):
+        # the parser needs only the standard library and bevkit.text
+        proc = run_fresh_python("-c", "import sys\nfrom bevkit.cli import main\ntry:\n    main(['--help'])\n"
+                                      "except SystemExit:\n    print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("name, argv, modules", MODULES_LOADED, ids=[row[0] for row in MODULES_LOADED])
+    def test_subcommand_loads_only_its_modules(self, pipe_dir, name, argv, modules):
+        proc = run_fresh_python("-c", REPORT_MODULES, *(a.format(d=pipe_dir) for a in argv))
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stderr.strip().splitlines()[-1].split())
+        assert loaded == CLI_BASE | modules
 
 
 BAD_INPUTS = [

@@ -16,23 +16,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bevkit.bvt1 import read_bvt1, write_bvt1
 from bevkit.cli import main
+from bevkit.config import _CONFIG
 from bevkit.errors import FormatError, ParseError
 from bevkit.evaluation import Trajectory
-from bevkit.geometry import planar_stack
-from bevkit.io import (
-    _CONFIG,
-    _PRIMITIVE,
-    _SYNTH_SPEC,
-    SynthSpec,
+from bevkit.formats import (
     parse_csv_trajectory,
     parse_kitti_poses,
-    parse_synth_spec,
     parse_tum_trajectory,
-    read_bvt1,
-    write_bvt1,
     write_trajectory,
 )
+from bevkit.geometry import planar_stack
+from bevkit.synth import _PRIMITIVE, _SYNTH_SPEC, SynthSpec, parse_synth_spec
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -312,7 +308,8 @@ def test_pose_from_flow_exits_cleanly(peak_bytes, workdir, data, weighted):
 # and option values from the number rule's edge cases; argparse refuses some of them with exit 2.
 FORMATS = ("tum", "kitti", "csv")
 steps = st.lists(st.tuples(st.just(0.0) | st.floats(0.5, 4.0), st.floats(-0.4, 0.4)), min_size=1, max_size=30)
-int_text = st.sampled_from(["0", "1", "2", "3", "-1", " 2 ", "1_0", "١", "x", "", "18446744073709551616"])
+int_text = st.sampled_from(["0", "1", "2", "3", "-1", " 2 ", "1_0", "١", "x", "", "9223372036854775808",
+                            "18446744073709551616"])
 
 
 def drive_texts(steps, dt, fmt, scale, shift_s, drop):
@@ -336,7 +333,8 @@ drives = st.builds(drive_texts, steps, st.sampled_from([0.01, 0.1, 1.0]), st.sam
                    mostly(st.just(0), st.integers(1, 3)))
 
 
-lengths_m = mostly(st.lists(st.sampled_from(["1", "2.5", "5", "20"]), min_size=1, max_size=3).map(",".join), rows)
+lengths_m = mostly(st.lists(st.sampled_from(["1", "2.5", "5", "20", "1e-320"]), min_size=1, max_size=3).map(",".join),
+                   rows)
 
 
 @TENSOR_FUZZ
@@ -357,6 +355,35 @@ def test_eval_traj_exits_cleanly(peak_bytes, workdir, data, drive, align, scale_
     if curve_m is not None:
         argv += ["--scale-curve", "{d}/curve.csv"]
     run_cli(peak_bytes, workdir, argv, files, usage_errors=True, notes=True)
+
+
+def write_drive(workdir, scale=1.1):
+    """A 21-frame drive and an estimate with positions times ``scale``, as gt.txt and est.txt in ``workdir``."""
+    _, gt_text, est_text = drive_texts([(1.0, 0.1)] * 20, 0.1, "tum", scale, 0.0, 0)
+    (workdir / "gt.txt").write_text(gt_text)
+    (workdir / "est.txt").write_text(est_text)
+    return ["eval-traj", "--est", str(workdir / "est.txt"), "--gt", str(workdir / "gt.txt")]
+
+
+def test_eval_traj_stride_beyond_the_frames_is_stride_n(workdir, capsys):
+    # numpy's arange takes a stride in [2**63, 2**64) as a float
+    argv = write_drive(workdir) + ["--lengths=1,2"]
+    outputs = []
+    for stride in ("21", "9223372036854775808", "18446744073709551616"):
+        assert main(argv + [f"--stride={stride}"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+# a square past the float range, an infinite quotient, and finite squares whose mean overflows
+@pytest.mark.parametrize("scale, lengths, refused", [(1.1, "100,1e-320", "1e-320"), (1.1, "1e-160", "1e-160"),
+                                                     (1.1, "1,1e-320", "1e-320"), (4e153, "1", "1.0")])
+def test_eval_traj_refuses_a_mean_error_beyond_the_float_range(workdir, capsys, scale, lengths, refused):
+    assert main(write_drive(workdir, scale) + [f"--lengths={lengths}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bevkit: error: segment length {refused} m: ")
+    assert captured.err.count("\n") == 1
 
 
 def primitive(kind, duration_s, speed_mps, yaw_rate_dps):

@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+from bevkit.bvt1 import read_bvt1, write_bvt1
+from bevkit.config import _CONFIG, default_config, parse_config
 from bevkit.errors import (
     FormatError,
     InvalidCameraError,
@@ -21,30 +23,16 @@ from bevkit.errors import (
     ShapeError,
 )
 from bevkit.evaluation import LogScaleCurve, Trajectory, log_scale_curve, path_lengths
-from bevkit.flow import FlowField, construct_flow_gt
-from bevkit.geometry import BevGridSpec, Pose2, Pose3, closest_rotation, pose2_to_pose3, wrap_angle
-from bevkit.io import (
-    _CONFIG,
-    _PRIMITIVE,
-    _SYNTH_SPEC,
-    MotionPrimitive,
-    SynthSpec,
+from bevkit.flow import FlowField, construct_flow_gt, flow_from_bvt1, flow_to_bvt1
+from bevkit.formats import (
     associate_by_timestamp,
-    default_config,
-    flow_from_bvt1,
-    flow_to_bvt1,
     matrix_to_quat,
-    parse_config,
     parse_csv_trajectory,
     parse_kitti_poses,
     parse_pairs_csv,
-    parse_synth_spec,
     parse_trajectory,
     parse_tum_trajectory,
     quat_to_matrix,
-    read_bvt1,
-    synth_trajectory,
-    write_bvt1,
     write_csv_trajectory,
     write_kitti_poses,
     write_pairs_csv,
@@ -52,7 +40,17 @@ from bevkit.io import (
     write_trajectory,
     write_tum_trajectory,
 )
+from bevkit.geometry import BevGridSpec, Pose2, Pose3, closest_rotation, pose2_to_pose3, wrap_angle
 from bevkit.sampler import PairRecord, build_pair_lists, frames_from_trajectory, merge_pair_lists
+from bevkit.synth import (
+    _PRIMITIVE,
+    _SYNTH_SPEC,
+    MotionPrimitive,
+    SynthSpec,
+    parse_synth_spec,
+    synth_trajectory,
+)
+from bevkit.text import TRAJECTORY_FORMATS
 
 
 def random_trajectory(n, seed):
@@ -616,7 +614,9 @@ class TestCsvFormat:
 
     def test_dispatch_by_format(self):
         traj = random_trajectory(10, seed=84)
-        for fmt in ("kitti", "tum", "csv"):
+        # every name the CLI offers has a codec
+        assert TRAJECTORY_FORMATS == ("kitti", "tum", "csv")
+        for fmt in TRAJECTORY_FORMATS:
             back = parse_trajectory(write_trajectory(traj, fmt), fmt)
             assert len(back) == 10
         with pytest.raises(ValueError):

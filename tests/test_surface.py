@@ -30,7 +30,7 @@ KEPT = {
     "correlation.channel_index": "the inverse of channel_offset: where displacement (dx, dy) lives in a volume",
     "correlation.peak_displacement": "the readout of a correlation volume",
     "geometry.vehicle_to_pixel": "the inverse of pixel_to_vehicle",
-    "io.parse_pairs_csv": "the reader of the format write_pairs_csv writes",
+    "formats.parse_pairs_csv": "the reader of the format write_pairs_csv writes",
     "lss.lift": "with splat, the bitwise reference pair of project_volume; moves to the tests when the "
                 "projection plan becomes an explicit value, which the benchmark's plan building must follow",
     "lss.splat": "see lss.lift",
@@ -121,6 +121,27 @@ def test_kept_names_exist_and_are_still_unread():
     assert not gone, f"KEPT names that no longer exist: {gone}"
     read = sorted(KEPT.keys() - unread_names())
     assert not read, f"KEPT names that have gained a reader: {read}"
+
+
+def test_no_public_name_is_defined_in_two_modules():
+    homes = {}
+    for module, cls, name in public_surface(SRC).values():
+        if cls is None:
+            homes.setdefault(name, []).append(module)
+    assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
+
+
+def test_io_offers_every_name_the_bench_reads_through_it():
+    import bevkit.io
+
+    read = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "bevio":
+                read.add(node.attr)
+    # and nothing more: the package itself imports the modules that hold them
+    assert sorted(bevkit.io.__all__) == sorted(read)
+    assert all(hasattr(bevkit.io, name) for name in read)
 
 
 def test_guard_sees_a_name_read_only_by_a_test(tmp_path):

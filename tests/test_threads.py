@@ -111,6 +111,14 @@ class TestCorrelationSplit:
             ref = local_correlation(FeatureMap(np.ascontiguousarray(a)), FeatureMap(np.ascontiguousarray(b)), radius)
             assert np.array_equal(got.data, ref.data)
 
+    @pytest.mark.parametrize("shape, radius", [((64, 128, 128), 5), ((64, 32, 88), 3)], ids=["bev-r5", "pv-r3"])
+    def test_paper_shapes_equal_serial_loop(self, workers, shape, radius):
+        # the kernel writes each shift into its output channel; the serial
+        # loop assigns a fresh einsum result, and the bits must agree
+        rng = np.random.default_rng(82)
+        a, b = FeatureMap(rng.standard_normal(shape)), FeatureMap(rng.standard_normal(shape))
+        assert np.array_equal(local_correlation(a, b, radius).data, serial_correlation(a, b, radius))
+
     def test_bench_shape_r5(self, monkeypatch):
         rng = np.random.default_rng(81)
         a, b = FeatureMap(rng.standard_normal((64, 64, 64))), FeatureMap(rng.standard_normal((64, 64, 64)))
