@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -109,6 +110,12 @@ def _cmd_eval_traj(args) -> int:
     from .formats import associate_by_timestamp, parse_trajectory, write_scale_curve_csv
     from .geometry import Trajectory
 
+    # checked here, though the drive may need neither: a malformed option is refused either way
+    if not args.max_dt >= 0.0:
+        raise ValueError(f"--max-dt: max_dt_s must be >= 0, got {args.max_dt}")
+    if not 0.0 < args.scale_curve_segment_m < math.inf:
+        raise ValueError(f"--scale-curve-segment-m: segment length must be finite and positive, "
+                         f"got {args.scale_curve_segment_m}")
     est = parse_trajectory(Path(args.est).read_text(), args.format)
     gt = parse_trajectory(Path(args.gt).read_text(), args.format)
     if len(est) != len(gt) or not np.array_equal(est.timestamps, gt.timestamps):
@@ -190,7 +197,6 @@ def _cmd_sample_pairs(args) -> int:
 def _cmd_correlate(args) -> int:
     from .bvt1 import read_bvt1, write_bvt1
     from .correlation import CorrelationVolume, FeatureMap, concat_volumes, local_correlation
-    from .errors import ShapeError
 
     a = read_bvt1(Path(args.a).read_bytes())
     b = read_bvt1(Path(args.b).read_bytes())
@@ -198,12 +204,7 @@ def _cmd_correlate(args) -> int:
     out_data = vol_a.data
     if args.concat_with is not None:
         extra = read_bvt1(Path(args.concat_with).read_bytes())
-        side_sq = extra.shape[0]
-        side = int(round(side_sq ** 0.5))
-        if side * side != side_sq or side % 2 == 0:
-            raise ShapeError(f"{args.concat_with}: channel count {side_sq} is not the square of an odd number; "
-                             "a correlation volume has (2r+1)^2 channels")
-        out_data = concat_volumes(vol_a, CorrelationVolume(extra, (side - 1) // 2))
+        out_data = concat_volumes(vol_a, CorrelationVolume(extra))
     Path(args.out).write_bytes(write_bvt1(out_data))
     _emit({"out": args.out, "channels": int(out_data.shape[0]), "radius": args.radius})
     return 0

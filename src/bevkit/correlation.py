@@ -8,6 +8,7 @@ if the second map were zero-padded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,35 +73,35 @@ def channel_offset(index: int | np.ndarray, radius: int) -> tuple:
 
 @dataclass(frozen=True)
 class CorrelationVolume:
-    """Correlation scores of shape ((2*radius+1)^2, H, W)."""
+    """Correlation scores of shape ((2*radius+1)^2, H, W); the channel count sets the radius."""
 
     data: np.ndarray
-    radius: int
 
     def __post_init__(self):
-        self._fill(np.array(self.data, dtype=float), self.radius)
+        self._fill(np.array(self.data, dtype=float))
 
     @classmethod
-    def _adopt(cls, data: np.ndarray, radius: int) -> "CorrelationVolume":
+    def _adopt(cls, data: np.ndarray) -> "CorrelationVolume":
         """Check and wrap a fresh float array that no one else holds, without copying it."""
         volume = object.__new__(cls)
-        volume._fill(data, radius)
+        volume._fill(data)
         return volume
 
-    def _fill(self, d: np.ndarray, radius):
-        radius = int(radius)
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
-        side = 2 * radius + 1
-        if d.ndim != 3 or d.shape[0] != side * side:
-            raise ShapeError(
-                f"volume with radius {radius} must have {side * side} channels, got shape {d.shape}"
-            )
+    def _fill(self, d: np.ndarray):
+        if d.ndim != 3:
+            raise ShapeError(f"correlation volume must have shape (C, H, W), got {d.shape}")
+        side = math.isqrt(d.shape[0])
+        if side * side != d.shape[0] or side % 2 == 0:
+            raise ShapeError(f"channel count {d.shape[0]} is not the square of an odd number; "
+                             "a correlation volume has (2r+1)^2 channels")
         if not np.all(np.isfinite(d)):
             raise ValueError("correlation volume contains non-finite entries")
         d.flags.writeable = False
         object.__setattr__(self, "data", d)
-        object.__setattr__(self, "radius", radius)
+
+    @property
+    def radius(self) -> int:
+        return math.isqrt(self.data.shape[0]) // 2
 
 
 def local_correlation(
@@ -146,7 +147,7 @@ def local_correlation(
     split_run(shifts, side * side)
     if normalize:
         out /= c
-    return CorrelationVolume._adopt(out, radius)
+    return CorrelationVolume._adopt(out)
 
 
 def concat_volumes(a: CorrelationVolume, b: CorrelationVolume) -> np.ndarray:

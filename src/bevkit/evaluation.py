@@ -268,27 +268,23 @@ def rte_rre(
     )
 
 
-def scale_from_first_10m(est: Trajectory, gt: Trajectory, prefix_m: float = 10.0) -> float:
+def scale_from_first_10m(est: Trajectory, gt: Trajectory) -> float:
     """Scale correction from the opening stretch of the trajectory.
 
     Returns the ratio of ground-truth to estimated accumulated path length
     over the prefix ending at the first frame where the ground-truth path
-    reaches ``prefix_m`` meters.  Multiplying the estimate by this factor
-    matches its early path length to the ground truth.
+    reaches 10 meters.  Multiplying the estimate by this factor matches
+    its early path length to the ground truth.
 
     Raises:
-        InsufficientLengthError: ground truth never reaches the prefix.
+        InsufficientLengthError: ground truth never reaches 10 m.
         DegenerateInputError: the estimated prefix has zero length.
     """
     _check_same_frames(est, gt)
-    if not 0.0 < prefix_m < math.inf:
-        raise ValueError(f"prefix must be finite and positive, got {prefix_m}")
     d_gt = path_lengths(gt)
-    if d_gt[-1] < prefix_m:
-        raise InsufficientLengthError(
-            f"ground-truth path covers {d_gt[-1]:.3f} m < prefix {prefix_m:g} m"
-        )
-    k = int(np.searchsorted(d_gt, prefix_m, side="left"))
+    if d_gt[-1] < 10.0:
+        raise InsufficientLengthError(f"ground-truth path covers {d_gt[-1]:.3f} m < prefix 10 m")
+    k = int(np.searchsorted(d_gt, 10.0, side="left"))
     d_est = path_lengths(est)
     if d_est[k] <= 0.0:
         raise DegenerateInputError("estimated trajectory has zero length over the prefix")

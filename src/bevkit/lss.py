@@ -4,11 +4,12 @@ Lift multiplies each pixel's feature vector by its categorical depth
 distribution, producing one weighted copy per depth bin; splat drops each
 copy at the BEV cell under its 3D location and sum-pools collisions.
 
-:func:`lift` and :func:`splat` are the reference pair.  :func:`project_volume`
-gives the same bits without building the (C, D, H, W) lift tensor: it
-weights each in-grid point by ``context[c, hw] * depth[d, hw]`` inside the
-per-channel pool.  Both pool through the plan that :func:`assign_cells`
-returns, so the summation order lives in one place.
+:func:`project_volume` does both without building the (C, D, H, W) lift
+tensor: :func:`build_frustum` places every (depth bin, pixel),
+:func:`assign_cells` bins those points into cells, and the per-channel pool
+weights each in-grid point by ``context[c, hw] * depth[d, hw]`` as it adds
+it.  The tests keep the explicit lift and an ``np.add.at`` splat as its
+bitwise reference.
 """
 
 from __future__ import annotations
@@ -64,43 +65,16 @@ class DepthDistribution:
 
 
 @dataclass(frozen=True)
-class Frustum:
-    """Vehicle-frame 3D location of every (depth bin, pixel): (D, H, W, 3)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        self._fill(np.array(self.points, dtype=float))
-
-    @classmethod
-    def _adopt(cls, points: np.ndarray) -> "Frustum":
-        """Check and wrap a fresh float array that no one else holds, without copying it."""
-        frustum = object.__new__(cls)
-        frustum._fill(points)
-        return frustum
-
-    def _fill(self, p: np.ndarray):
-        if p.ndim != 4 or p.shape[-1] != 3:
-            raise ShapeError(f"frustum points must have shape (D, H, W, 3), got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("frustum contains non-finite points")
-        p.flags.writeable = False
-        object.__setattr__(self, "points", p)
-
-    @property
-    def grid_shape(self) -> tuple[int, int, int]:
-        return self.points.shape[:3]
-
-
-@dataclass(frozen=True)
 class SplatAssignment:
     """Frustum-to-cell plan of one camera, bin set, image size and grid.
 
-    ``rows``, ``cols`` and ``in_grid`` are per-point (D, H, W) arrays.  The
-    rest describe only the in-grid points, in (depth, row, column) order:
-    ``points`` holds their flat (D, H, W) indices, ``cells`` their flat
-    cell ids ``row * grid W + col``, and ``pixels`` their flat image pixel
-    index ``hw``.  ``dropped`` counts the points outside the grid.
+    ``rows``, ``cols`` and ``in_grid`` are per-point (D, H, W) arrays; the
+    row and column of a point whose pixel coordinate leaves the int64 range
+    are meaningless, and ``in_grid`` is False there.  The rest describe only
+    the in-grid points, in (depth, row, column) order: ``points`` holds
+    their flat (D, H, W) indices, ``cells`` their flat cell ids
+    ``row * grid W + col``, and ``pixels`` their flat image pixel index
+    ``hw``.  ``dropped`` counts the points outside the grid.
     """
 
     rows: np.ndarray
@@ -112,12 +86,13 @@ class SplatAssignment:
     dropped: int
 
 
-def build_frustum(camera: CameraModel, bins: np.ndarray, image_size: tuple[int, int]) -> Frustum:
+def build_frustum(camera: CameraModel, bins: np.ndarray, image_size: tuple[int, int]) -> np.ndarray:
     """Back-project every (bin, pixel) into the vehicle frame.
 
     Pixel (h, w) is sampled at its center (w + 0.5, h + 0.5).  The ray
     through the center is scaled so its camera-frame depth (z) equals the
-    bin center, then mapped through the rigid extrinsics.
+    bin center, then mapped through the rigid extrinsics.  Returns the
+    read-only (D, H, W, 3) array of vehicle-frame points.
 
     Args:
         camera: pinhole model; extrinsics map camera to vehicle frame.
@@ -136,45 +111,47 @@ def build_frustum(camera: CameraModel, bins: np.ndarray, image_size: tuple[int, 
     pix = np.stack([us, vs, np.ones_like(us)], axis=-1)
     k_inv = np.linalg.inv(camera.intrinsics)
     rays = np.einsum("ij,hwj->hwi", k_inv, pix)
-    pts_cam = bins[:, None, None, None] * rays[None]
-    pts_veh = np.einsum("ij,dhwj->dhwi", camera.rotation, pts_cam)
-    pts_veh += camera.translation
-    return Frustum._adopt(pts_veh)
+    # far bins through a short focal length can overflow; the check below refuses the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts_cam = bins[:, None, None, None] * rays[None]
+        pts_veh = np.einsum("ij,dhwj->dhwi", camera.rotation, pts_cam)
+        pts_veh += camera.translation
+    _check_finite(pts_veh)
+    pts_veh.flags.writeable = False
+    return pts_veh
 
 
-def _check_pixels(context: FeatureMap, depth: DepthDistribution):
-    if context.spatial_shape != depth.data.shape[1:]:
-        raise ShapeError(
-            f"features {context.spatial_shape} and depth {depth.data.shape[1:]} disagree on (H, W)"
-        )
+def _check_finite(frustum: np.ndarray):
+    if not np.all(np.isfinite(frustum)):
+        raise ValueError("frustum contains non-finite points")
 
 
-def lift(context: FeatureMap, depth: DepthDistribution) -> np.ndarray:
-    """Outer product of features and depth weights: (C, D, H, W).
-
-    out[c, d, h, w] = context[c, h, w] * depth[d, h, w].
-    """
-    _check_pixels(context, depth)
-    return context.data[:, None, :, :] * depth.data[None, :, :, :]
-
-
-def assign_cells(frustum: Frustum, grid: BevGridSpec) -> SplatAssignment:
+def assign_cells(frustum: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
     """Bin every frustum point into a BEV cell by flooring its pixel coords.
 
-    Cell (i, j) covers the half-open square [j, j+1) x [i, i+1) in (u, v)
-    pixel coordinates, so a point exactly on a cell's lower edge belongs
-    to that cell.  Points outside the grid are flagged, not clipped.
+    ``frustum`` holds finite vehicle-frame points of shape (D, H, W, 3), as
+    :func:`build_frustum` returns them.  Cell (i, j) covers the half-open
+    square [j, j+1) x [i, i+1) in (u, v) pixel coordinates, so a point
+    exactly on a cell's lower edge belongs to that cell.  Points outside
+    the grid are flagged, not clipped.
     """
-    pts = frustum.points
-    u, v = _xy_to_pixel(pts[..., 0], pts[..., 1], grid)
-    cols = np.floor(u).astype(np.int64)
-    rows = np.floor(v).astype(np.int64)
-    in_grid = (
-        (rows >= 0)
-        & (rows < grid.height_px)
-        & (cols >= 0)
-        & (cols < grid.width_px)
-    )
+    frustum = np.asarray(frustum, dtype=float)
+    if frustum.ndim != 4 or frustum.shape[-1] != 3:
+        raise ShapeError(f"frustum points must have shape (D, H, W, 3), got {frustum.shape}")
+    _check_finite(frustum)
+    return _assign(frustum, grid)
+
+
+def _assign(pts: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
+    """:func:`assign_cells` on a frustum already checked."""
+    # A point far enough out has a pixel coordinate at inf or past int64,
+    # which casts to no meaningful row or column; the float test below puts
+    # it outside the grid, as it does every point that floors outside.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = _xy_to_pixel(pts[..., 0], pts[..., 1], grid)
+        cols = np.floor(u).astype(np.int64)
+        rows = np.floor(v).astype(np.int64)
+    in_grid = (v >= 0) & (v < grid.height_px) & (u >= 0) & (u < grid.width_px)
     points = np.flatnonzero(in_grid)
     cells = rows.ravel()[points] * grid.width_px + cols.ravel()[points]
     pixels = points % (pts.shape[1] * pts.shape[2])
@@ -182,7 +159,7 @@ def assign_cells(frustum: Frustum, grid: BevGridSpec) -> SplatAssignment:
     return SplatAssignment(rows, cols, in_grid, points, cells, pixels, dropped)
 
 
-def _pool(plan: SplatAssignment, grid: BevGridSpec, features: np.ndarray, index: np.ndarray, scale=None):
+def _pool(plan: SplatAssignment, grid: BevGridSpec, features: np.ndarray, index: np.ndarray, scale: np.ndarray):
     """Sum-pool ``features[c][index] * scale`` into the plan's cells, per channel c.
 
     ``index`` and ``scale`` give one entry per in-grid point, in the order
@@ -200,43 +177,28 @@ def _pool(plan: SplatAssignment, grid: BevGridSpec, features: np.ndarray, index:
         for c in cs:
             # every index is in range; mode="clip" skips the buffered bounds check
             np.take(features[c], index, out=weights, mode="clip")
-            if scale is not None:
-                np.multiply(weights, scale, out=weights)
+            np.multiply(weights, scale, out=weights)
             bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
 
     split_run(channels, features.shape[0])
     return bev.reshape(features.shape[0], grid.height_px, grid.width_px), plan.dropped
 
 
-def splat(lifted: np.ndarray, frustum: Frustum, grid: BevGridSpec):
-    """Sum-pool lifted features into BEV cells.
-
-    Returns (bev, dropped) where bev is a C-contiguous (C, grid H, grid W)
-    array and dropped counts the frustum points that fell outside the
-    grid.  Points are pooled in (depth, row, column) order, one
-    ``np.bincount`` per channel.
-    """
-    lifted = np.asarray(lifted, dtype=float)
-    if lifted.ndim != 4:
-        raise ShapeError(f"lifted features must have shape (C, D, H, W), got {lifted.shape}")
-    if lifted.shape[1:] != frustum.grid_shape:
-        raise ShapeError(
-            f"lifted shape {lifted.shape[1:]} does not match frustum {frustum.grid_shape}"
-        )
-    plan = assign_cells(frustum, grid)
-    return _pool(plan, grid, lifted.reshape(lifted.shape[0], -1), plan.points)
-
-
 def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraModel, grid: BevGridSpec):
-    """Full image-to-BEV projection, bitwise equal to ``splat(lift(...))``.
+    """Full image-to-BEV projection: lift ``volume`` by ``depth`` and splat it onto ``grid``.
 
-    The (C, D, H, W) lift tensor is never built: each in-grid point's
-    weight ``context[c, hw] * depth[d, hw]`` is formed inside the
-    per-channel pool, so memory beyond the output stays at a few
-    point-sized arrays.  Returns (bev, dropped) exactly as :func:`splat`
-    does.
+    Cell (i, j) of channel c sums ``volume[c, h, w] * depth[d, h, w]`` over
+    the frustum points (d, h, w) that :func:`assign_cells` puts in it, added
+    in (depth, row, column) order.  The (C, D, H, W) lift tensor is never
+    built: each in-grid point's weight is formed inside the per-channel
+    pool, so memory beyond the output stays at a few point-sized arrays.
+    Returns (bev, dropped) with bev a C-contiguous (C, grid H, grid W)
+    array and dropped the count of frustum points outside the grid.
     """
-    _check_pixels(volume, depth)
-    plan = assign_cells(build_frustum(camera, depth.bins, volume.spatial_shape), grid)
+    if volume.spatial_shape != depth.data.shape[1:]:
+        raise ShapeError(
+            f"features {volume.spatial_shape} and depth {depth.data.shape[1:]} disagree on (H, W)"
+        )
+    plan = _assign(build_frustum(camera, depth.bins, volume.spatial_shape), grid)
     context = volume.data.reshape(volume.channels, -1)
     return _pool(plan, grid, context, plan.pixels, depth.data.reshape(-1)[plan.points])

@@ -1,4 +1,4 @@
-"""Pose and trajectory helpers the tests share, and the scalar rotation-angle oracle."""
+"""Pose and trajectory helpers the tests share, and the scalar oracles: rotation angle and lift-splat."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 
 from bevkit.evaluation import Trajectory
 from bevkit.geometry import Pose3, repair_rotations
+from bevkit.lss import assign_cells
 
 
 def rot_z(theta: float) -> np.ndarray:
@@ -46,3 +47,25 @@ def transform_trajectory(traj: Trajectory, rotation, translation, scale: float =
     poses[:, :3, :3] = np.einsum("ij,njk->nik", rotation, traj.poses[:, :3, :3])
     poses[:, :3, 3] = scale * traj.positions @ rotation.T + np.asarray(translation, dtype=float)
     return Trajectory(traj.timestamps, poses)
+
+
+def lift(context, depth) -> np.ndarray:
+    """Reference lift: the (C, D, H, W) outer product ``context[c, h, w] * depth[d, h, w]``."""
+    return context.data[:, None] * depth.data[None]
+
+
+def add_at_splat(lifted, frustum, grid):
+    """Reference splat: one ``np.add.at`` of the in-grid points over an (H*W, C) buffer.
+
+    Returns (bev, dropped) as ``project_volume`` does, for a (C, D, H, W)
+    ``lifted`` tensor and the (D, H, W, 3) frustum it sits on.
+    """
+    c = lifted.shape[0]
+    asg = assign_cells(frustum, grid)
+    keep = asg.in_grid.ravel()
+    cells = asg.rows.ravel()[keep] * grid.width_px + asg.cols.ravel()[keep]
+    vals = lifted.reshape(c, -1)[:, keep]
+    bev_flat = np.zeros((grid.height_px * grid.width_px, c))
+    np.add.at(bev_flat, cells, vals.T)
+    dropped = int(keep.size - np.count_nonzero(keep))
+    return bev_flat.T.reshape(c, grid.height_px, grid.width_px), dropped

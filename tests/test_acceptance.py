@@ -41,7 +41,7 @@ from bevkit.geometry import (
     wrap_angle,
 )
 from bevkit.losses import loss_3dof, loss_5dof
-from bevkit.lss import DepthDistribution, build_frustum, lift, splat, project_volume
+from bevkit.lss import DepthDistribution, build_frustum, project_volume
 from bevkit.sampler import (
     build_pair_lists,
     frames_from_trajectory,
@@ -49,7 +49,7 @@ from bevkit.sampler import (
     sample_pair,
 )
 from bevkit.synth import MotionPrimitive, SynthSpec, synth_trajectory
-from helpers import rot_z, transform_trajectory
+from helpers import add_at_splat, lift, rot_z, transform_trajectory
 
 GRID_128 = BevGridSpec(128, 128, 0.8)
 
@@ -230,7 +230,7 @@ def test_04_lss_conservation_and_linearity():
 
         frustum = build_frustum(cam, bins, (h, w))
         lifted = lift(fmap, depth)
-        bev, dropped = splat(lifted, frustum, grid)
+        bev, dropped = add_at_splat(lifted, frustum, grid)
         direct, dropped_direct = project_volume(fmap, depth, cam, grid)
 
         from bevkit.lss import assign_cells
@@ -241,8 +241,8 @@ def test_04_lss_conservation_and_linearity():
             conserved = False
 
         extra = rng.uniform(0.0, 1.0, size=lifted.shape)
-        lhs, _ = splat(lifted + extra, frustum, grid)
-        rhs = bev + splat(extra, frustum, grid)[0]
+        lhs, _ = add_at_splat(lifted + extra, frustum, grid)
+        rhs = bev + add_at_splat(extra, frustum, grid)[0]
         if not np.allclose(lhs, rhs, rtol=1e-6, atol=1e-12):
             additive = False
 

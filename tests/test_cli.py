@@ -565,6 +565,22 @@ class TestLssProject:
         assert code == 1
         assert "bins" in err
 
+    @pytest.mark.parametrize("config", [
+        {"grid": {"resolution_m": 1e-320}, "depth_bins": {"count": 4}},
+        {"depth_bins": {"count": 4, "min_m": 1e300, "max_m": 1.7e308}},
+    ], ids=["subnormal-resolution", "far-bins"])
+    def test_pixel_overflow_drops_every_point_quietly(self, tmp_path, capsys, config):
+        # every pixel coordinate overflows or leaves int64; a numpy warning is an error under the suite's settings
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        (tmp_path / "f.bvt1").write_bytes(write_bvt1(np.ones((2, 8, 8))))
+        (tmp_path / "d.bvt1").write_bytes(write_bvt1(np.full((4, 8, 8), 0.25)))
+        code, out, err = run_cli(["lss-project", "--features", str(tmp_path / "f.bvt1"), "--depth",
+                                  str(tmp_path / "d.bvt1"), "--config", str(tmp_path / "config.json"),
+                                  "--out", str(tmp_path / "bev.bvt1")], capsys)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["dropped_points"] == 4 * 8 * 8 and doc["in_grid_mass"] == 0.0
+
 
 class TestSynth:
     SPEC = {
@@ -829,6 +845,15 @@ BAD_INPUTS = [
      None, "max_dt_s must be >= 0"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve", "{d}/out",
       "--scale-curve-segment-m", "nan"], None, "segment length must be finite and positive"),
+    # options the drive does not use are checked all the same: equal timestamps, no --scale-curve
+    (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--max-dt", "-1"],
+     None, "--max-dt: max_dt_s must be >= 0, got -1.0"),
+    (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--max-dt", "nan"],
+     None, "--max-dt: max_dt_s must be >= 0, got nan"),
+    (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve-segment-m", "-5"],
+     None, "--scale-curve-segment-m: segment length must be finite and positive, got -5.0"),
+    (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve-segment-m", "inf"],
+     None, "--scale-curve-segment-m: segment length must be finite and positive, got inf"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve", "{d}/out",
       "--scale-curve-segment-m", "1e-300"], None, "segment length 1e-300 m is below the float resolution"),
     (["synth", "--spec", "{d}/bad.json", "--seed", "-1", "--out-gt", "{d}/out", "--out-est", "{d}/out"],

@@ -201,7 +201,7 @@ class TestVolumeMemory:
 
     def test_public_constructor_copies(self):
         data = np.zeros((9, 2, 2))
-        vol = CorrelationVolume(data, 1)
+        vol = CorrelationVolume(data)
         data[0, 0, 0] = 1.0
         assert vol.data[0, 0, 0] == 0.0 and data.flags.writeable
 
@@ -227,14 +227,19 @@ class TestConcat:
         assert np.array_equal(stacked[25:], b.data)
 
     def test_spatial_mismatch(self):
-        a = CorrelationVolume(np.zeros((9, 8, 8)), 1)
-        b = CorrelationVolume(np.zeros((9, 4, 4)), 1)
+        a = CorrelationVolume(np.zeros((9, 8, 8)))
+        b = CorrelationVolume(np.zeros((9, 4, 4)))
         with pytest.raises(ShapeError):
             concat_volumes(a, b)
 
     def test_volume_channel_count_validated(self):
-        with pytest.raises(ShapeError):
-            CorrelationVolume(np.zeros((8, 4, 4)), 1)
+        # the channel count must be the square of an odd number, 2r + 1
+        for channels in (8, 4, 16, 2):
+            with pytest.raises(ShapeError, match=f"channel count {channels} is not the square of an odd number"):
+                CorrelationVolume(np.zeros((channels, 4, 4)))
+        with pytest.raises(ShapeError, match="must have shape"):
+            CorrelationVolume(np.zeros((9, 4)))
+        assert [CorrelationVolume(np.zeros((n, 2, 2))).radius for n in (1, 9, 25, 121)] == [0, 1, 2, 5]
 
 
 def unit_norm_features(rng, shape):
@@ -279,7 +284,7 @@ class TestPeakDisplacement:
             assert np.all(peaks[1][interior] == dy)
 
     def test_all_equal_channels_tie_break(self):
-        vol = CorrelationVolume(np.ones((25, 4, 4)), 2)
+        vol = CorrelationVolume(np.ones((25, 4, 4)))
         peaks = peak_displacement(vol)
         assert np.all(peaks[0] == -2)
         assert np.all(peaks[1] == -2)

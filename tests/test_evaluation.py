@@ -517,12 +517,6 @@ class TestScaleFromFirst10m:
         with pytest.raises(DegenerateInputError):
             scale_from_first_10m(est, gt)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
-    def test_nonfinite_or_nonpositive_prefix_rejected(self, bad):
-        gt = line_traj(20)
-        with pytest.raises(ValueError, match="prefix must be finite and positive"):
-            scale_from_first_10m(gt, gt, prefix_m=bad)
-
 
 class TestLogScaleCurve:
     def test_identity_is_exactly_zero(self):

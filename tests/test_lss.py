@@ -7,16 +7,8 @@ from bevkit import io as bevio
 from bevkit.correlation import FeatureMap
 from bevkit.errors import InvalidCameraError, ShapeError
 from bevkit.geometry import BevGridSpec, CameraModel, pixel_to_vehicle, vehicle_to_pixel
-from bevkit.lss import (
-    DepthDistribution,
-    Frustum,
-    assign_cells,
-    build_frustum,
-    lift,
-    project_volume,
-    splat,
-)
-from helpers import rot_z
+from bevkit.lss import DepthDistribution, assign_cells, build_frustum, project_volume
+from helpers import add_at_splat, lift, rot_z
 
 
 def identity_camera(f=100.0, cx=8.0, cy=6.0):
@@ -41,23 +33,26 @@ def normalized_depth(rng, d, h, w, bins=None):
     return DepthDistribution(weights, bins, normalized=True)
 
 
-def add_at_splat(lifted, frustum, grid):
-    """Reference: the former splat, one ``np.add.at`` over an (H*W, C) buffer."""
-    c = lifted.shape[0]
-    asg = assign_cells(frustum, grid)
-    keep = asg.in_grid.ravel()
-    cells = asg.rows.ravel()[keep] * grid.width_px + asg.cols.ravel()[keep]
-    vals = lifted.reshape(c, -1)[:, keep]
-    bev_flat = np.zeros((grid.height_px * grid.width_px, c))
-    np.add.at(bev_flat, cells, vals.T)
-    dropped = int(keep.size - np.count_nonzero(keep))
-    return bev_flat.T.reshape(c, grid.height_px, grid.width_px), dropped
+def turned_camera(rng, h, w):
+    """A forward camera of random focal length, turned about z and moved by up to 2 m."""
+    cam = forward_camera(f=float(rng.uniform(3.0, 20.0)), cx=w / 2.0, cy=h / 2.0)
+    turned = np.hstack([rot_z(rng.uniform(-np.pi, np.pi)) @ cam.rotation, rng.uniform(-2.0, 2.0, (3, 1))])
+    return CameraModel(cam.intrinsics, turned)
+
+
+def project_row(features, grid, f=100.0, cx=1.0, bins=(2.0,)):
+    """project_volume of a one-row (C, W) image under a forward camera, every depth weight 1.
+
+    Pixel w at bin b lies at vehicle x = b, y = (cx - w - 0.5) * b / f.
+    """
+    features = np.asarray(features, dtype=float)
+    depth = DepthDistribution(np.ones((len(bins), 1, features.shape[1])), bins)
+    return project_volume(FeatureMap(features[:, None, :]), depth, forward_camera(f=f, cx=cx, cy=0.5), grid)
 
 
 def homogeneous_assign(frustum, grid):
     """Reference: the former assign_cells, through homogeneous (x, y, z, 1) points."""
-    pts = frustum.points
-    u, v = vehicle_to_pixel(np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1), grid)
+    u, v = vehicle_to_pixel(np.concatenate([frustum, np.ones(frustum.shape[:-1] + (1,))], axis=-1), grid)
     cols = np.floor(u).astype(np.int64)
     rows = np.floor(v).astype(np.int64)
     in_grid = (rows >= 0) & (rows < grid.height_px) & (cols >= 0) & (cols < grid.width_px)
@@ -65,19 +60,15 @@ def homogeneous_assign(frustum, grid):
 
 
 def assert_matches_reference_pair(volume, depth, camera, grid):
-    """project_volume equals splat(lift(...)) and the add.at oracle, bit for bit."""
+    """project_volume equals the reference pair, add_at_splat(lift(...)), bit for bit."""
     bev, dropped = project_volume(volume, depth, camera, grid)
-    frustum = build_frustum(camera, depth.bins, volume.spatial_shape)
-    lifted = lift(volume, depth)
-    ref, dropped_ref = splat(lifted, frustum, grid)
-    assert np.array_equal(bev, ref)
-    assert dropped == dropped_ref
     assert bev.flags.c_contiguous
-    # channels pool independently, so the oracle runs in slices to bound memory
+    frustum = build_frustum(camera, depth.bins, volume.spatial_shape)
+    # channels pool independently, so the reference runs in slices to bound memory
     for c in range(0, volume.channels, 16):
-        oracle, dropped_oracle = add_at_splat(lifted[c:c + 16], frustum, grid)
-        assert np.array_equal(bev[c:c + 16], oracle)
-        assert dropped == dropped_oracle
+        ref, dropped_ref = add_at_splat(lift(FeatureMap(volume.data[c:c + 16]), depth), frustum, grid)
+        assert np.array_equal(bev[c:c + 16], ref)
+        assert dropped == dropped_ref
     return bev, dropped
 
 
@@ -136,19 +127,19 @@ class TestBuildFrustum:
         cam = identity_camera(f=100.0, cx=8.0, cy=6.0)
         bins = np.array([1.0, 2.0, 4.0])
         fr = build_frustum(cam, bins, (12, 16))
-        assert fr.points.shape == (3, 12, 16, 3)
+        assert fr.shape == (3, 12, 16, 3)
         # Camera depth equals the bin center for every point.
         for d, b in enumerate(bins):
-            assert np.allclose(fr.points[d, :, :, 2], b, rtol=0.0, atol=1e-12)
+            assert np.allclose(fr[d, :, :, 2], b, rtol=0.0, atol=1e-12)
         # Pixel centers: column w maps to u = w + 0.5.
         d, h, w = 1, 3, 7
         expected = np.array([(7.5 - 8.0) / 100.0, (3.5 - 6.0) / 100.0, 1.0]) * 2.0
-        assert np.allclose(fr.points[d, h, w], expected, atol=1e-12)
+        assert np.allclose(fr[d, h, w], expected, atol=1e-12)
         # A principal point on a pixel center puts that column on the axis.
         cam2 = identity_camera(f=100.0, cx=7.5, cy=6.5)
         fr2 = build_frustum(cam2, bins, (12, 16))
-        assert np.allclose(fr2.points[:, :, 7, 0], 0.0, atol=1e-12)
-        assert np.allclose(fr2.points[:, 6, :, 1], 0.0, atol=1e-12)
+        assert np.allclose(fr2[:, :, 7, 0], 0.0, atol=1e-12)
+        assert np.allclose(fr2[:, 6, :, 1], 0.0, atol=1e-12)
 
     def test_rigid_extrinsics_applied(self):
         f, cx, cy = 50.0, 2.0, 2.0
@@ -159,15 +150,15 @@ class TestBuildFrustum:
         bins = np.array([3.0])
         fr = build_frustum(cam, bins, (4, 4))
         ray = np.array([(1.5 - cx) / f, (0.5 - cy) / f, 1.0]) * 3.0
-        assert np.allclose(fr.points[0, 0, 1], rot @ ray + t, atol=1e-12)
+        assert np.allclose(fr[0, 0, 1], rot @ ray + t, atol=1e-12)
 
     def test_forward_camera_points_ahead(self):
         cam = forward_camera()
         fr = build_frustum(cam, np.array([2.0, 5.0]), (8, 8))
         # Optical axis becomes vehicle +x; all depths positive ahead.
-        assert np.all(fr.points[..., 0] > 0.0)
-        assert np.allclose(fr.points[0, :, :, 0], 2.0, atol=1e-12)
-        assert np.allclose(fr.points[1, :, :, 0], 5.0, atol=1e-12)
+        assert np.all(fr[..., 0] > 0.0)
+        assert np.allclose(fr[0, :, :, 0], 2.0, atol=1e-12)
+        assert np.allclose(fr[1, :, :, 0], 5.0, atol=1e-12)
 
     def test_bad_bins_rejected(self):
         cam = identity_camera()
@@ -185,23 +176,34 @@ class TestBuildFrustum:
             build_frustum(identity_camera(), np.array([1.0]), (0, 4))
 
     def test_frustum_points_read_only_and_public_constructor_copies(self):
-        assert not build_frustum(forward_camera(), np.array([2.0, 5.0]), (8, 8)).points.flags.writeable
+        assert not build_frustum(forward_camera(), np.array([2.0, 5.0]), (8, 8)).flags.writeable
+        # assign_cells reads a caller's own array as it is: no freezing, and no view of it in the plan
         pts = np.zeros((1, 2, 2, 3))
-        fr = Frustum(pts)
+        asg = assign_cells(pts, BevGridSpec(8, 8, 1.0))
         pts[0, 0, 0, 0] = 1.0
-        assert fr.points[0, 0, 0, 0] == 0.0 and pts.flags.writeable
+        assert pts.flags.writeable
+        assert asg.rows.tolist() == [[[3, 3], [3, 3]]] and np.all(asg.in_grid)
 
     def test_frustum_validation(self):
-        with pytest.raises(ShapeError):
-            Frustum(np.zeros((2, 3, 4, 2)))
-        bad = np.zeros((1, 2, 2, 3))
-        bad[0, 0, 0, 0] = np.inf
-        with pytest.raises(ValueError):
-            Frustum(bad)
+        grid = BevGridSpec(8, 8, 1.0)
+        for shape in [(2, 3, 4, 2), (2, 3, 3), (1, 2, 2, 2, 3)]:
+            with pytest.raises(ShapeError, match=r"frustum points must have shape \(D, H, W, 3\)"):
+                assign_cells(np.zeros(shape), grid)
+        for value in (np.inf, -np.inf, np.nan):
+            bad = np.zeros((1, 2, 2, 3))
+            bad[0, 0, 0, 0] = value
+            with pytest.raises(ValueError, match="frustum contains non-finite points"):
+                assign_cells(bad, grid)
+        # far bins through a short focal length overflow; the refusal is the only word of it
+        with pytest.raises(ValueError, match="frustum contains non-finite points"):
+            build_frustum(forward_camera(f=0.01), np.array([1e300, 1.7e308]), (8, 8))
 
 
 class TestLift:
+    GRID = BevGridSpec(64, 64, 0.8)
+
     def test_outer_product_values(self):
+        # the test-side lift that project_volume is checked against
         rng = np.random.default_rng(51)
         feats = rng.normal(size=(3, 5, 6))
         depth = normalized_depth(rng, 4, 5, 6)
@@ -215,25 +217,26 @@ class TestLift:
         a = rng.normal(size=(2, 4, 4))
         b = rng.normal(size=(2, 4, 4))
         depth = normalized_depth(rng, 3, 4, 4)
-        la = lift(FeatureMap(a), depth)
-        lb = lift(FeatureMap(b), depth)
-        lab = lift(FeatureMap(a + b), depth)
-        assert np.allclose(lab, la + lb, rtol=1e-12, atol=1e-12)
+        cam = forward_camera(f=4.0, cx=2.0, cy=2.0)
+        pa, _ = project_volume(FeatureMap(a), depth, cam, self.GRID)
+        pb, _ = project_volume(FeatureMap(b), depth, cam, self.GRID)
+        pab, _ = project_volume(FeatureMap(a + b), depth, cam, self.GRID)
+        assert np.count_nonzero(pab) > 4
+        assert np.allclose(pab, pa + pb, rtol=1e-12, atol=1e-12)
 
     def test_spatial_mismatch_rejected(self):
         rng = np.random.default_rng(53)
         feats = FeatureMap(rng.normal(size=(2, 4, 4)))
-        depth = normalized_depth(rng, 3, 4, 5)
-        with pytest.raises(ShapeError):
-            lift(feats, depth)
+        depth = normalized_depth(rng, 3, 5, 4)
+        with pytest.raises(ShapeError, match=r"features \(4, 4\) and depth \(5, 4\) disagree on \(H, W\)"):
+            project_volume(feats, depth, forward_camera(), self.GRID)
 
 
 class TestAssignCells:
     GRID = BevGridSpec(8, 8, 1.0, origin_px=(4.0, 4.0))
 
     def frustum_of(self, xyz_list):
-        pts = np.array(xyz_list, dtype=float).reshape(1, 1, -1, 3)
-        return Frustum(pts)
+        return np.array(xyz_list, dtype=float).reshape(1, 1, -1, 3)
 
     def test_known_cells(self):
         # u = 4 + y, v = 4 - x with resolution 1 and origin (4, 4).
@@ -281,17 +284,15 @@ class TestAssignCells:
         us, vs = np.meshgrid(np.arange(-1, grid.width_px + 2), np.arange(-1, grid.height_px + 2))
         edges = pixel_to_vehicle(us, vs, grid)[None, ..., :3]
         for pts in (random_pts, edges):
-            fr = Frustum(pts)
-            asg = assign_cells(fr, grid)
-            rows, cols, in_grid = homogeneous_assign(fr, grid)
+            asg = assign_cells(pts, grid)
+            rows, cols, in_grid = homogeneous_assign(pts, grid)
             assert np.array_equal(asg.rows, rows)
             assert np.array_equal(asg.cols, cols)
             assert np.array_equal(asg.in_grid, in_grid)
 
     def test_plan_lists_in_grid_points_in_order(self):
         rng = np.random.default_rng(63)
-        fr = Frustum(rng.uniform(-6.0, 6.0, size=(4, 3, 5, 3)))
-        asg = assign_cells(fr, self.GRID)
+        asg = assign_cells(rng.uniform(-6.0, 6.0, size=(4, 3, 5, 3)), self.GRID)
         keep = asg.in_grid.ravel()
         assert 0 < np.count_nonzero(keep) < keep.size
         assert np.array_equal(asg.points, np.flatnonzero(keep))
@@ -299,98 +300,106 @@ class TestAssignCells:
         assert np.array_equal(asg.pixels, np.broadcast_to(np.arange(15), (4, 15)).ravel()[keep])
         assert asg.dropped == keep.size - np.count_nonzero(keep)
 
+    @pytest.mark.parametrize("grid, pts, in_grid", [
+        (BevGridSpec(8, 8, 1e-320), [[1.0, -1.0, 0.0], [-3.0, 2.0, 0.0], [0.0, 0.0, 0.0]], [False, False, True]),
+        (BevGridSpec(8, 8, 1.0), [[1.7e308, 0.0, 0.0], [0.0, -1e19, 0.0], [1e300, 1e300, 0.0]], [False] * 3),
+    ], ids=["subnormal-resolution", "far-points"])
+    def test_pixel_overflow_is_out_of_grid_without_warnings(self, grid, pts, in_grid):
+        # pixel coordinates at inf or past int64; a numpy warning fails the test under the suite's settings
+        asg = assign_cells(self.frustum_of(pts), grid)
+        assert asg.in_grid.ravel().tolist() == in_grid
+        assert asg.dropped == in_grid.count(False)
+
 
 class TestSplat:
     GRID = BevGridSpec(8, 8, 1.0, origin_px=(4.0, 4.0))
 
     def test_single_points_land_in_cells(self):
-        pts = np.array([[[[0.0, 0.0, 0.0], [2.0, -1.5, 0.0]]]])
-        fr = Frustum(pts)
-        lifted = np.array([[[[2.0, 3.0]]]])
-        bev, dropped = splat(lifted, fr, self.GRID)
+        # x = 2 is row 2; y = +0.01 and -0.01 are columns 4 and 3
+        bev, dropped = project_row([[2.0, 3.0]], self.GRID, f=100.0, cx=1.0)
         assert bev.shape == (1, 8, 8)
         assert dropped == 0
-        assert bev[0, 4, 4] == 2.0
-        assert bev[0, 2, 2] == 3.0
+        assert bev[0, 2, 4] == 2.0
+        assert bev[0, 2, 3] == 3.0
         assert bev.sum() == 5.0
 
     def test_collisions_sum(self):
-        pts = np.array([[[[0.0, 0.0, 0.0], [-0.1, 0.2, 0.0]]]])  # same cell
-        fr = Frustum(pts)
-        lifted = np.array([[[[2.0, 3.0]]]])
-        bev, dropped = splat(lifted, fr, self.GRID)
-        assert bev[0, 4, 4] == 5.0
+        # y = -0.01 and -0.03: both in column 3
+        bev, dropped = project_row([[2.0, 3.0]], self.GRID, f=100.0, cx=0.0)
+        assert bev[0, 2, 3] == 5.0
         assert dropped == 0
 
     def test_dropped_points_counted_and_excluded(self):
-        pts = np.array([[[[0.0, 0.0, 0.0], [0.0, 100.0, 0.0]]]])
-        fr = Frustum(pts)
-        lifted = np.array([[[[2.0, 3.0]]]])
-        bev, dropped = splat(lifted, fr, self.GRID)
+        # y = 0 lands in column 4; y = -20 is far outside
+        bev, dropped = project_row([[2.0, 3.0]], self.GRID, f=0.1, cx=0.5)
         assert dropped == 1
+        assert bev[0, 2, 4] == 2.0
         assert bev.sum() == 2.0
 
     def test_mass_conservation_random(self):
         rng = np.random.default_rng(54)
+        grid = BevGridSpec(64, 64, 0.8)
         for _ in range(10):
-            pts = rng.uniform(-3.9, 3.9, size=(3, 4, 5, 3))
-            fr = Frustum(pts)
-            lifted = rng.uniform(0.0, 2.0, size=(2, 3, 4, 5))
-            bev, dropped = splat(lifted, fr, self.GRID)
+            c, d, h, w = (int(v) for v in rng.integers(1, 7, size=4))
+            cam = forward_camera(f=float(rng.uniform(20.0, 100.0)), cx=w / 2.0, cy=h / 2.0)
+            depth = DepthDistribution(rng.uniform(0.0, 2.0, size=(d, h, w)), np.linspace(2.0, 10.0, d))
+            volume = FeatureMap(rng.uniform(0.0, 2.0, size=(c, h, w)))
+            bev, dropped = project_volume(volume, depth, cam, grid)
             assert dropped == 0
-            for c in range(2):
-                total = lifted[c].sum()
-                assert abs(bev[c].sum() - total) <= 1e-12 * max(1.0, abs(total))
+            lifted = lift(volume, depth)
+            for k in range(c):
+                total = lifted[k].sum()
+                assert abs(bev[k].sum() - total) <= 1e-12 * max(1.0, abs(total))
 
     def test_additivity(self):
+        # the splat is linear in the lifted values, so in the depth weights too
         rng = np.random.default_rng(55)
-        pts = rng.uniform(-3.9, 3.9, size=(2, 6, 6, 3))
-        fr = Frustum(pts)
-        l1 = rng.normal(size=(3, 2, 6, 6))
-        l2 = rng.normal(size=(3, 2, 6, 6))
-        b1, _ = splat(l1, fr, self.GRID)
-        b2, _ = splat(l2, fr, self.GRID)
-        b12, _ = splat(l1 + l2, fr, self.GRID)
+        cam = turned_camera(rng, 6, 6)
+        volume = FeatureMap(rng.normal(size=(3, 6, 6)))
+        bins = np.array([1.0, 2.5])
+        d1 = DepthDistribution(rng.uniform(0.0, 1.0, size=(2, 6, 6)), bins)
+        d2 = DepthDistribution(rng.uniform(0.0, 1.0, size=(2, 6, 6)), bins)
+        b1, _ = project_volume(volume, d1, cam, self.GRID)
+        b2, _ = project_volume(volume, d2, cam, self.GRID)
+        b12, _ = project_volume(volume, DepthDistribution(d1.data + d2.data, bins), cam, self.GRID)
+        assert np.count_nonzero(b12) > 3
         assert np.allclose(b12, b1 + b2, rtol=1e-12, atol=1e-12)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(56)
-        pts = rng.uniform(-5.0, 5.0, size=(4, 8, 8, 3))
-        fr = Frustum(pts)
-        lifted = rng.normal(size=(2, 4, 8, 8))
-        first, d1 = splat(lifted, fr, self.GRID)
-        second, d2 = splat(lifted, fr, self.GRID)
+        cam = turned_camera(rng, 8, 8)
+        volume = FeatureMap(rng.normal(size=(2, 8, 8)))
+        depth = DepthDistribution(rng.uniform(0.0, 1.0, size=(4, 8, 8)), np.linspace(1.0, 6.0, 4))
+        first, d1 = project_volume(volume, depth, cam, self.GRID)
+        second, d2 = project_volume(volume, depth, cam, self.GRID)
         assert np.array_equal(first, second)
         assert d1 == d2
 
     def test_matches_add_at_oracle_bitwise(self):
         rng = np.random.default_rng(61)
         for trial in range(12):
-            d, h, w = (int(v) for v in rng.integers(1, 7, size=3))
-            # The wide spread puts most points outside the 8x8 grid; the
-            # narrow one piles them onto a few cells, hit many times each.
-            spread = 8.0 if trial % 2 else 1.5
-            pts = rng.uniform(-spread, spread, size=(d, h, w, 3))
-            fr = Frustum(pts)
-            lifted = rng.normal(size=(3, d, h, w)) * 10.0 ** rng.uniform(-6, 6, size=(3, d, h, w))
-            bev, dropped = splat(lifted, fr, self.GRID)
-            ref, dropped_ref = add_at_splat(lifted, fr, self.GRID)
-            assert np.array_equal(bev, ref)
-            assert dropped == dropped_ref
+            c, d, h, w = (int(v) for v in rng.integers(1, 7, size=4))
+            # The fine grid leaves most points outside; the coarse one piles
+            # them onto a few cells, hit many times each.
+            grid = BevGridSpec(8, 8, 0.3) if trial % 2 else BevGridSpec(4, 4, 4.0)
+            depth = DepthDistribution(10.0 ** rng.uniform(-6, 6, size=(d, h, w)), np.cumsum(rng.uniform(0.2, 3.0, size=d)))
+            feats = rng.normal(size=(c, h, w)) * 10.0 ** rng.uniform(-6, 6, size=(c, h, w))
+            assert_matches_reference_pair(FeatureMap(feats), depth, turned_camera(rng, h, w), grid)
 
     def test_all_points_outside_grid(self):
-        fr = Frustum(np.full((2, 2, 2, 3), 50.0))
-        bev, dropped = splat(np.ones((3, 2, 2, 2)), fr, self.GRID)
+        cam = forward_camera()
+        far = CameraModel(cam.intrinsics, np.hstack([cam.rotation, [[50.0], [50.0], [0.0]]]))
+        depth = DepthDistribution(np.ones((2, 2, 2)), [1.0, 2.0])
+        bev, dropped = project_volume(FeatureMap(np.ones((3, 2, 2))), depth, far, self.GRID)
         assert bev.shape == (3, 8, 8)
         assert dropped == 8
         assert np.array_equal(bev, np.zeros((3, 8, 8)))
 
     def test_shape_checks(self):
-        fr = Frustum(np.zeros((1, 2, 2, 3)))
         with pytest.raises(ShapeError):
-            splat(np.zeros((2, 2, 2)), fr, self.GRID)
+            assign_cells(np.zeros((2, 2, 2)), self.GRID)
         with pytest.raises(ShapeError):
-            splat(np.zeros((1, 2, 2, 2)), fr, self.GRID)
+            assign_cells(np.zeros((1, 2, 2, 2)), self.GRID)
 
 
 class TestProjectVolume:
@@ -404,13 +413,10 @@ class TestProjectVolume:
         volume = FeatureMap(feats)
         bev, dropped = project_volume(volume, depth, cam, self.GRID)
         fr = build_frustum(cam, depth.bins, (8, 8))
-        bev_ref, dropped_ref = splat(lift(volume, depth), fr, self.GRID)
-        assert np.array_equal(bev, bev_ref)
+        ref, dropped_ref = add_at_splat(lift(volume, depth), fr, self.GRID)
+        assert np.array_equal(bev, ref)
         assert dropped == dropped_ref
         assert bev.flags.c_contiguous
-        oracle, dropped_oracle = add_at_splat(lift(volume, depth), fr, self.GRID)
-        assert np.array_equal(bev, oracle)
-        assert dropped == dropped_oracle
 
     def test_bench_shape_matches_reference_pair(self):
         volume, depth, cfg = bench_inputs(np.random.default_rng(64))
@@ -424,9 +430,7 @@ class TestProjectVolume:
         saw_drops = False
         for trial in range(16):
             c, d, h, w = (int(v) for v in rng.integers(1, 7, size=4))
-            cam = forward_camera(f=float(rng.uniform(3.0, 20.0)), cx=w / 2.0, cy=h / 2.0)
-            turned = np.hstack([rot_z(rng.uniform(-np.pi, np.pi)) @ cam.rotation, rng.uniform(-2.0, 2.0, (3, 1))])
-            cam = CameraModel(cam.intrinsics, turned)
+            cam = turned_camera(rng, h, w)
             bins = np.cumsum(rng.uniform(0.2, 3.0, size=d))
             depth = DepthDistribution(rng.uniform(0.0, 1.0, size=(d, h, w)), bins)
             feats = rng.normal(size=(c, h, w)) * 10.0 ** rng.uniform(-6, 6, size=(c, h, w))

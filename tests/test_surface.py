@@ -31,9 +31,6 @@ KEPT = {
     "correlation.peak_displacement": "the readout of a correlation volume",
     "geometry.vehicle_to_pixel": "the inverse of pixel_to_vehicle",
     "formats.parse_pairs_csv": "the reader of the format write_pairs_csv writes",
-    "lss.lift": "with splat, the bitwise reference pair of project_volume; moves to the tests when the "
-                "projection plan becomes an explicit value, which the benchmark's plan building must follow",
-    "lss.splat": "see lss.lift",
     # measured on the bev_frames benchmark workload: a plan without them frees
     # them before the pool allocates, and the worker's peak RSS read 135 MB in
     # 3 of 3 runs, against about 125 MB in 17 of 20 with them

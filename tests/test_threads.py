@@ -2,7 +2,8 @@
 
 The serial loops that ``local_correlation`` and ``lss._pool`` ran before
 the split stay here as references; every split result must equal them bit
-for bit, whatever the worker count.
+for bit, whatever the worker count.  ``project_volume`` must also equal the
+test-side lift and ``np.add.at`` splat at every worker count.
 """
 
 import os
@@ -16,7 +17,8 @@ import pytest
 from bevkit import _threads
 from bevkit import io as bevio
 from bevkit.correlation import FeatureMap, channel_offset, local_correlation
-from bevkit.lss import DepthDistribution, assign_cells, build_frustum, lift, project_volume, splat
+from bevkit.lss import DepthDistribution, assign_cells, build_frustum, project_volume
+from helpers import add_at_splat, lift
 
 
 def serial_correlation(f_t, f_t1, radius, normalize=False):
@@ -36,22 +38,16 @@ def serial_correlation(f_t, f_t1, radius, normalize=False):
     return out
 
 
-def serial_pool(plan, grid, features, index, scale=None):
+def serial_pool(plan, grid, features, index, scale):
     """Reference: the channel loop of lss._pool on one thread, with one shared buffer."""
     n = grid.height_px * grid.width_px
     bev = np.empty((features.shape[0], n))
     weights = np.empty(index.size)
     for c, row in enumerate(features):
         np.take(row, index, out=weights, mode="clip")
-        if scale is not None:
-            np.multiply(weights, scale, out=weights)
+        np.multiply(weights, scale, out=weights)
         bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
     return bev.reshape(features.shape[0], grid.height_px, grid.width_px)
-
-
-def serial_splat(lifted, frustum, grid):
-    plan = assign_cells(frustum, grid)
-    return serial_pool(plan, grid, lifted.reshape(lifted.shape[0], -1), plan.points), plan.dropped
 
 
 def serial_project_volume(volume, depth, camera, grid):
@@ -139,11 +135,11 @@ class TestPoolSplit:
 
     @pytest.mark.parametrize("channels", [1, 3, 7])
     def test_splat_equals_serial_pool(self, workers, channels):
+        # the split pool against the other reference: one np.add.at over the explicit lift
         volume, depth, cfg = bench_inputs(np.random.default_rng(85 + channels), channels=channels)
-        lifted = lift(volume, depth)
         frustum = build_frustum(cfg.camera, depth.bins, volume.spatial_shape)
-        bev, dropped = splat(lifted, frustum, cfg.grid)
-        ref, dropped_ref = serial_splat(lifted, frustum, cfg.grid)
+        bev, dropped = project_volume(volume, depth, cfg.camera, cfg.grid)
+        ref, dropped_ref = add_at_splat(lift(volume, depth), frustum, cfg.grid)
         assert np.array_equal(bev, ref) and dropped == dropped_ref
         assert np.count_nonzero(bev[-1]) > 1000
 
