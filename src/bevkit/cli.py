@@ -1,8 +1,9 @@
 """Command-line entry points.
 
-Every subcommand writes a JSON result to stdout and diagnostics to
-stderr.  Exit codes: 0 on success, 1 on operational failures (bad files,
-degenerate inputs), 2 on usage errors (argparse's convention).
+Every subcommand returns a JSON document, which ``main`` writes to
+stdout; diagnostics go to stderr.  Exit codes: 0 on success, 1 on
+operational failures (bad files, degenerate inputs), 2 on usage errors
+(argparse's convention).
 """
 
 from __future__ import annotations
@@ -18,11 +19,6 @@ from pathlib import Path
 from .text import TRAJECTORY_FORMATS, Rows, read_number, read_rows
 
 MAX_DRAWS = 2**20  # sample-pairs --draws: one CSV line each
-
-
-def _emit(payload: dict):
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
 
 
 def _log(message: str):
@@ -55,7 +51,7 @@ def _number(kind: type):
     return read
 
 
-def _cmd_flow_make(args) -> int:
+def _cmd_flow_make(args) -> dict:
     from .flow import construct_flow_gt, flow_to_bvt1
     from .geometry import Pose2, Pose3, pose3_to_pose2, relative_pose
 
@@ -74,24 +70,21 @@ def _cmd_flow_make(args) -> int:
         pose = pose3_to_pose2(rel)
     flow = construct_flow_gt(pose, cfg.grid)
     Path(args.out).write_bytes(flow_to_bvt1(flow))
-    _emit(
-        {
-            "out": args.out,
-            "pose": {"theta": pose.theta, "tx": pose.tx, "ty": pose.ty},
-            "grid": {
-                "height_px": cfg.grid.height_px,
-                "width_px": cfg.grid.width_px,
-                "resolution_m": cfg.grid.resolution_m,
-                "origin_px": list(cfg.grid.origin_px),
-            },
-            "max_abs_du": float(abs(flow.data[0]).max()),
-            "max_abs_dv": float(abs(flow.data[1]).max()),
-        }
-    )
-    return 0
+    return {
+        "out": args.out,
+        "pose": {"theta": pose.theta, "tx": pose.tx, "ty": pose.ty},
+        "grid": {
+            "height_px": cfg.grid.height_px,
+            "width_px": cfg.grid.width_px,
+            "resolution_m": cfg.grid.resolution_m,
+            "origin_px": list(cfg.grid.origin_px),
+        },
+        "max_abs_du": float(abs(flow.data[0]).max()),
+        "max_abs_dv": float(abs(flow.data[1]).max()),
+    }
 
 
-def _cmd_pose_from_flow(args) -> int:
+def _cmd_pose_from_flow(args) -> dict:
     from .bvt1 import read_bvt1
     from .flow import flow_from_bvt1, solve_pose_from_flow
 
@@ -99,11 +92,10 @@ def _cmd_pose_from_flow(args) -> int:
     flow = flow_from_bvt1(Path(args.flow).read_bytes(), cfg.grid)
     weights = None if args.weights is None else read_bvt1(Path(args.weights).read_bytes())
     pose = solve_pose_from_flow(flow, weights)
-    _emit({"theta": pose.theta, "tx": pose.tx, "ty": pose.ty})
-    return 0
+    return {"theta": pose.theta, "tx": pose.tx, "ty": pose.ty}
 
 
-def _cmd_eval_traj(args) -> int:
+def _cmd_eval_traj(args) -> dict:
     import numpy as np
 
     from .evaluation import DEFAULT_SEGMENT_LENGTHS_M, evaluate_trajectories, log_scale_curve, scale_trajectory
@@ -143,18 +135,17 @@ def _cmd_eval_traj(args) -> int:
     doc["align"] = args.align
     if args.scale_curve is not None:
         est_for_curve = est
-        if args.scale_init_10m and report.scale_init is not None:
+        if args.scale_init_10m:
             est_for_curve = scale_trajectory(est, report.scale_init)
         curve = log_scale_curve(est_for_curve, gt, segment_m=args.scale_curve_segment_m)
         Path(args.scale_curve).write_text(write_scale_curve_csv(curve))
         doc["scale_curve"] = args.scale_curve
         if curve.skipped:
             _log(f"scale curve skipped {len(curve.skipped)} zero-motion segment(s)")
-    _emit(doc)
-    return 0
+    return doc
 
 
-def _cmd_sample_pairs(args) -> int:
+def _cmd_sample_pairs(args) -> dict:
     import numpy as np
 
     from .formats import parse_trajectory, write_pairs_csv
@@ -182,19 +173,16 @@ def _cmd_sample_pairs(args) -> int:
     rng = np.random.default_rng(args.seed)
     records = [sample_pair(merged, rng) for _ in range(args.draws)]
     Path(args.out).write_text(write_pairs_csv(records))
-    _emit(
-        {
-            "out": args.out,
-            "draws": args.draws,
-            "available_high": len(merged.high),
-            "available_standard": len(merged.standard),
-            "drawn_high_fraction": sum(r.yaw_diff_deg >= cfg.sampler.low_deg for r in records) / len(records),
-        }
-    )
-    return 0
+    return {
+        "out": args.out,
+        "draws": args.draws,
+        "available_high": len(merged.high),
+        "available_standard": len(merged.standard),
+        "drawn_high_fraction": sum(r.yaw_diff_deg >= cfg.sampler.low_deg for r in records) / len(records),
+    }
 
 
-def _cmd_correlate(args) -> int:
+def _cmd_correlate(args) -> dict:
     from .bvt1 import read_bvt1, write_bvt1
     from .correlation import CorrelationVolume, FeatureMap, concat_volumes, local_correlation
 
@@ -206,11 +194,10 @@ def _cmd_correlate(args) -> int:
         extra = read_bvt1(Path(args.concat_with).read_bytes())
         out_data = concat_volumes(vol_a, CorrelationVolume(extra))
     Path(args.out).write_bytes(write_bvt1(out_data))
-    _emit({"out": args.out, "channels": int(out_data.shape[0]), "radius": args.radius})
-    return 0
+    return {"out": args.out, "channels": int(out_data.shape[0]), "radius": args.radius}
 
 
-def _cmd_lss_project(args) -> int:
+def _cmd_lss_project(args) -> dict:
     from .bvt1 import read_bvt1, write_bvt1
     from .correlation import FeatureMap
     from .errors import ShapeError
@@ -226,18 +213,15 @@ def _cmd_lss_project(args) -> int:
     dist = DepthDistribution(depth, cfg.depth_bins, normalized=args.normalized)
     bev, dropped = project_volume(FeatureMap(feats), dist, cfg.camera, cfg.grid)
     Path(args.out).write_bytes(write_bvt1(bev))
-    _emit(
-        {
-            "out": args.out,
-            "bev_shape": list(bev.shape),
-            "dropped_points": dropped,
-            "in_grid_mass": float(bev.sum()),
-        }
-    )
-    return 0
+    return {
+        "out": args.out,
+        "bev_shape": list(bev.shape),
+        "dropped_points": dropped,
+        "in_grid_mass": float(bev.sum()),
+    }
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> dict:
     from dataclasses import replace
 
     from .formats import write_trajectory
@@ -249,15 +233,12 @@ def _cmd_synth(args) -> int:
     gt, est = synth_trajectory(spec)
     Path(args.out_gt).write_text(write_trajectory(gt, args.format))
     Path(args.out_est).write_text(write_trajectory(est, args.format))
-    _emit(
-        {
-            "out_gt": args.out_gt,
-            "out_est": args.out_est,
-            "frames": len(gt),
-            "duration_s": float(gt.timestamps[-1] - gt.timestamps[0]),
-        }
-    )
-    return 0
+    return {
+        "out_gt": args.out_gt,
+        "out_est": args.out_est,
+        "frames": len(gt),
+        "duration_s": float(gt.timestamps[-1] - gt.timestamps[0]),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,10 +327,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        json.dump(args.func(args), sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     except (ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

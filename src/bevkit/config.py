@@ -109,6 +109,9 @@ def parse_config(text: str) -> PipelineConfig:
         if np.any(np.diff(depth_bins) <= 0.0):
             raise ParseError("depth bins must be strictly increasing: depth_bins.min_m < max_m")
     sampler = SamplerConfig(**{k: float(v) for k, v in doc.get("sampler", {}).items()})
+    if sampler.low_deg > sampler.high_deg:
+        raise ParseError(f"need low_deg <= high_deg: sampler.low_deg is {sampler.low_deg:g}, "
+                         f"sampler.high_deg {sampler.high_deg:g}")
     weights = LossWeights(**doc.get("loss_weights", {}))
     radii = doc.get("correlation", {})
     return PipelineConfig(grid, camera, depth_bins, **radii, sampler=sampler, loss_weights=weights)

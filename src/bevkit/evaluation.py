@@ -35,15 +35,6 @@ _COLLINEAR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class AlignmentResult:
-    """A similarity transform est -> gt: p_gt ~ scale * rotation @ p_est + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-    scale: float
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     """Headline trajectory metrics plus the per-length breakdown.
 
@@ -128,12 +119,12 @@ def _check_same_frames(est: Trajectory, gt: Trajectory):
         )
 
 
-def align(est: Trajectory, gt: Trajectory, mode: str = "se3") -> AlignmentResult:
-    """Closed-form alignment of estimated positions onto ground truth.
+def ate(est: Trajectory, gt: Trajectory, mode: str = "se3") -> float:
+    """Absolute trajectory error: position RMSE after alignment, meters.
 
-    ``mode`` "se3" fits rotation + translation (scale fixed at 1);
-    "sim3" additionally fits a positive scale.  The fit is
-    :func:`bevkit.geometry.fit_similarity` over the positions.
+    The estimated positions are aligned onto the ground truth in closed
+    form by :func:`bevkit.geometry.fit_similarity`: ``mode`` "se3" fits
+    rotation + translation (scale fixed at 1), "sim3" also a positive scale.
 
     Raises:
         DegenerateGeometryError: fewer than 3 frames, or the positions
@@ -151,18 +142,11 @@ def align(est: Trajectory, gt: Trajectory, mode: str = "se3") -> AlignmentResult
         )
     if scale <= 0.0:
         raise DegenerateGeometryError("similarity fit produced a nonpositive scale")
-    return AlignmentResult(rotation=rot, translation=t, scale=scale)
-
-
-def ate(est: Trajectory, gt: Trajectory, mode: str = "se3") -> float:
-    """Absolute trajectory error: position RMSE after alignment, meters."""
-    a = align(est, gt, mode)
     if np.array_equal(est.positions, gt.positions):
         # the optimum for identical point sets is the identity with zero
         # residual; return it exactly rather than the fitted rounding noise
         return 0.0
-    mapped = a.scale * est.positions @ a.rotation.T + a.translation
-    residuals = mapped - gt.positions
+    residuals = scale * est.positions @ rot.T + t - gt.positions
     return float(np.sqrt((residuals ** 2).sum(axis=1).mean()))
 
 
@@ -195,8 +179,9 @@ def rte_rre(
     Raises:
         InsufficientLengthError: the ground-truth path is shorter than
             every requested segment length.
-        ValueError: a length's mean squared error per meter leaves the
-            float range, as for a length of 1e-320 m.
+        ValueError: a length is not finite and positive or is listed
+            twice, or its mean squared error per meter leaves the float
+            range, as for a length of 1e-320 m.
     """
     _check_same_frames(est, gt)
     if stride < 1:
@@ -204,6 +189,8 @@ def rte_rre(
     lengths = tuple(float(l) for l in lengths_m)
     if not lengths or not all(0.0 < l < math.inf for l in lengths):
         raise ValueError(f"segment lengths must be finite and positive, got {lengths}")
+    if len(set(lengths)) != len(lengths):
+        raise ValueError(f"segment lengths must be distinct, got {', '.join(f'{l:g}' for l in lengths)}")
     dist = path_lengths(gt)
     if dist[-1] < min(lengths):
         raise InsufficientLengthError(
@@ -213,13 +200,14 @@ def rte_rre(
     n = len(gt)
     # any stride >= n starts at frame 0 alone; capped, arange stays integer
     firsts = np.arange(0, n, min(stride, n))
-    t_sq: dict[float, np.ndarray] = {}
-    r_sq: dict[float, np.ndarray] = {}
-    for length in dict.fromkeys(lengths):
+    per_length: dict[float, tuple[float, float, int]] = {}
+    for length in lengths:
         # end frame: first index at or beyond the nominal path length
         lasts = np.searchsorted(dist, dist[firsts] + length, side="left")
         starts = firsts[lasts < n]
         ends = lasts[lasts < n]
+        if not starts.size:
+            continue
         t_err = np.zeros(len(starts))
         r_err = np.zeros(len(starts))
         for block in range(0, len(starts), _BLOCK):
@@ -235,26 +223,20 @@ def rte_rre(
             t_err[moved] = _norms(err[:, :3, 3])
             r_err[moved] = _rotation_angles(err[:, :3, :3])
         # squared per value in Python: numpy's x ** 2 is x * x, which differs
-        # from the pow(x, 2) of a float in the last bit on about one value in a
-        # thousand; a length listed k times gets each of its values k times in a row
-        copies = lengths.count(length)
+        # from the pow(x, 2) of a float in the last bit on about one value in a thousand
         try:
-            t_sq[length] = np.repeat([(e / length) ** 2 for e in t_err.tolist()], copies)
-            r_sq[length] = np.repeat([(e / length) ** 2 for e in r_err.tolist()], copies)
+            t_sq = [(e / length) ** 2 for e in t_err.tolist()]
+            r_sq = [(e / length) ** 2 for e in r_err.tolist()]
         except OverflowError:  # a square past the float range: the mean check below refuses it
-            t_sq[length] = r_sq[length] = np.array([math.inf])
-    per_length: dict[float, tuple[float, float, int]] = {}
-    for length in lengths:
-        if not t_sq[length].size:
-            continue
+            t_sq = r_sq = [math.inf]
         with np.errstate(over="ignore"):
-            t_ms, r_ms = float(np.mean(t_sq[length])), float(np.mean(r_sq[length]))
+            t_ms, r_ms = float(np.mean(t_sq)), float(np.mean(r_sq))
         if not (math.isfinite(t_ms) and math.isfinite(r_ms)):
             raise ValueError(f"segment length {length!r} m: the mean squared error per meter "
                              "leaves the float range")
         rte = 100.0 * math.sqrt(t_ms)
         rre = 100.0 * math.degrees(math.sqrt(r_ms))
-        per_length[length] = (rte, rre, t_sq[length].size)
+        per_length[length] = (rte, rre, len(starts))
     if not per_length:
         raise InsufficientLengthError(
             "no complete segment of any requested length fits the trajectory"

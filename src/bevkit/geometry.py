@@ -355,44 +355,26 @@ class BevGridSpec:
         return (self.height_px, self.width_px)
 
 
-def pixel_to_vehicle(u, v, grid: BevGridSpec) -> np.ndarray:
-    """Map BEV pixel coordinates to homogeneous vehicle-frame points.
+def pixel_to_vehicle(u, v, grid: BevGridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Map BEV pixel coordinates (u, v) to vehicle-frame (x, y).
 
-    Accepts scalars or broadcastable arrays; returns shape (..., 4) with
-    z = 0 and w = 1.  The map is x = (o_y - v) * r, y = (u - o_x) * r.
+    Accepts scalars or broadcastable arrays; returns two arrays of the
+    broadcast shape.  The map is x = (o_y - v) * r, y = (u - o_x) * r.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     o_x, o_y = grid.origin_px
-    x = (o_y - v) * grid.resolution_m
-    y = (u - o_x) * grid.resolution_m
-    x, y = np.broadcast_arrays(x, y)
-    out = np.stack([x, y, np.zeros_like(x), np.ones_like(x)], axis=-1)
-    return out
+    x, y = np.broadcast_arrays((o_y - v) * grid.resolution_m, (u - o_x) * grid.resolution_m)
+    return x, y
 
 
-def _xy_to_pixel(x, y, grid: BevGridSpec):
-    """Vehicle-frame (x, y) arrays to BEV pixels: u = o_x + y / r, v = o_y - x / r."""
+def vehicle_to_pixel(x, y, grid: BevGridSpec):
+    """Map vehicle-frame (x, y) to BEV pixels (u, v): u = o_x + y / r, v = o_y - x / r.
+
+    The inverse of :func:`pixel_to_vehicle`, up to rounding.
+    """
     o_x, o_y = grid.origin_px
     return o_x + y / grid.resolution_m, o_y - x / grid.resolution_m
-
-
-def vehicle_to_pixel(points: np.ndarray, grid: BevGridSpec):
-    """Map homogeneous vehicle-frame points (..., 4) to BEV pixels (u, v).
-
-    The w component divides through, so scaled homogeneous points are fine.
-    Exact inverse of :func:`pixel_to_vehicle` for w = 1 points.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.shape[-1] != 4:
-        raise ShapeError(f"expected homogeneous points (..., 4), got {points.shape}")
-    w = points[..., 3]
-    if np.any(w == 0.0):
-        raise ValueError("homogeneous w component must be nonzero")
-    u, v = _xy_to_pixel(points[..., 0] / w, points[..., 1] / w, grid)
-    if u.ndim == 0:
-        return float(u), float(v)
-    return u, v
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 from ._threads import split_run
 from .correlation import FeatureMap
 from .errors import InvalidCameraError, ShapeError
-from .geometry import BevGridSpec, CameraModel, _xy_to_pixel
+from .geometry import BevGridSpec, CameraModel, vehicle_to_pixel
 
 _NORMALIZATION_TOL = 1e-6
 
@@ -116,14 +116,11 @@ def build_frustum(camera: CameraModel, bins: np.ndarray, image_size: tuple[int, 
         pts_cam = bins[:, None, None, None] * rays[None]
         pts_veh = np.einsum("ij,dhwj->dhwi", camera.rotation, pts_cam)
         pts_veh += camera.translation
-    _check_finite(pts_veh)
+    if not np.all(np.isfinite(pts_veh)):
+        raise ValueError(f"frustum contains non-finite points: {bins.size} depth bins up to {bins[-1]:g} m "
+                         f"through intrinsics K = {camera.intrinsics.ravel().tolist()} leave the float range")
     pts_veh.flags.writeable = False
     return pts_veh
-
-
-def _check_finite(frustum: np.ndarray):
-    if not np.all(np.isfinite(frustum)):
-        raise ValueError("frustum contains non-finite points")
 
 
 def assign_cells(frustum: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
@@ -138,7 +135,8 @@ def assign_cells(frustum: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
     frustum = np.asarray(frustum, dtype=float)
     if frustum.ndim != 4 or frustum.shape[-1] != 3:
         raise ShapeError(f"frustum points must have shape (D, H, W, 3), got {frustum.shape}")
-    _check_finite(frustum)
+    if not np.all(np.isfinite(frustum)):
+        raise ValueError("frustum contains non-finite points")
     return _assign(frustum, grid)
 
 
@@ -148,7 +146,7 @@ def _assign(pts: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
     # which casts to no meaningful row or column; the float test below puts
     # it outside the grid, as it does every point that floors outside.
     with np.errstate(over="ignore", invalid="ignore"):
-        u, v = _xy_to_pixel(pts[..., 0], pts[..., 1], grid)
+        u, v = vehicle_to_pixel(pts[..., 0], pts[..., 1], grid)
         cols = np.floor(u).astype(np.int64)
         rows = np.floor(v).astype(np.int64)
     in_grid = (v >= 0) & (v < grid.height_px) & (u >= 0) & (u < grid.width_px)
@@ -159,39 +157,17 @@ def _assign(pts: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
     return SplatAssignment(rows, cols, in_grid, points, cells, pixels, dropped)
 
 
-def _pool(plan: SplatAssignment, grid: BevGridSpec, features: np.ndarray, index: np.ndarray, scale: np.ndarray):
-    """Sum-pool ``features[c][index] * scale`` into the plan's cells, per channel c.
-
-    ``index`` and ``scale`` give one entry per in-grid point, in the order
-    of ``plan.points``.  One ``np.bincount`` per channel adds the points in
-    (depth, row, column) order, so results are bitwise reproducible; the
-    channels are split across one thread per usable CPU, each writing its
-    own rows, which leaves the bits as they are.
-    Returns (bev, dropped) with bev a C-contiguous (C, grid H, grid W) array.
-    """
-    n = grid.height_px * grid.width_px
-    bev = np.empty((features.shape[0], n))
-
-    def channels(cs):
-        weights = np.empty(index.size)  # one buffer per slice: slices run concurrently
-        for c in cs:
-            # every index is in range; mode="clip" skips the buffered bounds check
-            np.take(features[c], index, out=weights, mode="clip")
-            np.multiply(weights, scale, out=weights)
-            bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
-
-    split_run(channels, features.shape[0])
-    return bev.reshape(features.shape[0], grid.height_px, grid.width_px), plan.dropped
-
-
 def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraModel, grid: BevGridSpec):
     """Full image-to-BEV projection: lift ``volume`` by ``depth`` and splat it onto ``grid``.
 
     Cell (i, j) of channel c sums ``volume[c, h, w] * depth[d, h, w]`` over
-    the frustum points (d, h, w) that :func:`assign_cells` puts in it, added
-    in (depth, row, column) order.  The (C, D, H, W) lift tensor is never
-    built: each in-grid point's weight is formed inside the per-channel
-    pool, so memory beyond the output stays at a few point-sized arrays.
+    the frustum points (d, h, w) that :func:`assign_cells` puts in it.  The
+    (C, D, H, W) lift tensor is never built: one ``np.bincount`` per channel
+    forms each in-grid point's weight as it adds the points in (depth, row,
+    column) order, so results are bitwise reproducible and memory beyond
+    the output stays at a few point-sized arrays.  The channels are split
+    across one thread per usable CPU, each writing its own rows, which
+    leaves the bits as they are.
     Returns (bev, dropped) with bev a C-contiguous (C, grid H, grid W)
     array and dropped the count of frustum points outside the grid.
     """
@@ -201,4 +177,17 @@ def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraM
         )
     plan = _assign(build_frustum(camera, depth.bins, volume.spatial_shape), grid)
     context = volume.data.reshape(volume.channels, -1)
-    return _pool(plan, grid, context, plan.pixels, depth.data.reshape(-1)[plan.points])
+    scale = depth.data.reshape(-1)[plan.points]
+    n = grid.height_px * grid.width_px
+    bev = np.empty((volume.channels, n))
+
+    def channels(cs):
+        weights = np.empty(plan.pixels.size)  # one buffer per slice: slices run concurrently
+        for c in cs:
+            # every index is in range; mode="clip" skips the buffered bounds check
+            np.take(context[c], plan.pixels, out=weights, mode="clip")
+            np.multiply(weights, scale, out=weights)
+            bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
+
+    split_run(channels, volume.channels)
+    return bev.reshape(volume.channels, grid.height_px, grid.width_px), plan.dropped

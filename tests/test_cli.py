@@ -841,6 +841,12 @@ BAD_INPUTS = [
      '{"sampler": {"window_s": 0}}', "no admissible pairs"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10,nan"],
      None, "segment lengths must be finite and positive"),
+    (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10,5,10"],
+     None, "segment lengths must be distinct, got 10, 5, 10"),
+    (["lss-project", "--features", "{d}/ones.bvt1", "--depth", "{d}/four.bvt1", "--config", "{d}/bad.json",
+      "--out", "{d}/out"], '{"camera": {"K": [0.01, 0, 4, 0, 0.01, 4, 0, 0, 1]}, '
+                           '"depth_bins": {"count": 4, "min_m": 1e300, "max_m": 1.7e308}}',
+     "frustum contains non-finite points: 4 depth bins up to 1.7e+308 m through intrinsics K = [0.01, 0.0, 4.0,"),
     (["eval-traj", "--est", "{d}/shifted.tum", "--gt", "{d}/line.tum", "--max-dt", "nan"],
      None, "max_dt_s must be >= 0"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve", "{d}/out",

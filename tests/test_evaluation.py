@@ -17,7 +17,6 @@ from bevkit.evaluation import (
     Trajectory,
     _norms,
     _rotation_angles,
-    align,
     ate,
     evaluate_trajectories,
     log_scale_curve,
@@ -26,7 +25,7 @@ from bevkit.evaluation import (
     scale_from_first_10m,
     scale_trajectory,
 )
-from bevkit.geometry import Pose2, pose2_to_pose3
+from bevkit.geometry import Pose2, fit_similarity, pose2_to_pose3
 from helpers import rot_z, rotation_angle, transform_trajectory
 
 
@@ -166,55 +165,46 @@ class TestTransformHelpers:
 
 
 class TestAlign:
+    """The closed-form alignment inside ate: what it absorbs, what it refuses."""
+
     def test_identity_on_equal_inputs(self):
         traj = curved_traj(50, seed=7)
-        res = align(traj, traj, "se3")
-        assert np.allclose(res.rotation, np.eye(3), atol=1e-9)
-        assert np.allclose(res.translation, 0.0, atol=1e-9)
-        assert res.scale == 1.0
+        assert ate(traj, traj, "se3") == 0.0
 
     def test_sim3_recovers_double_scale(self):
         gt = curved_traj(50, seed=8)
         est = scale_trajectory(gt, 0.5)
-        res = align(est, gt, "sim3")
-        assert abs(res.scale - 2.0) < 1e-9
-        mapped = res.scale * est.positions @ res.rotation.T + res.translation
-        assert np.allclose(mapped, gt.positions, atol=1e-9)
+        assert ate(est, gt, "sim3") < 1e-9
 
     def test_se3_recovers_inverse_rigid_motion(self):
         gt = curved_traj(60, seed=9)
-        rot = rot_z(math.radians(30.0))
-        shift = np.array([1.0, 2.0, 0.0])
-        est = transform_trajectory(gt, rot, shift)
-        res = align(est, gt, "se3")
-        mapped = est.positions @ res.rotation.T + res.translation
-        assert np.max(np.abs(mapped - gt.positions)) < 1e-9
-        assert np.allclose(res.rotation, rot.T, atol=1e-9)
-        assert res.scale == 1.0
+        est = transform_trajectory(gt, rot_z(math.radians(30.0)), np.array([1.0, 2.0, 0.0]))
+        assert ate(est, gt, "se3") < 1e-9
 
     def test_se3_keeps_unit_scale_under_scaled_input(self):
         gt = curved_traj(40, seed=10)
-        res = align(scale_trajectory(gt, 1.3), gt, "se3")
-        assert res.scale == 1.0
+        est = scale_trajectory(gt, 1.3)
+        assert ate(est, gt, "sim3") < 1e-9
+        assert ate(est, gt, "se3") > 1e-3
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            align(line_traj(4), line_traj(5))
+        with pytest.raises(ShapeError, match="trajectories must have equal length, got 4 vs 5"):
+            ate(line_traj(4), line_traj(5))
 
     def test_too_few_frames_rejected(self):
         a = curved_traj(2, seed=11)
-        with pytest.raises(DegenerateGeometryError):
-            align(a, a)
+        with pytest.raises(DegenerateGeometryError, match="alignment needs at least 3 frames"):
+            ate(a, a)
 
     def test_collinear_rejected(self):
         a = line_traj(10)
-        with pytest.raises(DegenerateGeometryError):
-            align(a, a)
+        with pytest.raises(DegenerateGeometryError, match="positions are collinear or coincident"):
+            ate(a, a)
 
     def test_bad_mode_rejected(self):
         a = curved_traj(5, seed=12)
-        with pytest.raises(ValueError):
-            align(a, a, "rigid")
+        with pytest.raises(ValueError, match="mode must be 'se3' or 'sim3', got 'rigid'"):
+            ate(a, a, "rigid")
 
 
 class TestAte:
@@ -231,10 +221,11 @@ class TestAte:
     def test_matches_manual_residual_rmse(self):
         gt = curved_traj(40, seed=15)
         est = perturb_steps(gt, seed=16, t_sigma=0.1)
-        res = align(est, gt, "se3")
-        mapped = res.scale * est.positions @ res.rotation.T + res.translation
-        manual = float(np.sqrt(((mapped - gt.positions) ** 2).sum(axis=1).mean()))
-        assert ate(est, gt, "se3") == manual
+        for mode in ("se3", "sim3"):
+            rot, t, scale, _ = fit_similarity(est.positions, gt.positions, with_scale=mode == "sim3")
+            mapped = scale * est.positions @ rot.T + t
+            manual = float(np.sqrt(((mapped - gt.positions) ** 2).sum(axis=1).mean()))
+            assert ate(est, gt, mode) == manual
 
     def test_alignment_invariance(self):
         rng = np.random.default_rng(17)
@@ -342,6 +333,16 @@ class TestRteRre:
         with pytest.raises(ValueError):
             rte_rre(gt, gt, lengths_m=(-5.0,))
 
+    @pytest.mark.parametrize("lengths, shown", [
+        ((20.0, 7.5, 20.0), "20, 7.5, 20"),
+        ((12.5, 5000.0, 5.0, 12.5, 5000.0), "12.5, 5000, 5, 12.5, 5000"),
+    ])
+    def test_repeated_length_rejected(self, lengths, shown):
+        # a repeat would count its segments twice but its length once in the headline
+        gt = curved_traj(300, seed=28)
+        with pytest.raises(ValueError, match=f"^segment lengths must be distinct, got {shown}$"):
+            rte_rre(gt, gt, lengths_m=lengths)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
     def test_nonfinite_or_zero_length_rejected(self, bad):
         gt = line_traj(20)
@@ -388,8 +389,8 @@ class TestRteRreMatchesReference:
         ((5.0, 12.5, 40.0), 1, 0.05),    # rotation errors far from trace 3
         ((5.0, 12.5, 40.0), 3, 0.002),
         ((10.0, 5000.0, 25.0), 2, 0.002),   # 5000 m has no complete segment
-        ((20.0, 7.5, 20.0), 1, 0.002),      # a repeated length counts its segments twice
-        ((12.5, 5000.0, 5.0, 12.5, 5000.0), 2, 0.05),  # listed twice, apart, and once without segments
+        ((20.0, 7.5), 1, 0.002),            # per-length results keep the listed order
+        ((12.5, 5000.0, 5.0), 2, 0.05),     # a length without segments between two with
     ])
     def test_bitwise_equal(self, lengths, stride, yaw_sigma):
         gt = curved_traj(300, seed=28)

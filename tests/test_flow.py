@@ -79,8 +79,9 @@ class TestConstructFlow:
             flow = construct_flow_gt(pose, GRID)
             u = rng.integers(0, 128)
             v = rng.integers(0, 128)
-            moved = t3.matrix @ pixel_to_vehicle(u, v, GRID)
-            uu, vv = vehicle_to_pixel(moved, GRID)
+            x, y = pixel_to_vehicle(u, v, GRID)
+            moved = t3.matrix @ np.array([x, y, 0.0, 1.0])
+            uu, vv = vehicle_to_pixel(moved[0], moved[1], GRID)
             assert abs(flow.data[0, v, u] - (uu - u)) < 1e-12
             assert abs(flow.data[1, v, u] - (vv - v)) < 1e-12
 

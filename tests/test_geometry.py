@@ -113,41 +113,32 @@ class TestPixelVehicleMap:
     grid = BevGridSpec(128, 128, 0.8, origin_px=(64.0, 64.0))
 
     def test_origin_maps_to_origin(self):
-        assert np.array_equal(pixel_to_vehicle(64, 64, self.grid), [0.0, 0.0, 0.0, 1.0])
-        assert vehicle_to_pixel(np.array([0.0, 0.0, 0.0, 1.0]), self.grid) == (64.0, 64.0)
+        assert pixel_to_vehicle(64, 64, self.grid) == (0.0, 0.0)
+        assert vehicle_to_pixel(0.0, 0.0, self.grid) == (64.0, 64.0)
 
     def test_one_pixel_forward(self):
         # one row up = one resolution step forward
-        assert np.array_equal(pixel_to_vehicle(64, 63, self.grid), [0.8, 0.0, 0.0, 1.0])
-        assert vehicle_to_pixel(np.array([0.8, 0.0, 0.0, 1.0]), self.grid) == (64.0, 63.0)
+        assert pixel_to_vehicle(64, 63, self.grid) == (0.8, 0.0)
+        assert vehicle_to_pixel(0.8, 0.0, self.grid) == (64.0, 63.0)
 
     def test_one_pixel_left(self):
-        assert np.array_equal(pixel_to_vehicle(65, 64, self.grid), [0.0, 0.8, 0.0, 1.0])
+        assert pixel_to_vehicle(65, 64, self.grid) == (0.0, 0.8)
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
             u, v = rng.uniform(-200, 200, 2)
-            uu, vv = vehicle_to_pixel(pixel_to_vehicle(u, v, self.grid), self.grid)
+            uu, vv = vehicle_to_pixel(*pixel_to_vehicle(u, v, self.grid), self.grid)
             assert abs(uu - u) < 1e-12 and abs(vv - v) < 1e-12
 
     def test_array_round_trip(self):
         us = np.arange(0, 128, dtype=float)
-        vs = np.full(128, 17.0)
-        pts = pixel_to_vehicle(us, vs, self.grid)
-        assert pts.shape == (128, 4)
-        uu, vv = vehicle_to_pixel(pts, self.grid)
+        vs = 17.0  # one row: the scalar broadcasts against the columns
+        x, y = pixel_to_vehicle(us, vs, self.grid)
+        assert x.shape == y.shape == (128,)
+        uu, vv = vehicle_to_pixel(x, y, self.grid)
         assert np.max(np.abs(uu - us)) < 1e-12
         assert np.max(np.abs(vv - vs)) < 1e-12
-
-    def test_homogeneous_scaling_allowed(self):
-        p = pixel_to_vehicle(70, 50, self.grid) * 3.0
-        uu, vv = vehicle_to_pixel(p, self.grid)
-        assert abs(uu - 70) < 1e-12 and abs(vv - 50) < 1e-12
-
-    def test_zero_w_rejected(self):
-        with pytest.raises(ValueError):
-            vehicle_to_pixel(np.array([1.0, 2.0, 0.0, 0.0]), self.grid)
 
     def test_default_origin_is_grid_center(self):
         g = BevGridSpec(128, 128, 0.8)

@@ -770,6 +770,14 @@ class TestConfig:
         with pytest.raises(ParseError, match=f"sampler.{key} must be a number >= 0"):
             parse_config(f'{{"sampler": {{"{key}": {value}}}}}')
 
+    @pytest.mark.parametrize("sampler, shown", [
+        ('{"low_deg": 50}', "sampler.low_deg is 50, sampler.high_deg 45"),
+        ('{"low_deg": Infinity, "high_deg": 90}', "sampler.low_deg is inf, sampler.high_deg 90"),
+    ])
+    def test_sampler_low_deg_above_high_deg_rejected(self, sampler, shown):
+        with pytest.raises(ParseError, match=f"^need low_deg <= high_deg: {shown}$"):
+            parse_config(f'{{"sampler": {sampler}}}')
+
     def test_sampler_fields_accept_infinity_and_integers(self):
         cfg = parse_config('{"sampler": {"window_s": Infinity, "max_disp_m": 3, "high_deg": 90}}')
         assert cfg.sampler.window_s == math.inf

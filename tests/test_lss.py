@@ -50,9 +50,9 @@ def project_row(features, grid, f=100.0, cx=1.0, bins=(2.0,)):
     return project_volume(FeatureMap(features[:, None, :]), depth, forward_camera(f=f, cx=cx, cy=0.5), grid)
 
 
-def homogeneous_assign(frustum, grid):
-    """Reference: the former assign_cells, through homogeneous (x, y, z, 1) points."""
-    u, v = vehicle_to_pixel(np.concatenate([frustum, np.ones(frustum.shape[:-1] + (1,))], axis=-1), grid)
+def floored_assign(frustum, grid):
+    """Reference: the former assign_cells, which tested the floored row and column against the grid."""
+    u, v = vehicle_to_pixel(frustum[..., 0], frustum[..., 1], grid)
     cols = np.floor(u).astype(np.int64)
     rows = np.floor(v).astype(np.int64)
     in_grid = (rows >= 0) & (rows < grid.height_px) & (cols >= 0) & (cols < grid.width_px)
@@ -195,7 +195,9 @@ class TestBuildFrustum:
             with pytest.raises(ValueError, match="frustum contains non-finite points"):
                 assign_cells(bad, grid)
         # far bins through a short focal length overflow; the refusal is the only word of it
-        with pytest.raises(ValueError, match="frustum contains non-finite points"):
+        # and names the bins and the intrinsics that leave the float range
+        with pytest.raises(ValueError, match=r"frustum contains non-finite points: 2 depth bins up to 1\.7e\+308 m "
+                                             r"through intrinsics K = \[0\.01, 0\.0, "):
             build_frustum(forward_camera(f=0.01), np.array([1e300, 1.7e308]), (8, 8))
 
 
@@ -277,15 +279,16 @@ class TestAssignCells:
         BevGridSpec(128, 128, 0.8),
     ], ids=["res1", "res0.3-centre", "res0.3-off-centre", "stock"])
     def test_matches_homogeneous_route_bitwise(self, grid):
+        # the reference keeps the former route's in-grid test on the floored row and column
         rng = np.random.default_rng(62)
         ext = 0.75 * max(grid.shape) * grid.resolution_m
         random_pts = rng.uniform(-ext, ext, size=(3, 5, 7, 3))
         # pixel corners, so every point sits exactly on (or a rounding off) cell edges
         us, vs = np.meshgrid(np.arange(-1, grid.width_px + 2), np.arange(-1, grid.height_px + 2))
-        edges = pixel_to_vehicle(us, vs, grid)[None, ..., :3]
+        edges = np.stack([*pixel_to_vehicle(us, vs, grid), np.zeros(us.shape)], axis=-1)[None]
         for pts in (random_pts, edges):
             asg = assign_cells(pts, grid)
-            rows, cols, in_grid = homogeneous_assign(pts, grid)
+            rows, cols, in_grid = floored_assign(pts, grid)
             assert np.array_equal(asg.rows, rows)
             assert np.array_equal(asg.cols, cols)
             assert np.array_equal(asg.in_grid, in_grid)

@@ -1,6 +1,6 @@
 """Tests for the per-CPU split of correlation shifts and lift-splat channels.
 
-The serial loops that ``local_correlation`` and ``lss._pool`` ran before
+The serial loops that ``local_correlation`` and ``project_volume`` ran before
 the split stay here as references; every split result must equal them bit
 for bit, whatever the worker count.  ``project_volume`` must also equal the
 test-side lift and ``np.add.at`` splat at every worker count.
@@ -38,22 +38,19 @@ def serial_correlation(f_t, f_t1, radius, normalize=False):
     return out
 
 
-def serial_pool(plan, grid, features, index, scale):
-    """Reference: the channel loop of lss._pool on one thread, with one shared buffer."""
-    n = grid.height_px * grid.width_px
-    bev = np.empty((features.shape[0], n))
-    weights = np.empty(index.size)
-    for c, row in enumerate(features):
-        np.take(row, index, out=weights, mode="clip")
-        np.multiply(weights, scale, out=weights)
-        bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
-    return bev.reshape(features.shape[0], grid.height_px, grid.width_px)
-
-
 def serial_project_volume(volume, depth, camera, grid):
+    """Reference: project_volume with its channel loop on one thread, with one shared buffer."""
     plan = assign_cells(build_frustum(camera, depth.bins, volume.spatial_shape), grid)
     context = volume.data.reshape(volume.channels, -1)
-    return serial_pool(plan, grid, context, plan.pixels, depth.data.reshape(-1)[plan.points]), plan.dropped
+    scale = depth.data.reshape(-1)[plan.points]
+    n = grid.height_px * grid.width_px
+    bev = np.empty((volume.channels, n))
+    weights = np.empty(plan.pixels.size)
+    for c, row in enumerate(context):
+        np.take(row, plan.pixels, out=weights, mode="clip")
+        np.multiply(weights, scale, out=weights)
+        bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
+    return bev.reshape(volume.channels, grid.height_px, grid.width_px), plan.dropped
 
 
 def bench_inputs(rng, channels=64, image=(32, 88)):
