@@ -11,6 +11,7 @@ closed-form rigid (SE3) or similarity (Sim3) fit before the RMSE.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,13 +180,14 @@ def rte_rre(
     Raises:
         InsufficientLengthError: the ground-truth path is shorter than
             every requested segment length.
-        ValueError: a length is not finite and positive or is listed
+        ValueError: ``stride`` is not an integer >= 1 (a bool is not
+            one), or a length is not finite and positive or is listed
             twice, or its mean squared error per meter leaves the float
             range, as for a length of 1e-320 m.
     """
     _check_same_frames(est, gt)
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    if not (isinstance(stride, numbers.Integral) and not isinstance(stride, bool) and stride >= 1):
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     lengths = tuple(float(l) for l in lengths_m)
     if not lengths or not all(0.0 < l < math.inf for l in lengths):
         raise ValueError(f"segment lengths must be finite and positive, got {lengths}")

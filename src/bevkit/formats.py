@@ -266,8 +266,7 @@ _PAIRS_HEADER = "anchor_id,partner_id,yaw_diff_deg,displacement_m"
 
 def write_pairs_csv(records: list[PairRecord]) -> str:
     """Serialize drawn or enumerated pairs as CSV."""
-    rows = [(r.anchor_id, r.partner_id, r.yaw_diff_deg, r.displacement_m) for r in records]
-    return format_rows("%s,%s,%.17g,%.17g", rows, _PAIRS_HEADER)
+    return format_rows("%s,%s,%.17g,%.17g", records, _PAIRS_HEADER)
 
 
 _PAIR_ROWS = Rows(4, ",", (int, int, float, float), header="anchor_id", bad="bad pair record")
@@ -289,7 +288,7 @@ def parse_pairs_csv(text: str) -> list[PairRecord]:
             raise ParseError("non-finite value", line=lineno)
     if failure is not None:
         raise failure
-    return [PairRecord(*row) for row in rows]
+    return list(map(PairRecord._make, rows))
 
 
 def write_scale_curve_csv(curve: LogScaleCurve) -> str:

@@ -28,6 +28,10 @@ ORTHONORMALITY_TOL = 1e-9
 
 def wrap_angle(theta):
     """Wrap an angle or an array of angles to the interval (-pi, pi]."""
+    if isinstance(theta, float) and math.isfinite(theta):
+        # a float's % has np.mod's rule: fmod, then the divisor's sign
+        wrapped = float(theta) % TWO_PI
+        return wrapped - TWO_PI if wrapped > math.pi else wrapped
     wrapped = np.mod(theta, TWO_PI)
     wrapped = np.where(wrapped > math.pi, wrapped - TWO_PI, wrapped)
     if np.ndim(theta) == 0:
@@ -96,8 +100,12 @@ def _drifted(r: np.ndarray) -> np.ndarray:
     last bits: every block the rule finds past the tolerance is flagged.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.matmul(np.swapaxes(r, 1, 2), r) - np.eye(3)
-        return ~(np.sqrt((gram * gram).sum(axis=(1, 2))) <= 0.5 * ORTHONORMALITY_TOL)
+        # the six distinct entries of R^T R - I, each summed from column products
+        x, y, z = r[:, 0], r[:, 1], r[:, 2]
+        diag = [x[:, i] * x[:, i] + y[:, i] * y[:, i] + z[:, i] * z[:, i] - 1.0 for i in range(3)]
+        off = [x[:, i] * x[:, j] + y[:, i] * y[:, j] + z[:, i] * z[:, j] for i, j in ((0, 1), (0, 2), (1, 2))]
+        squares = sum(d * d for d in diag) + 2.0 * sum(e * e for e in off)
+        return ~(np.sqrt(squares) <= 0.5 * ORTHONORMALITY_TOL)
 
 
 def screen_rotations(r: np.ndarray) -> np.ndarray:
@@ -121,6 +129,25 @@ def repair_rotations(mats: np.ndarray):
     for k in np.flatnonzero(_drifted(r)).tolist():
         if rotation_error(r[k])[0] > ORTHONORMALITY_TOL:
             r[k] = closest_rotation(r[k])
+
+
+def _plainly_rigid(m: np.ndarray) -> bool:
+    """Whether the float 4x4 ``m`` passes :func:`_check_rigid_matrix` with room to spare, judged in Python floats.
+
+    True only when its 12 top entries sum to a finite number, its bottom
+    row is exactly (0, 0, 0, 1), and its drift and ``|det - 1|`` are both
+    within half the tolerance.  These sums may differ from numpy's in the
+    last bits, so a pose this passes is a pose the scalar rule accepts.
+    """
+    (a, b, c, tx), (d, e, f, ty), (g, h, i, tz), bottom = m.tolist()
+    if bottom != [0.0, 0.0, 0.0, 1.0] or not math.isfinite(a + b + c + d + e + f + g + h + i + tx + ty + tz):
+        return False
+    # the six distinct entries of R^T R - I, from the columns (a, d, g), (b, e, h), (c, f, i)
+    ab, ac, bc = a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i
+    drift = math.hypot(a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0, c * c + f * f + i * i - 1.0,
+                       ab, ab, ac, ac, bc, bc)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return drift <= 0.5 * ORTHONORMALITY_TOL and abs(det - 1.0) <= 0.5 * ORTHONORMALITY_TOL
 
 
 def _check_rigid_matrix(m: np.ndarray):
@@ -150,7 +177,8 @@ class Pose3:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ShapeError(f"pose matrix must be 4x4, got {m.shape}")
-        _check_rigid_matrix(m)
+        if not _plainly_rigid(m):
+            _check_rigid_matrix(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -177,13 +205,19 @@ def invert_rigid(poses: np.ndarray) -> np.ndarray:
     """
     poses = np.ascontiguousarray(poses, dtype=float)
     r_t = np.swapaxes(poses[:, :3, :3], 1, 2)
+    t = poses[:, :3, 3]
     out = np.zeros_like(poses)
     out[:, :3, :3] = r_t
     out[:, 3, 3] = 1.0
+    t_inv = np.empty((len(poses), 3))
+    # negated before the product, as a per-frame -R^T @ t would be: -(R^T t)
+    # has the same values but may flip the sign of a zero
+    neg_r_t = np.negative(r_t)
     for k in range(len(poses)):
-        # one 2-D product per frame: stacked forms (einsum, a batched
-        # matmul) may sum in another order and change the last bits
-        out[k, :3, 3] = -r_t[k] @ poses[k, :3, 3]
+        # one 2-D product per frame, into a preallocated row: stacked forms
+        # (einsum, a batched matmul) may sum in another order and change the last bits
+        np.matmul(neg_r_t[k], t[k], out=t_inv[k])
+    out[:, :3, 3] = t_inv
     return out
 
 
@@ -214,7 +248,8 @@ def check_rigid(poses: np.ndarray):
 def relative_pose(a: Pose3, b: Pose3) -> Pose3:
     """Transform taking frame a to frame b: inverse(a) * b, repaired by :func:`repair_rotations`."""
     m = invert_rigid(a.matrix[None])[0] @ b.matrix
-    repair_rotations(m[None])
+    if not _plainly_rigid(m):
+        repair_rotations(m[None])
     return Pose3(m)
 
 

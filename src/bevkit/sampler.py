@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -25,34 +27,38 @@ HIGH_FRACTION = 0.7
 _BLOCK = 1024
 
 
+def _is(value, kind) -> bool:
+    """Whether ``value`` is a number of ``kind`` other than a bool, which ``numbers`` counts as an integer."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FrameIndex:
-    """One posed frame of a sequence: integer id, timestamp, world pose."""
+    """One posed frame of a sequence: integer id, finite timestamp, world pose."""
 
     id: int
     timestamp: float
     pose: Pose3
 
     def __post_init__(self):
+        # int and float first: an abstract number check costs about 0.5 us
+        if not (type(self.id) is int or _is(self.id, numbers.Integral)):
+            raise ValueError(f"frame id must be an integer, got {self.id!r}")
+        if not ((type(self.timestamp) is float or _is(self.timestamp, numbers.Real))
+                and math.isfinite(self.timestamp)):
+            raise ValueError(f"timestamp must be a finite number, got {self.timestamp!r}")
         object.__setattr__(self, "id", int(self.id))
-        ts = float(self.timestamp)
-        if not math.isfinite(ts):
-            raise ValueError("timestamp must be finite")
-        object.__setattr__(self, "timestamp", ts)
+        object.__setattr__(self, "timestamp", float(self.timestamp))
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """A candidate training pair with its relative-motion summary.
+class PairRecord(namedtuple("PairRecord", "anchor_id partner_id yaw_diff_deg displacement_m")):
+    """A candidate training pair with its relative-motion summary: a tuple of its four fields.
 
     ``yaw_diff_deg`` is the absolute relative yaw in degrees, in [0, 180];
     ``displacement_m`` is the planar distance between the two frames.
     """
 
-    anchor_id: int
-    partner_id: int
-    yaw_diff_deg: float
-    displacement_m: float
+    __slots__ = ()
 
 
 @dataclass
@@ -101,7 +107,7 @@ def build_pair_lists(
     Args:
         frames: posed frames with nondecreasing timestamps.
         window_s, max_disp_m, low_deg, high_deg: numbers >= 0 (inf
-            allowed), with ``low_deg <= high_deg``.
+            allowed, a bool refused), with ``low_deg <= high_deg``.
 
     Returns:
         Mapping anchor id -> PairLists for that anchor, in frame order
@@ -110,7 +116,7 @@ def build_pair_lists(
     """
     for name, value in (("window_s", window_s), ("max_disp_m", max_disp_m),
                         ("low_deg", low_deg), ("high_deg", high_deg)):
-        if not (isinstance(value, numbers.Real) and value >= 0.0):  # also refuses NaN
+        if not (_is(value, numbers.Real) and value >= 0.0):  # also refuses NaN
             raise ValueError(f"{name} must be a number >= 0, got {value!r}")
     if low_deg > high_deg:
         raise ValueError("need low_deg <= high_deg")
@@ -120,7 +126,7 @@ def build_pair_lists(
     if np.any(np.diff(times) < 0.0):
         raise ValueError("frame timestamps must be nondecreasing")
 
-    ids = [f.id for f in frames]
+    ids = np.array([f.id for f in frames], dtype=object)
     poses = np.stack([f.pose.matrix for f in frames])
     with np.errstate(over="ignore", invalid="ignore"):
         inverses = invert_rigid(poses)
@@ -133,7 +139,9 @@ def build_pair_lists(
     # has a yaw, and relative_pose refuses them all
     hi = np.where(np.all(np.isfinite(inverses[:, :3, 3]), axis=1), hi, lo)
     starts = np.concatenate([[0], np.cumsum(hi - lo)])
-    per_anchor = [PairLists() for _ in frames]
+    # the records of the high and of the standard list, in anchor order, and
+    # their anchors block by block, after an empty block for a sequence with none
+    records, anchors = ([], []), ([np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)])
     for first in range(0, int(starts[-1]), _BLOCK):
         pos = np.arange(first, min(first + _BLOCK, int(starts[-1])))
         a = np.searchsorted(starts, pos, side="right") - 1
@@ -157,13 +165,21 @@ def build_pair_lists(
         # math.atan2, not np.arctan2; then wrap_angle before abs, as Pose2
         # does, since wrapping a negative angle can change its last bits
         theta = wrap_angle(np.array(list(map(math.atan2, rel[:, 1, 0].tolist(), rel[:, 0, 0].tolist()))))
-        yaw = [abs(math.degrees(t)) for t in theta.tolist()]
-        for i, j, y, d in zip(a.tolist(), b.tolist(), yaw, disp.tolist()):
-            if y > high_deg:
-                continue
-            lists = per_anchor[i]
-            (lists.high if y >= low_deg else lists.standard).append(PairRecord(ids[i], ids[j], y, d))
-    return dict(zip(ids, per_anchor))
+        # np.degrees multiplies by 180 / pi once, as math.degrees does
+        yaw = np.abs(np.degrees(theta))
+        # a NaN yaw is neither above high_deg nor at least low_deg: it is a standard pair
+        kept, high = ~(yaw > high_deg), yaw >= low_deg
+        for k, mask in enumerate((kept & high, kept & ~high)):
+            fields = zip(ids[a[mask]].tolist(), ids[b[mask]].tolist(), yaw[mask].tolist(), disp[mask].tolist())
+            # PairRecord._make without its length check: no Python call per record
+            records[k].extend(map(tuple.__new__, repeat(PairRecord), fields))
+            anchors[k].append(a[mask])
+    per_class = []
+    for listed, anchor in zip(records, anchors):
+        # the pairs come in anchor order, so each anchor's records are one slice
+        bounds = np.searchsorted(np.concatenate(anchor), np.arange(len(frames) + 1)).tolist()
+        per_class.append([listed[i:j] for i, j in zip(bounds[:-1], bounds[1:])])
+    return dict(zip(ids.tolist(), map(PairLists, *per_class)))
 
 
 def sample_pair(lists: PairLists, rng: np.random.Generator) -> PairRecord:

@@ -1,11 +1,22 @@
-"""Pose and trajectory helpers the tests share, and the scalar oracles: rotation angle and lift-splat."""
+"""Pose and trajectory helpers the tests share, and the oracles of replaced forms.
+
+The oracles: the pose inverse, drift screen and relative pose, the
+rotation angle, and lift-splat.
+"""
 
 import math
 
 import numpy as np
 
 from bevkit.evaluation import Trajectory
-from bevkit.geometry import Pose3, repair_rotations
+from bevkit.geometry import (
+    ORTHONORMALITY_TOL,
+    Pose3,
+    _check_rigid_matrix,
+    closest_rotation,
+    repair_rotations,
+    rotation_error,
+)
 from bevkit.lss import assign_cells
 
 
@@ -28,6 +39,38 @@ def compose(a: Pose3, b: Pose3) -> Pose3:
     m = a.matrix @ b.matrix
     repair_rotations(m[None])
     return Pose3(m)
+
+
+def reference_invert_rigid(poses: np.ndarray) -> np.ndarray:
+    """The inverses [R^T | -R^T t] with one allocating ``-R^T @ t`` per frame: the oracle of ``invert_rigid``."""
+    poses = np.ascontiguousarray(poses, dtype=float)
+    r_t = np.swapaxes(poses[:, :3, :3], 1, 2)
+    out = np.zeros_like(poses)
+    out[:, :3, :3] = r_t
+    out[:, 3, 3] = 1.0
+    for k in range(len(poses)):
+        out[k, :3, 3] = -r_t[k] @ poses[k, :3, 3]
+    return out
+
+
+def reference_drifted(r: np.ndarray) -> np.ndarray:
+    """The drift screen from one stacked ``R^T R - I``: the oracle of ``geometry._drifted``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(np.swapaxes(r, 1, 2), r) - np.eye(3)
+        return ~(np.sqrt((gram * gram).sum(axis=(1, 2))) <= 0.5 * ORTHONORMALITY_TOL)
+
+
+def reference_relative_pose(a: Pose3, b: Pose3) -> np.ndarray:
+    """inverse(a) * b with every check run, as ``relative_pose`` did before its scalar screen.
+
+    The per-frame inverse, then the stacked drift screen with the scalar
+    rule's repair, then the full rigid check; returns the matrix.
+    """
+    m = reference_invert_rigid(a.matrix[None])[0] @ b.matrix
+    if reference_drifted(m[None, :3, :3])[0] and rotation_error(m[:3, :3])[0] > ORTHONORMALITY_TOL:
+        m[:3, :3] = closest_rotation(m[:3, :3])
+    _check_rigid_matrix(m)
+    return m
 
 
 def rotation_angle(rot: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Tests for trajectory alignment, ATE/RTE/RRE, and scale diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -332,6 +333,18 @@ class TestRteRre:
             rte_rre(gt, gt, lengths_m=())
         with pytest.raises(ValueError):
             rte_rre(gt, gt, lengths_m=(-5.0,))
+
+    @pytest.mark.parametrize("stride", [0, -3, 1.5, 2.0, True, "2", None])
+    def test_non_integer_stride_rejected(self, stride):
+        # 1.5 would end in numpy's index error; True would run as stride 1
+        gt = line_traj(20)
+        with pytest.raises(ValueError, match=f"^stride must be an integer >= 1, got {re.escape(repr(stride))}$"):
+            rte_rre(gt, gt, lengths_m=(10.0,), stride=stride)
+
+    def test_numpy_integer_stride_accepted(self):
+        gt = curved_traj(120, seed=26)
+        est = perturb_steps(gt, seed=27)
+        assert rte_rre(est, gt, lengths_m=(10.0,), stride=np.int64(4)) == rte_rre(est, gt, lengths_m=(10.0,), stride=4)
 
     @pytest.mark.parametrize("lengths, shown", [
         ((20.0, 7.5, 20.0), "20, 7.5, 20"),

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import bevkit.geometry
+from bevkit import io as bevio
 from bevkit.errors import InvalidCameraError, ShapeError
 from bevkit.geometry import (
     BevGridSpec,
@@ -20,7 +22,14 @@ from bevkit.geometry import (
     vehicle_to_pixel,
     wrap_angle,
 )
-from helpers import compose, pose3, rot_z
+from helpers import (
+    compose,
+    pose3,
+    reference_drifted,
+    reference_invert_rigid,
+    reference_relative_pose,
+    rot_z,
+)
 
 
 def random_rotation(rng):
@@ -106,6 +115,28 @@ class TestWrapAngle:
         out = wrap_angle(np.array([0.0, math.pi, -math.pi, 3 * math.pi]))
         assert out.shape == (4,)
         assert np.all(out > -math.pi) and np.all(out <= math.pi)
+
+    def test_float_path_matches_the_array_path_bitwise(self):
+        # a float's % and np.mod share fmod and the divisor's sign; compared
+        # sign bits included, at zeros, the smallest subnormal, pi and its
+        # neighbours, multiples of pi and 2 pi and magnitudes up to 1e300
+        rng = np.random.default_rng(9)
+        k = np.arange(-2000.0, 2001.0)
+        centers = np.concatenate([[0.0, 5e-324, 1.0, 1e300], k * math.pi, k * 2.0 * math.pi])
+        magnitudes = 10.0 ** rng.uniform(-320.0, 300.0, 20000)
+        values = np.concatenate([centers, np.nextafter(centers, -np.inf), np.nextafter(centers, np.inf),
+                                 rng.uniform(-50.0, 50.0, 20000), magnitudes])
+        values = np.concatenate([values, -values])
+        want = wrap_angle(values)
+        for kind in (float, np.float64):
+            got = np.array([wrap_angle(kind(v)) for v in values.tolist()])
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert type(wrap_angle(np.float64(4.0))) is float
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_float_takes_the_array_path(self, value):
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert math.isnan(wrap_angle(value))
 
 
 class TestPixelVehicleMap:
@@ -195,15 +226,13 @@ class TestPose3:
 
     def test_invert_rigid_is_the_per_pose_inverse(self):
         rng = np.random.default_rng(6)
-        poses = [random_pose3(rng) for _ in range(300)]
-        stack = invert_rigid(np.stack([p.matrix for p in poses]))
-        for p, inv in zip(poses, stack):
-            # the inverse as a scalar reference: [R^T | -R^T t] with a 2-D product
-            r_t = p.matrix[:3, :3].T
-            want = np.eye(4)
-            want[:3, :3] = r_t
-            want[:3, 3] = -r_t @ p.matrix[:3, 3]
-            assert np.array_equal(inv, want)
+        poses = np.stack([random_pose3(rng).matrix for _ in range(3000)])
+        # translations from 1e-5 to 1e5, and some zero entries for signed zeros
+        poses[:, :3, 3] *= 10.0 ** rng.uniform(-6.0, 4.0, (len(poses), 1))
+        poses[::7, :3, 3] = 0.0
+        poses[::5, 1, 3] = -0.0
+        got, want = invert_rigid(poses), reference_invert_rigid(poses)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_invert_rigid_empty_stack(self):
         assert invert_rigid(np.zeros((0, 4, 4))).shape == (0, 4, 4)
@@ -253,6 +282,65 @@ class TestPose3:
         check_rigid(np.zeros((0, 4, 4)))
         with pytest.raises(ShapeError):
             check_rigid(np.eye(4))
+
+
+def screen_cases(rotation_cases):
+    """4x4 matrices at the edges of the single-pose screen and of the scalar rule, by name.
+
+    Drift and ``|det - 1|`` at 0.4, 0.5, 0.6 and 1.0 times the tolerance and
+    one ulp either side, every rotation case, non-finite entries, a
+    translation whose sum overflows and perturbed bottom rows.
+    """
+    rot = rotation_cases["exact"]
+    cases = {name: rigid(r) for name, r in rotation_cases.items()}
+    for k in (0.4, 0.5, 0.6, 1.0):
+        tol = k * 1e-9
+        for tag, err in (("-1ulp", np.nextafter(tol, 0.0)), ("", tol), ("+1ulp", np.nextafter(tol, 1.0))):
+            cases[f"drift-{k}tol{tag}"] = rigid(rot * math.sqrt(1.0 + err / math.sqrt(3.0)))
+            cases[f"det-up-{k}tol{tag}"] = rigid(rot * (1.0 + err) ** (1.0 / 3.0))
+            cases[f"det-down-{k}tol{tag}"] = rigid(rot * (1.0 - err) ** (1.0 / 3.0))
+    for name, index, value in (("nan-rotation", (0, 1), math.nan), ("inf-rotation", (2, 2), -math.inf),
+                               ("nan-translation", (1, 3), math.nan), ("inf-translation", (0, 3), math.inf),
+                               ("huge-rotation", (0, 0), 1e50), ("bottom-subnormal", (3, 0), 5e-324),
+                               ("bottom-one-ulp", (3, 3), np.nextafter(1.0, 2.0)), ("bottom-nan", (3, 2), math.nan),
+                               ("bottom-signed-zero", (3, 1), -0.0)):
+        cases[name] = rigid(rot)
+        cases[name][index] = value
+    cases["translation-sum-overflows"] = rigid(rot)
+    cases["translation-sum-overflows"][:3, 3] = 1.5e308
+    return cases
+
+
+class TestRotationScreens:
+    def test_pose3_verdicts_match_the_scalar_rule(self, rotation_cases):
+        seen = set()
+        for name, m in screen_cases(rotation_cases).items():
+            want = verdict(reference_check_rigid_matrix, m)
+            assert verdict(lambda x: Pose3(x), m) == want, name
+            # a pose the screen passes is one the rule accepts
+            assert want is None or not bevkit.geometry._plainly_rigid(m), name
+            seen.add(want and want[1])
+        assert len(seen) == 5  # accepted, and the four refusals
+
+    def test_screen_passes_plain_poses_and_defers_the_rest(self, rotation_cases):
+        cases = screen_cases(rotation_cases)
+        plain = {name for name, m in cases.items() if bevkit.geometry._plainly_rigid(m)}
+        assert {"exact", "bottom-signed-zero", "drift-0.4tol", "det-up-0.4tol+1ulp"} <= plain
+        for name in ("drift-0.6tol", "det-down-0.6tol-1ulp", "drift-1.0tol-1ulp", "nan-translation",
+                     "bottom-subnormal", "translation-sum-overflows"):
+            assert name not in plain
+
+    def test_drift_screen_matches_the_stacked_product(self, rotation_cases):
+        rng = np.random.default_rng(22)
+        drifts = np.concatenate([rng.uniform(0.0, 2e-9, 4000), np.linspace(0.45e-9, 0.55e-9, 2001)])
+        stack = np.stack([random_rotation(rng) * math.sqrt(1.0 + d / math.sqrt(3.0)) for d in drifts]
+                         + [m[:3, :3] for m in screen_cases(rotation_cases).values()])
+        # strided 3x3 blocks of a 4x4 stack, as the callers pass them
+        poses = np.zeros((len(stack), 4, 4))
+        poses[:, :3, :3] = stack
+        got = bevkit.geometry._drifted(poses[:, :3, :3])
+        assert np.array_equal(got, reference_drifted(poses[:, :3, :3]))
+        assert 0 < np.count_nonzero(got) < len(got)
 
 
 class TestCompose:
@@ -366,17 +454,45 @@ class TestRelativePose:
 
 
     def test_equal_to_the_two_pose_form(self):
-        # the form relative_pose replaced: a validated inverse, then the product's repair
+        # the form relative_pose replaced: the per-frame inverse, the stacked
+        # drift screen and its repair, then every check; half the pairs drift
         rng = np.random.default_rng(16)
-        repaired = 0
-        for _ in range(300):
-            a, b = (rigid(random_rotation(rng) * math.sqrt(1.0 + rng.uniform(-0.9e-9, 0.9e-9) / math.sqrt(3.0))) for _ in range(2))
-            want = Pose3(invert_rigid(a[None])[0]).matrix @ b
-            if float(np.linalg.norm(want[:3, :3].T @ want[:3, :3] - np.eye(3))) > 1e-9:
-                want[:3, :3] = closest_rotation(want[:3, :3])
-                repaired += 1
+        repaired = plain = 0
+        for k in range(600):
+            spread = 0.9e-9 * (k % 2)
+            a, b = (rigid(random_rotation(rng) * math.sqrt(1.0 + rng.uniform(-spread, spread) / math.sqrt(3.0)))
+                    for _ in range(2))
+            want = reference_relative_pose(Pose3(a), Pose3(b))
+            product = reference_invert_rigid(a[None])[0] @ b
+            repaired += not np.array_equal(want, product)
+            plain += bevkit.geometry._plainly_rigid(product)
             assert np.array_equal(relative_pose(Pose3(a), Pose3(b)).matrix, want)
-        assert 20 < repaired < 280
+        assert 20 < repaired < 280 and 300 <= plain < 600
+
+    def test_plain_poses_skip_the_linalg_checks(self, monkeypatch):
+        # the scalar screen passes each product of a rigid drive, so neither
+        # Pose3 nor the repair reaches for numpy's determinant or norm
+        gt, _ = bevio.synth_trajectory(bevio.SynthSpec((bevio.MotionPrimitive("arc", 20.0, 2.0, 30.0),)))
+        frames = [Pose3(m) for m in gt.poses]
+        calls = []
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("det", "norm"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        rng = np.random.default_rng(17)
+        for i, j in rng.integers(0, len(frames), (1000, 2)).tolist():
+            pose3_to_pose2(relative_pose(frames[i], frames[j]))
+        assert calls == []
+        with pytest.raises(ValueError, match="orthonormal"):
+            Pose3(rigid(rot_z(0.3) * 2.0))  # the counters see the scalar rule
+        assert sorted(calls) == ["det", "norm"]
 
     def test_builds_one_pose(self, monkeypatch):
         a, b = Pose3(np.eye(4)), pose2_to_pose3(Pose2(0.3, 1.0, 2.0))

@@ -1,6 +1,7 @@
 """Tests for rotation-aware pair mining and sampling."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ import bevkit.geometry
 import bevkit.sampler
 from bevkit import io as bevio
 from bevkit.errors import DegenerateInputError, NoPairsError
-from bevkit.geometry import Pose2, Pose3, pose2_to_pose3, pose3_to_pose2, relative_pose
+from bevkit.formats import parse_pairs_csv, write_pairs_csv
+from bevkit.geometry import Pose2, Pose3, pose2_to_pose3, pose3_to_pose2, relative_pose, wrap_angle
 from bevkit.sampler import (
     FrameIndex,
     PairLists,
@@ -20,7 +22,7 @@ from bevkit.sampler import (
     merge_pair_lists,
     sample_pair,
 )
-from helpers import pose3, rot_z
+from helpers import pose3, reference_relative_pose, rot_z
 
 
 def make_frames(rows):
@@ -49,7 +51,7 @@ def reference_build_pair_lists(frames, window_s=60.0, max_disp_m=4.0, low_deg=15
         for j in range(lo, min(hi, n)):
             if j == i:
                 continue
-            rel = pose3_to_pose2(relative_pose(anchor.pose, frames[j].pose))
+            rel = pose3_to_pose2(Pose3(reference_relative_pose(anchor.pose, frames[j].pose)))
             disp = math.hypot(rel.tx, rel.ty)
             if disp > max_disp_m:
                 continue
@@ -224,6 +226,25 @@ class TestBuildPairLists:
         for frames_arg in (frames, []):
             with pytest.raises(ValueError, match=name):
                 build_pair_lists(frames_arg, **{name: math.nan})
+
+    @pytest.mark.parametrize("name", ["window_s", "max_disp_m", "low_deg", "high_deg"])
+    def test_bool_threshold_rejected(self, name):
+        # a bool is a numbers.Real: True would run as 1
+        frames = make_frames([(0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.5, 0.0)])
+        for value in (True, False):
+            with pytest.raises(ValueError, match=f"{name} must be a number >= 0, got {value}"):
+                build_pair_lists(frames, **{name: value})
+
+    def test_yaw_in_degrees_is_the_per_value_form(self):
+        # np.degrees multiplies by 180 / pi once, as math.degrees does, on
+        # wrapped angles at zeros, pi and its neighbours and random values
+        rng = np.random.default_rng(76)
+        edges = np.array([0.0, 5e-324, 1e-300, math.pi / 2, math.pi / 4, math.pi])
+        theta = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 4.0),
+                                rng.uniform(-math.pi, math.pi, 50000)])
+        theta = wrap_angle(np.concatenate([theta, -theta]))
+        want = [abs(math.degrees(t)) for t in theta.tolist()]
+        assert np.array_equal(np.abs(np.degrees(theta)), want)
 
     def test_partition_property(self):
         rng = np.random.default_rng(70)
@@ -534,3 +555,50 @@ class TestHelpers:
 
         with pytest.raises(ValueError):
             FrameIndex(id=0, timestamp=np.nan, pose=Pose3(np.eye(4)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", 1.7), ("id", True), ("id", "3"), ("id", np.float64(2.0)),
+        ("timestamp", "2.5"), ("timestamp", True), ("timestamp", math.inf),
+    ])
+    def test_frame_index_refuses_instead_of_coercing(self, field, value):
+        # int() and float() would make 1.7 an id of 1, True an id of 1 and "2.5" a time of 2.5
+        fields = {"id": 0, "timestamp": 0.5, "pose": Pose3(np.eye(4)), field: value}
+        what = "frame id must be an integer" if field == "id" else "timestamp must be a finite number"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{what}, got {value!r}')}$"):
+            FrameIndex(**fields)
+
+    def test_frame_index_takes_numpy_numbers(self):
+        frame = FrameIndex(id=np.int64(4), timestamp=np.float32(0.5), pose=Pose3(np.eye(4)))
+        assert (frame.id, frame.timestamp) == (4, 0.5)
+        assert type(frame.id) is int and type(frame.timestamp) is float
+        assert FrameIndex(id=2, timestamp=3, pose=frame.pose).timestamp == 3.0
+
+
+class TestPairRecord:
+    def test_a_tuple_of_its_four_fields(self):
+        rec = PairRecord(3, 5, 17.25, 2.5)
+        assert PairRecord._fields == ("anchor_id", "partner_id", "yaw_diff_deg", "displacement_m")
+        assert rec == (3, 5, 17.25, 2.5) and tuple(rec) == (3, 5, 17.25, 2.5)
+        anchor, partner, yaw, disp = rec
+        assert (anchor, partner, yaw, disp) == (rec.anchor_id, rec.partner_id, rec.yaw_diff_deg, rec.displacement_m)
+        assert rec == record(anchor=3, partner=5, yaw=17.25, disp=2.5) and hash(rec) == hash((3, 5, 17.25, 2.5))
+        assert repr(rec) == "PairRecord(anchor_id=3, partner_id=5, yaw_diff_deg=17.25, displacement_m=2.5)"
+
+    def test_immutable(self):
+        rec = PairRecord(3, 5, 17.25, 2.5)
+        with pytest.raises(AttributeError):
+            rec.yaw_diff_deg = 1.0
+        with pytest.raises(AttributeError):
+            rec.extra = 1  # __slots__ = (): no instance dict
+
+    def test_csv_round_trip_of_mined_records(self):
+        # records straight from the miner keep their types and bits through the pairs CSV
+        frames = parsed_frames((bevio.MotionPrimitive("arc", 10.0, 2.0, 30.0),), seed=14)
+        merged = merge_pair_lists(build_pair_lists(frames, window_s=3.0, low_deg=5.0))
+        records = merged.high + merged.standard
+        assert merged.high and merged.standard
+        back = parse_pairs_csv(write_pairs_csv(records))
+        assert back == records and all(type(r) is PairRecord for r in back)
+        for got, want in zip(back, records):
+            assert [type(v) for v in got] == [type(v) for v in want] == [int, int, float, float]
+        assert np.array_equal([r[2:] for r in back], [r[2:] for r in records])
