@@ -9,6 +9,7 @@ if the second map were zero-padded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,18 @@ class CorrelationVolume:
         return math.isqrt(self.data.shape[0]) // 2
 
 
+def _extent(d: np.ndarray) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Half-open row and column bounds of the cells where any channel of (C, H, W) ``d`` is nonzero.
+
+    An all-zero map gives empty bounds, (0, 0) for both axes.
+    """
+    cells = d.any(axis=0)
+    rows, cols = np.flatnonzero(cells.any(axis=1)), np.flatnonzero(cells.any(axis=0))
+    if rows.size == 0:
+        return (0, 0), (0, 0)
+    return (int(rows[0]), int(rows[-1]) + 1), (int(cols[0]), int(cols[-1]) + 1)
+
+
 def local_correlation(
     f_t: FeatureMap,
     f_t1: FeatureMap,
@@ -115,33 +128,39 @@ def local_correlation(
     Output channel ``channel_index(dx, dy, radius)`` at pixel (x, y) holds
     sum_c f_t[c, x, y] * f_t1[c, x + dx, y + dy], zero where the shifted
     sample falls outside the map.  ``normalize`` divides by the channel
-    count C (off by default: raw inner products).  The shifts are split
-    across one thread per usable CPU; the bits do not depend on how many.
+    count C (off by default: raw inner products).  Each shift sums only
+    over the pixels where both maps can be nonzero, so the cost follows the
+    maps' nonzero extent, such as the wedge a lift-splat fills.  The shifts
+    are split across one thread per usable CPU; the bits do not depend on
+    how many.
     """
     if f_t.data.shape != f_t1.data.shape:
         raise ShapeError(
             f"feature maps must share a shape, got {f_t.data.shape} vs {f_t1.data.shape}"
         )
+    if not (isinstance(radius, numbers.Integral) and not isinstance(radius, bool) and radius >= 0):
+        raise ValueError(f"radius must be an integer >= 0, got {radius!r}")
     radius = int(radius)
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
     c, h, w = f_t.data.shape
     side = 2 * radius + 1
     if side * side * h * w > _MAX_VOLUME_ENTRIES:
         raise ValueError(f"a radius-{radius} volume on {h}x{w} exceeds {_MAX_VOLUME_ENTRIES} entries")
-    # Padding past the map size would only add zeros: a shift that misses
-    # the map entirely leaves its channel zero.
-    ph, pw = min(radius, h), min(radius, w)
-    padded = np.pad(f_t1.data, ((0, 0), (ph, ph), (pw, pw)))
+    (xa0, xa1), (ya0, ya1) = _extent(f_t.data)
+    (xb0, xb1), (yb0, yb1) = _extent(f_t1.data)
     out = np.zeros((side * side, h, w))
 
     def shifts(ks):
         for k in ks:
             dx, dy = channel_offset(k, radius)
-            if abs(dx) <= ph and abs(dy) <= pw:
-                window = padded[:, ph + dx : ph + dx + h, pw + dy : pw + dy + w]
+            # the output pixels whose own vector and shifted partner can both
+            # be nonzero: elsewhere einsum would sum +-0 products to the +0.0
+            # that np.zeros already holds.  Every window lies inside f_t1.
+            x0, x1 = max(xa0, xb0 - dx), min(xa1, xb1 - dx)
+            y0, y1 = max(ya0, yb0 - dy), min(ya1, yb1 - dy)
+            if x0 < x1 and y0 < y1:
+                window = f_t1.data[:, x0 + dx : x1 + dx, y0 + dy : y1 + dy]
                 # written in place: no per-shift temporary in the thread's malloc arena
-                np.einsum("chw,chw->hw", f_t.data, window, out=out[k])
+                np.einsum("chw,chw->hw", f_t.data[:, x0:x1, y0:y1], window, out=out[k, x0:x1, y0:y1])
 
     # each shift writes its own channel
     split_run(shifts, side * side)

@@ -82,13 +82,25 @@ def loss_5dof(
         and np.all(np.isfinite(rot_gt))
     ):
         raise ValueError("loss inputs must be finite")
-    n_pred = np.linalg.norm(t_pred)
-    n_gt = np.linalg.norm(t_gt)
-    if n_pred == 0.0 or n_gt == 0.0:
-        raise DegenerateInputError("translation direction undefined for zero-norm input")
-    direction_term = float(np.abs(t_pred / n_pred - t_gt / n_gt).sum())
+    direction_term = float(np.abs(_direction(t_pred) - _direction(t_gt)).sum())
     rotation_term = float(np.linalg.norm(rot_pred - rot_gt))
     return direction_term + beta * rotation_term
+
+
+def _direction(t: np.ndarray) -> np.ndarray:
+    """``t`` scaled to unit L2 length."""
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(t)
+    if not 0.0 < n < math.inf:
+        # the sum of squares left the float range (above about 1e154, or
+        # below about 1e-162 where it rounds to zero); dividing by the
+        # largest magnitude first brings the norm into [1, sqrt(3)]
+        m = np.abs(t).max()
+        if m == 0.0:
+            raise DegenerateInputError("translation direction undefined for zero-norm input")
+        t = t / m
+        n = np.linalg.norm(t)
+    return t / n
 
 
 def loss_total(

@@ -32,6 +32,14 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _fits_float(value: numbers.Real) -> bool:
+    """Whether ``value`` converts to a finite float; 10**400 overflows instead."""
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class FrameIndex:
     """One posed frame of a sequence: integer id, finite timestamp, world pose."""
@@ -44,8 +52,8 @@ class FrameIndex:
         # int and float first: an abstract number check costs about 0.5 us
         if not (type(self.id) is int or _is(self.id, numbers.Integral)):
             raise ValueError(f"frame id must be an integer, got {self.id!r}")
-        if not ((type(self.timestamp) is float or _is(self.timestamp, numbers.Real))
-                and math.isfinite(self.timestamp)):
+        if not (math.isfinite(self.timestamp) if type(self.timestamp) is float
+                else _is(self.timestamp, numbers.Real) and _fits_float(self.timestamp)):
             raise ValueError(f"timestamp must be a finite number, got {self.timestamp!r}")
         object.__setattr__(self, "id", int(self.id))
         object.__setattr__(self, "timestamp", float(self.timestamp))

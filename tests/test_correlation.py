@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,33 @@ class TestLocalCorrelation:
                 FeatureMap(np.zeros((2, 8, 8))), FeatureMap(np.zeros((3, 8, 8))), 1
             )
 
+    @pytest.mark.parametrize("radius", [2.7, 2.0, np.float64(1.0), True, False, "1", None, -1, np.int64(-3)],
+                             ids=["2.7", "2.0", "np-float", "True", "False", "str", "None", "-1", "np-negative"])
+    def test_radius_refuses_what_is_not_an_integer_at_least_0(self, radius):
+        # int() ran 2.7 at radius 2, and '1' and True at radius 1
+        f = FeatureMap(np.ones((1, 3, 3)))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'radius must be an integer >= 0, got {radius!r}')}$"):
+            local_correlation(f, f, radius)
+
+    @pytest.mark.parametrize("radius", [np.int64(2), np.int32(2), np.uint8(2)])
+    def test_radius_takes_numpy_integers(self, radius):
+        rng = np.random.default_rng(43)
+        f, g = FeatureMap(rng.standard_normal((3, 5, 6))), FeatureMap(rng.standard_normal((3, 5, 6)))
+        assert local_correlation(f, g, radius).data.tobytes() == local_correlation(f, g, 2).data.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 3, 4, 64, 129])
+    def test_one_cell_map_centre_channel_ignores_radius(self, channels):
+        # on a 1x1 map only shift (0, 0) has a partner; every radius gives it
+        # the radius-0 bits and leaves the other channels +0.0
+        rng = np.random.default_rng(44)
+        f, g = FeatureMap(rng.standard_normal((channels, 1, 1))), FeatureMap(rng.standard_normal((channels, 1, 1)))
+        centre = local_correlation(f, g, 0).data
+        for radius in (1, 2, 5):
+            vol = local_correlation(f, g, radius).data
+            k = channel_index(0, 0, radius)
+            assert vol[k].tobytes() == centre.tobytes()
+            assert np.delete(vol, k, axis=0).tobytes() == np.zeros(((2 * radius + 1) ** 2 - 1, 1, 1)).tobytes()
+
     @pytest.mark.parametrize("shape, radius", [((1, 128, 128), 45), ((1, 64, 64), 1000), ((2, 1, 1), 10**9)])
     def test_volume_cap_refuses_before_allocating(self, shape, radius, refuse_cheaply):
         f = FeatureMap(np.ones(shape))
@@ -191,8 +220,9 @@ class TestLocalCorrelation:
 class TestVolumeMemory:
     def test_r5_volume_is_not_copied(self, peak_bytes):
         # C64 on 128x128 at radius 5: a 15.9 MB volume; the two FeatureMap
-        # copies, the padded map and the volume itself peak near 44 MB, and
-        # one more copy of the volume would take it to 60 MB
+        # copies (8.4 MB each) and the volume itself peak near 35 MB, as no
+        # padded copy of the second map is made; one more copy of the volume
+        # would take it to about 51 MB
         rng = np.random.default_rng(41)
         a, b = rng.standard_normal((2, 64, 128, 128))
         vol, peak = peak_bytes(lambda: local_correlation(FeatureMap(a), FeatureMap(b), 5))

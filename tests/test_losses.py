@@ -130,6 +130,21 @@ class TestLoss5dof:
         with pytest.raises(DegenerateInputError):
             loss_5dof(np.array([1.0, 0.0, 0.0]), r, np.zeros(3), r)
 
+    @pytest.mark.parametrize("t_pred, t_gt", [
+        ([1e155, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([1.7e308, -1.7e308, 0.0], [1.0, -1.0, 0.0]),
+        ([3e200, 0.0, 4e200], [3.0, 0.0, 4.0]),
+        # squares that round to zero
+        ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        ([0.0, 5e-324, 0.0], [0.0, 1.0, 0.0]),
+    ], ids=["1e155", "1.7e308", "3-4-5", "1e-200", "subnormal"])
+    def test_direction_of_translations_past_the_squared_range(self, t_pred, t_gt):
+        # the plain norm overflowed to inf (a loss of 1.0 and a numpy warning)
+        # or underflowed to 0 (a zero-norm refusal of a nonzero translation)
+        r = np.eye(3)
+        assert loss_5dof(np.array(t_pred), r, np.array(t_gt), r) == 0.0
+        assert loss_5dof(np.array(t_gt), r, np.array(t_pred), r) == 0.0
+
     def test_shape_checks(self):
         r = np.eye(3)
         t = np.array([1.0, 0.0, 0.0])

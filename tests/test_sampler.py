@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -566,6 +567,12 @@ class TestHelpers:
         what = "frame id must be an integer" if field == "id" else "timestamp must be a finite number"
         with pytest.raises(ValueError, match=f"^{re.escape(f'{what}, got {value!r}')}$"):
             FrameIndex(**fields)
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, Fraction(10**400, 3)], ids=["int", "negative-int", "fraction"])
+    def test_frame_index_refuses_timestamp_past_float_range(self, value):
+        # math.isfinite raised OverflowError on these
+        with pytest.raises(ValueError, match="^timestamp must be a finite number, got "):
+            FrameIndex(id=0, timestamp=value, pose=Pose3(np.eye(4)))
 
     def test_frame_index_takes_numpy_numbers(self):
         frame = FrameIndex(id=np.int64(4), timestamp=np.float32(0.5), pose=Pose3(np.eye(4)))

@@ -2,8 +2,10 @@
 
 The serial loops that ``local_correlation`` and ``project_volume`` ran before
 the split stay here as references; every split result must equal them bit
-for bit, whatever the worker count.  ``project_volume`` must also equal the
-test-side lift and ``np.add.at`` splat at every worker count.
+for bit, whatever the worker count.  The correlation reference still sums
+every shift over the whole zero-padded map, so it also pins the bits of the
+library's clip to where both maps can be nonzero.  ``project_volume`` must
+also equal the test-side lift and ``np.add.at`` splat at every worker count.
 """
 
 import os
@@ -119,6 +121,103 @@ class TestCorrelationSplit:
         for count in (1, 2, 3, 200):
             monkeypatch.setattr(_threads, "usable_cpus", lambda: count)
             assert np.array_equal(local_correlation(a, b, 5).data, want)
+
+
+# cells of a 9x11 map that hold random vectors; every other cell is zero
+SPARSE_CELLS = {
+    "zero": (),
+    "top-left": ((0, 0),),
+    "top-right": ((0, 10),),
+    "bottom-left": ((8, 0),),
+    "bottom-right": ((8, 10),),
+    "centre": ((4, 5),),
+    "row": tuple((3, y) for y in range(11)),
+    "column": tuple((x, 7) for x in range(9)),
+    "row-part": tuple((8, y) for y in range(2, 6)),
+    "dense": tuple((x, y) for x in range(9) for y in range(11)),
+}
+
+
+def sparse_map(rng, cells, channels=6, order="C"):
+    d = np.zeros((channels, 9, 11))
+    for x, y in cells:
+        d[:, x, y] = rng.standard_normal(channels)
+    return FeatureMap(np.asarray(d, order=order))
+
+
+class TestCorrelationClip:
+    """local_correlation sums each shift only where both maps can be nonzero; the padded loop sums everywhere."""
+
+    @pytest.mark.parametrize("cells", SPARSE_CELLS)
+    def test_sparse_maps_equal_padded_loop(self, workers, cells):
+        rng = np.random.default_rng(len(SPARSE_CELLS[cells]))
+        a = sparse_map(rng, SPARSE_CELLS[cells])
+        for other in SPARSE_CELLS.values():
+            b = sparse_map(rng, other)
+            for radius in (0, 1, 3):
+                for f_t, f_t1 in ((a, b), (b, a)):
+                    got = local_correlation(f_t, f_t1, radius)
+                    assert got.data.tobytes() == serial_correlation(f_t, f_t1, radius).tobytes()
+
+    @pytest.mark.parametrize("radius", [9, 11, 12], ids=["at-height", "at-width", "past-both"])
+    def test_radius_at_or_past_the_map(self, workers, radius):
+        rng = np.random.default_rng(radius)
+        for first, second in (("top-left", "dense"), ("bottom-right", "top-left"), ("row", "column")):
+            a, b = sparse_map(rng, SPARSE_CELLS[first]), sparse_map(rng, SPARSE_CELLS[second])
+            for f_t, f_t1 in ((a, b), (b, a)):
+                got = local_correlation(f_t, f_t1, radius)
+                assert got.data.tobytes() == serial_correlation(f_t, f_t1, radius).tobytes()
+
+    @pytest.mark.parametrize("cells", ["bottom-left", "row", "dense"])
+    def test_normalized_sparse_maps_equal_padded_loop(self, workers, cells):
+        rng = np.random.default_rng(95)
+        a, b = sparse_map(rng, SPARSE_CELLS[cells]), sparse_map(rng, SPARSE_CELLS["column"])
+        for f_t, f_t1 in ((a, b), (b, a)):
+            got = local_correlation(f_t, f_t1, 2, normalize=True)
+            assert got.data.tobytes() == serial_correlation(f_t, f_t1, 2, normalize=True).tobytes()
+
+    @pytest.mark.parametrize("cells", ["top-right", "column", "row-part"])
+    def test_fortran_sparse_maps_equal_padded_loop(self, workers, cells):
+        rng = np.random.default_rng(91)
+        a = sparse_map(rng, SPARSE_CELLS[cells], order="F")
+        b = sparse_map(rng, SPARSE_CELLS["dense"], order="F")
+        for f_t, f_t1 in ((a, b), (b, a), (a, a)):
+            assert local_correlation(f_t, f_t1, 2).data.tobytes() == serial_correlation(f_t, f_t1, 2).tobytes()
+
+    def test_einsum_runs_only_where_both_maps_can_be_nonzero(self, monkeypatch):
+        areas = []
+        einsum = np.einsum
+
+        def recording(subscripts, a, b, out):
+            areas.append(out.size)
+            return einsum(subscripts, a, b, out=out)
+
+        monkeypatch.setattr(np, "einsum", recording)
+        rng = np.random.default_rng(96)
+        zero, dense = sparse_map(rng, ()), sparse_map(rng, SPARSE_CELLS["dense"])
+        for f_t, f_t1 in ((zero, dense), (dense, zero), (zero, zero)):
+            local_correlation(f_t, f_t1, 2)
+        assert areas == []
+        # a top-left pixel has partners only at the 9 shifts with dx, dy >= 0
+        local_correlation(sparse_map(rng, SPARSE_CELLS["top-left"]), dense, 2)
+        assert areas == [1] * 9
+        areas.clear()
+        # each pixel of a row has a partner in a crossing column at one shift
+        local_correlation(sparse_map(rng, SPARSE_CELLS["row"]), sparse_map(rng, SPARSE_CELLS["column"]), 1)
+        assert areas == [1] * 9
+
+    def test_lift_splat_outputs_at_paper_shape(self, workers):
+        # a front camera fills a wedge of the stock grid, so most of each
+        # shift is skipped; the bits are still those of the padded loop
+        maps = []
+        for seed in (93, 94):
+            volume, depth, cfg = bench_inputs(np.random.default_rng(seed))
+            maps.append(FeatureMap(project_volume(volume, depth, cfg.camera, cfg.grid)[0]))
+        filled = maps[0].data.any(axis=0)
+        assert 0 < filled.sum() < 0.5 * filled.size
+        for radius in (cfg.radius_bev, 0):
+            got = local_correlation(maps[0], maps[1], radius)
+            assert got.data.tobytes() == serial_correlation(maps[0], maps[1], radius).tobytes()
 
 
 class TestPoolSplit:
