@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 # The handlers import what they run, so a process loads only its own
 # subcommand's modules; the parser needs the text rules alone.
-from .text import TRAJECTORY_FORMATS, Rows, read_number, read_rows
+from .text import (AT_LEAST_ZERO, FINITE_POSITIVE, TRAJECTORY_FORMATS, Rows, check_arg, integer_in, read_number,
+                   read_rows)
 
 MAX_DRAWS = 2**20  # sample-pairs --draws: one CSV line each
 
@@ -103,11 +103,8 @@ def _cmd_eval_traj(args) -> dict:
     from .geometry import Trajectory
 
     # checked here, though the drive may need neither: a malformed option is refused either way
-    if not args.max_dt >= 0.0:
-        raise ValueError(f"--max-dt: max_dt_s must be >= 0, got {args.max_dt}")
-    if not 0.0 < args.scale_curve_segment_m < math.inf:
-        raise ValueError(f"--scale-curve-segment-m: segment length must be finite and positive, "
-                         f"got {args.scale_curve_segment_m}")
+    check_arg("--max-dt", args.max_dt, AT_LEAST_ZERO)
+    check_arg("--scale-curve-segment-m", args.scale_curve_segment_m, FINITE_POSITIVE)
     est = parse_trajectory(Path(args.est).read_text(), args.format)
     gt = parse_trajectory(Path(args.gt).read_text(), args.format)
     if len(est) != len(gt) or not np.array_equal(est.timestamps, gt.timestamps):
@@ -151,12 +148,8 @@ def _cmd_sample_pairs(args) -> dict:
     from .formats import parse_trajectory, write_pairs_csv
     from .sampler import build_pair_lists, frames_from_trajectory, merge_pair_lists, sample_pair
 
-    if args.draws < 1:
-        raise ValueError(f"--draws must be an integer >= 1, got {args.draws}")
-    if args.draws > MAX_DRAWS:
-        raise ValueError(f"--draws must be at most {MAX_DRAWS}, got {args.draws}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
+    check_arg("--draws", args.draws, integer_in(1, MAX_DRAWS))
+    check_arg("--seed", args.seed, integer_in(0))
     cfg = _load_config(args.config)
     traj = parse_trajectory(Path(args.traj).read_text(), args.format)
     frames = frames_from_trajectory(traj.timestamps, traj.poses)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
-from .geometry import BevGridSpec, CameraModel
+from .geometry import MAX_GRID_CELLS, BevGridSpec, CameraModel
 from .losses import LossWeights
 from .text import AT_LEAST_ZERO, FINITE_AT_LEAST_ZERO, FINITE_POSITIVE, check_fields, finite_list, integer_in, load_json
 
@@ -65,13 +65,12 @@ def default_config() -> PipelineConfig:
     )
 
 
-# Size caps, checked before anything of that size is allocated.
-_MAX_GRID_CELLS = 2**22
+# Size cap, checked before anything of that size is allocated.
 _MAX_DEPTH_BINS = 1024
 
 # The config root is a table of sections; each section is a table of fields.
 _CONFIG = {
-    "grid": {"h": integer_in(1, _MAX_GRID_CELLS), "w": integer_in(1, _MAX_GRID_CELLS),
+    "grid": {"h": integer_in(1, MAX_GRID_CELLS), "w": integer_in(1, MAX_GRID_CELLS),
              "resolution_m": FINITE_POSITIVE, "origin": finite_list(2)},
     "camera": {"K": finite_list(9), "E": finite_list(12)},
     "depth_bins": {"count": integer_in(1, _MAX_DEPTH_BINS), "min_m": FINITE_POSITIVE, "max_m": FINITE_POSITIVE},
@@ -94,8 +93,8 @@ def parse_config(text: str) -> PipelineConfig:
     if "grid" in doc:
         g = doc["grid"]
         h, w = g.get("h", grid.height_px), g.get("w", grid.width_px)
-        if h * w > _MAX_GRID_CELLS:
-            raise ParseError(f"grid.h * grid.w must be at most {_MAX_GRID_CELLS} cells, got {h * w}")
+        if h * w > MAX_GRID_CELLS:
+            raise ParseError(f"grid.h * grid.w must be at most {MAX_GRID_CELLS} cells, got {h * w}")
         grid = BevGridSpec(h, w, g.get("resolution_m", grid.resolution_m), g.get("origin"))
     if "camera" in doc:
         c = doc["camera"]

@@ -9,13 +9,13 @@ if the second map were zero-padded.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._threads import split_run
 from .errors import ShapeError
+from .text import FLAG, INTEGER, check_arg, integer_in
 
 # Largest volume local_correlation builds, in entries (1 GiB of float64).
 _MAX_VOLUME_ENTRIES = 2**27
@@ -55,6 +55,8 @@ def channel_index(dx: int, dy: int, radius: int) -> int:
     dx shifts the first spatial axis (rows), dy the second (columns);
     both run -radius..radius inclusive.
     """
+    dx, dy = check_arg("dx", dx, INTEGER), check_arg("dy", dy, INTEGER)
+    radius = check_arg("radius", radius, integer_in(0))
     if abs(dx) > radius or abs(dy) > radius:
         raise ValueError(f"displacement ({dx}, {dy}) outside radius {radius}")
     side = 2 * radius + 1
@@ -66,6 +68,9 @@ def channel_offset(index: int | np.ndarray, radius: int) -> tuple:
 
     ``index`` may be an int or an integer array; (dx, dy) match its type.
     """
+    radius = check_arg("radius", radius, integer_in(0))
+    if not isinstance(index, np.ndarray):
+        index = check_arg("index", index, INTEGER)
     side = 2 * radius + 1
     if np.any((index < 0) | (index >= side * side)):
         raise ValueError(f"channel {index} outside volume with radius {radius}")
@@ -138,9 +143,8 @@ def local_correlation(
         raise ShapeError(
             f"feature maps must share a shape, got {f_t.data.shape} vs {f_t1.data.shape}"
         )
-    if not (isinstance(radius, numbers.Integral) and not isinstance(radius, bool) and radius >= 0):
-        raise ValueError(f"radius must be an integer >= 0, got {radius!r}")
-    radius = int(radius)
+    radius = check_arg("radius", radius, integer_in(0))
+    normalize = check_arg("normalize", normalize, FLAG)
     c, h, w = f_t.data.shape
     side = 2 * radius + 1
     if side * side * h * w > _MAX_VOLUME_ENTRIES:

@@ -11,7 +11,6 @@ closed-form rigid (SE3) or similarity (Sim3) fit before the RMSE.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .errors import (
     ShapeError,
 )
 from .geometry import Trajectory, fit_similarity
+from .text import FINITE_POSITIVE, FLAG, check_arg, integer_in
 
 DEFAULT_SEGMENT_LENGTHS_M = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
 
@@ -105,11 +105,10 @@ def _rotation_angles(rot: np.ndarray) -> list[float]:
 
 def scale_trajectory(traj: Trajectory, scale: float) -> Trajectory:
     """Scale all positions about the world origin, keeping orientations."""
-    scale = float(scale)
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    scale = check_arg("scale", scale, FINITE_POSITIVE)
     poses = np.array(traj.poses)
-    poses[:, :3, 3] = scale * poses[:, :3, 3]
+    with np.errstate(over="ignore"):  # Trajectory refuses positions scaled past the float range
+        poses[:, :3, 3] = scale * poses[:, :3, 3]
     return Trajectory(traj.timestamps, poses)
 
 
@@ -181,16 +180,15 @@ def rte_rre(
         InsufficientLengthError: the ground-truth path is shorter than
             every requested segment length.
         ValueError: ``stride`` is not an integer >= 1 (a bool is not
-            one), or a length is not finite and positive or is listed
-            twice, or its mean squared error per meter leaves the float
-            range, as for a length of 1e-320 m.
+            one), or there is no length, or a length is not a finite
+            number > 0 or is listed twice, or its mean squared error per
+            meter leaves the float range, as for a length of 1e-320 m.
     """
     _check_same_frames(est, gt)
-    if not (isinstance(stride, numbers.Integral) and not isinstance(stride, bool) and stride >= 1):
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
-    lengths = tuple(float(l) for l in lengths_m)
-    if not lengths or not all(0.0 < l < math.inf for l in lengths):
-        raise ValueError(f"segment lengths must be finite and positive, got {lengths}")
+    stride = check_arg("stride", stride, integer_in(1))
+    lengths = tuple(check_arg("segment length", l, FINITE_POSITIVE) for l in lengths_m)
+    if not lengths:
+        raise ValueError("need at least one segment length")
     if len(set(lengths)) != len(lengths):
         raise ValueError(f"segment lengths must be distinct, got {', '.join(f'{l:g}' for l in lengths)}")
     dist = path_lengths(gt)
@@ -301,12 +299,11 @@ def log_scale_curve(est: Trajectory, gt: Trajectory, segment_m: float = 10.0) ->
 
     Raises:
         InsufficientLengthError: not even one full segment fits.
-        ValueError: ``segment_m`` is not finite and positive, or too small
+        ValueError: ``segment_m`` is not a finite number > 0, or too small
             to move past a frame's path length.
     """
     _check_same_frames(est, gt)
-    if not 0.0 < segment_m < math.inf:
-        raise ValueError(f"segment length must be finite and positive, got {segment_m}")
+    segment_m = check_arg("segment_m", segment_m, FINITE_POSITIVE)
     d_gt = path_lengths(gt)
     n = len(gt)
     bounds = [0]
@@ -343,7 +340,7 @@ def evaluate_trajectories(
 ) -> MetricsReport:
     """One-call evaluation: optional scale init, RTE/RRE, both ATE variants."""
     scale_init = None
-    if scale_init_10m:
+    if check_arg("scale_init_10m", scale_init_10m, FLAG):
         scale_init = scale_from_first_10m(est, gt)
         est = scale_trajectory(est, scale_init)
     rel = rte_rre(est, gt, lengths_m, stride)

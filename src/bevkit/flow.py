@@ -15,6 +15,7 @@ import numpy as np
 from .bvt1 import read_bvt1, write_bvt1
 from .errors import DegenerateGeometryError, DegenerateInputError, ShapeError
 from .geometry import BevGridSpec, Pose2, fit_similarity, pixel_to_vehicle
+from .text import AT_LEAST_ZERO, check_arg
 
 # The weighted cross-covariance of the point correspondences is considered
 # rank zero, and the rotation fit hopeless, when its largest singular value
@@ -58,7 +59,8 @@ class FlowStats:
         self.max_epe = float(epe.max())
 
     def frac_below(self, threshold_px: float) -> float:
-        """Fraction of pixels with endpoint error strictly below the threshold."""
+        """Fraction of pixels with endpoint error strictly below the threshold, a number >= 0."""
+        threshold_px = check_arg("threshold_px", threshold_px, AT_LEAST_ZERO)
         return float(np.count_nonzero(self._epe < threshold_px) / self._epe.size)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParseError
 from .geometry import ORTHONORMALITY_TOL, Trajectory, closest_rotation, rotation_error, screen_rotations
-from .text import Rows, format_rows, read_rows
+from .text import AT_LEAST_ZERO, Rows, check_arg, format_rows, read_rows
 
 if TYPE_CHECKING:
     from .evaluation import LogScaleCurve
@@ -235,8 +235,7 @@ def associate_by_timestamp(
     """
     times_a = np.asarray(times_a, dtype=float)
     times_b = np.asarray(times_b, dtype=float)
-    if not max_dt_s >= 0.0:
-        raise ValueError(f"max_dt_s must be >= 0, got {max_dt_s}")
+    max_dt_s = check_arg("max_dt_s", max_dt_s, AT_LEAST_ZERO)
     pairs: list[tuple[int, int]] = []
     j_start = 0
     for i, ta in enumerate(times_a):

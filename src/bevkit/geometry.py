@@ -17,13 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCameraError, ShapeError
+from .errors import DegenerateInputError, InvalidCameraError, ShapeError
+from .text import FINITE, FINITE_POSITIVE, FLAG, check_arg, integer_in
 
 TWO_PI = 2.0 * math.pi
 
 # A rotation block is accepted as orthonormal when ||R^T R - I||_F and
 # |det R - 1| stay below this; beyond it we refuse, in between we repair.
 ORTHONORMALITY_TOL = 1e-9
+
+MAX_GRID_CELLS = 2**22  # most pixels along a BEV grid side, and most cells of a configured grid
 
 
 def wrap_angle(theta):
@@ -65,17 +68,22 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
     unless ``with_scale`` (0 when ``src`` has no spread), omitted weights
     are uniform.  Returns (R, t, scale, sigma); callers judge uniqueness by
     ``sigma``, the singular values of sum_i w_i (dst_i - dst_c)(src_i - src_c)^T.
+    Weights that do not sum to a finite number > 0 raise DegenerateInputError.
     """
     src = np.asarray(src, dtype=float)
     dst = np.asarray(dst, dtype=float)
     w = (np.ones(len(src)) if weights is None else np.asarray(weights, dtype=float))[:, None]
-    src_c = (w * src).sum(axis=0) / w.sum()
-    dst_c = (w * dst).sum(axis=0) / w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not 0.0 < total < math.inf:
+        raise DegenerateInputError(f"weights must sum to a finite number > 0, got {float(total)!r}")
+    src_c = (w * src).sum(axis=0) / total
+    dst_c = (w * dst).sum(axis=0) / total
     p = src - src_c
     cov = (w * (dst - dst_c)).T @ p
     rot, sigma = proper_rotation(cov)
     scale = 1.0
-    if with_scale:
+    if check_arg("with_scale", with_scale, FLAG):
         # trace(R^T cov): the singular values summed, the last one negated
         # when proper_rotation fixed a reflection
         var = float((w * p * p).sum())
@@ -265,12 +273,9 @@ class Pose2:
     ty: float
 
     def __post_init__(self):
-        theta = float(self.theta)
-        if not (math.isfinite(theta) and math.isfinite(float(self.tx)) and math.isfinite(float(self.ty))):
-            raise ValueError("Pose2 fields must be finite")
-        object.__setattr__(self, "theta", wrap_angle(theta))
-        object.__setattr__(self, "tx", float(self.tx))
-        object.__setattr__(self, "ty", float(self.ty))
+        object.__setattr__(self, "theta", wrap_angle(check_arg("theta", self.theta, FINITE)))
+        object.__setattr__(self, "tx", check_arg("tx", self.tx, FINITE))
+        object.__setattr__(self, "ty", check_arg("ty", self.ty, FINITE))
 
     @staticmethod
     def identity() -> "Pose2":
@@ -369,21 +374,11 @@ class BevGridSpec:
     origin_px: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if int(self.height_px) < 1 or int(self.width_px) < 1:
-            raise ValueError("grid dimensions must be >= 1 pixel")
-        object.__setattr__(self, "height_px", int(self.height_px))
-        object.__setattr__(self, "width_px", int(self.width_px))
-        res = float(self.resolution_m)
-        if not (math.isfinite(res) and res > 0.0):
-            raise ValueError("resolution must be a positive finite number of meters")
-        object.__setattr__(self, "resolution_m", res)
-        if self.origin_px is None:
-            origin = ((self.width_px - 1) / 2.0, (self.height_px - 1) / 2.0)
-        else:
-            origin = (float(self.origin_px[0]), float(self.origin_px[1]))
-            if not all(math.isfinite(c) for c in origin):
-                raise ValueError("grid origin must be finite")
-        object.__setattr__(self, "origin_px", origin)
+        for name in ("height_px", "width_px"):
+            object.__setattr__(self, name, check_arg(name, getattr(self, name), integer_in(1, MAX_GRID_CELLS)))
+        object.__setattr__(self, "resolution_m", check_arg("resolution_m", self.resolution_m, FINITE_POSITIVE))
+        origin = ((self.width_px - 1) / 2.0, (self.height_px - 1) / 2.0) if self.origin_px is None else self.origin_px
+        object.__setattr__(self, "origin_px", tuple(check_arg(f"origin_px[{i}]", origin[i], FINITE) for i in (0, 1)))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, ShapeError
 from .geometry import Pose2, wrap_angle
+from .text import FINITE, FINITE_AT_LEAST_ZERO, check_arg
 
 
 @dataclass(frozen=True)
@@ -28,10 +29,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "lambda1", "lambda2"):
-            val = float(getattr(self, name))
-            if not (math.isfinite(val) and val >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {val}")
-            object.__setattr__(self, name, val)
+            object.__setattr__(self, name, check_arg(name, getattr(self, name), FINITE_AT_LEAST_ZERO))
 
 
 def loss_3dof(pred: Pose2, gt: Pose2, alpha: float = 10.0) -> float:
@@ -40,9 +38,7 @@ def loss_3dof(pred: Pose2, gt: Pose2, alpha: float = 10.0) -> float:
     The angular residual is wrapped to (-pi, pi] before taking the
     absolute value, so poses that differ by a full turn cost nothing.
     """
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    alpha = check_arg("alpha", alpha, FINITE_AT_LEAST_ZERO)
     dtheta = wrap_angle(pred.theta - gt.theta)
     return float(abs(pred.tx - gt.tx) + abs(pred.ty - gt.ty) + alpha * abs(dtheta))
 
@@ -63,10 +59,9 @@ def loss_5dof(
     Raises:
         DegenerateInputError: either translation has zero norm, so no
             direction exists.
+        ValueError: the rotation term leaves the float range.
     """
-    beta = float(beta)
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    beta = check_arg("beta", beta, FINITE_AT_LEAST_ZERO)
     t_pred = np.asarray(t_pred, dtype=float)
     t_gt = np.asarray(t_gt, dtype=float)
     rot_pred = np.asarray(rot_pred, dtype=float)
@@ -83,7 +78,16 @@ def loss_5dof(
     ):
         raise ValueError("loss inputs must be finite")
     direction_term = float(np.abs(_direction(t_pred) - _direction(t_gt)).sum())
-    rotation_term = float(np.linalg.norm(rot_pred - rot_gt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = rot_pred - rot_gt
+        rotation_term = float(np.linalg.norm(diff))
+        if rotation_term == math.inf:
+            # the sum of squares left the float range (entries above about 1e154):
+            # divided by the largest magnitude first, the norm lies in [1, 3]
+            m = float(np.abs(diff).max())
+            rotation_term = m * float(np.linalg.norm(diff / m))
+    if not rotation_term < math.inf:  # the difference or its norm overflowed
+        raise ValueError("loss_5dof rotation term ||rot_pred - rot_gt||_F leaves the float range")
     return direction_term + beta * rotation_term
 
 
@@ -110,7 +114,6 @@ def loss_total(
     weights: LossWeights = LossWeights(),
 ) -> float:
     """Total loss: l3dof + lambda1 * l5dof + lambda2 * lflow."""
-    for name, val in (("l3dof", l3dof), ("l5dof", l5dof), ("lflow", lflow)):
-        if not math.isfinite(float(val)):
-            raise ValueError(f"{name} must be finite, got {val}")
-    return float(l3dof) + weights.lambda1 * float(l5dof) + weights.lambda2 * float(lflow)
+    l3dof, l5dof, lflow = (check_arg(name, value, FINITE) for name, value in zip(("l3dof", "l5dof", "lflow"),
+                                                                                  (l3dof, l5dof, lflow)))
+    return l3dof + weights.lambda1 * l5dof + weights.lambda2 * lflow

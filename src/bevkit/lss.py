@@ -22,8 +22,11 @@ from ._threads import split_run
 from .correlation import FeatureMap
 from .errors import InvalidCameraError, ShapeError
 from .geometry import BevGridSpec, CameraModel, vehicle_to_pixel
+from .text import FLAG, INTEGER, check_arg
 
 _NORMALIZATION_TOL = 1e-6
+
+_MAX_FRUSTUM_POINTS = 2**25  # most (depth bin, pixel) points build_frustum places: 768 MB of float64
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,7 @@ class DepthDistribution:
     normalized: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "normalized", check_arg("normalized", self.normalized, FLAG))
         d = np.array(self.data, dtype=float)
         bins = np.array(self.bins, dtype=float)
         if d.ndim != 3:
@@ -104,9 +108,11 @@ def build_frustum(camera: CameraModel, bins: np.ndarray, image_size: tuple[int, 
         raise ShapeError(f"bins must be a nonempty 1-d array, got shape {bins.shape}")
     if np.any(bins <= 0.0) or np.any(np.diff(bins) <= 0.0):
         raise InvalidCameraError("depth bins must be positive and strictly increasing")
-    h, w = int(image_size[0]), int(image_size[1])
+    h, w = (check_arg(f"image_size[{i}]", image_size[i], INTEGER) for i in (0, 1))
     if h < 1 or w < 1:
         raise ShapeError(f"image size must be positive, got {(h, w)}")
+    if bins.size * h * w > _MAX_FRUSTUM_POINTS:
+        raise ValueError(f"{bins.size} depth bins on a {h}x{w} image exceed {_MAX_FRUSTUM_POINTS} frustum points")
     us, vs = np.meshgrid(np.arange(w, dtype=float) + 0.5, np.arange(h, dtype=float) + 0.5)
     pix = np.stack([us, vs, np.ones_like(us)], axis=-1)
     k_inv = np.linalg.inv(camera.intrinsics)

@@ -8,7 +8,6 @@ draws then oversample the high-rotation list to rebalance turning data.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -18,6 +17,7 @@ import numpy as np
 from .config import DEFAULT_HIGH_DEG, DEFAULT_LOW_DEG, DEFAULT_MAX_DISP_M, DEFAULT_WINDOW_S
 from .errors import DegenerateInputError, NoPairsError
 from .geometry import Pose3, check_rigid, invert_rigid, repair_rotations, wrap_angle
+from .text import AT_LEAST_ZERO, FINITE, INTEGER, check_arg
 
 # Share of draws that go to the high-rotation list.
 HIGH_FRACTION = 0.7
@@ -25,19 +25,6 @@ HIGH_FRACTION = 0.7
 # Candidate pairs handled per array pass; bounds the index arrays and the
 # (block, 4, 4) stacks whatever the window and sequence length.
 _BLOCK = 1024
-
-
-def _is(value, kind) -> bool:
-    """Whether ``value`` is a number of ``kind`` other than a bool, which ``numbers`` counts as an integer."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _fits_float(value: numbers.Real) -> bool:
-    """Whether ``value`` converts to a finite float; 10**400 overflows instead."""
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -49,14 +36,8 @@ class FrameIndex:
     pose: Pose3
 
     def __post_init__(self):
-        # int and float first: an abstract number check costs about 0.5 us
-        if not (type(self.id) is int or _is(self.id, numbers.Integral)):
-            raise ValueError(f"frame id must be an integer, got {self.id!r}")
-        if not (math.isfinite(self.timestamp) if type(self.timestamp) is float
-                else _is(self.timestamp, numbers.Real) and _fits_float(self.timestamp)):
-            raise ValueError(f"timestamp must be a finite number, got {self.timestamp!r}")
-        object.__setattr__(self, "id", int(self.id))
-        object.__setattr__(self, "timestamp", float(self.timestamp))
+        object.__setattr__(self, "id", check_arg("frame id", self.id, INTEGER))
+        object.__setattr__(self, "timestamp", check_arg("timestamp", self.timestamp, FINITE))
 
 
 class PairRecord(namedtuple("PairRecord", "anchor_id partner_id yaw_diff_deg displacement_m")):
@@ -122,10 +103,8 @@ def build_pair_lists(
         (a repeated id keeps its first position and its last anchor's
         lists); empty for an empty sequence.
     """
-    for name, value in (("window_s", window_s), ("max_disp_m", max_disp_m),
-                        ("low_deg", low_deg), ("high_deg", high_deg)):
-        if not (_is(value, numbers.Real) and value >= 0.0):  # also refuses NaN
-            raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+    window_s, max_disp_m, low_deg, high_deg = (check_arg(name, value, AT_LEAST_ZERO) for name, value in zip(
+        ("window_s", "max_disp_m", "low_deg", "high_deg"), (window_s, max_disp_m, low_deg, high_deg)))
     if low_deg > high_deg:
         raise ValueError("need low_deg <= high_deg")
     if not frames:

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError
 from .geometry import Pose2, Trajectory, planar_stack, sin_cos, wrap_angle
-from .text import FINITE, FINITE_AT_LEAST_ZERO, FINITE_POSITIVE, check_fields, integer_in, load_json
+from .text import FINITE, FINITE_AT_LEAST_ZERO, FINITE_POSITIVE, check_arg, check_fields, integer_in, load_json
 
 _PRIMITIVE_KINDS = ("straight", "arc", "stop")
 
@@ -34,8 +33,8 @@ class MotionPrimitive:
     def __post_init__(self):
         if self.kind not in _PRIMITIVE_KINDS:
             raise ValueError(f"kind must be one of {_PRIMITIVE_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0.0):
-            raise ValueError("duration must be positive")
+        for name in ("duration_s", "speed_mps", "yaw_rate_dps"):
+            object.__setattr__(self, name, check_arg(name, getattr(self, name), _PRIMITIVE[name]))
         if self.kind == "arc" and self.yaw_rate_dps == 0.0:
             raise ValueError("arc primitives need a nonzero yaw rate")
         if self.kind == "stop" and (self.speed_mps != 0.0 or self.yaw_rate_dps != 0.0):
@@ -62,14 +61,8 @@ class SynthSpec:
     def __post_init__(self):
         if not self.primitives:
             raise ValueError("need at least one motion primitive")
-        if not (math.isfinite(self.dt_s) and self.dt_s > 0.0):
-            raise ValueError("dt must be positive")
-        if not (self.noise_trans_m >= 0.0 and self.noise_yaw_deg >= 0.0):
-            raise ValueError("noise magnitudes must be >= 0")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not (math.isfinite(self.scale_drift) and self.scale_drift > 0.0):
-            raise ValueError("scale drift must be positive")
+        for name in ("dt_s", "noise_trans_m", "noise_yaw_deg", "scale_drift", "seed"):
+            object.__setattr__(self, name, check_arg(name, getattr(self, name), _SYNTH_SPEC[name]))
         frames = sum(p.duration_s for p in self.primitives) / self.dt_s
         if not frames < _MAX_SYNTH_FRAMES:
             raise ValueError(f"drive of {frames:.6g} frames exceeds the cap of {_MAX_SYNTH_FRAMES}")

@@ -4,7 +4,8 @@ A numeric field is ASCII without ``_``: the rule refuses ``1_5`` or
 ``١٢`` before ``float()`` or ``int()`` sees it.  The trajectory formats,
 the pairs CSV, the CLI's comma-separated options and its numeric argparse
 options all read numbers by it.  JSON inputs (the pipeline config and the
-synth spec) are checked against tables of field checks.
+synth spec) are checked against tables of field checks, and the library's
+scalar arguments against the same rules by :func:`check_arg`.
 
 The module imports nothing but the standard library and
 :mod:`bevkit.errors`, so the CLI can build its parser from it alone.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from collections import namedtuple
 from itertools import repeat
@@ -103,27 +105,54 @@ def format_rows(fmt: str, rows, header: str | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON field tables
+# JSON field tables and library arguments
 
 _REAL_MAX = sys.float_info.max
 _TINY = math.ulp(0.0)  # the least float > 0, so [_TINY, hi] is (0, hi]
 
 
-# A field check is a (predicate, description) pair.
+def _integral(v) -> bool:
+    """Whether ``v`` is an integer other than a bool, which ``numbers`` counts as one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    """Whether ``v`` is a real number other than a bool that a float holds: +-inf passes, NaN and 10**400 fail."""
+    if isinstance(v, numbers.Integral):
+        return _integral(v) and -_REAL_MAX <= v <= _REAL_MAX
+    try:  # a numpy longdouble of 1e400 turns into inf, a Fraction past the float range raises
+        return isinstance(v, numbers.Real) and (math.isfinite(float(v)) or float(v) == v)
+    except OverflowError:
+        return False
+
+
+# A field check is a (predicate, description) pair; a scalar rule adds the plain type check_arg returns.
 def integer_in(lo: int, hi: float = math.inf):
     text = f"an integer >= {lo}" if hi == math.inf else f"an integer in [{lo}, {hi}]"
-    return (lambda v: type(v) is int and lo <= v <= hi), text
+    return (lambda v: (type(v) is int or _integral(v)) and lo <= v <= hi), text, int
 
 
 def _number_in(lo: float, hi: float, text: str):
-    """A float, or an int a float can hold, in [lo, hi]: NaN never passes, inf only when hi is inf."""
-    return (lambda v: (type(v) is float or type(v) is int and abs(v) <= _REAL_MAX) and lo <= v <= hi), text
+    """A number a float can hold, in [lo, hi]: NaN never passes, inf only when hi is inf."""
+    # numpy's float64 is a float; float(v), as a float32 compared with the float maximum warns in the cast
+    return (lambda v: (isinstance(v, float) or _real(v)) and lo <= float(v) <= hi), text, float
 
 
+INTEGER = (lambda v: type(v) is int or _integral(v)), "an integer", int
 AT_LEAST_ZERO = _number_in(0.0, math.inf, "a number >= 0")
 FINITE_AT_LEAST_ZERO = _number_in(0.0, _REAL_MAX, "a finite number >= 0")
 FINITE_POSITIVE = _number_in(_TINY, _REAL_MAX, "a finite number > 0")
 FINITE = _number_in(-_REAL_MAX, _REAL_MAX, "a finite number")
+# numpy's bool is no numbers.Integral, and no caller holds one before numpy is loaded
+FLAG = (lambda v: type(v) is bool or isinstance(v, getattr(sys.modules.get("numpy"), "bool_", bool))), "a bool", bool
+
+
+def check_arg(name: str, value, rule):
+    """``value`` as the plain int, float or bool of ``rule``, or ValueError "<name> must be <text>, got <value!r>"."""
+    test, text, kind = rule
+    if test(value):
+        return kind(value)
+    raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
 def finite_list(n: int):

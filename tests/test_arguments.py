@@ -1,0 +1,191 @@
+"""Every scalar argument of the library passes the one rule of ``bevkit.text.check_arg``.
+
+Each callable that takes a scalar is called once per scalar parameter
+with each hostile value, the others held at an ordinary value.  A call
+passes when it returns, or raises a ``ValueError`` subclass with a
+one-line message; any other exception, or a numpy warning (the suite
+turns warnings into errors), fails it.  A value no rule of the
+parameter's kind admits, such as a bool or a str for a number, must be
+refused, not coerced.  numpy integers and floats give the result the
+plain Python value gives, bit for bit.
+"""
+
+import dataclasses
+import math
+import struct
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from bevkit.cli import main
+from bevkit.config import default_config
+from bevkit.correlation import FeatureMap, channel_index, channel_offset, local_correlation
+from bevkit.evaluation import evaluate_trajectories, log_scale_curve, rte_rre, scale_trajectory
+from bevkit.flow import FlowStats
+from bevkit.formats import associate_by_timestamp
+from bevkit.geometry import BevGridSpec, Pose2, Pose3, fit_similarity
+from bevkit.losses import LossWeights, loss_3dof, loss_5dof, loss_total
+from bevkit.lss import DepthDistribution, build_frustum
+from bevkit.sampler import FrameIndex, build_pair_lists, frames_from_trajectory
+from bevkit.synth import MotionPrimitive, SynthSpec, synth_trajectory
+from bevkit.text import FINITE, FLAG, INTEGER, check_arg, integer_in
+
+from helpers import rot_z
+
+HOSTILE = [True, "1", 2.7, 10**400, math.inf, -math.inf, math.nan, 1e308, 5e-324, None]
+
+_RNG = np.random.default_rng(22)
+_PRIMS = (MotionPrimitive("straight", 10.0, 2.0), MotionPrimitive("arc", 10.0, 2.0, 10.0))
+GT, EST = synth_trajectory(SynthSpec(_PRIMS, dt_s=0.5, noise_trans_m=0.05, noise_yaw_deg=0.5, seed=1))
+FRAMES = frames_from_trajectory(GT.timestamps, GT.poses)
+FEATURES = FeatureMap(_RNG.standard_normal((2, 5, 6))), FeatureMap(_RNG.standard_normal((2, 5, 6)))
+POINTS = _RNG.standard_normal((6, 3))
+BINS = np.array([1.0, 2.0])
+
+# callable name -> (call, its scalar parameters at ordinary values); every
+# float is one a float32 holds, so np.float32 and the plain value agree
+TABLE = {
+    "FrameIndex": (lambda id, timestamp: FrameIndex(id, timestamp, Pose3(np.eye(4))), {"id": 3, "timestamp": 0.5}),
+    "build_pair_lists": (lambda **kw: build_pair_lists(FRAMES, **kw),
+                         {"window_s": 1.0, "max_disp_m": 4.0, "low_deg": 2.0, "high_deg": 45.0}),
+    "local_correlation": (lambda radius, normalize: local_correlation(*FEATURES, radius, normalize),
+                          {"radius": 1, "normalize": True}),
+    "channel_index": (channel_index, {"dx": 1, "dy": -1, "radius": 2}),
+    "channel_offset": (channel_offset, {"index": 7, "radius": 2}),
+    "rte_rre": (lambda stride, length: rte_rre(EST, GT, (length,), stride), {"stride": 2, "length": 10.0}),
+    "evaluate_trajectories": (
+        lambda stride, length, scale_init_10m: evaluate_trajectories(EST, GT, (length,), stride, scale_init_10m),
+        {"stride": 2, "length": 10.0, "scale_init_10m": True}),
+    "scale_trajectory": (lambda scale: scale_trajectory(EST, scale), {"scale": 2.0}),
+    "log_scale_curve": (lambda segment_m: log_scale_curve(EST, GT, segment_m), {"segment_m": 10.0}),
+    "associate_by_timestamp": (lambda max_dt_s: associate_by_timestamp(GT.timestamps, GT.timestamps + 0.125, max_dt_s),
+                               {"max_dt_s": 0.25}),
+    "Pose2": (Pose2, {"theta": 0.5, "tx": 1.0, "ty": -2.0}),
+    "BevGridSpec": (lambda height_px, width_px, resolution_m, o_x, o_y:
+                    BevGridSpec(height_px, width_px, resolution_m, (o_x, o_y)),
+                    {"height_px": 8, "width_px": 6, "resolution_m": 0.5, "o_x": 3.5, "o_y": 2.5}),
+    "fit_similarity": (lambda with_scale: fit_similarity(POINTS, 2.0 * POINTS + 1.0, with_scale=with_scale),
+                       {"with_scale": True}),
+    "LossWeights": (LossWeights, {"alpha": 10.0, "beta": 10.0, "lambda1": 1.0, "lambda2": 0.5}),
+    "loss_3dof": (lambda alpha: loss_3dof(Pose2(0.5, 1.0, 2.0), Pose2(0.25, 1.5, 2.0), alpha), {"alpha": 10.0}),
+    "loss_5dof": (lambda beta: loss_5dof(np.array([1.0, 0.0, 0.0]), np.eye(3), np.array([0.6, 0.8, 0.0]),
+                                         rot_z(0.25), beta), {"beta": 10.0}),
+    "loss_total": (loss_total, {"l3dof": 1.5, "l5dof": 0.25, "lflow": 0.5}),
+    "MotionPrimitive": (lambda **kw: MotionPrimitive("arc", **kw),
+                        {"duration_s": 2.0, "speed_mps": 1.5, "yaw_rate_dps": 10.0}),
+    "SynthSpec": (lambda **kw: SynthSpec(_PRIMS, **kw),
+                  {"dt_s": 0.5, "noise_trans_m": 0.25, "noise_yaw_deg": 0.5, "scale_drift": 1.0, "seed": 3}),
+    "build_frustum": (lambda h, w: build_frustum(default_config().camera, BINS, (h, w)), {"h": 2, "w": 3}),
+    "DepthDistribution": (lambda normalized: DepthDistribution(np.full((2, 3, 4), 0.5), BINS, normalized),
+                          {"normalized": True}),
+    "FlowStats.frac_below": (lambda threshold_px: FlowStats(np.array([0.25, 0.75, 1.5])).frac_below(threshold_px),
+                             {"threshold_px": 0.5}),
+}
+
+CASES = [(name, param) for name, (_, params) in TABLE.items() for param in params]
+
+
+def never_admitted(value, plain) -> bool:
+    """Whether no rule of the kind of ``plain``, a parameter's ordinary value, admits ``value``."""
+    if type(plain) is bool:
+        return value is not True
+    if value is True or value is None or isinstance(value, str) or value != value:
+        return True
+    if type(plain) is int:
+        return type(value) is float
+    return type(value) is int and abs(value) > sys.float_info.max
+
+
+def one_line_refusal(call):
+    """The result of ``call()``, or the ValueError it raised, which must have a one-line message."""
+    try:
+        return call()
+    except ValueError as exc:
+        assert "\n" not in str(exc), f"{type(exc).__name__} over more than one line: {exc}"
+        return exc
+
+
+@pytest.mark.parametrize("name, param", CASES, ids=[f"{name}-{param}" for name, param in CASES])
+def test_hostile_scalar_returns_or_refuses_in_one_line(name, param):
+    call, params = TABLE[name]
+    for value in HOSTILE:
+        result = one_line_refusal(lambda: call(**{**params, param: value}))
+        if never_admitted(value, params[param]):
+            assert isinstance(result, ValueError), f"{param}={value!r} was admitted"
+
+
+@pytest.mark.parametrize("name, param", CASES, ids=[f"{name}-{param}" for name, param in CASES])
+def test_numpy_scalars_give_the_plain_value_result(name, param):
+    call, params = TABLE[name]
+    plain = params[param]
+    kinds = {bool: [np.bool_], int: [np.int64, np.int32], float: [np.float32, np.float64]}[type(plain)]
+    expected = call(**params)
+    for kind in kinds:
+        assert same(call(**{**params, param: kind(plain)}), expected), kind.__name__
+
+
+def same(a, b) -> bool:
+    """Whether ``a`` and ``b`` are equal bit for bit, of the same types, through containers and dataclasses."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if dataclasses.is_dataclass(a):
+        return all(same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+# the CLI options the CLI checks itself, each with the rest of a command that
+# would go on to fail on a missing file
+CLI_OPTIONS = {
+    "--max-dt": ["eval-traj", "--est", "none.tum", "--gt", "none.tum"],
+    "--scale-curve-segment-m": ["eval-traj", "--est", "none.tum", "--gt", "none.tum"],
+    "--draws": ["sample-pairs", "--traj", "none.tum", "--out", "none.csv"],
+    "--seed": ["sample-pairs", "--traj", "none.tum", "--out", "none.csv"],
+}
+
+
+@pytest.mark.parametrize("option", CLI_OPTIONS)
+def test_cli_option_hostile_values_end_in_one_line(option, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for value in HOSTILE:
+        try:
+            code = main([*CLI_OPTIONS[option], option, str(value)])
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (1, 2), (value, code)
+        if code == 1:
+            assert err.count("\n") == 1 and err.startswith("bevkit: error: "), err
+
+
+class TestCheckArg:
+    def test_returns_plain_values(self):
+        assert type(check_arg("n", np.int64(3), INTEGER)) is int
+        assert type(check_arg("x", np.float32(0.5), FINITE)) is float
+        assert type(check_arg("x", 2, FINITE)) is float
+        assert check_arg("f", np.bool_(True), FLAG) is True
+        assert check_arg("x", Fraction(1, 4), FINITE) == 0.25
+
+    @pytest.mark.parametrize("rule, value, text", [
+        (integer_in(1), 0, "n must be an integer >= 1, got 0"),
+        (integer_in(1, 4), np.int64(5), "n must be an integer in [1, 4], got np.int64(5)"),
+        (INTEGER, True, "n must be an integer, got True"),
+        (FINITE, 10**400, f"n must be a finite number, got {10**400}"),
+        (FINITE, np.float32(math.inf), "n must be a finite number, got np.float32(inf)"),
+        (FINITE, np.longdouble("1e400"), f"n must be a finite number, got {np.longdouble('1e400')!r}"),
+        (FINITE, Fraction(10**400), f"n must be a finite number, got {Fraction(10**400)!r}"),
+        (FLAG, 1, "n must be a bool, got 1"),
+    ])
+    def test_refusal_names_parameter_and_value(self, rule, value, text):
+        with pytest.raises(ValueError) as info:
+            check_arg("n", value, rule)
+        assert str(info.value) == text

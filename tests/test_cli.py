@@ -400,10 +400,7 @@ class TestSamplePairs:
             ["sample-pairs", "--traj", str(tmp_path / "none.tum"), "--out", str(out), "--draws", draws], capsys
         )
         assert code == 1 and stdout == ""
-        if int(draws) < 1:
-            assert err == f"bevkit: error: --draws must be an integer >= 1, got {draws}\n"
-        else:
-            assert err == f"bevkit: error: --draws must be at most 1048576, got {draws}\n"
+        assert err == f"bevkit: error: --draws must be an integer in [1, 1048576], got {draws}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("config, needle", [
@@ -806,6 +803,8 @@ class TestModulesLoaded:
         assert loaded == CLI_BASE | modules
 
 
+# (argv, bad.json text or None, expected stderr text[, id]). A row is named by its expected text, unless it
+# carries an id of its own: those rows keep the name they had before their wording changed.
 BAD_INPUTS = [
     (["flow-make", "--pose", "0,0,0", "--config", "{d}/bad.json", "--out", "{d}/out"],
      '{"grid": {"h": null}}', "grid.h must be an integer in [1, 4194304], got null"),
@@ -820,7 +819,7 @@ BAD_INPUTS = [
      '{"primitives": [{"kind": "straight", "duration_s": 1e9, "speed_mps": 1}]}', "exceeds the cap of 1048576"),
     (["synth", "--spec", "{d}/bad.json", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
      '{"primitives": [{"kind": "straight", "duration_s": 10, "speed_mps": 1e308}]}',
-     "primitives[0].speed_mps 1e+308 over duration_s 10 carries"),
+     "primitives[0].speed_mps 1e+308 over duration_s 10.0 carries"),
     (["synth", "--spec", "{d}/bad.json", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
      '{"primitives": [{"kind": "stop", "duration_s": 1}, {"kind": "arc", "duration_s": 1, "yaw_rate_dps": 5e-324}]}',
      "primitives[1].yaw_rate_dps 5e-324 gives no finite"),
@@ -840,7 +839,7 @@ BAD_INPUTS = [
     (["sample-pairs", "--traj", "{d}/line.tum", "--config", "{d}/bad.json", "--out", "{d}/out"],
      '{"sampler": {"window_s": 0}}', "no admissible pairs"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10,nan"],
-     None, "segment lengths must be finite and positive"),
+     None, "segment length must be a finite number > 0, got nan"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10,5,10"],
      None, "segment lengths must be distinct, got 10, 5, 10"),
     (["lss-project", "--features", "{d}/ones.bvt1", "--depth", "{d}/four.bvt1", "--config", "{d}/bad.json",
@@ -848,18 +847,21 @@ BAD_INPUTS = [
                            '"depth_bins": {"count": 4, "min_m": 1e300, "max_m": 1.7e308}}',
      "frustum contains non-finite points: 4 depth bins up to 1.7e+308 m through intrinsics K = [0.01, 0.0, 4.0,"),
     (["eval-traj", "--est", "{d}/shifted.tum", "--gt", "{d}/line.tum", "--max-dt", "nan"],
-     None, "max_dt_s must be >= 0"),
+     None, "--max-dt must be a number >= 0"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve", "{d}/out",
-      "--scale-curve-segment-m", "nan"], None, "segment length must be finite and positive"),
+      "--scale-curve-segment-m", "nan"], None, "--scale-curve-segment-m must be a finite number > 0, got nan",
+     "segment length must be finite and > 0: --scale-curve-segment-m nan with --scale-curve"),
     # options the drive does not use are checked all the same: equal timestamps, no --scale-curve
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--max-dt", "-1"],
-     None, "--max-dt: max_dt_s must be >= 0, got -1.0"),
+     None, "--max-dt must be a number >= 0, got -1.0"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--max-dt", "nan"],
-     None, "--max-dt: max_dt_s must be >= 0, got nan"),
+     None, "--max-dt must be a number >= 0, got nan"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve-segment-m", "-5"],
-     None, "--scale-curve-segment-m: segment length must be finite and positive, got -5.0"),
+     None, "--scale-curve-segment-m must be a finite number > 0, got -5.0",
+     "--scale-curve-segment-m: segment length -5"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve-segment-m", "inf"],
-     None, "--scale-curve-segment-m: segment length must be finite and positive, got inf"),
+     None, "--scale-curve-segment-m must be a finite number > 0, got inf",
+     "--scale-curve-segment-m: segment length inf"),
     (["eval-traj", "--est", "{d}/line.tum", "--gt", "{d}/line.tum", "--lengths", "10", "--scale-curve", "{d}/out",
       "--scale-curve-segment-m", "1e-300"], None, "segment length 1e-300 m is below the float resolution"),
     (["synth", "--spec", "{d}/bad.json", "--seed", "-1", "--out-gt", "{d}/out", "--out-est", "{d}/out"],
@@ -888,7 +890,8 @@ BAD_INPUTS = [
 
 
 class TestOneLineErrors:
-    @pytest.mark.parametrize("argv, document, needle", BAD_INPUTS, ids=[case[2] for case in BAD_INPUTS])
+    @pytest.mark.parametrize("argv, document, needle", [case[:3] for case in BAD_INPUTS],
+                             ids=[case[-1] for case in BAD_INPUTS])
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, argv, document, needle):
         line = curved_trajectory(40, seed=3)
         (tmp_path / "line.tum").write_text(write_trajectory(line, "tum"))

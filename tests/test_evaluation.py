@@ -359,7 +359,7 @@ class TestRteRre:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
     def test_nonfinite_or_zero_length_rejected(self, bad):
         gt = line_traj(20)
-        with pytest.raises(ValueError, match="segment lengths must be finite and positive"):
+        with pytest.raises(ValueError, match="segment length must be a finite number > 0"):
             rte_rre(gt, gt, lengths_m=(10.0, bad))
 
 
@@ -579,7 +579,7 @@ class TestLogScaleCurve:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_nonfinite_or_nonpositive_segment_rejected(self, bad):
         gt = line_traj(40)
-        with pytest.raises(ValueError, match="segment length must be finite and positive"):
+        with pytest.raises(ValueError, match="segment_m must be a finite number > 0"):
             log_scale_curve(gt, gt, segment_m=bad)
 
     @pytest.mark.parametrize("segment_m", [1e-20, 1e-300])

@@ -5,7 +5,7 @@ import pytest
 
 import bevkit.geometry
 from bevkit import io as bevio
-from bevkit.errors import InvalidCameraError, ShapeError
+from bevkit.errors import DegenerateInputError, InvalidCameraError, ShapeError
 from bevkit.geometry import (
     BevGridSpec,
     CameraModel,
@@ -399,6 +399,14 @@ class TestFitSimilarity:
         assert np.max(np.abs(t - [3.0, -1.5])) < 1e-12
         assert scale == 1.0
         assert sigma.shape == (2,) and sigma[0] >= sigma[1] > 0.0
+
+    @pytest.mark.parametrize("weights", [np.zeros(5), np.array([1.0, -1.0, 0.0, 0.0, 0.0]), np.full(5, math.nan),
+                                         np.full(5, 1e308)], ids=["zero", "zero-sum", "nan", "inf-sum"])
+    def test_weights_without_a_positive_finite_sum_refused(self, weights):
+        # a zero sum divided into NaN centroids, with a numpy warning
+        src = np.random.default_rng(24).uniform(-5.0, 5.0, (5, 3))
+        with pytest.raises(DegenerateInputError, match="^weights must sum to a finite number > 0, got "):
+            fit_similarity(src, src, weights)
 
     def test_sim3_fit_recovers_scale(self):
         rng = np.random.default_rng(21)

@@ -820,15 +820,15 @@ def field_cases():
     fields = [
         (f"{section}.{key}", text, parse_config, lambda v, s=section, k=key: {s: {k: v}})
         for section, table in _CONFIG.items()
-        for key, (_, text) in table.items()
+        for key, (_, text, *_) in table.items()
     ]
     fields += [
         (f"spec.{key}", text, parse_synth_spec, lambda v, k=key: {"primitives": [VALID_PRIMITIVE], k: v})
-        for key, (_, text) in _SYNTH_SPEC.items()
+        for key, (_, text, *_) in _SYNTH_SPEC.items()
     ]
     fields += [
         (f"primitives[0].{key}", text, parse_synth_spec, lambda v, k=key: {"primitives": [{**VALID_PRIMITIVE, k: v}]})
-        for key, (_, text) in _PRIMITIVE.items()
+        for key, (_, text, *_) in _PRIMITIVE.items()
     ]
     for name, text, parse, doc in fields:
         values = [None, True, "1", [], math.nan]
@@ -907,7 +907,7 @@ class TestAssociateByTimestamp:
             associate_by_timestamp(np.zeros(1), np.zeros(1), -0.1)
 
     def test_nan_window_rejected(self):
-        with pytest.raises(ValueError, match="max_dt_s must be >= 0"):
+        with pytest.raises(ValueError, match="max_dt_s must be a number >= 0"):
             associate_by_timestamp(np.zeros(3), np.zeros(3), math.nan)
 
 
@@ -1023,14 +1023,14 @@ class TestSynthTrajectory:
 
     @pytest.mark.parametrize("prims, needle", [
         ([{"kind": "straight", "duration_s": 10, "speed_mps": 1e308}],
-         "primitives[0].speed_mps 1e+308 over duration_s 10 carries the drive beyond the float range"),
+         "primitives[0].speed_mps 1e+308 over duration_s 10.0 carries the drive beyond the float range"),
         ([{"kind": "straight", "duration_s": 10, "speed_mps": 1e307}, {"kind": "stop", "duration_s": 1},
           {"kind": "straight", "duration_s": 10, "speed_mps": 1e307}],
-         "primitives[2].speed_mps 1e+307 over duration_s 10 carries the drive beyond the float range"),
+         "primitives[2].speed_mps 1e+307 over duration_s 10.0 carries the drive beyond the float range"),
         ([{"kind": "arc", "duration_s": 1000, "speed_mps": 1, "yaw_rate_dps": 1e308}],
-         "primitives[0].yaw_rate_dps 1e+308 turns through a non-finite angle over duration_s 1000"),
+         "primitives[0].yaw_rate_dps 1e+308 turns through a non-finite angle over duration_s 1000.0"),
         ([{"kind": "arc", "duration_s": 1, "speed_mps": 1, "yaw_rate_dps": 5e-324}],
-         "primitives[0].yaw_rate_dps 5e-324 gives no finite arc radius at speed_mps 1"),
+         "primitives[0].yaw_rate_dps 5e-324 gives no finite arc radius at speed_mps 1.0"),
         ([{"kind": "arc", "duration_s": 1, "speed_mps": 1e308, "yaw_rate_dps": 1e-3}],
          "primitives[0].yaw_rate_dps 0.001 gives no finite arc radius at speed_mps 1e+308"),
     ], ids=["speed", "speed-second-leg", "turn", "subnormal-rate", "radius"])
@@ -1050,9 +1050,9 @@ class TestSynthTrajectory:
 
     def test_nan_noise_rejected(self):
         prims = (MotionPrimitive("stop", 1.0),)
-        with pytest.raises(ValueError, match="noise magnitudes"):
+        with pytest.raises(ValueError, match="noise_trans_m must be a finite number >= 0"):
             SynthSpec(prims, noise_trans_m=math.nan)
-        with pytest.raises(ValueError, match="noise magnitudes"):
+        with pytest.raises(ValueError, match="noise_yaw_deg must be a finite number >= 0"):
             SynthSpec(prims, noise_yaw_deg=math.nan)
 
     def test_negative_seed_rejected_also_by_replace(self):

@@ -1,5 +1,7 @@
 """Tests for the supervision loss functions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,30 @@ class TestLoss5dof:
         r = np.eye(3)
         assert loss_5dof(np.array(t_pred), r, np.array(t_gt), r) == 0.0
         assert loss_5dof(np.array(t_gt), r, np.array(t_pred), r) == 0.0
+
+    def test_rotation_term_is_the_plain_frobenius_norm(self):
+        # the bev_frames digest hashes this loss: ordinary rotations keep their bits
+        rng = np.random.default_rng(69)
+        t = np.array([0.0, 1.0, 0.0])
+        for _ in range(200):
+            a, b = random_rotation(rng), random_rotation(rng)
+            assert loss_5dof(t, a, t, b, beta=1.0) == float(np.linalg.norm(a - b))
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e307])
+    def test_rotation_difference_past_the_squared_range(self, scale):
+        # the plain norm overflowed to inf, with a numpy warning
+        t = np.array([1.0, 0.0, 0.0])
+        loss = loss_5dof(t, scale * np.eye(3), t, np.zeros((3, 3)), beta=1.0)
+        assert loss == pytest.approx(scale * math.sqrt(3.0), rel=1e-15)
+
+    @pytest.mark.parametrize("rot_pred, rot_gt", [
+        (1e308 * np.eye(3), -1e308 * np.eye(3)),  # the difference overflows
+        (1.5e308 * np.eye(3), np.zeros((3, 3))),  # its norm does
+    ], ids=["difference", "norm"])
+    def test_rotation_term_past_the_float_range_refused(self, rot_pred, rot_gt):
+        t = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=r"^loss_5dof rotation term \|\|rot_pred - rot_gt\|\|_F leaves the float range$"):
+            loss_5dof(t, rot_pred, t, rot_gt)
 
     def test_shape_checks(self):
         r = np.eye(3)

@@ -128,6 +128,18 @@ def test_no_public_name_is_defined_in_two_modules():
     assert {name: mods for name, mods in homes.items() if len(mods) > 1} == {}
 
 
+def test_only_text_imports_numbers():
+    # the scalar rule of JSON fields and library arguments lives in bevkit.text
+    # alone; a module that imports numbers is writing a rule of its own
+    importers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if "numbers" in names or isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                importers.add(path.name)
+    assert importers - {"text.py"} == set()
+
+
 def test_io_offers_every_name_the_bench_reads_through_it():
     import bevkit.io
 
