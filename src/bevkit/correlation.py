@@ -15,7 +15,7 @@ import numpy as np
 
 from ._threads import split_run
 from .errors import ShapeError
-from .text import FLAG, INTEGER, check_arg, integer_in
+from .text import FLAG, INTEGER, check_arg, check_array, integer_in
 
 # Largest volume local_correlation builds, in entries (1 GiB of float64).
 _MAX_VOLUME_ENTRIES = 2**27
@@ -28,17 +28,9 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
-        # C order: einsum sums in an order set by the memory layout, so a
-        # Fortran-ordered copy would give other correlation bits
-        d = np.array(self.data, dtype=float, order="C")
-        if d.ndim != 3:
-            raise ShapeError(f"feature map must have shape (C, H, W), got {d.shape}")
-        if min(d.shape) < 1:
-            raise ShapeError(f"feature map dimensions must be >= 1, got {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("feature map contains non-finite entries")
-        d.flags.writeable = False
-        object.__setattr__(self, "data", d)
+        # a C-ordered copy: einsum sums in an order set by the memory layout,
+        # so a Fortran-ordered one would give other correlation bits
+        object.__setattr__(self, "data", check_array("feature map data", self.data, ("C", "H", "W")))
 
     @property
     def channels(self) -> int:
@@ -66,14 +58,20 @@ def channel_index(dx: int, dy: int, radius: int) -> int:
 def channel_offset(index: int | np.ndarray, radius: int) -> tuple:
     """Inverse of :func:`channel_index`: channel -> (dx, dy).
 
-    ``index`` may be an int or an integer array; (dx, dy) match its type.
+    ``index`` may be an int or an array of signed integers, whose type
+    (dx, dy) keep; an unsigned array gives int64 offsets.
     """
     radius = check_arg("radius", radius, integer_in(0))
     if not isinstance(index, np.ndarray):
         index = check_arg("index", index, INTEGER)
+    elif index.dtype.kind == "u":  # unsigned arithmetic below would wrap around
+        index = index.astype(np.int64)
+    elif index.dtype.kind != "i":
+        raise ValueError(f"index must be an integer array, got dtype {index.dtype}")
     side = 2 * radius + 1
-    if np.any((index < 0) | (index >= side * side)):
-        raise ValueError(f"channel {index} outside volume with radius {radius}")
+    outside = (index < 0) | (index >= side * side)
+    if np.any(outside):  # the first such channel: an array's repr may run over lines
+        raise ValueError(f"channel {np.ravel(index)[np.ravel(outside)][0]} outside volume with radius {radius}")
     return (index % side - radius, index // side - radius)
 
 
@@ -84,25 +82,23 @@ class CorrelationVolume:
     data: np.ndarray
 
     def __post_init__(self):
-        self._fill(np.array(self.data, dtype=float))
+        self._fill(check_array("correlation volume data", self.data, ("C", "H", "W")))
 
     @classmethod
     def _adopt(cls, data: np.ndarray) -> "CorrelationVolume":
-        """Check and wrap a fresh float array that no one else holds, without copying it."""
+        """Check and wrap a fresh float (C, H, W) array that no one else holds, without copying it."""
+        if not np.all(np.isfinite(data)):
+            raise ValueError("correlation volume data contains non-finite entries")
+        data.flags.writeable = False
         volume = object.__new__(cls)
         volume._fill(data)
         return volume
 
     def _fill(self, d: np.ndarray):
-        if d.ndim != 3:
-            raise ShapeError(f"correlation volume must have shape (C, H, W), got {d.shape}")
         side = math.isqrt(d.shape[0])
         if side * side != d.shape[0] or side % 2 == 0:
             raise ShapeError(f"channel count {d.shape[0]} is not the square of an odd number; "
                              "a correlation volume has (2r+1)^2 channels")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("correlation volume contains non-finite entries")
-        d.flags.writeable = False
         object.__setattr__(self, "data", d)
 
     @property

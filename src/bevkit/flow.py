@@ -15,7 +15,7 @@ import numpy as np
 from .bvt1 import read_bvt1, write_bvt1
 from .errors import DegenerateGeometryError, DegenerateInputError, ShapeError
 from .geometry import BevGridSpec, Pose2, fit_similarity, pixel_to_vehicle
-from .text import AT_LEAST_ZERO, check_arg
+from .text import AT_LEAST_ZERO, check_arg, check_array
 
 # The weighted cross-covariance of the point correspondences is considered
 # rank zero, and the rotation fit hopeless, when its largest singular value
@@ -34,17 +34,7 @@ class FlowField:
     grid: BevGridSpec
 
     def __post_init__(self):
-        d = np.array(self.data, dtype=float)
-        if d.ndim != 3 or d.shape[0] != 2:
-            raise ShapeError(f"flow must have shape (2, H, W), got {d.shape}")
-        if d.shape[1] != self.grid.height_px or d.shape[2] != self.grid.width_px:
-            raise ShapeError(
-                f"flow shape {d.shape[1:]} does not match grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(d)):
-            raise ValueError("flow contains non-finite entries")
-        d.flags.writeable = False
-        object.__setattr__(self, "data", d)
+        object.__setattr__(self, "data", check_array("flow data", self.data, (2, *self.grid.shape)))
 
 
 class FlowStats:
@@ -139,15 +129,12 @@ def solve_pose_from_flow(flow: FlowField, weights: np.ndarray | None = None) -> 
             single location, so the rotation is unconstrained.
     """
     grid = flow.grid
-    h, w = grid.shape
     if weights is None:
-        wts = np.ones((h, w))
+        wts = np.ones(grid.shape)
     else:
-        wts = np.asarray(weights, dtype=float)
-        if wts.shape != (h, w):
-            raise ShapeError(f"weights shape {wts.shape} does not match grid {grid.shape}")
-        if not np.all(np.isfinite(wts)) or np.any(wts < 0.0):
-            raise ValueError("weights must be finite and nonnegative")
+        wts = check_array("weights", weights, grid.shape)
+        if np.any(wts < 0.0):
+            raise ValueError("weights must be nonnegative")
     if np.count_nonzero(wts > 0.0) < 2:
         raise DegenerateInputError("need at least two pixels with positive weight")
 
@@ -190,7 +177,9 @@ def l1_flow_loss(pred: FlowField, gt: FlowField, mask: np.ndarray | None = None)
         )
     per_px = np.abs(pred.data - gt.data).sum(axis=0)
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
+        mask = np.asarray(mask)
+        if mask.dtype != bool:
+            raise ValueError(f"mask must be a bool array, got dtype {mask.dtype}")
         if mask.shape != per_px.shape:
             raise ShapeError(f"mask shape {mask.shape} does not match flow {per_px.shape}")
         if not mask.any():
@@ -210,7 +199,4 @@ def flow_from_bvt1(data: bytes, grid: BevGridSpec) -> FlowField:
     Raises:
         ShapeError: the tensor is not (2, H, W) for the grid.
     """
-    arr = read_bvt1(data)
-    if arr.ndim != 3 or arr.shape[0] != 2:
-        raise ShapeError(f"flow tensor must have shape (2, H, W), got {arr.shape}")
-    return FlowField(arr, grid)
+    return FlowField(read_bvt1(data), grid)

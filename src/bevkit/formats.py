@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParseError
 from .geometry import ORTHONORMALITY_TOL, Trajectory, closest_rotation, rotation_error, screen_rotations
-from .text import AT_LEAST_ZERO, Rows, check_arg, format_rows, read_rows
+from .text import AT_LEAST_ZERO, Rows, check_arg, check_array, format_rows, read_rows
 
 if TYPE_CHECKING:
     from .evaluation import LogScaleCurve
@@ -75,9 +75,7 @@ def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajec
         raise failure
     if not values:
         raise ParseError("pose file contains no poses", line=1)
-    if timestamps is None:
-        timestamps = np.arange(len(poses), dtype=float)
-    return Trajectory(np.asarray(timestamps, dtype=float), poses)
+    return Trajectory(np.arange(len(poses), dtype=float) if timestamps is None else timestamps, poses)
 
 
 def write_kitti_poses(traj: Trajectory) -> str:
@@ -231,10 +229,10 @@ def associate_by_timestamp(
 
     Walks both streams once; each a-frame takes the nearest unclaimed
     b-frame within ``max_dt_s``.  Indices are strictly increasing on both
-    sides of the returned pairing.
+    sides of the returned pairing; an empty stream pairs nothing.
     """
-    times_a = np.asarray(times_a, dtype=float)
-    times_b = np.asarray(times_b, dtype=float)
+    times_a, times_b = (np.zeros(0) if np.shape(times) == (0,) else check_array(name, times, ("N",))
+                        for name, times in (("times_a", times_a), ("times_b", times_b)))
     max_dt_s = check_arg("max_dt_s", max_dt_s, AT_LEAST_ZERO)
     pairs: list[tuple[int, int]] = []
     j_start = 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidCameraError, ShapeError
-from .text import FINITE, FINITE_POSITIVE, FLAG, check_arg, integer_in
+from .text import FINITE, FINITE_POSITIVE, FLAG, check_arg, check_array, integer_in
 
 TWO_PI = 2.0 * math.pi
 
@@ -159,9 +159,8 @@ def _plainly_rigid(m: np.ndarray) -> bool:
 
 
 def _check_rigid_matrix(m: np.ndarray):
-    """Raise ValueError unless the 4x4 ``m`` is a rigid transform, as :class:`Pose3` demands."""
-    if not np.all(np.isfinite(m)):
-        raise ValueError("pose matrix contains non-finite entries")
+    """Raise ValueError unless the float 4x4 ``m`` is a rigid transform, as :class:`Pose3` demands."""
+    check_array("pose matrix", m, (4, 4))  # Pose3's finiteness verdict, for check_rigid's frames
     if not np.array_equal(m[3], np.array([0.0, 0.0, 0.0, 1.0])):
         raise ValueError("pose bottom row must be exactly (0, 0, 0, 1)")
     drift, det = rotation_error(m[:3, :3])
@@ -182,12 +181,9 @@ class Pose3:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise ShapeError(f"pose matrix must be 4x4, got {m.shape}")
+        m = check_array("pose matrix", self.matrix, (4, 4))
         if not _plainly_rigid(m):
             _check_rigid_matrix(m)
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -334,20 +330,10 @@ class Trajectory:
     poses: np.ndarray
 
     def __post_init__(self):
-        ts = np.array(self.timestamps, dtype=float)
-        poses = np.array(self.poses, dtype=float)
-        if ts.ndim != 1 or ts.size < 1:
-            raise ShapeError(f"timestamps must be a nonempty 1-d array, got {ts.shape}")
-        if poses.shape != (ts.size, 4, 4):
-            raise ShapeError(
-                f"poses must have shape ({ts.size}, 4, 4), got {poses.shape}"
-            )
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(poses))):
-            raise ValueError("trajectory contains non-finite values")
+        ts = check_array("timestamps", self.timestamps, ("N",))
+        poses = check_array("poses", self.poses, (ts.size, 4, 4))
         if np.any(np.diff(ts) <= 0.0):
             raise ValueError("timestamps must be strictly increasing")
-        ts.flags.writeable = False
-        poses.flags.writeable = False
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "poses", poses)
 
@@ -378,6 +364,9 @@ class BevGridSpec:
             object.__setattr__(self, name, check_arg(name, getattr(self, name), integer_in(1, MAX_GRID_CELLS)))
         object.__setattr__(self, "resolution_m", check_arg("resolution_m", self.resolution_m, FINITE_POSITIVE))
         origin = ((self.width_px - 1) / 2.0, (self.height_px - 1) / 2.0) if self.origin_px is None else self.origin_px
+        if np.shape(origin) != (2,):
+            raise ShapeError(f"origin_px must hold 2 entries, got shape {np.shape(origin)}")
+        # each entry by the scalar rule: numpy turns (True, 0) into an int array
         object.__setattr__(self, "origin_px", tuple(check_arg(f"origin_px[{i}]", origin[i], FINITE) for i in (0, 1)))
 
     @property
@@ -420,14 +409,11 @@ class CameraModel:
     extrinsics: np.ndarray
 
     def __post_init__(self):
-        k = np.array(self.intrinsics, dtype=float)
-        e = np.array(self.extrinsics, dtype=float)
-        if k.shape != (3, 3):
-            raise InvalidCameraError(f"intrinsics must be 3x3, got {k.shape}")
-        if e.shape != (3, 4):
-            raise InvalidCameraError(f"extrinsics must be 3x4, got {e.shape}")
-        if not (np.all(np.isfinite(k)) and np.all(np.isfinite(e))):
-            raise InvalidCameraError("camera matrices contain non-finite entries")
+        try:
+            k = check_array("intrinsics", self.intrinsics, (3, 3))
+            e = check_array("extrinsics", self.extrinsics, (3, 4))
+        except ValueError as exc:
+            raise InvalidCameraError(str(exc)) from None
         if k[1, 0] != 0.0 or k[2, 0] != 0.0 or k[2, 1] != 0.0:
             raise InvalidCameraError("intrinsics must be upper triangular")
         if np.any(np.diag(k) <= 0.0):
@@ -435,8 +421,6 @@ class CameraModel:
         drift, det = rotation_error(e[:, :3])
         if drift > ORTHONORMALITY_TOL or abs(det - 1.0) > ORTHONORMALITY_TOL:
             raise InvalidCameraError("extrinsic rotation is not a proper rotation within 1e-9")
-        k.flags.writeable = False
-        e.flags.writeable = False
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "extrinsics", e)
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError
+from .errors import DegenerateInputError
 from .geometry import Pose2, wrap_angle
-from .text import FINITE, FINITE_AT_LEAST_ZERO, check_arg
+from .text import FINITE, FINITE_AT_LEAST_ZERO, check_arg, check_array
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def loss_3dof(pred: Pose2, gt: Pose2, alpha: float = 10.0) -> float:
     """
     alpha = check_arg("alpha", alpha, FINITE_AT_LEAST_ZERO)
     dtheta = wrap_angle(pred.theta - gt.theta)
-    return float(abs(pred.tx - gt.tx) + abs(pred.ty - gt.ty) + alpha * abs(dtheta))
+    return _finite("loss_3dof", abs(pred.tx - gt.tx) + abs(pred.ty - gt.ty) + alpha * abs(dtheta))
 
 
 def loss_5dof(
@@ -59,24 +59,11 @@ def loss_5dof(
     Raises:
         DegenerateInputError: either translation has zero norm, so no
             direction exists.
-        ValueError: the rotation term leaves the float range.
+        ValueError: the rotation term or the loss leaves the float range.
     """
     beta = check_arg("beta", beta, FINITE_AT_LEAST_ZERO)
-    t_pred = np.asarray(t_pred, dtype=float)
-    t_gt = np.asarray(t_gt, dtype=float)
-    rot_pred = np.asarray(rot_pred, dtype=float)
-    rot_gt = np.asarray(rot_gt, dtype=float)
-    if t_pred.shape != (3,) or t_gt.shape != (3,):
-        raise ShapeError("translations must have shape (3,)")
-    if rot_pred.shape != (3, 3) or rot_gt.shape != (3, 3):
-        raise ShapeError("rotations must be 3x3")
-    if not (
-        np.all(np.isfinite(t_pred))
-        and np.all(np.isfinite(t_gt))
-        and np.all(np.isfinite(rot_pred))
-        and np.all(np.isfinite(rot_gt))
-    ):
-        raise ValueError("loss inputs must be finite")
+    t_pred, t_gt = check_array("t_pred", t_pred, (3,)), check_array("t_gt", t_gt, (3,))
+    rot_pred, rot_gt = check_array("rot_pred", rot_pred, (3, 3)), check_array("rot_gt", rot_gt, (3, 3))
     direction_term = float(np.abs(_direction(t_pred) - _direction(t_gt)).sum())
     with np.errstate(over="ignore", invalid="ignore"):
         diff = rot_pred - rot_gt
@@ -88,7 +75,14 @@ def loss_5dof(
             rotation_term = m * float(np.linalg.norm(diff / m))
     if not rotation_term < math.inf:  # the difference or its norm overflowed
         raise ValueError("loss_5dof rotation term ||rot_pred - rot_gt||_F leaves the float range")
-    return direction_term + beta * rotation_term
+    return _finite("loss_5dof", direction_term + beta * rotation_term)
+
+
+def _finite(loss: str, value: float) -> float:
+    """``value``, or ValueError when the sum that made it left the float range."""
+    if not math.isfinite(value):
+        raise ValueError(f"{loss} leaves the float range, got {value!r}")
+    return value
 
 
 def _direction(t: np.ndarray) -> np.ndarray:
@@ -116,4 +110,4 @@ def loss_total(
     """Total loss: l3dof + lambda1 * l5dof + lambda2 * lflow."""
     l3dof, l5dof, lflow = (check_arg(name, value, FINITE) for name, value in zip(("l3dof", "l5dof", "lflow"),
                                                                                   (l3dof, l5dof, lflow)))
-    return l3dof + weights.lambda1 * l5dof + weights.lambda2 * lflow
+    return _finite("loss_total", l3dof + weights.lambda1 * l5dof + weights.lambda2 * lflow)

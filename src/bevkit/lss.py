@@ -22,7 +22,7 @@ from ._threads import split_run
 from .correlation import FeatureMap
 from .errors import InvalidCameraError, ShapeError
 from .geometry import BevGridSpec, CameraModel, vehicle_to_pixel
-from .text import FLAG, INTEGER, check_arg
+from .text import FLAG, INTEGER, check_arg, check_array
 
 _NORMALIZATION_TOL = 1e-6
 
@@ -44,16 +44,8 @@ class DepthDistribution:
 
     def __post_init__(self):
         object.__setattr__(self, "normalized", check_arg("normalized", self.normalized, FLAG))
-        d = np.array(self.data, dtype=float)
-        bins = np.array(self.bins, dtype=float)
-        if d.ndim != 3:
-            raise ShapeError(f"depth weights must have shape (D, H, W), got {d.shape}")
-        if bins.ndim != 1 or bins.shape[0] != d.shape[0]:
-            raise ShapeError(
-                f"need one bin center per depth slice: {bins.shape} vs D={d.shape[0]}"
-            )
-        if not np.all(np.isfinite(d)) or not np.all(np.isfinite(bins)):
-            raise ValueError("depth weights and bins must be finite")
+        d = check_array("depth data", self.data, ("D", "H", "W"))
+        bins = check_array("depth bins", self.bins, d.shape[:1])  # one center per depth slice
         if np.any(d < 0.0):
             raise ValueError("depth weights must be nonnegative")
         if np.any(np.diff(bins) <= 0.0):
@@ -62,8 +54,6 @@ class DepthDistribution:
             sums = d.sum(axis=0)
             if np.any(np.abs(sums - 1.0) > _NORMALIZATION_TOL):
                 raise ValueError("normalized depth weights must sum to 1 per pixel within 1e-6")
-        d.flags.writeable = False
-        bins.flags.writeable = False
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "bins", bins)
 
@@ -103,9 +93,7 @@ def build_frustum(camera: CameraModel, bins: np.ndarray, image_size: tuple[int, 
         bins: strictly increasing positive depth bin centers, meters.
         image_size: (H, W) of the feature map being lifted.
     """
-    bins = np.asarray(bins, dtype=float)
-    if bins.ndim != 1 or bins.size < 1:
-        raise ShapeError(f"bins must be a nonempty 1-d array, got shape {bins.shape}")
+    bins = check_array("bins", bins, ("D",))
     if np.any(bins <= 0.0) or np.any(np.diff(bins) <= 0.0):
         raise InvalidCameraError("depth bins must be positive and strictly increasing")
     h, w = (check_arg(f"image_size[{i}]", image_size[i], INTEGER) for i in (0, 1))
@@ -138,12 +126,7 @@ def assign_cells(frustum: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
     exactly on a cell's lower edge belongs to that cell.  Points outside
     the grid are flagged, not clipped.
     """
-    frustum = np.asarray(frustum, dtype=float)
-    if frustum.ndim != 4 or frustum.shape[-1] != 3:
-        raise ShapeError(f"frustum points must have shape (D, H, W, 3), got {frustum.shape}")
-    if not np.all(np.isfinite(frustum)):
-        raise ValueError("frustum contains non-finite points")
-    return _assign(frustum, grid)
+    return _assign(check_array("frustum", frustum, ("D", "H", "W", 3)), grid)
 
 
 def _assign(pts: np.ndarray, grid: BevGridSpec) -> SplatAssignment:

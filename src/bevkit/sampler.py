@@ -15,9 +15,9 @@ from itertools import repeat
 import numpy as np
 
 from .config import DEFAULT_HIGH_DEG, DEFAULT_LOW_DEG, DEFAULT_MAX_DISP_M, DEFAULT_WINDOW_S
-from .errors import DegenerateInputError, NoPairsError
+from .errors import NoPairsError
 from .geometry import Pose3, check_rigid, invert_rigid, repair_rotations, wrap_angle
-from .text import AT_LEAST_ZERO, FINITE, INTEGER, check_arg
+from .text import AT_LEAST_ZERO, FINITE, INTEGER, _float_array, check_arg, check_array
 
 # Share of draws that go to the high-rotation list.
 HIGH_FRACTION = 0.7
@@ -188,19 +188,20 @@ def sample_pair(lists: PairLists, rng: np.random.Generator) -> PairRecord:
 
 
 def frames_from_trajectory(timestamps: np.ndarray, poses: np.ndarray) -> list[FrameIndex]:
-    """Wrap parallel timestamp/pose arrays as FrameIndex records, ids 0..N-1.
+    """Wrap parallel timestamp/pose arrays as FrameIndex records, ids 0..N-1; no frames give none.
 
-    The poses are copied once into a read-only stack and checked as a
-    whole by :func:`check_rigid`; each frame's ``Pose3`` is a row of it.
+    The poses become a read-only stack, checked as a whole by
+    :func:`check_rigid`; each frame's ``Pose3`` is a row of it.
     """
-    timestamps = np.asarray(timestamps, dtype=float)
-    poses = np.array(poses, dtype=float)
-    if timestamps.ndim != 1 or poses.shape != (timestamps.size, 4, 4):
-        raise DegenerateInputError(
-            f"need (N,) timestamps with (N, 4, 4) poses, got {timestamps.shape} and {poses.shape}"
-        )
+    if np.shape(timestamps) == (0,) and np.shape(poses) == (0, 4, 4):
+        return []
+    timestamps = check_array("timestamps", timestamps, ("N",))
+    shape = (timestamps.size, 4, 4)
+    # check_rigid judges the frames in order, finiteness with rigidity, so the
+    # first frame Pose3 would refuse is the one reported, not a later NaN
+    poses = _float_array("poses", poses, shape)
     check_rigid(poses)
-    poses.flags.writeable = False
+    poses = check_array("poses", poses, shape)
     return [
         FrameIndex(id=i, timestamp=t, pose=Pose3._trusted(m))
         for i, (t, m) in enumerate(zip(timestamps.tolist(), poses))

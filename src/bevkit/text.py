@@ -5,10 +5,12 @@ A numeric field is ASCII without ``_``: the rule refuses ``1_5`` or
 the pairs CSV, the CLI's comma-separated options and its numeric argparse
 options all read numbers by it.  JSON inputs (the pipeline config and the
 synth spec) are checked against tables of field checks, and the library's
-scalar arguments against the same rules by :func:`check_arg`.
+scalar arguments against the same rules by :func:`check_arg`.  Its array
+arguments pass :func:`check_array`.
 
 The module imports nothing but the standard library and
-:mod:`bevkit.errors`, so the CLI can build its parser from it alone.
+:mod:`bevkit.errors` at load, so the CLI can build its parser from it
+alone; :func:`check_array` loads numpy when first called.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from collections import namedtuple
 from itertools import repeat
 
-from .errors import ParseError
+from .errors import ParseError, ShapeError
 
 # the names of the text trajectory formats; bevkit.formats holds their codecs
 TRAJECTORY_FORMATS = ("kitti", "tum", "csv")
@@ -153,6 +155,44 @@ def check_arg(name: str, value, rule):
     if test(value):
         return kind(value)
     raise ValueError(f"{name} must be {text}, got {value!r}")
+
+
+def _float_array(name: str, value, shape: tuple):
+    """The dtype and shape rule of :func:`check_array`: a writeable C-ordered float64 copy of ``value``."""
+    import numpy as np
+
+    try:
+        a = np.asarray(value)
+    except ValueError as exc:  # a ragged nest of sequences
+        raise ValueError(f"{name}: {exc}") from None
+    if a.dtype.kind not in "iuf" or a.dtype.itemsize > 8:
+        raise ValueError(f"{name} must hold integers or floats of at most 64 bits, got dtype {a.dtype}")
+    if a.shape != shape and not (a.ndim == len(shape) and all(
+            n == k or type(k) is str and n > 0 for n, k in zip(a.shape, shape))):
+        letters = ", ".join(dict.fromkeys(k for k in shape if type(k) is str))
+        axes = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ShapeError(f"{name} must have shape ({axes}){letters and f' with {letters} >= 1'}, got {a.shape}")
+    return np.array(a, dtype=float, order="C")  # the one copy: a float32 input is not copied as float32 first
+
+
+def check_array(name: str, value, shape: tuple):
+    """A read-only, C-ordered float64 copy of ``value``, or a one-line error that names ``name``.
+
+    ``shape`` holds an int per axis, or a letter such as ``"N"`` for any
+    length >= 1.  Raises ValueError unless the dtype is an integer or a
+    float of at most 8 bytes (bool, string, object, complex and longdouble
+    are refused), ShapeError on a wrong rank or axis length, and
+    ValueError on a non-finite entry.  Integers and floats become float64
+    as ``np.array(value, dtype=float)`` makes them, so the bits are the
+    ones that call gives, whatever the memory layout of ``value``.
+    """
+    import numpy as np
+
+    a = _float_array(name, value, shape)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    a.flags.writeable = False
+    return a
 
 
 def finite_list(n: int):

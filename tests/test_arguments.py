@@ -1,4 +1,4 @@
-"""Every scalar argument of the library passes the one rule of ``bevkit.text.check_arg``.
+"""Every scalar argument of the library passes the one rule of ``bevkit.text.check_arg``, every array the one of ``check_array``.
 
 Each callable that takes a scalar is called once per scalar parameter
 with each hostile value, the others held at an ordinary value.  A call
@@ -7,7 +7,9 @@ one-line message; any other exception, or a numpy warning (the suite
 turns warnings into errors), fails it.  A value no rule of the
 parameter's kind admits, such as a bool or a str for a number, must be
 refused, not coerced.  numpy integers and floats give the result the
-plain Python value gives, bit for bit.
+plain Python value gives, bit for bit.  The array parameters get a table
+of hostile arrays by the same rules, and a Fortran-ordered array gives
+the bytes and the layout a C-ordered one gives.
 """
 
 import dataclasses
@@ -21,16 +23,17 @@ import pytest
 
 from bevkit.cli import main
 from bevkit.config import default_config
-from bevkit.correlation import FeatureMap, channel_index, channel_offset, local_correlation
+from bevkit.correlation import CorrelationVolume, FeatureMap, channel_index, channel_offset, local_correlation
+from bevkit.errors import InvalidCameraError, ShapeError
 from bevkit.evaluation import evaluate_trajectories, log_scale_curve, rte_rre, scale_trajectory
-from bevkit.flow import FlowStats
+from bevkit.flow import FlowField, FlowStats, construct_flow_gt, l1_flow_loss, solve_pose_from_flow
 from bevkit.formats import associate_by_timestamp
-from bevkit.geometry import BevGridSpec, Pose2, Pose3, fit_similarity
+from bevkit.geometry import BevGridSpec, CameraModel, Pose2, Pose3, Trajectory, fit_similarity
 from bevkit.losses import LossWeights, loss_3dof, loss_5dof, loss_total
-from bevkit.lss import DepthDistribution, build_frustum
+from bevkit.lss import DepthDistribution, assign_cells, build_frustum
 from bevkit.sampler import FrameIndex, build_pair_lists, frames_from_trajectory
 from bevkit.synth import MotionPrimitive, SynthSpec, synth_trajectory
-from bevkit.text import FINITE, FLAG, INTEGER, check_arg, integer_in
+from bevkit.text import FINITE, FLAG, INTEGER, check_arg, check_array, integer_in
 
 from helpers import rot_z
 
@@ -131,7 +134,7 @@ def same(a, b) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, np.ndarray):
-        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        return a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
     if isinstance(a, float):
         return struct.pack("<d", a) == struct.pack("<d", b)
     if dataclasses.is_dataclass(a):
@@ -189,3 +192,173 @@ class TestCheckArg:
         with pytest.raises(ValueError) as info:
             check_arg("n", value, rule)
         assert str(info.value) == text
+
+
+# ---------------------------------------------------------------------------
+# array arguments
+
+CAMERA = default_config().camera
+GRID = BevGridSpec(8, 6, 0.5)
+FLOW = construct_flow_gt(Pose2(0.1, 0.5, -0.25), GRID)
+
+# callable name -> (call, its array parameters at ordinary values)
+ARRAY_TABLE = {
+    "Pose3": (Pose3, {"matrix": GT.poses[3]}),
+    "Trajectory": (Trajectory, {"timestamps": GT.timestamps, "poses": GT.poses}),
+    "CameraModel": (CameraModel, {"intrinsics": CAMERA.intrinsics, "extrinsics": CAMERA.extrinsics}),
+    "FlowField": (lambda data: FlowField(data, GRID), {"data": FLOW.data}),
+    "solve_pose_from_flow": (lambda weights: solve_pose_from_flow(FLOW, weights),
+                             {"weights": np.linspace(0.5, 1.5, 48).reshape(GRID.shape)}),
+    "FeatureMap": (FeatureMap, {"data": FEATURES[0].data}),
+    "CorrelationVolume": (CorrelationVolume, {"data": _RNG.standard_normal((9, 5, 6))}),
+    "DepthDistribution": (DepthDistribution, {"data": np.full((2, 3, 4), 0.5), "bins": BINS}),
+    "build_frustum": (lambda bins: build_frustum(CAMERA, bins, (2, 3)), {"bins": BINS}),
+    "assign_cells": (lambda frustum: assign_cells(frustum, GRID),
+                     {"frustum": build_frustum(CAMERA, BINS, (2, 3))}),
+    "loss_5dof": (loss_5dof, {"t_pred": np.array([1.0, 0.0, 0.0]), "rot_pred": np.eye(3),
+                              "t_gt": np.array([0.6, 0.8, 0.0]), "rot_gt": rot_z(0.25)}),
+    "frames_from_trajectory": (frames_from_trajectory, {"timestamps": GT.timestamps, "poses": GT.poses}),
+    "associate_by_timestamp": (lambda times_a, times_b: associate_by_timestamp(times_a, times_b, 0.25),
+                               {"times_a": GT.timestamps, "times_b": GT.timestamps + 0.125}),
+}
+
+ARRAY_CASES = [(name, param) for name, (_, params) in ARRAY_TABLE.items() for param in params]
+
+
+def first_set(v, x, dtype=float):
+    """A copy of ``v`` as ``dtype`` whose first entry is ``x``."""
+    a = np.array(v, dtype=dtype)
+    a.flat[0] = x
+    return a
+
+
+# hostile array name -> the array made from an ordinary float array; all but
+# the dtype ones keep float64, and only a zero-length axis may be accepted
+HOSTILE_ARRAYS = {
+    "bool": lambda v: v.astype(bool),
+    "str": lambda v: v.astype(str),
+    "fraction": lambda v: np.array(list(map(Fraction, v.ravel().tolist())), dtype=object).reshape(v.shape),
+    "complex": lambda v: v.astype(complex),
+    "longdouble-1e400": lambda v: first_set(v, np.longdouble("1e400"), np.longdouble),
+    "nan": lambda v: first_set(v, math.nan),
+    "inf": lambda v: first_set(v, -math.inf),
+    "wrong-rank": lambda v: v[None],
+    "zero-length": lambda v: v[:0],
+}
+WRONG_DTYPES = ("bool", "str", "fraction", "complex", "longdouble-1e400")
+
+
+@pytest.mark.parametrize("name, param", ARRAY_CASES, ids=[f"{name}-{param}" for name, param in ARRAY_CASES])
+def test_hostile_array_returns_or_refuses_in_one_line(name, param):
+    call, params = ARRAY_TABLE[name]
+    for kind, make in HOSTILE_ARRAYS.items():
+        value = make(params[param])
+        result = one_line_refusal(lambda: call(**{**params, param: value}))
+        if kind != "zero-length":
+            assert isinstance(result, ValueError), f"{param} as a {kind} array was admitted"
+        if kind in WRONG_DTYPES:
+            assert str(result).startswith(param) or f" {param} must hold" in str(result), str(result)
+
+
+@pytest.mark.parametrize("name, param", ARRAY_CASES, ids=[f"{name}-{param}" for name, param in ARRAY_CASES])
+def test_fortran_order_gives_the_c_order_bytes(name, param):
+    call, params = ARRAY_TABLE[name]
+    value = np.asfortranarray(params[param])
+    expected = call(**params)
+    assert same(call(**{**params, param: value}), expected)
+
+
+I3 = np.eye(3)
+
+# each call was accepted, warned or ended in TypeError before the array rule;
+# now each raises a ValueError subclass whose one line starts with what it names
+REFUSED = {
+    "loss_5dof-str-translation": (lambda: loss_5dof(["1", "0", "0"], I3, [1, 0, 0], I3), ValueError, "t_pred must hold"),
+    "Pose3-bool": (lambda: Pose3(np.eye(4, dtype=bool)), ValueError, "pose matrix must hold"),
+    "FeatureMap-str": (lambda: FeatureMap(np.ones((1, 2, 2)).astype(str)), ValueError, "feature map data must hold"),
+    "FeatureMap-complex": (lambda: FeatureMap(np.ones((1, 2, 2), dtype=complex)), ValueError,
+                           "feature map data must hold"),
+    "Trajectory-bool-timestamps": (lambda: Trajectory([False, True], np.stack([np.eye(4)] * 2)), ValueError,
+                                   "timestamps must hold"),
+    "DepthDistribution-bool-bins": (lambda: DepthDistribution(np.full((2, 3, 4), 0.5), [False, True]), ValueError,
+                                    "depth bins must hold"),
+    "solve_pose_from_flow-str-weights": (lambda: solve_pose_from_flow(FLOW, np.ones(GRID.shape).astype(str)),
+                                         ValueError, "weights must hold"),
+    "CameraModel-str": (lambda: CameraModel(CAMERA.intrinsics.astype(str), CAMERA.extrinsics), InvalidCameraError,
+                        "intrinsics must hold"),
+    "associate-2d": (lambda: associate_by_timestamp([[0.0, 1.0]], [0.0, 1.0], 0.1), ShapeError,
+                     "times_a must have shape (N,)"),
+    "associate-nan": (lambda: associate_by_timestamp([0.0, math.nan, 2.0], [0.0, 1.0], 0.1), ValueError,
+                      "times_a contains non-finite entries"),
+    "l1_flow_loss-float-mask": (lambda: l1_flow_loss(FLOW, FLOW, np.full(GRID.shape, 0.5)), ValueError,
+                                "mask must be a bool array, got dtype float64"),
+    "l1_flow_loss-str-mask": (lambda: l1_flow_loss(FLOW, FLOW, np.full(GRID.shape, "no")), ValueError,
+                              "mask must be a bool array"),
+    "channel_offset-fractional": (lambda: channel_offset(np.array([2.5, 7.0]), 1), ValueError,
+                                  "index must be an integer array, got dtype float64"),
+    "channel_offset-bool": (lambda: channel_offset(np.array([True, False]), 1), ValueError,
+                            "index must be an integer array, got dtype bool"),
+    "BevGridSpec-three-origin-entries": (lambda: BevGridSpec(8, 8, 0.5, (1, 2, 3)), ShapeError,
+                                         "origin_px must hold 2 entries, got shape (3,)"),
+    "loss_3dof-overflow": (lambda: loss_3dof(Pose2(0.0, 1e308, 0.0), Pose2(0.0, -1e308, 0.0)), ValueError,
+                           "loss_3dof leaves the float range, got inf"),
+    "loss_5dof-overflow": (lambda: loss_5dof([1, 0, 0], 1e307 * I3, [1, 0, 0], 0 * I3, beta=100.0), ValueError,
+                           "loss_5dof leaves the float range, got inf"),
+    "loss_total-overflow": (lambda: loss_total(1e308, 1e308, 0.0), ValueError,
+                            "loss_total leaves the float range, got inf"),
+}
+
+
+@pytest.mark.parametrize("call, kind, text", REFUSED.values(), ids=REFUSED.keys())
+def test_listed_coercions_are_refused(call, kind, text):
+    with pytest.raises(kind) as info:
+        call()
+    assert str(info.value).startswith(text) and "\n" not in str(info.value), str(info.value)
+
+
+def test_origin_entries_keep_the_scalar_rule():
+    # numpy makes (True, 0) an int array, which the array rule would take
+    with pytest.raises(ValueError, match=r"^origin_px\[0\] must be a finite number, got True$"):
+        BevGridSpec(8, 8, 0.5, (True, 0))
+    assert BevGridSpec(8, 8, 0.5, np.array([1, 2])).origin_px == (1.0, 2.0)
+
+
+def test_unsigned_and_narrow_channel_indices():
+    index = np.array([0, 4, 8])
+    for kind in (np.uint8, np.uint64, np.int32):
+        dx, dy = channel_offset(index.astype(kind), 1)
+        assert dx.tolist() == [-1, 0, 1] and dy.tolist() == [-1, 0, 1], kind
+    assert channel_offset(index.astype(np.int32), 1)[0].dtype == np.int32
+    with pytest.raises(ValueError, match="^channel 9 outside volume with radius 1$"):
+        channel_offset(np.array([[0, 9], [4, 10]]), 1)
+
+
+def test_an_empty_stream_pairs_nothing():
+    assert associate_by_timestamp([], GT.timestamps, 0.25) == []
+    assert associate_by_timestamp(GT.timestamps, np.zeros(0), 0.25) == []
+
+
+class TestCheckArray:
+    @pytest.mark.parametrize("value", [
+        [[1, 2], [3, 4]], np.arange(4, dtype=np.uint64).reshape(2, 2), np.float32([[0.1, 2], [3, 4]]),
+        np.arange(8.0).reshape(2, 4)[:, ::2], np.asfortranarray([[0.1, 0.2], [0.3, 0.4]]), [[1.5, 2**62 + 1], [3, 4]],
+    ], ids=["int-list", "uint64", "float32", "strided", "fortran", "mixed-list"])
+    def test_a_frozen_c_ordered_copy_with_the_float_bits(self, value):
+        got = check_array("x", value, (2, "N"))
+        want = np.array(value, dtype=float)
+        assert got.tobytes() == want.tobytes() and got.dtype == np.float64
+        assert got.flags.c_contiguous and not got.flags.writeable and not np.shares_memory(got, value)
+
+    @pytest.mark.parametrize("value, shape, kind, text", [
+        (np.eye(2, dtype=bool), (2, 2), ValueError, "x must hold integers or floats of at most 64 bits, got dtype bool"),
+        ([[1, 2], [3]], ("N",), ValueError, "x: setting an array element with a sequence."),
+        (np.eye(2), (2, 3), ShapeError, "x must have shape (2, 3), got (2, 2)"),
+        (np.zeros((0, 3)), ("N", 3), ShapeError, "x must have shape (N, 3) with N >= 1, got (0, 3)"),
+        (np.zeros(3), ("C", "H", "W"), ShapeError, "x must have shape (C, H, W) with C, H, W >= 1, got (3,)"),
+        (5.0, (1,), ShapeError, "x must have shape (1,), got ()"),
+        ([0.0, math.inf], ("N",), ValueError, "x contains non-finite entries"),
+    ])
+    def test_refusal_names_the_parameter(self, value, shape, kind, text):
+        with pytest.raises(kind) as info:
+            check_array("x", value, shape)
+        assert type(info.value) is kind and str(info.value).startswith(text), str(info.value)

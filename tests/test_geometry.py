@@ -59,9 +59,9 @@ def reference_check_rigid_matrix(m):
 
 
 def reference_check_extrinsics(e):
-    """CameraModel's own extrinsic checks, as it ran them before the rule moved."""
+    """CameraModel's own extrinsic checks, as it ran them before the rule moved, in the array rule's wording."""
     if not np.all(np.isfinite(e)):
-        raise InvalidCameraError("camera matrices contain non-finite entries")
+        raise InvalidCameraError("extrinsics contains non-finite entries")
     r = e[:, :3]
     if float(np.linalg.norm(r.T @ r - np.eye(3))) > 1e-9 or abs(np.linalg.det(r) - 1.0) > 1e-9:
         raise InvalidCameraError("extrinsic rotation is not a proper rotation within 1e-9")

@@ -11,7 +11,7 @@ import pytest
 import bevkit.geometry
 import bevkit.sampler
 from bevkit import io as bevio
-from bevkit.errors import DegenerateInputError, NoPairsError
+from bevkit.errors import NoPairsError, ShapeError
 from bevkit.formats import parse_pairs_csv, write_pairs_csv
 from bevkit.geometry import Pose2, Pose3, pose2_to_pose3, pose3_to_pose2, relative_pose, wrap_angle
 from bevkit.sampler import (
@@ -548,7 +548,7 @@ class TestHelpers:
         assert frames[1].timestamp == 0.5
 
     def test_frames_from_trajectory_shape_check(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ShapeError, match=r"^poses must have shape \(3, 4, 4\), got \(2, 4, 4\)$"):
             frames_from_trajectory(np.zeros(3), np.zeros((2, 4, 4)))
 
     def test_frame_index_validation(self):

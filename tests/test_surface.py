@@ -140,6 +140,54 @@ def test_only_text_imports_numbers():
     assert importers - {"text.py"} == set()
 
 
+# The only arrays a module other than text.py may freeze: ones its own function built.
+OWN_FREEZES = {
+    "lss.build_frustum": "the frustum points it computes",
+    "correlation.CorrelationVolume._adopt": "the volume local_correlation fills, adopted without a copy",
+}
+
+
+def freezes(src: Path) -> set[str]:
+    """``"module.function"`` of every ``<x>.flags.writeable = False`` outside ``text.py``."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Assign) and isinstance(child.value, ast.Constant) and child.value.value is False:
+                for target in child.targets:
+                    if (isinstance(target, ast.Attribute) and target.attr == "writeable"
+                            and isinstance(target.value, ast.Attribute) and target.value.attr == "flags"):
+                        found.add(".".join([module, *scope]))
+            visit(child, module, scope)
+
+    for path in src.glob("*.py"):
+        if path.name != "text.py":
+            visit(ast.parse(path.read_text()), path.stem, [])
+    return found
+
+
+def test_only_text_freezes_an_argument():
+    # how the library takes an array lives in bevkit.text.check_array: a module
+    # that freezes an array it was handed is writing a rule of its own
+    assert freezes(SRC) == OWN_FREEZES.keys()
+
+
+def test_freeze_guard_sees_a_frozen_argument(tmp_path):
+    (tmp_path / "text.py").write_text("def check(a):\n    a.flags.writeable = False\n")
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n"
+        "    def __post_init__(self):\n"
+        "        d = self.data.copy()\n"
+        "        d.flags.writeable = False\n"
+        "def fine(a):\n"
+        "    a.flags.writeable = True\n"
+    )
+    assert freezes(tmp_path) == {"mod.Box.__post_init__"}
+
+
 def test_io_offers_every_name_the_bench_reads_through_it():
     import bevkit.io
 
