@@ -18,7 +18,7 @@ _BVT1_MAGIC = b"BVT1"
 
 
 def write_bvt1(array: np.ndarray) -> bytes:
-    """Encode an array as BVT1 bytes (float32 payload, row-major).
+    """Encode an array as BVT1 bytes (float32 payload, row-major), copying the payload into them once.
 
     Raises:
         FormatError: a rank-0 array, or a finite value that float32 cannot hold.
@@ -32,7 +32,8 @@ def write_bvt1(array: np.ndarray) -> bytes:
         payload = np.ascontiguousarray(array, dtype="<f4")
     if np.isinf(payload).any() and np.isinf(payload).sum() > np.isinf(array).sum():
         raise FormatError(f"value beyond the float32 range (max {np.finfo(np.float32).max:g})")
-    return header + payload.tobytes()
+    # the payload's bytes are copied once, straight into the result: header + payload.tobytes() copies them twice
+    return b"".join((header, payload.reshape(-1).view(np.uint8)))
 
 
 def read_bvt1(data: bytes) -> np.ndarray:

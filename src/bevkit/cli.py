@@ -51,6 +51,13 @@ def _number(kind: type):
     return read
 
 
+def _tensor(path: str):
+    """The float32 array of the BVT1 file at ``path``."""
+    from .bvt1 import read_bvt1
+
+    return read_bvt1(Path(path).read_bytes())
+
+
 def _cmd_flow_make(args) -> dict:
     from .flow import construct_flow_gt, flow_to_bvt1
     from .geometry import Pose2, Pose3, pose3_to_pose2, relative_pose
@@ -85,12 +92,11 @@ def _cmd_flow_make(args) -> dict:
 
 
 def _cmd_pose_from_flow(args) -> dict:
-    from .bvt1 import read_bvt1
     from .flow import flow_from_bvt1, solve_pose_from_flow
 
     cfg = _load_config(args.config)
     flow = flow_from_bvt1(Path(args.flow).read_bytes(), cfg.grid)
-    weights = None if args.weights is None else read_bvt1(Path(args.weights).read_bytes())
+    weights = None if args.weights is None else _tensor(args.weights)
     pose = solve_pose_from_flow(flow, weights)
     return {"theta": pose.theta, "tx": pose.tx, "ty": pose.ty}
 
@@ -176,35 +182,37 @@ def _cmd_sample_pairs(args) -> dict:
 
 
 def _cmd_correlate(args) -> dict:
-    from .bvt1 import read_bvt1, write_bvt1
+    from .bvt1 import write_bvt1
     from .correlation import CorrelationVolume, FeatureMap, concat_volumes, local_correlation
 
-    a = read_bvt1(Path(args.a).read_bytes())
-    b = read_bvt1(Path(args.b).read_bytes())
-    vol_a = local_correlation(FeatureMap(a), FeatureMap(b), args.radius, normalize=args.normalize)
-    out_data = vol_a.data
-    if args.concat_with is not None:
-        extra = read_bvt1(Path(args.concat_with).read_bytes())
-        out_data = concat_volumes(vol_a, CorrelationVolume(extra))
+    # each decoded tensor goes straight into its float64 map, and no name holds an input past its last use
+    volume = local_correlation(FeatureMap(_tensor(args.a)), FeatureMap(_tensor(args.b)), args.radius,
+                               normalize=args.normalize)
+    if args.concat_with is None:
+        out_data = volume.data
+    else:
+        out_data = concat_volumes(volume, CorrelationVolume(_tensor(args.concat_with)))
+    del volume  # with --concat-with, the first volume goes before the output is encoded
     Path(args.out).write_bytes(write_bvt1(out_data))
     return {"out": args.out, "channels": int(out_data.shape[0]), "radius": args.radius}
 
 
 def _cmd_lss_project(args) -> dict:
-    from .bvt1 import read_bvt1, write_bvt1
+    from .bvt1 import write_bvt1
     from .correlation import FeatureMap
     from .errors import ShapeError
     from .lss import DepthDistribution, project_volume
 
     cfg = _load_config(args.config)
-    feats = read_bvt1(Path(args.features).read_bytes())
-    depth = read_bvt1(Path(args.depth).read_bytes())
-    if depth.shape[0] != cfg.depth_bins.size:
-        raise ShapeError(
-            f"depth has {depth.shape[0]} bins but config declares {cfg.depth_bins.size}"
-        )
-    dist = DepthDistribution(depth, cfg.depth_bins, normalized=args.normalized)
-    bev, dropped = project_volume(FeatureMap(feats), dist, cfg.camera, cfg.grid)
+
+    def depth_distribution():
+        depth = _tensor(args.depth)
+        if depth.shape[0] != cfg.depth_bins.size:
+            raise ShapeError(f"depth has {depth.shape[0]} bins but config declares {cfg.depth_bins.size}")
+        return DepthDistribution(depth, cfg.depth_bins, normalized=args.normalized)
+
+    # the inputs live only as arguments of the call, so they are freed before the output is encoded
+    bev, dropped = project_volume(FeatureMap(_tensor(args.features)), depth_distribution(), cfg.camera, cfg.grid)
     Path(args.out).write_bytes(write_bvt1(bev))
     return {
         "out": args.out,

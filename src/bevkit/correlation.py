@@ -15,7 +15,7 @@ import numpy as np
 
 from ._threads import split_run
 from .errors import ShapeError
-from .text import FLAG, INTEGER, check_arg, check_array, integer_in
+from .text import FLAG, INTEGER, _all_finite, check_arg, check_array, integer_in
 
 # Largest volume local_correlation builds, in entries (1 GiB of float64).
 _MAX_VOLUME_ENTRIES = 2**27
@@ -87,7 +87,7 @@ class CorrelationVolume:
     @classmethod
     def _adopt(cls, data: np.ndarray) -> "CorrelationVolume":
         """Check and wrap a fresh float (C, H, W) array that no one else holds, without copying it."""
-        if not np.all(np.isfinite(data)):
+        if not _all_finite(data):
             raise ValueError("correlation volume data contains non-finite entries")
         data.flags.writeable = False
         volume = object.__new__(cls)

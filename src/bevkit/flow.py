@@ -38,13 +38,10 @@ class FlowField:
 
 
 class FlowStats:
-    """Summary statistics over an endpoint-error map."""
+    """Summary statistics over an (H, W) endpoint-error map."""
 
     def __init__(self, epe: np.ndarray):
-        epe = np.asarray(epe, dtype=float).ravel()
-        if epe.size == 0:
-            raise DegenerateInputError("endpoint-error map is empty")
-        self._epe = epe
+        self._epe = epe = check_array("epe", epe, ("H", "W")).ravel()
         self.mean_epe = float(epe.mean())
         self.max_epe = float(epe.max())
 

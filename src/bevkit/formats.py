@@ -84,13 +84,13 @@ def write_kitti_poses(traj: Trajectory) -> str:
 
 
 def quat_to_matrix(quat: np.ndarray) -> np.ndarray:
-    """Rotations (..., 3, 3) from x, y, z, w quaternions (..., 4), each normalized first."""
-    q = np.asarray(quat, dtype=float)
-    x, y, z, w = np.moveaxis(q / np.linalg.norm(q, axis=-1, keepdims=True), -1, 0)
+    """Rotations (N, 3, 3) from x, y, z, w quaternions (N, 4), each normalized first."""
+    q = check_array("quat", quat, ("N", 4))
+    x, y, z, w = (q / np.linalg.norm(q, axis=-1, keepdims=True)).T
     m = [x * x - y * y - z * z + w * w, 2 * (x * y - z * w), 2 * (x * z + y * w),
          2 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2 * (y * z - x * w),
          2 * (x * z - y * w), 2 * (y * z + x * w), -x * x - y * y + z * z + w * w]
-    return np.stack(m, axis=-1).reshape(q.shape[:-1] + (3, 3))
+    return np.stack(m, axis=-1).reshape(-1, 3, 3)
 
 
 def matrix_to_quat(rot: np.ndarray) -> np.ndarray:
@@ -100,14 +100,17 @@ def matrix_to_quat(rot: np.ndarray) -> np.ndarray:
     is replaced by its closest rotation first; a nonpositive determinant
     raises ValueError.
     """
-    m = np.array(rot, dtype=float)
+    m = check_array("rot", rot, ("N", 3, 3))
     # scipy's codec rule, not the pose rule: projection starts at a drift of 1e-12
     bad = np.flatnonzero(np.linalg.det(m) <= 0.0)
     if bad.size:
         raise ValueError(f"rotation matrix {bad[0]} has a nonpositive determinant")
+    drifted = np.flatnonzero(~np.isclose(m @ np.swapaxes(m, -1, -2), np.eye(3), rtol=1e-5, atol=1e-12).all((1, 2)))
+    if drifted.size:
+        m = m.copy()  # the checked copy is read-only
+        for n in drifted.tolist():
+            m[n] = closest_rotation(m[n])
     mt = np.swapaxes(m, -1, -2)
-    for n in np.flatnonzero(~np.isclose(m @ mt, np.eye(3), rtol=1e-5, atol=1e-12).all((1, 2))):
-        m[n] = closest_rotation(m[n])
     trace = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
     # row c of the symmetric k is the unnormalized quaternion solved from
     # diagonal entry c (c < 3) or from the trace (c = 3)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidCameraError, ShapeError
-from .text import FINITE, FINITE_POSITIVE, FLAG, check_arg, check_array, integer_in
+from .text import FINITE, FINITE_POSITIVE, FLAG, _float_array, check_arg, check_array, integer_in
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,9 +70,10 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
     ``sigma``, the singular values of sum_i w_i (dst_i - dst_c)(src_i - src_c)^T.
     Weights that do not sum to a finite number > 0 raise DegenerateInputError.
     """
-    src = np.asarray(src, dtype=float)
-    dst = np.asarray(dst, dtype=float)
-    w = (np.ones(len(src)) if weights is None else np.asarray(weights, dtype=float))[:, None]
+    src = check_array("src", src, ("N", "d"))
+    dst = check_array("dst", dst, src.shape)
+    # finiteness is the sum's verdict below, which names the weights' fault
+    w = (np.ones(len(src)) if weights is None else _float_array("weights", weights, src.shape[:1]))[:, None]
     with np.errstate(over="ignore"):
         total = w.sum()
     if not 0.0 < total < math.inf:
@@ -209,19 +210,13 @@ def invert_rigid(poses: np.ndarray) -> np.ndarray:
     """
     poses = np.ascontiguousarray(poses, dtype=float)
     r_t = np.swapaxes(poses[:, :3, :3], 1, 2)
-    t = poses[:, :3, 3]
     out = np.zeros_like(poses)
     out[:, :3, :3] = r_t
     out[:, 3, 3] = 1.0
-    t_inv = np.empty((len(poses), 3))
     # negated before the product, as a per-frame -R^T @ t would be: -(R^T t)
-    # has the same values but may flip the sign of a zero
-    neg_r_t = np.negative(r_t)
-    for k in range(len(poses)):
-        # one 2-D product per frame, into a preallocated row: stacked forms
-        # (einsum, a batched matmul) may sum in another order and change the last bits
-        np.matmul(neg_r_t[k], t[k], out=t_inv[k])
-    out[:, :3, 3] = t_inv
+    # has the same values but may flip the sign of a zero.  The stacked
+    # product gives the per-frame products' bits, signs of zeros included
+    np.matmul(np.negative(r_t), poses[:, :3, 3:], out=out[:, :3, 3:])
     return out
 
 
@@ -234,9 +229,10 @@ def check_rigid(poses: np.ndarray):
     :func:`screen_rotations` is judged by the scalar check ``Pose3`` runs,
     so the verdicts agree even at the tolerance.
     """
-    poses = np.asarray(poses, dtype=float)
-    if poses.ndim != 3 or poses.shape[1:] != (4, 4):
-        raise ShapeError(f"need an (N, 4, 4) pose stack, got {poses.shape}")
+    if np.shape(poses) == (0, 4, 4):
+        return  # no frame to judge
+    # the dtype and shape half of the array rule: finiteness is judged per frame, in order, below
+    poses = _float_array("poses", poses, ("N", 4, 4))
     suspect = (
         ~np.all(np.isfinite(poses), axis=(1, 2))
         | np.any(poses[:, 3] != (0.0, 0.0, 0.0, 1.0), axis=1)

@@ -175,6 +175,19 @@ def _float_array(name: str, value, shape: tuple):
     return np.array(a, dtype=float, order="C")  # the one copy: a float32 input is not copied as float32 first
 
 
+def _all_finite(a) -> bool:
+    """Whether every entry of the float array ``a`` is finite, judged without a full-size mask when its sum is finite.
+
+    A NaN or +-inf entry makes the sum non-finite; only then, or when
+    finite entries overflow the sum, does ``np.isfinite`` judge each entry.
+    """
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    return math.isfinite(total) or bool(np.isfinite(a).all())
+
+
 def check_array(name: str, value, shape: tuple):
     """A read-only, C-ordered float64 copy of ``value``, or a one-line error that names ``name``.
 
@@ -186,10 +199,8 @@ def check_array(name: str, value, shape: tuple):
     as ``np.array(value, dtype=float)`` makes them, so the bits are the
     ones that call gives, whatever the memory layout of ``value``.
     """
-    import numpy as np
-
     a = _float_array(name, value, shape)
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise ValueError(f"{name} contains non-finite entries")
     a.flags.writeable = False
     return a

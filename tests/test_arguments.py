@@ -27,8 +27,8 @@ from bevkit.correlation import CorrelationVolume, FeatureMap, channel_index, cha
 from bevkit.errors import InvalidCameraError, ShapeError
 from bevkit.evaluation import evaluate_trajectories, log_scale_curve, rte_rre, scale_trajectory
 from bevkit.flow import FlowField, FlowStats, construct_flow_gt, l1_flow_loss, solve_pose_from_flow
-from bevkit.formats import associate_by_timestamp
-from bevkit.geometry import BevGridSpec, CameraModel, Pose2, Pose3, Trajectory, fit_similarity
+from bevkit.formats import associate_by_timestamp, matrix_to_quat, quat_to_matrix
+from bevkit.geometry import BevGridSpec, CameraModel, Pose2, Pose3, Trajectory, check_rigid, fit_similarity
 from bevkit.losses import LossWeights, loss_3dof, loss_5dof, loss_total
 from bevkit.lss import DepthDistribution, assign_cells, build_frustum
 from bevkit.sampler import FrameIndex, build_pair_lists, frames_from_trajectory
@@ -83,7 +83,7 @@ TABLE = {
     "build_frustum": (lambda h, w: build_frustum(default_config().camera, BINS, (h, w)), {"h": 2, "w": 3}),
     "DepthDistribution": (lambda normalized: DepthDistribution(np.full((2, 3, 4), 0.5), BINS, normalized),
                           {"normalized": True}),
-    "FlowStats.frac_below": (lambda threshold_px: FlowStats(np.array([0.25, 0.75, 1.5])).frac_below(threshold_px),
+    "FlowStats.frac_below": (lambda threshold_px: FlowStats(np.array([[0.25, 0.75, 1.5]])).frac_below(threshold_px),
                              {"threshold_px": 0.5}),
 }
 
@@ -220,6 +220,12 @@ ARRAY_TABLE = {
     "frames_from_trajectory": (frames_from_trajectory, {"timestamps": GT.timestamps, "poses": GT.poses}),
     "associate_by_timestamp": (lambda times_a, times_b: associate_by_timestamp(times_a, times_b, 0.25),
                                {"times_a": GT.timestamps, "times_b": GT.timestamps + 0.125}),
+    "fit_similarity": (lambda src, dst, weights: fit_similarity(src, dst, weights, with_scale=True),
+                       {"src": POINTS, "dst": 2.0 * POINTS + 1.0, "weights": np.linspace(0.5, 1.5, len(POINTS))}),
+    "check_rigid": (check_rigid, {"poses": GT.poses}),
+    "quat_to_matrix": (quat_to_matrix, {"quat": np.array([[0.1, 0.2, 0.3, 0.9], [0.5, -0.5, 0.5, 0.5]])}),
+    "matrix_to_quat": (matrix_to_quat, {"rot": GT.poses[:3, :3, :3]}),
+    "FlowStats": (lambda epe: vars(FlowStats(epe)), {"epe": np.linspace(0.0, 2.0, 48).reshape(GRID.shape)}),
 }
 
 ARRAY_CASES = [(name, param) for name, (_, params) in ARRAY_TABLE.items() for param in params]
@@ -306,6 +312,13 @@ REFUSED = {
                            "loss_5dof leaves the float range, got inf"),
     "loss_total-overflow": (lambda: loss_total(1e308, 1e308, 0.0), ValueError,
                             "loss_total leaves the float range, got inf"),
+    "fit_similarity-str": (lambda: fit_similarity(I3.astype(str), I3), ValueError, "src must hold"),
+    "fit_similarity-complex": (lambda: fit_similarity(I3.astype(complex), I3), ValueError, "src must hold"),
+    "check_rigid-complex": (lambda: check_rigid(np.zeros((1, 4, 4), dtype=complex)), ValueError, "poses must hold"),
+    "quat_to_matrix-str": (lambda: quat_to_matrix(np.array([["0", "0", "0", "1"]])), ValueError, "quat must hold"),
+    "matrix_to_quat-str": (lambda: matrix_to_quat(I3[None].astype(str)), ValueError, "rot must hold"),
+    "FlowStats-str": (lambda: FlowStats(np.array(["0.5", "1"])), ValueError, "epe must hold"),
+    "FlowStats-nan": (lambda: FlowStats(np.array([[0.5, math.nan]])), ValueError, "epe contains non-finite entries"),
 }
 
 
@@ -348,6 +361,20 @@ class TestCheckArray:
         want = np.array(value, dtype=float)
         assert got.tobytes() == want.tobytes() and got.dtype == np.float64
         assert got.flags.c_contiguous and not got.flags.writeable and not np.shares_memory(got, value)
+
+    @pytest.mark.parametrize("value", [np.full((2, 3), 1e308), [[1e308, 1e308], [-1e308, -1e308]]],
+                             ids=["sum-inf", "sum-nan"])
+    def test_finite_entries_whose_sum_overflows_are_accepted(self, value):
+        # the sum is judged first; a non-finite one sends every entry to np.isfinite
+        assert check_array("x", value, (2, "N")).tobytes() == np.array(value, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fill", [0.5, 1e308], ids=["small", "overflowing"])
+    def test_a_non_finite_entry_is_refused_whatever_the_others_sum_to(self, bad, fill):
+        value = np.full((2, 3), fill)
+        value[1, 2] = bad
+        with pytest.raises(ValueError, match=r"^x contains non-finite entries$"):
+            check_array("x", value, (2, 3))
 
     @pytest.mark.parametrize("value, shape, kind, text", [
         (np.eye(2, dtype=bool), (2, 2), ValueError, "x must hold integers or floats of at most 64 bits, got dtype bool"),

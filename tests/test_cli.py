@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
+import importlib
 import json
 import math
 import os
@@ -460,6 +461,8 @@ class TestCorrelate:
         assert np.array_equal(got, expected)
 
     def test_concat_with(self, tmp_path, capsys):
+        from bevkit.correlation import FeatureMap, local_correlation
+
         rng = np.random.default_rng(91)
         a = rng.normal(size=(2, 6, 6)).astype(np.float32)
         pa = tmp_path / "a.bvt1"
@@ -485,7 +488,10 @@ class TestCorrelate:
             capsys,
         )
         assert doc["channels"] == 34
-        assert read_bvt1(out.read_bytes()).shape == (34, 6, 6)
+        # the first volume is dropped once concatenated; the file holds its bytes, then the extra volume's
+        volume = local_correlation(FeatureMap(a), FeatureMap(a), 2).data
+        payload = np.concatenate([volume, extra]).astype("<f4")
+        assert out.read_bytes() == b"BVT1" + struct.pack("<4I", 3, 34, 6, 6) + payload.tobytes()
 
     def test_non_square_concat_rejected(self, tmp_path, capsys):
         rng = np.random.default_rng(92)
@@ -513,6 +519,7 @@ class TestCorrelate:
         )
         assert code == 1
         assert "square" in err
+
 
 
 class TestLssProject:
@@ -696,6 +703,52 @@ class TestTopLevel:
         )
         assert code == 1
         assert "error" in err
+
+
+@pytest.fixture(scope="module")
+def bench_tensors(tmp_path_factory):
+    """The tensor commands' inputs at the benchmark's shapes: C=64 on a 32x88 image and on the 128x128 grid."""
+    d = tmp_path_factory.mktemp("bench_tensors")
+    (d / "config.json").write_text("{}")
+    rng = np.random.default_rng(25)
+    logits = rng.standard_normal((64, 32, 88))
+    depth = np.exp(logits - logits.max(axis=0))
+    tensors = {"feat_t": rng.standard_normal((64, 32, 88)), "feat_t1": rng.standard_normal((64, 32, 88)),
+               "depth": depth / depth.sum(axis=0), "bev_t": rng.standard_normal((64, 128, 128)),
+               "bev_t1": rng.standard_normal((64, 128, 128))}
+    for name, array in tensors.items():
+        (d / f"{name}.bvt1").write_bytes(write_bvt1(array))
+    return d
+
+
+# (argv, ceiling in MB of 10^6 bytes) per tensor command at the benchmark's shapes, with two worker threads.
+# Each command holds one float64 copy of each input beside its output and copies the output's payload once
+# into the file's bytes, so a dead copy of a decoded input, an input map or the payload passes its ceiling.
+TENSOR_PEAKS = {
+    # the floor is 31.9 MB, two 8.4 MB maps and the 15.9 MB r5 volume; measured 32.7 (48.1 with the dead copies)
+    "correlate-r5": (["correlate", "--a", "{d}/bev_t.bvt1", "--b", "{d}/bev_t1.bvt1", "--radius", "5",
+                      "--out", "{d}/vol_r5.bvt1"], 36.0),
+    # two 1.44 MB maps and the 1.10 MB r3 volume; measured 4.05 (5.63 with the dead copies), slack 0.45
+    "correlate-r3": (["correlate", "--a", "{d}/feat_t.bvt1", "--b", "{d}/feat_t1.bvt1", "--radius", "3",
+                      "--out", "{d}/vol_r3.bvt1"], 4.5),
+    # the maps, the frustum and its cell plan, a point buffer per thread and the 8.4 MB output;
+    # measured 23.0 (24.5 with the dead copies), slack 2
+    "lss-project": (["lss-project", "--features", "{d}/feat_t1.bvt1", "--depth", "{d}/depth.bvt1",
+                     "--config", "{d}/config.json", "--out", "{d}/bev.bvt1"], 25.0),
+}
+
+
+@pytest.mark.parametrize("name", TENSOR_PEAKS)
+def test_tensor_command_peak_stays_under_its_ceiling(name, bench_tensors, peak_bytes, capsys, monkeypatch):
+    from bevkit import _threads
+
+    argv, ceiling_mb = TENSOR_PEAKS[name]
+    for module in ("bevkit.config", "bevkit.lss"):  # loaded first, so the peak counts arrays, not module code
+        importlib.import_module(module)
+    monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
+    code, peak = peak_bytes(lambda: main([a.format(d=bench_tensors) for a in argv]))
+    assert code == 0, capsys.readouterr().err
+    assert peak / 1e6 < ceiling_mb, f"{name} peaked at {peak / 1e6:.2f} MB"
 
 
 # Runs main() on its arguments, then writes the bevkit modules it loaded as

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -228,6 +229,25 @@ class TestVolumeMemory:
         vol, peak = peak_bytes(lambda: local_correlation(FeatureMap(a), FeatureMap(b), 5))
         assert vol.data.shape == (121, 128, 128) and not vol.data.flags.writeable
         assert peak < 50e6, peak
+
+    def test_finite_volume_whose_sum_overflows_is_kept(self):
+        # entries near 1e308 sum past the float range; only the entries' own finiteness counts
+        a = np.full((1, 3, 4), 1e154)
+        vol = local_correlation(FeatureMap(a), FeatureMap(a), 1)
+        with np.errstate(over="ignore"):
+            assert np.isinf(vol.data.sum())
+        assert np.all(np.isfinite(vol.data)) and vol.data.max() == 1e154 * 1e154
+        assert np.array_equal(CorrelationVolume(vol.data).data, vol.data)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fill", [0.5, 1e308], ids=["small", "overflowing"])
+    def test_non_finite_entry_refused_by_both_constructors(self, bad, fill):
+        data = np.full((9, 2, 2), fill)
+        data[4, 1, 0] = bad
+        with pytest.raises(ValueError, match=r"^correlation volume data contains non-finite entries$"):
+            CorrelationVolume(data)
+        with pytest.raises(ValueError, match=r"^correlation volume data contains non-finite entries$"):
+            CorrelationVolume._adopt(data)
 
     def test_public_constructor_copies(self):
         data = np.zeros((9, 2, 2))

@@ -208,7 +208,7 @@ class TestErrorMapAndLoss:
 
     def test_frac_below_is_strict_and_monotone(self):
         half = 128 * 128 // 2
-        epe = np.concatenate([np.full(half, 0.3), np.full(half, 0.5)])
+        epe = np.concatenate([np.full(half, 0.3), np.full(half, 0.5)]).reshape(128, 128)
         stats = FlowStats(epe)
         assert stats.frac_below(0.4) == 0.5
         assert stats.frac_below(0.3) == 0.0  # strictly below

@@ -647,6 +647,19 @@ class TestBvt1:
         assert back.dtype == np.float32
         assert np.array_equal(back, arr)
 
+    @pytest.mark.parametrize("make", [
+        lambda rng: np.zeros(0), lambda rng: np.zeros((2, 0, 3), dtype=np.float32), lambda rng: rng.normal(size=5),
+        lambda rng: rng.normal(size=(2, 3, 4, 5)), lambda rng: np.asfortranarray(rng.normal(size=(3, 4))),
+        lambda rng: rng.normal(size=(4, 6)).astype(np.float32)[:, ::2],
+    ], ids=["zero-size", "zero-size-rank3", "rank1", "rank4", "fortran", "strided-float32"])
+    def test_bytes_are_header_then_row_major_float32_payload(self, make):
+        # the payload is copied once into the result; the bytes stay those of header + payload.tobytes()
+        array = make(np.random.default_rng(87))
+        header = b"BVT1" + struct.pack(f"<{array.ndim + 1}I", array.ndim, *array.shape)
+        data = write_bvt1(array)
+        assert type(data) is bytes and data == header + array.astype("<f4").tobytes(order="C")
+        assert np.array_equal(read_bvt1(data), array.astype(np.float32))
+
     def test_bad_magic(self):
         with pytest.raises(FormatError):
             read_bvt1(b"NOPE" + struct.pack("<II", 1, 1) + struct.pack("<f", 0.0))
