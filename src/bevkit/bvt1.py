@@ -28,10 +28,11 @@ def write_bvt1(array: np.ndarray) -> bytes:
         raise FormatError("rank-0 tensors are not representable")
     header = _BVT1_MAGIC + struct.pack("<I", array.ndim)
     header += struct.pack(f"<{array.ndim}I", *array.shape)
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(array, dtype="<f4")
-    if np.isinf(payload).any() and np.isinf(payload).sum() > np.isinf(array).sum():
-        raise FormatError(f"value beyond the float32 range (max {np.finfo(np.float32).max:g})")
+    try:  # the cast reports a finite value that becomes +-inf; an inf or NaN stays itself
+        with np.errstate(over="raise"):
+            payload = np.ascontiguousarray(array, dtype="<f4")
+    except FloatingPointError:
+        raise FormatError(f"value beyond the float32 range (max {np.finfo(np.float32).max:g})") from None
     # the payload's bytes are copied once, straight into the result: header + payload.tobytes() copies them twice
     return b"".join((header, payload.reshape(-1).view(np.uint8)))
 

@@ -64,8 +64,8 @@ def displacement_at(t_rel: Pose2, grid: BevGridSpec, u, v):
     with a = u - o_x, b = o_y - v, so that zero motion produces exactly
     zero flow with no rounding residue.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u = check_array("u", u, np.shape(u))
+    v = check_array("v", v, np.shape(v))
     o_x, o_y = grid.origin_px
     r = grid.resolution_m
     a = u - o_x

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ParseError
-from .geometry import ORTHONORMALITY_TOL, Trajectory, closest_rotation, rotation_error, screen_rotations
+from .geometry import ORTHONORMALITY_TOL, Trajectory, proper_rotation, rotation_error, screen_rotations
 from .text import AT_LEAST_ZERO, Rows, check_arg, check_array, format_rows, read_rows
 
 if TYPE_CHECKING:
@@ -56,7 +56,7 @@ def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajec
     nonfinite = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if nonfinite.size:
         # a line before any field error; the rotation judge sees only the
-        # rows before it, since closest_rotation of a NaN block raises
+        # rows before it, since proper_rotation refuses a NaN block
         failure = ParseError("non-finite value", line=int(nonfinite[0]) + 1)
         rows = rows[:nonfinite[0]]
     poses = np.zeros((len(rows), 4, 4))
@@ -70,7 +70,7 @@ def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajec
                 f"rotation not orthonormal within {_PARSE_ROT_TOL:g} (drift {drift:.2e}, det {det:.6f})", line=i + 1
             )
         if drift > ORTHONORMALITY_TOL or abs(det - 1.0) > ORTHONORMALITY_TOL:
-            rot[i] = closest_rotation(rot[i])
+            rot[i] = proper_rotation(rot[i])[0]
     if failure is not None:
         raise failure
     if not values:
@@ -109,7 +109,7 @@ def matrix_to_quat(rot: np.ndarray) -> np.ndarray:
     if drifted.size:
         m = m.copy()  # the checked copy is read-only
         for n in drifted.tolist():
-            m[n] = closest_rotation(m[n])
+            m[n] = proper_rotation(m[n])[0]
     mt = np.swapaxes(m, -1, -2)
     trace = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
     # row c of the symmetric k is the unnormalized quaternion solved from

@@ -45,19 +45,15 @@ def wrap_angle(theta):
 def proper_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closest proper rotation U S V^T to m = U diag(sigma) V^T, and sigma (descending).
 
-    S = I, or diag(1, ..., 1, -1) when U V^T is a reflection.
+    S = I, or diag(1, ..., 1, -1) when U V^T is a reflection.  ``m`` takes
+    the array rule first: LAPACK's SVD may never return on an inf.
     """
-    u, sigma, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    u, sigma, vt = np.linalg.svd(check_array("m", m, ("N", "N")))
     r = u @ vt
     if np.linalg.det(r) < 0.0:
         u[:, -1] = -u[:, -1]
         r = u @ vt
     return r, sigma
-
-
-def closest_rotation(m: np.ndarray) -> np.ndarray:
-    """Project a near-rotation 3x3 matrix onto SO(3) via SVD."""
-    return proper_rotation(m)[0]
 
 
 def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None = None,
@@ -68,20 +64,22 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
     unless ``with_scale`` (0 when ``src`` has no spread), omitted weights
     are uniform.  Returns (R, t, scale, sigma); callers judge uniqueness by
     ``sigma``, the singular values of sum_i w_i (dst_i - dst_c)(src_i - src_c)^T.
-    Weights that do not sum to a finite number > 0 raise DegenerateInputError.
+    Weights without a finite sum > 0, or a covariance past the float range, raise DegenerateInputError.
     """
     src = check_array("src", src, ("N", "d"))
     dst = check_array("dst", dst, src.shape)
     # finiteness is the sum's verdict below, which names the weights' fault
     w = (np.ones(len(src)) if weights is None else _float_array("weights", weights, src.shape[:1]))[:, None]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # each is judged below
         total = w.sum()
+        src_c = (w * src).sum(axis=0) / total
+        dst_c = (w * dst).sum(axis=0) / total
+        p = src - src_c
+        cov = (w * (dst - dst_c)).T @ p
     if not 0.0 < total < math.inf:
         raise DegenerateInputError(f"weights must sum to a finite number > 0, got {float(total)!r}")
-    src_c = (w * src).sum(axis=0) / total
-    dst_c = (w * dst).sum(axis=0) / total
-    p = src - src_c
-    cov = (w * (dst - dst_c)).T @ p
+    if not np.isfinite(cov).all():
+        raise DegenerateInputError("the weighted covariance of the point sets leaves the float range")
     rot, sigma = proper_rotation(cov)
     scale = 1.0
     if check_arg("with_scale", with_scale, FLAG):
@@ -137,7 +135,7 @@ def repair_rotations(mats: np.ndarray):
     r = mats[:, :3, :3]
     for k in np.flatnonzero(_drifted(r)).tolist():
         if rotation_error(r[k])[0] > ORTHONORMALITY_TOL:
-            r[k] = closest_rotation(r[k])
+            r[k] = proper_rotation(r[k])[0]
 
 
 def _plainly_rigid(m: np.ndarray) -> bool:
@@ -376,8 +374,8 @@ def pixel_to_vehicle(u, v, grid: BevGridSpec) -> tuple[np.ndarray, np.ndarray]:
     Accepts scalars or broadcastable arrays; returns two arrays of the
     broadcast shape.  The map is x = (o_y - v) * r, y = (u - o_x) * r.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u = check_array("u", u, np.shape(u))
+    v = check_array("v", v, np.shape(v))
     o_x, o_y = grid.origin_px
     x, y = np.broadcast_arrays((o_y - v) * grid.resolution_m, (u - o_x) * grid.resolution_m)
     return x, y

@@ -1,23 +1,40 @@
-"""Pose and trajectory helpers the tests share, and the oracles of replaced forms.
+"""Pose and trajectory helpers the tests share, a fresh interpreter, and the oracles of replaced forms.
 
 The oracles: the pose inverse, drift screen and relative pose, the
 rotation angle, and lift-splat.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import bevkit
 from bevkit.evaluation import Trajectory
 from bevkit.geometry import (
     ORTHONORMALITY_TOL,
     Pose3,
     _check_rigid_matrix,
-    closest_rotation,
+    proper_rotation,
     repair_rotations,
     rotation_error,
 )
 from bevkit.lss import assign_cells
+
+
+def run_fresh_python(*args, timeout=120):
+    """Run a new interpreter that imports bevkit from the same place as this one, killed after ``timeout`` s.
+
+    A call that may hang runs here, so that it fails by ``TimeoutExpired``
+    instead of stalling the suite.
+    """
+    env = dict(os.environ)
+    src = str(Path(bevkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def rot_z(theta: float) -> np.ndarray:
@@ -68,7 +85,7 @@ def reference_relative_pose(a: Pose3, b: Pose3) -> np.ndarray:
     """
     m = reference_invert_rigid(a.matrix[None])[0] @ b.matrix
     if reference_drifted(m[None, :3, :3])[0] and rotation_error(m[:3, :3])[0] > ORTHONORMALITY_TOL:
-        m[:3, :3] = closest_rotation(m[:3, :3])
+        m[:3, :3] = proper_rotation(m[:3, :3])[0]
     _check_rigid_matrix(m)
     return m
 

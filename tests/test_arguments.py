@@ -26,9 +26,10 @@ from bevkit.config import default_config
 from bevkit.correlation import CorrelationVolume, FeatureMap, channel_index, channel_offset, local_correlation
 from bevkit.errors import InvalidCameraError, ShapeError
 from bevkit.evaluation import evaluate_trajectories, log_scale_curve, rte_rre, scale_trajectory
-from bevkit.flow import FlowField, FlowStats, construct_flow_gt, l1_flow_loss, solve_pose_from_flow
+from bevkit.flow import FlowField, FlowStats, construct_flow_gt, displacement_at, l1_flow_loss, solve_pose_from_flow
 from bevkit.formats import associate_by_timestamp, matrix_to_quat, quat_to_matrix
-from bevkit.geometry import BevGridSpec, CameraModel, Pose2, Pose3, Trajectory, check_rigid, fit_similarity
+from bevkit.geometry import (BevGridSpec, CameraModel, Pose2, Pose3, Trajectory, check_rigid, fit_similarity,
+                             pixel_to_vehicle, proper_rotation)
 from bevkit.losses import LossWeights, loss_3dof, loss_5dof, loss_total
 from bevkit.lss import DepthDistribution, assign_cells, build_frustum
 from bevkit.sampler import FrameIndex, build_pair_lists, frames_from_trajectory
@@ -319,7 +320,29 @@ REFUSED = {
     "matrix_to_quat-str": (lambda: matrix_to_quat(I3[None].astype(str)), ValueError, "rot must hold"),
     "FlowStats-str": (lambda: FlowStats(np.array(["0.5", "1"])), ValueError, "epe must hold"),
     "FlowStats-nan": (lambda: FlowStats(np.array([[0.5, math.nan]])), ValueError, "epe contains non-finite entries"),
+    "proper_rotation-str": (lambda: proper_rotation(I3.astype(str)), ValueError, "m must hold"),
+    # an all-NaN or all-inf matrix ended in LinAlgError, an inf on the diagonal hung LAPACK's SVD
+    "proper_rotation-nan": (lambda: proper_rotation(np.full((3, 3), math.nan)), ValueError,
+                            "m contains non-finite entries"),
+    "proper_rotation-inf": (lambda: proper_rotation(np.full((3, 3), -math.inf)), ValueError,
+                            "m contains non-finite entries"),
 }
+
+# u and v of the pixel maps broadcast against each other, so a wrong rank is
+# no fault of theirs: they cannot join ARRAY_TABLE, whose "wrong-rank" case
+# must be refused, and take its dtype and finiteness cases here
+PIXEL_MAPS = {
+    "pixel_to_vehicle": lambda u, v: pixel_to_vehicle(u, v, GRID),
+    "displacement_at": lambda u, v: displacement_at(Pose2(0.1, 0.5, -0.25), GRID, u, v),
+}
+PIXELS = np.array([[1.0, 2.0, 3.5], [0.0, 7.0, 4.25]])
+REFUSED.update({
+    f"{name}-{param}-{kind}": (
+        lambda call=call, param=param, kind=kind: call(**{"u": PIXELS, "v": PIXELS, param: HOSTILE_ARRAYS[kind](PIXELS)}),
+        ValueError, f"{param} contains non-finite entries" if kind in ("nan", "inf") else f"{param} must hold")
+    for name, call in PIXEL_MAPS.items() for param in ("u", "v")
+    for kind in ("str", "bool", "complex", "fraction", "nan", "inf")
+})
 
 
 @pytest.mark.parametrize("call, kind, text", REFUSED.values(), ids=REFUSED.keys())
@@ -327,6 +350,22 @@ def test_listed_coercions_are_refused(call, kind, text):
     with pytest.raises(kind) as info:
         call()
     assert str(info.value).startswith(text) and "\n" not in str(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("u, v", [
+    (3, 5), (2.5, -1.25), (np.float32(2.5), np.int64(7)), ([0, 1, 2], [4.5, 5.5, 6.5]),
+    (np.arange(6).reshape(2, 3), np.arange(6, 0, -1).reshape(2, 3)),
+    (np.linspace(0, 5, 6, dtype=np.float32).reshape(2, 3), PIXELS),
+    (np.asfortranarray(PIXELS.T), np.asfortranarray(PIXELS.T + 0.5)),
+    (np.arange(6.0)[None, :], np.arange(4.0)[:, None]), (np.arange(4.0)[:, None], 2.0),
+], ids=["int-scalars", "float-scalars", "numpy-scalars", "lists", "ints", "float32", "fortran", "broadcast",
+        "column-scalar"])
+@pytest.mark.parametrize("name", PIXEL_MAPS)
+def test_pixel_maps_give_the_bits_of_coerced_coordinates(name, u, v):
+    # np.asarray(x, dtype=float) is how the pixel maps took u and v before the array rule
+    got, want = PIXEL_MAPS[name](u, v), PIXEL_MAPS[name](np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    for a, b in zip(got, want):
+        assert type(a) is type(b) and np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_origin_entries_keep_the_scalar_rule():

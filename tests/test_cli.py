@@ -5,29 +5,17 @@ import json
 import math
 import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import bevkit
 from bevkit.bvt1 import read_bvt1, write_bvt1
 from bevkit.cli import main
 from bevkit.evaluation import Trajectory
 from bevkit.formats import parse_pairs_csv, write_trajectory
 from bevkit.geometry import Pose2, pose2_to_pose3
 
-
-def run_fresh_python(*args):
-    """Run a new interpreter that imports bevkit from the same place as this one."""
-    env = dict(os.environ)
-    src = str(Path(bevkit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
-    )
+from helpers import run_fresh_python
 
 
 def run_cli(args, capsys):
@@ -306,6 +294,18 @@ class TestEvalTraj:
         code, _, err = run_cli(["eval-traj", "--est", est, "--gt", gt], capsys)
         assert code == 1
         assert "error" in err
+
+    def test_positions_whose_covariance_overflows_exit_instead_of_hanging(self, tmp_path):
+        # the ATE fit's covariance overflows to inf, whose SVD never returned; a
+        # fresh process is killed after 30 s, so a hang fails the test.  The
+        # path-length warning printed before the refusal stays (ROADMAP item 7)
+        path = tmp_path / "far.tum"
+        path.write_text("0 0 0 0 0 0 0 1\n1 1e160 0 0 0 0 0 1\n2 -1e160 0 0 0 0 0 1\n")
+        proc = run_fresh_python("-m", "bevkit.cli", "eval-traj", "--est", str(path), "--gt", str(path),
+                                "--lengths", "1", timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "bevkit: error: the weighted covariance of the point sets leaves the float range")
 
 
 class TestSamplePairs:

@@ -12,12 +12,12 @@ from bevkit.geometry import (
     Pose2,
     Pose3,
     check_rigid,
-    closest_rotation,
     fit_similarity,
     invert_rigid,
     pixel_to_vehicle,
     pose2_to_pose3,
     pose3_to_pose2,
+    proper_rotation,
     relative_pose,
     vehicle_to_pixel,
     wrap_angle,
@@ -29,6 +29,7 @@ from helpers import (
     reference_invert_rigid,
     reference_relative_pose,
     rot_z,
+    run_fresh_python,
 )
 
 
@@ -375,11 +376,11 @@ class TestCompose:
         r = acc.rotation
         assert np.linalg.norm(r.T @ r - np.eye(3)) < 1e-9
 
-    def test_closest_rotation_projects(self):
+    def test_proper_rotation_projects(self):
         rng = np.random.default_rng(13)
         r = random_rotation(rng)
         noisy = r + 1e-3 * rng.standard_normal((3, 3))
-        fixed = closest_rotation(noisy)
+        fixed, _ = proper_rotation(noisy)
         assert np.linalg.norm(fixed.T @ fixed - np.eye(3)) < 1e-12
         assert np.linalg.det(fixed) > 0
 
@@ -438,6 +439,39 @@ class TestFitSimilarity:
         assert np.max(np.abs(r - np.diag([1.0, -1.0, -1.0]))) < 1e-12
         assert np.max(np.abs(src @ r.T + t - dst)) < 1e-12
         assert sigma[2] < 1e-12 * sigma[0]
+
+
+def refusal_in_a_fresh_process(call: str) -> str:
+    """What ``call`` raises, as "<type>\\n<message>\\n", in a new interpreter that prints every warning.
+
+    LAPACK's SVD of a matrix that holds an inf may never return, so the
+    interpreter is killed after 30 s and the test fails on the timeout.
+    A warning fails it by its stderr; as an error, it would stop the call
+    before the SVD and hide a hang.
+    """
+    code = ("import numpy as np\n"
+            "from bevkit.geometry import fit_similarity, proper_rotation\n"
+            f"try:\n    {call}\nexcept Exception as exc:\n    print(type(exc).__name__)\n    print(exc)\n")
+    proc = run_fresh_python("-W", "always", "-c", code, timeout=30)
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    return proc.stdout
+
+
+class TestNoSvdOfANonFiniteMatrix:
+    def test_an_overflowing_covariance_is_refused_in_one_line(self):
+        # the covariance of +-1e308 points overflows to inf; its SVD never returned
+        src = "np.array([[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]])"
+        assert refusal_in_a_fresh_process(f"fit_similarity({src}, {src})") == (
+            "DegenerateInputError\nthe weighted covariance of the point sets leaves the float range\n")
+
+    def test_a_matrix_holding_an_inf_is_refused_before_the_svd(self):
+        assert refusal_in_a_fresh_process("proper_rotation(np.diag([np.inf, 1.0, 1.0]))") == (
+            "ValueError\nm contains non-finite entries\n")
+
+    def test_finite_extremes_below_the_overflow_still_fit(self):
+        src = np.array([[0.0, 0.0, 0.0], [1e150, 0.0, 0.0], [-1e150, 0.0, 1e150]])
+        rot, t, _, _ = fit_similarity(src, src)
+        assert np.max(np.abs(rot - np.eye(3))) < 1e-12 and np.max(np.abs(t)) < 1e-12 * 1e150
 
 
 class TestRelativePose:

@@ -40,7 +40,7 @@ from bevkit.formats import (
     write_trajectory,
     write_tum_trajectory,
 )
-from bevkit.geometry import BevGridSpec, Pose2, Pose3, closest_rotation, pose2_to_pose3, wrap_angle
+from bevkit.geometry import BevGridSpec, Pose2, Pose3, pose2_to_pose3, proper_rotation, wrap_angle
 from bevkit.sampler import PairRecord, build_pair_lists, frames_from_trajectory, merge_pair_lists
 from bevkit.synth import (
     _PRIMITIVE,
@@ -170,7 +170,7 @@ class TestQuaternionCodec:
         assert 1e-12 < drift <= 1e-9
         q = matrix_to_quat(r[None])
         assert np.array_equal(q, scipy_quats([r]))
-        assert np.array_equal(q, matrix_to_quat(closest_rotation(r)[None]))
+        assert np.array_equal(q, matrix_to_quat(proper_rotation(r)[0][None]))
 
     @pytest.mark.parametrize("m", [np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3))])
     def test_nonpositive_determinant_rejected(self, m):
@@ -204,7 +204,7 @@ def reference_parse_kitti_poses(text):
         if drift > 1e-4 or abs(det - 1.0) > 1e-4:
             raise ParseError(f"rotation not orthonormal within 0.0001 (drift {drift:.2e}, det {det:.6f})", line=lineno)
         if drift > 1e-9 or abs(det - 1.0) > 1e-9:
-            m[:3, :3] = closest_rotation(r)
+            m[:3, :3] = proper_rotation(r)[0]
         poses.append(m)
     if not poses:
         raise ParseError("pose file contains no poses", line=1)
@@ -625,6 +625,28 @@ class TestCsvFormat:
             write_trajectory(traj, "rosbag")
 
 
+F32_MAX = float(np.finfo(np.float32).max)
+FIRST_INF = 3.4028235677973366e38  # the least float64 that the cast to float32 rounds to inf
+
+
+def reference_write_bvt1(array):
+    """The encoder whose two inf masks judged overflow: more infs in the float32 payload than in the input."""
+    array = np.asarray(array)
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(array, dtype="<f4")
+    if np.isinf(payload).any() and np.isinf(payload).sum() > np.isinf(array).sum():
+        raise FormatError(f"value beyond the float32 range (max {np.finfo(np.float32).max:g})")
+    return b"BVT1" + struct.pack(f"<{array.ndim + 1}I", array.ndim, *array.shape) + payload.tobytes()
+
+
+def bvt1_verdict(write, array):
+    """The bytes ``write`` gives, or the message of its FormatError."""
+    try:
+        return write(array)
+    except FormatError as exc:
+        return str(exc)
+
+
 class TestBvt1:
     def test_two_by_two_layout(self):
         data = write_bvt1(np.array([[1.0, 2.0], [3.0, 4.0]]))
@@ -696,6 +718,25 @@ class TestBvt1:
         values = np.array([np.inf, -np.inf, np.nan, f32max, -f32max, 1e-50])
         back = read_bvt1(write_bvt1(values))
         assert np.array_equal(back, values.astype(np.float32), equal_nan=True)
+
+    @pytest.mark.parametrize("array", [
+        *(np.array([0.5, x]) for x in (1e39, -1e39, F32_MAX, -F32_MAX, FIRST_INF, -FIRST_INF,
+                                      np.nextafter(FIRST_INF, 0.0), -np.nextafter(FIRST_INF, 0.0))),
+        np.array([np.inf, -np.inf, np.nan]), np.array([np.inf, 1e39]), np.array([np.nan, -FIRST_INF]),
+        np.array([np.inf, -3.0, np.nan], dtype=np.float32), np.array([1, -2**63, 2**63 - 1], dtype=np.int64),
+        np.array([1, -2**70, 2**100], dtype=object), np.zeros((0, 3)), np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]),
+        np.asfortranarray([[1.0, 2.0], [3.0, 1e39]]),
+    ], ids=["1e39", "-1e39", "f32max", "-f32max", "first-inf", "-first-inf", "below-first-inf", "-below-first-inf",
+            "inf-nan", "inf-1e39", "nan-first-inf", "float32", "int64", "object-int", "zero-size", "fortran",
+            "fortran-1e39"])
+    def test_the_cast_gives_the_verdict_and_bytes_of_the_inf_masks(self, array):
+        assert bvt1_verdict(write_bvt1, array) == bvt1_verdict(reference_write_bvt1, array)
+
+    def test_an_object_int_beyond_float32_is_refused(self):
+        # the masks ended in TypeError here: np.isinf takes no object array
+        with pytest.raises(FormatError, match="beyond the float32 range"):
+            write_bvt1(np.array([1, 10**39], dtype=object))
+
 
 
 class TestConfig:

@@ -352,8 +352,8 @@ class TestBuildPairListsMatchesReference:
             m[:3, :3] *= math.sqrt(1.0 + (-1) ** (k // 2) * 0.9e-9 / math.sqrt(3.0))
             frames.append(FrameIndex(id=k, timestamp=0.1 * k, pose=Pose3(m)))
         repairs = []
-        project = bevkit.geometry.closest_rotation
-        monkeypatch.setattr(bevkit.geometry, "closest_rotation", lambda r: (repairs.append(1), project(r))[1])
+        project = bevkit.geometry.proper_rotation
+        monkeypatch.setattr(bevkit.geometry, "proper_rotation", lambda r: (repairs.append(1), project(r))[1])
         assert_matches_reference(frames, window_s=10.0, low_deg=0.0, high_deg=180.0)
         assert len(repairs) > 0
 

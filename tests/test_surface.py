@@ -188,6 +188,78 @@ def test_freeze_guard_sees_a_frozen_argument(tmp_path):
     assert freezes(tmp_path) == {"mod.Box.__post_init__"}
 
 
+# The only public functions outside text.py that convert an array argument themselves, and why.
+OWN_CONVERSIONS = {
+    "geometry.invert_rigid": "the hot path of pair mining and segment metrics, unchecked by design",
+    "bvt1.write_bvt1": "check_array's float64 copy would add the 15.9 MB r5 volume to correlate's peak",
+}
+CONVERTERS = ("asarray", "array", "ascontiguousarray")
+
+
+def conversions(src: Path) -> set[str]:
+    """``"module.function"`` of every public function outside ``text.py`` that converts a parameter with a dtype.
+
+    A conversion is ``np.asarray``, ``np.array`` or ``np.ascontiguousarray``
+    of one of the function's own parameters, given a dtype by keyword or
+    position.  A function is public when no name on its path starts with ``_``.
+    """
+    found = set()
+
+    def visit(node, module, scope, params):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, module, scope + [child.name], set())
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                own = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p}
+                visit(child, module, scope + [child.name], own)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "np"
+                    and child.func.attr in CONVERTERS and child.args
+                    and isinstance(child.args[0], ast.Name) and child.args[0].id in params
+                    and (len(child.args) > 1 or any(k.arg == "dtype" for k in child.keywords))
+                    and not any(name.startswith("_") for name in scope)):
+                found.add(".".join([module, *scope]))
+            visit(child, module, scope, params)
+
+    for path in src.glob("*.py"):
+        if path.name != "text.py":
+            visit(ast.parse(path.read_text()), path.stem, [], set())
+    return found
+
+
+def test_only_text_converts_an_argument():
+    # how the library takes an array lives in bevkit.text.check_array: a public
+    # function that converts an array it was handed is writing a rule of its own
+    assert conversions(SRC) == OWN_CONVERSIONS.keys()
+
+
+def test_conversion_guard_sees_a_converted_argument(tmp_path):
+    (tmp_path / "text.py").write_text("import numpy as np\ndef check(a):\n    return np.asarray(a, dtype=float)\n")
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "def by_keyword(u, v):\n"
+        "    return np.asarray(u, dtype=float)\n"
+        "def by_position(*, m):\n"
+        "    return np.array(m, float)\n"
+        "class Box:\n"
+        "    def load(self, data):\n"
+        "        return np.ascontiguousarray(data, dtype='<f4')\n"
+        "    def _private(self, data):\n"
+        "        return np.asarray(data, dtype=float)\n"
+        "def no_dtype(a):\n"
+        "    return np.asarray(a)\n"
+        "def own_array(n):\n"
+        "    x = [n]\n"
+        "    return np.asarray(x, dtype=float)\n"
+        "def _helper(a):\n"
+        "    return np.asarray(a, dtype=float)\n"
+    )
+    assert conversions(tmp_path) == {"mod.by_keyword", "mod.by_position", "mod.Box.load"}
+
+
 def test_io_offers_every_name_the_bench_reads_through_it():
     import bevkit.io
 
