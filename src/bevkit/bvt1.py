@@ -13,6 +13,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError
+from .text import _numeric_array
 
 _BVT1_MAGIC = b"BVT1"
 
@@ -21,9 +22,10 @@ def write_bvt1(array: np.ndarray) -> bytes:
     """Encode an array as BVT1 bytes (float32 payload, row-major), copying the payload into them once.
 
     Raises:
+        ValueError: not integers or floats of at most 64 bits (the array rule, without its float64 copy).
         FormatError: a rank-0 array, or a finite value that float32 cannot hold.
     """
-    array = np.asarray(array)
+    array = _numeric_array("array", array, np.shape(array))
     if array.ndim < 1:
         raise FormatError("rank-0 tensors are not representable")
     header = _BVT1_MAGIC + struct.pack("<I", array.ndim)

@@ -136,11 +136,8 @@ def solve_pose_from_flow(flow: FlowField, weights: np.ndarray | None = None) -> 
         raise DegenerateInputError("need at least two pixels with positive weight")
 
     vs, us = _pixel_lattice(grid)
-    # the lattice and its displaced copy go through one map call: with one call
-    # each, the bev_frames benchmark's peak RSS sat in its 134 MB mode, not at
-    # 124 MB (11 of 12 runs on a 2-core Xeon VM), for the same bits
-    us, vs = np.stack([us, us + flow.data[0]]), np.stack([vs, vs + flow.data[1]])
-    src, dst = np.stack(pixel_to_vehicle(us, vs, grid), axis=-1).reshape(2, -1, 2)
+    src = np.stack(pixel_to_vehicle(us, vs, grid), axis=-1).reshape(-1, 2)
+    dst = np.stack(pixel_to_vehicle(us + flow.data[0], vs + flow.data[1], grid), axis=-1).reshape(-1, 2)
     rot, t, _, sigma = fit_similarity(src, dst, wts.reshape(-1))
     if sigma[0] <= _RANK_TOL:
         raise DegenerateGeometryError("point set is concentrated at one location")

@@ -64,7 +64,7 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
     unless ``with_scale`` (0 when ``src`` has no spread), omitted weights
     are uniform.  Returns (R, t, scale, sigma); callers judge uniqueness by
     ``sigma``, the singular values of sum_i w_i (dst_i - dst_c)(src_i - src_c)^T.
-    Weights without a finite sum > 0, or a covariance past the float range, raise DegenerateInputError.
+    Weights without a finite sum > 0, or a covariance or scale past the float range, raise DegenerateInputError.
     """
     src = check_array("src", src, ("N", "d"))
     dst = check_array("dst", dst, src.shape)
@@ -83,10 +83,16 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
     rot, sigma = proper_rotation(cov)
     scale = 1.0
     if check_arg("with_scale", with_scale, FLAG):
-        # trace(R^T cov): the singular values summed, the last one negated
-        # when proper_rotation fixed a reflection
-        var = float((w * p * p).sum())
-        scale = float(np.sum(rot * cov)) / var if var > 0.0 else 0.0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the scale is judged below
+            # trace(R^T cov): the singular values summed, the last one negated if proper_rotation fixed a reflection
+            trace, var = np.sum(rot * cov), (w * p * p).sum()
+            if not 0.0 < var < math.inf:
+                # squares past the float range: losses._direction's rule, p over its largest magnitude first
+                m = np.abs(p).max()
+                trace, var = trace / m / m, (w * np.square(p / m)).sum()
+            scale = float(trace / var) if var > 0.0 else 0.0
+        if not math.isfinite(scale):
+            raise DegenerateInputError("the scale of the similarity fit leaves the float range")
     return rot, dst_c - scale * rot @ src_c, scale, sigma
 
 

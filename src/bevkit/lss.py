@@ -62,17 +62,13 @@ class DepthDistribution:
 class SplatAssignment:
     """Frustum-to-cell plan of one camera, bin set, image size and grid.
 
-    ``rows``, ``cols`` and ``in_grid`` are per-point (D, H, W) arrays; the
-    row and column of a point whose pixel coordinate leaves the int64 range
-    are meaningless, and ``in_grid`` is False there.  The rest describe only
-    the in-grid points, in (depth, row, column) order: ``points`` holds
-    their flat (D, H, W) indices, ``cells`` their flat cell ids
-    ``row * grid W + col``, and ``pixels`` their flat image pixel index
-    ``hw``.  ``dropped`` counts the points outside the grid.
+    ``in_grid`` is the per-point (D, H, W) mask of the points inside the
+    grid.  The rest describe only those points, in (depth, row, column)
+    order: ``points`` holds their flat (D, H, W) indices, ``cells`` their
+    flat cell ids ``row * grid W + col``, and ``pixels`` their flat image
+    pixel index ``hw``.  ``dropped`` counts the points outside the grid.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
     in_grid: np.ndarray
     points: np.ndarray
     cells: np.ndarray
@@ -131,19 +127,12 @@ def assign_cells(frustum: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
 
 def _assign(pts: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
     """:func:`assign_cells` on a frustum already checked."""
-    # A point far enough out has a pixel coordinate at inf or past int64,
-    # which casts to no meaningful row or column; the float test below puts
-    # it outside the grid, as it does every point that floors outside.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # a far point maps to an infinite pixel coordinate, outside the grid
         u, v = vehicle_to_pixel(pts[..., 0], pts[..., 1], grid)
-        cols = np.floor(u).astype(np.int64)
-        rows = np.floor(v).astype(np.int64)
     in_grid = (v >= 0) & (v < grid.height_px) & (u >= 0) & (u < grid.width_px)
     points = np.flatnonzero(in_grid)
-    cells = rows.ravel()[points] * grid.width_px + cols.ravel()[points]
-    pixels = points % (pts.shape[1] * pts.shape[2])
-    dropped = int(in_grid.size - points.size)
-    return SplatAssignment(rows, cols, in_grid, points, cells, pixels, dropped)
+    cells = (np.floor(v.ravel()[points]) * grid.width_px + np.floor(u.ravel()[points])).astype(np.int64)
+    return SplatAssignment(in_grid, points, cells, points % (pts.shape[1] * pts.shape[2]), in_grid.size - points.size)
 
 
 def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraModel, grid: BevGridSpec):

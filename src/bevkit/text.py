@@ -157,8 +157,8 @@ def check_arg(name: str, value, rule):
     raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
-def _float_array(name: str, value, shape: tuple):
-    """The dtype and shape rule of :func:`check_array`: a writeable C-ordered float64 copy of ``value``."""
+def _numeric_array(name: str, value, shape: tuple):
+    """The dtype and shape rule of :func:`check_array`: ``np.asarray(value)``, not converted."""
     import numpy as np
 
     try:
@@ -172,7 +172,12 @@ def _float_array(name: str, value, shape: tuple):
         letters = ", ".join(dict.fromkeys(k for k in shape if type(k) is str))
         axes = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
         raise ShapeError(f"{name} must have shape ({axes}){letters and f' with {letters} >= 1'}, got {a.shape}")
-    return np.array(a, dtype=float, order="C")  # the one copy: a float32 input is not copied as float32 first
+    return a
+
+
+def _float_array(name: str, value, shape: tuple):
+    """:func:`_numeric_array`, then the one copy: writeable, C-ordered float64 (a float32 input is not copied first)."""
+    return _numeric_array(name, value, shape).astype(float, order="C")
 
 
 def _all_finite(a) -> bool:

@@ -1,11 +1,35 @@
 import importlib.util
 import math
+import os
 import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from helpers import hang_watchdog
+
+# a test that runs this long is hung: about 50 times the slowest test, and above run_fresh_python's 120 s
+HANG_SECONDS = 300
+_WATCHDOG_STREAM = pytest.StashKey()
+
+
+def pytest_configure(config):
+    # output capture is suspended while plugins configure, so fd 2 is the session's
+    # stderr; the watchdog writes there, where a captured test's stderr would be lost
+    config.stash[_WATCHDOG_STREAM] = os.fdopen(os.dup(sys.stderr.fileno()), "w")
+
+
+def pytest_unconfigure(config):
+    config.stash[_WATCHDOG_STREAM].close()
+
+
+@pytest.fixture(autouse=True)
+def fail_a_hang(request):
+    """End the session with every thread's traceback when a test runs past ``HANG_SECONDS``, instead of stalling it."""
+    with hang_watchdog(HANG_SECONDS, request.config.stash[_WATCHDOG_STREAM]):
+        yield
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

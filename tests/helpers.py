@@ -1,9 +1,11 @@
-"""Pose and trajectory helpers the tests share, a fresh interpreter, and the oracles of replaced forms.
+"""Pose and trajectory helpers the tests share, a fresh interpreter, a hang watchdog, and the oracles of replaced forms.
 
 The oracles: the pose inverse, drift screen and relative pose, the
 rotation angle, and lift-splat.
 """
 
+import contextlib
+import faulthandler
 import math
 import os
 import subprocess
@@ -21,8 +23,8 @@ from bevkit.geometry import (
     proper_rotation,
     repair_rotations,
     rotation_error,
+    vehicle_to_pixel,
 )
-from bevkit.lss import assign_cells
 
 
 def run_fresh_python(*args, timeout=120):
@@ -35,6 +37,21 @@ def run_fresh_python(*args, timeout=120):
     src = str(Path(bevkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+@contextlib.contextmanager
+def hang_watchdog(seconds: float, file=None):
+    """Unless the block ends within ``seconds``, write every thread's traceback to ``file`` and end the process.
+
+    ``file`` defaults to ``sys.stderr``.  faulthandler's watchdog is a C
+    thread, so it fires even inside a call that never returns to Python,
+    such as a LAPACK routine; the process exits with status 1.
+    """
+    faulthandler.dump_traceback_later(seconds, exit=True, file=file or sys.stderr)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def rot_z(theta: float) -> np.ndarray:
@@ -114,16 +131,32 @@ def lift(context, depth) -> np.ndarray:
     return context.data[:, None] * depth.data[None]
 
 
+def floored_cells(frustum, grid):
+    """Reference binning: the flat cell ``floor(v) * W + floor(u)`` of every frustum point, and the in-grid mask.
+
+    The mask tests the floored row and column against the grid, as the
+    former ``assign_cells`` did; a cell id is meaningful only where it is
+    True.  Both are (D, H, W) arrays.
+    """
+    u, v = vehicle_to_pixel(frustum[..., 0], frustum[..., 1], grid)
+    cols = np.floor(u).astype(np.int64)
+    rows = np.floor(v).astype(np.int64)
+    in_grid = (rows >= 0) & (rows < grid.height_px) & (cols >= 0) & (cols < grid.width_px)
+    return rows * grid.width_px + cols, in_grid
+
+
 def add_at_splat(lifted, frustum, grid):
     """Reference splat: one ``np.add.at`` of the in-grid points over an (H*W, C) buffer.
 
     Returns (bev, dropped) as ``project_volume`` does, for a (C, D, H, W)
-    ``lifted`` tensor and the (D, H, W, 3) frustum it sits on.
+    ``lifted`` tensor and the (D, H, W, 3) frustum it sits on.  The points
+    are binned by :func:`floored_cells`, not by the plan ``project_volume``
+    uses.
     """
     c = lifted.shape[0]
-    asg = assign_cells(frustum, grid)
-    keep = asg.in_grid.ravel()
-    cells = asg.rows.ravel()[keep] * grid.width_px + asg.cols.ravel()[keep]
+    cells, in_grid = floored_cells(frustum, grid)
+    keep = in_grid.ravel()
+    cells = cells.ravel()[keep]
     vals = lifted.reshape(c, -1)[:, keep]
     bev_flat = np.zeros((grid.height_px * grid.width_px, c))
     np.add.at(bev_flat, cells, vals.T)

@@ -419,6 +419,40 @@ class TestFitSimilarity:
         assert np.max(np.abs(r - rot)) < 1e-12
         assert np.max(np.abs(t - [1.0, 2.0, 3.0])) < 1e-11
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sim3_fits_keep_the_bits_of_the_plain_variance(self, seed):
+        # the former formula: trace(R^T cov) over sum_i w_i |src_i - src_c|^2, both as Python floats
+        rng = np.random.default_rng(300 + seed)
+        d, n = (2, 3)[seed % 2], int(rng.integers(3, 60))
+        src = rng.uniform(-10.0, 10.0, (n, d)) * 10.0 ** rng.uniform(-3, 3)
+        dst = rng.uniform(0.1, 5.0) * src @ random_rotation(rng)[:d, :d].T + rng.normal(size=(n, d))
+        weights = None if seed < 2 else rng.uniform(0.0, 3.0, n)
+        rot, t, scale, _ = fit_similarity(src, dst, weights, with_scale=True)
+        w = (np.ones(n) if weights is None else weights)[:, None]
+        src_c, dst_c = (w * src).sum(axis=0) / w.sum(), (w * dst).sum(axis=0) / w.sum()
+        p = src - src_c
+        want = float(np.sum(rot * ((w * (dst - dst_c)).T @ p))) / float((w * p * p).sum())
+        assert scale == want and np.array_equal(t, dst_c - want * rot @ src_c)
+
+    @pytest.mark.parametrize("spread, factor", [(1e200, 1e-200), (1e-200, 1e200), (1e155, 1e-3)],
+                             ids=["overflow", "underflow", "overflow-near-the-limit"])
+    def test_a_spread_whose_squares_leave_the_float_range_keeps_its_scale(self, spread, factor):
+        # sum_i |p_i|^2 is 2 * spread^2: past the float range it overflowed, with a warning, or
+        # rounded to zero, and the scale read 0; a numpy warning fails the test under the suite's settings
+        src = np.array([[0.0], [spread], [-spread]])
+        rot, t, scale, _ = fit_similarity(src, src * factor, with_scale=True)
+        assert rot.tolist() == [[1.0]] and t.tolist() == [0.0]
+        assert abs(scale / factor - 1.0) < 1e-15
+
+    def test_a_scale_past_the_float_range_is_refused(self):
+        src = np.array([[0.0], [1e-200], [-1e-200]])
+        with pytest.raises(DegenerateInputError, match="^the scale of the similarity fit leaves the float range$"):
+            fit_similarity(src, np.array([[0.0], [1e200], [-1e200]]), with_scale=True)
+
+    def test_a_point_set_without_spread_has_scale_zero(self):
+        src = np.ones((4, 3))
+        assert fit_similarity(src, np.random.default_rng(26).normal(size=(4, 3)), with_scale=True)[2] == 0.0
+
     def test_mirrored_2d_points_give_the_best_proper_rotation(self):
         # the cross-covariance diag(200, -2) makes U V^T a reflection; with
         # more spread along x the best proper rotation is the identity

@@ -724,18 +724,26 @@ class TestBvt1:
                                       np.nextafter(FIRST_INF, 0.0), -np.nextafter(FIRST_INF, 0.0))),
         np.array([np.inf, -np.inf, np.nan]), np.array([np.inf, 1e39]), np.array([np.nan, -FIRST_INF]),
         np.array([np.inf, -3.0, np.nan], dtype=np.float32), np.array([1, -2**63, 2**63 - 1], dtype=np.int64),
-        np.array([1, -2**70, 2**100], dtype=object), np.zeros((0, 3)), np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]),
-        np.asfortranarray([[1.0, 2.0], [3.0, 1e39]]),
+        np.zeros((0, 3)), np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]), np.asfortranarray([[1.0, 2.0], [3.0, 1e39]]),
     ], ids=["1e39", "-1e39", "f32max", "-f32max", "first-inf", "-first-inf", "below-first-inf", "-below-first-inf",
-            "inf-nan", "inf-1e39", "nan-first-inf", "float32", "int64", "object-int", "zero-size", "fortran",
-            "fortran-1e39"])
+            "inf-nan", "inf-1e39", "nan-first-inf", "float32", "int64", "zero-size", "fortran", "fortran-1e39"])
     def test_the_cast_gives_the_verdict_and_bytes_of_the_inf_masks(self, array):
         assert bvt1_verdict(write_bvt1, array) == bvt1_verdict(reference_write_bvt1, array)
 
     def test_an_object_int_beyond_float32_is_refused(self):
-        # the masks ended in TypeError here: np.isinf takes no object array
-        with pytest.raises(FormatError, match="beyond the float32 range"):
+        # by the array rule's dtype check, before any cast; the masks ended in TypeError here
+        with pytest.raises(ValueError, match=r"^array must hold integers or floats of at most 64 bits, got dtype object$"):
             write_bvt1(np.array([1, 10**39], dtype=object))
+
+    @pytest.mark.parametrize("array, dtype", [
+        (np.array([1, -2**70, 2**100], dtype=object), "object"), ([1, None], "object"),
+        (np.array(["1.5", "2"]), "<U3"), (np.array([True, False]), "bool"), (np.array([1 + 2j, 3.0]), "complex128"),
+    ], ids=["object-int", "object-none", "str", "bool", "complex"])
+    def test_the_array_rule_refuses_what_it_does_not_take(self, array, dtype):
+        # these were cast to float32 without a word ([1, None] became [1, nan]), or with numpy's ComplexWarning
+        with pytest.raises(ValueError, match=re.escape(f"array must hold integers or floats of at most 64 bits, "
+                                                       f"got dtype {dtype}")):
+            write_bvt1(array)
 
 
 

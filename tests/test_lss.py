@@ -6,9 +6,9 @@ import pytest
 from bevkit import io as bevio
 from bevkit.correlation import FeatureMap
 from bevkit.errors import InvalidCameraError, ShapeError
-from bevkit.geometry import BevGridSpec, CameraModel, pixel_to_vehicle, vehicle_to_pixel
+from bevkit.geometry import BevGridSpec, CameraModel, pixel_to_vehicle
 from bevkit.lss import DepthDistribution, assign_cells, build_frustum, project_volume
-from helpers import add_at_splat, lift, rot_z
+from helpers import add_at_splat, floored_cells, lift, rot_z
 
 
 def identity_camera(f=100.0, cx=8.0, cy=6.0):
@@ -48,15 +48,6 @@ def project_row(features, grid, f=100.0, cx=1.0, bins=(2.0,)):
     features = np.asarray(features, dtype=float)
     depth = DepthDistribution(np.ones((len(bins), 1, features.shape[1])), bins)
     return project_volume(FeatureMap(features[:, None, :]), depth, forward_camera(f=f, cx=cx, cy=0.5), grid)
-
-
-def floored_assign(frustum, grid):
-    """Reference: the former assign_cells, which tested the floored row and column against the grid."""
-    u, v = vehicle_to_pixel(frustum[..., 0], frustum[..., 1], grid)
-    cols = np.floor(u).astype(np.int64)
-    rows = np.floor(v).astype(np.int64)
-    in_grid = (rows >= 0) & (rows < grid.height_px) & (cols >= 0) & (cols < grid.width_px)
-    return rows, cols, in_grid
 
 
 def assert_matches_reference_pair(volume, depth, camera, grid):
@@ -182,7 +173,8 @@ class TestBuildFrustum:
         asg = assign_cells(pts, BevGridSpec(8, 8, 1.0))
         pts[0, 0, 0, 0] = 1.0
         assert pts.flags.writeable
-        assert asg.rows.tolist() == [[[3, 3], [3, 3]]] and np.all(asg.in_grid)
+        # every point sits at (u, v) = (3.5, 3.5): row 3, column 3
+        assert asg.cells.tolist() == [3 * 8 + 3] * 4 and np.all(asg.in_grid)
 
     def test_frustum_validation(self):
         grid = BevGridSpec(8, 8, 1.0)
@@ -250,15 +242,14 @@ class TestAssignCells:
             ]
         )
         asg = assign_cells(fr, self.GRID)
-        assert asg.cols.ravel().tolist() == [4, 2, 7]
-        assert asg.rows.ravel().tolist() == [4, 2, 0]
+        assert asg.cells.tolist() == [4 * 8 + 4, 2 * 8 + 2, 0 * 8 + 7]
         assert np.all(asg.in_grid)
 
     def test_lower_edge_belongs_to_cell(self):
         # v exactly 2.0 floors into row 2, not row 1.
         fr = self.frustum_of([[2.0, 0.0, 0.0]])
         asg = assign_cells(fr, self.GRID)
-        assert asg.rows.ravel().tolist() == [2]
+        assert asg.cells.tolist() == [2 * 8 + 4]
 
     def test_out_of_grid_flagged(self):
         fr = self.frustum_of(
@@ -288,18 +279,20 @@ class TestAssignCells:
         edges = np.stack([*pixel_to_vehicle(us, vs, grid), np.zeros(us.shape)], axis=-1)[None]
         for pts in (random_pts, edges):
             asg = assign_cells(pts, grid)
-            rows, cols, in_grid = floored_assign(pts, grid)
-            assert np.array_equal(asg.rows, rows)
-            assert np.array_equal(asg.cols, cols)
+            cells, in_grid = floored_cells(pts, grid)
             assert np.array_equal(asg.in_grid, in_grid)
+            assert np.array_equal(asg.cells, cells[in_grid])
 
     def test_plan_lists_in_grid_points_in_order(self):
         rng = np.random.default_rng(63)
-        asg = assign_cells(rng.uniform(-6.0, 6.0, size=(4, 3, 5, 3)), self.GRID)
+        pts = rng.uniform(-6.0, 6.0, size=(4, 3, 5, 3))
+        asg = assign_cells(pts, self.GRID)
         keep = asg.in_grid.ravel()
         assert 0 < np.count_nonzero(keep) < keep.size
         assert np.array_equal(asg.points, np.flatnonzero(keep))
-        assert np.array_equal(asg.cells, (asg.rows * 8 + asg.cols).ravel()[keep])
+        cells, in_grid = floored_cells(pts, self.GRID)
+        assert np.array_equal(asg.in_grid, in_grid)
+        assert np.array_equal(asg.cells, cells[in_grid])
         assert np.array_equal(asg.pixels, np.broadcast_to(np.arange(15), (4, 15)).ravel()[keep])
         assert asg.dropped == keep.size - np.count_nonzero(keep)
 
@@ -456,6 +449,17 @@ class TestProjectVolume:
         (bev, _), peak = peak_bytes(lambda: project_volume(volume, depth, cfg.camera, cfg.grid))
         assert bev.shape == (64, 128, 128)
         assert peak < 48e6
+
+    def test_peak_at_bench_shape_holds_live_arrays_only(self, peak_bytes, monkeypatch):
+        # the 8.4 MB output, the 4.3 MB frustum, its two 1.4 MB pixel coordinate maps, the in-grid
+        # plan and a point buffer per thread: measured 17.2 MB on two threads, and 20.1 MB when the
+        # plan also kept a floored row and column of every frustum point
+        from bevkit import _threads
+
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
+        volume, depth, cfg = bench_inputs(np.random.default_rng(67))
+        _, peak = peak_bytes(lambda: project_volume(volume, depth, cfg.camera, cfg.grid))
+        assert peak < 18.5e6, f"project_volume peaked at {peak / 1e6:.2f} MB"
 
     def test_channel_concat_equivalence(self):
         rng = np.random.default_rng(58)

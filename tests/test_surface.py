@@ -30,12 +30,6 @@ KEPT = {
     "correlation.channel_index": "the inverse of channel_offset: where displacement (dx, dy) lives in a volume",
     "correlation.peak_displacement": "the readout of a correlation volume",
     "formats.parse_pairs_csv": "the reader of the format write_pairs_csv writes",
-    # measured on the bev_frames benchmark workload (seed 1, --seconds 4, 2-core
-    # Xeon VM): a plan without them frees them before the pool allocates, and in
-    # 5 of 5 alternating pairs the worker's peak RSS read 134.1-134.4 MB without
-    # them against 124.1-124.3 MB with them
-    "lss.SplatAssignment.rows": "assign_cells computes them anyway; freeing them early raises peak RSS",
-    "lss.SplatAssignment.cols": "see lss.SplatAssignment.rows",
 }
 
 
