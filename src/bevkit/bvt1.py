@@ -25,7 +25,7 @@ def write_bvt1(array: np.ndarray) -> bytes:
         ValueError: not integers or floats of at most 64 bits (the array rule, without its float64 copy).
         FormatError: a rank-0 array, or a finite value that float32 cannot hold.
     """
-    array = _numeric_array("array", array, np.shape(array))
+    array = _numeric_array("array", array, None)
     if array.ndim < 1:
         raise FormatError("rank-0 tensors are not representable")
     header = _BVT1_MAGIC + struct.pack("<I", array.ndim)

@@ -69,17 +69,32 @@ class MetricsReport:
         }
 
 
+def _row_norms(t: np.ndarray, norm) -> np.ndarray:
+    """``norm(t)`` of a float (N, 3) array, with each norm that leaves the float range from a finite row rescaled.
+
+    Squares of entries above about 1.3e154 overflow; such a norm becomes
+    ``m * norm(row / m)``, ``m`` the row's largest magnitude, as in
+    ``losses._direction``.  Every other norm keeps its bits.
+    """
+    with np.errstate(over="ignore"):  # a norm past the float range stays inf
+        out = norm(t)
+        for k in np.flatnonzero(~np.isfinite(out) & np.isfinite(t).all(axis=1)).tolist():
+            m = np.abs(t[k]).max()
+            out[k] = m * norm(t[k:k + 1] / m)[0]
+    return out
+
+
 def path_lengths(traj: Trajectory) -> np.ndarray:
     """Accumulated path length at every frame, starting at 0."""
     diffs = np.diff(traj.positions, axis=0)
     # plain elementwise square/sum/sqrt; keeps the arithmetic identical to
     # a scalar accumulation loop, which BLAS-backed norms need not be
-    steps = np.sqrt((diffs * diffs).sum(axis=1))
+    steps = _row_norms(diffs, lambda d: np.sqrt((d * d).sum(axis=1)))
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (N, 3) array.
+    """Euclidean norms of the rows of an (N, 3) array, rescaled by :func:`_row_norms`.
 
     Each is the bits ``np.linalg.norm`` gives for that row alone: a batch
     of 1x3 by 3x1 products sums like its dot product, while elementwise
@@ -87,7 +102,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
     nine.
     """
     t = np.ascontiguousarray(v, dtype=float)
-    return np.sqrt((t[:, None, :] @ t[:, :, None])[:, 0, 0])
+    return _row_norms(t, lambda x: np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]))
 
 
 def _rotation_angles(rot: np.ndarray) -> list[float]:

@@ -64,8 +64,8 @@ def displacement_at(t_rel: Pose2, grid: BevGridSpec, u, v):
     with a = u - o_x, b = o_y - v, so that zero motion produces exactly
     zero flow with no rounding residue.
     """
-    u = check_array("u", u, np.shape(u))
-    v = check_array("v", v, np.shape(v))
+    u = check_array("u", u, None)
+    v = check_array("v", v, None)
     o_x, o_y = grid.origin_px
     r = grid.resolution_m
     a = u - o_x

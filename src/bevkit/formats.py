@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ParseError
-from .geometry import ORTHONORMALITY_TOL, Trajectory, proper_rotation, rotation_error, screen_rotations
+from .geometry import Trajectory, is_rotation, proper_rotation, rotation_error
 from .text import AT_LEAST_ZERO, Rows, check_arg, check_array, format_rows, read_rows
 
 if TYPE_CHECKING:
@@ -63,14 +63,14 @@ def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajec
     poses[:, :3] = rows.reshape(-1, 3, 4)
     poses[:, 3, 3] = 1.0
     rot = poses[:, :3, :3]
-    for i in np.flatnonzero(screen_rotations(rot)).tolist():
-        drift, det = rotation_error(rot[i])
-        if drift > _PARSE_ROT_TOL or abs(det - 1.0) > _PARSE_ROT_TOL:
-            raise ParseError(
-                f"rotation not orthonormal within {_PARSE_ROT_TOL:g} (drift {drift:.2e}, det {det:.6f})", line=i + 1
-            )
-        if drift > ORTHONORMALITY_TOL or abs(det - 1.0) > ORTHONORMALITY_TOL:
-            rot[i] = proper_rotation(rot[i])[0]
+    drift, det = rotation_error(rot)
+    refused = np.flatnonzero(~is_rotation(drift, det, _PARSE_ROT_TOL))
+    if refused.size:
+        i = int(refused[0])
+        raise ParseError(f"rotation not orthonormal within {_PARSE_ROT_TOL:g} "
+                         f"(drift {drift[i]:.2e}, det {det[i]:.6f})", line=i + 1)
+    for i in np.flatnonzero(~is_rotation(drift, det)).tolist():
+        rot[i] = proper_rotation(rot[i])[0]
     if failure is not None:
         raise failure
     if not values:

@@ -64,7 +64,8 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
     unless ``with_scale`` (0 when ``src`` has no spread), omitted weights
     are uniform.  Returns (R, t, scale, sigma); callers judge uniqueness by
     ``sigma``, the singular values of sum_i w_i (dst_i - dst_c)(src_i - src_c)^T.
-    Weights without a finite sum > 0, or a covariance or scale past the float range, raise DegenerateInputError.
+    Weights without a finite sum > 0, or a covariance, scale or translation past the float range, raise
+    DegenerateInputError.
     """
     src = check_array("src", src, ("N", "d"))
     dst = check_array("dst", dst, src.shape)
@@ -93,85 +94,64 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
             scale = float(trace / var) if var > 0.0 else 0.0
         if not math.isfinite(scale):
             raise DegenerateInputError("the scale of the similarity fit leaves the float range")
-    return rot, dst_c - scale * rot @ src_c, scale, sigma
+    with np.errstate(over="ignore", invalid="ignore"):  # the translation is judged below
+        t = dst_c - scale * rot @ src_c
+    if not np.isfinite(t).all():
+        raise DegenerateInputError("the translation of the similarity fit leaves the float range")
+    return rot, t, scale, sigma
 
 
-def rotation_error(r: np.ndarray) -> tuple[float, float]:
-    """The rotation rule: drift ||R^T R - I||_F and det R of one 3x3 block.
+def _rule(a, b, c, d, e, f, g, h, i, sqrt):
+    """The rotation rule's drift ||R^T R - I||_F and det R of R = [[a, b, c], [d, e, f], [g, h, i]].
 
-    A block is a rotation when the drift and ``|det - 1|`` are both within
-    ``ORTHONORMALITY_TOL``.  Every verdict on a rotation comes from here;
-    the array passes below only pick the blocks that need one.
+    Each step is one IEEE operation in a fixed order, so nine floats with
+    ``math.sqrt`` and nine float64 arrays with ``np.sqrt`` give the same bits.
     """
-    return float(np.linalg.norm(r.T @ r - np.eye(3))), float(np.linalg.det(r))
+    # the six distinct entries of R^T R - I, from the columns (a, d, g), (b, e, h), (c, f, i)
+    xx, yy, zz = a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0, c * c + f * f + i * i - 1.0
+    xy, xz, yz = a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i
+    drift = sqrt(xx * xx + yy * yy + zz * zz + 2.0 * (xy * xy + xz * xz + yz * yz))
+    return drift, a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _drifted(r: np.ndarray) -> np.ndarray:
-    """Mask of the blocks of an (N, 3, 3) stack whose drift is past half the tolerance or not a number.
+def rotation_error(r: np.ndarray):
+    """The rotation rule: drift ||R^T R - I||_F and det R, floats for one 3x3 block, arrays for an (N, 3, 3) stack.
 
-    Half, because this array form may differ from the scalar rule's in the
-    last bits: every block the rule finds past the tolerance is flagged.
+    A block is a rotation when :func:`is_rotation` passes its drift and
+    det; a NaN, as from entries whose products overflow, never does.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the six distinct entries of R^T R - I, each summed from column products
-        x, y, z = r[:, 0], r[:, 1], r[:, 2]
-        diag = [x[:, i] * x[:, i] + y[:, i] * y[:, i] + z[:, i] * z[:, i] - 1.0 for i in range(3)]
-        off = [x[:, i] * x[:, j] + y[:, i] * y[:, j] + z[:, i] * z[:, j] for i, j in ((0, 1), (0, 2), (1, 2))]
-        squares = sum(d * d for d in diag) + 2.0 * sum(e * e for e in off)
-        return ~(np.sqrt(squares) <= 0.5 * ORTHONORMALITY_TOL)
+    if r.ndim == 2:
+        (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+        return _rule(a, b, c, d, e, f, g, h, i, math.sqrt)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are the rule's verdicts
+        return _rule(*(r[:, j, k] for j in range(3) for k in range(3)), np.sqrt)
 
 
-def screen_rotations(r: np.ndarray) -> np.ndarray:
-    """Mask of the blocks of an (N, 3, 3) stack that :func:`rotation_error` must judge.
-
-    A block is flagged by :func:`_drifted`, or when ``|det - 1|`` is past
-    half the tolerance or not a number.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        det_err = np.abs(np.linalg.det(r) - 1.0)
-    return _drifted(r) | ~(det_err <= 0.5 * ORTHONORMALITY_TOL)
+def is_rotation(drift, det, tol: float = ORTHONORMALITY_TOL):
+    """Whether the drift and ``|det - 1|`` are both within ``tol``: a bool for floats, a mask for arrays."""
+    return (drift <= tol) & (abs(det - 1.0) <= tol)
 
 
 def repair_rotations(mats: np.ndarray):
     """Re-orthonormalize, in place, each rotation block of an (N, 4, 4) stack that drifts past the tolerance.
 
-    Drift alone decides; a flagged block whose scalar drift passes
-    ``ORTHONORMALITY_TOL`` becomes its closest rotation.
+    Drift alone decides: each block whose drift passes ``ORTHONORMALITY_TOL``
+    becomes its closest rotation, and one whose drift is NaN stays as it is.
     """
     r = mats[:, :3, :3]
-    for k in np.flatnonzero(_drifted(r)).tolist():
-        if rotation_error(r[k])[0] > ORTHONORMALITY_TOL:
-            r[k] = proper_rotation(r[k])[0]
-
-
-def _plainly_rigid(m: np.ndarray) -> bool:
-    """Whether the float 4x4 ``m`` passes :func:`_check_rigid_matrix` with room to spare, judged in Python floats.
-
-    True only when its 12 top entries sum to a finite number, its bottom
-    row is exactly (0, 0, 0, 1), and its drift and ``|det - 1|`` are both
-    within half the tolerance.  These sums may differ from numpy's in the
-    last bits, so a pose this passes is a pose the scalar rule accepts.
-    """
-    (a, b, c, tx), (d, e, f, ty), (g, h, i, tz), bottom = m.tolist()
-    if bottom != [0.0, 0.0, 0.0, 1.0] or not math.isfinite(a + b + c + d + e + f + g + h + i + tx + ty + tz):
-        return False
-    # the six distinct entries of R^T R - I, from the columns (a, d, g), (b, e, h), (c, f, i)
-    ab, ac, bc = a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i
-    drift = math.hypot(a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0, c * c + f * f + i * i - 1.0,
-                       ab, ab, ac, ac, bc, bc)
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return drift <= 0.5 * ORTHONORMALITY_TOL and abs(det - 1.0) <= 0.5 * ORTHONORMALITY_TOL
+    for k in np.flatnonzero(rotation_error(r)[0] > ORTHONORMALITY_TOL).tolist():
+        r[k] = proper_rotation(r[k])[0]
 
 
 def _check_rigid_matrix(m: np.ndarray):
-    """Raise ValueError unless the float 4x4 ``m`` is a rigid transform, as :class:`Pose3` demands."""
-    check_array("pose matrix", m, (4, 4))  # Pose3's finiteness verdict, for check_rigid's frames
-    if not np.array_equal(m[3], np.array([0.0, 0.0, 0.0, 1.0])):
+    """Raise ValueError unless the finite float 4x4 ``m`` is a rigid transform, as :class:`Pose3` demands."""
+    (a, b, c, _), (d, e, f, _), (g, h, i, _), bottom = m.tolist()
+    if bottom != [0.0, 0.0, 0.0, 1.0]:
         raise ValueError("pose bottom row must be exactly (0, 0, 0, 1)")
-    drift, det = rotation_error(m[:3, :3])
-    if drift > ORTHONORMALITY_TOL:
+    drift, det = _rule(a, b, c, d, e, f, g, h, i, math.sqrt)
+    if not drift <= ORTHONORMALITY_TOL:
         raise ValueError("rotation block is not orthonormal within 1e-9")
-    if abs(det - 1.0) > ORTHONORMALITY_TOL:
+    if not abs(det - 1.0) <= ORTHONORMALITY_TOL:
         raise ValueError("rotation block must have determinant +1")
 
 
@@ -187,8 +167,7 @@ class Pose3:
 
     def __post_init__(self):
         m = check_array("pose matrix", self.matrix, (4, 4))
-        if not _plainly_rigid(m):
-            _check_rigid_matrix(m)
+        _check_rigid_matrix(m)
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -228,32 +207,30 @@ def check_rigid(poses: np.ndarray):
     """Refuse an (N, 4, 4) stack unless :class:`Pose3` would accept every matrix in it.
 
     Raises the error the first bad matrix's ``Pose3`` would raise, its
-    message prefixed with ``pose <index>: ``.  Each matrix that is not
-    finite, has a wrong bottom row or is flagged by
-    :func:`screen_rotations` is judged by the scalar check ``Pose3`` runs,
-    so the verdicts agree even at the tolerance.
+    message prefixed with ``pose <index>: ``.  The stacked rule gives the
+    bits of the one ``Pose3`` runs, so one mask finds that matrix.
     """
     if np.shape(poses) == (0, 4, 4):
         return  # no frame to judge
     # the dtype and shape half of the array rule: finiteness is judged per frame, in order, below
     poses = _float_array("poses", poses, ("N", 4, 4))
-    suspect = (
+    bad = (
         ~np.all(np.isfinite(poses), axis=(1, 2))
         | np.any(poses[:, 3] != (0.0, 0.0, 0.0, 1.0), axis=1)
-        | screen_rotations(poses[:, :3, :3])
+        | ~is_rotation(*rotation_error(poses[:, :3, :3]))
     )
-    for i in np.flatnonzero(suspect).tolist():
+    for i in np.flatnonzero(bad).tolist():
         try:
-            _check_rigid_matrix(poses[i])
+            _check_rigid_matrix(check_array("pose matrix", poses[i], (4, 4)))
         except ValueError as exc:
             raise ValueError(f"pose {i}: {exc}") from None
 
 
 def relative_pose(a: Pose3, b: Pose3) -> Pose3:
-    """Transform taking frame a to frame b: inverse(a) * b, repaired by :func:`repair_rotations`."""
+    """Transform taking frame a to frame b: inverse(a) * b, repaired as :func:`repair_rotations` repairs."""
     m = invert_rigid(a.matrix[None])[0] @ b.matrix
-    if not _plainly_rigid(m):
-        repair_rotations(m[None])
+    if rotation_error(m[:3, :3])[0] > ORTHONORMALITY_TOL:
+        m[:3, :3] = proper_rotation(m[:3, :3])[0]
     return Pose3(m)
 
 
@@ -380,8 +357,8 @@ def pixel_to_vehicle(u, v, grid: BevGridSpec) -> tuple[np.ndarray, np.ndarray]:
     Accepts scalars or broadcastable arrays; returns two arrays of the
     broadcast shape.  The map is x = (o_y - v) * r, y = (u - o_x) * r.
     """
-    u = check_array("u", u, np.shape(u))
-    v = check_array("v", v, np.shape(v))
+    u = check_array("u", u, None)
+    v = check_array("v", v, None)
     o_x, o_y = grid.origin_px
     x, y = np.broadcast_arrays((o_y - v) * grid.resolution_m, (u - o_x) * grid.resolution_m)
     return x, y
@@ -418,8 +395,7 @@ class CameraModel:
             raise InvalidCameraError("intrinsics must be upper triangular")
         if np.any(np.diag(k) <= 0.0):
             raise InvalidCameraError("intrinsic diagonal entries must be positive")
-        drift, det = rotation_error(e[:, :3])
-        if drift > ORTHONORMALITY_TOL or abs(det - 1.0) > ORTHONORMALITY_TOL:
+        if not is_rotation(*rotation_error(e[:, :3])):
             raise InvalidCameraError("extrinsic rotation is not a proper rotation within 1e-9")
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "extrinsics", e)

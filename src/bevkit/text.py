@@ -157,7 +157,7 @@ def check_arg(name: str, value, rule):
     raise ValueError(f"{name} must be {text}, got {value!r}")
 
 
-def _numeric_array(name: str, value, shape: tuple):
+def _numeric_array(name: str, value, shape: tuple | None):
     """The dtype and shape rule of :func:`check_array`: ``np.asarray(value)``, not converted."""
     import numpy as np
 
@@ -167,7 +167,7 @@ def _numeric_array(name: str, value, shape: tuple):
         raise ValueError(f"{name}: {exc}") from None
     if a.dtype.kind not in "iuf" or a.dtype.itemsize > 8:
         raise ValueError(f"{name} must hold integers or floats of at most 64 bits, got dtype {a.dtype}")
-    if a.shape != shape and not (a.ndim == len(shape) and all(
+    if shape is not None and a.shape != shape and not (a.ndim == len(shape) and all(
             n == k or type(k) is str and n > 0 for n, k in zip(a.shape, shape))):
         letters = ", ".join(dict.fromkeys(k for k in shape if type(k) is str))
         axes = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
@@ -175,7 +175,7 @@ def _numeric_array(name: str, value, shape: tuple):
     return a
 
 
-def _float_array(name: str, value, shape: tuple):
+def _float_array(name: str, value, shape: tuple | None):
     """:func:`_numeric_array`, then the one copy: writeable, C-ordered float64 (a float32 input is not copied first)."""
     return _numeric_array(name, value, shape).astype(float, order="C")
 
@@ -193,16 +193,17 @@ def _all_finite(a) -> bool:
     return math.isfinite(total) or bool(np.isfinite(a).all())
 
 
-def check_array(name: str, value, shape: tuple):
+def check_array(name: str, value, shape: tuple | None):
     """A read-only, C-ordered float64 copy of ``value``, or a one-line error that names ``name``.
 
     ``shape`` holds an int per axis, or a letter such as ``"N"`` for any
-    length >= 1.  Raises ValueError unless the dtype is an integer or a
-    float of at most 8 bytes (bool, string, object, complex and longdouble
-    are refused), ShapeError on a wrong rank or axis length, and
-    ValueError on a non-finite entry.  Integers and floats become float64
-    as ``np.array(value, dtype=float)`` makes them, so the bits are the
-    ones that call gives, whatever the memory layout of ``value``.
+    length >= 1; None takes the shape of ``value`` itself.  Raises
+    ValueError unless the dtype is an integer or a float of at most 8
+    bytes (bool, string, object, complex and longdouble are refused),
+    ShapeError on a wrong rank or axis length, and ValueError on a
+    non-finite entry.  Integers and floats become float64 as
+    ``np.array(value, dtype=float)`` makes them, so the bits are the ones
+    that call gives, whatever the memory layout of ``value``.
     """
     a = _float_array(name, value, shape)
     if not _all_finite(a):

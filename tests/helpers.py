@@ -1,6 +1,6 @@
 """Pose and trajectory helpers the tests share, a fresh interpreter, a hang watchdog, and the oracles of replaced forms.
 
-The oracles: the pose inverse, drift screen and relative pose, the
+The oracles: the pose inverse, the rotation rule and relative pose, the
 rotation angle, and lift-splat.
 """
 
@@ -22,7 +22,6 @@ from bevkit.geometry import (
     _check_rigid_matrix,
     proper_rotation,
     repair_rotations,
-    rotation_error,
     vehicle_to_pixel,
 )
 
@@ -87,21 +86,32 @@ def reference_invert_rigid(poses: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_drifted(r: np.ndarray) -> np.ndarray:
-    """The drift screen from one stacked ``R^T R - I``: the oracle of ``geometry._drifted``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.matmul(np.swapaxes(r, 1, 2), r) - np.eye(3)
-        return ~(np.sqrt((gram * gram).sum(axis=(1, 2))) <= 0.5 * ORTHONORMALITY_TOL)
+def reference_rotation_error(r: np.ndarray) -> tuple[float, float]:
+    """The rotation rule of one 3x3 block in Python floats, Gram entry by Gram entry: the oracle of ``rotation_error``.
+
+    Entry (j, k) of ``R^T R - I`` sums the column products over the rows
+    in order; the squares of the diagonal, then twice those of the upper
+    triangle, make the drift's square; det R is the cofactor expansion
+    along the first row.
+    """
+    rows = r.tolist()
+    cols = list(zip(*rows))
+    gram = [[cols[j][0] * cols[k][0] + cols[j][1] * cols[k][1] + cols[j][2] * cols[k][2] - (j == k) * 1.0
+             for k in range(3)] for j in range(3)]
+    diagonal = gram[0][0] * gram[0][0] + gram[1][1] * gram[1][1] + gram[2][2] * gram[2][2]
+    upper = gram[0][1] * gram[0][1] + gram[0][2] * gram[0][2] + gram[1][2] * gram[1][2]
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return math.sqrt(diagonal + 2.0 * upper), a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def reference_relative_pose(a: Pose3, b: Pose3) -> np.ndarray:
-    """inverse(a) * b with every check run, as ``relative_pose`` did before its scalar screen.
+    """inverse(a) * b with every check run, as ``relative_pose`` did before it judged the product once.
 
-    The per-frame inverse, then the stacked drift screen with the scalar
-    rule's repair, then the full rigid check; returns the matrix.
+    The per-frame inverse, then the repair where the float rule's drift
+    passes the tolerance, then the full rigid check; returns the matrix.
     """
     m = reference_invert_rigid(a.matrix[None])[0] @ b.matrix
-    if reference_drifted(m[None, :3, :3])[0] and rotation_error(m[:3, :3])[0] > ORTHONORMALITY_TOL:
+    if reference_rotation_error(m[:3, :3])[0] > ORTHONORMALITY_TOL:
         m[:3, :3] = proper_rotation(m[:3, :3])[0]
     _check_rigid_matrix(m)
     return m

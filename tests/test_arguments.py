@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bevkit.bvt1 import write_bvt1
 from bevkit.cli import main
 from bevkit.config import default_config
 from bevkit.correlation import CorrelationVolume, FeatureMap, channel_index, channel_offset, local_correlation
@@ -326,6 +327,8 @@ REFUSED = {
                             "m contains non-finite entries"),
     "proper_rotation-inf": (lambda: proper_rotation(np.full((3, 3), -math.inf)), ValueError,
                             "m contains non-finite entries"),
+    # a ragged nest of sequences got numpy's bare message from the caller's np.shape
+    "write_bvt1-ragged": (lambda: write_bvt1([[1.0, 2.0], [3.0]]), ValueError, "array: "),
 }
 
 # u and v of the pixel maps broadcast against each other, so a wrong rank is
@@ -342,6 +345,11 @@ REFUSED.update({
         ValueError, f"{param} contains non-finite entries" if kind in ("nan", "inf") else f"{param} must hold")
     for name, call in PIXEL_MAPS.items() for param in ("u", "v")
     for kind in ("str", "bool", "complex", "fraction", "nan", "inf")
+})
+REFUSED.update({
+    f"{name}-{param}-ragged": (lambda call=call, param=param: call(**{"u": PIXELS, "v": PIXELS, param: [[1, 2], [3]]}),
+                               ValueError, f"{param}: ")
+    for name, call in PIXEL_MAPS.items() for param in ("u", "v")
 })
 
 

@@ -298,14 +298,14 @@ class TestEvalTraj:
     def test_positions_whose_covariance_overflows_exit_instead_of_hanging(self, tmp_path):
         # the ATE fit's covariance overflows to inf, whose SVD never returned; a
         # fresh process is killed after 30 s, so a hang fails the test.  The
-        # path-length warning printed before the refusal stays (ROADMAP item 7)
+        # refusal is the only stderr line: path_lengths and _norms rescale
+        # their overflowing squares without a numpy warning
         path = tmp_path / "far.tum"
         path.write_text("0 0 0 0 0 0 0 1\n1 1e160 0 0 0 0 0 1\n2 -1e160 0 0 0 0 0 1\n")
         proc = run_fresh_python("-m", "bevkit.cli", "eval-traj", "--est", str(path), "--gt", str(path),
                                 "--lengths", "1", timeout=30)
         assert proc.returncode == 1
-        assert proc.stderr.splitlines()[-1] == (
-            "bevkit: error: the weighted covariance of the point sets leaves the float range")
+        assert proc.stderr == "bevkit: error: the weighted covariance of the point sets leaves the float range\n"
 
 
 class TestSamplePairs:
@@ -939,6 +939,16 @@ BAD_INPUTS = [
      None, "--lengths: non-numeric field: could not convert string to float: '1_00'"),
     (["eval-traj", "--est", "{d}/bad.json", "--gt", "{d}/line.tum"],
      "0 0 0 0 0 0 0 1\n1 1_5 0 0 0 0 0 1\n", "line 2: non-numeric field: could not convert string to float: '1_5'"),
+    # rotation entries and positions whose squares overflow: one line, no numpy warning before it
+    (["eval-traj", "--est", "{d}/bad.json", "--gt", "{d}/bad.json", "--format", "kitti"],
+     "1e200 1e200 0 0 -1e200 1e200 0 0 0 0 1 0\n1 0 0 0 0 1 0 0 0 0 1 0\n", "rotation not orthonormal within 0.0001",
+     "kitti-rotation-1e200"),
+    (["flow-make", "--pose", "0,0,0", "--config", "{d}/bad.json", "--out", "{d}/out"],
+     '{"camera": {"E": [1e200, 0, 1, 0, -1, 0, 0, 0, 0, -1, 0, 1.5]}}', "extrinsic rotation is not a proper rotation",
+     "camera-E-1e200"),
+    (["eval-traj", "--est", "{d}/bad.json", "--gt", "{d}/bad.json", "--lengths", "1"],
+     "0 0 0 0 0 0 0 1\n1 1e160 0 0 0 0 0 1\n2 -1e160 0 0 0 0 0 1\n",
+     "the weighted covariance of the point sets leaves the float range", "positions-1e160"),
 ]
 
 

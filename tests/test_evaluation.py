@@ -117,6 +117,13 @@ class TestPathLengths:
             acc.append(acc[-1] + math.sqrt(dx * dx + dy * dy + dz * dz))
         assert np.array_equal(dist, np.array(acc))
 
+    def test_steps_whose_squares_overflow_are_rescaled(self):
+        # squares above about 1.3e154 m left the float range, with a numpy warning
+        assert path_lengths(line_traj(3, step=-1e160)).tolist() == [0.0, 1e160, 2e160]
+        assert path_lengths(line_traj(3, step=3e300, direction=(0.6, 0.8, 0.0)))[1] == pytest.approx(3e300, rel=1e-15)
+        norms = _norms(np.array([[3e200, -4e200, 0.0], [1.5e308, 1.5e308, 0.0], [1.0, 2.0, 2.0]]))
+        assert norms[0] == pytest.approx(5e200, rel=1e-15) and norms[1] == math.inf and norms[2] == 3.0
+
 
 class TestRotationAngle:
     """The scalar oracle on known angles; ``_rotation_angles`` gives its bits on each."""
@@ -312,6 +319,13 @@ class TestRteRre:
             assert got_count == len(t_sq)
             assert got_rte == rte
             assert got_rre == rre
+
+    def test_a_drive_in_steps_past_the_square_range_keeps_its_error(self):
+        # 1e200 m steps, the estimate 10% longer: squared, the error of 1e199 m overflowed
+        # and the length was refused as "the mean squared error per meter leaves the float range"
+        rep = rte_rre(line_traj(4, step=1.1e200), line_traj(4, step=1e200), lengths_m=(1e200,))
+        assert rep.per_length == {1e200: (rep.rte_percent, 0.0, 3)}
+        assert abs(rep.rte_percent - 10.0) < 1e-13
 
     def test_stride_reduces_segment_count(self):
         gt = curved_traj(120, seed=26)

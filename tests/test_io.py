@@ -51,6 +51,7 @@ from bevkit.synth import (
     synth_trajectory,
 )
 from bevkit.text import TRAJECTORY_FORMATS
+from helpers import reference_rotation_error
 
 
 def random_trajectory(n, seed):
@@ -181,7 +182,7 @@ class TestQuaternionCodec:
 
 
 def reference_parse_kitti_poses(text):
-    """The per-line KITTI judge the stacked parser replaced: its own norm and det on every line."""
+    """The per-line KITTI judge the stacked parser replaced: the float rotation rule on every line."""
     poses = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -199,8 +200,7 @@ def reference_parse_kitti_poses(text):
         m = np.eye(4)
         m[:3, :4] = np.array(values).reshape(3, 4)
         r = m[:3, :3]
-        drift = float(np.linalg.norm(r.T @ r - np.eye(3)))
-        det = float(np.linalg.det(r))
+        drift, det = reference_rotation_error(r)
         if drift > 1e-4 or abs(det - 1.0) > 1e-4:
             raise ParseError(f"rotation not orthonormal within 0.0001 (drift {drift:.2e}, det {det:.6f})", line=lineno)
         if drift > 1e-9 or abs(det - 1.0) > 1e-9:

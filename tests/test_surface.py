@@ -254,6 +254,56 @@ def test_conversion_guard_sees_a_converted_argument(tmp_path):
     assert conversions(tmp_path) == {"mod.by_keyword", "mod.by_position", "mod.Box.load"}
 
 
+# The only functions that take a determinant with np.linalg.det, and why: every rotation verdict comes from
+# geometry.rotation_error, whose det is a cofactor expansion with the same bits on one block and on a stack.
+OWN_DETERMINANTS = {
+    "geometry.proper_rotation": "the sign of U V^T chooses the reflection fix, not a verdict on a rotation",
+    "formats.matrix_to_quat": "scipy's codec rule, which refuses a nonpositive determinant as scipy does",
+}
+
+
+def determinants(src: Path) -> set[str]:
+    """``"module.function"`` of every call of ``<x>.linalg.det`` in ``src``."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr == "det"
+                    and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"):
+                found.add(".".join([module, *scope]))
+            visit(child, module, scope)
+
+    for path in src.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, [])
+    return found
+
+
+def test_one_rotation_rule():
+    # a determinant taken anywhere else is a rotation rule of its own, whose last
+    # bits may differ from the rule's and so move a verdict at the tolerance
+    assert determinants(SRC) == OWN_DETERMINANTS.keys()
+
+
+def test_determinant_guard_sees_a_determinant(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "def judge(r):\n"
+        "    return np.linalg.det(r) > 0.0\n"
+        "class Box:\n"
+        "    def check(self):\n"
+        "        def inner():\n"
+        "            return numpy.linalg.det(self.r)\n"
+        "        return inner()\n"
+        "def norm_only(r):\n"
+        "    return np.linalg.norm(r)\n"
+    )
+    assert determinants(tmp_path) == {"mod.judge", "mod.Box.check.inner"}
+
+
 def test_io_offers_every_name_the_bench_reads_through_it():
     import bevkit.io
 
