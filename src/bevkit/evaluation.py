@@ -21,13 +21,13 @@ from .errors import (
     InsufficientLengthError,
     ShapeError,
 )
-from .geometry import Trajectory, fit_similarity
+from .geometry import Trajectory, check_rigid, fit_similarity, invert_rigid
 from .text import FINITE_POSITIVE, FLAG, check_arg, integer_in
 
 DEFAULT_SEGMENT_LENGTHS_M = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
 
-# Segments solved per stacked np.linalg.solve call; bounds the (block, 4, 4)
-# stacks whatever the trajectory length.
+# Segments per stacked product; bounds the (block, 4, 4) stacks whatever
+# the trajectory length.
 _BLOCK = 1024
 
 # Second singular value of the position cross-covariance below this times
@@ -85,12 +85,16 @@ def _row_norms(t: np.ndarray, norm) -> np.ndarray:
 
 
 def path_lengths(traj: Trajectory) -> np.ndarray:
-    """Accumulated path length at every frame, starting at 0."""
-    diffs = np.diff(traj.positions, axis=0)
-    # plain elementwise square/sum/sqrt; keeps the arithmetic identical to
-    # a scalar accumulation loop, which BLAS-backed norms need not be
-    steps = _row_norms(diffs, lambda d: np.sqrt((d * d).sum(axis=1)))
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    """Accumulated path length at every frame, starting at 0.
+
+    A step or a sum past the float range is inf.
+    """
+    with np.errstate(over="ignore"):
+        diffs = np.diff(traj.positions, axis=0)
+        # plain elementwise square/sum/sqrt; keeps the arithmetic identical to
+        # a scalar accumulation loop, which BLAS-backed norms need not be
+        steps = _row_norms(diffs, lambda d: np.sqrt((d * d).sum(axis=1)))
+        return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -187,15 +191,20 @@ def rte_rre(
     length from the start reaches L; segments that run off the end of the
     trajectory are skipped.  Per segment, the pose discrepancy
     inverse(delta_est) * delta_gt is reduced to a translation norm and a
-    rotation angle, both normalized by the nominal L.  Per-length values
-    are root mean squares; the headline numbers average the per-length
-    values over lengths that produced at least one segment.
+    rotation angle, both normalized by the nominal L.  Each delta is
+    inverse(P_start) * P_end, and every inverse is the rigid one,
+    [R^T | -R^T t]: each trajectory is inverted once, and each delta_est
+    once.  Per-length values are root mean squares; the headline numbers
+    average the per-length values over lengths that produced at least one
+    segment.
 
     Raises:
         InsufficientLengthError: the ground-truth path is shorter than
             every requested segment length.
-        ValueError: ``stride`` is not an integer >= 1 (a bool is not
-            one), or there is no length, or a length is not a finite
+        ValueError: a pose of either trajectory is not rigid, as
+            :func:`bevkit.geometry.check_rigid` judges it, or ``stride``
+            is not an integer >= 1 (a bool is not one), or there is no
+            length, or a length is not a finite
             number > 0 or is listed twice, or its mean squared error per
             meter leaves the float range, as for a length of 1e-320 m.
     """
@@ -206,6 +215,8 @@ def rte_rre(
         raise ValueError("need at least one segment length")
     if len(set(lengths)) != len(lengths):
         raise ValueError(f"segment lengths must be distinct, got {', '.join(f'{l:g}' for l in lengths)}")
+    check_rigid(est.poses)
+    check_rigid(gt.poses)
     dist = path_lengths(gt)
     if dist[-1] < min(lengths):
         raise InsufficientLengthError(
@@ -215,10 +226,17 @@ def rte_rre(
     n = len(gt)
     # any stride >= n starts at frame 0 alone; capped, arange stays integer
     firsts = np.arange(0, n, min(stride, n))
+    # a product past the float range holds inf or NaN; a segment error that
+    # is not finite ends in the mean check's refusal
+    with np.errstate(over="ignore"):
+        inv_gt, inv_est = invert_rigid(gt.poses), invert_rigid(est.poses)
     per_length: dict[float, tuple[float, float, int]] = {}
     for length in lengths:
-        # end frame: first index at or beyond the nominal path length
-        lasts = np.searchsorted(dist, dist[firsts] + length, side="left")
+        # end frame: first index at or beyond the nominal path length; an
+        # end target past the float range is inf, which no finite path reaches
+        with np.errstate(over="ignore"):
+            targets = dist[firsts] + length
+        lasts = np.searchsorted(dist, targets, side="left")
         starts = firsts[lasts < n]
         ends = lasts[lasts < n]
         if not starts.size:
@@ -227,13 +245,14 @@ def rte_rre(
         r_err = np.zeros(len(starts))
         for block in range(0, len(starts), _BLOCK):
             i, j = starts[block:block + _BLOCK], ends[block:block + _BLOCK]
-            delta_gt = np.linalg.solve(gt.poses[i], gt.poses[j])
-            delta_est = np.linalg.solve(est.poses[i], est.poses[j])
-            # identical relative motion has zero error by definition; keep it
-            # exact instead of routing through another solve, whose rounding
-            # the arccos near trace 3 would amplify
-            same = np.all(delta_est == delta_gt, axis=(1, 2))
-            err = np.linalg.solve(delta_est[~same], delta_gt[~same])
+            with np.errstate(over="ignore", invalid="ignore"):
+                delta_gt = inv_gt[i] @ gt.poses[j]
+                delta_est = inv_est[i] @ est.poses[j]
+                # identical relative motion has zero error by definition; keep
+                # it exact instead of routing through another product, whose
+                # rounding the arccos near trace 3 would amplify
+                same = np.all(delta_est == delta_gt, axis=(1, 2))
+                err = invert_rigid(delta_est[~same]) @ delta_gt[~same]
             moved = block + np.flatnonzero(~same)
             t_err[moved] = _norms(err[:, :3, 3])
             r_err[moved] = _rotation_angles(err[:, :3, :3])
@@ -323,7 +342,9 @@ def log_scale_curve(est: Trajectory, gt: Trajectory, segment_m: float = 10.0) ->
     n = len(gt)
     bounds = [0]
     while True:
-        nxt = int(np.searchsorted(d_gt, d_gt[bounds[-1]] + segment_m, side="left"))
+        with np.errstate(over="ignore"):  # a target past the float range is inf, which no finite path reaches
+            target = d_gt[bounds[-1]] + segment_m
+        nxt = int(np.searchsorted(d_gt, target, side="left"))
         if nxt >= n:
             break
         if nxt <= bounds[-1]:

@@ -86,6 +86,15 @@ def reference_invert_rigid(poses: np.ndarray) -> np.ndarray:
     return out
 
 
+def rigid_inverse(m: np.ndarray) -> np.ndarray:
+    """[R^T | -R^T t] of one 4x4 rigid pose, R^T negated before its product with t: the segment oracles' inverse."""
+    r_t = m[:3, :3].T
+    out = np.eye(4)
+    out[:3, :3] = r_t
+    out[:3, 3] = np.negative(r_t) @ m[:3, 3]
+    return out
+
+
 def reference_rotation_error(r: np.ndarray) -> tuple[float, float]:
     """The rotation rule of one 3x3 block in Python floats, Gram entry by Gram entry: the oracle of ``rotation_error``.
 

@@ -49,7 +49,7 @@ from bevkit.sampler import (
     sample_pair,
 )
 from bevkit.synth import MotionPrimitive, SynthSpec, synth_trajectory
-from helpers import add_at_splat, lift, rot_z, transform_trajectory
+from helpers import add_at_splat, lift, rigid_inverse, rot_z, transform_trajectory
 
 GRID_128 = BevGridSpec(128, 128, 0.8)
 
@@ -329,7 +329,8 @@ def test_06_sampler_contract_on_figure_eight():
 
 def oracle_rte_rre(est, gt, lengths, stride):
     """Independent segment-error reference: explicit scalar cumulative
-    distance, monotone endpoint scan per length, identical pose algebra."""
+    distance, monotone endpoint scan per length, and per segment the pose
+    algebra of rte_rre through a scalar rigid inverse [R^T | -R^T t]."""
     positions = gt.positions
     n = len(gt)
     dist = [0.0]
@@ -349,13 +350,13 @@ def oracle_rte_rre(est, gt, lengths, stride):
                 last += 1
             if last >= n:
                 break
-            delta_gt = np.linalg.solve(gt.poses[first], gt.poses[last])
-            delta_est = np.linalg.solve(est.poses[first], est.poses[last])
+            delta_gt = rigid_inverse(gt.poses[first]) @ gt.poses[last]
+            delta_est = rigid_inverse(est.poses[first]) @ est.poses[last]
             if np.array_equal(delta_est, delta_gt):
                 t_err = 0.0
                 r_err = 0.0
             else:
-                err = np.linalg.solve(delta_est, delta_gt)
+                err = rigid_inverse(delta_est) @ delta_gt
                 t_err = float(np.linalg.norm(err[:3, 3]))
                 trace = float(err[0, 0] + err[1, 1] + err[2, 2])
                 r_err = math.acos(min(1.0, max(-1.0, 0.5 * (trace - 1.0))))

@@ -949,6 +949,13 @@ BAD_INPUTS = [
     (["eval-traj", "--est", "{d}/bad.json", "--gt", "{d}/bad.json", "--lengths", "1"],
      "0 0 0 0 0 0 0 1\n1 1e160 0 0 0 0 0 1\n2 -1e160 0 0 0 0 0 1\n",
      "the weighted covariance of the point sets leaves the float range", "positions-1e160"),
+    # a path step, or a path length, past the float range: inf, without a numpy warning
+    (["eval-traj", "--est", "{d}/bad.json", "--gt", "{d}/bad.json", "--lengths", "1"],
+     "0 0 0 0 0 0 0 1\n1 1e308 0 0 0 0 0 1\n2 -1e308 0 0 0 0 0 1\n3 0 0 0 0 0 0 1\n",
+     "the weighted covariance of the point sets leaves the float range", "path-step-past-float-range"),
+    (["eval-traj", "--est", "{d}/bad.json", "--gt", "{d}/bad.json", "--lengths", "1"],
+     "0 0 0 0 0 0 0 1\n1 1e308 0 0 0 0 0 1\n2 0 0 0 0 0 0 1\n",
+     "the weighted covariance of the point sets leaves the float range", "path-sum-past-float-range"),
 ]
 
 

@@ -27,7 +27,7 @@ from bevkit.evaluation import (
     scale_trajectory,
 )
 from bevkit.geometry import Pose2, fit_similarity, pose2_to_pose3
-from helpers import rot_z, rotation_angle, transform_trajectory
+from helpers import rigid_inverse, rot_z, rotation_angle, transform_trajectory
 
 
 def line_traj(n, step=1.0, direction=(1.0, 0.0, 0.0)):
@@ -35,6 +35,13 @@ def line_traj(n, step=1.0, direction=(1.0, 0.0, 0.0)):
     poses = np.tile(np.eye(4), (n, 1, 1))
     poses[:, :3, 3] = np.arange(n)[:, None] * step * d
     return Trajectory(np.arange(n, dtype=float), poses)
+
+
+def line_from_x(xs):
+    """Identity-rotation poses at x = ``xs``, one frame per value."""
+    poses = np.tile(np.eye(4), (len(xs), 1, 1))
+    poses[:, 0, 3] = xs
+    return Trajectory(np.arange(len(xs), dtype=float), poses)
 
 
 def curved_traj(n, seed, yaw_sigma=0.05, step=1.0):
@@ -123,6 +130,14 @@ class TestPathLengths:
         assert path_lengths(line_traj(3, step=3e300, direction=(0.6, 0.8, 0.0)))[1] == pytest.approx(3e300, rel=1e-15)
         norms = _norms(np.array([[3e200, -4e200, 0.0], [1.5e308, 1.5e308, 0.0], [1.0, 2.0, 2.0]]))
         assert norms[0] == pytest.approx(5e200, rel=1e-15) and norms[1] == math.inf and norms[2] == 3.0
+
+    @pytest.mark.parametrize("xs, want", [
+        ([0.0, 1e308, -1e308, 0.0], [0.0, 1e308, math.inf, math.inf]),  # a step: 1e308 - (-1e308)
+        ([0.0, 1e308, 0.0], [0.0, 1e308, math.inf]),  # finite steps, their running sum
+    ])
+    def test_past_the_float_range_is_inf(self, xs, want):
+        # the subtraction and the running sum overflowed with a numpy warning
+        assert path_lengths(line_from_x(xs)).tolist() == want
 
 
 class TestRotationAngle:
@@ -304,13 +319,13 @@ class TestRteRre:
                     last += 1
                 if last >= n:
                     continue
-                delta_gt = np.linalg.solve(gt.poses[first], gt.poses[last])
-                delta_est = np.linalg.solve(est.poses[first], est.poses[last])
+                delta_gt = rigid_inverse(gt.poses[first]) @ gt.poses[last]
+                delta_est = rigid_inverse(est.poses[first]) @ est.poses[last]
                 if np.array_equal(delta_est, delta_gt):
                     t_sq.append(0.0)
                     r_sq.append(0.0)
                     continue
-                err = np.linalg.solve(delta_est, delta_gt)
+                err = rigid_inverse(delta_est) @ delta_gt
                 t_sq.append((float(np.linalg.norm(err[:3, 3])) / length) ** 2)
                 r_sq.append((rotation_angle(err[:3, :3]) / length) ** 2)
             rte = 100.0 * math.sqrt(float(np.mean(t_sq)))
@@ -376,9 +391,42 @@ class TestRteRre:
         with pytest.raises(ValueError, match="segment length must be a finite number > 0"):
             rte_rre(gt, gt, lengths_m=(10.0, bad))
 
+    @pytest.mark.parametrize("side", ["est", "gt"])
+    def test_scaled_rotation_block_rejected(self, side):
+        # a rigid inverse is wrong for it, so it is refused, not measured
+        line = line_traj(30)
+        poses = np.array(line.poses)
+        poses[7, :3, :3] *= 1.01
+        scaled = Trajectory(line.timestamps, poses)
+        est, gt = (scaled, line) if side == "est" else (line, scaled)
+        with pytest.raises(ValueError, match=r"^pose 7: rotation block is not orthonormal within 1e-9$"):
+            rte_rre(est, gt, lengths_m=(5.0,))
 
-def reference_rte_rre(est, gt, lengths, stride=1):
-    """The per-segment loop that rte_rre replaces: three solves per (first, length)."""
+    def test_end_target_past_the_float_range_has_no_end_frame(self):
+        # the third start's target 1.7e308 + 1e307 overflows to inf: skipped, without a warning
+        gt = line_from_x([0.0, 1e308, 1.7e308])
+        assert rte_rre(gt, gt, lengths_m=(1e307,)).per_length == {1e307: (0.0, 0.0, 2)}
+
+    def test_deltas_past_the_float_range_refuse_in_one_line(self):
+        # a step of 1.8e308 m overflows in the stacked products, silently; the
+        # mirrored estimate's error is then not finite and its length is refused
+        xs = [0.0, 9e307, -9e307, 9e307, -9e307, 0.0]
+        with pytest.raises(ValueError, match=r"^segment length 1e\+300 m: the mean squared error per meter "
+                                             r"leaves the float range$"):
+            rte_rre(line_from_x([-x for x in xs]), line_from_x(xs), lengths_m=(1e300,))
+
+
+def rigid_relative(a, b):
+    """inverse(a) * b through the scalar rigid inverse, as rte_rre computes each delta and each error."""
+    return rigid_inverse(a) @ b
+
+
+def reference_rte_rre(est, gt, lengths, stride=1, relative=rigid_relative):
+    """The per-segment loop that rte_rre replaces: three ``relative(a, b)`` = inverse(a) * b per (first, length).
+
+    ``relative=np.linalg.solve`` is the LU algebra rte_rre used before it
+    inverted each trajectory once.
+    """
     dist = path_lengths(gt)
     n = len(gt)
     t_sq = {length: [] for length in lengths}
@@ -388,13 +436,13 @@ def reference_rte_rre(est, gt, lengths, stride=1):
             last = int(np.searchsorted(dist, dist[first] + length, side="left"))
             if last >= n:
                 continue
-            delta_gt = np.linalg.solve(gt.poses[first], gt.poses[last])
-            delta_est = np.linalg.solve(est.poses[first], est.poses[last])
+            delta_gt = relative(gt.poses[first], gt.poses[last])
+            delta_est = relative(est.poses[first], est.poses[last])
             if np.array_equal(delta_est, delta_gt):
                 t_err = 0.0
                 r_err = 0.0
             else:
-                err = np.linalg.solve(delta_est, delta_gt)
+                err = relative(delta_est, delta_gt)
                 t_err = float(np.linalg.norm(err[:3, 3]))
                 r_err = rotation_angle(err[:3, :3])
             t_sq[length].append((t_err / length) ** 2)
@@ -436,7 +484,7 @@ class TestRteRreMatchesReference:
 
     def test_partly_equal_trajectories(self):
         # the estimate equals the ground truth on its first half, so one block
-        # mixes exact-zero segments with solved ones
+        # mixes exact-zero segments with computed ones
         gt = curved_traj(160, seed=31)
         est = perturb_steps(gt, seed=32)
         poses = np.array(gt.poses)
@@ -455,6 +503,26 @@ class TestRteRreMatchesReference:
         assert rep.per_length == per_length
         assert (rep.rte_percent, rep.rre_deg_per_100m) == (rte, rre)
         assert sum(count for _, _, count in per_length.values()) > 30000
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_bench_drive_within_rounding_of_the_lu_solves(self, bench_drive, seed):
+        # rte_rre took three np.linalg.solve calls per segment before it inverted
+        # each trajectory once. The estimates' rotation blocks drift from
+        # orthonormal by up to 1.2e-14, so R^T is not quite the inverse the LU
+        # solve computes. Per-length RRE moves by up to 1.26e-11 relative on seed 1
+        # and 2.8e-13 on seeds 2 and 7, RTE by up to 1.7e-13. Same segments,
+        # values within 1e-10
+        gt, est = bench_drive(seed)
+        rep = rte_rre(est, gt)
+        rte, rre, per_length = reference_rte_rre(est, gt, DEFAULT_SEGMENT_LENGTHS_M, relative=np.linalg.solve)
+        assert list(rep.per_length) == list(per_length)
+        for length, (s_rte, s_rre, s_count) in per_length.items():
+            got_rte, got_rre, got_count = rep.per_length[length]
+            assert got_count == s_count
+            assert got_rte == pytest.approx(s_rte, rel=1e-10, abs=0.0)
+            assert got_rre == pytest.approx(s_rre, rel=1e-10, abs=0.0)
+        assert rep.rte_percent == pytest.approx(rte, rel=1e-10, abs=0.0)
+        assert rep.rre_deg_per_100m == pytest.approx(rre, rel=1e-10, abs=0.0)
 
     def test_batched_norm_is_the_per_vector_norm(self):
         # the numpy behaviour the segment norms rest on: a stack of 1x3 by 3x1
@@ -547,6 +615,12 @@ class TestScaleFromFirst10m:
 
 
 class TestLogScaleCurve:
+    def test_end_target_past_the_float_range_ends_the_curve(self):
+        # 1.7e308 + 1e307 overflows to inf, which no frame reaches, without a warning
+        gt = line_from_x([0.0, 1e308, 1.7e308])
+        curve = log_scale_curve(gt, gt, segment_m=1e307)
+        assert curve.segment_indices.tolist() == [0, 1] and curve.values.tolist() == [0.0, 0.0]
+
     def test_identity_is_exactly_zero(self):
         gt = curved_traj(200, seed=28)
         curve = log_scale_curve(gt, gt)

@@ -262,8 +262,8 @@ OWN_DETERMINANTS = {
 }
 
 
-def determinants(src: Path) -> set[str]:
-    """``"module.function"`` of every call of ``<x>.linalg.det`` in ``src``."""
+def linalg_callers(src: Path, attr: str) -> set[str]:
+    """``"module.function"`` of every call of ``<x>.linalg.<attr>`` in ``src``."""
     found = set()
 
     def visit(node, module, scope):
@@ -272,7 +272,7 @@ def determinants(src: Path) -> set[str]:
                 visit(child, module, scope + [child.name])
                 continue
             func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
-            if (isinstance(func, ast.Attribute) and func.attr == "det"
+            if (isinstance(func, ast.Attribute) and func.attr == attr
                     and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"):
                 found.add(".".join([module, *scope]))
             visit(child, module, scope)
@@ -285,7 +285,13 @@ def determinants(src: Path) -> set[str]:
 def test_one_rotation_rule():
     # a determinant taken anywhere else is a rotation rule of its own, whose last
     # bits may differ from the rule's and so move a verdict at the tolerance
-    assert determinants(SRC) == OWN_DETERMINANTS.keys()
+    assert linalg_callers(SRC, "det") == OWN_DETERMINANTS.keys()
+
+
+def test_no_lu_solve_of_a_pose():
+    # a rigid pose is inverted as [R^T | -R^T t] by geometry.invert_rigid; an LU
+    # solve inverts any invertible matrix, so it measures a non-rigid pose silently
+    assert linalg_callers(SRC, "solve") == set()
 
 
 def test_determinant_guard_sees_a_determinant(tmp_path):
@@ -300,8 +306,11 @@ def test_determinant_guard_sees_a_determinant(tmp_path):
         "        return inner()\n"
         "def norm_only(r):\n"
         "    return np.linalg.norm(r)\n"
+        "def relative(a, b):\n"
+        "    return np.linalg.solve(a, b)\n"
     )
-    assert determinants(tmp_path) == {"mod.judge", "mod.Box.check.inner"}
+    assert linalg_callers(tmp_path, "det") == {"mod.judge", "mod.Box.check.inner"}
+    assert linalg_callers(tmp_path, "solve") == {"mod.relative"}
 
 
 def test_io_offers_every_name_the_bench_reads_through_it():
