@@ -185,7 +185,7 @@ def _cmd_correlate(args) -> dict:
     from .bvt1 import write_bvt1
     from .correlation import CorrelationVolume, FeatureMap, concat_volumes, local_correlation
 
-    # each decoded tensor goes straight into its float64 map, and no name holds an input past its last use
+    # each decoded tensor goes straight into its float32 map, and no name holds an input past its last use
     volume = local_correlation(FeatureMap(_tensor(args.a)), FeatureMap(_tensor(args.b)), args.radius,
                                normalize=args.normalize)
     if args.concat_with is None:

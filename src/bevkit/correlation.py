@@ -23,14 +23,15 @@ _MAX_VOLUME_ENTRIES = 2**27
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """A dense feature map of shape (C, H, W)."""
+    """A dense feature map of shape (C, H, W): float32 data stays float32, any other becomes float64."""
 
     data: np.ndarray
 
     def __post_init__(self):
         # a C-ordered copy: einsum sums in an order set by the memory layout,
         # so a Fortran-ordered one would give other correlation bits
-        object.__setattr__(self, "data", check_array("feature map data", self.data, ("C", "H", "W")))
+        object.__setattr__(self, "data", check_array("feature map data", self.data, ("C", "H", "W"),
+                                                     keep_float32=True))
 
     @property
     def channels(self) -> int:
@@ -77,17 +78,23 @@ def channel_offset(index: int | np.ndarray, radius: int) -> tuple:
 
 @dataclass(frozen=True)
 class CorrelationVolume:
-    """Correlation scores of shape ((2*radius+1)^2, H, W); the channel count sets the radius."""
+    """Correlation scores of shape ((2*radius+1)^2, H, W); the channel count sets the radius.
+
+    float32 data stays float32, any other becomes float64.
+    """
 
     data: np.ndarray
 
     def __post_init__(self):
-        self._fill(check_array("correlation volume data", self.data, ("C", "H", "W")))
+        self._fill(check_array("correlation volume data", self.data, ("C", "H", "W"), keep_float32=True))
 
     @classmethod
     def _adopt(cls, data: np.ndarray) -> "CorrelationVolume":
         """Check and wrap a fresh float (C, H, W) array that no one else holds, without copying it."""
         if not _all_finite(data):
+            if data.dtype == np.float32:  # finite maps: only a sum past the float32 range gets here
+                raise ValueError("correlation volume data holds a value beyond the float32 range "
+                                 f"(max {np.finfo(np.float32).max:g})")
             raise ValueError("correlation volume data contains non-finite entries")
         data.flags.writeable = False
         volume = object.__new__(cls)
@@ -129,11 +136,13 @@ def local_correlation(
     Output channel ``channel_index(dx, dy, radius)`` at pixel (x, y) holds
     sum_c f_t[c, x, y] * f_t1[c, x + dx, y + dy], zero where the shifted
     sample falls outside the map.  ``normalize`` divides by the channel
-    count C (off by default: raw inner products).  Each shift sums only
-    over the pixels where both maps can be nonzero, so the cost follows the
-    maps' nonzero extent, such as the wedge a lift-splat fills.  The shifts
-    are split across one thread per usable CPU; the bits do not depend on
-    how many.
+    count C (off by default: raw inner products).  Two float32 maps give a
+    float32 volume, summed in float32; any other pair gives a float64 one,
+    a float32 map of it upcast exactly first.  A float32 sum past the
+    float32 range is refused.  Each shift sums only over the pixels where
+    both maps can be nonzero, so the cost follows the maps' nonzero
+    extent, such as the wedge a lift-splat fills.  The shifts are split
+    across one thread per usable CPU; the bits do not depend on how many.
     """
     if f_t.data.shape != f_t1.data.shape:
         raise ShapeError(
@@ -145,22 +154,26 @@ def local_correlation(
     side = 2 * radius + 1
     if side * side * h * w > _MAX_VOLUME_ENTRIES:
         raise ValueError(f"a radius-{radius} volume on {h}x{w} exceeds {_MAX_VOLUME_ENTRIES} entries")
-    (xa0, xa1), (ya0, ya1) = _extent(f_t.data)
-    (xb0, xb1), (yb0, yb1) = _extent(f_t1.data)
-    out = np.zeros((side * side, h, w))
+    a, b = f_t.data, f_t1.data
+    if a.dtype != b.dtype:
+        a, b = a.astype(float, copy=False), b.astype(float, copy=False)
+    (xa0, xa1), (ya0, ya1) = _extent(a)
+    (xb0, xb1), (yb0, yb1) = _extent(b)
+    out = np.zeros((side * side, h, w), a.dtype)
+    dxs, dys = (d.tolist() for d in channel_offset(np.arange(side * side), radius))
 
     def shifts(ks):
         for k in ks:
-            dx, dy = channel_offset(k, radius)
+            dx, dy = dxs[k], dys[k]
             # the output pixels whose own vector and shifted partner can both
             # be nonzero: elsewhere einsum would sum +-0 products to the +0.0
             # that np.zeros already holds.  Every window lies inside f_t1.
             x0, x1 = max(xa0, xb0 - dx), min(xa1, xb1 - dx)
             y0, y1 = max(ya0, yb0 - dy), min(ya1, yb1 - dy)
             if x0 < x1 and y0 < y1:
-                window = f_t1.data[:, x0 + dx : x1 + dx, y0 + dy : y1 + dy]
+                window = b[:, x0 + dx : x1 + dx, y0 + dy : y1 + dy]
                 # written in place: no per-shift temporary in the thread's malloc arena
-                np.einsum("chw,chw->hw", f_t.data[:, x0:x1, y0:y1], window, out=out[k, x0:x1, y0:y1])
+                np.einsum("chw,chw->hw", a[:, x0:x1, y0:y1], window, out=out[k, x0:x1, y0:y1])
 
     # each shift writes its own channel
     split_run(shifts, side * side)
@@ -170,7 +183,7 @@ def local_correlation(
 
 
 def concat_volumes(a: CorrelationVolume, b: CorrelationVolume) -> np.ndarray:
-    """Stack two volumes along channels (a first), for mixed-radius fusion."""
+    """Stack two volumes along channels (a first), for mixed-radius fusion: float32 when both are float32."""
     if a.data.shape[1:] != b.data.shape[1:]:
         raise ShapeError(
             f"volumes must share spatial shape, got {a.data.shape[1:]} vs {b.data.shape[1:]}"

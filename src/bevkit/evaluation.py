@@ -166,7 +166,12 @@ def ate(est: Trajectory, gt: Trajectory, mode: str = "se3") -> float:
         # residual; return it exactly rather than the fitted rounding noise
         return 0.0
     residuals = scale * est.positions @ rot.T + t - gt.positions
-    return float(np.sqrt((residuals ** 2).sum(axis=1).mean()))
+    with np.errstate(over="ignore"):  # squares past the float range are rescaled below
+        rmse = float(np.sqrt((residuals ** 2).sum(axis=1).mean()))
+    if not math.isfinite(rmse) and np.isfinite(residuals).all():
+        m = float(np.abs(residuals).max())
+        rmse = m * float(np.sqrt(((residuals / m) ** 2).sum(axis=1).mean()))
+    return rmse
 
 
 @dataclass(frozen=True)
@@ -176,6 +181,12 @@ class RelativeErrorReport:
     rte_percent: float
     rre_deg_per_100m: float
     per_length: dict[float, tuple[float, float, int]]
+
+
+def _unresolved(length: float, dist: np.ndarray, frame: int) -> ValueError:
+    """The refusal of a segment length that adds nothing to the path length ``dist`` at ``frame``."""
+    return ValueError(f"segment length {length:g} m is below the float resolution of the "
+                      f"ground-truth path length {dist[frame]:g} m at frame {frame}")
 
 
 def rte_rre(
@@ -205,7 +216,8 @@ def rte_rre(
             :func:`bevkit.geometry.check_rigid` judges it, or ``stride``
             is not an integer >= 1 (a bool is not one), or there is no
             length, or a length is not a finite
-            number > 0 or is listed twice, or its mean squared error per
+            number > 0 or is listed twice, or is too small to move past a
+            start frame's path length, or its mean squared error per
             meter leaves the float range, as for a length of 1e-320 m.
     """
     _check_same_frames(est, gt)
@@ -268,6 +280,11 @@ def rte_rre(
         if not (math.isfinite(t_ms) and math.isfinite(r_ms)):
             raise ValueError(f"segment length {length!r} m: the mean squared error per meter "
                              "leaves the float range")
+        # a target that did not move past its start's path length ended the
+        # segment on or before the start: such a length measures nothing there
+        stuck = starts[ends <= starts]
+        if stuck.size:
+            raise _unresolved(length, dist, int(stuck[0]))
         rte = 100.0 * math.sqrt(t_ms)
         rre = 100.0 * math.degrees(math.sqrt(r_ms))
         per_length[length] = (rte, rre, len(starts))
@@ -348,8 +365,7 @@ def log_scale_curve(est: Trajectory, gt: Trajectory, segment_m: float = 10.0) ->
         if nxt >= n:
             break
         if nxt <= bounds[-1]:
-            raise ValueError(f"segment length {segment_m:g} m is below the float resolution of the "
-                             f"ground-truth path length {d_gt[bounds[-1]]:g} m at frame {bounds[-1]}")
+            raise _unresolved(segment_m, d_gt, bounds[-1])
         bounds.append(nxt)
     if len(bounds) < 2:
         raise InsufficientLengthError(
@@ -374,17 +390,23 @@ def evaluate_trajectories(
     stride: int = 1,
     scale_init_10m: bool = False,
 ) -> MetricsReport:
-    """One-call evaluation: optional scale init, RTE/RRE, both ATE variants."""
+    """One-call evaluation: optional scale init, both ATE variants, RTE/RRE.
+
+    The ATE fits judge the whole drive before the segments do, so a drive
+    whose positions leave the float range is refused for that, not for a
+    segment length its path lengths cannot resolve.
+    """
     scale_init = None
     if check_arg("scale_init_10m", scale_init_10m, FLAG):
         scale_init = scale_from_first_10m(est, gt)
         est = scale_trajectory(est, scale_init)
+    ate_se3, ate_sim3 = ate(est, gt, "se3"), ate(est, gt, "sim3")
     rel = rte_rre(est, gt, lengths_m, stride)
     return MetricsReport(
         rte_percent=rel.rte_percent,
         rre_deg_per_100m=rel.rre_deg_per_100m,
-        ate_se3_m=ate(est, gt, "se3"),
-        ate_sim3_m=ate(est, gt, "sim3"),
+        ate_se3_m=ate_se3,
+        ate_sim3_m=ate_sim3,
         per_length=rel.per_length,
         scale_init=scale_init,
     )

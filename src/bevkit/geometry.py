@@ -172,7 +172,7 @@ class Pose3:
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "Pose3":
-        """Wrap a read-only float (4, 4) array that :func:`check_rigid` passed, uncopied."""
+        """Wrap a read-only float (4, 4) array that the rigid rule passed, uncopied."""
         pose = object.__new__(cls)
         object.__setattr__(pose, "matrix", matrix)
         return pose
@@ -227,10 +227,25 @@ def check_rigid(poses: np.ndarray):
 
 
 def relative_pose(a: Pose3, b: Pose3) -> Pose3:
-    """Transform taking frame a to frame b: inverse(a) * b, repaired as :func:`repair_rotations` repairs."""
-    m = invert_rigid(a.matrix[None])[0] @ b.matrix
-    if rotation_error(m[:3, :3])[0] > ORTHONORMALITY_TOL:
+    """Transform taking frame a to frame b: inverse(a) * b, repaired as :func:`repair_rotations` repairs.
+
+    inverse(a) is [R^T | -R^T t], with the bits :func:`invert_rigid` gives.
+    A product the rotation rule passes, with a bottom row of exactly
+    (0, 0, 0, 1) and a finite translation, is wrapped without a copy; a
+    repaired one, or one that fails, goes through ``Pose3``'s checks.
+    """
+    r_t = a.matrix[:3, :3].T
+    inv = np.zeros((4, 4))
+    inv[:3, :3] = r_t
+    inv[:3, 3] = np.negative(r_t) @ a.matrix[:3, 3]
+    inv[3, 3] = 1.0
+    m = inv @ b.matrix
+    drift, det = rotation_error(m[:3, :3])
+    if drift > ORTHONORMALITY_TOL:
         m[:3, :3] = proper_rotation(m[:3, :3])[0]
+    elif is_rotation(drift, det) and m[3].tolist() == [0.0, 0.0, 0.0, 1.0] and np.isfinite(m[:3, 3]).all():
+        m.flags.writeable = False
+        return Pose3._trusted(m)
     return Pose3(m)
 
 

@@ -143,9 +143,10 @@ def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraM
     (C, D, H, W) lift tensor is never built: one ``np.bincount`` per channel
     forms each in-grid point's weight as it adds the points in (depth, row,
     column) order, so results are bitwise reproducible and memory beyond
-    the output stays at a few point-sized arrays.  The channels are split
-    across one thread per usable CPU, each writing its own rows, which
-    leaves the bits as they are.
+    the output stays at a few point-sized arrays.  The weights are formed
+    in float64 whatever the map's dtype, so a float32 map gives the bits of
+    its exact float64 upcast.  The channels are split across one thread per
+    usable CPU, each writing its own rows, which leaves the bits as they are.
     Returns (bev, dropped) with bev a C-contiguous (C, grid H, grid W)
     array and dropped the count of frustum points outside the grid.
     """
@@ -162,8 +163,9 @@ def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraM
     def channels(cs):
         weights = np.empty(plan.pixels.size)  # one buffer per slice: slices run concurrently
         for c in cs:
-            # every index is in range; mode="clip" skips the buffered bounds check
-            np.take(context[c], plan.pixels, out=weights, mode="clip")
+            # a float32 row is upcast first, exactly: H*W values, not one per point.
+            # Every index is in range; mode="clip" skips the buffered bounds check
+            np.take(context[c].astype(float, copy=False), plan.pixels, out=weights, mode="clip")
             np.multiply(weights, scale, out=weights)
             bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
 

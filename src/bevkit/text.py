@@ -175,9 +175,10 @@ def _numeric_array(name: str, value, shape: tuple | None):
     return a
 
 
-def _float_array(name: str, value, shape: tuple | None):
-    """:func:`_numeric_array`, then the one copy: writeable, C-ordered float64 (a float32 input is not copied first)."""
-    return _numeric_array(name, value, shape).astype(float, order="C")
+def _float_array(name: str, value, shape: tuple | None, keep_float32: bool = False):
+    """:func:`_numeric_array`, then the one copy: writeable, C-ordered float64, or float32 kept by ``keep_float32``."""
+    a = _numeric_array(name, value, shape)
+    return a.astype("=f4" if keep_float32 and a.dtype.kind == "f" and a.dtype.itemsize == 4 else float, order="C")
 
 
 def _all_finite(a) -> bool:
@@ -193,7 +194,7 @@ def _all_finite(a) -> bool:
     return math.isfinite(total) or bool(np.isfinite(a).all())
 
 
-def check_array(name: str, value, shape: tuple | None):
+def check_array(name: str, value, shape: tuple | None, keep_float32: bool = False):
     """A read-only, C-ordered float64 copy of ``value``, or a one-line error that names ``name``.
 
     ``shape`` holds an int per axis, or a letter such as ``"N"`` for any
@@ -203,9 +204,12 @@ def check_array(name: str, value, shape: tuple | None):
     ShapeError on a wrong rank or axis length, and ValueError on a
     non-finite entry.  Integers and floats become float64 as
     ``np.array(value, dtype=float)`` makes them, so the bits are the ones
-    that call gives, whatever the memory layout of ``value``.
+    that call gives, whatever the memory layout of ``value``.  With
+    ``keep_float32``, a float32 ``value`` (of either byte order) is copied
+    as native float32 instead, with its own bits; every other dtype still
+    becomes float64, and the refusals are the same.
     """
-    a = _float_array(name, value, shape)
+    a = _float_array(name, value, shape, keep_float32)
     if not _all_finite(a):
         raise ValueError(f"{name} contains non-finite entries")
     a.flags.writeable = False

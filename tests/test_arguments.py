@@ -399,6 +399,37 @@ def test_an_empty_stream_pairs_nothing():
 
 
 class TestCheckArray:
+    @pytest.mark.parametrize("dtype", [float, np.float32])
+    @pytest.mark.parametrize("kind", HOSTILE_ARRAYS)
+    def test_the_float32_opt_in_refuses_what_the_rule_refuses(self, kind, dtype):
+        # the table's arrays, from a float64 or a float32 map, with their NaN or inf entry in the map's dtype
+        plain = np.linspace(0.5, 2.0, 12).reshape(2, 2, 3).astype(dtype)
+        value = HOSTILE_ARRAYS[kind](plain)
+        if kind in ("nan", "inf"):
+            value = value.astype(dtype)
+        got = [one_line_refusal(lambda keep=keep: check_array("x", value, ("C", "H", "W"), keep_float32=keep))
+               for keep in (False, True)]
+        assert all(isinstance(g, ValueError) for g in got), f"a {kind} array was admitted"
+        assert type(got[0]) is type(got[1]) and str(got[0]) == str(got[1])
+
+    @pytest.mark.parametrize("value", [
+        [[1, 2], [3, 4]], np.arange(4, dtype=np.uint64).reshape(2, 2), np.float16([[0.1, 2], [3, 4]]),
+        np.arange(8.0).reshape(2, 4)[:, ::2], np.asfortranarray([[0.1, 0.2], [0.3, 0.4]]), [[1.5, 2**62 + 1], [3, 4]],
+    ], ids=["int-list", "uint64", "float16", "strided", "fortran", "mixed-list"])
+    def test_the_float32_opt_in_keeps_the_float64_copy_of_any_other_dtype(self, value):
+        got = check_array("x", value, (2, "N"), keep_float32=True)
+        assert got.tobytes() == check_array("x", value, (2, "N")).tobytes() and got.dtype == np.float64
+
+    @pytest.mark.parametrize("value", [
+        np.float32([[0.1, 2], [3, 4]]), np.asfortranarray(np.float32([[0.1, 0.2], [0.3, 0.4]])),
+        np.float32([[0.1, 2, 5], [3, 4, 6]])[:, ::2], np.float32([[0.1, 2], [3, 4]]).astype(">f4"),
+        np.full((2, 3), 3e38, np.float32),
+    ], ids=["float32", "fortran", "strided", "big-endian", "sum-inf"])
+    def test_the_float32_opt_in_keeps_a_frozen_c_ordered_float32_copy(self, value):
+        got = check_array("x", value, (2, "N"), keep_float32=True)
+        assert got.dtype == np.float32 and got.dtype.isnative and np.array_equal(got, value)
+        assert got.flags.c_contiguous and not got.flags.writeable and not np.shares_memory(got, value)
+
     @pytest.mark.parametrize("value", [
         [[1, 2], [3, 4]], np.arange(4, dtype=np.uint64).reshape(2, 2), np.float32([[0.1, 2], [3, 4]]),
         np.arange(8.0).reshape(2, 4)[:, ::2], np.asfortranarray([[0.1, 0.2], [0.3, 0.4]]), [[1.5, 2**62 + 1], [3, 4]],

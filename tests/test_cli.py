@@ -455,10 +455,13 @@ class TestCorrelate:
         )
         assert doc["channels"] == 25
         got = read_bvt1(out.read_bytes())
-        expected = local_correlation(
-            FeatureMap(a.astype(float)), FeatureMap(b.astype(float)), 2
-        ).data.astype(np.float32)
-        assert np.array_equal(got, expected)
+        # float32 maps correlate in float32, so the file holds the float32 volume itself
+        volume = local_correlation(FeatureMap(a), FeatureMap(b), 2).data
+        assert volume.dtype == np.float32 and np.array_equal(got, volume)
+        # within C * 2^-24 * sum_c |a b| of the float64 volume, whose float32 rounding the file held before
+        wide = local_correlation(FeatureMap(a.astype(float)), FeatureMap(b.astype(float)), 2).data
+        magnitude = local_correlation(FeatureMap(np.abs(a.astype(float))), FeatureMap(np.abs(b.astype(float))), 2).data
+        assert np.all(np.abs(got - wide) <= 3 * 2.0**-24 * magnitude)
 
     def test_concat_with(self, tmp_path, capsys):
         from bevkit.correlation import FeatureMap, local_correlation
@@ -722,19 +725,21 @@ def bench_tensors(tmp_path_factory):
 
 
 # (argv, ceiling in MB of 10^6 bytes) per tensor command at the benchmark's shapes, with two worker threads.
-# Each command holds one float64 copy of each input beside its output and copies the output's payload once
-# into the file's bytes, so a dead copy of a decoded input, an input map or the payload passes its ceiling.
+# Each command holds one copy of each input beside its output, float32 for a feature map and float64 for
+# depth, and writes a float32 volume as its own payload, so a dead copy of a decoded input, an input map or
+# the payload passes its ceiling.
 TENSOR_PEAKS = {
-    # the floor is 31.9 MB, two 8.4 MB maps and the 15.9 MB r5 volume; measured 32.7 (48.1 with the dead copies)
+    # the floor is 16.3 MB, two 4.2 MB float32 maps and the 7.9 MB float32 r5 volume; measured 16.4-16.6
+    # (32.7 with float64 maps and volume)
     "correlate-r5": (["correlate", "--a", "{d}/bev_t.bvt1", "--b", "{d}/bev_t1.bvt1", "--radius", "5",
-                      "--out", "{d}/vol_r5.bvt1"], 36.0),
-    # two 1.44 MB maps and the 1.10 MB r3 volume; measured 4.05 (5.63 with the dead copies), slack 0.45
+                      "--out", "{d}/vol_r5.bvt1"], 18.0),
+    # two 0.72 MB float32 maps and the 0.55 MB float32 r3 volume, 2.0 MB; measured 2.21 (4.05 in float64)
     "correlate-r3": (["correlate", "--a", "{d}/feat_t.bvt1", "--b", "{d}/feat_t1.bvt1", "--radius", "3",
-                      "--out", "{d}/vol_r3.bvt1"], 4.5),
-    # the maps, the frustum and its in-grid cell plan, a point buffer per thread and the 8.4 MB output;
-    # measured 20.2 (23.1 with a floored row and column kept per frustum point), slack 1.3
+                      "--out", "{d}/vol_r3.bvt1"], 2.5),
+    # the float32 map, the depth, the frustum and its in-grid cell plan, a point buffer per thread and the
+    # 8.4 MB float64 output; measured 19.4 (20.2 with a float64 map), slack 0.6
     "lss-project": (["lss-project", "--features", "{d}/feat_t1.bvt1", "--depth", "{d}/depth.bvt1",
-                     "--config", "{d}/config.json", "--out", "{d}/bev.bvt1"], 21.5),
+                     "--config", "{d}/config.json", "--out", "{d}/bev.bvt1"], 20.0),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -338,3 +339,125 @@ class TestPeakDisplacement:
         peaks = peak_displacement(vol)
         assert np.all(peaks[0] == -2)
         assert np.all(peaks[1] == -2)
+
+
+def float32_correlation(f: np.ndarray, g: np.ndarray, radius: int, normalize: bool = False) -> np.ndarray:
+    """Reference for two float32 maps: one float32 ``einsum`` per shift over the whole zero-padded map."""
+    c, h, w = f.shape
+    side = 2 * radius + 1
+    ph, pw = min(radius, h), min(radius, w)
+    padded = np.pad(g, ((0, 0), (ph, ph), (pw, pw)))
+    out = np.zeros((side * side, h, w), np.float32)
+    for k in range(side * side):
+        dx, dy = channel_offset(k, radius)
+        if abs(dx) <= ph and abs(dy) <= pw:
+            out[k] = np.einsum("chw,chw->hw", f, padded[:, ph + dx : ph + dx + h, pw + dy : pw + dy + w])
+    if normalize:
+        out /= np.float32(c)
+    return out
+
+
+def float32_pair(rng, shape, sparse=False):
+    """Two float32 maps; ``sparse`` zeroes a band of each, as a lift-splat leaves cells empty."""
+    f, g = rng.standard_normal((2, *shape)).astype(np.float32)
+    if sparse:
+        f[:, : shape[1] // 2] = 0.0
+        g[:, :, : shape[2] // 3] = 0.0
+    return f, g
+
+
+class TestFloat32:
+    """Two float32 maps correlate in float32; any other pair keeps the float64 bits."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_matches_the_per_shift_float32_einsum(self, cpus, monkeypatch):
+        from bevkit import _threads
+
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(300)
+        cases = [((3, 5, 7), 1), ((2, 1, 1), 3), ((4, 2, 9), 4), ((64, 24, 20), 5)]
+        cases += [((int(c), int(h), int(w)), int(r)) for c, h, w, r in rng.integers(1, 12, (20, 4))]
+        for k, (shape, radius) in enumerate(cases):
+            f, g = float32_pair(rng, shape, sparse=k % 3 == 0)
+            for normalize in (False, True):
+                vol = local_correlation(FeatureMap(f), FeatureMap(g), radius, normalize).data
+                assert vol.dtype == np.float32 and not vol.flags.writeable
+                assert np.array_equal(vol, float32_correlation(f, g, radius, normalize)), (shape, radius)
+
+    def test_bench_shape_matches_the_per_shift_float32_einsum(self):
+        rng = np.random.default_rng(301)
+        f, g = float32_pair(rng, (64, 128, 128), sparse=True)
+        vol = local_correlation(FeatureMap(f), FeatureMap(g), 5).data
+        assert np.array_equal(vol, float32_correlation(f, g, 5))
+
+    def test_bytes_independent_of_memory_layout(self):
+        rng = np.random.default_rng(302)
+        f, g = float32_pair(rng, (64, 24, 24))
+        ref = local_correlation(FeatureMap(f), FeatureMap(g), 3).data
+        # Fortran order, channels innermost, and big-endian float32 each become native C-ordered float32
+        for a, b in ((np.asfortranarray(f), np.asfortranarray(g)), (channel_last(f), g), (f, g.astype(">f4"))):
+            assert not (a.flags.c_contiguous and b.flags.c_contiguous and b.dtype.isnative)
+            vol = local_correlation(FeatureMap(a), FeatureMap(b), 3).data
+            assert vol.dtype == np.float32 and np.array_equal(vol, ref)
+
+    def test_within_the_float32_summation_bound_of_the_float64_volume(self):
+        # |float32 sum - float64 sum| <= C * 2^-24 * sum_c |a b| per entry
+        rng = np.random.default_rng(303)
+        for shape, radius in (((64, 32, 88), 3), ((64, 128, 128), 5), ((7, 9, 5), 2)):
+            f, g = float32_pair(rng, shape)
+            f *= rng.uniform(0.01, 100.0, shape[1:]).astype(np.float32)
+            narrow = local_correlation(FeatureMap(f), FeatureMap(g), radius).data
+            wide = local_correlation(FeatureMap(f.astype(float)), FeatureMap(g.astype(float)), radius).data
+            magnitude = local_correlation(FeatureMap(np.abs(f).astype(float)),
+                                          FeatureMap(np.abs(g).astype(float)), radius).data
+            assert np.all(np.abs(narrow - wide) <= shape[0] * 2.0**-24 * magnitude)
+
+    def test_float64_and_mixed_pairs_keep_the_float64_bits(self):
+        rng = np.random.default_rng(304)
+        f, g = float32_pair(rng, (5, 9, 11))
+        wide = clipped_correlation(f.astype(float), g.astype(float), 2)
+        ref = local_correlation(FeatureMap(f.astype(float)), FeatureMap(g.astype(float)), 2).data
+        assert ref.dtype == np.float64 and np.max(np.abs(ref - wide)) <= 1e-12 * np.abs(wide).max()
+        for a, b in ((f, g.astype(float)), (f.astype(float), g), (f.astype(np.float16), g), (f, g.astype(np.int64))):
+            vol = local_correlation(FeatureMap(a), FeatureMap(b), 2).data
+            want = local_correlation(FeatureMap(a.astype(float)), FeatureMap(b.astype(float)), 2).data
+            assert vol.dtype == np.float64 and np.array_equal(vol, want)
+
+    def test_a_sum_past_the_float32_range_is_refused_in_one_line(self):
+        # each product 2^132 = 5.4e39 passes float32's 3.4e38; a mixed pair of the same values is finite
+        f = np.full((2, 3, 3), 2.0**66, np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^correlation volume data holds a value beyond the float32 range "
+                                                 r"\(max 3\.40282e\+38\)$"):
+                local_correlation(FeatureMap(f), FeatureMap(f), 1)
+            assert local_correlation(FeatureMap(f.astype(float)), FeatureMap(f), 1).data.max() == 2.0**133
+
+    def test_volumes_and_their_concatenation_stay_float32(self):
+        rng = np.random.default_rng(305)
+        data = rng.standard_normal((9, 4, 5)).astype(np.float32)
+        vol = CorrelationVolume(data)
+        assert vol.data.dtype == np.float32 and np.array_equal(vol.data, data)
+        assert not vol.data.flags.writeable and not np.shares_memory(vol.data, data)
+        assert concat_volumes(vol, vol).dtype == np.float32
+        assert concat_volumes(vol, CorrelationVolume(data.astype(float))).dtype == np.float64
+        assert CorrelationVolume(data.astype(np.float16)).data.dtype == np.float64
+
+    def test_peak_ties_resolve_to_the_lowest_channel(self):
+        data = np.zeros((9, 3, 4), np.float32)
+        data[[2, 5, 7]] = np.float32(0.5)  # a tie between channels 2, 5 and 7 at every pixel
+        data[6, 1, 2] = np.float32(0.75)
+        peaks = peak_displacement(CorrelationVolume(data))
+        want = np.broadcast_to(np.array(channel_offset(2, 1))[:, None, None], (2, 3, 4)).copy()
+        want[:, 1, 2] = channel_offset(6, 1)
+        assert peaks.dtype == np.int64 and np.array_equal(peaks, want)
+        all_equal = CorrelationVolume(np.ones((25, 2, 2), np.float32))
+        assert np.array_equal(peak_displacement(all_equal), np.full((2, 2, 2), -2))
+
+    def test_r5_volume_holds_half_the_bytes(self, peak_bytes):
+        # two 4.2 MB float32 maps and the 7.9 MB float32 volume: 16.3 MB, against 35 MB in float64
+        rng = np.random.default_rng(306)
+        a, b = rng.standard_normal((2, 64, 128, 128)).astype(np.float32)
+        vol, peak = peak_bytes(lambda: local_correlation(FeatureMap(a), FeatureMap(b), 5))
+        assert vol.data.nbytes == 121 * 128 * 128 * 4
+        assert peak < 18e6, peak

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,18 @@ class TestAte:
             similar = transform_trajectory(est, rot, t, scale=s)
             assert abs(ate(similar, gt, "sim3") - base_sim3) < 1e-9
 
+    def test_residuals_whose_squares_overflow_give_the_rescaled_rmse(self):
+        # an estimate 4e153 times the ground truth leaves residuals near 1e155 m, whose
+        # squares pass the float range: the RMSE is formed from residuals over the largest
+        gt = curved_traj(21, seed=20)
+        est = scale_trajectory(gt, 4e153)
+        rot, t, _, _ = fit_similarity(est.positions, gt.positions)
+        norms = [math.hypot(*row) for row in (est.positions @ rot.T + t - gt.positions).tolist()]
+        m = max(norms)
+        assert m * m == math.inf
+        want = m * math.sqrt(sum((x / m) ** 2 for x in norms) / len(norms))
+        assert ate(est, gt, "se3") == pytest.approx(want, rel=1e-12)
+
     def test_sim3_never_worse_than_se3(self):
         for seed in range(20):
             gt = curved_traj(35, seed=100 + seed)
@@ -414,6 +427,31 @@ class TestRteRre:
         with pytest.raises(ValueError, match=r"^segment length 1e\+300 m: the mean squared error per meter "
                                              r"leaves the float range$"):
             rte_rre(line_from_x([-x for x in xs]), line_from_x(xs), lengths_m=(1e300,))
+
+    @pytest.mark.parametrize("xs, length, text", [
+        # frames 1 and 2 would end on themselves: 1e300 + 1 is 1e300
+        ([0.0, 1e300, 2e300], 1.0, "path length 1e+300 m at frame 1"),
+        # frame 2's path length is inf, and frame 3 would end on frame 2
+        ([0.0, 1e308, -1e308, 0.0], 1e300, "path length inf m at frame 2"),
+        ([0.0, 9e307, -9e307, 9e307, -9e307, 0.0], 1e300, "path length inf m at frame 2"),
+    ])
+    def test_a_length_the_path_length_cannot_resolve_is_refused(self, xs, length, text):
+        # such segments ended at or before their start and counted as exact zeros;
+        # the refusal is log_scale_curve's, for the first such start frame, once
+        # the length's mean squared error is known to be finite
+        gt = line_from_x(xs)
+        message = re.escape(f"segment length {length:g} m is below the float resolution of the ground-truth {text}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                rte_rre(gt, gt, lengths_m=(length,))
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                log_scale_curve(gt, gt, segment_m=length)
+
+    @pytest.mark.parametrize("seed, segments", [(1, 32239), (2, 32277), (7, 31466)])
+    def test_bench_drive_segment_counts(self, bench_drive, seed, segments):
+        gt, est = bench_drive(seed)
+        assert sum(count for _, _, count in rte_rre(est, gt).per_length.values()) == segments
 
 
 def rigid_relative(a, b):
@@ -702,6 +740,15 @@ class TestEvaluateTrajectories:
         assert abs(rep.scale_init - 1.25) < 1e-9
         assert rep.rte_percent < 1e-9
         assert rep.ate_se3_m < 1e-9
+
+    def test_the_ate_fits_judge_the_drive_before_the_segments(self):
+        # positions near 1e160 m: the segment lengths cannot resolve 1 m past frame 1,
+        # but the ATE fit's covariance leaves the float range first
+        xs = [0.0, 1e160, -1e160]
+        with pytest.raises(DegenerateInputError, match="^the weighted covariance of the point sets leaves"):
+            evaluate_trajectories(line_from_x(xs), line_from_x(xs), lengths_m=(1.0,))
+        with pytest.raises(ValueError, match="^segment length 1 m is below the float resolution"):
+            rte_rre(line_from_x(xs), line_from_x(xs), lengths_m=(1.0,))
 
     def test_to_dict_keys(self):
         gt = curved_traj(120, seed=32)

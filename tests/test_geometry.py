@@ -649,12 +649,39 @@ class TestRelativePose:
         assert calls == []
 
     def test_builds_one_pose(self, monkeypatch):
-        a, b = Pose3(np.eye(4)), pose2_to_pose3(Pose2(0.3, 1.0, 2.0))
+        # a product the judge passes is wrapped as it is; a repaired one goes through Pose3's checks
+        plain = Pose3(np.eye(4)), pose2_to_pose3(Pose2(0.3, 1.0, 2.0))
+        # each drifts 0.9e-9 from orthonormal, within the tolerance; their product drifts twice that
+        drifting = (Pose3(rigid(rot_z(0.3) * math.sqrt(1.0 + 0.9e-9 / math.sqrt(3.0)))),) * 2
         built = []
-        check = Pose3.__post_init__
-        monkeypatch.setattr(Pose3, "__post_init__", lambda self: (built.append(1), check(self)))
-        relative_pose(a, b)
-        assert len(built) == 1
+        check, trusted = Pose3.__post_init__, Pose3._trusted.__func__
+        monkeypatch.setattr(Pose3, "__post_init__", lambda self: (built.append("checked"), check(self)))
+        monkeypatch.setattr(Pose3, "_trusted",
+                            classmethod(lambda cls, m: (built.append("trusted"), trusted(cls, m))[1]))
+        for pair, way in ((plain, "trusted"), (drifting, "checked")):
+            built.clear()
+            pose = relative_pose(*pair)
+            assert built == [way] and not pose.matrix.flags.writeable
+            assert np.array_equal(pose.matrix, reference_relative_pose(*pair))
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_bench_drive_pairs_equal_the_stack_inverse_form(self, bench_drive, seed):
+        # the single-frame [R^T | -R^T t] and the one judge against the stacked
+        # inverse and every check, zero signs included, on ground truth and estimate
+        gt, est = bench_drive(seed)
+        rng = np.random.default_rng(seed)
+        for poses in (gt.poses, est.poses):
+            frames = [Pose3(m) for m in poses]
+            for i, j in rng.integers(0, len(frames), (3000, 2)).tolist():
+                got, want = relative_pose(frames[i], frames[j]).matrix, reference_relative_pose(frames[i], frames[j])
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), (i, j)
+
+    def test_a_product_the_judge_fails_gets_the_pose3_refusal(self):
+        # turned 45 degrees, a translation of 1.5e308 per axis leaves the float range
+        b = np.eye(4)
+        b[:3, 3] = 1.5e308
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^pose matrix contains non-finite entries$"):
+            relative_pose(Pose3(rigid(rot_z(math.pi / 4))), Pose3(b))
 
 
 class TestPose2Conversions:

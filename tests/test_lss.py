@@ -461,6 +461,19 @@ class TestProjectVolume:
         _, peak = peak_bytes(lambda: project_volume(volume, depth, cfg.camera, cfg.grid))
         assert peak < 18.5e6, f"project_volume peaked at {peak / 1e6:.2f} MB"
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_float32_map_gives_the_bits_of_its_float64_upcast(self, cpus, monkeypatch):
+        # the map stays float32, but every weight is formed in float64 from its exact upcast
+        from bevkit import _threads
+
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: cpus)
+        wide, depth, cfg = bench_inputs(np.random.default_rng(68))
+        narrow = FeatureMap(wide.data.astype(np.float32))
+        assert narrow.data.dtype == np.float32
+        want = project_volume(FeatureMap(narrow.data.astype(float)), depth, cfg.camera, cfg.grid)
+        bev, dropped = project_volume(narrow, depth, cfg.camera, cfg.grid)
+        assert bev.dtype == np.float64 and np.array_equal(bev, want[0]) and dropped == want[1]
+
     def test_channel_concat_equivalence(self):
         rng = np.random.default_rng(58)
         cam = forward_camera()

@@ -138,6 +138,7 @@ def test_only_text_imports_numbers():
 OWN_FREEZES = {
     "lss.build_frustum": "the frustum points it computes",
     "correlation.CorrelationVolume._adopt": "the volume local_correlation fills, adopted without a copy",
+    "geometry.relative_pose": "the product it forms, wrapped without a copy once the rigid rule passes it",
 }
 
 
@@ -182,20 +183,58 @@ def test_freeze_guard_sees_a_frozen_argument(tmp_path):
     assert freezes(tmp_path) == {"mod.Box.__post_init__"}
 
 
+# The only classes whose arrays check_array keeps in float32: a float32 feature map correlates in float32.
+FLOAT32_KEEPERS = {"correlation.FeatureMap", "correlation.CorrelationVolume"}
+
+
+def float32_keepers(src: Path) -> set[str]:
+    """``"module.Name"`` of the top-level class or function around every call given ``keep_float32``."""
+    found = set()
+    for path in src.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and any(k.arg == "keep_float32" for k in node.keywords):
+                    found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_only_the_correlation_classes_keep_float32():
+    # every other caller of check_array keeps its float64 copy and its bits
+    assert float32_keepers(SRC) == FLOAT32_KEEPERS
+
+
+def test_float32_guard_sees_a_keeper(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n"
+        "    def __post_init__(self):\n"
+        "        check_array('x', self.data, None, keep_float32=True)\n"
+        "def plain(a):\n"
+        "    return check_array('a', a, None)\n"
+    )
+    assert float32_keepers(tmp_path) == {"mod.Box"}
+
+
 # The only public functions outside text.py that convert an array argument themselves, and why.
 OWN_CONVERSIONS = {
     "geometry.invert_rigid": "the hot path of pair mining and segment metrics, unchecked by design",
-    "bvt1.write_bvt1": "check_array's float64 copy would add the 15.9 MB r5 volume to correlate's peak",
+    "bvt1.write_bvt1": "check_array's copy would add a second r5 volume, 7.9 MB in float32, to correlate's peak",
 }
 CONVERTERS = ("asarray", "array", "ascontiguousarray")
+
+
+def _named(node):
+    """The name of ``x`` or of ``x[...]``, else None."""
+    node = node.value if isinstance(node, ast.Subscript) else node
+    return node.id if isinstance(node, ast.Name) else None
 
 
 def conversions(src: Path) -> set[str]:
     """``"module.function"`` of every public function outside ``text.py`` that converts a parameter with a dtype.
 
     A conversion is ``np.asarray``, ``np.array`` or ``np.ascontiguousarray``
-    of one of the function's own parameters, given a dtype by keyword or
-    position.  A function is public when no name on its path starts with ``_``.
+    of one of the function's own parameters, or of a subscript of one, given
+    a dtype by keyword or position.  A function is public when no name on
+    its path starts with ``_``.
     """
     found = set()
 
@@ -212,7 +251,7 @@ def conversions(src: Path) -> set[str]:
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
                     and isinstance(child.func.value, ast.Name) and child.func.value.id == "np"
                     and child.func.attr in CONVERTERS and child.args
-                    and isinstance(child.args[0], ast.Name) and child.args[0].id in params
+                    and _named(child.args[0]) in params
                     and (len(child.args) > 1 or any(k.arg == "dtype" for k in child.keywords))
                     and not any(name.startswith("_") for name in scope)):
                 found.add(".".join([module, *scope]))
@@ -238,6 +277,8 @@ def test_conversion_guard_sees_a_converted_argument(tmp_path):
         "    return np.asarray(u, dtype=float)\n"
         "def by_position(*, m):\n"
         "    return np.array(m, float)\n"
+        "def by_block(a, i):\n"
+        "    return np.ascontiguousarray(a[i:i + 2], dtype='<f4')\n"
         "class Box:\n"
         "    def load(self, data):\n"
         "        return np.ascontiguousarray(data, dtype='<f4')\n"
@@ -251,7 +292,7 @@ def test_conversion_guard_sees_a_converted_argument(tmp_path):
         "def _helper(a):\n"
         "    return np.asarray(a, dtype=float)\n"
     )
-    assert conversions(tmp_path) == {"mod.by_keyword", "mod.by_position", "mod.Box.load"}
+    assert conversions(tmp_path) == {"mod.by_keyword", "mod.by_position", "mod.by_block", "mod.Box.load"}
 
 
 # The only functions that take a determinant with np.linalg.det, and why: every rotation verdict comes from
