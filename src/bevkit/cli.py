@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -325,6 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # OpenBLAS sizes its pool once, when numpy loads it. No BLAS call in bevkit is
+        # large enough for a second thread, and an idle worker spins; the CLI's own
+        # parallel work runs on bevkit._threads. A caller that loaded numpy keeps its pool.
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -232,7 +232,7 @@ def rte_rre(
     dist = path_lengths(gt)
     if dist[-1] < min(lengths):
         raise InsufficientLengthError(
-            f"ground-truth path covers {dist[-1]:.3f} m, shorter than every "
+            f"ground-truth path covers {dist[-1]:g} m, shorter than every "
             f"requested segment length (min {min(lengths):g} m)"
         )
     n = len(gt)
@@ -316,7 +316,7 @@ def scale_from_first_10m(est: Trajectory, gt: Trajectory) -> float:
     _check_same_frames(est, gt)
     d_gt = path_lengths(gt)
     if d_gt[-1] < 10.0:
-        raise InsufficientLengthError(f"ground-truth path covers {d_gt[-1]:.3f} m < prefix 10 m")
+        raise InsufficientLengthError(f"ground-truth path covers {d_gt[-1]:g} m < prefix 10 m")
     k = int(np.searchsorted(d_gt, 10.0, side="left"))
     d_est = path_lengths(est)
     if d_est[k] <= 0.0:
@@ -369,7 +369,7 @@ def log_scale_curve(est: Trajectory, gt: Trajectory, segment_m: float = 10.0) ->
         bounds.append(nxt)
     if len(bounds) < 2:
         raise InsufficientLengthError(
-            f"ground-truth path covers {d_gt[-1]:.3f} m, not even one {segment_m:g} m segment"
+            f"ground-truth path covers {d_gt[-1]:g} m, not even one {segment_m:g} m segment"
         )
     b = np.array(bounds)
     dg = _norms(gt.positions[b[1:]] - gt.positions[b[:-1]])

@@ -42,7 +42,13 @@ class FlowStats:
 
     def __init__(self, epe: np.ndarray):
         self._epe = epe = check_array("epe", epe, ("H", "W")).ravel()
-        self.mean_epe = float(epe.mean())
+        with np.errstate(over="ignore"):
+            mean = float(epe.mean())
+        if mean == math.inf:
+            # the sum left the float range: divided by the largest error first, the mean lies in (0, 1]
+            top = float(epe.max())
+            mean = top * float((epe / top).mean())
+        self.mean_epe = mean
         self.max_epe = float(epe.max())
 
     def frac_below(self, threshold_px: float) -> float:
@@ -154,8 +160,15 @@ def flow_error_map(pred: FlowField, gt: FlowField):
         raise ShapeError(
             f"flow shapes differ: {pred.data.shape} vs {gt.data.shape}"
         )
-    diff = pred.data - gt.data
-    epe = np.sqrt(diff[0] ** 2 + diff[1] ** 2)
+    with np.errstate(over="ignore"):
+        diff = pred.data - gt.data
+        epe = np.sqrt(diff[0] ** 2 + diff[1] ** 2)
+        far = ~np.isfinite(epe)
+        if far.any():
+            # a square left the float range (a component above about 1e154); hypot scales first
+            epe[far] = np.hypot(diff[0][far], diff[1][far])
+            if np.isinf(epe[far]).any():  # the difference or its length left the float range
+                raise ValueError("flow_error_map: an endpoint error leaves the float range")
     return epe, FlowStats(epe)
 
 
@@ -169,17 +182,31 @@ def l1_flow_loss(pred: FlowField, gt: FlowField, mask: np.ndarray | None = None)
         raise ShapeError(
             f"flow shapes differ: {pred.data.shape} vs {gt.data.shape}"
         )
-    per_px = np.abs(pred.data - gt.data).sum(axis=0)
     if mask is not None:
         mask = np.asarray(mask)
         if mask.dtype != bool:
             raise ValueError(f"mask must be a bool array, got dtype {mask.dtype}")
-        if mask.shape != per_px.shape:
-            raise ShapeError(f"mask shape {mask.shape} does not match flow {per_px.shape}")
+        if mask.shape != gt.data.shape[1:]:
+            raise ShapeError(f"mask shape {mask.shape} does not match flow {gt.data.shape[1:]}")
         if not mask.any():
             raise DegenerateInputError("mask excludes every pixel")
-        per_px = per_px[mask]
-    return float(per_px.mean())
+
+    def mean_l1(diff):
+        per_px = diff.sum(axis=0)
+        return float((per_px if mask is None else per_px[mask]).mean())
+
+    with np.errstate(over="ignore"):
+        diff = np.abs(pred.data - gt.data)
+        loss = mean_l1(diff)
+        if loss == math.inf:
+            top = float((diff if mask is None else diff[:, mask]).max())
+            if top < math.inf:
+                # only a sum left the float range: divided by the largest kept
+                # difference first, the mean lies in (0, 2]
+                loss = top * mean_l1(diff / top)
+    if not loss < math.inf:
+        raise ValueError("l1_flow_loss leaves the float range")
+    return loss
 
 
 def flow_to_bvt1(flow: FlowField) -> bytes:

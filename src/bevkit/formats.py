@@ -238,13 +238,15 @@ def associate_by_timestamp(
                         for name, times in (("times_a", times_a), ("times_b", times_b)))
     max_dt_s = check_arg("max_dt_s", max_dt_s, AT_LEAST_ZERO)
     pairs: list[tuple[int, int]] = []
+    times_b = times_b.tolist()
     j_start = 0
-    for i, ta in enumerate(times_a):
+    for i, ta in enumerate(times_a.tolist()):
         best_j = -1
         best_dt = None
         j = j_start
-        while j < times_b.size:
-            dt = float(times_b[j] - ta)
+        while j < len(times_b):
+            # Python floats: a difference past the float range is +-inf, beyond any tolerance but an infinite one
+            dt = times_b[j] - ta
             if dt > max_dt_s:
                 break
             if abs(dt) <= max_dt_s and (best_dt is None or abs(dt) < best_dt):

@@ -371,12 +371,18 @@ def pixel_to_vehicle(u, v, grid: BevGridSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Accepts scalars or broadcastable arrays; returns two arrays of the
     broadcast shape.  The map is x = (o_y - v) * r, y = (u - o_x) * r.
+
+    Raises:
+        ValueError: a coordinate leaves the float range.
     """
     u = check_array("u", u, None)
     v = check_array("v", v, None)
     o_x, o_y = grid.origin_px
-    x, y = np.broadcast_arrays((o_y - v) * grid.resolution_m, (u - o_x) * grid.resolution_m)
-    return x, y
+    with np.errstate(over="ignore"):
+        x, y = (o_y - v) * grid.resolution_m, (u - o_x) * grid.resolution_m
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("pixel_to_vehicle: a vehicle coordinate leaves the float range")
+    return tuple(np.broadcast_arrays(x, y))
 
 
 def vehicle_to_pixel(x, y, grid: BevGridSpec):

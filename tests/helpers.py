@@ -26,13 +26,14 @@ from bevkit.geometry import (
 )
 
 
-def run_fresh_python(*args, timeout=120):
+def run_fresh_python(*args, timeout=120, env=None):
     """Run a new interpreter that imports bevkit from the same place as this one, killed after ``timeout`` s.
 
     A call that may hang runs here, so that it fails by ``TimeoutExpired``
-    instead of stalling the suite.
+    instead of stalling the suite.  ``env`` holds variables the new
+    interpreter gets on top of this one's environment.
     """
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     src = str(Path(bevkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -677,6 +678,37 @@ class TestTopLevel:
         proc = run_fresh_python("-c", "import sys, bevkit.cli; print('concurrent.futures' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_cli_process_starts_no_blas_thread_pool(self, tmp_path, config_path):
+        # OpenBLAS reads the variable once, when numpy loads it; a worker it starts only spins
+        blas_pool = {"OPENBLAS_NUM_THREADS": "2"}
+        control = run_fresh_python("-c", "import os, numpy; print(len(os.listdir('/proc/self/task')))", env=blas_pool)
+        assert control.returncode == 0, control.stderr
+        if control.stdout.strip() != "2":
+            pytest.skip("OpenBLAS starts no second thread here")
+        report = ("import os, sys\n"
+                  "from bevkit.cli import main\n"
+                  "code = main(sys.argv[1:])\n"
+                  "print('numpy' in sys.modules, len(os.listdir('/proc/self/task')), file=sys.stderr)\n"
+                  "sys.exit(code)\n")
+        proc = run_fresh_python("-c", report, "flow-make", "--pose", "0.1,1,0", "--config", config_path,
+                                "--out", str(tmp_path / "flow.bvt1"), env=blas_pool)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == ["True", "1"]
+
+    @pytest.mark.parametrize("blas_threads", [None, "2"])
+    def test_in_process_call_keeps_the_environment(self, tmp_path, config_path, capsys, monkeypatch, blas_threads):
+        # numpy is loaded here already, so its pool exists and the variable would change nothing
+        assert "numpy" in sys.modules
+        if blas_threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        before = dict(os.environ)
+        run_json(["flow-make", "--pose", "0.1,1,0", "--config", config_path, "--out", str(tmp_path / "flow.bvt1")],
+                 capsys)
+        assert dict(os.environ) == before
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
     def test_correlate_pinned_to_one_cpu_writes_the_same_bytes(self, tmp_path):

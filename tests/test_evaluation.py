@@ -367,6 +367,17 @@ class TestRteRre:
         with pytest.raises(InsufficientLengthError):
             rte_rre(gt, gt, lengths_m=(100.0,))
 
+    def test_short_path_message_keeps_significant_digits(self):
+        gt = line_traj(5, step=1e-6)
+        with pytest.raises(InsufficientLengthError, match=re.escape(
+                "ground-truth path covers 4e-06 m, shorter than every requested segment length (min 1 m)")):
+            rte_rre(gt, gt, lengths_m=(1.0,))
+        with pytest.raises(InsufficientLengthError, match=re.escape("ground-truth path covers 4e-06 m < prefix 10 m")):
+            scale_from_first_10m(gt, gt)
+        with pytest.raises(InsufficientLengthError,
+                           match=re.escape("ground-truth path covers 4e-06 m, not even one 10 m segment")):
+            log_scale_curve(gt, gt, segment_m=10.0)
+
     def test_bad_arguments_rejected(self):
         gt = line_traj(20)
         with pytest.raises(ValueError):

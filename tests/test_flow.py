@@ -253,6 +253,31 @@ class TestErrorMapAndLoss:
         with pytest.raises(DegenerateInputError):
             l1_flow_loss(pred, gt, mask=np.zeros((128, 128), dtype=bool))
 
+    def test_difference_past_the_float_range_is_refused_without_a_warning(self):
+        g = BevGridSpec(4, 4, 0.8)
+        up, down = FlowField(np.full((2, 4, 4), 1e308), g), FlowField(np.full((2, 4, 4), -1e308), g)
+        with pytest.raises(ValueError, match="^flow_error_map: an endpoint error leaves the float range$"):
+            flow_error_map(up, down)
+        with pytest.raises(ValueError, match="^l1_flow_loss leaves the float range$"):
+            l1_flow_loss(up, down)
+
+    def test_squares_past_the_float_range_give_the_scaled_length(self):
+        g = BevGridSpec(2, 2, 0.8)
+        pred = FlowField(np.array([3e300, 4e300])[:, None, None] * np.ones((2, 2, 2)), g)
+        epe, stats = flow_error_map(pred, FlowField(np.zeros((2, 2, 2)), g))
+        assert np.allclose(epe, 5e300, rtol=1e-15, atol=0.0)
+        assert stats.mean_epe == stats.max_epe == epe.max()
+
+    def test_sums_past_the_float_range_give_the_scaled_mean(self):
+        g = BevGridSpec(2, 2, 0.8)
+        data = np.zeros((2, 2, 2))
+        data[0, 0, 0], data[1, 0, 0], data[0, 1, 1] = 1.5e308, 1.5e308, 1e308
+        pred, gt = FlowField(data, g), FlowField(np.zeros((2, 2, 2)), g)
+        assert l1_flow_loss(pred, gt, mask=np.array([[False, True], [True, True]])) == 1e308 / 3
+        with pytest.raises(ValueError, match="^l1_flow_loss leaves the float range$"):
+            l1_flow_loss(pred, gt, mask=np.array([[True, False], [False, False]]))
+        assert FlowStats(np.full((2, 2), 1.5e308)).mean_epe == 1.5e308
+
 
 class TestInGridMask:
     def test_identity_keeps_everything(self):

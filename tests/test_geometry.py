@@ -173,6 +173,14 @@ class TestPixelVehicleMap:
         assert np.max(np.abs(uu - us)) < 1e-12
         assert np.max(np.abs(vv - vs)) < 1e-12
 
+    def test_coordinates_past_the_float_range_are_refused_without_a_warning(self):
+        with pytest.raises(ValueError, match="^pixel_to_vehicle: a vehicle coordinate leaves the float range$"):
+            pixel_to_vehicle(np.array([1e308]), np.array([0.0]), BevGridSpec(8, 8, 1e300))
+        with pytest.raises(ValueError, match="float range"):
+            pixel_to_vehicle(0.0, -1e308, BevGridSpec(8, 8, 2.0, origin_px=(0.0, 1e308)))
+        x, y = pixel_to_vehicle(np.array([1e8]), np.array([0.0]), BevGridSpec(8, 8, 1e300, origin_px=(0.0, 0.0)))
+        assert (x.tolist(), y.tolist()) == ([0.0], [1e308])
+
     def test_default_origin_is_grid_center(self):
         g = BevGridSpec(128, 128, 0.8)
         assert g.origin_px == (63.5, 63.5)

@@ -953,6 +953,11 @@ class TestAssociateByTimestamp:
         pairs = associate_by_timestamp(np.array([0.0]), np.array([-0.03, 0.01]), 0.05)
         assert pairs == [(0, 1)]
 
+    def test_difference_past_the_float_range_matches_nothing_without_a_warning(self):
+        assert associate_by_timestamp(np.array([-1e308]), np.array([1e308]), 1e308) == []
+        assert associate_by_timestamp(np.array([1e308]), np.array([-1e308]), 1e308) == []
+        assert associate_by_timestamp(np.array([-1e308]), np.array([1e308]), math.inf) == [(0, 0)]
+
     def test_each_frame_used_once_and_monotone(self):
         a = np.array([0.0, 0.1, 0.2, 0.35])
         b = np.array([0.01, 0.12, 0.18, 0.34, 0.36])
