@@ -21,7 +21,7 @@ from .errors import (
     InsufficientLengthError,
     ShapeError,
 )
-from .geometry import Trajectory, check_rigid, fit_similarity, invert_rigid
+from .geometry import Trajectory, _scale_safe, check_rigid, fit_similarity, invert_rigid
 from .text import FINITE_POSITIVE, FLAG, check_arg, integer_in
 
 DEFAULT_SEGMENT_LENGTHS_M = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
@@ -69,21 +69,6 @@ class MetricsReport:
         }
 
 
-def _row_norms(t: np.ndarray, norm) -> np.ndarray:
-    """``norm(t)`` of a float (N, 3) array, with each norm that leaves the float range from a finite row rescaled.
-
-    Squares of entries above about 1.3e154 overflow; such a norm becomes
-    ``m * norm(row / m)``, ``m`` the row's largest magnitude, as in
-    ``losses._direction``.  Every other norm keeps its bits.
-    """
-    with np.errstate(over="ignore"):  # a norm past the float range stays inf
-        out = norm(t)
-        for k in np.flatnonzero(~np.isfinite(out) & np.isfinite(t).all(axis=1)).tolist():
-            m = np.abs(t[k]).max()
-            out[k] = m * norm(t[k:k + 1] / m)[0]
-    return out
-
-
 def path_lengths(traj: Trajectory) -> np.ndarray:
     """Accumulated path length at every frame, starting at 0.
 
@@ -93,12 +78,12 @@ def path_lengths(traj: Trajectory) -> np.ndarray:
         diffs = np.diff(traj.positions, axis=0)
         # plain elementwise square/sum/sqrt; keeps the arithmetic identical to
         # a scalar accumulation loop, which BLAS-backed norms need not be
-        steps = _row_norms(diffs, lambda d: np.sqrt((d * d).sum(axis=1)))
+        steps = _scale_safe(lambda d: np.sqrt((d * d).sum(axis=1)), diffs)
         return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (N, 3) array, rescaled by :func:`_row_norms`.
+    """Euclidean norms of the rows of an (N, 3) array, each row rescaled as ``_scale_safe`` rescales it.
 
     Each is the bits ``np.linalg.norm`` gives for that row alone: a batch
     of 1x3 by 3x1 products sums like its dot product, while elementwise
@@ -106,7 +91,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
     nine.
     """
     t = np.ascontiguousarray(v, dtype=float)
-    return _row_norms(t, lambda x: np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]))
+    return _scale_safe(lambda x: np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]), t)
 
 
 def _rotation_angles(rot: np.ndarray) -> list[float]:
@@ -166,12 +151,7 @@ def ate(est: Trajectory, gt: Trajectory, mode: str = "se3") -> float:
         # residual; return it exactly rather than the fitted rounding noise
         return 0.0
     residuals = scale * est.positions @ rot.T + t - gt.positions
-    with np.errstate(over="ignore"):  # squares past the float range are rescaled below
-        rmse = float(np.sqrt((residuals ** 2).sum(axis=1).mean()))
-    if not math.isfinite(rmse) and np.isfinite(residuals).all():
-        m = float(np.abs(residuals).max())
-        rmse = m * float(np.sqrt(((residuals / m) ** 2).sum(axis=1).mean()))
-    return rmse
+    return _scale_safe(lambda r: float(np.sqrt((r ** 2).sum(axis=1).mean())), residuals)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bvt1 import read_bvt1, write_bvt1
 from .errors import DegenerateGeometryError, DegenerateInputError, ShapeError
-from .geometry import BevGridSpec, Pose2, fit_similarity, pixel_to_vehicle
+from .geometry import BevGridSpec, Pose2, _scale_safe, fit_similarity, pixel_to_vehicle
 from .text import AT_LEAST_ZERO, check_arg, check_array
 
 # The weighted cross-covariance of the point correspondences is considered
@@ -42,13 +42,7 @@ class FlowStats:
 
     def __init__(self, epe: np.ndarray):
         self._epe = epe = check_array("epe", epe, ("H", "W")).ravel()
-        with np.errstate(over="ignore"):
-            mean = float(epe.mean())
-        if mean == math.inf:
-            # the sum left the float range: divided by the largest error first, the mean lies in (0, 1]
-            top = float(epe.max())
-            mean = top * float((epe / top).mean())
-        self.mean_epe = mean
+        self.mean_epe = _scale_safe(lambda e: float(e.mean()), epe)
         self.max_epe = float(epe.max())
 
     def frac_below(self, threshold_px: float) -> float:
@@ -165,7 +159,7 @@ def flow_error_map(pred: FlowField, gt: FlowField):
         epe = np.sqrt(diff[0] ** 2 + diff[1] ** 2)
         far = ~np.isfinite(epe)
         if far.any():
-            # a square left the float range (a component above about 1e154); hypot scales first
+            # a square left the float range (components above about 1e154): hypot scales per pixel, unlike _scale_safe
             epe[far] = np.hypot(diff[0][far], diff[1][far])
             if np.isinf(epe[far]).any():  # the difference or its length left the float range
                 raise ValueError("flow_error_map: an endpoint error leaves the float range")
@@ -191,19 +185,12 @@ def l1_flow_loss(pred: FlowField, gt: FlowField, mask: np.ndarray | None = None)
         if not mask.any():
             raise DegenerateInputError("mask excludes every pixel")
 
-    def mean_l1(diff):
-        per_px = diff.sum(axis=0)
-        return float((per_px if mask is None else per_px[mask]).mean())
-
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a difference past the float range stays inf, refused below
         diff = np.abs(pred.data - gt.data)
-        loss = mean_l1(diff)
-        if loss == math.inf:
-            top = float((diff if mask is None else diff[:, mask]).max())
-            if top < math.inf:
-                # only a sum left the float range: divided by the largest kept
-                # difference first, the mean lies in (0, 2]
-                loss = top * mean_l1(diff / top)
+    keep = slice(None) if mask is None else mask
+    if mask is not None:
+        np.copyto(diff, 0.0, where=~mask)  # so the largest magnitude is the largest kept difference
+    loss = _scale_safe(lambda d: float(d.sum(axis=0)[keep].mean()), diff)
     if not loss < math.inf:
         raise ValueError("l1_flow_loss leaves the float range")
     return loss

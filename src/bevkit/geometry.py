@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ TWO_PI = 2.0 * math.pi
 ORTHONORMALITY_TOL = 1e-9
 
 MAX_GRID_CELLS = 2**22  # most pixels along a BEV grid side, and most cells of a configured grid
+
+# below this a nonzero square is subnormal or zero, so a norm loses bits or reads 0
+_TINY = math.sqrt(sys.float_info.min)
 
 
 def wrap_angle(theta):
@@ -54,6 +58,32 @@ def proper_rotation(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         u[:, -1] = -u[:, -1]
         r = u @ vt
     return r, sigma
+
+
+def _scale_safe(f, x: np.ndarray):
+    """``f(x)`` for a nonnegative ``f`` with f(c x) = c f(x), c > 0: a norm, an RMS or a mean of magnitudes.
+
+    A result past the float range, or below ``_TINY`` where squares turn
+    subnormal, is recomputed as ``m * f(x / m)``, ``m`` the largest magnitude
+    of ``x`` (Blue's scaled norm, ACM TOMS 1978).  An ``x`` that is all zero
+    or not all finite keeps its result, so inf stays the caller's to judge.
+    An ``f`` that gives one value per row of a 2-D ``x`` is rescaled row by
+    row, each by its own ``m``.  Every other result keeps its bits.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        out = f(x)
+        redo = (out < _TINY) | ~np.isfinite(out)
+        if not redo.any():
+            return out
+        if np.ndim(out) == 0:
+            m = float(np.abs(x).max())  # inf or NaN unless every entry is finite
+            return m * f(x / m) if 0.0 < m < math.inf else out
+        rows = np.flatnonzero(redo)
+        m = np.abs(x[rows]).max(axis=1)
+        keep = (m > 0.0) & (m < math.inf)
+        rows, m = rows[keep], m[keep]
+        out[rows] = m * f(x[rows] / m[:, None])
+        return out
 
 
 def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None = None,
@@ -88,7 +118,7 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
             # trace(R^T cov): the singular values summed, the last one negated if proper_rotation fixed a reflection
             trace, var = np.sum(rot * cov), (w * p * p).sum()
             if not 0.0 < var < math.inf:
-                # squares past the float range: losses._direction's rule, p over its largest magnitude first
+                # _scale_safe's rule by hand: the ratio cancels m * m, so neither is multiplied back
                 m = np.abs(p).max()
                 trace, var = trace / m / m, (w * np.square(p / m)).sum()
             scale = float(trace / var) if var > 0.0 else 0.0
@@ -388,10 +418,18 @@ def pixel_to_vehicle(u, v, grid: BevGridSpec) -> tuple[np.ndarray, np.ndarray]:
 def vehicle_to_pixel(x, y, grid: BevGridSpec):
     """Map vehicle-frame (x, y) to BEV pixels (u, v): u = o_x + y / r, v = o_y - x / r.
 
-    The inverse of :func:`pixel_to_vehicle`, up to rounding.
+    The inverse of :func:`pixel_to_vehicle`, up to rounding.  Accepts
+    scalars or broadcastable arrays; a pixel coordinate past the float
+    range is +-inf.
     """
+    return _vehicle_to_pixel(check_array("x", x, None), check_array("y", y, None), grid)
+
+
+def _vehicle_to_pixel(x: np.ndarray, y: np.ndarray, grid: BevGridSpec):
+    """:func:`vehicle_to_pixel` of coordinates already checked."""
     o_x, o_y = grid.origin_px
-    return o_x + y / grid.resolution_m, o_y - x / grid.resolution_m
+    with np.errstate(over="ignore"):  # a pixel coordinate past the float range is +-inf
+        return o_x + y / grid.resolution_m, o_y - x / grid.resolution_m
 
 
 @dataclass(frozen=True)

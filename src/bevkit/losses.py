@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .geometry import Pose2, wrap_angle
+from .geometry import _TINY, Pose2, _scale_safe, wrap_angle
 from .text import FINITE, FINITE_AT_LEAST_ZERO, check_arg, check_array
 
 
@@ -65,14 +65,9 @@ def loss_5dof(
     t_pred, t_gt = check_array("t_pred", t_pred, (3,)), check_array("t_gt", t_gt, (3,))
     rot_pred, rot_gt = check_array("rot_pred", rot_pred, (3, 3)), check_array("rot_gt", rot_gt, (3, 3))
     direction_term = float(np.abs(_direction(t_pred) - _direction(t_gt)).sum())
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):  # a difference past the float range makes the term inf, refused below
         diff = rot_pred - rot_gt
-        rotation_term = float(np.linalg.norm(diff))
-        if rotation_term == math.inf:
-            # the sum of squares left the float range (entries above about 1e154):
-            # divided by the largest magnitude first, the norm lies in [1, 3]
-            m = float(np.abs(diff).max())
-            rotation_term = m * float(np.linalg.norm(diff / m))
+    rotation_term = _scale_safe(lambda d: float(np.linalg.norm(d)), diff)
     if not rotation_term < math.inf:  # the difference or its norm overflowed
         raise ValueError("loss_5dof rotation term ||rot_pred - rot_gt||_F leaves the float range")
     return _finite("loss_5dof", direction_term + beta * rotation_term)
@@ -89,10 +84,8 @@ def _direction(t: np.ndarray) -> np.ndarray:
     """``t`` scaled to unit L2 length."""
     with np.errstate(over="ignore"):
         n = np.linalg.norm(t)
-    if not 0.0 < n < math.inf:
-        # the sum of squares left the float range (above about 1e154, or
-        # below about 1e-162 where it rounds to zero); dividing by the
-        # largest magnitude first brings the norm into [1, sqrt(3)]
+    if not _TINY <= n < math.inf:
+        # _scale_safe's divisor, by hand: a direction is (t / m) / ||t / m||, so m is never multiplied back
         m = np.abs(t).max()
         if m == 0.0:
             raise DegenerateInputError("translation direction undefined for zero-norm input")

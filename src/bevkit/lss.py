@@ -21,7 +21,7 @@ import numpy as np
 from ._threads import split_run
 from .correlation import FeatureMap
 from .errors import InvalidCameraError, ShapeError
-from .geometry import BevGridSpec, CameraModel, vehicle_to_pixel
+from .geometry import BevGridSpec, CameraModel, _vehicle_to_pixel
 from .text import FLAG, INTEGER, check_arg, check_array
 
 _NORMALIZATION_TOL = 1e-6
@@ -127,8 +127,7 @@ def assign_cells(frustum: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
 
 def _assign(pts: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
     """:func:`assign_cells` on a frustum already checked."""
-    with np.errstate(over="ignore"):  # a far point maps to an infinite pixel coordinate, outside the grid
-        u, v = vehicle_to_pixel(pts[..., 0], pts[..., 1], grid)
+    u, v = _vehicle_to_pixel(pts[..., 0], pts[..., 1], grid)  # a far point's +-inf is outside the grid
     in_grid = (v >= 0) & (v < grid.height_px) & (u >= 0) & (u < grid.width_px)
     points = np.flatnonzero(in_grid)
     cells = (np.floor(v.ravel()[points]) * grid.width_px + np.floor(u.ravel()[points])).astype(np.int64)

@@ -30,7 +30,7 @@ from bevkit.evaluation import evaluate_trajectories, log_scale_curve, rte_rre, s
 from bevkit.flow import FlowField, FlowStats, construct_flow_gt, displacement_at, l1_flow_loss, solve_pose_from_flow
 from bevkit.formats import associate_by_timestamp, matrix_to_quat, quat_to_matrix
 from bevkit.geometry import (BevGridSpec, CameraModel, Pose2, Pose3, Trajectory, check_rigid, fit_similarity,
-                             pixel_to_vehicle, proper_rotation)
+                             pixel_to_vehicle, proper_rotation, vehicle_to_pixel)
 from bevkit.losses import LossWeights, loss_3dof, loss_5dof, loss_total
 from bevkit.lss import DepthDistribution, assign_cells, build_frustum
 from bevkit.sampler import FrameIndex, build_pair_lists, frames_from_trajectory
@@ -331,25 +331,33 @@ REFUSED = {
     "write_bvt1-ragged": (lambda: write_bvt1([[1.0, 2.0], [3.0]]), ValueError, "array: "),
 }
 
-# u and v of the pixel maps broadcast against each other, so a wrong rank is
-# no fault of theirs: they cannot join ARRAY_TABLE, whose "wrong-rank" case
-# must be refused, and take its dtype and finiteness cases here
+# the coordinates of the pixel maps broadcast against each other, so a wrong
+# rank is no fault of theirs: they cannot join ARRAY_TABLE, whose "wrong-rank"
+# case must be refused, and take its dtype and finiteness cases here
 PIXEL_MAPS = {
-    "pixel_to_vehicle": lambda u, v: pixel_to_vehicle(u, v, GRID),
-    "displacement_at": lambda u, v: displacement_at(Pose2(0.1, 0.5, -0.25), GRID, u, v),
+    "pixel_to_vehicle": (lambda u, v: pixel_to_vehicle(u, v, GRID), ("u", "v")),
+    "displacement_at": (lambda u, v: displacement_at(Pose2(0.1, 0.5, -0.25), GRID, u, v), ("u", "v")),
+    "vehicle_to_pixel": (lambda x, y: vehicle_to_pixel(x, y, GRID), ("x", "y")),
 }
 PIXELS = np.array([[1.0, 2.0, 3.5], [0.0, 7.0, 4.25]])
+
+
+def _pixel_map_with(name, param, value):
+    """A call of the pixel map ``name`` with ``value`` as ``param`` and ``PIXELS`` as the other coordinate."""
+    call, params = PIXEL_MAPS[name]
+    return lambda: call(**{**dict.fromkeys(params, PIXELS), param: value})
+
+
 REFUSED.update({
     f"{name}-{param}-{kind}": (
-        lambda call=call, param=param, kind=kind: call(**{"u": PIXELS, "v": PIXELS, param: HOSTILE_ARRAYS[kind](PIXELS)}),
+        _pixel_map_with(name, param, HOSTILE_ARRAYS[kind](PIXELS)),
         ValueError, f"{param} contains non-finite entries" if kind in ("nan", "inf") else f"{param} must hold")
-    for name, call in PIXEL_MAPS.items() for param in ("u", "v")
+    for name, (_, params) in PIXEL_MAPS.items() for param in params
     for kind in ("str", "bool", "complex", "fraction", "nan", "inf")
 })
 REFUSED.update({
-    f"{name}-{param}-ragged": (lambda call=call, param=param: call(**{"u": PIXELS, "v": PIXELS, param: [[1, 2], [3]]}),
-                               ValueError, f"{param}: ")
-    for name, call in PIXEL_MAPS.items() for param in ("u", "v")
+    f"{name}-{param}-ragged": (_pixel_map_with(name, param, [[1, 2], [3]]), ValueError, f"{param}: ")
+    for name, (_, params) in PIXEL_MAPS.items() for param in params
 })
 
 
@@ -371,7 +379,8 @@ def test_listed_coercions_are_refused(call, kind, text):
 @pytest.mark.parametrize("name", PIXEL_MAPS)
 def test_pixel_maps_give_the_bits_of_coerced_coordinates(name, u, v):
     # np.asarray(x, dtype=float) is how the pixel maps took u and v before the array rule
-    got, want = PIXEL_MAPS[name](u, v), PIXEL_MAPS[name](np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    call = PIXEL_MAPS[name][0]
+    got, want = call(u, v), call(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
     for a, b in zip(got, want):
         assert type(a) is type(b) and np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 

@@ -132,6 +132,17 @@ class TestPathLengths:
         norms = _norms(np.array([[3e200, -4e200, 0.0], [1.5e308, 1.5e308, 0.0], [1.0, 2.0, 2.0]]))
         assert norms[0] == pytest.approx(5e200, rel=1e-15) and norms[1] == math.inf and norms[2] == 3.0
 
+    @pytest.mark.parametrize("step", [1e-300, 1e-160])
+    def test_steps_whose_squares_underflow_are_rescaled(self, step):
+        # the squares were zero or subnormal: 1e-300 m steps read 0 m, 1e-160 m steps 9.99994433575849e-161 m
+        gt = line_traj(5, step=step)
+        assert path_lengths(gt).tolist() == [0.0, step, 2 * step, 3 * step, 4 * step]
+        assert rte_rre(gt, gt, lengths_m=(step,)).per_length == {step: (0.0, 0.0, 4)}
+
+    def test_the_steps_of_a_stop_stay_zero(self):
+        xs = [0.0, 0.0, 1e-300, 1e-300, 2e-300]
+        assert path_lengths(line_from_x(xs)).tolist() == xs
+
     @pytest.mark.parametrize("xs, want", [
         ([0.0, 1e308, -1e308, 0.0], [0.0, 1e308, math.inf, math.inf]),  # a step: 1e308 - (-1e308)
         ([0.0, 1e308, 0.0], [0.0, 1e308, math.inf]),  # finite steps, their running sum

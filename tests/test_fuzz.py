@@ -357,6 +357,22 @@ def test_eval_traj_exits_cleanly(peak_bytes, workdir, data, drive, align, scale_
     run_cli(peak_bytes, workdir, argv, files, usage_errors=True, notes=True)
 
 
+# the drives above with every step times 10 ** power, from 1e-300 to 1e300; the segment lengths scale with them
+@TENSOR_FUZZ
+@given(steps=steps, power=st.integers(-300, 300), fmt=st.sampled_from(FORMATS), scale=st.floats(0.5, 2.0),
+       align=st.sampled_from(["se3", "sim3"]), curve_m=st.none() | st.sampled_from([1.0, 5.0]),
+       lengths=st.lists(st.sampled_from([1.0, 2.5, 5.0, 20.0]), min_size=1, max_size=3, unique=True))
+def test_eval_traj_exits_cleanly_at_extreme_scales(peak_bytes, workdir, steps, power, fmt, scale, align, curve_m,
+                                                   lengths):
+    unit = 10.0 ** power
+    fmt, gt_text, est_text = drive_texts([(d * unit, w) for d, w in steps], 0.1, fmt, scale, 0.0, 0)
+    argv = ["eval-traj", "--est", "{d}/est.txt", "--gt", "{d}/gt.txt", "--format", fmt, "--align", align,
+            "--lengths=" + ",".join(repr(k * unit) for k in lengths)]
+    if curve_m is not None:
+        argv += [f"--scale-curve-segment-m={curve_m * unit!r}", "--scale-curve", "{d}/curve.csv"]
+    run_cli(peak_bytes, workdir, argv, {"gt.txt": gt_text.encode(), "est.txt": est_text.encode()}, notes=True)
+
+
 def write_drive(workdir, scale=1.1):
     """A 21-frame drive and an estimate with positions times ``scale``, as gt.txt and est.txt in ``workdir``."""
     _, gt_text, est_text = drive_texts([(1.0, 0.1)] * 20, 0.1, "tum", scale, 0.0, 0)

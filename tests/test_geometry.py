@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import bevkit.geometry
 from bevkit import io as bevio
 from bevkit.errors import DegenerateInputError, InvalidCameraError, ParseError, ShapeError
+from bevkit.evaluation import Trajectory, _norms, ate, path_lengths, scale_trajectory
+from bevkit.flow import FlowField, FlowStats, l1_flow_loss
 from bevkit.formats import parse_kitti_poses
 from bevkit.geometry import (
     BevGridSpec,
@@ -23,6 +26,7 @@ from bevkit.geometry import (
     vehicle_to_pixel,
     wrap_angle,
 )
+from bevkit.losses import loss_5dof
 from helpers import (
     compose,
     pose3,
@@ -181,6 +185,11 @@ class TestPixelVehicleMap:
         x, y = pixel_to_vehicle(np.array([1e8]), np.array([0.0]), BevGridSpec(8, 8, 1e300, origin_px=(0.0, 0.0)))
         assert (x.tolist(), y.tolist()) == ([0.0], [1e308])
 
+    def test_pixels_past_the_float_range_are_infinite_without_a_warning(self):
+        # 1e10 / 1e-300 overflowed in the division with a numpy warning
+        u, v = vehicle_to_pixel(np.array([1e10, -1e10]), np.array([0.0, 1e10]), BevGridSpec(4, 4, 1e-300))
+        assert (u.tolist(), v.tolist()) == ([1.5, math.inf], [-math.inf, math.inf])
+
     def test_default_origin_is_grid_center(self):
         g = BevGridSpec(128, 128, 0.8)
         assert g.origin_px == (63.5, 63.5)
@@ -194,6 +203,86 @@ class TestPixelVehicleMap:
             BevGridSpec(128, 128, 0.0)
         with pytest.raises(ValueError):
             BevGridSpec(128, 128, -1.0)
+
+
+def _line_to(step):
+    """Two frames, the second ``step`` (3,) from the first at the origin."""
+    poses = np.tile(np.eye(4), (2, 1, 1))
+    poses[1, :3, 3] = step
+    return Trajectory(np.arange(2.0), poses)
+
+
+_HELIX = np.stack([10.0 * np.cos(np.arange(21) / 5.0), 10.0 * np.sin(np.arange(21) / 5.0), 0.1 * np.arange(21)], 1)
+
+
+def _ate_residuals(gt_scale, ratio):
+    """``ate`` of a helix ``gt_scale`` times its size and an estimate ``ratio`` times that, and the residuals
+    it reduces, formed as the se3 fit forms them."""
+    poses = np.tile(np.eye(4), (21, 1, 1))
+    poses[:, :3, 3] = _HELIX
+    gt = scale_trajectory(Trajectory(np.arange(21.0), poses), gt_scale)
+    est = scale_trajectory(gt, ratio)
+    rot, t, _, _ = fit_similarity(est.positions, gt.positions)
+    return ate(est, gt, "se3"), 1.0 * est.positions @ rot.T + t - gt.positions
+
+
+def _l1(data, mask):
+    """``l1_flow_loss`` of a (2, 2, 2) flow ``data`` against zero flow, and the kept differences it reduces."""
+    g = BevGridSpec(2, 2, 0.8)
+    loss = l1_flow_loss(FlowField(data, g), FlowField(np.zeros((2, 2, 2)), g), mask)
+    return loss, np.abs(data)[:, np.ones((2, 2), bool) if mask is None else mask]
+
+
+_FLOW_OVER = np.array([[[1.7e308, 1.5e308], [1e308, 0.0]], [[0.0, 1.5e308], [0.0, 2e307]]])
+_FLOW_UNDER = _FLOW_OVER / 1.7e308 * 1e-300
+_FLOW = np.arange(8.0).reshape(2, 2, 2) / 3.0
+_KEEP = np.array([[False, True], [True, True]])  # the largest difference lies outside the mask
+_ROT = np.array([[0.6, -0.8, 0.1], [0.8, 0.6, -0.2], [0.0, 0.3, 1.0]])
+
+# each site of the scale-safe rule: (run, f, inputs); run(input) gives the site's value and the array it reduces,
+# f is the plain reduction the site computed before the rule, and the inputs overflow it, underflow it, or neither
+SCALE_SAFE_SITES = {
+    "path_lengths": (lambda x: (path_lengths(_line_to(x))[1], x[None]),
+                     lambda d: float(np.sqrt((d * d).sum(axis=1))[0]),
+                     [np.array([3e200, -4e200, 1e150]), np.array([3e-170, 4e-170, 0.0]), np.array([0.3, -1.7, 2.2])]),
+    "segment norms": (lambda x: (_norms(x[None])[0], x[None]),
+                      lambda d: float(np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])[0]),
+                      [np.array([1e200, -1e200, 5e199]), np.array([1e-300, 0.0, -2e-300]), np.array([1.0, 2.0, 2.5])]),
+    "ate": (lambda x: _ate_residuals(*x), lambda r: float(np.sqrt((r ** 2).sum(axis=1).mean())),
+            [(1.0, 4e153), (1e-150, 1.000001), (1.0, 1.1)]),
+    "FlowStats": (lambda x: (FlowStats(x).mean_epe, x.ravel()), lambda e: float(e.mean()),
+                  [np.array([[1.5e308, 1e308], [0.0, 3e307]]), np.array([[1e-300, 3e-300], [0.0, 5e-301]]),
+                   np.array([[0.25, 1.5], [2.0, 0.125]])]),
+    "l1_flow_loss": (lambda x: _l1(x, _KEEP), lambda d: float(d.sum(axis=0).mean()),
+                     [_FLOW_OVER, _FLOW_UNDER, _FLOW]),
+    "l1_flow_loss unmasked": (lambda x: _l1(x, None), lambda d: float(d.sum(axis=0).mean()),
+                              [_FLOW_OVER, _FLOW_UNDER, _FLOW]),
+    "loss_5dof": (lambda x: (loss_5dof(np.array([1.0, 0.0, 0.0]), x, np.array([1.0, 0.0, 0.0]), np.zeros((3, 3)),
+                                       beta=1.0), x),
+                  lambda d: float(np.linalg.norm(d)), [1e200 * _ROT, 1e-170 * _ROT, _ROT]),
+}
+
+
+class TestScaleSafe:
+    """Every site of the one rule: a plain reduction past the float range, or below sqrt(smallest normal),
+    becomes m * f(x / m) with m = max|x|; any other keeps the plain reduction's bits."""
+
+    @pytest.mark.parametrize("site", SCALE_SAFE_SITES)
+    @pytest.mark.parametrize("case", ["overflow", "underflow"])
+    def test_a_reduction_out_of_range_is_rescaled(self, site, case):
+        run, f, (over, under, _) = SCALE_SAFE_SITES[site]
+        got, x = run(over if case == "overflow" else under)
+        with np.errstate(over="ignore"):
+            plain = f(x)
+        assert plain == math.inf if case == "overflow" else plain < math.sqrt(sys.float_info.min)
+        m = float(np.abs(x).max())
+        assert got == m * f(x / m) and 0.0 < got < math.inf
+
+    @pytest.mark.parametrize("site", SCALE_SAFE_SITES)
+    def test_an_ordinary_reduction_keeps_its_bits(self, site):
+        run, f, (_, _, ordinary) = SCALE_SAFE_SITES[site]
+        got, x = run(ordinary)
+        assert got == f(x)
 
 
 class TestPose3:

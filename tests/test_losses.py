@@ -139,7 +139,9 @@ class TestLoss5dof:
         # squares that round to zero
         ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
         ([0.0, 5e-324, 0.0], [0.0, 1.0, 0.0]),
-    ], ids=["1e155", "1.7e308", "3-4-5", "1e-200", "subnormal"])
+        # squares that are subnormal: the plain norm of 1e-160 read 9.99994433575849e-161
+        ([1e-160, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ], ids=["1e155", "1.7e308", "3-4-5", "1e-200", "subnormal", "subnormal-squares"])
     def test_direction_of_translations_past_the_squared_range(self, t_pred, t_gt):
         # the plain norm overflowed to inf (a loss of 1.0 and a numpy warning)
         # or underflowed to 0 (a zero-norm refusal of a nonzero translation)
