@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ParseError
-from .geometry import Trajectory, is_rotation, proper_rotation, rotation_error
+from .geometry import Trajectory, is_rotation, proper_rotation, repair_rotations, rotation_error
 from .text import AT_LEAST_ZERO, Rows, check_arg, check_array, format_rows, read_rows
 
 if TYPE_CHECKING:
@@ -62,15 +62,15 @@ def parse_kitti_poses(text: str, timestamps: np.ndarray | None = None) -> Trajec
     poses = np.zeros((len(rows), 4, 4))
     poses[:, :3] = rows.reshape(-1, 3, 4)
     poses[:, 3, 3] = 1.0
-    rot = poses[:, :3, :3]
-    drift, det = rotation_error(rot)
+    drift, det = rotation_error(poses[:, :3, :3])
     refused = np.flatnonzero(~is_rotation(drift, det, _PARSE_ROT_TOL))
     if refused.size:
         i = int(refused[0])
         raise ParseError(f"rotation not orthonormal within {_PARSE_ROT_TOL:g} "
                          f"(drift {drift[i]:.2e}, det {det[i]:.6f})", line=i + 1)
-    for i in np.flatnonzero(~is_rotation(drift, det)).tolist():
-        rot[i] = proper_rotation(rot[i])[0]
+    # within 1e-4, a drift of at most 1e-9 bounds |det - 1| by about 0.87e-9,
+    # so drift alone picks the rows that is_rotation would
+    repair_rotations(poses)
     if failure is not None:
         raise failure
     if not values:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidCameraError, ShapeError
+from .errors import DegenerateGeometryError, DegenerateInputError, InvalidCameraError, ShapeError
 from .text import FINITE, FINITE_POSITIVE, FLAG, _float_array, check_arg, check_array, integer_in
 
 TWO_PI = 2.0 * math.pi
@@ -95,7 +95,8 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
     are uniform.  Returns (R, t, scale, sigma); callers judge uniqueness by
     ``sigma``, the singular values of sum_i w_i (dst_i - dst_c)(src_i - src_c)^T.
     Weights without a finite sum > 0, or a covariance, scale or translation past the float range, raise
-    DegenerateInputError.
+    DegenerateInputError; a covariance with no entry of normal magnitude, though both weighted point
+    sets spread, raises DegenerateGeometryError.
     """
     src = check_array("src", src, ("N", "d"))
     dst = check_array("dst", dst, src.shape)
@@ -106,11 +107,15 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
         src_c = (w * src).sum(axis=0) / total
         dst_c = (w * dst).sum(axis=0) / total
         p = src - src_c
-        cov = (w * (dst - dst_c)).T @ p
+        wq = w * (dst - dst_c)
+        cov = wq.T @ p
     if not 0.0 < total < math.inf:
         raise DegenerateInputError(f"weights must sum to a finite number > 0, got {float(total)!r}")
     if not np.isfinite(cov).all():
         raise DegenerateInputError("the weighted covariance of the point sets leaves the float range")
+    # zero or subnormal entries carry no rotation: near 1e-170 m of spread every product rounds to 0
+    if not (np.abs(cov) >= sys.float_info.min).any() and wq.any() and (w * p).any():
+        raise DegenerateGeometryError("the weighted covariance of the point sets is zero or subnormal")
     rot, sigma = proper_rotation(cov)
     scale = 1.0
     if check_arg("with_scale", with_scale, FLAG):
@@ -173,18 +178,6 @@ def repair_rotations(mats: np.ndarray):
         r[k] = proper_rotation(r[k])[0]
 
 
-def _check_rigid_matrix(m: np.ndarray):
-    """Raise ValueError unless the finite float 4x4 ``m`` is a rigid transform, as :class:`Pose3` demands."""
-    (a, b, c, _), (d, e, f, _), (g, h, i, _), bottom = m.tolist()
-    if bottom != [0.0, 0.0, 0.0, 1.0]:
-        raise ValueError("pose bottom row must be exactly (0, 0, 0, 1)")
-    drift, det = _rule(a, b, c, d, e, f, g, h, i, math.sqrt)
-    if not drift <= ORTHONORMALITY_TOL:
-        raise ValueError("rotation block is not orthonormal within 1e-9")
-    if not abs(det - 1.0) <= ORTHONORMALITY_TOL:
-        raise ValueError("rotation block must have determinant +1")
-
-
 @dataclass(frozen=True)
 class Pose3:
     """Rigid transform in SE(3), stored as a 4x4 homogeneous matrix.
@@ -197,7 +190,14 @@ class Pose3:
 
     def __post_init__(self):
         m = check_array("pose matrix", self.matrix, (4, 4))
-        _check_rigid_matrix(m)
+        (a, b, c, _), (d, e, f, _), (g, h, i, _), bottom = m.tolist()
+        if bottom != [0.0, 0.0, 0.0, 1.0]:
+            raise ValueError("pose bottom row must be exactly (0, 0, 0, 1)")
+        drift, det = _rule(a, b, c, d, e, f, g, h, i, math.sqrt)
+        if not drift <= ORTHONORMALITY_TOL:
+            raise ValueError("rotation block is not orthonormal within 1e-9")
+        if not abs(det - 1.0) <= ORTHONORMALITY_TOL:
+            raise ValueError("rotation block must have determinant +1")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
@@ -217,19 +217,19 @@ class Pose3:
 
 
 def invert_rigid(poses: np.ndarray) -> np.ndarray:
-    """Analytic inverses [R^T | -R^T t] of an (N, 4, 4) stack of rigid transforms.
+    """Analytic inverse [R^T | -R^T t] of one 4x4 rigid transform, or of each in an (N, 4, 4) stack.
 
     No validation: the rotation blocks are taken to be orthonormal.
     """
     poses = np.ascontiguousarray(poses, dtype=float)
-    r_t = np.swapaxes(poses[:, :3, :3], 1, 2)
-    out = np.zeros_like(poses)
-    out[:, :3, :3] = r_t
-    out[:, 3, 3] = 1.0
+    r_t = poses[..., :3, :3].swapaxes(-1, -2)
+    out = np.zeros(poses.shape)
+    out[..., :3, :3] = r_t
+    out[..., 3, 3] = 1.0
     # negated before the product, as a per-frame -R^T @ t would be: -(R^T t)
     # has the same values but may flip the sign of a zero.  The stacked
     # product gives the per-frame products' bits, signs of zeros included
-    np.matmul(np.negative(r_t), poses[:, :3, 3:], out=out[:, :3, 3:])
+    np.matmul(np.negative(r_t), poses[..., :3, 3:], out=out[..., :3, 3:])
     return out
 
 
@@ -251,7 +251,7 @@ def check_rigid(poses: np.ndarray):
     )
     for i in np.flatnonzero(bad).tolist():
         try:
-            _check_rigid_matrix(check_array("pose matrix", poses[i], (4, 4)))
+            Pose3(poses[i])
         except ValueError as exc:
             raise ValueError(f"pose {i}: {exc}") from None
 
@@ -259,17 +259,11 @@ def check_rigid(poses: np.ndarray):
 def relative_pose(a: Pose3, b: Pose3) -> Pose3:
     """Transform taking frame a to frame b: inverse(a) * b, repaired as :func:`repair_rotations` repairs.
 
-    inverse(a) is [R^T | -R^T t], with the bits :func:`invert_rigid` gives.
     A product the rotation rule passes, with a bottom row of exactly
     (0, 0, 0, 1) and a finite translation, is wrapped without a copy; a
     repaired one, or one that fails, goes through ``Pose3``'s checks.
     """
-    r_t = a.matrix[:3, :3].T
-    inv = np.zeros((4, 4))
-    inv[:3, :3] = r_t
-    inv[:3, 3] = np.negative(r_t) @ a.matrix[:3, 3]
-    inv[3, 3] = 1.0
-    m = inv @ b.matrix
+    m = invert_rigid(a.matrix) @ b.matrix
     drift, det = rotation_error(m[:3, :3])
     if drift > ORTHONORMALITY_TOL:
         m[:3, :3] = proper_rotation(m[:3, :3])[0]

@@ -32,7 +32,7 @@ class LossWeights:
             object.__setattr__(self, name, check_arg(name, getattr(self, name), FINITE_AT_LEAST_ZERO))
 
 
-def loss_3dof(pred: Pose2, gt: Pose2, alpha: float = 10.0) -> float:
+def loss_3dof(pred: Pose2, gt: Pose2, alpha: float = LossWeights.alpha) -> float:
     """Planar pose loss: |dtx| + |dty| + alpha * |dtheta|.
 
     The angular residual is wrapped to (-pi, pi] before taking the
@@ -48,7 +48,7 @@ def loss_5dof(
     rot_pred: np.ndarray,
     t_gt: np.ndarray,
     rot_gt: np.ndarray,
-    beta: float = 10.0,
+    beta: float = LossWeights.beta,
 ) -> float:
     """Scale-free translation direction plus rotation loss.
 

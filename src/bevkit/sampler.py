@@ -17,7 +17,7 @@ import numpy as np
 from .config import DEFAULT_HIGH_DEG, DEFAULT_LOW_DEG, DEFAULT_MAX_DISP_M, DEFAULT_WINDOW_S
 from .errors import NoPairsError
 from .geometry import Pose3, check_rigid, invert_rigid, repair_rotations, wrap_angle
-from .text import AT_LEAST_ZERO, FINITE, INTEGER, _float_array, check_arg, check_array
+from .text import AT_LEAST_ZERO, FINITE, INTEGER, _numeric_array, check_arg, check_array
 
 # Share of draws that go to the high-rotation list.
 HIGH_FRACTION = 0.7
@@ -199,7 +199,7 @@ def frames_from_trajectory(timestamps: np.ndarray, poses: np.ndarray) -> list[Fr
     shape = (timestamps.size, 4, 4)
     # check_rigid judges the frames in order, finiteness with rigidity, so the
     # first frame Pose3 would refuse is the one reported, not a later NaN
-    poses = _float_array("poses", poses, shape)
+    poses = _numeric_array("poses", poses, shape)
     check_rigid(poses)
     poses = check_array("poses", poses, shape)
     return [

@@ -110,7 +110,7 @@ def format_rows(fmt: str, rows, header: str | None = None) -> str:
 # JSON field tables and library arguments
 
 _REAL_MAX = sys.float_info.max
-_TINY = math.ulp(0.0)  # the least float > 0, so [_TINY, hi] is (0, hi]
+_LEAST_POSITIVE = math.ulp(0.0)  # so [_LEAST_POSITIVE, hi] is (0, hi]
 
 
 def _integral(v) -> bool:
@@ -143,7 +143,7 @@ def _number_in(lo: float, hi: float, text: str):
 INTEGER = (lambda v: type(v) is int or _integral(v)), "an integer", int
 AT_LEAST_ZERO = _number_in(0.0, math.inf, "a number >= 0")
 FINITE_AT_LEAST_ZERO = _number_in(0.0, _REAL_MAX, "a finite number >= 0")
-FINITE_POSITIVE = _number_in(_TINY, _REAL_MAX, "a finite number > 0")
+FINITE_POSITIVE = _number_in(_LEAST_POSITIVE, _REAL_MAX, "a finite number > 0")
 FINITE = _number_in(-_REAL_MAX, _REAL_MAX, "a finite number")
 # numpy's bool is no numbers.Integral, and no caller holds one before numpy is loaded
 FLAG = (lambda v: type(v) is bool or isinstance(v, getattr(sys.modules.get("numpy"), "bool_", bool))), "a bool", bool

@@ -19,7 +19,6 @@ from bevkit.evaluation import Trajectory
 from bevkit.geometry import (
     ORTHONORMALITY_TOL,
     Pose3,
-    _check_rigid_matrix,
     proper_rotation,
     repair_rotations,
     vehicle_to_pixel,
@@ -123,8 +122,7 @@ def reference_relative_pose(a: Pose3, b: Pose3) -> np.ndarray:
     m = reference_invert_rigid(a.matrix[None])[0] @ b.matrix
     if reference_rotation_error(m[:3, :3])[0] > ORTHONORMALITY_TOL:
         m[:3, :3] = proper_rotation(m[:3, :3])[0]
-    _check_rigid_matrix(m)
-    return m
+    return Pose3(m).matrix
 
 
 def rotation_angle(rot: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 
@@ -5,8 +6,7 @@ import numpy as np
 import pytest
 
 import bevkit.geometry
-from bevkit import io as bevio
-from bevkit.errors import DegenerateInputError, InvalidCameraError, ParseError, ShapeError
+from bevkit.errors import DegenerateGeometryError, DegenerateInputError, InvalidCameraError, ParseError, ShapeError
 from bevkit.evaluation import Trajectory, _norms, ate, path_lengths, scale_trajectory
 from bevkit.flow import FlowField, FlowStats, l1_flow_loss
 from bevkit.formats import parse_kitti_poses
@@ -27,12 +27,14 @@ from bevkit.geometry import (
     wrap_angle,
 )
 from bevkit.losses import loss_5dof
+from bevkit.synth import MotionPrimitive, SynthSpec, synth_trajectory
 from helpers import (
     compose,
     pose3,
     reference_invert_rigid,
     reference_relative_pose,
     reference_rotation_error,
+    rigid_inverse,
     rot_z,
     run_fresh_python,
 )
@@ -620,6 +622,18 @@ class TestFitSimilarity:
         with pytest.raises(DegenerateInputError, match="^the translation of the similarity fit leaves the float"):
             fit_similarity([[1e10], [1e10 + 1]], [[0.0], [1e300]], with_scale=True)
 
+    @pytest.mark.parametrize("with_scale", [True, False])
+    def test_a_covariance_below_the_normal_range_is_refused(self, with_scale):
+        # 1e-170 m apart, every product of the covariance rounded to 0, and the fit of this
+        # quarter turn read the identity with scale 0; at 1e-150 m the covariance is normal
+        quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+        src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateGeometryError,
+                           match="^the weighted covariance of the point sets is zero or subnormal$"):
+            fit_similarity(1e-170 * src, 1e-170 * src @ quarter.T, with_scale=with_scale)
+        rot, _, scale, _ = fit_similarity(1e-150 * src, 1e-150 * src @ quarter.T, with_scale=with_scale)
+        assert np.max(np.abs(rot - quarter)) < 1e-15 and abs(scale - 1.0) < 1e-15
+
     def test_a_point_set_without_spread_has_scale_zero(self):
         src = np.ones((4, 3))
         assert fit_similarity(src, np.random.default_rng(26).normal(size=(4, 3)), with_scale=True)[2] == 0.0
@@ -714,10 +728,37 @@ class TestRelativePose:
             assert np.array_equal(relative_pose(Pose3(a), Pose3(b)).matrix, want)
         assert 20 < repaired < 280
 
+    def test_bytes_of_the_inline_inverse(self, rotation_cases):
+        # relative_pose inverted its frame by hand, [R^T | -R^T t] with R^T negated before the
+        # product; invert_rigid gives those bytes for one 4x4 and for a stack, and the products
+        # keep them, signed zeros included, of which axis-aligned frames make many
+        rng = np.random.default_rng(35)
+        axis_aligned = [np.eye(3)[list(order)] * signs for order in itertools.permutations(range(3))
+                        for signs in itertools.product((1.0, -1.0), repeat=3)]
+        rotations = [*rotation_cases.values(), *axis_aligned, *(random_rotation(rng) for _ in range(200))]
+        poses = []
+        for r in rotations:
+            for t in ((0.0, -0.0, 0.0), (1.5, -0.0, -2.0), rng.uniform(-10.0, 10.0, 3) * 10.0 ** rng.uniform(-6, 4)):
+                m = np.eye(4)
+                m[:3, :3], m[:3, 3] = r, t
+                if verdict(Pose3, m) is None:
+                    poses.append(m)
+        want = np.stack([rigid_inverse(m) for m in poses])
+        assert np.stack([invert_rigid(m) for m in poses]).tobytes() == want.tobytes()
+        assert invert_rigid(np.stack(poses)).tobytes() == want.tobytes()
+        repaired = 0
+        for i, j in rng.integers(0, len(poses), (3000, 2)).tolist():
+            m = rigid_inverse(poses[i]) @ poses[j]
+            if reference_rotation_error(m[:3, :3])[0] > 1e-9:
+                m[:3, :3] = proper_rotation(m[:3, :3])[0]
+                repaired += 1
+            assert relative_pose(Pose3(poses[i]), Pose3(poses[j])).matrix.tobytes() == m.tobytes(), (i, j)
+        assert len(poses) > 600 and repaired > 0
+
     def test_plain_poses_skip_the_linalg_checks(self, monkeypatch):
         # no verdict reaches for numpy's determinant or norm: not Pose3 or the
         # repair on the products of a rigid drive, nor a refusal of any judge
-        gt, _ = bevio.synth_trajectory(bevio.SynthSpec((bevio.MotionPrimitive("arc", 20.0, 2.0, 30.0),)))
+        gt, _ = synth_trajectory(SynthSpec((MotionPrimitive("arc", 20.0, 2.0, 30.0),)))
         frames = [Pose3(m) for m in gt.poses]
         calls = []
 

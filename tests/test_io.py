@@ -226,7 +226,7 @@ def kitti_verdict(parse, text):
 def assert_same_kitti_verdict(text):
     got, want = kitti_verdict(parse_kitti_poses, text), kitti_verdict(reference_parse_kitti_poses, text)
     if isinstance(want, np.ndarray):
-        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        assert isinstance(got, np.ndarray) and got.shape == want.shape and got.tobytes() == want.tobytes()
     else:
         assert got == want
     return want
@@ -249,6 +249,26 @@ class TestKittiMatchesReference:
         rotations = [r for n, r in rotation_cases.items() if "e-9" in n or n == "exact"]
         changed = [not np.array_equal(p[:3, :3], r) for p, r in zip(poses, rotations)]
         assert 0 < sum(changed) < len(changed)
+
+    def test_drift_alone_picks_the_rows_the_reference_repairs(self):
+        # the reference repairs where the drift or |det - 1| passes 1e-9, the parser where the drift
+        # does: within 1e-4, a drift of at most 1e-9 bounds |det - 1| by about 0.87e-9
+        rng = np.random.default_rng(35)
+        drifts = 10.0 ** rng.uniform(-17.0, math.log10(3e-6), 4000)
+        rotations = Rotation.random(len(drifts), random_state=rng).as_matrix()
+        for k, (r, drift) in enumerate(zip(rotations, drifts)):
+            kind = k % 4
+            if kind == 0:
+                r *= math.sqrt(1.0 + drift / math.sqrt(3.0))
+            elif kind == 1:
+                r *= (1.0 - drift) ** (1.0 / 3.0)
+            elif kind == 2:
+                r[:, 0] *= 1.0 + drift
+            else:
+                r += drift * rng.standard_normal((3, 3))
+        poses = assert_same_kitti_verdict("".join(kitti_line(r) + "\n" for r in rotations))
+        repaired = np.count_nonzero((poses[:, :3, :3] != rotations).any(axis=(1, 2)))
+        assert 1000 < repaired < 3000
 
     def test_first_bad_line_of_a_shuffled_file_wins(self, rotation_cases):
         lines = [kitti_line(r) for r in rotation_cases.values()] + ["1 0 0 0 0 1 0 x 0 0 1 0", "1 0 0", ""]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bevkit import io as bevio
+from bevkit.config import default_config
 from bevkit.correlation import FeatureMap
 from bevkit.errors import InvalidCameraError, ShapeError
 from bevkit.geometry import BevGridSpec, CameraModel, pixel_to_vehicle
@@ -65,7 +65,7 @@ def assert_matches_reference_pair(volume, depth, camera, grid):
 
 def bench_inputs(rng, channels=64, image=(32, 88)):
     """A paper-scale sample: C64 D64 32x88 with softmax depth, stock camera and grid."""
-    cfg = bevio.default_config()
+    cfg = default_config()
     logits = rng.standard_normal((cfg.depth_bins.size,) + image)
     e = np.exp(logits - logits.max(axis=0))
     depth = DepthDistribution(e / e.sum(axis=0), cfg.depth_bins)

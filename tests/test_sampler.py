@@ -10,9 +10,8 @@ import pytest
 
 import bevkit.geometry
 import bevkit.sampler
-from bevkit import io as bevio
 from bevkit.errors import NoPairsError, ShapeError
-from bevkit.formats import parse_pairs_csv, write_pairs_csv
+from bevkit.formats import parse_pairs_csv, parse_tum_trajectory, write_pairs_csv, write_tum_trajectory
 from bevkit.geometry import Pose2, Pose3, pose2_to_pose3, pose3_to_pose2, relative_pose, wrap_angle
 from bevkit.sampler import (
     FrameIndex,
@@ -23,6 +22,7 @@ from bevkit.sampler import (
     merge_pair_lists,
     sample_pair,
 )
+from bevkit.synth import MotionPrimitive, SynthSpec, synth_trajectory
 from helpers import pose3, reference_relative_pose, rot_z
 
 
@@ -84,9 +84,9 @@ def assert_matches_reference(frames, **thresholds):
 
 def parsed_frames(primitives, seed):
     """Frames of a noisy synthetic estimate after a TUM write and parse, as the CLI reads them."""
-    _, est = bevio.synth_trajectory(bevio.SynthSpec(
+    _, est = synth_trajectory(SynthSpec(
         primitives, dt_s=0.1, noise_trans_m=0.02, noise_yaw_deg=0.1, scale_drift=1.03, seed=seed))
-    traj = bevio.parse_tum_trajectory(bevio.write_tum_trajectory(est))
+    traj = parse_tum_trajectory(write_tum_trajectory(est))
     return frames_from_trajectory(traj.timestamps, traj.poses)
 
 
@@ -101,7 +101,7 @@ def drifted_rotation(drift):
 
 
 def drive_stack(n=12):
-    gt, _ = bevio.synth_trajectory(bevio.SynthSpec((bevio.MotionPrimitive("arc", 2.0, 2.0, 30.0),)))
+    gt, _ = synth_trajectory(SynthSpec((MotionPrimitive("arc", 2.0, 2.0, 30.0),)))
     return gt.timestamps[:n], np.array(gt.poses[:n])
 
 
@@ -270,9 +270,9 @@ class TestBuildPairLists:
 
 class TestBuildPairListsMatchesReference:
     def test_figure_eight_ten_second_window(self):
-        gt, _ = bevio.synth_trajectory(bevio.SynthSpec(
-            (bevio.MotionPrimitive("arc", 20.0, speed_mps=2.0, yaw_rate_dps=18.0),
-             bevio.MotionPrimitive("arc", 20.0, speed_mps=2.0, yaw_rate_dps=-18.0)), dt_s=0.1))
+        gt, _ = synth_trajectory(SynthSpec(
+            (MotionPrimitive("arc", 20.0, speed_mps=2.0, yaw_rate_dps=18.0),
+             MotionPrimitive("arc", 20.0, speed_mps=2.0, yaw_rate_dps=-18.0)), dt_s=0.1))
         got = assert_matches_reference(frames_from_trajectory(gt.timestamps, gt.poses), window_s=10.0)
         merged = merge_pair_lists(got)
         assert merged.high and merged.standard
@@ -282,10 +282,10 @@ class TestBuildPairListsMatchesReference:
         for k in range(4):
             sign = 1.0 if k % 2 == 0 else -1.0
             prims += [
-                bevio.MotionPrimitive("straight", 5.0, speed_mps=9.0 + k),
-                bevio.MotionPrimitive("stop", 2.0),
-                bevio.MotionPrimitive("arc", 3.0, speed_mps=2.0, yaw_rate_dps=sign * 35.0),
-                bevio.MotionPrimitive("arc", 5.0, speed_mps=8.0, yaw_rate_dps=sign * 3.0),
+                MotionPrimitive("straight", 5.0, speed_mps=9.0 + k),
+                MotionPrimitive("stop", 2.0),
+                MotionPrimitive("arc", 3.0, speed_mps=2.0, yaw_rate_dps=sign * 35.0),
+                MotionPrimitive("arc", 5.0, speed_mps=8.0, yaw_rate_dps=sign * 3.0),
             ]
         got = assert_matches_reference(parsed_frames(tuple(prims), seed=11), window_s=1.0)
         merged = merge_pair_lists(got)
@@ -293,10 +293,10 @@ class TestBuildPairListsMatchesReference:
 
     def test_cli_window_on_201_frames(self):
         prims = (
-            bevio.MotionPrimitive("straight", 8.0, speed_mps=10.0),
-            bevio.MotionPrimitive("stop", 3.0),
-            bevio.MotionPrimitive("arc", 3.0, speed_mps=2.5, yaw_rate_dps=35.0),
-            bevio.MotionPrimitive("straight", 6.0, speed_mps=10.0),
+            MotionPrimitive("straight", 8.0, speed_mps=10.0),
+            MotionPrimitive("stop", 3.0),
+            MotionPrimitive("arc", 3.0, speed_mps=2.5, yaw_rate_dps=35.0),
+            MotionPrimitive("straight", 6.0, speed_mps=10.0),
         )
         frames = parsed_frames(prims, seed=12)
         assert len(frames) == 201
@@ -362,7 +362,7 @@ class TestBuildPairListsMatchesReference:
         for module in (bevkit.geometry, bevkit.sampler):
             if hasattr(module, "relative_pose"):
                 monkeypatch.setattr(module, "relative_pose", lambda a, b: calls.append(1))
-        frames = parsed_frames((bevio.MotionPrimitive("arc", 10.0, 2.0, 30.0),), seed=13)
+        frames = parsed_frames((MotionPrimitive("arc", 10.0, 2.0, 30.0),), seed=13)
         assert sum(len(lists) for lists in build_pair_lists(frames, window_s=5.0).values()) > 0
         assert calls == []
 
@@ -429,8 +429,8 @@ class TestBuildPairListsMatchesReference:
     def test_blocks_bound_traced_memory(self, peak_bytes):
         # about 1M in-window candidates and no survivors; one unblocked
         # (candidates, 4, 4) float64 stack alone would take 128 MB
-        gt, _ = bevio.synth_trajectory(bevio.SynthSpec(
-            (bevio.MotionPrimitive("straight", 100.0, speed_mps=10.0),), dt_s=0.1))
+        gt, _ = synth_trajectory(SynthSpec(
+            (MotionPrimitive("straight", 100.0, speed_mps=10.0),), dt_s=0.1))
         frames = frames_from_trajectory(gt.timestamps, gt.poses)
         got, peak = peak_bytes(lambda: build_pair_lists(frames, window_s=60.0, max_disp_m=0.0))
         assert sum(len(lists) for lists in got.values()) == 0
@@ -444,7 +444,7 @@ class TestFramesFromTrajectory:
         self.assert_same(frames_from_trajectory(ts, poses), reference_frames_from_trajectory(ts, poses))
 
     def test_equal_on_parsed_noisy_drive(self):
-        frames = parsed_frames((bevio.MotionPrimitive("arc", 20.0, 3.0, -25.0),), seed=4)
+        frames = parsed_frames((MotionPrimitive("arc", 20.0, 3.0, -25.0),), seed=4)
         ts = np.array([f.timestamp for f in frames])
         poses = np.stack([f.pose.matrix for f in frames])
         self.assert_same(frames_from_trajectory(ts, poses), reference_frames_from_trajectory(ts, poses))
@@ -452,7 +452,20 @@ class TestFramesFromTrajectory:
     @staticmethod
     def assert_same(got, want):
         assert [(f.id, f.timestamp) for f in got] == [(f.id, f.timestamp) for f in want]
-        assert all(np.array_equal(g.pose.matrix, w.pose.matrix) for g, w in zip(got, want))
+        assert all(g.pose.matrix.tobytes() == w.pose.matrix.tobytes() for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("form", ["float64", "list", "fortran", "big-endian", "int32", "float32"])
+    def test_rows_are_the_float64_bytes_of_the_input(self, form):
+        # each frame's matrix is a row of one float64 copy, with the bits np.array(poses, dtype=float) gives
+        ts, poses = drive_stack()
+        poses[::3, :3, 3] = -0.0
+        if form in ("int32", "float32"):
+            poses = np.tile(np.eye(4), (len(ts), 1, 1))
+            poses[:, :3, 3] = np.arange(3 * len(ts)).reshape(-1, 3) - 5
+        given = {"list": poses.tolist(), "fortran": np.asfortranarray(poses), "big-endian": poses.astype(">f8"),
+                 "int32": poses.astype(np.int32), "float32": poses.astype(np.float32)}.get(form, poses)
+        frames = frames_from_trajectory(ts, given)
+        assert b"".join(f.pose.matrix.tobytes() for f in frames) == np.array(given, dtype=float).tobytes()
 
     def test_poses_are_one_read_only_copy(self):
         ts, poses = drive_stack()
@@ -600,7 +613,7 @@ class TestPairRecord:
 
     def test_csv_round_trip_of_mined_records(self):
         # records straight from the miner keep their types and bits through the pairs CSV
-        frames = parsed_frames((bevio.MotionPrimitive("arc", 10.0, 2.0, 30.0),), seed=14)
+        frames = parsed_frames((MotionPrimitive("arc", 10.0, 2.0, 30.0),), seed=14)
         merged = merge_pair_lists(build_pair_lists(frames, window_s=3.0, low_deg=5.0))
         records = merged.high + merged.standard
         assert merged.high and merged.standard

@@ -217,7 +217,7 @@ def test_float32_guard_sees_a_keeper(tmp_path):
 
 # The only public functions outside text.py that convert an array argument themselves, and why.
 OWN_CONVERSIONS = {
-    "geometry.invert_rigid": "the hot path of pair mining and segment metrics, unchecked by design",
+    "geometry.invert_rigid": "the hot path of pair mining, segment metrics and relative_pose, unchecked by design",
     "bvt1.write_bvt1": "check_array's copy would add a second r5 volume, 7.9 MB in float32, to correlate's peak",
 }
 CONVERTERS = ("asarray", "array", "ascontiguousarray")
@@ -304,8 +304,8 @@ OWN_DETERMINANTS = {
 }
 
 
-def linalg_callers(src: Path, attr: str) -> set[str]:
-    """``"module.function"`` of every call of ``<x>.linalg.<attr>`` in ``src``."""
+def call_sites(src: Path, matches) -> set[str]:
+    """``"module.function"`` of every call ``c`` in ``src`` for which ``matches(c)`` holds."""
     found = set()
 
     def visit(node, module, scope):
@@ -313,15 +313,23 @@ def linalg_callers(src: Path, attr: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, module, scope + [child.name])
                 continue
-            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
-            if (isinstance(func, ast.Attribute) and func.attr == attr
-                    and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg"):
+            if isinstance(child, ast.Call) and matches(child):
                 found.add(".".join([module, *scope]))
             visit(child, module, scope)
 
     for path in src.glob("*.py"):
         visit(ast.parse(path.read_text()), path.stem, [])
     return found
+
+
+def linalg_callers(src: Path, attr: str) -> set[str]:
+    """``"module.function"`` of every call of ``<x>.linalg.<attr>`` in ``src``."""
+    def matches(call):
+        func = call.func
+        return (isinstance(func, ast.Attribute) and func.attr == attr
+                and isinstance(func.value, ast.Attribute) and func.value.attr == "linalg")
+
+    return call_sites(src, matches)
 
 
 def test_one_rotation_rule():
@@ -355,6 +363,49 @@ def test_determinant_guard_sees_a_determinant(tmp_path):
     assert linalg_callers(tmp_path, "solve") == {"mod.relative"}
 
 
+# The only callers of proper_rotation, and why: a drifted block of a pose stack is repaired by
+# geometry.repair_rotations, so the rule that picks the blocks to repair is written once.
+ROTATION_REPAIRERS = {
+    "geometry.fit_similarity": "the closest rotation to the covariance is the fit itself, not a repair",
+    "geometry.repair_rotations": "the one repair: each block of a stack whose drift passes the tolerance",
+    "geometry.relative_pose": "its one product, repaired on the drift it has already computed",
+    "formats.matrix_to_quat": "scipy's codec rule, which projects from a drift of about 1e-12",
+}
+
+
+def callers_of(src: Path, name: str) -> set[str]:
+    """``"module.function"`` of every call of ``name(...)`` or ``<x>.name(...)`` in ``src``."""
+    def matches(call):
+        func = call.func
+        return isinstance(func, ast.Name) and func.id == name or isinstance(func, ast.Attribute) and func.attr == name
+
+    return call_sites(src, matches)
+
+
+def test_one_rotation_repair():
+    # a loop of proper_rotation calls elsewhere is a repair rule of its own, which
+    # would have to pick the blocks repair_rotations picks and be kept equal to it by hand
+    assert callers_of(SRC, "proper_rotation") == ROTATION_REPAIRERS.keys()
+
+
+def test_repair_guard_sees_a_caller(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import geometry\n"
+        "from geometry import proper_rotation\n"
+        "def parse(rot):\n"
+        "    for i in range(len(rot)):\n"
+        "        rot[i] = proper_rotation(rot[i])[0]\n"
+        "class Box:\n"
+        "    def fix(self):\n"
+        "        return geometry.proper_rotation(self.r)\n"
+        "def named_only():\n"
+        "    return proper_rotation\n"
+        "def other(r):\n"
+        "    return improper_rotation(r)\n"
+    )
+    assert callers_of(tmp_path, "proper_rotation") == {"mod.parse", "mod.Box.fix"}
+
+
 # The only functions that take the largest magnitude of an array, and why: a reduction guarded against leaving
 # the float range goes through geometry._scale_safe, so its rescue is written once.
 OWN_LARGEST_MAGNITUDES = {
@@ -376,22 +427,12 @@ def _is_abs(node) -> bool:
 def largest_magnitudes(src: Path) -> set[str]:
     """``"module.function"`` of every ``<x>.abs(...).max(...)`` or ``<x>.max(<x>.abs(...))`` in ``src``, also with
     the builtin ``abs``."""
-    found = set()
+    def matches(call):
+        func = call.func
+        return isinstance(func, ast.Attribute) and func.attr in ("max", "amax") and (
+            _is_abs(func.value) or call.args and _is_abs(call.args[0]))
 
-    def visit(node, module, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, module, scope + [child.name])
-                continue
-            func = getattr(child, "func", None) if isinstance(child, ast.Call) else None
-            if isinstance(func, ast.Attribute) and func.attr in ("max", "amax") and (
-                    _is_abs(func.value) or child.args and _is_abs(child.args[0])):
-                found.add(".".join([module, *scope]))
-            visit(child, module, scope)
-
-    for path in src.glob("*.py"):
-        visit(ast.parse(path.read_text()), path.stem, [])
-    return found
+    return call_sites(src, matches)
 
 
 def test_one_scale_safe_rule():

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from bevkit import _threads
-from bevkit import io as bevio
+from bevkit.config import default_config
 from bevkit.correlation import FeatureMap, channel_offset, local_correlation
 from bevkit.lss import DepthDistribution, assign_cells, build_frustum, project_volume
 from helpers import add_at_splat, lift
@@ -57,7 +57,7 @@ def serial_project_volume(volume, depth, camera, grid):
 
 def bench_inputs(rng, channels=64, image=(32, 88)):
     """A paper-scale sample: C64 D64 32x88 with softmax depth, stock camera and grid."""
-    cfg = bevio.default_config()
+    cfg = default_config()
     logits = rng.standard_normal((cfg.depth_bins.size,) + image)
     e = np.exp(logits - logits.max(axis=0))
     return FeatureMap(rng.standard_normal((channels,) + image)), DepthDistribution(e / e.sum(axis=0), cfg.depth_bins), cfg
