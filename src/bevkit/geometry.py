@@ -259,15 +259,16 @@ def check_rigid(poses: np.ndarray):
 def relative_pose(a: Pose3, b: Pose3) -> Pose3:
     """Transform taking frame a to frame b: inverse(a) * b, repaired as :func:`repair_rotations` repairs.
 
-    A product the rotation rule passes, with a bottom row of exactly
-    (0, 0, 0, 1) and a finite translation, is wrapped without a copy; a
-    repaired one, or one that fails, goes through ``Pose3``'s checks.
+    A product the rotation rule passes with a finite translation (its bottom
+    row is exactly (0, 0, 0, 1)) is wrapped without a copy; a repaired one,
+    or one that fails, goes through ``Pose3``'s checks, without a numpy warning.
     """
-    m = invert_rigid(a.matrix) @ b.matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = invert_rigid(a.matrix) @ b.matrix
     drift, det = rotation_error(m[:3, :3])
     if drift > ORTHONORMALITY_TOL:
         m[:3, :3] = proper_rotation(m[:3, :3])[0]
-    elif is_rotation(drift, det) and m[3].tolist() == [0.0, 0.0, 0.0, 1.0] and np.isfinite(m[:3, 3]).all():
+    elif is_rotation(drift, det) and all(map(math.isfinite, m[:3, 3].tolist())):
         m.flags.writeable = False
         return Pose3._trusted(m)
     return Pose3(m)

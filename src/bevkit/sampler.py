@@ -25,6 +25,8 @@ HIGH_FRACTION = 0.7
 # Candidate pairs handled per array pass; bounds the index arrays and the
 # (block, 4, 4) stacks whatever the window and sequence length.
 _BLOCK = 1024
+# Most pairs one mining admits: about 650 MB of pools at some 155 bytes a pair.
+_MAX_PAIRS = 2**22
 
 
 @dataclass(frozen=True)
@@ -87,11 +89,10 @@ def build_pair_lists(
     above ``high_deg`` are discarded as unreliable.
 
     The relative pose of a pair is the one :func:`relative_pose` gives,
-    computed for blocks of candidates at once with the same bits; a pair
-    whose product leaves the float range, which ``relative_pose`` refuses,
-    is kept with an infinite displacement when ``max_disp_m`` is inf; an
-    anchor whose inverse leaves the float range pairs with nothing, since
-    none of its pairs has a yaw.
+    computed for blocks of candidates at once with the same bits, and a
+    pair is admitted only when ``relative_pose`` accepts it and its
+    displacement is a finite number: a pair whose product leaves the float
+    range is dropped.
 
     Args:
         frames: posed frames with nondecreasing timestamps.
@@ -102,6 +103,9 @@ def build_pair_lists(
         Mapping anchor id -> PairLists for that anchor, in frame order
         (a repeated id keeps its first position and its last anchor's
         lists); empty for an empty sequence.
+
+    Raises:
+        ValueError: more than ``_MAX_PAIRS`` (2^22) pairs are admitted.
     """
     window_s, max_disp_m, low_deg, high_deg = (check_arg(name, value, AT_LEAST_ZERO) for name, value in zip(
         ("window_s", "max_disp_m", "low_deg", "high_deg"), (window_s, max_disp_m, low_deg, high_deg)))
@@ -121,22 +125,17 @@ def build_pair_lists(
     # itself is one of its own candidates and is dropped below
     lo = np.searchsorted(times, times - window_s, side="left")
     hi = np.searchsorted(times, times + window_s, side="right")
-    # an anchor inverse past the float range gets no candidates: inf * 0
-    # makes the rotation block of each of its products NaN, so no pair of it
-    # has a yaw, and relative_pose refuses them all
-    hi = np.where(np.all(np.isfinite(inverses[:, :3, 3]), axis=1), hi, lo)
     starts = np.concatenate([[0], np.cumsum(hi - lo)])
     # the records of the high and of the standard list, in anchor order, and
     # their anchors block by block, after an empty block for a sequence with none
     records, anchors = ([], []), ([np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)])
+    admitted = 0
     for first in range(0, int(starts[-1]), _BLOCK):
         pos = np.arange(first, min(first + _BLOCK, int(starts[-1])))
         a = np.searchsorted(starts, pos, side="right") - 1
         b = lo[a] + pos - starts[a]
         a, b = a[a != b], b[a != b]
-        # a product that leaves the float range is judged by the rule in the
-        # docstring, without a numpy warning: kept with an infinite
-        # displacement when max_disp_m is inf, dropped by the box test if NaN
+        # a product that leaves the float range is dropped below, without a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             rel = np.matmul(inverses[a], poses[b])
         # a box test first: hypot(x, y) >= max(|x|, |y|), so it drops no pair
@@ -145,7 +144,9 @@ def build_pair_lists(
         a, b, rel = a[box], b[box], rel[box]
         # math.hypot, not np.hypot, whose last bits differ
         disp = np.array(list(map(math.hypot, rel[:, 0, 3].tolist(), rel[:, 1, 3].tolist())))
-        near = disp <= max_disp_m
+        # relative_pose accepts a finite product: a NaN rotation entry comes from inf * 0,
+        # which leaves that row's translation non-finite, so the translation column decides
+        near = (disp <= max_disp_m) & np.isfinite(disp) & np.isfinite(rel[:, 2, 3])
         a, b, rel, disp = a[near], b[near], rel[near], disp[near]
         # relative_pose re-orthonormalizes a product that drifts past the tolerance
         repair_rotations(rel)
@@ -154,8 +155,11 @@ def build_pair_lists(
         theta = wrap_angle(np.array(list(map(math.atan2, rel[:, 1, 0].tolist(), rel[:, 0, 0].tolist()))))
         # np.degrees multiplies by 180 / pi once, as math.degrees does
         yaw = np.abs(np.degrees(theta))
-        # a NaN yaw is neither above high_deg nor at least low_deg: it is a standard pair
-        kept, high = ~(yaw > high_deg), yaw >= low_deg
+        kept, high = yaw <= high_deg, yaw >= low_deg
+        admitted += int(np.count_nonzero(kept))
+        if admitted > _MAX_PAIRS:
+            raise ValueError(f"more than {_MAX_PAIRS} pairs admitted; lower window_s ({window_s!r}) "
+                             f"or max_disp_m ({max_disp_m!r})")
         for k, mask in enumerate((kept & high, kept & ~high)):
             fields = zip(ids[a[mask]].tolist(), ids[b[mask]].tolist(), yaw[mask].tolist(), disp[mask].tolist())
             # PairRecord._make without its length check: no Python call per record

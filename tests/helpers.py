@@ -25,6 +25,11 @@ from bevkit.geometry import (
 )
 
 
+# A 3-frame TUM drive at 0, 1.7e308 and -1.7e308 m along x: the relative pose of its two far
+# frames leaves the float range, those of the far frames and the origin do not.
+FAR_DRIVE_TUM = "0 0 0 0 0 0 0 1\n1 1.7e308 0 0 0 0 0 1\n2 -1.7e308 0 0 0 0 0 1\n"
+
+
 def run_fresh_python(*args, timeout=120, env=None):
     """Run a new interpreter that imports bevkit from the same place as this one, killed after ``timeout`` s.
 

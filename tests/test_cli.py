@@ -16,7 +16,7 @@ from bevkit.evaluation import Trajectory
 from bevkit.formats import parse_pairs_csv, write_trajectory
 from bevkit.geometry import Pose2, pose2_to_pose3
 
-from helpers import run_fresh_python
+from helpers import FAR_DRIVE_TUM, run_fresh_python
 
 
 def run_cli(args, capsys):
@@ -117,6 +117,14 @@ class TestFlowMake:
         assert abs(doc["pose"]["theta"] - 0.05) < 1e-9
         assert abs(doc["pose"]["tx"] - 0.5) < 1e-9
         assert abs(doc["pose"]["ty"] - 0.2) < 1e-9
+
+    def test_rel_from_a_pair_past_the_float_range_is_one_error_line(self, tmp_path, config_path, capsys):
+        # the suite's "error" warning filter turns a numpy RuntimeWarning into a failure
+        path = tmp_path / "far.tum"
+        path.write_text(FAR_DRIVE_TUM)
+        code, out, err = run_cli(["flow-make", "--rel-from", str(path), "--indices", "1,2", "--config", config_path,
+                                  "--out", str(tmp_path / "f")], capsys)
+        assert (code, out, err) == (1, "", "bevkit: error: pose matrix contains non-finite entries\n")
 
     def test_bad_pose_string_fails(self, tmp_path, config_path, capsys):
         code, _, err = run_cli(
@@ -428,6 +436,22 @@ class TestSamplePairs:
         assert needle in err
         assert not out.exists()
 
+
+    def test_admitted_pairs_past_the_cap_are_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # 10 frames give 90 pairs at infinite thresholds
+        path = tmp_path / "arc.tum"
+        path.write_text(write_trajectory(steps_trajectory([(0.4, 3.0, 0.0)] * 9), "tum"))
+        cfg = tmp_path / "inf.json"
+        cfg.write_text('{"sampler": {"window_s": Infinity, "max_disp_m": Infinity, "high_deg": Infinity}}')
+        argv = ["sample-pairs", "--traj", str(path), "--config", str(cfg), "--out", str(tmp_path / "pairs.csv")]
+        monkeypatch.setattr("bevkit.sampler._MAX_PAIRS", 90)
+        doc, _ = run_json(argv, capsys)
+        assert doc["available_high"] + doc["available_standard"] == 90
+        monkeypatch.setattr("bevkit.sampler._MAX_PAIRS", 89)
+        code, out, err = run_cli(argv[:-1] + [str(tmp_path / "refused.csv")], capsys)
+        assert (code, out) == (1, "")
+        assert err == "bevkit: error: more than 89 pairs admitted; lower window_s (inf) or max_disp_m (inf)\n"
+        assert not (tmp_path / "refused.csv").exists()
 
     def test_poses_near_the_float_limit_print_no_numpy_warning(self, tmp_path):
         # a fresh process, so numpy's RuntimeWarnings would reach stderr as text

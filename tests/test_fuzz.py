@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bevkit.bvt1 import read_bvt1, write_bvt1
@@ -24,11 +24,13 @@ from bevkit.evaluation import Trajectory
 from bevkit.formats import (
     parse_csv_trajectory,
     parse_kitti_poses,
+    parse_pairs_csv,
     parse_tum_trajectory,
     write_trajectory,
 )
 from bevkit.geometry import planar_stack
 from bevkit.synth import _PRIMITIVE, _SYNTH_SPEC, SynthSpec, parse_synth_spec
+from helpers import FAR_DRIVE_TUM
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -371,6 +373,30 @@ def test_eval_traj_exits_cleanly_at_extreme_scales(peak_bytes, workdir, steps, p
     if curve_m is not None:
         argv += [f"--scale-curve-segment-m={curve_m * unit!r}", "--scale-curve", "{d}/curve.csv"]
     run_cli(peak_bytes, workdir, argv, {"gt.txt": gt_text.encode(), "est.txt": est_text.encode()}, notes=True)
+
+
+INFINITE_SAMPLER = {"sampler": {"window_s": math.inf, "max_disp_m": math.inf, "low_deg": 0, "high_deg": 180}}
+# the drives above as one text, every step times 10 ** power, from 1e-300 to 1e305: every position stays finite
+scaled_drives = st.builds(lambda steps, power, fmt: drive_texts([(d * 10.0 ** power, w) for d, w in steps], 0.1, fmt,
+                                                                1.0, 0.0, 0)[:2],
+                          steps, st.integers(-300, 305), st.sampled_from(FORMATS))
+
+
+# random drives rarely hold a pair whose relative pose leaves the float range; the far drive does
+@TENSOR_FUZZ
+@example(drive=("tum", FAR_DRIVE_TUM), sampler=INFINITE_SAMPLER)
+@given(drive=scaled_drives, sampler=st.sampled_from([{}, INFINITE_SAMPLER]))
+def test_pair_path_exits_cleanly_at_extreme_scales(peak_bytes, workdir, drive, sampler):
+    # sample-pairs writes only pairs that parse_pairs_csv reads and flow-make --rel-from takes
+    fmt, text = drive
+    files = {"pairs-drive.txt": text.encode(), "sampler.json": json.dumps(sampler).encode()}
+    argv = ["sample-pairs", "--traj", "{d}/pairs-drive.txt", "--format", fmt, "--config", "{d}/sampler.json",
+            "--out", "{d}/pairs.csv"]
+    if run_cli(peak_bytes, workdir, argv, files) == 0:
+        first = parse_pairs_csv((workdir / "pairs.csv").read_text())[0]
+        run_cli(peak_bytes, workdir, ["flow-make", "--rel-from", "{d}/pairs-drive.txt", "--format", fmt,
+                                      f"--indices={first.anchor_id},{first.partner_id}", "--config",
+                                      "{d}/config.json", "--out", "{d}/flow.bvt1"], {})
 
 
 def write_drive(workdir, scale=1.1):

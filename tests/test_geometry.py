@@ -821,6 +821,16 @@ class TestRelativePose:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="^pose matrix contains non-finite entries$"):
             relative_pose(Pose3(rigid(rot_z(math.pi / 4))), Pose3(b))
 
+    def test_an_inverse_past_the_float_range_is_refused_without_a_warning(self, capfd):
+        # R^T t of a 45 degree pose at (1.7e308, 1.7e308) overflows; the suite's "error"
+        # warning filter turns a numpy RuntimeWarning into a failure
+        a = np.eye(4)
+        a[:3, :3] = rot_z(math.pi / 4)
+        a[:2, 3] = 1.7e308
+        with pytest.raises(ValueError, match="^pose matrix contains non-finite entries$"):
+            relative_pose(Pose3(a), Pose3(np.eye(4)))
+        assert capfd.readouterr() == ("", "")
+
 
 class TestPose2Conversions:
     def test_identity(self):

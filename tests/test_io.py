@@ -51,7 +51,7 @@ from bevkit.synth import (
     synth_trajectory,
 )
 from bevkit.text import TRAJECTORY_FORMATS
-from helpers import reference_rotation_error
+from helpers import FAR_DRIVE_TUM, reference_rotation_error
 
 
 def random_trajectory(n, seed):
@@ -490,8 +490,19 @@ class TestWritersMatchReference:
         records = pool.high + pool.standard
         assert len(records) > 1000
         assert_same_text(write_pairs_csv(records), reference_write_pairs_csv(records))
+        # %.17g round-trips every value, so a mined pool reads back as itself
+        assert parse_pairs_csv(write_pairs_csv(records)) == records
         curve = log_scale_curve(est, gt)
         assert_same_text(write_scale_curve_csv(curve), reference_write_scale_curve_csv(curve))
+
+    def test_pools_of_a_drive_near_the_float_limit_read_back(self):
+        # at infinite thresholds the miner admits the four pairs relative_pose accepts, none with an inf
+        traj = parse_tum_trajectory(FAR_DRIVE_TUM)
+        pool = merge_pair_lists(build_pair_lists(frames_from_trajectory(traj.timestamps, traj.poses),
+                                                 math.inf, math.inf, 0.0, 180.0))
+        records = pool.high + pool.standard
+        assert {(r.anchor_id, r.partner_id) for r in records} == {(0, 1), (0, 2), (1, 0), (2, 0)}
+        assert parse_pairs_csv(write_pairs_csv(records)) == records
 
     def test_edge_values(self):
         n = len(EDGE_VALUES)

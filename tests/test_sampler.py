@@ -12,7 +12,7 @@ import bevkit.geometry
 import bevkit.sampler
 from bevkit.errors import NoPairsError, ShapeError
 from bevkit.formats import parse_pairs_csv, parse_tum_trajectory, write_pairs_csv, write_tum_trajectory
-from bevkit.geometry import Pose2, Pose3, pose2_to_pose3, pose3_to_pose2, relative_pose, wrap_angle
+from bevkit.geometry import Pose2, Pose3, pose2_to_pose3, pose3_to_pose2, wrap_angle
 from bevkit.sampler import (
     FrameIndex,
     PairLists,
@@ -52,9 +52,15 @@ def reference_build_pair_lists(frames, window_s=60.0, max_disp_m=4.0, low_deg=15
         for j in range(lo, min(hi, n)):
             if j == i:
                 continue
-            rel = pose3_to_pose2(Pose3(reference_relative_pose(anchor.pose, frames[j].pose)))
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    m = reference_relative_pose(anchor.pose, frames[j].pose)
+            except ValueError as exc:
+                assert "non-finite" in str(exc)
+                continue  # Pose3 refuses a product past the float range
+            rel = pose3_to_pose2(Pose3(m))
             disp = math.hypot(rel.tx, rel.ty)
-            if disp > max_disp_m:
+            if disp > max_disp_m or disp == math.inf:
                 continue
             yaw = abs(math.degrees(rel.theta))
             if yaw > high_deg:
@@ -117,6 +123,52 @@ POSE_FAULTS = {
     "bottom-row": put((3, 0), 1e-300),
     "drift-2e-9": put((slice(0, 3), slice(0, 3)), drifted_rotation(2e-9)),
     "reflection": put((slice(0, 3), 2), (0.0, 0.0, -1.0)),
+}
+
+
+def rot_y(theta):
+    """3x3 rotation about the vehicle y axis: a pitch."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def frames_at(*poses):
+    """Frames one second apart at the given poses."""
+    return [FrameIndex(id=k, timestamp=float(k), pose=pose) for k, pose in enumerate(poses)]
+
+
+IDENTITY = Pose3(np.eye(4))
+# stock, an infinite window, and an infinite window, displacement cap and yaw cap
+OVERFLOW_THRESHOLDS = ({}, {"window_s": math.inf},
+                       {"window_s": math.inf, "max_disp_m": math.inf, "high_deg": math.inf})
+def assert_matches_reference_quietly(frames):
+    """assert_matches_reference at each of OVERFLOW_THRESHOLDS with every warning an error; the last pools."""
+    for thresholds in OVERFLOW_THRESHOLDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = assert_matches_reference(frames, **thresholds)
+    return got
+
+
+# frame sets whose products leave the float range, and the pairs admitted at infinite thresholds
+OVERFLOW_CASES = {
+    # each rotation drifts 0.9e-9, so the product of the two needs the repair before its refusal
+    "drifted-pair": (frames_at(*(pose3(drifted_rotation(0.9e-9), [x, 0.0, 0.0]) for x in (-1e308, 1e308))), set()),
+    "far-apart": (frames_at(*(pose3(np.eye(3), [x, 0.0, 0.0]) for x in (-1e308, 1e308, 1e308))), {(1, 2), (2, 1)}),
+    "far-apart-turning": (frames_at(*(pose3(rot_z(0.3 * k), [x, 0.0, 0.0])
+                                      for k, x in enumerate((-1e308, 1e308, 1e308)))), {(1, 2), (2, 1)}),
+    # 0 and +-1.7e308 m: the pairs of the two far frames overflow, the pairs with the origin do not
+    "either-side-of-the-origin": (frames_at(*(pose3(np.eye(3), [x, 0.0, 0.0]) for x in (0.0, 1.7e308, -1.7e308))),
+                                  {(0, 1), (0, 2), (1, 0), (2, 0)}),
+    # R^T t of a 45 degree frame at (-1.7e308, -1.7e308) overflows, so inf * 0 makes every rotation
+    # block of that anchor NaN; seen from the origin, its displacement of 2.4e308 m is infinite
+    "anchor-inverse-overflows": (frames_at(pose3(rot_z(math.pi / 4), [-1.7e308, -1.7e308, 0.0]), IDENTITY, IDENTITY),
+                                 {(1, 2), (2, 1)}),
+    # pitched 45 degrees at (-1.7e308, 0, -1.7e308): only the height of R^T t overflows, so the
+    # anchor's products have finite planar offsets but a NaN rotation row
+    "anchor-inverse-overflows-in-height": (
+        frames_at(pose3(rot_y(math.pi / 4), [-1.7e308, 0.0, -1.7e308]), IDENTITY, IDENTITY),
+        {(1, 0), (1, 2), (2, 0), (2, 1)}),
 }
 
 
@@ -366,65 +418,45 @@ class TestBuildPairListsMatchesReference:
         assert sum(len(lists) for lists in build_pair_lists(frames, window_s=5.0).values()) > 0
         assert calls == []
 
-    def test_drifted_pair_that_overflows_is_admitted(self):
-        # like an undrifted one; relative_pose would refuse its non-finite translation
-        drifted = rot_z(0.2) * math.sqrt(1.0 + 0.9e-9 / math.sqrt(3.0))
-        frames = [FrameIndex(id=k, timestamp=float(k), pose=pose3(drifted, [x, 0.0, 0.0]))
-                  for k, x in enumerate((-1e308, 1e308))]
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                relative_pose(frames[0].pose, frames[1].pose)
-            lists = build_pair_lists(frames, max_disp_m=math.inf)
-        assert [r.displacement_m for r in lists[0].standard] == [math.inf]
-
-    @pytest.mark.parametrize("yaw", [0.0, 0.3])
-    def test_products_leaving_the_float_range_mine_without_warnings(self, yaw):
-        # the suite's "error" warning filter turns a numpy RuntimeWarning into a failure
-        frames = [FrameIndex(id=k, timestamp=float(k), pose=pose3(rot_z(yaw * k), [x, 0.0, 0.0]))
-                  for k, x in enumerate((-1e308, 1e308, 1e308))]
-        kept = build_pair_lists(frames, max_disp_m=math.inf, high_deg=math.inf)
-        records = [r for lists in kept.values() for r in lists.high + lists.standard]
-        assert {(r.anchor_id, r.partner_id) for r in records if r.displacement_m == 0.0} == {(1, 2), (2, 1)}
-        assert all(r.displacement_m == math.inf for r in records if {r.anchor_id, r.partner_id} != {1, 2})
-        assert all(math.isfinite(r.yaw_diff_deg) for r in records)
-        assert sum(len(lists) for lists in build_pair_lists(frames).values()) == 2
-
-    def test_anchor_whose_inverse_overflows_has_no_pairs(self, capfd):
-        # R^T t of a 45 degree frame at (-1.7e308, -1.7e308) overflows; inf * 0
-        # then makes every product with that anchor's inverse a NaN rotation,
-        # whose yaw is not a number, so those pairs are dropped without a warning
-        frames = [FrameIndex(id=0, timestamp=0.0, pose=pose3(rot_z(math.pi / 4), [-1.7e308, -1.7e308, 0.0]))]
-        frames += [FrameIndex(id=k, timestamp=float(k), pose=Pose3(np.eye(4))) for k in (1, 2)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            kept = build_pair_lists(frames, max_disp_m=math.inf, high_deg=math.inf)
-        assert kept[0] == PairLists()
-        for anchor, other in ((1, 2), (2, 1)):
-            assert kept[anchor].high == [PairRecord(anchor, 0, 45.0, math.inf)]
-            assert kept[anchor].standard == [PairRecord(anchor, other, 0.0, 0.0)]
+    @pytest.mark.parametrize("frames, admitted", OVERFLOW_CASES.values(), ids=OVERFLOW_CASES.keys())
+    def test_products_past_the_float_range_are_dropped_without_warnings(self, capfd, frames, admitted):
+        # the pairs relative_pose accepts with a finite displacement, and no numpy warning on any path
+        got = assert_matches_reference_quietly(frames)
+        assert {(r.anchor_id, r.partner_id) for lists in got.values() for r in lists.high + lists.standard} == admitted
         assert capfd.readouterr() == ("", "")
 
-    def test_anchor_whose_inverse_overflows_in_height_has_no_pairs(self, capfd):
-        # pitched 45 degrees at (-1.7e308, 0, -1.7e308): only the height of R^T t
-        # overflows, so the yaw of its products is a number but their rotation
-        # blocks hold a NaN row, which relative_pose refuses
-        c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
-        pitch = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-        frames = [FrameIndex(id=0, timestamp=0.0, pose=pose3(pitch, [-1.7e308, 0.0, -1.7e308]))]
-        frames += [FrameIndex(id=k, timestamp=float(k), pose=Pose3(np.eye(4))) for k in (1, 2)]
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            relative_pose(frames[0].pose, frames[1].pose)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            kept = build_pair_lists(frames, max_disp_m=math.inf, high_deg=math.inf)
-        assert kept[0] == PairLists()
-        assert [[r.partner_id for r in kept[k].standard] for k in (1, 2)] == [[0, 2], [0, 1]]
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_drives_near_the_float_limit_match_the_reference(self, capfd, seed):
+        # 12 frames turned about z and y, each coordinate +-1e300 to +-1.75e308: at infinite
+        # thresholds some pairs of each drive overflow and others are admitted
+        rng = np.random.default_rng(seed)
+        frames = [FrameIndex(id=k, timestamp=0.5 * k, pose=pose3(
+            rot_z(rng.uniform(-math.pi, math.pi)) @ rot_y(rng.choice([0.0, rng.uniform(-math.pi, math.pi)])),
+            rng.choice([-1.0, 1.0], 3) * rng.uniform(1.0, 1.75, 3) * 10.0 ** rng.choice([300.0, 307.0, 308.0], 3)))
+            for k in range(12)]
+        assert_matches_reference_quietly(frames)
         assert capfd.readouterr() == ("", "")
 
     def test_infinite_thresholds(self):
         frames = make_frames([(0.5 * k, 0.4 * k, 3.0 * k, 0.0) for k in range(10)])
         got = assert_matches_reference(frames, window_s=math.inf, max_disp_m=math.inf, high_deg=math.inf)
         assert sum(len(lists) for lists in got.values()) == 90
+
+    def test_admitted_pairs_past_the_cap_are_refused_block_by_block(self, monkeypatch):
+        # the 90 pairs of test_infinite_thresholds, mined 10 candidates a block
+        frames = make_frames([(0.5 * k, 0.4 * k, 3.0 * k, 0.0) for k in range(10)])
+        thresholds = {"window_s": math.inf, "max_disp_m": math.inf, "high_deg": math.inf}
+        monkeypatch.setattr(bevkit.sampler, "_BLOCK", 10)
+        monkeypatch.setattr(bevkit.sampler, "_MAX_PAIRS", 90)
+        assert sum(len(lists) for lists in build_pair_lists(frames, **thresholds).values()) == 90
+        blocks = []
+        repair = bevkit.sampler.repair_rotations
+        monkeypatch.setattr(bevkit.sampler, "repair_rotations", lambda rel: (blocks.append(1), repair(rel)))
+        monkeypatch.setattr(bevkit.sampler, "_MAX_PAIRS", 20)
+        refusal = r"^more than 20 pairs admitted; lower window_s \(inf\) or max_disp_m \(inf\)$"
+        with pytest.raises(ValueError, match=refusal):
+            build_pair_lists(frames, **thresholds)
+        assert len(blocks) == 3  # of 10: the third block passes the cap
 
     def test_blocks_bound_traced_memory(self, peak_bytes):
         # about 1M in-window candidates and no survivors; one unblocked
