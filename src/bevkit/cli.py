@@ -60,6 +60,7 @@ def _tensor(path: str):
 
 
 def _cmd_flow_make(args) -> dict:
+    from .errors import FormatError
     from .flow import construct_flow_gt, flow_to_bvt1
     from .geometry import Pose2, Pose3, pose3_to_pose2, relative_pose
 
@@ -77,7 +78,13 @@ def _cmd_flow_make(args) -> dict:
         rel = relative_pose(Pose3(traj.poses[i]), Pose3(traj.poses[j]))
         pose = pose3_to_pose2(rel)
     flow = construct_flow_gt(pose, cfg.grid)
-    Path(args.out).write_bytes(flow_to_bvt1(flow))
+    try:
+        data = flow_to_bvt1(flow)
+    except FormatError as exc:  # the one refusal a finite flow meets: a component past float32
+        grid = cfg.grid
+        raise FormatError(f"flow target of pose (theta {pose.theta:g}, tx {pose.tx:g} m, ty {pose.ty:g} m) on the "
+                          f"{grid.height_px}x{grid.width_px} grid at {grid.resolution_m:g} m/px: {exc}") from None
+    Path(args.out).write_bytes(data)
     return {
         "out": args.out,
         "pose": {"theta": pose.theta, "tx": pose.tx, "ty": pose.ty},

@@ -62,18 +62,22 @@ def displacement_at(t_rel: Pose2, grid: BevGridSpec, u, v):
         dv = (1 - cos(theta)) * b + sin(theta) * a - tx / r
 
     with a = u - o_x, b = o_y - v, so that zero motion produces exactly
-    zero flow with no rounding residue.
+    zero flow with no rounding residue.  A component that leaves the float
+    range raises ValueError.
     """
     u = check_array("u", u, None)
     v = check_array("v", v, None)
     o_x, o_y = grid.origin_px
     r = grid.resolution_m
-    a = u - o_x
-    b = o_y - v
     c = math.cos(t_rel.theta)
     s = math.sin(t_rel.theta)
-    du = s * b + (c - 1.0) * a + t_rel.ty / r
-    dv = (1.0 - c) * b + s * a - t_rel.tx / r
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        a = u - o_x
+        b = o_y - v
+        du = s * b + (c - 1.0) * a + t_rel.ty / r
+        dv = (1.0 - c) * b + s * a - t_rel.tx / r
+    if not (np.isfinite(du).all() and np.isfinite(dv).all()):
+        raise ValueError("displacement_at: a flow component leaves the float range")
     return du, dv
 
 
@@ -148,7 +152,9 @@ def solve_pose_from_flow(flow: FlowField, weights: np.ndarray | None = None) -> 
 def flow_error_map(pred: FlowField, gt: FlowField):
     """Per-pixel endpoint error between two flow fields plus summary stats.
 
-    Returns (epe, stats) where epe has shape (H, W).
+    Returns (epe, stats) where epe has shape (H, W): each pixel's sqrt(du*du + dv*dv)
+    by ``_scale_safe``'s rule, rescaled by its own larger component where needed.
+    An endpoint error past the float range raises ValueError.
     """
     if pred.data.shape != gt.data.shape:
         raise ShapeError(
@@ -156,13 +162,9 @@ def flow_error_map(pred: FlowField, gt: FlowField):
         )
     with np.errstate(over="ignore"):
         diff = pred.data - gt.data
-        epe = np.sqrt(diff[0] ** 2 + diff[1] ** 2)
-        far = ~np.isfinite(epe)
-        if far.any():
-            # a square left the float range (components above about 1e154): hypot scales per pixel, unlike _scale_safe
-            epe[far] = np.hypot(diff[0][far], diff[1][far])
-            if np.isinf(epe[far]).any():  # the difference or its length left the float range
-                raise ValueError("flow_error_map: an endpoint error leaves the float range")
+    epe = _scale_safe(lambda d: np.sqrt((d * d).sum(axis=1)), diff.reshape(2, -1).T).reshape(diff.shape[1:])
+    if np.isinf(epe).any():
+        raise ValueError("flow_error_map: an endpoint error leaves the float range")
     return epe, FlowStats(epe)
 
 

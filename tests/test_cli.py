@@ -126,6 +126,19 @@ class TestFlowMake:
                                   "--out", str(tmp_path / "f")], capsys)
         assert (code, out, err) == (1, "", "bevkit: error: pose matrix contains non-finite entries\n")
 
+    @pytest.mark.parametrize("source, pose", [
+        (["--pose", "0,1e40,0"], "theta 0, tx 1e+40 m, ty 0 m"),
+        (["--rel-from", "{d}/far.tum", "--indices", "0,1"], "theta 0, tx 1e+300 m, ty 0 m"),
+    ])
+    def test_a_target_past_float32_names_the_pose_and_the_grid(self, tmp_path, config_path, capsys, source, pose):
+        (tmp_path / "far.tum").write_text("0 0 0 0 0 0 0 1\n1 1e300 0 0 0 0 0 1\n")
+        out = tmp_path / "flow.bvt1"
+        code, stdout, err = run_cli(["flow-make", *(a.format(d=tmp_path) for a in source), "--config", config_path,
+                                     "--out", str(out)], capsys)
+        assert (code, stdout, err) == (1, "", f"bevkit: error: flow target of pose ({pose}) on the 128x128 grid at "
+                                              "0.8 m/px: value beyond the float32 range (max 3.40282e+38)\n")
+        assert not out.exists()
+
     def test_bad_pose_string_fails(self, tmp_path, config_path, capsys):
         code, _, err = run_cli(
             ["flow-make", "--pose", "a,b", "--config", config_path, "--out", str(tmp_path / "f")],

@@ -85,6 +85,15 @@ class TestConstructFlow:
             assert abs(flow.data[0, v, u] - (uu - u)) < 1e-12
             assert abs(flow.data[1, v, u] - (vv - v)) < 1e-12
 
+    @pytest.mark.parametrize("pose, grid", [
+        (Pose2(3.0, 0.0, 0.0), BevGridSpec(4, 4, 1.0, (-1.5e308, 1.5e308))),  # a product past the float range
+        (Pose2(1.0, 0.0, 0.0), BevGridSpec(4, 4, 1.0, (-1.5e308, 1.5e308))),  # a sum past it
+        (Pose2(0.0, 1e307, 0.0), BevGridSpec(4, 4, 1e-300)),  # a translation past it in pixels
+    ])
+    def test_a_component_past_the_float_range_is_refused_without_a_warning(self, pose, grid):
+        with pytest.raises(ValueError, match="^displacement_at: a flow component leaves the float range$"):
+            construct_flow_gt(pose, grid)
+
     def test_flow_field_validation(self):
         with pytest.raises(ShapeError):
             FlowField(np.zeros((3, 128, 128)), GRID)
@@ -267,6 +276,39 @@ class TestErrorMapAndLoss:
         epe, stats = flow_error_map(pred, FlowField(np.zeros((2, 2, 2)), g))
         assert np.allclose(epe, 5e300, rtol=1e-15, atol=0.0)
         assert stats.mean_epe == stats.max_epe == epe.max()
+
+    def test_squares_below_the_normal_range_give_the_scaled_length(self):
+        g = BevGridSpec(2, 2, 0.8)
+        zero = FlowField(np.zeros((2, 2, 2)), g)
+        pred = FlowField(np.array([3e-300, 4e-300])[:, None, None] * np.ones((2, 2, 2)), g)
+        epe, stats = flow_error_map(pred, zero)
+        assert np.allclose(epe, 5e-300, rtol=1e-15, atol=0.0)
+        assert stats.mean_epe == stats.max_epe == epe.max()
+        # the plain squares of 1e-170 round to zero, which read as a perfect match
+        assert flow_error_map(FlowField(np.full((2, 2, 2), 1e-170), g), zero)[1].mean_epe == 1.4142135623730951e-170
+
+    def test_ordinary_maps_keep_the_plain_bits(self):
+        rng = np.random.default_rng(37)
+        g = BevGridSpec(16, 24, 0.8)
+        for scale in 10.0 ** np.arange(-150, 151, 10):
+            pred, gt = rng.standard_normal((2, 2, 16, 24)) * scale
+            du, dv = pred - gt
+            epe, _ = flow_error_map(FlowField(pred, g), FlowField(gt, g))
+            assert epe.tobytes() == np.sqrt(du**2 + dv**2).tobytes(), scale
+
+    def test_fields_at_every_scale_give_the_hypot_length(self):
+        # 16 equal errors sum exactly (numpy's sum of 64 does not), so a uniform field's mean is its value
+        rng = np.random.default_rng(38)
+        g = BevGridSpec(4, 4, 0.8)
+        zero = FlowField(np.zeros((2, 4, 4)), g)
+        for k in range(-300, 308):
+            uniform = np.array([0.6, -0.8])[:, None, None] * np.full((2, 4, 4), 10.0 ** k)
+            for data in (uniform, rng.uniform(-1.0, 1.0, (2, 4, 4)) * 10.0 ** k):
+                epe, stats = flow_error_map(FlowField(data, g), zero)
+                ref = np.hypot(data[0], data[1])
+                assert np.all(np.abs(epe - ref) <= 4e-16 * ref), k
+                if data is uniform:
+                    assert np.all(epe == epe[0, 0]) and stats.mean_epe == epe[0, 0], k
 
     def test_sums_past_the_float_range_give_the_scaled_mean(self):
         g = BevGridSpec(2, 2, 0.8)

@@ -21,6 +21,8 @@ from bevkit.cli import main
 from bevkit.config import _CONFIG
 from bevkit.errors import FormatError, ParseError
 from bevkit.evaluation import Trajectory
+from bevkit.flow import (FlowField, FlowStats, construct_flow_gt, displacement_at, flow_error_map, in_grid_mask,
+                         l1_flow_loss, solve_pose_from_flow)
 from bevkit.formats import (
     parse_csv_trajectory,
     parse_kitti_poses,
@@ -28,9 +30,10 @@ from bevkit.formats import (
     parse_tum_trajectory,
     write_trajectory,
 )
-from bevkit.geometry import planar_stack
+from bevkit.geometry import BevGridSpec, Pose2, planar_stack
 from bevkit.synth import _PRIMITIVE, _SYNTH_SPEC, SynthSpec, parse_synth_spec
 from helpers import FAR_DRIVE_TUM
+from test_arguments import ARRAY_TABLE, PIXEL_MAPS, TABLE, one_line_refusal
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -466,3 +469,73 @@ def test_synth_exits_cleanly(peak_bytes, workdir, doc, seed, fmt):
     if seed is not None:
         argv.append(f"--seed={seed}")
     run_cli(peak_bytes, workdir, argv, {"spec.json": json.dumps(doc).encode()}, usage_errors=True)
+
+
+# The flow module's library calls, every value scaled by 10 ** k for k from -300 to 307 and grid resolutions
+# from 1e-300 to 1e300; each ends in a result or a one-line ValueError subclass, and the suite's "error"
+# warning filter fails a numpy RuntimeWarning. The parameters are drawn by the names tests/test_arguments.py's
+# tables give them, so a parameter added to the public surface there is drawn here too.
+POWERS = {"resolution_m": st.integers(-300, 300)}
+
+
+def scaled(name, plain):
+    """A value for parameter ``name`` whose ordinary value is ``plain``: a small grid side for an int, else
+    mostly ``plain``, or ``plain`` times a factor in [0.5, 2] and 10 ** k, or 0."""
+    if type(plain) is int:
+        return st.integers(1, 6)
+    powers = POWERS.get(name, st.integers(-300, 307))
+    factors = st.builds(lambda f, k: plain * f * 10.0 ** k, st.floats(0.5, 2.0), powers)
+    return mostly(st.just(plain), factors | st.just(0.0))
+
+
+def scaled_array(plain, shape):
+    """An array of ``shape`` with the signs ``plain`` allows: standard normal values (their magnitudes when
+    ``plain`` is nonnegative) times 10 ** k, or zeros."""
+    def make(seed, k, zero):
+        values = np.zeros(shape) if zero else np.random.default_rng(seed).standard_normal(shape) * 10.0 ** k
+        return np.abs(values) if (plain >= 0.0).all() else values
+
+    return st.builds(make, st.integers(0, 2**32 - 1), st.integers(-300, 307), st.integers(0, 7).map(lambda i: i == 0))
+
+
+@FUZZ
+@given(data=st.data())
+def test_flow_library_returns_or_refuses_at_extreme_scales(data):
+    def scalars(name):
+        return {p: data.draw(scaled(p, v), label=p) for p, v in TABLE[name][1].items()}
+
+    def arrays(name, grid):
+        # the tables' arrays are shaped on their own grid; these take the drawn grid's shape
+        return {p: data.draw(scaled_array(v, v.shape[:-2] + grid.shape), label=p)
+                for p, v in ARRAY_TABLE[name][1].items()}
+
+    grid = one_line_refusal(lambda: TABLE["BevGridSpec"][0](**scalars("BevGridSpec")))
+    if not isinstance(grid, BevGridSpec):
+        return
+    pose = Pose2(**scalars("Pose2"))
+    plain = ARRAY_TABLE["FlowField"][1]["data"][0]
+    coordinates = {p: data.draw(scaled_array(plain, grid.shape), label=p) for p in PIXEL_MAPS["displacement_at"][1]}
+    one_line_refusal(lambda: displacement_at(pose, grid, **coordinates))
+    flows = [one_line_refusal(lambda: construct_flow_gt(pose, grid)),
+             one_line_refusal(lambda: FlowField(grid=grid, **arrays("FlowField", grid)))]
+    flows = [f for f in flows if isinstance(f, FlowField)]
+    weights = arrays("solve_pose_from_flow", grid)["weights"] if data.draw(st.booleans(), label="weighted") else None
+    for flow in flows:
+        one_line_refusal(lambda: in_grid_mask(flow))
+        one_line_refusal(lambda: solve_pose_from_flow(flow, weights))
+    threshold = scalars("FlowStats.frac_below")
+    stats = [one_line_refusal(lambda: FlowStats(**arrays("FlowStats", grid)))]
+    if len(flows) == 2:
+        pred, gt = flows
+        mask = data.draw(st.none() | st.builds(lambda seed: np.random.default_rng(seed).random(grid.shape) < 0.5,
+                                               st.integers(0, 2**32 - 1)), label="mask")
+        errors = one_line_refusal(lambda: flow_error_map(pred, gt))
+        if not isinstance(errors, ValueError):
+            assert np.isfinite(errors[0]).all() and (errors[0] >= 0.0).all()
+            stats.append(errors[1])
+        loss = one_line_refusal(lambda: l1_flow_loss(pred, gt, mask))
+        assert isinstance(loss, ValueError) or 0.0 <= loss < math.inf
+    for s in stats:
+        if isinstance(s, FlowStats):
+            assert 0.0 <= s.mean_epe < math.inf and 0.0 <= s.max_epe < math.inf
+            one_line_refusal(lambda: s.frac_below(**threshold))

@@ -462,6 +462,40 @@ def test_largest_magnitude_guard_sees_a_rescue(tmp_path):
     assert largest_magnitudes(tmp_path) == {"mod.rms", "mod.Box.norm", "mod.row_tops", "mod.report"}
 
 
+def numpy_hypot_callers(src: Path) -> set[str]:
+    """``"module.function"`` of every call of ``np.hypot(...)`` or ``numpy.hypot(...)`` in ``src``."""
+    def matches(call):
+        func = call.func
+        return (isinstance(func, ast.Attribute) and func.attr == "hypot"
+                and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"))
+
+    return call_sites(src, matches)
+
+
+def test_no_hand_written_length_rescue():
+    # np.hypot scales each pair by itself, a rescue of its own beside _scale_safe's rule; a length that
+    # may leave the float range or fall below where squares turn subnormal goes through that rule.
+    # math.hypot, one Python pair at a time, gives the pair's bits and is no rescue.
+    assert numpy_hypot_callers(SRC) == set()
+
+
+def test_hypot_guard_sees_a_caller(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import math\n"
+        "import numpy as np\n"
+        "def epe(d):\n"
+        "    return np.hypot(d[0], d[1])\n"
+        "class Box:\n"
+        "    def length(self):\n"
+        "        return numpy.hypot(*self.t)\n"
+        "def pair(a, b):\n"
+        "    return math.hypot(a, b)\n"
+        "def named_only():\n"
+        "    return np.hypot\n"
+    )
+    assert numpy_hypot_callers(tmp_path) == {"mod.epe", "mod.Box.length"}
+
+
 def test_io_offers_every_name_the_bench_reads_through_it():
     import bevkit.io
 
