@@ -11,6 +11,7 @@ closed-form rigid (SE3) or similarity (Sim3) fit before the RMSE.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,8 +198,8 @@ def rte_rre(
             is not an integer >= 1 (a bool is not one), or there is no
             length, or a length is not a finite
             number > 0 or is listed twice, or is too small to move past a
-            start frame's path length, or its mean squared error per
-            meter leaves the float range, as for a length of 1e-320 m.
+            start frame's path length, or its RTE or RRE leaves the float
+            range, as for a length of 1e-320 m.
     """
     _check_same_frames(est, gt)
     stride = check_arg("stride", stride, integer_in(1))
@@ -219,7 +220,7 @@ def rte_rre(
     # any stride >= n starts at frame 0 alone; capped, arange stays integer
     firsts = np.arange(0, n, min(stride, n))
     # a product past the float range holds inf or NaN; a segment error that
-    # is not finite ends in the mean check's refusal
+    # is not finite ends in its length's refusal
     with np.errstate(over="ignore"):
         inv_gt, inv_est = invert_rigid(gt.poses), invert_rigid(est.poses)
     per_length: dict[float, tuple[float, float, int]] = {}
@@ -250,30 +251,24 @@ def rte_rre(
             r_err[moved] = _rotation_angles(err[:, :3, :3])
         # squared per value in Python: numpy's x ** 2 is x * x, which differs
         # from the pow(x, 2) of a float in the last bit on about one value in a thousand
-        try:
-            t_sq = [(e / length) ** 2 for e in t_err.tolist()]
-            r_sq = [(e / length) ** 2 for e in r_err.tolist()]
-        except OverflowError:  # a square past the float range: the mean check below refuses it
-            t_sq = r_sq = [math.inf]
-        with np.errstate(over="ignore"):
-            t_ms, r_ms = float(np.mean(t_sq)), float(np.mean(r_sq))
-        if not (math.isfinite(t_ms) and math.isfinite(r_ms)):
-            raise ValueError(f"segment length {length!r} m: the mean squared error per meter "
-                             "leaves the float range")
+        with np.errstate(over="ignore"):  # an error per meter past the float range is inf, refused below
+            t_rms, r_rms = (_scale_safe(lambda x: math.sqrt(float(np.mean([v ** 2 for v in x.tolist()]))), e / length)
+                            for e in (t_err, r_err))
+        rte, rre = 100.0 * t_rms, 100.0 * math.degrees(r_rms)
+        if not (math.isfinite(rte) and math.isfinite(rre)):
+            raise ValueError(f"segment length {length!r} m: its RTE or RRE leaves the float range")
         # a target that did not move past its start's path length ended the
         # segment on or before the start: such a length measures nothing there
         stuck = starts[ends <= starts]
         if stuck.size:
             raise _unresolved(length, dist, int(stuck[0]))
-        rte = 100.0 * math.sqrt(t_ms)
-        rre = 100.0 * math.degrees(math.sqrt(r_ms))
         per_length[length] = (rte, rre, len(starts))
     if not per_length:
         raise InsufficientLengthError(
             "no complete segment of any requested length fits the trajectory"
         )
-    rte_overall = float(np.mean([v[0] for v in per_length.values()]))
-    rre_overall = float(np.mean([v[1] for v in per_length.values()]))
+    # finite per-length values may sum past the float range; their mean, rescaled, never leaves it
+    rte_overall, rre_overall = (float(_scale_safe(np.mean, np.array(v))) for v in list(zip(*per_length.values()))[:2])
     return RelativeErrorReport(
         rte_percent=rte_overall,
         rre_deg_per_100m=rre_overall,
@@ -291,7 +286,8 @@ def scale_from_first_10m(est: Trajectory, gt: Trajectory) -> float:
 
     Raises:
         InsufficientLengthError: ground truth never reaches 10 m.
-        DegenerateInputError: the estimated prefix has zero length.
+        DegenerateInputError: the estimated prefix has zero length, or the
+            ratio is not a finite number > 0.
     """
     _check_same_frames(est, gt)
     d_gt = path_lengths(gt)
@@ -301,7 +297,11 @@ def scale_from_first_10m(est: Trajectory, gt: Trajectory) -> float:
     d_est = path_lengths(est)
     if d_est[k] <= 0.0:
         raise DegenerateInputError("estimated trajectory has zero length over the prefix")
-    return float(d_gt[k] / d_est[k])
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below
+        scale = float(d_gt[k] / d_est[k])
+    if not 0.0 < scale < math.inf:
+        raise DegenerateInputError(f"the scale correction over the prefix leaves the float range, got {scale!r}")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,8 @@ def log_scale_curve(est: Trajectory, gt: Trajectory, segment_m: float = 10.0) ->
     ``segment_m`` meters of ground-truth path (a segment ends at the first
     frame at or beyond the target length); the final partial segment is
     dropped.  Per segment, the ratio compares start-to-end displacements
-    of the two trajectories over the same index range.
+    of the two trajectories over the same index range; a ratio outside the
+    normal float range is taken as log2(est) - log2(gt).
 
     Raises:
         InsufficientLengthError: not even one full segment fits.
@@ -355,7 +356,8 @@ def log_scale_curve(est: Trajectory, gt: Trajectory, segment_m: float = 10.0) ->
     dg = _norms(gt.positions[b[1:]] - gt.positions[b[:-1]])
     de = _norms(est.positions[b[1:]] - est.positions[b[:-1]])
     skip = (dg <= 0.0) | (de <= 0.0)
-    values = [math.log2(e / g) for g, e in zip(dg[~skip].tolist(), de[~skip].tolist())]
+    values = [math.log2(e / g) if sys.float_info.min <= e / g < math.inf else math.log2(e) - math.log2(g)
+              for g, e in zip(dg[~skip].tolist(), de[~skip].tolist())]
     return LogScaleCurve(
         segment_indices=np.flatnonzero(~skip).astype(np.int64),
         values=np.array(values, dtype=float),
@@ -372,9 +374,11 @@ def evaluate_trajectories(
 ) -> MetricsReport:
     """One-call evaluation: optional scale init, both ATE variants, RTE/RRE.
 
-    The ATE fits judge the whole drive before the segments do, so a drive
-    whose positions leave the float range is refused for that, not for a
-    segment length its path lengths cannot resolve.
+    The ATE fits judge the whole drive before the segments do, so a collinear
+    drive is refused for that, not for a segment length its path lengths
+    cannot resolve.  A drive and its lengths scaled by a power of two s
+    keep their RTE, RRE * s and ATE / s, up to the last bit of a rescued
+    reduction, at any s that keeps the positions finite.
     """
     scale_init = None
     if check_arg("scale_init_10m", scale_init_10m, FLAG):

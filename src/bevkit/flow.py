@@ -42,8 +42,9 @@ class FlowStats:
 
     def __init__(self, epe: np.ndarray):
         self._epe = epe = check_array("epe", epe, ("H", "W")).ravel()
-        self.mean_epe = _scale_safe(lambda e: float(e.mean()), epe)
         self.max_epe = float(epe.max())
+        # clamped into [min, max]: numpy's pairwise sum of equal values can round a uniform map's mean off its value
+        self.mean_epe = min(max(_scale_safe(lambda e: float(e.mean()), epe), float(epe.min())), self.max_epe)
 
     def frac_below(self, threshold_px: float) -> float:
         """Fraction of pixels with endpoint error strictly below the threshold, a number >= 0."""

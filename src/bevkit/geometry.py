@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, DegenerateInputError, InvalidCameraError, ShapeError
+from .errors import DegenerateInputError, InvalidCameraError, ShapeError
 from .text import FINITE, FINITE_POSITIVE, FLAG, _float_array, check_arg, check_array, integer_in
 
 TWO_PI = 2.0 * math.pi
@@ -27,7 +27,7 @@ TWO_PI = 2.0 * math.pi
 # |det R - 1| stay below this; beyond it we refuse, in between we repair.
 ORTHONORMALITY_TOL = 1e-9
 
-MAX_GRID_CELLS = 2**22  # most pixels along a BEV grid side, and most cells of a configured grid
+MAX_GRID_CELLS = 2**22  # most pixels along a BEV grid side, and most cells of any BEV grid
 
 # below this a nonzero square is subnormal or zero, so a norm loses bits or reads 0
 _TINY = math.sqrt(sys.float_info.min)
@@ -67,11 +67,15 @@ def _scale_safe(f, x: np.ndarray):
     subnormal, is recomputed as ``m * f(x / m)``, ``m`` the largest magnitude
     of ``x`` (Blue's scaled norm, ACM TOMS 1978).  An ``x`` that is all zero
     or not all finite keeps its result, so inf stays the caller's to judge.
+    An ``OverflowError`` from ``f``, as from a Python float's ``**``, is inf.
     An ``f`` that gives one value per row of a 2-D ``x`` is rescaled row by
     row, each by its own ``m``.  Every other result keeps its bits.
     """
     with np.errstate(over="ignore", under="ignore"):
-        out = f(x)
+        try:
+            out = f(x)
+        except OverflowError:
+            out = math.inf
         redo = (out < _TINY) | ~np.isfinite(out)
         if not redo.any():
             return out
@@ -94,43 +98,42 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
     unless ``with_scale`` (0 when ``src`` has no spread), omitted weights
     are uniform.  Returns (R, t, scale, sigma); callers judge uniqueness by
     ``sigma``, the singular values of sum_i w_i (dst_i - dst_c)(src_i - src_c)^T.
-    Weights without a finite sum > 0, or a covariance, scale or translation past the float range, raise
-    DegenerateInputError; a covariance with no entry of normal magnitude, though both weighted point
-    sets spread, raises DegenerateGeometryError.
+    A covariance, or with ``with_scale`` a variance, with no entry of normal magnitude or one past
+    the float range is formed again from each centred set over its own largest magnitude, as
+    ``_scale_safe`` rescales; ``sigma`` is then in those units.  Weights without a finite sum > 0,
+    or a centred set, scale or translation past the float range, raise DegenerateInputError.
     """
     src = check_array("src", src, ("N", "d"))
     dst = check_array("dst", dst, src.shape)
     # finiteness is the sum's verdict below, which names the weights' fault
     w = (np.ones(len(src)) if weights is None else _float_array("weights", weights, src.shape[:1]))[:, None]
+    with_scale = check_arg("with_scale", with_scale, FLAG)
+    m_p = m_q = 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # each is judged below
         total = w.sum()
+        if not 0.0 < total < math.inf:
+            raise DegenerateInputError(f"weights must sum to a finite number > 0, got {float(total)!r}")
         src_c = (w * src).sum(axis=0) / total
         dst_c = (w * dst).sum(axis=0) / total
         p = src - src_c
         wq = w * (dst - dst_c)
-        cov = wq.T @ p
-    if not 0.0 < total < math.inf:
-        raise DegenerateInputError(f"weights must sum to a finite number > 0, got {float(total)!r}")
-    if not np.isfinite(cov).all():
-        raise DegenerateInputError("the weighted covariance of the point sets leaves the float range")
-    # zero or subnormal entries carry no rotation: near 1e-170 m of spread every product rounds to 0
-    if not (np.abs(cov) >= sys.float_info.min).any() and wq.any() and (w * p).any():
-        raise DegenerateGeometryError("the weighted covariance of the point sets is zero or subnormal")
-    rot, sigma = proper_rotation(cov)
-    scale = 1.0
-    if check_arg("with_scale", with_scale, FLAG):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # the scale is judged below
+        cov, var = wq.T @ p, (w * p * p).sum() if with_scale else 1.0  # 1.0: no variance to judge
+        # out of range, both are formed again from each centred set over its own largest magnitude
+        if not (sys.float_info.min <= np.abs(cov).max() < math.inf and sys.float_info.min <= var < math.inf):
+            q = dst - dst_c
+            m_p, m_q = (float(np.abs(x).max()) or 1.0 for x in (p, q))  # 1.0 for a set without spread
+            if not (math.isfinite(m_p) and math.isfinite(m_q)):
+                raise DegenerateInputError("a centred point set leaves the float range")
+            p, wq = p / m_p, w * (q / m_q)
+            cov, var = wq.T @ p, (w * p * p).sum() if with_scale else 1.0
+        rot, sigma = proper_rotation(cov)
+        scale = 1.0
+        if with_scale:
             # trace(R^T cov): the singular values summed, the last one negated if proper_rotation fixed a reflection
-            trace, var = np.sum(rot * cov), (w * p * p).sum()
-            if not 0.0 < var < math.inf:
-                # _scale_safe's rule by hand: the ratio cancels m * m, so neither is multiplied back
-                m = np.abs(p).max()
-                trace, var = trace / m / m, (w * np.square(p / m)).sum()
-            scale = float(trace / var) if var > 0.0 else 0.0
-        if not math.isfinite(scale):
-            raise DegenerateInputError("the scale of the similarity fit leaves the float range")
-    with np.errstate(over="ignore", invalid="ignore"):  # the translation is judged below
+            scale = float(np.sum(rot * cov) / var) * (m_q / m_p) if var > 0.0 else 0.0
         t = dst_c - scale * rot @ src_c
+    if not math.isfinite(scale):
+        raise DegenerateInputError("the scale of the similarity fit leaves the float range")
     if not np.isfinite(t).all():
         raise DegenerateInputError("the translation of the similarity fit leaves the float range")
     return rot, t, scale, sigma
@@ -379,6 +382,9 @@ class BevGridSpec:
     def __post_init__(self):
         for name in ("height_px", "width_px"):
             object.__setattr__(self, name, check_arg(name, getattr(self, name), integer_in(1, MAX_GRID_CELLS)))
+        if self.height_px * self.width_px > MAX_GRID_CELLS:
+            raise ValueError(f"height_px * width_px must be at most {MAX_GRID_CELLS} cells, "
+                             f"got {self.height_px} * {self.width_px}")
         object.__setattr__(self, "resolution_m", check_arg("resolution_m", self.resolution_m, FINITE_POSITIVE))
         origin = ((self.width_px - 1) / 2.0, (self.height_px - 1) / 2.0) if self.origin_px is None else self.origin_px
         if np.shape(origin) != (2,):

@@ -12,11 +12,12 @@ import pytest
 
 from bevkit.bvt1 import read_bvt1, write_bvt1
 from bevkit.cli import main
-from bevkit.evaluation import Trajectory
+from bevkit.evaluation import Trajectory, scale_trajectory
 from bevkit.formats import parse_pairs_csv, write_trajectory
 from bevkit.geometry import Pose2, pose2_to_pose3
 
 from helpers import FAR_DRIVE_TUM, run_fresh_python
+from test_evaluation import curved_traj, perturb_steps
 
 
 def run_cli(args, capsys):
@@ -317,17 +318,42 @@ class TestEvalTraj:
         assert code == 1
         assert "error" in err
 
-    def test_positions_whose_covariance_overflows_exit_instead_of_hanging(self, tmp_path):
-        # the ATE fit's covariance overflows to inf, whose SVD never returned; a
-        # fresh process is killed after 30 s, so a hang fails the test.  The
-        # refusal is the only stderr line: path_lengths and _norms rescale
-        # their overflowing squares without a numpy warning
+    @pytest.mark.parametrize("k", [664, -664])
+    def test_a_drive_reads_the_same_at_any_finite_scale(self, tmp_path, capsys, k):
+        # TUM files of a drive, and the lengths, times 2**k: the ATE fit's covariance leaves the
+        # float range or has no normal entry, and its rescaled form may round apart from the
+        # unscaled one in the last place
+        drive = curved_traj(200, seed=50)
+        drives = (drive, perturb_steps(drive, seed=51, drift=0.97))
+        docs = []
+        for s in (1.0, 2.0 ** k):
+            gt, est = (scale_trajectory(t, s) for t in drives)
+            argv = ["eval-traj", "--est", self.write(tmp_path, "est.tum", est), "--gt",
+                    self.write(tmp_path, "gt.tum", gt), "--align", "sim3", "--lengths", f"{10 * s!r},{40 * s!r}"]
+            docs.append(run_json(argv, capsys)[0])
+        want, got = docs
+        s = 2.0 ** k
+        assert got["rte_percent"] == want["rte_percent"] and got["rre_deg_per_100m"] * s == want["rre_deg_per_100m"]
+        assert abs(got["ate_m"] / s / want["ate_m"] - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("rows, code, stderr", [
+        ("0 0 0\n1 1e160 0\n2 -1e160 0\n", 1,
+         "bevkit: error: positions are collinear or coincident; alignment is ambiguous\n"),
+        ("0 0 0\n1 1e160 0\n2 1e160 1e160\n3 0 1e160\n", 0, ""),
+    ], ids=["collinear", "square"])
+    def test_positions_whose_covariance_overflows_exit_instead_of_hanging(self, tmp_path, rows, code, stderr):
+        # the ATE fit's covariance overflows to inf, on which the SVD may never return, so the fit
+        # rescales it; a fresh process is killed after 30 s, so a hang fails the test.  Nothing else
+        # reaches stderr: path_lengths and _norms rescale their overflowing squares without a numpy warning
         path = tmp_path / "far.tum"
-        path.write_text("0 0 0 0 0 0 0 1\n1 1e160 0 0 0 0 0 1\n2 -1e160 0 0 0 0 0 1\n")
+        path.write_text("".join(f"{row} 0 0 0 0 1\n" for row in rows.splitlines()))
         proc = run_fresh_python("-m", "bevkit.cli", "eval-traj", "--est", str(path), "--gt", str(path),
-                                "--lengths", "1", timeout=30)
-        assert proc.returncode == 1
-        assert proc.stderr == "bevkit: error: the weighted covariance of the point sets leaves the float range\n"
+                                "--lengths", "1e160", timeout=30)
+        assert proc.returncode == code and proc.stderr == stderr
+        if code == 0:
+            doc = json.loads(proc.stdout)
+            assert doc["rte_percent"] == doc["rre_deg_per_100m"] == doc["ate_m"] == 0.0
+            assert doc["per_length"] == {"1e+160": {"rte_percent": 0.0, "rre_deg_per_100m": 0.0, "segments": 3}}
 
 
 class TestSamplePairs:
@@ -1022,14 +1048,14 @@ BAD_INPUTS = [
      "camera-E-1e200"),
     (["eval-traj", "--est", "{d}/bad.json", "--gt", "{d}/bad.json", "--lengths", "1"],
      "0 0 0 0 0 0 0 1\n1 1e160 0 0 0 0 0 1\n2 -1e160 0 0 0 0 0 1\n",
-     "the weighted covariance of the point sets leaves the float range", "positions-1e160"),
+     "positions are collinear or coincident; alignment is ambiguous", "positions-1e160"),
     # a path step, or a path length, past the float range: inf, without a numpy warning
     (["eval-traj", "--est", "{d}/bad.json", "--gt", "{d}/bad.json", "--lengths", "1"],
      "0 0 0 0 0 0 0 1\n1 1e308 0 0 0 0 0 1\n2 -1e308 0 0 0 0 0 1\n3 0 0 0 0 0 0 1\n",
-     "the weighted covariance of the point sets leaves the float range", "path-step-past-float-range"),
+     "positions are collinear or coincident; alignment is ambiguous", "path-step-past-float-range"),
     (["eval-traj", "--est", "{d}/bad.json", "--gt", "{d}/bad.json", "--lengths", "1"],
      "0 0 0 0 0 0 0 1\n1 1e308 0 0 0 0 0 1\n2 0 0 0 0 0 0 1\n",
-     "the weighted covariance of the point sets leaves the float range", "path-sum-past-float-range"),
+     "positions are collinear or coincident; alignment is ambiguous", "path-sum-past-float-range"),
 ]
 
 

@@ -446,9 +446,16 @@ class TestRteRre:
         # a step of 1.8e308 m overflows in the stacked products, silently; the
         # mirrored estimate's error is then not finite and its length is refused
         xs = [0.0, 9e307, -9e307, 9e307, -9e307, 0.0]
-        with pytest.raises(ValueError, match=r"^segment length 1e\+300 m: the mean squared error per meter "
-                                             r"leaves the float range$"):
+        with pytest.raises(ValueError, match=r"^segment length 1e\+300 m: its RTE or RRE leaves the float range$"):
             rte_rre(line_from_x([-x for x in xs]), line_from_x(xs), lengths_m=(1e300,))
+
+    def test_per_length_values_whose_sum_overflows_have_a_finite_mean(self):
+        # an estimate 1.2e306 times too long: each length's RTE is near 1.2e308 %, and their sum
+        # leaves the float range, so the mean over the lengths is rescaled as _scale_safe rescales it
+        xs = [float(i) for i in range(6)]
+        rep = rte_rre(line_from_x([1.2e306 * x for x in xs]), line_from_x(xs), lengths_m=(1.0, 2.0))
+        assert [v[0] for v in rep.per_length.values()] == [1.1999999999999997e308, 1.2e308]
+        assert rep.rte_percent == 1.2e308 and rep.rre_deg_per_100m == 0.0
 
     @pytest.mark.parametrize("xs, length, text", [
         # frames 1 and 2 would end on themselves: 1e300 + 1 is 1e300
@@ -666,6 +673,16 @@ class TestScaleFromFirst10m:
         with pytest.raises(InsufficientLengthError):
             scale_from_first_10m(gt, gt)
 
+    @pytest.mark.parametrize("est, got", [(line_traj(12, step=1e-10), "inf"),
+                                          (line_from_x([0.0, 1e308, -1e308] + [0.0] * 9), "0.0")])
+    def test_a_ratio_past_the_float_range_is_refused(self, est, got):
+        # gt reaches 10 m at frame 1 of 1e300 m steps, or at frame 10 of 1 m steps: the ratio over
+        # 1e-10 m overflows, and the one over an estimated path of inf is 0
+        gt = line_traj(12, step=1e300 if got == "inf" else 1.0)
+        with pytest.raises(DegenerateInputError, match=f"^the scale correction over the prefix leaves the float "
+                                                       f"range, got {got}$"):
+            scale_from_first_10m(est, gt)
+
     def test_stationary_est_rejected(self):
         gt = line_traj(20)
         poses = np.tile(np.eye(4), (20, 1, 1))
@@ -680,6 +697,18 @@ class TestLogScaleCurve:
         gt = line_from_x([0.0, 1e308, 1.7e308])
         curve = log_scale_curve(gt, gt, segment_m=1e307)
         assert curve.segment_indices.tolist() == [0, 1] and curve.values.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("k", [1100, -1100])
+    def test_a_ratio_past_the_float_range_is_a_difference_of_logs(self, k):
+        # the drive times 2**(-k/11) and its estimate times 2**(10k/11): each ratio of displacements
+        # overflowed to inf, or fell to 0, on which math.log2 raises
+        gt = curved_traj(100, seed=30)
+        est = perturb_steps(gt, seed=31, drift=1.05)
+        want = log_scale_curve(est, gt, 10.0)
+        s = 2.0 ** (-k // 11)
+        got = log_scale_curve(scale_trajectory(est, 2.0 ** (10 * k // 11)), scale_trajectory(gt, s), 10.0 * s)
+        assert got.segment_indices.tolist() == want.segment_indices.tolist()
+        assert np.max(np.abs(got.values - k - want.values)) < 1e-12
 
     def test_identity_is_exactly_zero(self):
         gt = curved_traj(200, seed=28)
@@ -763,11 +792,31 @@ class TestEvaluateTrajectories:
         assert rep.rte_percent < 1e-9
         assert rep.ate_se3_m < 1e-9
 
+    @pytest.mark.parametrize("k", [300, -300, 500, -500, 664, -664, 900, -900, 1000, -1000])
+    def test_a_drive_reads_the_same_at_any_finite_scale(self, k):
+        # the drive and its lengths times 2**k, exact in float: at |k| >= 664 the ATE fits' covariances
+        # leave the float range or have no normal entry, and are rescaled.
+        # A rescaled reduction is m * f(x / m) with m = max|x|, not a power of two, so a per-length
+        # value may differ from the unscaled one in the last place; on this drive the means do not
+        gt = curved_traj(300, seed=40)
+        est = perturb_steps(gt, seed=41, drift=1.02)
+        lengths = (10.0, 25.0, 50.0)
+        s = 2.0 ** k
+        want = evaluate_trajectories(est, gt, lengths)
+        got = evaluate_trajectories(scale_trajectory(est, s), scale_trajectory(gt, s), tuple(s * l for l in lengths))
+        assert got.rte_percent == want.rte_percent and got.rre_deg_per_100m * s == want.rre_deg_per_100m
+        assert abs(got.ate_se3_m / s / want.ate_se3_m - 1.0) < 1e-13
+        assert abs(got.ate_sim3_m / s / want.ate_sim3_m - 1.0) < 1e-13
+        assert sorted(got.per_length) == [s * l for l in lengths]
+        for l in lengths:
+            (rte, rre, count), (rte0, rre0, count0) = got.per_length[s * l], want.per_length[l]
+            assert count == count0 and abs(rte / rte0 - 1.0) < 1e-15 and abs(rre * s / rre0 - 1.0) < 1e-15
+
     def test_the_ate_fits_judge_the_drive_before_the_segments(self):
-        # positions near 1e160 m: the segment lengths cannot resolve 1 m past frame 1,
-        # but the ATE fit's covariance leaves the float range first
+        # positions near 1e160 m: the segment lengths cannot resolve 1 m past frame 1, but the
+        # ATE fit, whose covariance is rescaled past the float range, finds the drive collinear first
         xs = [0.0, 1e160, -1e160]
-        with pytest.raises(DegenerateInputError, match="^the weighted covariance of the point sets leaves"):
+        with pytest.raises(DegenerateGeometryError, match="^positions are collinear or coincident"):
             evaluate_trajectories(line_from_x(xs), line_from_x(xs), lengths_m=(1.0,))
         with pytest.raises(ValueError, match="^segment length 1 m is below the float resolution"):
             rte_rre(line_from_x(xs), line_from_x(xs), lengths_m=(1.0,))

@@ -127,6 +127,15 @@ class TestSolvePose:
             assert abs(rec.tx - pose.tx) < 1e-9
             assert abs(rec.ty - pose.ty) < 1e-9
 
+    @pytest.mark.parametrize("k", [600, -600, 1000, -1000])
+    def test_an_ordinary_flow_is_solved_at_any_finite_resolution(self, k):
+        # the covariance of the vehicle-frame points leaves the float range at 2**600 m/px and has
+        # no normal entry at 2**-600 m/px: the fit rescales both
+        r = 2.0 ** k
+        pose = solve_pose_from_flow(construct_flow_gt(Pose2(0.1, 3 * r, -2 * r), BevGridSpec(16, 16, r)))
+        assert abs(pose.theta / 0.1 - 1.0) < 1e-14
+        assert abs(pose.tx / (3 * r) - 1.0) < 1e-14 and abs(pose.ty / (-2 * r) - 1.0) < 1e-14
+
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(23)
         flow = construct_flow_gt(Pose2(0.1, 0.5, 0.2), GRID)
@@ -309,6 +318,14 @@ class TestErrorMapAndLoss:
                 assert np.all(np.abs(epe - ref) <= 4e-16 * ref), k
                 if data is uniform:
                     assert np.all(epe == epe[0, 0]) and stats.mean_epe == epe[0, 0], k
+
+    @pytest.mark.parametrize("shape", [(8, 8), (10, 10), (3, 7), (128, 128)])
+    @pytest.mark.parametrize("value", [1.5118216247002567, 1e-153, 0.1, 3.3])
+    def test_the_mean_of_a_uniform_map_is_its_value(self, shape, value):
+        # numpy's pairwise sum of equal values rounds: 0.1 on 128x128 sums to a mean of
+        # 0.10000000000000002, above max_epe, so the mean is clamped into [min, max]
+        stats = FlowStats(np.full(shape, value))
+        assert stats.mean_epe == stats.max_epe == value
 
     def test_sums_past_the_float_range_give_the_scaled_mean(self):
         g = BevGridSpec(2, 2, 0.8)

@@ -20,7 +20,8 @@ from bevkit.bvt1 import read_bvt1, write_bvt1
 from bevkit.cli import main
 from bevkit.config import _CONFIG
 from bevkit.errors import FormatError, ParseError
-from bevkit.evaluation import Trajectory
+from bevkit.evaluation import (Trajectory, ate, evaluate_trajectories, log_scale_curve, path_lengths, rte_rre,
+                               scale_from_first_10m, scale_trajectory)
 from bevkit.flow import (FlowField, FlowStats, construct_flow_gt, displacement_at, flow_error_map, in_grid_mask,
                          l1_flow_loss, solve_pose_from_flow)
 from bevkit.formats import (
@@ -30,10 +31,10 @@ from bevkit.formats import (
     parse_tum_trajectory,
     write_trajectory,
 )
-from bevkit.geometry import BevGridSpec, Pose2, planar_stack
+from bevkit.geometry import BevGridSpec, Pose2, fit_similarity, planar_stack
 from bevkit.synth import _PRIMITIVE, _SYNTH_SPEC, SynthSpec, parse_synth_spec
 from helpers import FAR_DRIVE_TUM
-from test_arguments import ARRAY_TABLE, PIXEL_MAPS, TABLE, one_line_refusal
+from test_arguments import ARRAY_TABLE, EST, GT, PIXEL_MAPS, TABLE, one_line_refusal
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -420,15 +421,27 @@ def test_eval_traj_stride_beyond_the_frames_is_stride_n(workdir, capsys):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-# a square past the float range, an infinite quotient, and finite squares whose mean overflows
+# an infinite quotient, and a square past the float range whose RMS is finite but whose
+# length the path lengths cannot resolve
 @pytest.mark.parametrize("scale, lengths, refused", [(1.1, "100,1e-320", "1e-320"), (1.1, "1e-160", "1e-160"),
-                                                     (1.1, "1,1e-320", "1e-320"), (4e153, "1", "1.0")])
+                                                     (1.1, "1,1e-320", "1e-320")])
 def test_eval_traj_refuses_a_mean_error_beyond_the_float_range(workdir, capsys, scale, lengths, refused):
     assert main(write_drive(workdir, scale) + [f"--lengths={lengths}"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"bevkit: error: segment length {refused} m: ")
+    assert captured.err.startswith(f"bevkit: error: segment length {refused} m")
+    assert ("m is below the float resolution" in captured.err) == (refused == "1e-160")
     assert captured.err.count("\n") == 1
+
+
+def test_eval_traj_reads_an_error_whose_squares_overflow(workdir, capsys):
+    # an estimate 4e153 times too long: the squared errors per meter overflow, and the rescaled
+    # RMS reads (4e153 - 1) / 0.1 times the 1.1 drive's
+    rte = []
+    for scale in (1.1, 4e153):
+        assert main(write_drive(workdir, scale) + ["--lengths=1"]) == 0
+        rte.append(json.loads(capsys.readouterr().out)["rte_percent"])
+    assert abs(rte[1] / rte[0] / ((4e153 - 1.0) / 0.1) - 1.0) < 1e-12
 
 
 def primitive(kind, duration_s, speed_mps, yaw_rate_dps):
@@ -479,8 +492,10 @@ POWERS = {"resolution_m": st.integers(-300, 300)}
 
 
 def scaled(name, plain):
-    """A value for parameter ``name`` whose ordinary value is ``plain``: a small grid side for an int, else
-    mostly ``plain``, or ``plain`` times a factor in [0.5, 2] and 10 ** k, or 0."""
+    """A value for parameter ``name`` whose ordinary value is ``plain``: either bool for a bool, a small grid
+    side or stride for an int, else mostly ``plain``, or ``plain`` times a factor in [0.5, 2] and 10 ** k, or 0."""
+    if type(plain) is bool:
+        return st.booleans()
     if type(plain) is int:
         return st.integers(1, 6)
     powers = POWERS.get(name, st.integers(-300, 307))
@@ -537,5 +552,51 @@ def test_flow_library_returns_or_refuses_at_extreme_scales(data):
         assert isinstance(loss, ValueError) or 0.0 <= loss < math.inf
     for s in stats:
         if isinstance(s, FlowStats):
-            assert 0.0 <= s.mean_epe < math.inf and 0.0 <= s.max_epe < math.inf
+            assert 0.0 <= float(s._epe.min()) <= s.mean_epe <= s.max_epe < math.inf
             one_line_refusal(lambda: s.frac_below(**threshold))
+
+
+# The similarity fit and the trajectory metrics, on point sets and drives times 10 ** k for k from -300 to 307,
+# by the names tests/test_arguments.py's tables give their parameters; the segment lengths follow the drive or not
+@FUZZ
+@given(data=st.data())
+def test_fit_and_metrics_return_or_refuse_at_extreme_scales(data):
+    def scalars(name):
+        return {p: data.draw(scaled(p, v), label=p) for p, v in TABLE[name][1].items()}
+
+    points = {p: data.draw(scaled_array(v, v.shape), label=p) for p, v in ARRAY_TABLE["fit_similarity"][1].items()}
+    if not data.draw(st.booleans(), label="weighted"):
+        points["weights"] = None
+    fit = one_line_refusal(lambda: fit_similarity(**points, **scalars("fit_similarity")))
+    if not isinstance(fit, ValueError):
+        rot, t, scale, sigma = fit
+        assert np.isfinite(rot).all() and np.isfinite(t).all() and np.isfinite(sigma).all()
+        assert 0.0 <= scale < math.inf
+
+    units = st.builds(lambda f, k: f * 10.0 ** k, st.floats(0.5, 2.0), st.integers(-300, 307))
+    unit = data.draw(units, label="unit")
+    gt = one_line_refusal(lambda: scale_trajectory(GT, unit))
+    est = one_line_refusal(lambda: scale_trajectory(EST, data.draw(mostly(st.just(unit), units), label="est unit")))
+    if isinstance(gt, ValueError) or isinstance(est, ValueError):
+        return
+    for traj in (gt, est):
+        dist = path_lengths(traj)
+        assert dist[0] == 0.0 and (np.diff(dist) >= 0.0).all()
+    follow = unit if data.draw(st.booleans(), label="lengths follow the drive") else 1.0
+    for mode in ("se3", "sim3"):
+        error = one_line_refusal(lambda: ate(est, gt, mode))
+        assert isinstance(error, ValueError) or 0.0 <= error < math.inf
+    kw = scalars("rte_rre")
+    rel = one_line_refusal(lambda: rte_rre(est, gt, (kw["length"] * follow,), kw["stride"]))
+    if not isinstance(rel, ValueError):
+        assert 0.0 <= rel.rte_percent < math.inf and 0.0 <= rel.rre_deg_per_100m < math.inf
+    curve = one_line_refusal(lambda: log_scale_curve(est, gt, scalars("log_scale_curve")["segment_m"] * follow))
+    assert isinstance(curve, ValueError) or np.isfinite(curve.values).all()
+    first = one_line_refusal(lambda: scale_from_first_10m(est, gt))
+    assert isinstance(first, ValueError) or 0.0 < first < math.inf
+    kw = scalars("evaluate_trajectories")
+    report = one_line_refusal(lambda: evaluate_trajectories(est, gt, (kw["length"] * follow,), kw["stride"],
+                                                            kw["scale_init_10m"]))
+    if not isinstance(report, ValueError):
+        assert all(math.isfinite(v) for v in (report.rte_percent, report.rre_deg_per_100m, report.ate_se3_m,
+                                              report.ate_sim3_m))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bevkit.geometry
-from bevkit.errors import DegenerateGeometryError, DegenerateInputError, InvalidCameraError, ParseError, ShapeError
+from bevkit.errors import DegenerateInputError, InvalidCameraError, ParseError, ShapeError
 from bevkit.evaluation import Trajectory, _norms, ate, path_lengths, scale_trajectory
 from bevkit.flow import FlowField, FlowStats, l1_flow_loss
 from bevkit.formats import parse_kitti_poses
@@ -205,6 +205,16 @@ class TestPixelVehicleMap:
             BevGridSpec(128, 128, 0.0)
         with pytest.raises(ValueError):
             BevGridSpec(128, 128, -1.0)
+
+    @pytest.mark.parametrize("h, w", [(4096, 4096), (2**22, 2)])
+    def test_a_grid_past_the_cell_cap_is_refused(self, h, w):
+        # 2**22 x 2**22 cells built a grid whose float64 plane would take 128 TiB
+        with pytest.raises(ValueError, match=rf"^height_px \* width_px must be at most 4194304 cells, got {h} \* {w}$"):
+            BevGridSpec(h, w, 1.0)
+
+    @pytest.mark.parametrize("h, w", [(2048, 2048), (2**22, 1), (1, 2**22)])
+    def test_a_grid_at_the_cell_cap_is_accepted(self, h, w):
+        assert BevGridSpec(h, w, 1.0).shape == (h, w)
 
 
 def _line_to(step):
@@ -622,16 +632,14 @@ class TestFitSimilarity:
         with pytest.raises(DegenerateInputError, match="^the translation of the similarity fit leaves the float"):
             fit_similarity([[1e10], [1e10 + 1]], [[0.0], [1e300]], with_scale=True)
 
+    @pytest.mark.parametrize("spread", [1e-150, 1e-170, 1e-300])
     @pytest.mark.parametrize("with_scale", [True, False])
-    def test_a_covariance_below_the_normal_range_is_refused(self, with_scale):
-        # 1e-170 m apart, every product of the covariance rounded to 0, and the fit of this
-        # quarter turn read the identity with scale 0; at 1e-150 m the covariance is normal
+    def test_a_covariance_below_the_normal_range_is_rescaled(self, with_scale, spread):
+        # 1e-170 m and 1e-300 m apart, every product of the covariance rounds to 0, so the fit forms it
+        # again from the rescaled sets; at 1e-150 m the covariance is normal
         quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
         src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(DegenerateGeometryError,
-                           match="^the weighted covariance of the point sets is zero or subnormal$"):
-            fit_similarity(1e-170 * src, 1e-170 * src @ quarter.T, with_scale=with_scale)
-        rot, _, scale, _ = fit_similarity(1e-150 * src, 1e-150 * src @ quarter.T, with_scale=with_scale)
+        rot, _, scale, _ = fit_similarity(spread * src, spread * src @ quarter.T, with_scale=with_scale)
         assert np.max(np.abs(rot - quarter)) < 1e-15 and abs(scale - 1.0) < 1e-15
 
     def test_a_point_set_without_spread_has_scale_zero(self):
@@ -660,8 +668,8 @@ class TestFitSimilarity:
         assert sigma[2] < 1e-12 * sigma[0]
 
 
-def refusal_in_a_fresh_process(call: str) -> str:
-    """What ``call`` raises, as "<type>\\n<message>\\n", in a new interpreter that prints every warning.
+def in_a_fresh_process(call: str) -> str:
+    """What ``call`` prints, or raises as "<type>\\n<message>\\n", in a new interpreter that prints every warning.
 
     LAPACK's SVD of a matrix that holds an inf may never return, so the
     interpreter is killed after 30 s and the test fails on the timeout.
@@ -677,14 +685,22 @@ def refusal_in_a_fresh_process(call: str) -> str:
 
 
 class TestNoSvdOfANonFiniteMatrix:
-    def test_an_overflowing_covariance_is_refused_in_one_line(self):
-        # the covariance of +-1e308 points overflows to inf; its SVD never returned
+    def test_an_overflowing_covariance_is_rescaled(self):
+        # the covariance of +-1e308 points overflows to inf, on which the SVD may never return, so
+        # it is formed again from the centred sets over their largest magnitudes
         src = "np.array([[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]])"
-        assert refusal_in_a_fresh_process(f"fit_similarity({src}, {src})") == (
-            "DegenerateInputError\nthe weighted covariance of the point sets leaves the float range\n")
+        assert in_a_fresh_process(f"rot, t, scale, _ = fit_similarity({src}, {src}); "
+                                  "print(rot.tolist() == np.eye(3).tolist(), t.tolist(), scale)") == (
+            "True [0.0, 0.0, 0.0] 1.0\n")
+
+    def test_a_centred_set_past_the_float_range_is_refused_in_one_line(self):
+        # the centroid's sum overflows, so the centred x coordinates are -inf and NaN
+        src = "np.array([[1.7e308, 0.0], [1.7e308, 1.0], [0.0, 0.0]])"
+        assert in_a_fresh_process(f"fit_similarity({src}, {src})") == (
+            "DegenerateInputError\na centred point set leaves the float range\n")
 
     def test_a_matrix_holding_an_inf_is_refused_before_the_svd(self):
-        assert refusal_in_a_fresh_process("proper_rotation(np.diag([np.inf, 1.0, 1.0]))") == (
+        assert in_a_fresh_process("proper_rotation(np.diag([np.inf, 1.0, 1.0]))") == (
             "ValueError\nm contains non-finite entries\n")
 
     def test_finite_extremes_below_the_overflow_still_fit(self):

@@ -410,7 +410,8 @@ def test_repair_guard_sees_a_caller(tmp_path):
 # the float range goes through geometry._scale_safe, so its rescue is written once.
 OWN_LARGEST_MAGNITUDES = {
     "geometry._scale_safe": "the one rule: f(x) out of range from finite, nonzero x becomes m * f(x / m)",
-    "geometry.fit_similarity": "the scale is a ratio of two rescaled sums, in which m * m cancels",
+    "geometry.fit_similarity": "the covariance is bilinear in two centred sets: each is divided by its own m, "
+                               "and the scale is multiplied by m_q / m_p",
     "losses._direction": "a direction is (t / m) / ||t / m||, so m divides and is never multiplied back",
     "synth.synth_trajectory": "names the larger of two corruptions in its error message; it divides nothing",
     "cli._cmd_flow_make": "reports the largest flow component in the command's JSON; it divides nothing",
