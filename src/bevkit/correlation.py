@@ -91,11 +91,9 @@ class CorrelationVolume:
     @classmethod
     def _adopt(cls, data: np.ndarray) -> "CorrelationVolume":
         """Check and wrap a fresh float (C, H, W) array that no one else holds, without copying it."""
-        if not _all_finite(data):
-            if data.dtype == np.float32:  # finite maps: only a sum past the float32 range gets here
-                raise ValueError("correlation volume data holds a value beyond the float32 range "
-                                 f"(max {np.finfo(np.float32).max:g})")
-            raise ValueError("correlation volume data contains non-finite entries")
+        if not _all_finite(data):  # finite maps: only a correlation sum past its data type's range gets here
+            raise ValueError(f"correlation volume data holds a value beyond the {data.dtype} range "
+                             f"(max {np.finfo(data.dtype).max:g})")
         data.flags.writeable = False
         volume = object.__new__(cls)
         volume._fill(data)

@@ -219,10 +219,9 @@ def rte_rre(
     n = len(gt)
     # any stride >= n starts at frame 0 alone; capped, arange stays integer
     firsts = np.arange(0, n, min(stride, n))
-    # a product past the float range holds inf or NaN; a segment error that
+    # an inverse past the float range holds inf or NaN; a segment error that
     # is not finite ends in its length's refusal
-    with np.errstate(over="ignore"):
-        inv_gt, inv_est = invert_rigid(gt.poses), invert_rigid(est.poses)
+    inv_gt, inv_est = invert_rigid(gt.poses), invert_rigid(est.poses)
     per_length: dict[float, tuple[float, float, int]] = {}
     for length in lengths:
         # end frame: first index at or beyond the nominal path length; an

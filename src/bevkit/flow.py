@@ -19,7 +19,10 @@ from .text import AT_LEAST_ZERO, check_arg, check_array
 
 # The weighted cross-covariance of the point correspondences is considered
 # rank zero, and the rotation fit hopeless, when its largest singular value
-# falls below this.
+# falls below this times the weights' sum.  fit_similarity forms it over each
+# centred set scaled below 1 by a power of two, so the test is relative to the
+# sets' magnitudes and to the weights, and judges alike at every grid
+# resolution and every scale of the weights.
 _RANK_TOL = 1e-12
 
 
@@ -128,7 +131,10 @@ def solve_pose_from_flow(flow: FlowField, weights: np.ndarray | None = None) -> 
     Raises:
         DegenerateInputError: fewer than two pixels carry positive weight.
         DegenerateGeometryError: the weighted point set is effectively a
-            single location, so the rotation is unconstrained.
+            single location, so the rotation is unconstrained: the largest
+            singular value of the cross-covariance, relative to the
+            magnitudes of the two centred sets, is at most ``_RANK_TOL``
+            times the weights' sum, whatever the grid's resolution.
     """
     grid = flow.grid
     if weights is None:
@@ -144,7 +150,7 @@ def solve_pose_from_flow(flow: FlowField, weights: np.ndarray | None = None) -> 
     src = np.stack(pixel_to_vehicle(us, vs, grid), axis=-1).reshape(-1, 2)
     dst = np.stack(pixel_to_vehicle(us + flow.data[0], vs + flow.data[1], grid), axis=-1).reshape(-1, 2)
     rot, t, _, sigma = fit_similarity(src, dst, wts.reshape(-1))
-    if sigma[0] <= _RANK_TOL:
+    if sigma[0] <= _RANK_TOL * wts.sum():
         raise DegenerateGeometryError("point set is concentrated at one location")
     theta = math.atan2(rot[1, 0], rot[0, 0])
     return Pose2(theta, float(t[0]), float(t[1]))

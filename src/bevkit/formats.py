@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ParseError
-from .geometry import Trajectory, is_rotation, proper_rotation, repair_rotations, rotation_error
+from .geometry import Trajectory, _scale_safe, is_rotation, proper_rotation, repair_rotations, rotation_error
 from .text import AT_LEAST_ZERO, Rows, check_arg, check_array, format_rows, read_rows
 
 if TYPE_CHECKING:
@@ -84,9 +84,16 @@ def write_kitti_poses(traj: Trajectory) -> str:
 
 
 def quat_to_matrix(quat: np.ndarray) -> np.ndarray:
-    """Rotations (N, 3, 3) from x, y, z, w quaternions (N, 4), each normalized first."""
+    """Rotations (N, 3, 3) from x, y, z, w quaternions (N, 4), each normalized first.
+
+    A quaternion whose norm is zero or past the float range raises ValueError.
+    """
     q = check_array("quat", quat, ("N", 4))
-    x, y, z, w = (q / np.linalg.norm(q, axis=-1, keepdims=True)).T
+    norm = _scale_safe(lambda x: np.linalg.norm(x, axis=-1), q)
+    bad = np.flatnonzero(~((norm > 0.0) & (norm < math.inf)))
+    if bad.size:
+        raise ValueError(f"quaternion {bad[0]} has norm {float(norm[bad[0]])!r}, not a finite number > 0")
+    x, y, z, w = (q / norm[:, None]).T
     m = [x * x - y * y - z * z + w * w, 2 * (x * y - z * w), 2 * (x * z + y * w),
          2 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2 * (y * z - x * w),
          2 * (x * z - y * w), 2 * (y * z + x * w), -x * x - y * y + z * z + w * w]
@@ -101,11 +108,15 @@ def matrix_to_quat(rot: np.ndarray) -> np.ndarray:
     raises ValueError.
     """
     m = check_array("rot", rot, ("N", 3, 3))
-    # scipy's codec rule, not the pose rule: projection starts at a drift of 1e-12
-    bad = np.flatnonzero(np.linalg.det(m) <= 0.0)
+    # the determinant's sign from slogdet: on finite entries the determinant itself may leave the float range
+    bad = np.flatnonzero(np.linalg.slogdet(m)[0] <= 0.0)
     if bad.size:
         raise ValueError(f"rotation matrix {bad[0]} has a nonpositive determinant")
-    drifted = np.flatnonzero(~np.isclose(m @ np.swapaxes(m, -1, -2), np.eye(3), rtol=1e-5, atol=1e-12).all((1, 2)))
+    # scipy's codec rule, not the pose rule: projection starts at a drift of 1e-12.  A Gram entry past
+    # the float range is not close to the identity
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = m @ np.swapaxes(m, -1, -2)
+        drifted = np.flatnonzero(~np.isclose(gram, np.eye(3), rtol=1e-5, atol=1e-12).all((1, 2)))
     if drifted.size:
         m = m.copy()  # the checked copy is read-only
         for n in drifted.tolist():

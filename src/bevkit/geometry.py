@@ -97,10 +97,10 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
     Umeyama's closed form (TPAMI 1991): R is a proper rotation, scale is 1
     unless ``with_scale`` (0 when ``src`` has no spread), omitted weights
     are uniform.  Returns (R, t, scale, sigma); callers judge uniqueness by
-    ``sigma``, the singular values of sum_i w_i (dst_i - dst_c)(src_i - src_c)^T.
-    A covariance, or with ``with_scale`` a variance, with no entry of normal magnitude or one past
-    the float range is formed again from each centred set over its own largest magnitude, as
-    ``_scale_safe`` rescales; ``sigma`` is then in those units.  Weights without a finite sum > 0,
+    ``sigma``, the singular values of sum_i w_i (q_i 2^-e_q)(p_i 2^-e_p)^T, p and q the centred ``src``
+    and ``dst``, 2^e the power of two just above a set's largest magnitude (1 for a set without spread):
+    every scaled entry is below 1, so ``sigma`` reads alike at any scale of the sets, and a power of two
+    keeps R, t and scale the bits of the unscaled fit.  Weights without a finite sum > 0,
     or a centred set, scale or translation past the float range, raise DegenerateInputError.
     """
     src = check_array("src", src, ("N", "d"))
@@ -108,29 +108,28 @@ def fit_similarity(src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None 
     # finiteness is the sum's verdict below, which names the weights' fault
     w = (np.ones(len(src)) if weights is None else _float_array("weights", weights, src.shape[:1]))[:, None]
     with_scale = check_arg("with_scale", with_scale, FLAG)
-    m_p = m_q = 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # each is judged below
         total = w.sum()
         if not 0.0 < total < math.inf:
             raise DegenerateInputError(f"weights must sum to a finite number > 0, got {float(total)!r}")
         src_c = (w * src).sum(axis=0) / total
         dst_c = (w * dst).sum(axis=0) / total
-        p = src - src_c
-        wq = w * (dst - dst_c)
-        cov, var = wq.T @ p, (w * p * p).sum() if with_scale else 1.0  # 1.0: no variance to judge
-        # out of range, both are formed again from each centred set over its own largest magnitude
-        if not (sys.float_info.min <= np.abs(cov).max() < math.inf and sys.float_info.min <= var < math.inf):
-            q = dst - dst_c
-            m_p, m_q = (float(np.abs(x).max()) or 1.0 for x in (p, q))  # 1.0 for a set without spread
-            if not (math.isfinite(m_p) and math.isfinite(m_q)):
-                raise DegenerateInputError("a centred point set leaves the float range")
-            p, wq = p / m_p, w * (q / m_q)
-            cov, var = wq.T @ p, (w * p * p).sum() if with_scale else 1.0
+        p, wq = src - src_c, dst - dst_c
+        m_p, m_q = (float(np.abs(x).max()) for x in (p, wq))
+        if not (math.isfinite(m_p) and math.isfinite(m_q)):
+            raise DegenerateInputError("a centred point set leaves the float range")
+        # the exponent just above m, 0 for m = 0: below 1, no covariance entry passes the weights' finite sum
+        e_p, e_q = math.frexp(m_p)[1], math.frexp(m_q)[1]
+        np.ldexp(p, -e_p, out=p)
+        np.ldexp(wq, -e_q, out=wq)
+        np.multiply(w, wq, out=wq)
+        cov = wq.T @ p
         rot, sigma = proper_rotation(cov)
         scale = 1.0
         if with_scale:
+            var = (w * p * p).sum()
             # trace(R^T cov): the singular values summed, the last one negated if proper_rotation fixed a reflection
-            scale = float(np.sum(rot * cov) / var) * (m_q / m_p) if var > 0.0 else 0.0
+            scale = float(np.ldexp(np.sum(rot * cov) / var, e_q - e_p)) if var > 0.0 else 0.0
         t = dst_c - scale * rot @ src_c
     if not math.isfinite(scale):
         raise DegenerateInputError("the scale of the similarity fit leaves the float range")
@@ -222,7 +221,8 @@ class Pose3:
 def invert_rigid(poses: np.ndarray) -> np.ndarray:
     """Analytic inverse [R^T | -R^T t] of one 4x4 rigid transform, or of each in an (N, 4, 4) stack.
 
-    No validation: the rotation blocks are taken to be orthonormal.
+    No validation: the rotation blocks are taken to be orthonormal.  A
+    translation past the float range gives +-inf or NaN, without a numpy warning.
     """
     poses = np.ascontiguousarray(poses, dtype=float)
     r_t = poses[..., :3, :3].swapaxes(-1, -2)
@@ -232,7 +232,8 @@ def invert_rigid(poses: np.ndarray) -> np.ndarray:
     # negated before the product, as a per-frame -R^T @ t would be: -(R^T t)
     # has the same values but may flip the sign of a zero.  The stacked
     # product gives the per-frame products' bits, signs of zeros included
-    np.matmul(np.negative(r_t), poses[..., :3, 3:], out=out[..., :3, 3:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(np.negative(r_t), poses[..., :3, 3:], out=out[..., :3, 3:])
     return out
 
 

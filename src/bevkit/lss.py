@@ -22,7 +22,7 @@ from ._threads import split_run
 from .correlation import FeatureMap
 from .errors import InvalidCameraError, ShapeError
 from .geometry import BevGridSpec, CameraModel, _vehicle_to_pixel
-from .text import FLAG, INTEGER, check_arg, check_array
+from .text import FLAG, INTEGER, _all_finite, check_arg, check_array
 
 _NORMALIZATION_TOL = 1e-6
 
@@ -147,7 +147,8 @@ def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraM
     its exact float64 upcast.  The channels are split across one thread per
     usable CPU, each writing its own rows, which leaves the bits as they are.
     Returns (bev, dropped) with bev a C-contiguous (C, grid H, grid W)
-    array and dropped the count of frustum points outside the grid.
+    array and dropped the count of frustum points outside the grid.  A
+    cell sum past the float range raises ValueError.
     """
     if volume.spatial_shape != depth.data.shape[1:]:
         raise ShapeError(
@@ -165,8 +166,11 @@ def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraM
             # a float32 row is upcast first, exactly: H*W values, not one per point.
             # Every index is in range; mode="clip" skips the buffered bounds check
             np.take(context[c].astype(float, copy=False), plan.pixels, out=weights, mode="clip")
-            np.multiply(weights, scale, out=weights)
+            with np.errstate(over="ignore"):  # a weight past the float range is inf, refused below
+                np.multiply(weights, scale, out=weights)
             bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
 
     split_run(channels, volume.channels)
+    if not _all_finite(bev):
+        raise ValueError("project_volume: a BEV cell sum leaves the float range")
     return bev.reshape(volume.channels, grid.height_px, grid.width_px), plan.dropped

@@ -119,8 +119,7 @@ def build_pair_lists(
 
     ids = np.array([f.id for f in frames], dtype=object)
     poses = np.stack([f.pose.matrix for f in frames])
-    with np.errstate(over="ignore", invalid="ignore"):
-        inverses = invert_rigid(poses)
+    inverses = invert_rigid(poses)
     # candidate c of anchor i is frame lo[i] + c - starts[i]; the anchor
     # itself is one of its own candidates and is dropped below
     lo = np.searchsorted(times, times - window_s, side="left")

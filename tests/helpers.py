@@ -1,7 +1,8 @@
 """Pose and trajectory helpers the tests share, a fresh interpreter, a hang watchdog, and the oracles of replaced forms.
 
 The oracles: the pose inverse, the rotation rule and relative pose, the
-rotation angle, and lift-splat.
+rotation angle, the similarity fit over the unscaled covariance, and
+lift-splat.
 """
 
 import contextlib
@@ -128,6 +129,25 @@ def reference_relative_pose(a: Pose3, b: Pose3) -> np.ndarray:
     if reference_rotation_error(m[:3, :3])[0] > ORTHONORMALITY_TOL:
         m[:3, :3] = proper_rotation(m[:3, :3])[0]
     return Pose3(m).matrix
+
+
+def unscaled_similarity_fit(src, dst, weights=None, with_scale=False):
+    """Umeyama's fit over the covariance of the centred sets as they are: the oracle of ``fit_similarity``'s bits.
+
+    This is how ``fit_similarity`` formed an ordinary fit before it scaled
+    each centred set below 1 by a power of two.  Returns (R, t, scale,
+    sigma, e): ``e`` is the sum of the two exponents just above the centred
+    sets' largest magnitudes, so ``fit_similarity``'s sigma is this
+    ``sigma * 2^-e``.
+    """
+    w = (np.ones(len(src)) if weights is None else np.asarray(weights, dtype=float))[:, None]
+    src_c, dst_c = (w * src).sum(axis=0) / w.sum(), (w * dst).sum(axis=0) / w.sum()
+    p, q = src - src_c, dst - dst_c
+    cov = (w * q).T @ p
+    rot, sigma = proper_rotation(cov)
+    scale = float(np.sum(rot * cov) / (w * p * p).sum()) if with_scale else 1.0
+    e = sum(math.frexp(float(np.abs(x).max()))[1] for x in (p, q))
+    return rot, dst_c - scale * rot @ src_c, scale, sigma, e
 
 
 def rotation_angle(rot: np.ndarray) -> float:

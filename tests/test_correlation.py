@@ -243,11 +243,14 @@ class TestVolumeMemory:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("fill", [0.5, 1e308], ids=["small", "overflowing"])
     def test_non_finite_entry_refused_by_both_constructors(self, bad, fill):
+        # the private one adopts volumes local_correlation builds from finite maps, where only a sum
+        # past the float range is not finite, so its line names the range
         data = np.full((9, 2, 2), fill)
         data[4, 1, 0] = bad
         with pytest.raises(ValueError, match=r"^correlation volume data contains non-finite entries$"):
             CorrelationVolume(data)
-        with pytest.raises(ValueError, match=r"^correlation volume data contains non-finite entries$"):
+        with pytest.raises(ValueError, match=r"^correlation volume data holds a value beyond the float64 range "
+                                             r"\(max 1\.79769e\+308\)$"):
             CorrelationVolume._adopt(data)
 
     def test_public_constructor_copies(self):
@@ -432,6 +435,15 @@ class TestFloat32:
                                                  r"\(max 3\.40282e\+38\)$"):
                 local_correlation(FeatureMap(f), FeatureMap(f), 1)
             assert local_correlation(FeatureMap(f.astype(float)), FeatureMap(f), 1).data.max() == 2.0**133
+
+    def test_a_sum_past_the_float64_range_is_refused_in_one_line(self):
+        # finite float64 maps whose products pass 1.8e308: the line names the range, not the input
+        a = np.random.default_rng(307).standard_normal((3, 6, 6)) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^correlation volume data holds a value beyond the float64 range "
+                                                 r"\(max 1\.79769e\+308\)$"):
+                local_correlation(FeatureMap(a), FeatureMap(a), 1)
 
     def test_volumes_and_their_concatenation_stay_float32(self):
         rng = np.random.default_rng(305)

@@ -129,12 +129,29 @@ class TestSolvePose:
 
     @pytest.mark.parametrize("k", [600, -600, 1000, -1000])
     def test_an_ordinary_flow_is_solved_at_any_finite_resolution(self, k):
-        # the covariance of the vehicle-frame points leaves the float range at 2**600 m/px and has
-        # no normal entry at 2**-600 m/px: the fit rescales both
+        # the unscaled covariance of the vehicle-frame points would leave the float range at 2**600 m/px
+        # and have no normal entry at 2**-600 m/px; the fit scales each set below 1 by a power of two
         r = 2.0 ** k
         pose = solve_pose_from_flow(construct_flow_gt(Pose2(0.1, 3 * r, -2 * r), BevGridSpec(16, 16, r)))
         assert abs(pose.theta / 0.1 - 1.0) < 1e-14
         assert abs(pose.tx / (3 * r) - 1.0) < 1e-14 and abs(pose.ty / (-2 * r) - 1.0) < 1e-14
+
+    def test_an_ordinary_flow_is_solved_at_every_decade_of_resolution(self):
+        # sigma reads relative to the point sets' magnitudes: as an absolute figure, it fell below the
+        # rank tolerance from about 1e-8 to 1e-155 m/px, and the flow was refused there
+        for k in range(-300, 301):
+            r = 10.0 ** k
+            pose = solve_pose_from_flow(construct_flow_gt(Pose2(0.1, 3 * r, -2 * r), BevGridSpec(16, 16, r)))
+            assert abs(pose.theta / 0.1 - 1.0) < 1e-14, k
+            assert abs(pose.tx / (3 * r) - 1.0) < 1e-14 and abs(pose.ty / (-2 * r) - 1.0) < 1e-14, k
+
+    def test_power_of_two_resolutions_give_the_same_bits(self):
+        solved = set()
+        for k in (0, 300, -300, 600, -600, 1000, -1000):
+            r = 2.0 ** k
+            pose = solve_pose_from_flow(construct_flow_gt(Pose2(0.1, 3 * r, -2 * r), BevGridSpec(16, 16, r)))
+            solved.add((pose.theta, math.ldexp(pose.tx, -k), math.ldexp(pose.ty, -k)))
+        assert len(solved) == 1, solved
 
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(23)
@@ -145,6 +162,16 @@ class TestSolvePose:
         assert abs(a.theta - b.theta) < 1e-12
         assert abs(a.tx - b.tx) < 1e-12
         assert abs(a.ty - b.ty) < 1e-12
+
+    def test_uniform_weights_of_any_scale_solve_alike(self):
+        # the rank test is relative to the weights' sum: an absolute one refused uniform weights of 1e-20
+        grid = BevGridSpec(16, 16, 0.8)
+        flow = construct_flow_gt(Pose2(0.1, 0.5, 0.2), grid)
+        want = solve_pose_from_flow(flow)
+        for scale in (1e-300, 1e-20, 1e-14, 1e100, 1e300):
+            pose = solve_pose_from_flow(flow, np.full(grid.shape, scale))
+            assert abs(pose.theta - want.theta) < 1e-15 and abs(pose.tx - want.tx) < 1e-14, scale
+            assert abs(pose.ty - want.ty) < 1e-14, scale
 
     def test_weighted_solve_honors_weights(self):
         # corrupt half the field; zero weights there must hide the damage
@@ -173,13 +200,13 @@ class TestSolvePose:
 
     def test_collapsed_targets_are_degenerate(self):
         # two weighted pixels whose displaced locations coincide: the
-        # cross-covariance vanishes and no unique rotation exists
-        grid = BevGridSpec(2, 2, 1.0)
+        # cross-covariance vanishes and no unique rotation exists, at any resolution
         data = np.zeros((2, 2, 2))
         data[0, 0, 1] = -1.0  # pixel (u=1, v=0) lands on (0, 0)
         w = np.array([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateGeometryError):
-            solve_pose_from_flow(FlowField(data, grid), w)
+        for resolution_m in (1.0, 1e-100):
+            with pytest.raises(DegenerateGeometryError):
+                solve_pose_from_flow(FlowField(data, BevGridSpec(2, 2, resolution_m)), w)
 
 
 class TestFlowAlgebra:

@@ -1,8 +1,10 @@
-"""Property tests: random documents, text and bytes end in a result or a one-line error.
+"""Property tests: random documents, text, bytes and library arguments end in a result or a one-line error.
 
 Every parser either returns or raises its documented error type; the CLI
-returns 0 or 1 and never lets an exception escape. Runs are derandomized
-and use no example database, so the suite stays deterministic.
+returns 0 or 1 and never lets an exception escape; a library call on
+values of any finite magnitude returns or raises a one-line ValueError.
+Runs are derandomized and use no example database, so the suite stays
+deterministic.
 """
 
 import contextlib
@@ -13,28 +15,38 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from bevkit.bvt1 import read_bvt1, write_bvt1
 from bevkit.cli import main
 from bevkit.config import _CONFIG
+from bevkit.correlation import CorrelationVolume, FeatureMap, concat_volumes, local_correlation, peak_displacement
 from bevkit.errors import FormatError, ParseError
 from bevkit.evaluation import (Trajectory, ate, evaluate_trajectories, log_scale_curve, path_lengths, rte_rre,
                                scale_from_first_10m, scale_trajectory)
 from bevkit.flow import (FlowField, FlowStats, construct_flow_gt, displacement_at, flow_error_map, in_grid_mask,
                          l1_flow_loss, solve_pose_from_flow)
 from bevkit.formats import (
+    associate_by_timestamp,
     parse_csv_trajectory,
     parse_kitti_poses,
     parse_pairs_csv,
     parse_tum_trajectory,
+    write_pairs_csv,
     write_trajectory,
 )
-from bevkit.geometry import BevGridSpec, Pose2, fit_similarity, planar_stack
+from bevkit.geometry import (BevGridSpec, CameraModel, Pose2, Pose3, check_rigid, fit_similarity, invert_rigid,
+                             is_rotation, pixel_to_vehicle, planar_stack, pose2_to_pose3, pose3_to_pose2,
+                             proper_rotation, relative_pose, repair_rotations, rotation_error, vehicle_to_pixel,
+                             wrap_angle)
+from bevkit.losses import LossWeights, loss_3dof, loss_5dof, loss_total
+from bevkit.lss import DepthDistribution, assign_cells, build_frustum, project_volume
+from bevkit.sampler import FrameIndex, build_pair_lists, frames_from_trajectory, merge_pair_lists, sample_pair
 from bevkit.synth import _PRIMITIVE, _SYNTH_SPEC, SynthSpec, parse_synth_spec
 from helpers import FAR_DRIVE_TUM
-from test_arguments import ARRAY_TABLE, EST, GT, PIXEL_MAPS, TABLE, one_line_refusal
+from test_arguments import (ARRAY_TABLE, CAMERA, EST, FEATURES, GT, PIXEL_MAPS, PIXELS, TABLE,
+                            one_line_refusal)
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -600,3 +612,167 @@ def test_fit_and_metrics_return_or_refuse_at_extreme_scales(data):
     if not isinstance(report, ValueError):
         assert all(math.isfinite(v) for v in (report.rte_percent, report.rre_deg_per_100m, report.ate_se3_m,
                                               report.ate_sim3_m))
+
+
+# The rest of the library: the geometry callables other than the fit and the metrics, correlation, lift-splat,
+# losses, the sampler and the formats, with finite magnitudes from 1e-300 to 1.7e308 in each array and scalar
+# parameter, drawn by the names tests/test_arguments.py's tables give them. Each call ends in a result or a
+# one-line ValueError subclass; the suite's "error" warning filter fails a numpy RuntimeWarning. Every value is
+# a magnitude times a factor in [-1, 1], so building one never overflows.
+MAGNITUDES = st.builds(lambda f, k: min(f * 10.0 ** k, 1.7e308), st.floats(0.5, 2.0), st.integers(-300, 308))
+# 100 examples: the four tests take about 10 s on a 2-core VM. Without hypothesis's explain phase, which on a
+# failure of these many-draw tests ran past the suite's 300 s watchdog
+LIBRARY_FUZZ = settings(FUZZ, max_examples=100, phases=[p for p in Phase if p is not Phase.explain])
+
+
+def extreme(plain):
+    """A value for a parameter whose ordinary value is ``plain``: either bool for a bool, else mostly ``plain``,
+    or a small int for an int, or a magnitude with its sign, or 0."""
+    if type(plain) is bool:
+        return st.booleans()
+    if type(plain) is int:
+        return mostly(st.just(plain), st.integers(1, 6))
+    return mostly(st.just(plain), MAGNITUDES.map(lambda m: math.copysign(m, plain)) | st.just(0.0))
+
+
+def extreme_array(plain, shape=None):
+    """An array of ``plain``'s shape, or ``shape``: uniform values in [-1, 1] (their magnitudes when ``plain``
+    is nonnegative) times a magnitude, or zeros."""
+    shape = plain.shape if shape is None else shape
+
+    def make(seed, m, zero):
+        values = np.zeros(shape) if zero else np.random.default_rng(seed).uniform(-1.0, 1.0, shape) * m
+        return np.abs(values) if (plain >= 0.0).all() else values
+
+    return st.builds(make, st.integers(0, 2**32 - 1), MAGNITUDES, st.integers(0, 7).map(lambda i: i == 0))
+
+
+def scaled_like(plain):
+    """``plain`` times a magnitude over its largest entry: the same signs and order, largest entry that magnitude."""
+    return MAGNITUDES.map(lambda m: plain / float(np.abs(plain).max()) * m)
+
+
+def far_poses(plain):
+    """``plain`` (4, 4) or (N, 4, 4) rigid poses with their translations drawn by :func:`extreme_array`."""
+    def move(t):
+        poses = np.array(plain)
+        poses[..., :3, 3] = t
+        return poses
+
+    return extreme_array(plain[..., :3, 3]).map(move)
+
+
+def drawn_scalars(data, name):
+    """Each scalar parameter of ``TABLE[name]``, drawn by :func:`extreme`."""
+    return {p: data.draw(extreme(v), label=p) for p, v in TABLE[name][1].items()}
+
+
+@LIBRARY_FUZZ
+@given(data=st.data())
+def test_geometry_library_returns_or_refuses_at_extreme_scales(data):
+    pose2 = one_line_refusal(lambda: Pose2(**drawn_scalars(data, "Pose2")))
+    if isinstance(pose2, Pose2):
+        pose3 = one_line_refusal(lambda: pose2_to_pose3(pose2))
+        if isinstance(pose3, Pose3):
+            assert isinstance(one_line_refusal(lambda: pose3_to_pose2(pose3)), (Pose2, ValueError))
+    poses = data.draw(far_poses(GT.poses) | extreme_array(GT.poses), label="poses")
+    one_line_refusal(lambda: check_rigid(poses))
+    one_line_refusal(lambda: invert_rigid(poses))
+    one_line_refusal(lambda: invert_rigid(poses[0]))
+    error = one_line_refusal(lambda: rotation_error(poses[:, :3, :3]))
+    if not isinstance(error, ValueError):
+        is_rotation(*error)
+    one_line_refusal(lambda: planar_stack(poses[:, 0, 3], poses[:, 1, 3], poses[:, 2, 3]))
+    one_line_refusal(lambda: repair_rotations(np.array(poses)))
+    one_line_refusal(lambda: proper_rotation(poses[1, :3, :3]))
+    one_line_refusal(lambda: wrap_angle(poses[:, 0, 3]))
+    one_line_refusal(lambda: wrap_angle(float(poses[2, 1, 3])))
+    a, b = (one_line_refusal(lambda: Pose3(m)) for m in poses[:2])
+    if isinstance(a, Pose3) and isinstance(b, Pose3):
+        one_line_refusal(lambda: relative_pose(a, b))
+    timestamps = data.draw(scaled_like(GT.timestamps[1:]) | extreme_array(GT.timestamps), label="timestamps")
+    one_line_refusal(lambda: Trajectory(timestamps, poses[:len(timestamps)]))
+    intrinsics = data.draw(scaled_like(CAMERA.intrinsics) | extreme_array(CAMERA.intrinsics), label="intrinsics")
+    extrinsics = data.draw(far_poses(CAMERA.extrinsics) | extreme_array(CAMERA.extrinsics), label="extrinsics")
+    one_line_refusal(lambda: CameraModel(intrinsics, extrinsics))
+    grid = one_line_refusal(lambda: TABLE["BevGridSpec"][0](**drawn_scalars(data, "BevGridSpec")))
+    if isinstance(grid, BevGridSpec):
+        for call in (pixel_to_vehicle, vehicle_to_pixel):
+            coordinates = {p: data.draw(extreme_array(PIXELS), label=p) for p in PIXEL_MAPS[call.__name__][1]}
+            one_line_refusal(lambda: call(**coordinates, grid=grid))
+
+
+@LIBRARY_FUZZ
+@given(data=st.data(), radius=st.integers(0, 2), normalize=st.booleans())
+def test_correlation_and_lss_return_or_refuse_at_extreme_scales(data, radius, normalize):
+    maps = [data.draw(extreme_array(f.data), label="feature map") for f in FEATURES]
+    f_t, f_t1 = (one_line_refusal(lambda: FeatureMap(m)) for m in maps)
+    volume = one_line_refusal(lambda: local_correlation(f_t, f_t1, radius, normalize))
+    if isinstance(volume, CorrelationVolume):
+        assert np.isfinite(volume.data).all()
+        one_line_refusal(lambda: peak_displacement(volume))
+        one_line_refusal(lambda: concat_volumes(volume, volume))
+    plain = ARRAY_TABLE["CorrelationVolume"][1]["data"]
+    one_line_refusal(lambda: CorrelationVolume(data.draw(extreme_array(plain), label="volume")))
+    depth_plain, bins_plain = (ARRAY_TABLE["DepthDistribution"][1][p] for p in ("data", "bins"))
+    depth_data = data.draw(extreme_array(depth_plain, (2, *FEATURES[0].spatial_shape)), label="depth")
+    bins = data.draw(mostly(scaled_like(bins_plain), extreme_array(bins_plain)), label="bins")
+    normalized = data.draw(mostly(st.just(False), st.just(True)), label="normalized")
+    depth = one_line_refusal(lambda: DepthDistribution(depth_data, bins, normalized))
+    frustum = one_line_refusal(lambda: build_frustum(CAMERA, bins, FEATURES[0].spatial_shape))
+    grid = one_line_refusal(lambda: TABLE["BevGridSpec"][0](**drawn_scalars(data, "BevGridSpec")))
+    if not isinstance(grid, BevGridSpec):
+        return
+    if not isinstance(frustum, ValueError):
+        assert np.isfinite(frustum).all()
+        one_line_refusal(lambda: assign_cells(frustum, grid))
+    plain_frustum = ARRAY_TABLE["assign_cells"][1]["frustum"]
+    one_line_refusal(lambda: assign_cells(data.draw(extreme_array(plain_frustum), label="frustum"), grid))
+    if isinstance(f_t, FeatureMap) and isinstance(depth, DepthDistribution):
+        bev = one_line_refusal(lambda: project_volume(f_t, depth, CAMERA, grid))
+        assert isinstance(bev, ValueError) or np.isfinite(bev[0]).all()
+
+
+@LIBRARY_FUZZ
+@given(data=st.data())
+def test_losses_return_or_refuse_at_extreme_scales(data):
+    weights = one_line_refusal(lambda: LossWeights(**drawn_scalars(data, "LossWeights")))
+    poses = [one_line_refusal(lambda: Pose2(**drawn_scalars(data, "Pose2"))) for _ in range(2)]
+    if all(isinstance(p, Pose2) for p in poses):
+        loss = one_line_refusal(lambda: loss_3dof(*poses, **drawn_scalars(data, "loss_3dof")))
+        assert isinstance(loss, ValueError) or 0.0 <= loss < math.inf
+    arrays = {p: data.draw(extreme_array(v), label=p) for p, v in ARRAY_TABLE["loss_5dof"][1].items()}
+    loss = one_line_refusal(lambda: loss_5dof(**arrays, **drawn_scalars(data, "loss_5dof")))
+    assert isinstance(loss, ValueError) or 0.0 <= loss < math.inf
+    if isinstance(weights, LossWeights):
+        loss = one_line_refusal(lambda: loss_total(**drawn_scalars(data, "loss_total"), weights=weights))
+        assert isinstance(loss, ValueError) or math.isfinite(loss)
+
+
+@LIBRARY_FUZZ
+@given(data=st.data())
+def test_sampler_and_formats_return_or_refuse_at_extreme_scales(data):
+    timestamps = data.draw(scaled_like(GT.timestamps[1:]) | extreme_array(GT.timestamps), label="timestamps")
+    poses = data.draw(far_poses(GT.poses[:len(timestamps)]), label="poses")
+    frames = one_line_refusal(lambda: frames_from_trajectory(timestamps, poses))
+    one_line_refusal(lambda: FrameIndex(**drawn_scalars(data, "FrameIndex"), pose=Pose3(np.eye(4))))
+    if isinstance(frames, list):
+        kw = drawn_scalars(data, "build_pair_lists")
+        lists = one_line_refusal(lambda: build_pair_lists(frames, **kw))
+        if isinstance(lists, dict):
+            pool = merge_pair_lists(lists)
+            for record in pool.high + pool.standard:
+                assert 0.0 <= record.yaw_diff_deg <= 180.0 and 0.0 <= record.displacement_m < math.inf
+            if len(pool):
+                assert sample_pair(pool, np.random.default_rng(0)) in pool.high + pool.standard
+                assert parse_pairs_csv(write_pairs_csv(pool.high + pool.standard)) == pool.high + pool.standard
+    times = {p: data.draw(scaled_like(v[1:]) | extreme_array(v), label=p)
+             for p, v in ARRAY_TABLE["associate_by_timestamp"][1].items()}
+    one_line_refusal(lambda: associate_by_timestamp(**times, **drawn_scalars(data, "associate_by_timestamp")))
+    for name, param in (("quat_to_matrix", "quat"), ("matrix_to_quat", "rot")):
+        plain = ARRAY_TABLE[name][1][param]
+        one_line_refusal(lambda: ARRAY_TABLE[name][0](data.draw(extreme_array(plain), label=param)))
+    traj = one_line_refusal(lambda: Trajectory(timestamps, poses))
+    if isinstance(traj, Trajectory):
+        for fmt in FORMATS:
+            one_line_refusal(lambda: write_trajectory(traj, fmt))

@@ -37,6 +37,7 @@ from helpers import (
     rigid_inverse,
     rot_z,
     run_fresh_python,
+    unscaled_similarity_fit,
 )
 
 
@@ -348,6 +349,13 @@ class TestPose3:
     def test_invert_rigid_empty_stack(self):
         assert invert_rigid(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
+    def test_an_inverse_past_the_float_range_is_inf_without_a_warning(self):
+        # -R^T t of a yaw-0.7 pose at (1.7e308, 1.7e308, 0) overflows in matmul; the suite turns a warning into an error
+        far = pose3(rot_z(0.7), [1.7e308, 1.7e308, 0.0]).matrix
+        for poses in (far, far[None]):
+            t = invert_rigid(poses)[..., :3, 3].ravel()
+            assert t[0] == -math.inf and math.isfinite(t[1]) and t[2] == 0.0
+
     def test_check_rigid_verdict_matches_pose3_at_the_tolerance(self):
         rng = np.random.default_rng(8)
         verdicts = set()
@@ -635,12 +643,48 @@ class TestFitSimilarity:
     @pytest.mark.parametrize("spread", [1e-150, 1e-170, 1e-300])
     @pytest.mark.parametrize("with_scale", [True, False])
     def test_a_covariance_below_the_normal_range_is_rescaled(self, with_scale, spread):
-        # 1e-170 m and 1e-300 m apart, every product of the covariance rounds to 0, so the fit forms it
-        # again from the rescaled sets; at 1e-150 m the covariance is normal
+        # 1e-170 m and 1e-300 m apart, every product of the unscaled covariance would round to 0; the
+        # fit forms it from the sets scaled below 1 by a power of two
         quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
         src = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         rot, _, scale, _ = fit_similarity(spread * src, spread * src @ quarter.T, with_scale=with_scale)
         assert np.max(np.abs(rot - quarter)) < 1e-15 and abs(scale - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ordinary_fits_keep_the_bits_of_the_unscaled_covariance(self, seed):
+        # a power of two scales each centred set exactly: only sigma moves, by 2^-(e_p + e_q)
+        rng = np.random.default_rng(320 + seed)
+        d, n = (2, 3)[seed % 2], int(rng.integers(3, 60))
+        src = rng.uniform(-10.0, 10.0, (n, d)) * 10.0 ** rng.uniform(-3, 3)
+        dst = 10.0 ** rng.uniform(-3, 3) * src @ random_rotation(rng)[:d, :d].T + rng.normal(size=(n, d))
+        for weights, with_scale in itertools.product((None, rng.uniform(0.0, 3.0, n)), (False, True)):
+            rot, t, scale, sigma = fit_similarity(src, dst, weights, with_scale)
+            want_rot, want_t, want_scale, want_sigma, e = unscaled_similarity_fit(src, dst, weights, with_scale)
+            assert np.array_equal(rot, want_rot) and np.array_equal(t, want_t) and scale == want_scale
+            assert np.array_equal(sigma, np.ldexp(want_sigma, -e))
+
+    def test_power_of_two_scales_of_the_sets_keep_the_bits(self):
+        # fit_similarity(2^a src, 2^b dst): the same rot and sigma, t times 2^b and scale times 2^(b - a),
+        # wherever that scale stays in the normal range
+        rng = np.random.default_rng(330)
+        src = rng.uniform(-10.0, 10.0, (20, 3))
+        dst = 2.5 * src @ random_rotation(rng).T + np.array([1.0, -2.0, 3.0]) + 0.01 * rng.normal(size=(20, 3))
+        weights = rng.uniform(0.5, 2.0, 20)
+        rot, t, scale, sigma = fit_similarity(src, dst, weights, with_scale=True)
+        for a, b in itertools.product((0, 300, -300, 600, -600, 1000, -1000), repeat=2):
+            if abs(b - a) > 1000:
+                continue
+            got = fit_similarity(np.ldexp(src, a), np.ldexp(dst, b), weights, with_scale=True)
+            assert np.array_equal(got[0], rot) and np.array_equal(got[3], sigma), (a, b)
+            assert np.array_equal(np.ldexp(got[1], -b), t) and math.ldexp(got[2], a - b) == scale, (a, b)
+
+    def test_huge_weights_on_points_below_one_fit_the_quarter_turn(self):
+        # each set is scaled by the power of two just above its largest magnitude, 1 here: scaled by 2, the
+        # covariance of these weights would pass the float range
+        quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+        src = np.array([[0.99, 0.0], [-0.99, 0.0], [0.0, 0.99]])
+        rot, _, _, _ = fit_similarity(src, src @ quarter.T, np.array([8e307, 8e307, 1e300]))
+        assert np.max(np.abs(rot - quarter)) < 1e-15
 
     def test_a_point_set_without_spread_has_scale_zero(self):
         src = np.ones((4, 3))
@@ -686,8 +730,8 @@ def in_a_fresh_process(call: str) -> str:
 
 class TestNoSvdOfANonFiniteMatrix:
     def test_an_overflowing_covariance_is_rescaled(self):
-        # the covariance of +-1e308 points overflows to inf, on which the SVD may never return, so
-        # it is formed again from the centred sets over their largest magnitudes
+        # the unscaled covariance of +-1e308 points would overflow to inf, on which the SVD may never
+        # return; the fit forms it from the centred sets scaled below 1 by a power of two
         src = "np.array([[0.0, 0.0, 0.0], [1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]])"
         assert in_a_fresh_process(f"rot, t, scale, _ = fit_similarity({src}, {src}); "
                                   "print(rot.tolist() == np.eye(3).tolist(), t.tolist(), scale)") == (

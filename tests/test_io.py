@@ -173,6 +173,21 @@ class TestQuaternionCodec:
         assert np.array_equal(q, scipy_quats([r]))
         assert np.array_equal(q, matrix_to_quat(proper_rotation(r)[0][None]))
 
+    @pytest.mark.parametrize("scale", [1e-300, 2.0**-1000, 1e200, 1e300])
+    def test_scaled_quaternions_and_rotations_give_the_unit_ones(self, scale):
+        # the norms of these quaternions, and the determinants and Gram entries of these matrices, leave
+        # the float range or its normal range: a numpy warning fails the test under the suite's settings
+        rng = np.random.default_rng(44)
+        quats = rng.standard_normal((20, 4))
+        assert np.max(np.abs(quat_to_matrix(scale * quats) - quat_to_matrix(quats))) < 1e-15
+        rots = Rotation.random(20, random_state=45).as_matrix()
+        assert np.max(np.abs(matrix_to_quat(scale * rots) - matrix_to_quat(rots))) < 1e-15
+
+    @pytest.mark.parametrize("quat, norm", [([0.0, 0.0, 0.0, 0.0], "0.0"), ([1.7e308, 1.7e308, 0.0, 0.0], "inf")])
+    def test_a_quaternion_without_a_finite_nonzero_norm_is_refused(self, quat, norm):
+        with pytest.raises(ValueError, match=f"^quaternion 1 has norm {norm}, not a finite number > 0$"):
+            quat_to_matrix(np.array([[0.0, 0.0, 0.0, 1.0], quat]))
+
     @pytest.mark.parametrize("m", [np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3))])
     def test_nonpositive_determinant_rejected(self, m):
         with pytest.raises(ValueError):

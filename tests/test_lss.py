@@ -325,6 +325,16 @@ class TestSplat:
         assert bev[0, 2, 3] == 5.0
         assert dropped == 0
 
+    def test_a_cell_sum_past_the_float_range_is_refused_in_one_line(self):
+        # the collision above at 1.7e308 a point, then one point weighted 1e300 * 1e10: a numpy warning
+        # fails the test under the suite's settings
+        refusal = "^project_volume: a BEV cell sum leaves the float range$"
+        with pytest.raises(ValueError, match=refusal):
+            project_row([[1.7e308, 1.7e308]], self.GRID, f=100.0, cx=0.0)
+        depth = DepthDistribution(np.full((1, 1, 2), 1e10), (2.0,))
+        with pytest.raises(ValueError, match=refusal):
+            project_volume(FeatureMap(np.array([[[1e300, 0.0]]])), depth, forward_camera(cx=1.0, cy=0.5), self.GRID)
+
     def test_dropped_points_counted_and_excluded(self):
         # y = 0 lands in column 4; y = -20 is far outside
         bev, dropped = project_row([[2.0, 3.0]], self.GRID, f=0.1, cx=0.5)

@@ -300,7 +300,8 @@ def test_conversion_guard_sees_a_converted_argument(tmp_path):
 # geometry.rotation_error, whose det is a cofactor expansion with the same bits on one block and on a stack.
 OWN_DETERMINANTS = {
     "geometry.proper_rotation": "the sign of U V^T chooses the reflection fix, not a verdict on a rotation",
-    "formats.matrix_to_quat": "scipy's codec rule, which refuses a nonpositive determinant as scipy does",
+    "formats.matrix_to_quat": "scipy's codec rule, which refuses a nonpositive determinant as scipy does; "
+                              "its sign from slogdet, which finite entries cannot overflow",
 }
 
 
@@ -335,7 +336,7 @@ def linalg_callers(src: Path, attr: str) -> set[str]:
 def test_one_rotation_rule():
     # a determinant taken anywhere else is a rotation rule of its own, whose last
     # bits may differ from the rule's and so move a verdict at the tolerance
-    assert linalg_callers(SRC, "det") == OWN_DETERMINANTS.keys()
+    assert linalg_callers(SRC, "det") | linalg_callers(SRC, "slogdet") == OWN_DETERMINANTS.keys()
 
 
 def test_no_lu_solve_of_a_pose():
@@ -410,8 +411,8 @@ def test_repair_guard_sees_a_caller(tmp_path):
 # the float range goes through geometry._scale_safe, so its rescue is written once.
 OWN_LARGEST_MAGNITUDES = {
     "geometry._scale_safe": "the one rule: f(x) out of range from finite, nonzero x becomes m * f(x / m)",
-    "geometry.fit_similarity": "the covariance is bilinear in two centred sets: each is divided by its own m, "
-                               "and the scale is multiplied by m_q / m_p",
+    "geometry.fit_similarity": "the covariance is bilinear in two centred sets: each is scaled by the power of two "
+                               "2^-e just above its own m, exactly, and the scale by 2^(e_q - e_p)",
     "losses._direction": "a direction is (t / m) / ||t / m||, so m divides and is never multiplied back",
     "synth.synth_trajectory": "names the larger of two corruptions in its error message; it divides nothing",
     "cli._cmd_flow_make": "reports the largest flow component in the command's JSON; it divides nothing",
