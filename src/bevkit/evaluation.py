@@ -79,12 +79,12 @@ def path_lengths(traj: Trajectory) -> np.ndarray:
         diffs = np.diff(traj.positions, axis=0)
         # plain elementwise square/sum/sqrt; keeps the arithmetic identical to
         # a scalar accumulation loop, which BLAS-backed norms need not be
-        steps = _scale_safe(lambda d: np.sqrt((d * d).sum(axis=1)), diffs)
+        steps = _scale_safe(lambda d: np.sqrt((d * d).sum(axis=1)), diffs, rows=True)
         return np.concatenate([[0.0], np.cumsum(steps)])
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of an (N, 3) array, each row rescaled as ``_scale_safe`` rescales it.
+    """Euclidean norms of the rows of an (N, 3) array by ``_scale_safe``'s rule, each row by its own power of two.
 
     Each is the bits ``np.linalg.norm`` gives for that row alone: a batch
     of 1x3 by 3x1 products sums like its dot product, while elementwise
@@ -92,7 +92,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
     nine.
     """
     t = np.ascontiguousarray(v, dtype=float)
-    return _scale_safe(lambda x: np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]), t)
+    return _scale_safe(lambda x: np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]), t, rows=True)
 
 
 def _rotation_angles(rot: np.ndarray) -> list[float]:
@@ -266,8 +266,8 @@ def rte_rre(
         raise InsufficientLengthError(
             "no complete segment of any requested length fits the trajectory"
         )
-    # finite per-length values may sum past the float range; their mean, rescaled, never leaves it
-    rte_overall, rre_overall = (float(_scale_safe(np.mean, np.array(v))) for v in list(zip(*per_length.values()))[:2])
+    # finite per-length values may sum past the float range; their mean, scaled, never leaves it
+    rte_overall, rre_overall = (_scale_safe(np.mean, np.array(v)) for v in list(zip(*per_length.values()))[:2])
     return RelativeErrorReport(
         rte_percent=rte_overall,
         rre_deg_per_100m=rre_overall,
@@ -376,8 +376,9 @@ def evaluate_trajectories(
     The ATE fits judge the whole drive before the segments do, so a collinear
     drive is refused for that, not for a segment length its path lengths
     cannot resolve.  A drive and its lengths scaled by a power of two s
-    keep their RTE, RRE * s and ATE / s, up to the last bit of a rescued
-    reduction, at any s that keeps the positions finite.
+    keep their RTE, RRE * s and ATE / s, overall and per length, to the
+    bit, wherever the scaled values neither leave the float range nor turn
+    subnormal: every scale-safe reduction scales by a power of two.
     """
     scale_init = None
     if check_arg("scale_init_10m", scale_init_10m, FLAG):

@@ -156,20 +156,23 @@ def solve_pose_from_flow(flow: FlowField, weights: np.ndarray | None = None) -> 
     return Pose2(theta, float(t[0]), float(t[1]))
 
 
+def _check_same_grid(pred: FlowField, gt: FlowField):
+    """Refuse two flows on different grids: equal shapes alone would compare pixels of different places or sizes."""
+    if pred.grid != gt.grid:
+        raise ShapeError(f"flows lie on different grids: {pred.grid} vs {gt.grid}")
+
+
 def flow_error_map(pred: FlowField, gt: FlowField):
     """Per-pixel endpoint error between two flow fields plus summary stats.
 
     Returns (epe, stats) where epe has shape (H, W): each pixel's sqrt(du*du + dv*dv)
-    by ``_scale_safe``'s rule, rescaled by its own larger component where needed.
-    An endpoint error past the float range raises ValueError.
+    by ``_scale_safe``'s rule, its difference scaled by the power of two just above its own larger component.
+    Flows on different grids raise ShapeError; an endpoint error past the float range raises ValueError.
     """
-    if pred.data.shape != gt.data.shape:
-        raise ShapeError(
-            f"flow shapes differ: {pred.data.shape} vs {gt.data.shape}"
-        )
+    _check_same_grid(pred, gt)
     with np.errstate(over="ignore"):
         diff = pred.data - gt.data
-    epe = _scale_safe(lambda d: np.sqrt((d * d).sum(axis=1)), diff.reshape(2, -1).T).reshape(diff.shape[1:])
+    epe = _scale_safe(lambda d: np.sqrt((d * d).sum(axis=1)), diff.reshape(2, -1).T, rows=True).reshape(diff.shape[1:])
     if np.isinf(epe).any():
         raise ValueError("flow_error_map: an endpoint error leaves the float range")
     return epe, FlowStats(epe)
@@ -180,11 +183,9 @@ def l1_flow_loss(pred: FlowField, gt: FlowField, mask: np.ndarray | None = None)
 
     ``mask`` optionally restricts the loss to True pixels, e.g. the
     in-grid mask for motions that carry content off the grid edge.
+    Flows on different grids raise ShapeError.
     """
-    if pred.data.shape != gt.data.shape:
-        raise ShapeError(
-            f"flow shapes differ: {pred.data.shape} vs {gt.data.shape}"
-        )
+    _check_same_grid(pred, gt)
     if mask is not None:
         mask = np.asarray(mask)
         if mask.dtype != bool:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ParseError
-from .geometry import Trajectory, _scale_safe, is_rotation, proper_rotation, repair_rotations, rotation_error
+from .geometry import Trajectory, _direction, is_rotation, proper_rotation, repair_rotations, rotation_error
 from .text import AT_LEAST_ZERO, Rows, check_arg, check_array, format_rows, read_rows
 
 if TYPE_CHECKING:
@@ -86,14 +86,14 @@ def write_kitti_poses(traj: Trajectory) -> str:
 def quat_to_matrix(quat: np.ndarray) -> np.ndarray:
     """Rotations (N, 3, 3) from x, y, z, w quaternions (N, 4), each normalized first.
 
-    A quaternion whose norm is zero or past the float range raises ValueError.
+    Each row is normalized by :func:`bevkit.geometry._direction`'s rule, so a norm past the float range
+    still gives the rotation; a zero quaternion raises ValueError.
     """
     q = check_array("quat", quat, ("N", 4))
-    norm = _scale_safe(lambda x: np.linalg.norm(x, axis=-1), q)
-    bad = np.flatnonzero(~((norm > 0.0) & (norm < math.inf)))
-    if bad.size:
-        raise ValueError(f"quaternion {bad[0]} has norm {float(norm[bad[0]])!r}, not a finite number > 0")
-    x, y, z, w = (q / norm[:, None]).T
+    zero = np.flatnonzero(~q.any(axis=1))
+    if zero.size:
+        raise ValueError(f"quaternion {zero[0]} has norm 0.0, not a finite number > 0")
+    x, y, z, w = _direction(q, axis=-1).T
     m = [x * x - y * y - z * z + w * w, 2 * (x * y - z * w), 2 * (x * z + y * w),
          2 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2 * (y * z - x * w),
          2 * (x * z - y * w), 2 * (y * z + x * w), -x * x - y * y + z * z + w * w]

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError
-from .geometry import _TINY, Pose2, _scale_safe, wrap_angle
+from .geometry import Pose2, _direction, _scale_safe, wrap_angle
 from .text import FINITE, FINITE_AT_LEAST_ZERO, check_arg, check_array
 
 
@@ -64,6 +64,8 @@ def loss_5dof(
     beta = check_arg("beta", beta, FINITE_AT_LEAST_ZERO)
     t_pred, t_gt = check_array("t_pred", t_pred, (3,)), check_array("t_gt", t_gt, (3,))
     rot_pred, rot_gt = check_array("rot_pred", rot_pred, (3, 3)), check_array("rot_gt", rot_gt, (3, 3))
+    if not (t_pred.any() and t_gt.any()):
+        raise DegenerateInputError("translation direction undefined for zero-norm input")
     direction_term = float(np.abs(_direction(t_pred) - _direction(t_gt)).sum())
     with np.errstate(over="ignore"):  # a difference past the float range makes the term inf, refused below
         diff = rot_pred - rot_gt
@@ -78,20 +80,6 @@ def _finite(loss: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{loss} leaves the float range, got {value!r}")
     return value
-
-
-def _direction(t: np.ndarray) -> np.ndarray:
-    """``t`` scaled to unit L2 length."""
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(t)
-    if not _TINY <= n < math.inf:
-        # _scale_safe's divisor, by hand: a direction is (t / m) / ||t / m||, so m is never multiplied back
-        m = np.abs(t).max()
-        if m == 0.0:
-            raise DegenerateInputError("translation direction undefined for zero-norm input")
-        t = t / m
-        n = np.linalg.norm(t)
-    return t / n
 
 
 def loss_total(

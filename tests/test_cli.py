@@ -321,8 +321,7 @@ class TestEvalTraj:
     @pytest.mark.parametrize("k", [664, -664])
     def test_a_drive_reads_the_same_at_any_finite_scale(self, tmp_path, capsys, k):
         # TUM files of a drive, and the lengths, times 2**k: the ATE fit's covariance leaves the
-        # float range or has no normal entry, and its rescaled form may round apart from the
-        # unscaled one in the last place
+        # float range or has no normal entry; scaled by powers of two, every value reads to the bit
         drive = curved_traj(200, seed=50)
         drives = (drive, perturb_steps(drive, seed=51, drift=0.97))
         docs = []
@@ -334,7 +333,11 @@ class TestEvalTraj:
         want, got = docs
         s = 2.0 ** k
         assert got["rte_percent"] == want["rte_percent"] and got["rre_deg_per_100m"] * s == want["rre_deg_per_100m"]
-        assert abs(got["ate_m"] / s / want["ate_m"] - 1.0) < 1e-13
+        assert all(got[key] == s * want[key] for key in ("ate_m", "ate_se3_m", "ate_sim3_m"))
+        for l in (10, 40):
+            row, row0 = got["per_length"][f"{l * s:g}"], want["per_length"][f"{l}"]
+            assert row["rte_percent"] == row0["rte_percent"] and row["rre_deg_per_100m"] * s == row0["rre_deg_per_100m"]
+            assert row["segments"] == row0["segments"]
 
     @pytest.mark.parametrize("rows, code, stderr", [
         ("0 0 0\n1 1e160 0\n2 -1e160 0\n", 1,

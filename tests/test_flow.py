@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -269,6 +270,19 @@ class TestErrorMapAndLoss:
                 FlowField(np.zeros((2, 128, 128)), GRID),
                 FlowField(np.zeros((2, 64, 64)), small),
             )
+
+    @pytest.mark.parametrize("other", [BevGridSpec(8, 8, 0.2), BevGridSpec(8, 8, 0.8, (3.5, 2.0))],
+                             ids=["resolution", "origin"])
+    def test_flows_on_grids_of_one_shape_but_different_places_are_refused(self, other):
+        # equal data on grids of equal shape read a mean EPE and an L1 loss of 0.0, comparing
+        # pixels of different sizes or places as if they were the same
+        grid = BevGridSpec(8, 8, 0.8)
+        data = construct_flow_gt(Pose2(0.1, 0.5, 0.2), grid).data
+        pred, gt = FlowField(data, grid), FlowField(data, other)
+        line = f"^flows lie on different grids: {re.escape(repr(grid))} vs {re.escape(repr(other))}$"
+        for compare in (flow_error_map, l1_flow_loss):
+            with pytest.raises(ShapeError, match=line):
+                compare(pred, gt)
 
     def test_l1_single_pixel_sum(self):
         gt = construct_flow_gt(Pose2(0.0, 0.0, 0.0), GRID)

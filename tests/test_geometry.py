@@ -7,8 +7,8 @@ import pytest
 
 import bevkit.geometry
 from bevkit.errors import DegenerateInputError, InvalidCameraError, ParseError, ShapeError
-from bevkit.evaluation import Trajectory, _norms, ate, path_lengths, scale_trajectory
-from bevkit.flow import FlowField, FlowStats, l1_flow_loss
+from bevkit.evaluation import Trajectory, _norms, ate, path_lengths, rte_rre
+from bevkit.flow import FlowField, FlowStats, flow_error_map, l1_flow_loss
 from bevkit.formats import parse_kitti_poses
 from bevkit.geometry import (
     BevGridSpec,
@@ -228,15 +228,39 @@ def _line_to(step):
 _HELIX = np.stack([10.0 * np.cos(np.arange(21) / 5.0), 10.0 * np.sin(np.arange(21) / 5.0), 0.1 * np.arange(21)], 1)
 
 
-def _ate_residuals(gt_scale, ratio):
-    """``ate`` of a helix ``gt_scale`` times its size and an estimate ``ratio`` times that, and the residuals
-    it reduces, formed as the se3 fit forms them."""
-    poses = np.tile(np.eye(4), (21, 1, 1))
-    poses[:, :3, 3] = _HELIX
-    gt = scale_trajectory(Trajectory(np.arange(21.0), poses), gt_scale)
-    est = scale_trajectory(gt, ratio)
+def _helix_pair(gt_scale, ratio):
+    """Ground-truth positions, a helix ``gt_scale`` times its size, stacked over an estimate ``ratio`` times those."""
+    gt = gt_scale * _HELIX
+    return np.concatenate([gt, ratio * gt])
+
+
+def _ate_residuals(positions):
+    """``ate`` (se3) of the estimate half of ``positions`` against their ground-truth half, and the residuals it
+    reduces, formed as the se3 fit forms them."""
+    gt, est = (Trajectory(np.arange(21.0), _poses_at(x)) for x in np.split(positions, 2))
     rot, t, _, _ = fit_similarity(est.positions, gt.positions)
     return ate(est, gt, "se3"), 1.0 * est.positions @ rot.T + t - gt.positions
+
+
+def _poses_at(positions):
+    """Identity-rotation poses at the (N, 3) ``positions``."""
+    poses = np.tile(np.eye(4), (len(positions), 1, 1))
+    poses[:, :3, 3] = positions
+    return poses
+
+
+def _offset_line(offsets, lengths):
+    """``rte_rre`` of an estimate at (i, offsets[i], 0) against ground truth at (i, 0, 0), frame i = 0, 1, ...:
+    the segment from frame i to i + n has the translation error |offsets[i + n] - offsets[i]|."""
+    xs = np.arange(float(len(offsets)))
+    gt, est = (Trajectory(xs, _poses_at(np.stack([xs, y, 0.0 * xs], 1))) for y in (0.0 * xs, offsets))
+    return rte_rre(est, gt, lengths_m=lengths)
+
+
+def _over_lengths(offsets):
+    """``rte_rre``'s RTE over the lengths 1 and 2 of :func:`_offset_line`, and the per-length RTEs it averages."""
+    rep = _offset_line(offsets, (1.0, 2.0))
+    return rep.rte_percent, np.array([v[0] for v in rep.per_length.values()])
 
 
 def _l1(data, mask):
@@ -246,11 +270,18 @@ def _l1(data, mask):
     return loss, np.abs(data)[:, np.ones((2, 2), bool) if mask is None else mask]
 
 
+def _epe(d):
+    """``flow_error_map``'s endpoint error of a one-pixel flow ``d`` (2,) against zero flow, and the row it reduces."""
+    g = BevGridSpec(1, 1, 0.8)
+    return flow_error_map(FlowField(d.reshape(2, 1, 1), g), FlowField(np.zeros((2, 1, 1)), g))[0][0, 0], d[None]
+
+
 _FLOW_OVER = np.array([[[1.7e308, 1.5e308], [1e308, 0.0]], [[0.0, 1.5e308], [0.0, 2e307]]])
 _FLOW_UNDER = _FLOW_OVER / 1.7e308 * 1e-300
 _FLOW = np.arange(8.0).reshape(2, 2, 2) / 3.0
 _KEEP = np.array([[False, True], [True, True]])  # the largest difference lies outside the mask
 _ROT = np.array([[0.6, -0.8, 0.1], [0.8, 0.6, -0.2], [0.0, 0.3, 1.0]])
+_OFFSETS = np.array([0.0, 0.3, -0.2, 0.5])
 
 # each site of the scale-safe rule: (run, f, inputs); run(input) gives the site's value and the array it reduces,
 # f is the plain reduction the site computed before the rule, and the inputs overflow it, underflow it, or neither
@@ -261,8 +292,10 @@ SCALE_SAFE_SITES = {
     "segment norms": (lambda x: (_norms(x[None])[0], x[None]),
                       lambda d: float(np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])[0]),
                       [np.array([1e200, -1e200, 5e199]), np.array([1e-300, 0.0, -2e-300]), np.array([1.0, 2.0, 2.5])]),
-    "ate": (lambda x: _ate_residuals(*x), lambda r: float(np.sqrt((r ** 2).sum(axis=1).mean())),
-            [(1.0, 4e153), (1e-150, 1.000001), (1.0, 1.1)]),
+    "ate": (_ate_residuals, lambda r: float(np.sqrt((r ** 2).sum(axis=1).mean())),
+            [_helix_pair(1.0, 4e153), _helix_pair(1e-150, 1.000001), _helix_pair(1.0, 1.1)]),
+    "flow_error_map": (_epe, lambda d: float(np.sqrt((d * d).sum(axis=1))[0]),
+                       [np.array([1e200, -1e200]), np.array([3e-170, 4e-170]), np.array([0.3, -1.7])]),
     "FlowStats": (lambda x: (FlowStats(x).mean_epe, x.ravel()), lambda e: float(e.mean()),
                   [np.array([[1.5e308, 1e308], [0.0, 3e307]]), np.array([[1e-300, 3e-300], [0.0, 5e-301]]),
                    np.array([[0.25, 1.5], [2.0, 0.125]])]),
@@ -273,23 +306,37 @@ SCALE_SAFE_SITES = {
     "loss_5dof": (lambda x: (loss_5dof(np.array([1.0, 0.0, 0.0]), x, np.array([1.0, 0.0, 0.0]), np.zeros((3, 3)),
                                        beta=1.0), x),
                   lambda d: float(np.linalg.norm(d)), [1e200 * _ROT, 1e-170 * _ROT, _ROT]),
+    # the RTE of one length: 100 times the RMS of the errors per meter, each squared by a Python float's **
+    "rte_rre per length": (lambda y: (_offset_line(y, (1.0,)).per_length[1.0][0], np.abs(np.diff(y))),
+                           lambda e: 100.0 * math.sqrt(float(np.mean([v ** 2 for v in e.tolist()]))),
+                           [1e160 * _OFFSETS, 1e-170 * _OFFSETS, _OFFSETS]),
+    "rte_rre over lengths": (_over_lengths, lambda v: float(np.mean(v)),
+                             [1.2e306 * np.arange(4.0), 1e-300 * _OFFSETS, _OFFSETS]),
 }
 
 
+def _plain(f, x):
+    """``f(x)`` without the rule, without a numpy warning; a Python float's ** past the float range reads inf."""
+    with np.errstate(over="ignore"):
+        try:
+            return f(x)
+        except OverflowError:
+            return math.inf
+
+
 class TestScaleSafe:
-    """Every site of the one rule: a plain reduction past the float range, or below sqrt(smallest normal),
-    becomes m * f(x / m) with m = max|x|; any other keeps the plain reduction's bits."""
+    """Every site of the one rule: a reduction is 2^e f(x 2^-e), 2^e the power of two just above max|x|, so a plain
+    reduction past the float range, or below sqrt(smallest normal), is rescued, and any other keeps its bits."""
 
     @pytest.mark.parametrize("site", SCALE_SAFE_SITES)
     @pytest.mark.parametrize("case", ["overflow", "underflow"])
     def test_a_reduction_out_of_range_is_rescaled(self, site, case):
         run, f, (over, under, _) = SCALE_SAFE_SITES[site]
         got, x = run(over if case == "overflow" else under)
-        with np.errstate(over="ignore"):
-            plain = f(x)
+        plain = _plain(f, x)
         assert plain == math.inf if case == "overflow" else plain < math.sqrt(sys.float_info.min)
-        m = float(np.abs(x).max())
-        assert got == m * f(x / m) and 0.0 < got < math.inf
+        e = math.frexp(float(np.abs(x).max()))[1]
+        assert got == math.ldexp(f(np.ldexp(x, -e)), e) and 0.0 < got < math.inf
 
     @pytest.mark.parametrize("site", SCALE_SAFE_SITES)
     def test_an_ordinary_reduction_keeps_its_bits(self, site):
@@ -297,7 +344,20 @@ class TestScaleSafe:
         got, x = run(ordinary)
         assert got == f(x)
 
-
+    @pytest.mark.parametrize("site", SCALE_SAFE_SITES)
+    def test_a_power_of_two_scales_the_result_to_the_bit(self, site):
+        # every k for which the input, the array the site reduces and its result, times 2^k, are exact (finite,
+        # and normal unless they end in zeros), and the input's magnitudes sum below the float range, as a
+        # centroid's sum must
+        run, _, inputs = SCALE_SAFE_SITES[site]
+        for x in inputs:
+            value, reduced = run(x)
+            for k in range(-1100, 1101):
+                with np.errstate(over="ignore", under="ignore"):
+                    if not (all(np.array_equal(np.ldexp(np.ldexp(a, k), -k), a) for a in (x, reduced, value))
+                            and np.abs(np.ldexp(x, k)).sum() < math.inf):
+                        continue
+                assert run(np.ldexp(x, k))[0] == math.ldexp(value, k), (site, x, k)
 class TestPose3:
     def test_identity(self):
         assert np.array_equal(Pose3(np.eye(4)).matrix, np.eye(4))

@@ -408,12 +408,11 @@ def test_repair_guard_sees_a_caller(tmp_path):
 
 
 # The only functions that take the largest magnitude of an array, and why: a reduction guarded against leaving
-# the float range goes through geometry._scale_safe, so its rescue is written once.
+# the float range scales by geometry._exponent's power of two, and a direction divides by geometry._direction's
+# m, so each rescue is written once.
 OWN_LARGEST_MAGNITUDES = {
-    "geometry._scale_safe": "the one rule: f(x) out of range from finite, nonzero x becomes m * f(x / m)",
-    "geometry.fit_similarity": "the covariance is bilinear in two centred sets: each is scaled by the power of two "
-                               "2^-e just above its own m, exactly, and the scale by 2^(e_q - e_p)",
-    "losses._direction": "a direction is (t / m) / ||t / m||, so m divides and is never multiplied back",
+    "geometry._exponent": "the scale rule: e, 2^e the power of two just above m, of an array or of each row",
+    "geometry._direction": "the direction rule: (t / m) / ||t / m||, so m divides and is never multiplied back",
     "synth.synth_trajectory": "names the larger of two corruptions in its error message; it divides nothing",
     "cli._cmd_flow_make": "reports the largest flow component in the command's JSON; it divides nothing",
 }
@@ -462,6 +461,36 @@ def test_largest_magnitude_guard_sees_a_rescue(tmp_path):
         "    return np.abs(x.max())\n"
     )
     assert largest_magnitudes(tmp_path) == {"mod.rms", "mod.Box.norm", "mod.row_tops", "mod.report"}
+
+
+# The only callers of frexp and ldexp, and why: the power of two that scales a reduction or a fit is
+# geometry._exponent's, so the rule that picks it is written once.
+POWER_OF_TWO_SCALERS = {
+    "geometry._exponent": "the one frexp: the exponent just above the largest magnitude",
+    "geometry._scale_safe": "scales x by 2^-e and f's result back by 2^e",
+    "geometry.fit_similarity": "scales each centred set by its own 2^-e, and the scale ratio back by 2^(e_q - e_p)",
+}
+
+
+def test_one_power_of_two_rule():
+    # an exponent taken by hand is a second copy of the rule, which may pick another power for the same array
+    assert callers_of(SRC, "frexp") == {"geometry._exponent"}
+    assert callers_of(SRC, "frexp") | callers_of(SRC, "ldexp") == POWER_OF_TWO_SCALERS.keys()
+
+
+def test_power_of_two_guard_sees_a_caller(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import math\n"
+        "from numpy import ldexp\n"
+        "def top(x):\n"
+        "    return math.frexp(max(x))[1]\n"
+        "class Box:\n"
+        "    def scaled(self, e):\n"
+        "        return ldexp(self.x, -e)\n"
+        "def named_only():\n"
+        "    return math.ldexp\n"
+    )
+    assert callers_of(tmp_path, "frexp") | callers_of(tmp_path, "ldexp") == {"mod.top", "mod.Box.scaled"}
 
 
 def numpy_hypot_callers(src: Path) -> set[str]:
