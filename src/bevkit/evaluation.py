@@ -248,11 +248,11 @@ def rte_rre(
             moved = block + np.flatnonzero(~same)
             t_err[moved] = _norms(err[:, :3, 3])
             r_err[moved] = _rotation_angles(err[:, :3, :3])
-        # squared per value in Python: numpy's x ** 2 is x * x, which differs
-        # from the pow(x, 2) of a float in the last bit on about one value in a thousand
-        with np.errstate(over="ignore"):  # an error per meter past the float range is inf, refused below
-            t_rms, r_rms = (_scale_safe(lambda x: math.sqrt(float(np.mean([v ** 2 for v in x.tolist()]))), e / length)
-                            for e in (t_err, r_err))
+        # squared per value in Python (numpy's x * x differs from a float's pow(x, 2) in the last bit on about
+        # one value in a thousand); errors not all finite are not scaled, so they skip ** and are refused below
+        with np.errstate(over="ignore"):
+            t_rms, r_rms = (_scale_safe(lambda x: math.sqrt(float(np.mean([v ** 2 for v in x.tolist()]))), e)
+                            if np.isfinite(e).all() else math.inf for e in (t_err / length, r_err / length))
         rte, rre = 100.0 * t_rms, 100.0 * math.degrees(r_rms)
         if not (math.isfinite(rte) and math.isfinite(rre)):
             raise ValueError(f"segment length {length!r} m: its RTE or RRE leaves the float range")

@@ -181,9 +181,8 @@ def flow_error_map(pred: FlowField, gt: FlowField):
 def l1_flow_loss(pred: FlowField, gt: FlowField, mask: np.ndarray | None = None) -> float:
     """L1 flow supervision loss: |du_pred - du_gt| + |dv_pred - dv_gt|, averaged over pixels.
 
-    ``mask`` optionally restricts the loss to True pixels, e.g. the
-    in-grid mask for motions that carry content off the grid edge.
-    Flows on different grids raise ShapeError.
+    ``mask`` optionally restricts the loss to True pixels, e.g. the in-grid mask for motions that carry
+    content off the grid edge.  Flows on different grids raise ShapeError.
     """
     _check_same_grid(pred, gt)
     if mask is not None:

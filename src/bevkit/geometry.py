@@ -75,9 +75,10 @@ def _scale_safe(f, x: np.ndarray, rows: bool = False):
     """``f(x)`` for a nonnegative ``f`` with f(c x) = c f(x), c > 0: a norm, an RMS or a mean of magnitudes.
 
     Computed as 2^e f(x 2^-e), e from :func:`_exponent` (per row with ``rows``, for an ``f`` with one value per
-    row), without a numpy warning: every scaled entry is below 1, so no square overflows, and a result past the
-    float range is inf, the caller's to judge.  A power of two scales exactly, so an ordinary result keeps its
-    bits and f(x 2^k) is 2^k f(x) (Anderson, ACM TOMS 2017).  A scalar result is a Python float.
+    row), without a numpy warning: every scaled entry of a finite ``x`` is below 1, so no square overflows, and a
+    result past the float range is inf, the caller's to judge; an ``x`` (or row) with an inf or NaN is not scaled,
+    so ``f`` must not square it by Python's ``**``.  A power of two scales exactly, so an ordinary result keeps
+    its bits and f(x 2^k) is 2^k f(x) (Anderson, ACM TOMS 2017).  A scalar result is a Python float.
     """
     e = _exponent(x, rows)
     with np.errstate(over="ignore", under="ignore"):

@@ -449,6 +449,13 @@ class TestRteRre:
         with pytest.raises(ValueError, match=r"^segment length 1e\+300 m: its RTE or RRE leaves the float range$"):
             rte_rre(line_from_x([-x for x in xs]), line_from_x(xs), lengths_m=(1e300,))
 
+    def test_finite_errors_past_the_square_range_beside_one_that_is_not_are_refused_in_one_line(self):
+        # segment errors of 1e200 m and 1.7e308 m beside an inf: an inf leaves every entry unscaled,
+        # and Python's ** on the finite ones overflowed, past the one-line refusal
+        est = line_from_x([0.0, 1e200, -1.7e308, 1.7e308, 4.0, 5.0])
+        with pytest.raises(ValueError, match=r"^segment length 1\.0 m: its RTE or RRE leaves the float range$"):
+            rte_rre(est, line_from_x([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]), lengths_m=(1.0,))
+
     def test_per_length_values_whose_sum_overflows_have_a_finite_mean(self):
         # an estimate 1.2e306 times too long: each length's RTE is near 1.2e308 %, and their sum
         # leaves the float range, so the mean over the lengths is scaled as _scale_safe scales it.

@@ -358,6 +358,8 @@ class TestScaleSafe:
                             and np.abs(np.ldexp(x, k)).sum() < math.inf):
                         continue
                 assert run(np.ldexp(x, k))[0] == math.ldexp(value, k), (site, x, k)
+
+
 class TestPose3:
     def test_identity(self):
         assert np.array_equal(Pose3(np.eye(4)).matrix, np.eye(4))
