@@ -123,11 +123,9 @@ def _cmd_eval_traj(args) -> dict:
     gt = parse_trajectory(Path(args.gt).read_text(), args.format)
     if len(est) != len(gt) or not np.array_equal(est.timestamps, gt.timestamps):
         pairs = associate_by_timestamp(est.timestamps, gt.timestamps, args.max_dt)
-        if len(pairs) < 2:
-            raise ValueError(
-                f"timestamp association failed: only {len(pairs)} match(es) "
-                f"within {args.max_dt:g} s"
-            )
+        if len(pairs) < 3:  # the ATE alignment needs 3 frames
+            raise ValueError(f"timestamp association failed: only {len(pairs)} match(es) "
+                             f"within {args.max_dt:g} s, and evaluation needs 3")
         ei = [i for i, _ in pairs]
         gi = [j for _, j in pairs]
         est = Trajectory(est.timestamps[ei], est.poses[ei])

@@ -164,6 +164,12 @@ class RelativeErrorReport:
     per_length: dict[float, tuple[float, float, int]]
 
 
+def _segment_ends(dist: np.ndarray, starts: np.ndarray | int, length: float) -> np.ndarray:
+    """Per start, the first frame whose path length ``dist`` reaches ``dist[start] + length``, else ``len(dist)``."""
+    with np.errstate(over="ignore"):  # a target past the float range is inf, which no finite path reaches
+        return np.searchsorted(dist, dist[starts] + length, side="left")
+
+
 def _unresolved(length: float, dist: np.ndarray, frame: int) -> ValueError:
     """The refusal of a segment length that adds nothing to the path length ``dist`` at ``frame``."""
     return ValueError(f"segment length {length:g} m is below the float resolution of the "
@@ -224,11 +230,7 @@ def rte_rre(
     inv_gt, inv_est = invert_rigid(gt.poses), invert_rigid(est.poses)
     per_length: dict[float, tuple[float, float, int]] = {}
     for length in lengths:
-        # end frame: first index at or beyond the nominal path length; an
-        # end target past the float range is inf, which no finite path reaches
-        with np.errstate(over="ignore"):
-            targets = dist[firsts] + length
-        lasts = np.searchsorted(dist, targets, side="left")
+        lasts = _segment_ends(dist, firsts, length)
         starts = firsts[lasts < n]
         ends = lasts[lasts < n]
         if not starts.size:
@@ -292,7 +294,7 @@ def scale_from_first_10m(est: Trajectory, gt: Trajectory) -> float:
     d_gt = path_lengths(gt)
     if d_gt[-1] < 10.0:
         raise InsufficientLengthError(f"ground-truth path covers {d_gt[-1]:g} m < prefix 10 m")
-    k = int(np.searchsorted(d_gt, 10.0, side="left"))
+    k = int(_segment_ends(d_gt, 0, 10.0))
     d_est = path_lengths(est)
     if d_est[k] <= 0.0:
         raise DegenerateInputError("estimated trajectory has zero length over the prefix")
@@ -337,13 +339,10 @@ def log_scale_curve(est: Trajectory, gt: Trajectory, segment_m: float = 10.0) ->
     segment_m = check_arg("segment_m", segment_m, FINITE_POSITIVE)
     d_gt = path_lengths(gt)
     n = len(gt)
+    # every frame's end once; the chain of segments from frame 0 is a walk over them
+    ends = _segment_ends(d_gt, np.arange(n), segment_m).tolist()
     bounds = [0]
-    while True:
-        with np.errstate(over="ignore"):  # a target past the float range is inf, which no finite path reaches
-            target = d_gt[bounds[-1]] + segment_m
-        nxt = int(np.searchsorted(d_gt, target, side="left"))
-        if nxt >= n:
-            break
+    while (nxt := ends[bounds[-1]]) < n:
         if nxt <= bounds[-1]:
             raise _unresolved(segment_m, d_gt, bounds[-1])
         bounds.append(nxt)

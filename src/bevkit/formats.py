@@ -12,6 +12,7 @@ number rule.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import TYPE_CHECKING
 
@@ -241,32 +242,34 @@ def associate_by_timestamp(
 ) -> list[tuple[int, int]]:
     """Greedy monotone matching of two timestamp streams.
 
-    Walks both streams once; each a-frame takes the nearest unclaimed
-    b-frame within ``max_dt_s``.  Indices are strictly increasing on both
-    sides of the returned pairing; an empty stream pairs nothing.
+    Walks both streams once; each a-frame, in the order given, takes the nearest unclaimed b-frame within
+    ``max_dt_s``, the earlier one on a tie.  ``times_b`` must be strictly increasing; ``times_a`` may come
+    in any order.  Indices are strictly increasing on both sides of the pairing; an empty stream pairs nothing.
     """
     times_a, times_b = (np.zeros(0) if np.shape(times) == (0,) else check_array(name, times, ("N",))
                         for name, times in (("times_a", times_a), ("times_b", times_b)))
     max_dt_s = check_arg("max_dt_s", max_dt_s, AT_LEAST_ZERO)
+    if np.any(times_b[1:] <= times_b[:-1]):
+        raise ValueError("times_b must be strictly increasing")
     pairs: list[tuple[int, int]] = []
-    times_b = times_b.tolist()
-    j_start = 0
-    for i, ta in enumerate(times_a.tolist()):
-        best_j = -1
-        best_dt = None
-        j = j_start
-        while j < len(times_b):
-            # Python floats: a difference past the float range is +-inf, beyond any tolerance but an infinite one
-            dt = times_b[j] - ta
-            if dt > max_dt_s:
-                break
-            if abs(dt) <= max_dt_s and (best_dt is None or abs(dt) < best_dt):
-                best_j = j
-                best_dt = abs(dt)
-            j += 1
-        if best_j >= 0:
-            pairs.append((i, best_j))
-            j_start = best_j + 1
+    tb, n = times_b.tolist(), len(times_b)
+    first = 0  # the first unclaimed b-frame
+    for i, (ta, p) in enumerate(zip(times_a.tolist(), np.searchsorted(times_b, times_a).tolist())):
+        if first == n:
+            break
+        # Python floats: a difference past the float range is +-inf, beyond any tolerance but an infinite one.
+        # Along times_b the distance falls up to the insertion point p and rises from it, so frame j + 1, at
+        # or past ta, is the nearer only when j is before ta, where |dt| is -dt
+        j = p - 1 if p > first else first
+        dt = tb[j] - ta
+        if j + 1 < n and (after := tb[j + 1] - ta) < -dt:
+            j, dt = j + 1, after
+        elif j > first and tb[j - 1] - ta == dt:
+            # rounding put earlier frames at the same distance; the earliest of them wins
+            j = bisect.bisect_left(tb, dt, first, j, key=lambda b: b - ta)
+        if abs(dt) <= max_dt_s:
+            pairs.append((i, j))
+            first = j + 1
     return pairs
 
 

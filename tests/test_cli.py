@@ -310,6 +310,18 @@ class TestEvalTraj:
         assert "associated" in err
         assert doc["rte_percent"] == 0.0
 
+    @pytest.mark.parametrize("matched", [0, 1, 2])
+    def test_fewer_than_three_matches_name_the_association(self, tmp_path, capsys, matched):
+        # the first `matched` estimate frames sit on ground-truth stamps, the rest half a frame off
+        traj = curved_trajectory(30, seed=6)
+        stamps = traj.timestamps + np.where(np.arange(30) < matched, 0.0, 0.05)
+        gt = self.write(tmp_path, "gt.tum", traj)
+        est = self.write(tmp_path, "est.tum", Trajectory(stamps, traj.poses))
+        code, out, err = run_cli(["eval-traj", "--est", est, "--gt", gt, "--lengths", "10"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"bevkit: error: timestamp association failed: only {matched} match(es) "
+                       f"within 0.02 s, and evaluation needs 3\n")
+
     def test_insufficient_length_fails(self, tmp_path, capsys):
         traj = curved_trajectory(5, seed=5)
         gt = self.write(tmp_path, "gt.tum", traj)

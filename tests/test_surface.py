@@ -407,6 +407,36 @@ def test_repair_guard_sees_a_caller(tmp_path):
     assert callers_of(tmp_path, "proper_rotation") == {"mod.parse", "mod.Box.fix"}
 
 
+def segment_end_searches(src: Path) -> set[str]:
+    """``"evaluation.function"`` of every ``searchsorted(...)`` call in ``src``'s ``evaluation.py``."""
+    return {site for site in callers_of(src, "searchsorted") if site.split(".")[0] == "evaluation"}
+
+
+def test_one_segment_end_rule():
+    # a segment's end frame looked up anywhere else is a rule of its own: its side, its
+    # overflowing target and its refusals would have to be kept equal to _segment_ends' by hand
+    assert segment_end_searches(SRC) == {"evaluation._segment_ends"}
+
+
+def test_segment_end_guard_sees_a_caller(tmp_path):
+    (tmp_path / "evaluation.py").write_text(
+        "import numpy as np\n"
+        "def _segment_ends(dist, starts, length):\n"
+        "    return np.searchsorted(dist, dist[starts] + length)\n"
+        "def log_scale_curve(d):\n"
+        "    while True:\n"
+        "        nxt = int(np.searchsorted(d, d[0] + 10.0, side='left'))\n"
+        "def named_only():\n"
+        "    return np.searchsorted\n"
+    )
+    (tmp_path / "sampler.py").write_text(
+        "import numpy as np\n"
+        "def window(t):\n"
+        "    return np.searchsorted(t, t - 1.0)\n"
+    )
+    assert segment_end_searches(tmp_path) == {"evaluation._segment_ends", "evaluation.log_scale_curve"}
+
+
 # The only functions that take the largest magnitude of an array, and why: a reduction guarded against leaving
 # the float range scales by geometry._exponent's power of two, and a direction divides by geometry._direction's
 # m, so each rescue is written once.
