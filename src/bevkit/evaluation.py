@@ -22,7 +22,7 @@ from .errors import (
     InsufficientLengthError,
     ShapeError,
 )
-from .geometry import Trajectory, _scale_safe, check_rigid, fit_similarity, invert_rigid
+from .geometry import Trajectory, _invert_rigid, _scale_safe, check_rigid, fit_similarity, invert_rigid
 from .text import FINITE_POSITIVE, FLAG, check_arg, integer_in
 
 DEFAULT_SEGMENT_LENGTHS_M = (100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0, 800.0)
@@ -246,7 +246,7 @@ def rte_rre(
                 # it exact instead of routing through another product, whose
                 # rounding the arccos near trace 3 would amplify
                 same = np.all(delta_est == delta_gt, axis=(1, 2))
-                err = invert_rigid(delta_est[~same]) @ delta_gt[~same]
+                err = _invert_rigid(delta_est[~same]) @ delta_gt[~same]
             moved = block + np.flatnonzero(~same)
             t_err[moved] = _norms(err[:, :3, 3])
             r_err[moved] = _rotation_angles(err[:, :3, :3])

@@ -235,6 +235,12 @@ def invert_rigid(poses: np.ndarray) -> np.ndarray:
     translation past the float range gives +-inf or NaN, without a numpy warning.
     """
     poses = np.ascontiguousarray(poses, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _invert_rigid(poses)
+
+
+def _invert_rigid(poses: np.ndarray) -> np.ndarray:
+    """:func:`invert_rigid` of a C-ordered float64 array, under the caller's ``np.errstate``."""
     r_t = poses[..., :3, :3].swapaxes(-1, -2)
     out = np.zeros(poses.shape)
     out[..., :3, :3] = r_t
@@ -242,8 +248,7 @@ def invert_rigid(poses: np.ndarray) -> np.ndarray:
     # negated before the product, as a per-frame -R^T @ t would be: -(R^T t)
     # has the same values but may flip the sign of a zero.  The stacked
     # product gives the per-frame products' bits, signs of zeros included
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(np.negative(r_t), poses[..., :3, 3:], out=out[..., :3, 3:])
+    np.matmul(np.negative(r_t), poses[..., :3, 3:], out=out[..., :3, 3:])
     return out
 
 
@@ -278,7 +283,7 @@ def relative_pose(a: Pose3, b: Pose3) -> Pose3:
     or one that fails, goes through ``Pose3``'s checks, without a numpy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        m = invert_rigid(a.matrix) @ b.matrix
+        m = _invert_rigid(a.matrix) @ b.matrix
     drift, det = rotation_error(m[:3, :3])
     if drift > ORTHONORMALITY_TOL:
         m[:3, :3] = proper_rotation(m[:3, :3])[0]

@@ -7,9 +7,9 @@ copy at the BEV cell under its 3D location and sum-pools collisions.
 :func:`project_volume` does both without building the (C, D, H, W) lift
 tensor: :func:`build_frustum` places every (depth bin, pixel),
 :func:`assign_cells` bins those points into cells, and the per-channel pool
-weights each in-grid point by ``context[c, hw] * depth[d, hw]`` as it adds
-it.  The tests keep the explicit lift and an ``np.add.at`` splat as its
-bitwise reference.
+weights each point by ``context[c, hw] * depth[d, hw]`` as it adds it.  The
+tests keep the explicit lift and an ``np.add.at`` splat as its bitwise
+reference.
 """
 
 from __future__ import annotations
@@ -62,17 +62,13 @@ class DepthDistribution:
 class SplatAssignment:
     """Frustum-to-cell plan of one camera, bin set, image size and grid.
 
-    ``in_grid`` is the per-point (D, H, W) mask of the points inside the
-    grid.  The rest describe only those points, in (depth, row, column)
-    order: ``points`` holds their flat (D, H, W) indices, ``cells`` their
-    flat cell ids ``row * grid W + col``, and ``pixels`` their flat image
-    pixel index ``hw``.  ``dropped`` counts the points outside the grid.
+    ``in_grid`` masks the (D, H, W) frustum points inside the grid, ``cells``
+    holds each point's flat cell id ``row * grid W + col`` (``grid H * grid W``,
+    one past the last cell, off the grid) and ``dropped`` counts the points off it.
     """
 
     in_grid: np.ndarray
-    points: np.ndarray
     cells: np.ndarray
-    pixels: np.ndarray
     dropped: int
 
 
@@ -129,9 +125,9 @@ def _assign(pts: np.ndarray, grid: BevGridSpec) -> SplatAssignment:
     """:func:`assign_cells` on a frustum already checked."""
     u, v = _vehicle_to_pixel(pts[..., 0], pts[..., 1], grid)  # a far point's +-inf is outside the grid
     in_grid = (v >= 0) & (v < grid.height_px) & (u >= 0) & (u < grid.width_px)
-    points = np.flatnonzero(in_grid)
-    cells = (np.floor(v.ravel()[points]) * grid.width_px + np.floor(u.ravel()[points])).astype(np.int64)
-    return SplatAssignment(in_grid, points, cells, points % (pts.shape[1] * pts.shape[2]), in_grid.size - points.size)
+    cells = np.full(in_grid.shape, grid.height_px * grid.width_px, dtype=np.int64)
+    cells[in_grid] = np.floor(v[in_grid]) * grid.width_px + np.floor(u[in_grid])  # off the grid u or v may be inf
+    return SplatAssignment(in_grid, cells, in_grid.size - int(np.count_nonzero(in_grid)))
 
 
 def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraModel, grid: BevGridSpec):
@@ -139,36 +135,35 @@ def project_volume(volume: FeatureMap, depth: DepthDistribution, camera: CameraM
 
     Cell (i, j) of channel c sums ``volume[c, h, w] * depth[d, h, w]`` over
     the frustum points (d, h, w) that :func:`assign_cells` puts in it.  The
-    (C, D, H, W) lift tensor is never built: one ``np.bincount`` per channel
-    forms each in-grid point's weight as it adds the points in (depth, row,
-    column) order, so results are bitwise reproducible and memory beyond
-    the output stays at a few point-sized arrays.  The weights are formed
-    in float64 whatever the map's dtype, so a float32 map gives the bits of
-    its exact float64 upcast.  The channels are split across one thread per
-    usable CPU, each writing its own rows, which leaves the bits as they are.
-    Returns (bev, dropped) with bev a C-contiguous (C, grid H, grid W)
-    array and dropped the count of frustum points outside the grid.  A
-    cell sum past the float range raises ValueError.
+    (C, D, H, W) lift tensor is never built: per channel, one broadcast
+    product weights the depth slabs that hold an in-grid point, and one
+    ``np.bincount`` adds their points in (depth, row, column) order, cutting
+    off the off-grid bin, so results are bitwise reproducible.  Weights are
+    formed in float64 whatever the map's dtype, so a float32 map gives the
+    bits of its exact float64 upcast.  The channels are split across one
+    thread per usable CPU, each writing its own rows, which leaves the bits
+    as they are.  Returns (bev, dropped) with bev a C-contiguous (C, grid H,
+    grid W) array and dropped the count of frustum points outside the grid.
+    A cell sum past the float range raises ValueError.
     """
     if volume.spatial_shape != depth.data.shape[1:]:
-        raise ShapeError(
-            f"features {volume.spatial_shape} and depth {depth.data.shape[1:]} disagree on (H, W)"
-        )
+        raise ShapeError(f"features {volume.spatial_shape} and depth {depth.data.shape[1:]} disagree on (H, W)")
     plan = _assign(build_frustum(camera, depth.bins, volume.spatial_shape), grid)
     context = volume.data.reshape(volume.channels, -1)
-    scale = depth.data.reshape(-1)[plan.points]
+    slabs = np.flatnonzero(plan.in_grid.any(axis=(1, 2)))
+    d0, d1 = (slabs[0], slabs[-1] + 1) if slabs.size else (0, 0)
+    cells = plan.cells[d0:d1].reshape(-1)
+    scale = depth.data[d0:d1].reshape(d1 - d0, context.shape[1])  # not -1, which an empty slab range leaves open
     n = grid.height_px * grid.width_px
     bev = np.empty((volume.channels, n))
 
     def channels(cs):
-        weights = np.empty(plan.pixels.size)  # one buffer per slice: slices run concurrently
+        weights = np.empty(scale.shape)  # one buffer per slice: slices run concurrently
         for c in cs:
-            # a float32 row is upcast first, exactly: H*W values, not one per point.
-            # Every index is in range; mode="clip" skips the buffered bounds check
-            np.take(context[c].astype(float, copy=False), plan.pixels, out=weights, mode="clip")
-            with np.errstate(over="ignore"):  # a weight past the float range is inf, refused below
-                np.multiply(weights, scale, out=weights)
-            bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
+            # a float32 row is upcast first, exactly: H*W values, not one per point
+            with np.errstate(over="ignore"):  # a weight past the float range is inf: refused below if it is in a cell
+                np.multiply(scale, context[c].astype(float, copy=False), out=weights)
+            bev[c] = np.bincount(cells, weights.reshape(-1), minlength=n + 1)[:n]
 
     split_run(channels, volume.channels)
     if not _all_finite(bev):

@@ -846,10 +846,11 @@ TENSOR_PEAKS = {
     # two 0.72 MB float32 maps and the 0.55 MB float32 r3 volume, 2.0 MB; measured 2.21 (4.05 in float64)
     "correlate-r3": (["correlate", "--a", "{d}/feat_t.bvt1", "--b", "{d}/feat_t1.bvt1", "--radius", "3",
                       "--out", "{d}/vol_r3.bvt1"], 2.5),
-    # the float32 map, the depth, the frustum and its in-grid cell plan, a point buffer per thread and the
-    # 8.4 MB float64 output; measured 19.4 (20.2 with a float64 map), slack 0.6
+    # the float32 map, the depth, the frustum, one cell id per frustum point, a depth-slab buffer per thread
+    # and the 8.4 MB float64 output; measured 15.3 (19.4 when the pool gathered from a list of the in-grid
+    # points, cells and pixels), slack 0.6
     "lss-project": (["lss-project", "--features", "{d}/feat_t1.bvt1", "--depth", "{d}/depth.bvt1",
-                     "--config", "{d}/config.json", "--out", "{d}/bev.bvt1"], 20.0),
+                     "--config", "{d}/config.json", "--out", "{d}/bev.bvt1"], 15.9),
 }
 
 

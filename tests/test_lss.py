@@ -174,7 +174,7 @@ class TestBuildFrustum:
         pts[0, 0, 0, 0] = 1.0
         assert pts.flags.writeable
         # every point sits at (u, v) = (3.5, 3.5): row 3, column 3
-        assert asg.cells.tolist() == [3 * 8 + 3] * 4 and np.all(asg.in_grid)
+        assert asg.cells.ravel().tolist() == [3 * 8 + 3] * 4 and np.all(asg.in_grid)
 
     def test_frustum_validation(self):
         grid = BevGridSpec(8, 8, 1.0)
@@ -242,14 +242,15 @@ class TestAssignCells:
             ]
         )
         asg = assign_cells(fr, self.GRID)
-        assert asg.cells.tolist() == [4 * 8 + 4, 2 * 8 + 2, 0 * 8 + 7]
+        assert asg.cells.shape == asg.in_grid.shape == (1, 1, 3) and asg.cells.dtype == np.int64
+        assert asg.cells.ravel().tolist() == [4 * 8 + 4, 2 * 8 + 2, 0 * 8 + 7]
         assert np.all(asg.in_grid)
 
     def test_lower_edge_belongs_to_cell(self):
         # v exactly 2.0 floors into row 2, not row 1.
         fr = self.frustum_of([[2.0, 0.0, 0.0]])
         asg = assign_cells(fr, self.GRID)
-        assert asg.cells.tolist() == [2 * 8 + 4]
+        assert asg.cells.ravel().tolist() == [2 * 8 + 4]
 
     def test_out_of_grid_flagged(self):
         fr = self.frustum_of(
@@ -262,6 +263,8 @@ class TestAssignCells:
         )
         asg = assign_cells(fr, self.GRID)
         assert asg.in_grid.ravel().tolist() == [False, False, False, True]
+        # an off-grid point carries the id one past the last cell
+        assert asg.cells.ravel().tolist() == [64, 64, 64, 4 * 8 + 4]
 
     @pytest.mark.parametrize("grid", [
         BevGridSpec(8, 8, 1.0, origin_px=(4.0, 4.0)),
@@ -281,20 +284,41 @@ class TestAssignCells:
             asg = assign_cells(pts, grid)
             cells, in_grid = floored_cells(pts, grid)
             assert np.array_equal(asg.in_grid, in_grid)
-            assert np.array_equal(asg.cells, cells[in_grid])
+            assert np.array_equal(asg.cells[in_grid], cells[in_grid])
+            assert np.all(asg.cells[~in_grid] == grid.height_px * grid.width_px)
 
-    def test_plan_lists_in_grid_points_in_order(self):
+    def test_plan_gives_the_in_grid_points_in_order(self):
+        # the plan once listed the in-grid points' flat indices, cells and pixels; the mask and
+        # the per-point cells give each list back, in (depth, row, column) order
         rng = np.random.default_rng(63)
         pts = rng.uniform(-6.0, 6.0, size=(4, 3, 5, 3))
         asg = assign_cells(pts, self.GRID)
-        keep = asg.in_grid.ravel()
-        assert 0 < np.count_nonzero(keep) < keep.size
-        assert np.array_equal(asg.points, np.flatnonzero(keep))
         cells, in_grid = floored_cells(pts, self.GRID)
+        keep = in_grid.ravel()
+        assert 0 < np.count_nonzero(keep) < keep.size
         assert np.array_equal(asg.in_grid, in_grid)
-        assert np.array_equal(asg.cells, cells[in_grid])
-        assert np.array_equal(asg.pixels, np.broadcast_to(np.arange(15), (4, 15)).ravel()[keep])
+        points = np.flatnonzero(asg.in_grid)
+        assert np.array_equal(points, np.arange(keep.size)[keep])
+        assert np.array_equal(asg.cells[asg.in_grid], cells.ravel()[keep])
+        assert np.array_equal(asg.cells.ravel()[points], cells.ravel()[keep])
+        assert np.array_equal(points % 15, np.broadcast_to(np.arange(15), (4, 15)).ravel()[keep])
         assert asg.dropped == keep.size - np.count_nonzero(keep)
+
+    def test_off_grid_points_carry_n_and_the_footprint_counts_each_cell(self):
+        # one np.bincount of the plan's cells counts each cell's points; bin n holds the dropped ones
+        rng = np.random.default_rng(69)
+        grid = BevGridSpec(6, 5, 0.7, origin_px=(2.0, 3.5))
+        n = grid.height_px * grid.width_px
+        pts = rng.uniform(-4.0, 4.0, size=(3, 4, 6, 3))
+        asg = assign_cells(pts, grid)
+        assert np.all(asg.cells[~asg.in_grid] == n) and np.all(asg.cells[asg.in_grid] < n)
+        counts = np.bincount(asg.cells.ravel(), minlength=n + 1)
+        cells, in_grid = floored_cells(pts, grid)
+        want = np.zeros(n, dtype=np.int64)
+        for cell in cells[in_grid].tolist():
+            want[cell] += 1
+        assert np.array_equal(counts[:n], want) and 0 < np.count_nonzero(want) < n
+        assert counts[n] == asg.dropped > 0 and type(asg.dropped) is int
 
     @pytest.mark.parametrize("grid, pts, in_grid", [
         (BevGridSpec(8, 8, 1e-320), [[1.0, -1.0, 0.0], [-3.0, 2.0, 0.0], [0.0, 0.0, 0.0]], [False, False, True]),
@@ -305,6 +329,7 @@ class TestAssignCells:
         asg = assign_cells(self.frustum_of(pts), grid)
         assert asg.in_grid.ravel().tolist() == in_grid
         assert asg.dropped == in_grid.count(False)
+        assert np.all(asg.cells[~asg.in_grid] == 64)
 
 
 class TestSplat:
@@ -461,15 +486,16 @@ class TestProjectVolume:
         assert peak < 48e6
 
     def test_peak_at_bench_shape_holds_live_arrays_only(self, peak_bytes, monkeypatch):
-        # the 8.4 MB output, the 4.3 MB frustum, its two 1.4 MB pixel coordinate maps, the in-grid
-        # plan and a point buffer per thread: measured 17.2 MB on two threads, and 20.1 MB when the
-        # plan also kept a floored row and column of every frustum point
+        # the 8.4 MB output, the 4.3 MB frustum, its two 1.4 MB pixel coordinate maps, the 1.4 MB
+        # cell of every point and a slab buffer per thread: measured 13.07 MB on two threads, 17.2 MB
+        # when the plan listed the in-grid points, cells and pixels and the pool gathered from them,
+        # and 20.1 MB when the plan also kept a floored row and column of every frustum point
         from bevkit import _threads
 
         monkeypatch.setattr(_threads, "usable_cpus", lambda: 2)
         volume, depth, cfg = bench_inputs(np.random.default_rng(67))
         _, peak = peak_bytes(lambda: project_volume(volume, depth, cfg.camera, cfg.grid))
-        assert peak < 18.5e6, f"project_volume peaked at {peak / 1e6:.2f} MB"
+        assert peak < 13.5e6, f"project_volume peaked at {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_float32_map_gives_the_bits_of_its_float64_upcast(self, cpus, monkeypatch):
@@ -483,6 +509,66 @@ class TestProjectVolume:
         want = project_volume(FeatureMap(narrow.data.astype(float)), depth, cfg.camera, cfg.grid)
         bev, dropped = project_volume(narrow, depth, cfg.camera, cfg.grid)
         assert bev.dtype == np.float64 and np.array_equal(bev, want[0]) and dropped == want[1]
+
+    def test_pool_adds_the_slabs_that_hold_an_in_grid_point(self, monkeypatch):
+        # at bench shape the 5632 dropped points are exactly the two far slabs, so each
+        # channel's np.bincount adds 62 slabs of 2816 points, not all 64
+        from bevkit import _threads
+
+        monkeypatch.setattr(_threads, "usable_cpus", lambda: 1)
+        volume, depth, cfg = bench_inputs(np.random.default_rng(70), channels=3)
+        held = assign_cells(build_frustum(cfg.camera, depth.bins, (32, 88)), cfg.grid).in_grid.any(axis=(1, 2))
+        assert held[:62].all() and not held[62:].any()
+        n, calls, bincount = 128 * 128, [], np.bincount
+
+        def spy(x, weights=None, minlength=0):
+            calls.append((x.size, weights.size, minlength))
+            return bincount(x, weights, minlength)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        bev, dropped = project_volume(volume, depth, cfg.camera, cfg.grid)
+        monkeypatch.setattr(np, "bincount", bincount)
+        assert calls == [(62 * 2816, 62 * 2816, n + 1)] * 3
+        assert dropped == 5632 == 2 * 2816 and type(dropped) is int
+        assert_matches_reference_pair(volume, depth, cfg.camera, cfg.grid)
+
+    def test_pool_skips_near_and_far_slabs_off_the_grid(self, monkeypatch):
+        # a camera 6 m behind an 8 m grid: bins at x = -5 and 6, 14 m are off it, -2 and 2 m in it
+        calls, bincount = [], np.bincount
+
+        def spy(x, weights=None, minlength=0):
+            calls.append(x.size)
+            return bincount(x, weights, minlength)
+
+        cam = forward_camera(f=20.0, cx=1.5, cy=1.0)
+        cam = CameraModel(cam.intrinsics, np.hstack([cam.rotation, [[-6.0], [0.0], [1.5]]]))
+        grid = BevGridSpec(8, 8, 1.0, origin_px=(4.0, 4.0))
+        rng = np.random.default_rng(71)
+        volume = FeatureMap(rng.normal(size=(2, 2, 3)))
+        depth = DepthDistribution(rng.uniform(0.0, 1.0, size=(5, 2, 3)), [1.0, 4.0, 8.0, 12.0, 20.0])
+        monkeypatch.setattr(np, "bincount", spy)
+        bev, dropped = project_volume(volume, depth, cam, grid)
+        monkeypatch.setattr(np, "bincount", bincount)
+        assert calls == [2 * 6] * 2 and dropped == 3 * 6
+        assert np.count_nonzero(bev) > 4
+        assert_matches_reference_pair(volume, depth, cam, grid)
+
+    def test_an_off_grid_weight_past_the_float_range_is_cut_off_silently(self):
+        # pixel 0 lands in cell (2, 4); pixels 1 and 2, at y = -20 and -40 m, share its slab off the
+        # grid, where their weights overflow to +inf and -inf and their bin sums to NaN
+        import warnings
+
+        grid = BevGridSpec(8, 8, 1.0, origin_px=(4.0, 4.0))
+        cam = forward_camera(f=0.1, cx=0.5, cy=0.5)
+        depth = DepthDistribution(np.array([[[1.0, 1e10, 1e10]]]), (2.0,))
+        huge = FeatureMap(np.array([[[2.0, 1e300, -1e300]], [[3.0, 1e300, 1e300]]]))
+        tame = FeatureMap(np.array([[[2.0, 0.0, 0.0]], [[3.0, 0.0, 0.0]]]))
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            bev, dropped = project_volume(huge, depth, cam, grid)
+        want, _ = project_volume(tame, depth, cam, grid)
+        assert dropped == 2 and bev[0, 2, 4] == 2.0 and bev[1, 2, 4] == 3.0
+        assert bev.tobytes() == want.tobytes()
 
     def test_channel_concat_equivalence(self):
         rng = np.random.default_rng(58)

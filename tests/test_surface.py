@@ -217,7 +217,7 @@ def test_float32_guard_sees_a_keeper(tmp_path):
 
 # The only public functions outside text.py that convert an array argument themselves, and why.
 OWN_CONVERSIONS = {
-    "geometry.invert_rigid": "the hot path of pair mining, segment metrics and relative_pose, unchecked by design",
+    "geometry.invert_rigid": "the hot path of pair mining and segment metrics, unchecked by design",
     "bvt1.write_bvt1": "check_array's copy would add a second r5 volume, 7.9 MB in float32, to correlate's peak",
 }
 CONVERTERS = ("asarray", "array", "ascontiguousarray")
@@ -435,6 +435,48 @@ def test_segment_end_guard_sees_a_caller(tmp_path):
         "    return np.searchsorted(t, t - 1.0)\n"
     )
     assert segment_end_searches(tmp_path) == {"evaluation._segment_ends", "evaluation.log_scale_curve"}
+
+
+def lss_gathers(src: Path) -> set[str]:
+    """``"lss.function"`` of every ``take(...)`` call in ``src``'s ``lss.py``."""
+    return {site for site in callers_of(src, "take") if site.split(".")[0] == "lss"}
+
+
+def test_splat_plan_holds_one_cell_per_point():
+    # a list of the in-grid points, cells or pixels beside the mask would be a second copy of it
+    # in another layout, and a pool that reads it gathers once per point and channel
+    from dataclasses import fields
+
+    from bevkit.lss import SplatAssignment
+
+    assert [f.name for f in fields(SplatAssignment)] == ["in_grid", "cells", "dropped"]
+
+
+def test_lift_splat_pools_without_a_gather():
+    # project_volume weights whole depth slabs by a broadcast product; a per-point
+    # gather of the context or the depth costs a point-sized array per call
+    assert lss_gathers(SRC) == set()
+
+
+def test_gather_guard_sees_a_take(tmp_path):
+    (tmp_path / "lss.py").write_text(
+        "import numpy as np\n"
+        "def project_volume(context, pixels, out):\n"
+        "    def channels(cs):\n"
+        "        for c in cs:\n"
+        "            np.take(context[c], pixels, out=out, mode='clip')\n"
+        "    channels(range(2))\n"
+        "def _assign(u, points):\n"
+        "    return u.ravel().take(points)\n"
+        "def named_only():\n"
+        "    return np.take\n"
+    )
+    (tmp_path / "flow.py").write_text(
+        "import numpy as np\n"
+        "def pick(a, i):\n"
+        "    return np.take(a, i)\n"
+    )
+    assert lss_gathers(tmp_path) == {"lss.project_volume.channels", "lss._assign"}
 
 
 # The only functions that take the largest magnitude of an array, and why: a reduction guarded against leaving

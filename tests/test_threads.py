@@ -41,17 +41,25 @@ def serial_correlation(f_t, f_t1, radius, normalize=False):
 
 
 def serial_project_volume(volume, depth, camera, grid):
-    """Reference: project_volume with its channel loop on one thread, with one shared buffer."""
+    """Reference: the gathered pool project_volume ran before, on one thread, with one shared buffer.
+
+    It pools only the in-grid points: their flat indices and image pixels
+    come from the plan's mask, each channel row is gathered at those
+    pixels, weighted by the gathered depth and added by ``np.bincount``.
+    """
     plan = assign_cells(build_frustum(camera, depth.bins, volume.spatial_shape), grid)
+    points = np.flatnonzero(plan.in_grid)
+    pixels = points % np.prod(volume.spatial_shape)
+    cells = plan.cells.reshape(-1)[points]
     context = volume.data.reshape(volume.channels, -1)
-    scale = depth.data.reshape(-1)[plan.points]
+    scale = depth.data.reshape(-1)[points]
     n = grid.height_px * grid.width_px
     bev = np.empty((volume.channels, n))
-    weights = np.empty(plan.pixels.size)
+    weights = np.empty(pixels.size)
     for c, row in enumerate(context):
-        np.take(row, plan.pixels, out=weights, mode="clip")
+        np.take(row, pixels, out=weights, mode="clip")
         np.multiply(weights, scale, out=weights)
-        bev[c] = np.bincount(plan.cells, weights=weights, minlength=n)
+        bev[c] = np.bincount(cells, weights=weights, minlength=n)
     return bev.reshape(volume.channels, grid.height_px, grid.width_px), plan.dropped
 
 
